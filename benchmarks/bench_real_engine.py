@@ -24,7 +24,7 @@ import pytest
 from repro.analysis import compare_real_engines, comparison_table_rows, format_table
 from repro.config import CheckpointPolicy
 from repro.core import DataStatesCheckpointEngine, SynchronousCheckpointEngine
-from repro.core.flush_pipeline import DEFAULT_WRITER_THREADS, FlushPipeline
+from repro.core.flush_pipeline import FlushPipeline
 from repro.core.lazy_snapshot import SnapshotJob
 from repro.io import FileStore, ObjectStore, TieredStore
 from repro.memory import PinnedHostPool
@@ -650,7 +650,6 @@ def test_io_fastpath_benchmark(benchmark, emit, tmp_path):
             "shard_bytes": nbytes,
             "cpu_count": os.cpu_count(),
             "host": _host_info(),
-            "writer_threads": DEFAULT_WRITER_THREADS,
             "shards_per_rank_sweep": shards_sweep,
             "restore_prefetch_sweep": prefetch_sweep,
             "tiered_drain_sweep": drain_sweep,

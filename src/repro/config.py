@@ -228,11 +228,12 @@ class CheckpointPolicy:
     #: Run the distributed commit protocol asynchronously (overlapping with
     #: training) instead of synchronously at the end of the checkpoint.
     async_consolidation: bool = True
-    #: Offset-addressed parallel shard writes: since the shard header fixes
-    #: every tensor's file offset up front, staged tensors are pwritten to
-    #: their final offsets by multiple workers, out of order, as each
-    #: device-to-host copy lands.  ``False`` selects the legacy streaming
-    #: path (one sequential writer per shard).
+    #: Offset-addressed shard writes: since the shard header fixes every file
+    #: offset up front, each staged extent is pwritten at its final offset
+    #: through the store's ``ShardWriter`` (when it has one) as its
+    #: device-to-host copy lands; the TorchSnapshot-like engine fans tensors
+    #: out to its writer threads the same way.  ``False`` streams the same
+    #: bytes through ``write_shard`` instead.
     parallel_shard_writes: bool = True
     #: Restore shards through a read-only mmap instead of reading the whole
     #: file into a heap ``bytes`` object: checksums are validated by

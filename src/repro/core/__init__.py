@@ -19,7 +19,7 @@ from .base_engine import CheckpointEngine, CompletedCheckpointHandle
 from .consolidation import TwoPhaseCommitCoordinator
 from .engine import CheckpointHandle, DataStatesCheckpointEngine
 from .flush_pipeline import FlushPipeline, FlushResult, ShardFlushJob
-from .lazy_snapshot import CopyStream, SnapshotJob, StagedTensor
+from .lazy_snapshot import CopyStream, SnapshotJob, StagedExtent
 from .registry import (
     ENGINE_ALIASES,
     ENGINE_LABELS,
@@ -48,7 +48,7 @@ __all__ = [
     "ShardFlushJob",
     "CopyStream",
     "SnapshotJob",
-    "StagedTensor",
+    "StagedExtent",
     "ENGINE_NAMES",
     "ENGINE_ALIASES",
     "ENGINE_LABELS",

@@ -192,6 +192,9 @@ class CheckpointEngine(abc.ABC):
         self._checkpoints_requested = 0
         self._parts_referenced = 0
         self._bytes_referenced = 0
+        #: ``(structure key, parts stripped of their tensors)`` of the last
+        #: plan: the one-entry cache behind :meth:`plan_shards`.
+        self._last_plan: Optional[Tuple[tuple, Tuple[ShardPart, ...]]] = None
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -304,9 +307,31 @@ class CheckpointEngine(abc.ABC):
         Every engine saves through the resulting plan: one part with the
         default policy (byte-identical to the original layout), several
         size-balanced parts otherwise.
+
+        Binning, offsets and the encoded headers depend only on the state's
+        structure, which training loops repeat from save to save: the last
+        plan's parts are kept (one entry, replaced on any change) and a save
+        of the same structure only rebinds the fresh tensor references and
+        re-pickles the skeleton (it carries the non-tensor leaves).
         """
-        return plan_shards(flattened, base_name,
+        tensors = flattened.tensors
+        key = (base_name, self.policy.shards_per_rank,
+               [(ref.path, ref.shape, ref.dtype, ref.nbytes) for ref in tensors])
+        last = self._last_plan
+        if last is not None and last[0] == key:
+            parts = tuple(
+                dataclasses.replace(part, tensors=tuple(
+                    [tensors[index] for index in part.global_indices]))
+                for part in last[1])
+            return ShardPlan(base_name=base_name, skeleton=flattened.skeleton_bytes(),
+                             num_tensors=len(tensors), parts=parts)
+        plan = plan_shards(flattened, base_name,
                            shards_per_rank=self.policy.shards_per_rank)
+        # Kept without its tensor references, so the cache never pins a
+        # state's arrays.
+        self._last_plan = (key, tuple(dataclasses.replace(part, tensors=())
+                                      for part in plan.parts))
+        return plan
 
     def _part_record(self, plan: ShardPlan, part: ShardPart, nbytes: int,
                      checksum: Optional[int],

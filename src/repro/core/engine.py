@@ -10,9 +10,10 @@ exact pipeline of §5.3:
 2. *header* — compute the shard-file offsets for every tensor (synchronous);
 3. *capture* — copy tensor payloads into the pre-allocated pinned host pool
    on a dedicated copy stream, lazily overlapping the caller's next
-   forward/backward work;
-4. *flush* — stream the shard file to storage as payloads arrive, releasing
-   pool space tensor by tensor;
+   forward/backward work; file-adjacent tensors are coalesced into extents
+   (one pool allocation each) and checksummed where they land;
+4. *flush* — stream the shard file to storage as extents arrive, one write
+   per extent, releasing pool space extent by extent;
 5. *commit* — vote in the asynchronous two-phase commit; once every rank's
    shards are durable the coordinator publishes the manifest.
 
@@ -214,8 +215,8 @@ class DataStatesCheckpointEngine(CheckpointEngine):
         flush_jobs = []
         if dirty:
             # Phase 3: lazy captures, dealt round-robin across the copy
-            # streams; phase 4: one streaming/parallel flush per part, so
-            # capture and flush overlap per shard.
+            # streams; phase 4: one flush per part, so capture and flush
+            # overlap per shard.
             indices = {part.name: index
                        for index, part in enumerate(plan.parts)}
             for stream_slot, part in enumerate(dirty):

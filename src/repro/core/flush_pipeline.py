@@ -2,28 +2,29 @@
 
 Consumes the :class:`~repro.core.lazy_snapshot.SnapshotJob` staging queue and
 writes the shard file incrementally: the preamble (header + skeleton) goes
-out immediately, and each tensor's bytes are written as soon as its
-device-to-host copy lands in the pinned pool — flushing therefore overlaps
-both the remaining copies and the training computation (streamlined
-multi-level flushing, §5.1).  Pinned-pool space is released tensor by tensor
-as it is consumed, which is what lets the circular buffer admit the next
-checkpoint.
+out immediately, and each staged **extent** — a run of file-adjacent tensors
+in one pinned-pool allocation — is written as soon as its device-to-host
+copy lands, so flushing overlaps both the remaining copies and the training
+computation (streamlined multi-level flushing, §5.1).  Pool space goes back
+extent by extent as it is consumed, which is what lets the circular buffer
+admit the next checkpoint.
 
-Two write paths exist, selected by ``parallel_shard_writes``:
+One loop feeds one of two sinks, selected by what the store offers (and
+``parallel_shard_writes``):
 
-* **Streaming (legacy/fallback)** — one sequential writer drains the staging
-  queue front to back into :meth:`~repro.io.ShardStore.write_shard`.  Chunks are
-  zero-copy ``memoryview`` slices of the pinned pool; the whole-file CRC32 is
-  accumulated incrementally.
+* **Offset-addressed** — the store hands out a :class:`~repro.io.ShardWriter`;
+  because the shard header fixes every file offset up front, each extent is
+  one ``pwrite`` at its final position, issued inline by the flush thread.
 
-* **Parallel offset-addressed (fast path)** — because the shard header fixes
-  every tensor's file offset up front, each staged tensor is dispatched to a
-  pool of pwrite workers the moment its device-to-host copy lands, and lands
-  at its final offset via :class:`~repro.io.ShardWriter` — multiple workers
-  write *one shard's tensors concurrently, out of order*.  Each worker
-  checksums its staged view; the whole-file CRC32 is folded from the
-  per-tensor CRCs with :func:`~repro.serialization.crc32_combine`, so
-  integrity validation at restart is byte-identical to the streaming path.
+* **Streaming** — stores without a writer (CAS, fault-injecting, test
+  doubles) pull the same bytes through
+  :meth:`~repro.io.ShardStore.write_shard` as zero-copy ``memoryview``
+  chunks of the pool.
+
+Neither sink hashes a payload byte: the capture thread already took every
+tensor's CRC32, and the whole-file checksum is folded from those with
+:func:`~repro.serialization.crc32_combine`, bit-identical to a sequential
+``zlib.crc32`` pass over the file.
 """
 
 from __future__ import annotations
@@ -37,133 +38,10 @@ from ..exceptions import CheckpointError
 from ..io import FlushTask, FlushWorkerPool, ShardStore, supports_shard_writer
 from ..logging_utils import get_logger
 from ..memory import PinnedHostPool
-from ..serialization import ShardRecord, crc32_combine, encode_preamble
-from .lazy_snapshot import SnapshotJob
+from ..serialization import ShardRecord, encode_preamble, fold_section_checksums
+from .lazy_snapshot import SnapshotJob, StagedExtent
 
 logger = get_logger(__name__)
-
-#: Default number of concurrent pwrite workers for the parallel fast path.
-DEFAULT_WRITER_THREADS = 4
-
-
-class ParallelShardWrite:
-    """Coordinates the concurrent offset-addressed write of ONE shard.
-
-    The shared machinery of every parallel write path — used by the
-    :class:`FlushPipeline` fast path (pinned-pool staged tensors arriving via
-    the snapshot queue) and by the TorchSnapshot-like engine (in-memory
-    captured tensors): a pending-task latch, per-tensor CRC32 accumulation,
-    first-error capture, and the fold of the whole-file checksum from the
-    per-tensor CRCs (in file-offset order, so it is byte-identical to a
-    sequential CRC despite out-of-order writes).
-    """
-
-    def __init__(self, writer, workers: FlushWorkerPool, header, preamble: bytes) -> None:
-        self.writer = writer
-        self.workers = workers
-        self.header = header
-        self.preamble = preamble
-        self.payload_start = len(preamble)
-        # Keyed by tensor key, not offset: zero-length tensors (legal under
-        # uneven ZeRO partitions) share their offset with the next entry.
-        self._index_by_key = {entry.key: i for i, entry in enumerate(header.entries)}
-        self._state_lock = threading.Lock()
-        self._tensor_crcs: List[Optional[int]] = [None] * len(header.entries)
-        self._errors: List[BaseException] = []
-        self._done_cv = threading.Condition()
-        self._pending = 0
-
-    def write_preamble(self) -> None:
-        """Write the header+skeleton at offset 0 (errors captured, not raised)."""
-        try:
-            self.writer.pwrite(0, self.preamble)
-        except BaseException as exc:  # noqa: BLE001 - surfaced via first_error
-            self._record_error(exc)
-
-    def _record_error(self, exc: BaseException) -> None:
-        with self._state_lock:
-            self._errors.append(exc)
-
-    @property
-    def failed(self) -> bool:
-        """True once any write has failed (producers should stop submitting)."""
-        with self._state_lock:
-            return bool(self._errors)
-
-    def submit(self, entry, view: memoryview, description: str = "",
-               chunk_size: Optional[int] = None,
-               cleanup: Optional[Callable[[], None]] = None) -> None:
-        """Queue one tensor's pwrite at its final offset.
-
-        ``cleanup`` runs when the write retires (success or failure) — e.g.
-        releasing the tensor's pinned-pool space.  With ``chunk_size`` the
-        tensor is written (and checksummed) in bounded pieces.  Raises only
-        if the worker pool rejects the task; its latch slot and cleanup are
-        undone first.
-        """
-        with self._done_cv:
-            self._pending += 1
-
-        def run() -> None:
-            try:
-                if chunk_size:
-                    crc = 0
-                    for start in range(0, entry.nbytes, chunk_size):
-                        stop = min(start + chunk_size, entry.nbytes)
-                        piece = view[start:stop]
-                        self.writer.pwrite(self.payload_start + entry.offset + start, piece)
-                        crc = zlib.crc32(piece, crc) & 0xFFFFFFFF
-                else:
-                    self.writer.pwrite(self.payload_start + entry.offset, view)
-                    crc = zlib.crc32(view) & 0xFFFFFFFF
-                with self._state_lock:
-                    self._tensor_crcs[self._index_by_key[entry.key]] = crc
-            except BaseException as exc:  # noqa: BLE001 - surfaced via first_error
-                self._record_error(exc)
-            finally:
-                if cleanup is not None:
-                    cleanup()
-
-        def on_done(_error: Optional[BaseException]) -> None:
-            with self._done_cv:
-                self._pending -= 1
-                self._done_cv.notify_all()
-
-        try:
-            self.workers.submit(FlushTask(run=run, on_done=on_done,
-                                          description=description))
-        except BaseException:
-            # The task will never run: undo its latch slot and release its
-            # payload before bailing out.
-            with self._done_cv:
-                self._pending -= 1
-            if cleanup is not None:
-                cleanup()
-            raise
-
-    def wait_writes(self) -> None:
-        """Block until every submitted pwrite has retired (always safe to
-        call — also on error paths, before closing the writer's fd)."""
-        with self._done_cv:
-            while self._pending:
-                self._done_cv.wait()
-
-    def first_error(self) -> Optional[BaseException]:
-        """The first write failure, if any."""
-        with self._state_lock:
-            return self._errors[0] if self._errors else None
-
-    def folded_checksum(self) -> int:
-        """Whole-file CRC32 folded from the per-tensor CRCs."""
-        checksum = zlib.crc32(self.preamble) & 0xFFFFFFFF
-        for entry, crc in zip(self.header.entries, self._tensor_crcs):
-            assert crc is not None
-            checksum = crc32_combine(checksum, crc, entry.nbytes)
-        return checksum
-
-    def tensor_checksums(self) -> Tuple[Optional[int], ...]:
-        """Per-tensor CRC32s in header order."""
-        return tuple(self._tensor_crcs)
 
 
 @dataclass
@@ -208,6 +86,34 @@ class ShardFlushJob:
         return self.result
 
 
+class _StagedExtents:
+    """The consuming end of a snapshot's staging queue: the extents in file
+    order, each one's pool space going back as the next is asked for."""
+
+    def __init__(self, snapshot: SnapshotJob, pool: PinnedHostPool) -> None:
+        self._get = snapshot.staged.get
+        self._free = pool.free
+        self._held: Optional[StagedExtent] = None
+        self._open = True
+
+    def __iter__(self) -> "_StagedExtents":
+        return self
+
+    def __next__(self) -> StagedExtent:
+        if self._held is not None:
+            self._free(self._held.allocation)
+        self._held = self._get() if self._open else None
+        if self._held is None:  # the capture's end-of-snapshot sentinel
+            self._open = False
+            raise StopIteration
+        return self._held
+
+    def close(self) -> None:
+        """Free the held extent and everything still to come."""
+        for _extent in self:
+            pass
+
+
 class FlushPipeline:
     """Background writer of snapshot jobs to a :class:`~repro.io.ShardStore`."""
 
@@ -219,7 +125,6 @@ class FlushPipeline:
         flush_threads: int = 1,
         chunk_size: int = 8 * 1024 * 1024,
         parallel_shard_writes: bool = False,
-        writer_threads: Optional[int] = None,
     ) -> None:
         if chunk_size <= 0:
             raise CheckpointError("chunk_size must be positive")
@@ -228,15 +133,11 @@ class FlushPipeline:
         self.rank = rank
         self.chunk_size = chunk_size
         self.workers = FlushWorkerPool(num_workers=flush_threads, name=f"flush-r{rank}")
-        # Offset-addressed fast path needs a store that can hand out pwrite
+        # The offset-addressed sink needs a store that can hand out pwrite
         # writers; plain stores (and test doubles) fall back to streaming.
         self.parallel_shard_writes = bool(
             parallel_shard_writes and supports_shard_writer(store)
         )
-        self._pwriters: Optional[FlushWorkerPool] = None
-        if self.parallel_shard_writes:
-            count = writer_threads or max(flush_threads, DEFAULT_WRITER_THREADS)
-            self._pwriters = FlushWorkerPool(num_workers=count, name=f"pwrite-r{rank}")
         self._jobs: List[ShardFlushJob] = []
         self._lock = threading.Lock()
 
@@ -282,133 +183,59 @@ class FlushPipeline:
     def shutdown(self, wait: bool = True) -> None:
         """Stop the flush workers."""
         self.workers.shutdown(wait=wait)
-        if self._pwriters is not None:
-            self._pwriters.shutdown(wait=wait)
 
     # -- the actual write ----------------------------------------------------------
     def _write_shard(self, snapshot: SnapshotJob) -> FlushResult:
-        if self.parallel_shard_writes:
-            return self._write_shard_parallel(snapshot)
-        return self._write_shard_streaming(snapshot)
-
-    def _write_shard_streaming(self, snapshot: SnapshotJob) -> FlushResult:
-        checksum = 0
-        nbytes = 0
-
-        def chunks() -> Iterator[Union[bytes, memoryview]]:
-            nonlocal checksum, nbytes
-            preamble = encode_preamble(snapshot.header, snapshot.skeleton)
-            # Whole-file CRC32, accumulated incrementally chunk by chunk so it
-            # can be re-verified by hashing the file once at restart time.
-            checksum = zlib.crc32(preamble) & 0xFFFFFFFF
-            nbytes += len(preamble)
-            yield preamble
-            while True:
-                staged = snapshot.staged.get()
-                if staged is None:
-                    break
-                view = staged.allocation.view
-                total = staged.entry.nbytes
-                for start in range(0, total, self.chunk_size):
-                    stop = min(start + self.chunk_size, total)
-                    piece = view[start:stop]
-                    checksum = zlib.crc32(piece, checksum) & 0xFFFFFFFF
-                    nbytes += len(piece)
-                    yield piece
-                # The last chunk of this tensor has been handed to the writer;
-                # its staging space can be recycled for the next copies.
-                self.pool.free(staged.allocation)
-            capture_error = snapshot.capture_error()
-            if capture_error is not None:
-                raise CheckpointError(
-                    f"snapshot capture failed mid-flush: {capture_error}"
-                ) from capture_error
-
-        receipt = self.store.write_shard(snapshot.tag, snapshot.shard_name, chunks())
-        record = self._snapshot_record(snapshot, receipt.nbytes, checksum)
-        return FlushResult(tag=snapshot.tag, shard_name=snapshot.shard_name,
-                           nbytes=receipt.nbytes, checksum=checksum, record=record)
-
-    def _write_shard_parallel(self, snapshot: SnapshotJob) -> FlushResult:
-        """Offset-addressed flush: staged tensors fan out to pwrite workers."""
-        assert self._pwriters is not None
         header = snapshot.header
         preamble = encode_preamble(header, snapshot.skeleton)
-        total_bytes = len(preamble) + header.payload_bytes
-
+        crcs: List[int] = []
+        extents = _StagedExtents(snapshot, self.pool)
         try:
-            writer = self.store.create_shard_writer(snapshot.tag, snapshot.shard_name,
-                                                    total_bytes)
-        except BaseException:
-            self._drain_staged(snapshot)
-            raise
+            if self.parallel_shard_writes:
+                writer = self.store.create_shard_writer(
+                    snapshot.tag, snapshot.shard_name,
+                    len(preamble) + header.payload_bytes)
+                try:
+                    writer.pwrite(0, preamble)
+                    for extent in extents:
+                        writer.pwrite(len(preamble) + extent.entries[0].offset,
+                                      extent.allocation.view)
+                        crcs.extend(extent.crcs)
+                    snapshot.wait_captured()  # raises if the capture died
+                    receipt = writer.commit()
+                except BaseException:
+                    writer.abort()
+                    raise
+            else:
+                def chunks() -> Iterator[Union[bytes, memoryview]]:
+                    yield preamble
+                    for extent in extents:
+                        view = extent.allocation.view
+                        for start in range(0, len(view), self.chunk_size):
+                            yield view[start:start + self.chunk_size]
+                        crcs.extend(extent.crcs)
+                    snapshot.wait_captured()  # raises if the capture died
 
-        shard_write = ParallelShardWrite(writer, self._pwriters, header, preamble)
-        queue_drained = False
-        try:
-            shard_write.write_preamble()
-
-            while True:
-                staged = snapshot.staged.get()
-                if staged is None:
-                    break
-                if shard_write.failed:
-                    # A write already failed: keep draining the queue so the
-                    # pinned pool is released and the capture thread never
-                    # wedges.
-                    self.pool.free(staged.allocation)
-                    continue
-                allocation = staged.allocation
-                shard_write.submit(
-                    staged.entry, allocation.view,
-                    description=f"{snapshot.tag}/{snapshot.shard_name}"
-                                f"@{staged.entry.offset}",
-                    cleanup=lambda allocation=allocation: self.pool.free(allocation),
-                )
-            queue_drained = True
-
-            shard_write.wait_writes()
-            capture_error = snapshot.capture_error()
-            if capture_error is not None:
-                raise CheckpointError(
-                    f"snapshot capture failed mid-flush: {capture_error}"
-                ) from capture_error
-            error = shard_write.first_error()
-            if error is not None:
-                raise error
-
-            checksum = shard_write.folded_checksum()
-            receipt = writer.commit()
-        except BaseException:
-            # Let in-flight pwrites retire before closing their fd (already-
-            # queued tasks always run; a shut-down pool only stops new work).
-            shard_write.wait_writes()
-            writer.abort()
-            if not queue_drained:
-                self._drain_staged(snapshot)
-            raise
-        record = self._snapshot_record(snapshot, receipt.nbytes, checksum,
-                                       tensor_checksums=shard_write.tensor_checksums())
+                receipt = self.store.write_shard(snapshot.tag, snapshot.shard_name,
+                                                 chunks())
+        finally:
+            # However the sink left — done, a write failure, a dead capture —
+            # nothing stays staged: the capture thread (and the next
+            # checkpoint's allocations) must never block on pool space no
+            # writer will ever release.
+            extents.close()
+        # Whole-file CRC32 folded from the capture-side per-tensor CRCs, so it
+        # can be re-verified by hashing the file once at restart time.
+        checksum = fold_section_checksums(
+            zip(crcs, [entry.nbytes for entry in header.entries]),
+            initial=zlib.crc32(preamble))
+        # The record carries the job's shard-set placement (multi-shard-per-
+        # rank layout) when it has one; per-tensor CRCs only on the writer sink.
+        record = ShardRecord(
+            rank=self.rank, name=snapshot.shard_name, nbytes=receipt.nbytes,
+            checksum=checksum,
+            tensor_checksums=tuple(crcs) if self.parallel_shard_writes else None,
+            group=snapshot.group, part_index=snapshot.part_index,
+            num_parts=snapshot.num_parts)
         return FlushResult(tag=snapshot.tag, shard_name=snapshot.shard_name,
                            nbytes=receipt.nbytes, checksum=checksum, record=record)
-
-    def _snapshot_record(self, snapshot: SnapshotJob, nbytes: int, checksum: int,
-                         tensor_checksums=None) -> ShardRecord:
-        """Manifest record for one flushed snapshot, carrying its shard-set
-        placement (multi-shard-per-rank layout) when the job has one."""
-        return ShardRecord(rank=self.rank, name=snapshot.shard_name,
-                           nbytes=nbytes, checksum=checksum,
-                           tensor_checksums=tensor_checksums,
-                           group=snapshot.group,
-                           part_index=snapshot.part_index,
-                           num_parts=snapshot.num_parts)
-
-    def _drain_staged(self, snapshot: SnapshotJob) -> None:
-        """Consume and free every staged tensor after a setup failure, so the
-        capture thread (and the next checkpoint's allocations) never block on
-        pool space that no writer will ever release."""
-        while True:
-            staged = snapshot.staged.get()
-            if staged is None:
-                return
-            self.pool.free(staged.allocation)

@@ -2,9 +2,15 @@
 
 One :class:`SnapshotJob` represents a single checkpoint request of one rank:
 its header has already been computed synchronously; the tensor payloads are
-copied into pinned-pool slices by a dedicated copy thread while the training
-thread keeps running (the "lazy non-blocking copies" of §5.1).  Copied slices
-are handed to the flush pipeline through a FIFO queue, so flushing can start
+copied into the pinned pool by a dedicated copy thread while the training
+thread keeps running (the "lazy non-blocking copies" of §5.1).  The unit of
+staging is the **extent** — a run of tensors that are adjacent in the shard
+file, coalesced into one pool allocation at their final relative offsets
+(:func:`~repro.serialization.plan_extents`) — so the pool, the queue and the
+flush pay one Python call chain per few MiB, not per tensor.  The copy thread
+also takes every tensor's CRC32 right after writing it, while the bytes are
+cache-hot; nothing downstream hashes a payload byte again.  Extents are
+handed to the flush pipeline through a FIFO queue, so flushing can start
 before the last tensor has been captured (streamlined flushing).
 
 The training loop calls :meth:`SnapshotJob.wait_captured` right before it
@@ -17,21 +23,26 @@ from __future__ import annotations
 import queue
 import threading
 import time
+import zlib
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import CheckpointError
 from ..logging_utils import get_logger
 from ..memory import HostAllocation, PinnedHostPool
-from ..serialization import ShardHeader, TensorEntry
+from ..serialization import ShardHeader, TensorEntry, plan_extents
 from ..tensor import TensorRef, tensor_payload_array
 
 logger = get_logger(__name__)
 
-#: Sentinel placed on the staging queue when the last tensor has been copied.
+#: Sentinel placed on the staging queue when the last extent has been copied.
 _END_OF_SNAPSHOT = None
+
+#: Upper bound of one coalesced extent; a quarter of the pool if that is less,
+#: so two checkpoints in flight through a small pool still make progress.
+MAX_EXTENT_BYTES = 4 * 1024 * 1024
 
 
 def deadline_iter(items, timeout: Optional[float]):
@@ -52,11 +63,17 @@ def deadline_iter(items, timeout: Optional[float]):
 
 
 @dataclass
-class StagedTensor:
-    """One tensor payload sitting in the pinned staging pool, ready to flush."""
+class StagedExtent:
+    """A run of file-adjacent tensors sitting in one pinned-pool allocation.
 
-    entry: TensorEntry
+    ``allocation.view`` holds exactly the bytes the shard file has from
+    ``entries[0].offset`` (payload-relative) on; ``crcs`` are the per-tensor
+    CRC32s, in entry order.
+    """
+
+    entries: Tuple[TensorEntry, ...]
     allocation: HostAllocation
+    crcs: Tuple[int, ...]
 
 
 class SnapshotJob:
@@ -82,27 +99,39 @@ class SnapshotJob:
         self.group = group
         self.part_index = part_index
         self.num_parts = num_parts
-        self.staged: "queue.Queue[Optional[StagedTensor]]" = queue.Queue()
+        self.staged: "queue.Queue[Optional[StagedExtent]]" = queue.Queue()
         self._captured = threading.Event()
         self._error: Optional[BaseException] = None
 
     # -- producer side (copy thread) --------------------------------------------
     def capture(self, pool: PinnedHostPool) -> None:
-        """Copy every tensor into the pinned pool, oldest first (runs off-thread)."""
+        """Copy and checksum every extent into the pinned pool, in file order
+        (runs off-thread)."""
         try:
-            for ref, entry in zip(self.tensors, self.header.entries):
-                # Resolve the payload before reserving pool space so a broken
+            entries = self.header.entries
+            limit = min(MAX_EXTENT_BYTES, pool.capacity // 4)
+            for start, stop in plan_extents(entries, limit):
+                run = entries[start:stop]
+                # Resolve the payloads before reserving pool space so a broken
                 # reference cannot leak an allocation no flush will ever free.
-                array = np.ascontiguousarray(tensor_payload_array(ref))
-                allocation = pool.allocate(entry.nbytes, blocking=True)
+                payloads = [np.ascontiguousarray(tensor_payload_array(ref))
+                            for ref in self.tensors[start:stop]]
+                base = run[0].offset
+                allocation = pool.allocate(run[-1].offset + run[-1].nbytes - base,
+                                           blocking=True)
                 try:
-                    raw = array.view(np.uint8).reshape(-1)
-                    target = np.frombuffer(allocation.view, dtype=np.uint8, count=raw.nbytes)
-                    np.copyto(target, raw)
+                    view = allocation.view
+                    target = np.frombuffer(view, dtype=np.uint8)
+                    crcs = []
+                    for entry, array in zip(run, payloads):
+                        lo = entry.offset - base
+                        hi = lo + entry.nbytes
+                        np.copyto(target[lo:hi], array.view(np.uint8).reshape(-1))
+                        crcs.append(zlib.crc32(view[lo:hi]))
                 except BaseException:
                     pool.free(allocation)
                     raise
-                self.staged.put(StagedTensor(entry=entry, allocation=allocation))
+                self.staged.put(StagedExtent(run, allocation, tuple(crcs)))
         except BaseException as exc:  # noqa: BLE001 - surfaced to waiters
             self._error = exc
             logger.error("snapshot capture of %s/%s failed: %s", self.tag, self.shard_name, exc)
@@ -124,10 +153,6 @@ class SnapshotJob:
                 f"snapshot of {self.tag}/{self.shard_name} failed: {self._error}"
             ) from self._error
         return finished
-
-    def capture_error(self) -> Optional[BaseException]:
-        """The capture failure, if any."""
-        return self._error
 
     @property
     def total_payload_bytes(self) -> int:

@@ -9,22 +9,136 @@ The writers use the offset-addressed ``pwrite`` fast path when the store
 supports it (each tensor lands at its final file offset computed by the shard
 header, chunk by chunk), falling back to a single-threaded streaming write
 otherwise.  Per-tensor CRC32s are folded into the whole-file checksum with
-:func:`~repro.serialization.crc32_combine`, so restart-time validation is
-byte-identical to every other engine's shards.
+:func:`~repro.serialization.fold_section_checksums`, so restart-time
+validation is byte-identical to every other engine's shards.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+import threading
+import zlib
+from typing import Any, List, Optional, Tuple
 
 from ..config import CheckpointPolicy
 from ..exceptions import CheckpointError
-from ..io import FlushWorkerPool, ShardStore, supports_shard_writer
-from ..serialization import CheckpointTopology, encode_preamble, iter_part_payloads
+from ..io import FlushTask, FlushWorkerPool, ShardStore, supports_shard_writer
+from ..serialization import (
+    CheckpointTopology,
+    encode_preamble,
+    fold_section_checksums,
+    iter_part_payloads,
+)
 from ..tensor import flatten_state_dict
 from .base_engine import CheckpointEngine, CompletedCheckpointHandle
 from .consolidation import TwoPhaseCommitCoordinator
-from .flush_pipeline import FlushResult, ParallelShardWrite
+from .flush_pipeline import FlushResult
+
+
+class ParallelShardWrite:
+    """Coordinates the concurrent offset-addressed write of ONE shard.
+
+    A pending-task latch, per-tensor CRC32 accumulation, first-error capture,
+    and the fold of the whole-file checksum from the per-tensor CRCs (in
+    file-offset order, so it is byte-identical to a sequential CRC despite
+    out-of-order writes).
+    """
+
+    def __init__(self, writer, workers: FlushWorkerPool, header, preamble: bytes) -> None:
+        self.writer = writer
+        self.workers = workers
+        self.header = header
+        self.preamble = preamble
+        self.payload_start = len(preamble)
+        # Keyed by tensor key, not offset: zero-length tensors (legal under
+        # uneven ZeRO partitions) share their offset with the next entry.
+        self._index_by_key = {entry.key: i for i, entry in enumerate(header.entries)}
+        self._state_lock = threading.Lock()
+        self._tensor_crcs: List[Optional[int]] = [None] * len(header.entries)
+        self._errors: List[BaseException] = []
+        self._done_cv = threading.Condition()
+        self._pending = 0
+
+    def write_preamble(self) -> None:
+        """Write the header+skeleton at offset 0 (errors captured, not raised)."""
+        try:
+            self.writer.pwrite(0, self.preamble)
+        except BaseException as exc:  # noqa: BLE001 - surfaced via first_error
+            self._record_error(exc)
+
+    def _record_error(self, exc: BaseException) -> None:
+        with self._state_lock:
+            self._errors.append(exc)
+
+    @property
+    def failed(self) -> bool:
+        """True once any write has failed (producers should stop submitting)."""
+        with self._state_lock:
+            return bool(self._errors)
+
+    def submit(self, entry, view: memoryview, description: str = "",
+               chunk_size: Optional[int] = None) -> None:
+        """Queue one tensor's pwrite at its final offset.
+
+        With ``chunk_size`` the tensor is written (and checksummed) in
+        bounded pieces.  Raises only if the worker pool rejects the task; its
+        latch slot is undone first.
+        """
+        with self._done_cv:
+            self._pending += 1
+
+        def run() -> None:
+            try:
+                if chunk_size:
+                    crc = 0
+                    for start in range(0, entry.nbytes, chunk_size):
+                        stop = min(start + chunk_size, entry.nbytes)
+                        piece = view[start:stop]
+                        self.writer.pwrite(self.payload_start + entry.offset + start, piece)
+                        crc = zlib.crc32(piece, crc) & 0xFFFFFFFF
+                else:
+                    self.writer.pwrite(self.payload_start + entry.offset, view)
+                    crc = zlib.crc32(view) & 0xFFFFFFFF
+                with self._state_lock:
+                    self._tensor_crcs[self._index_by_key[entry.key]] = crc
+            except BaseException as exc:  # noqa: BLE001 - surfaced via first_error
+                self._record_error(exc)
+
+        def on_done(_error: Optional[BaseException]) -> None:
+            with self._done_cv:
+                self._pending -= 1
+                self._done_cv.notify_all()
+
+        try:
+            self.workers.submit(FlushTask(run=run, on_done=on_done,
+                                          description=description))
+        except BaseException:
+            # The task will never run: undo its latch slot before bailing out.
+            with self._done_cv:
+                self._pending -= 1
+            raise
+
+    def wait_writes(self) -> None:
+        """Block until every submitted pwrite has retired (always safe to
+        call — also on error paths, before closing the writer's fd)."""
+        with self._done_cv:
+            while self._pending:
+                self._done_cv.wait()
+
+    def first_error(self) -> Optional[BaseException]:
+        """The first write failure, if any."""
+        with self._state_lock:
+            return self._errors[0] if self._errors else None
+
+    def folded_checksum(self) -> int:
+        """Whole-file CRC32 folded from the per-tensor CRCs."""
+        return fold_section_checksums(
+            ((crc, entry.nbytes)
+             for entry, crc in zip(self.header.entries, self._tensor_crcs)),
+            initial=zlib.crc32(self.preamble))
+
+    def tensor_checksums(self) -> Tuple[Optional[int], ...]:
+        """Per-tensor CRC32s in header order."""
+        return tuple(self._tensor_crcs)
 
 
 class TorchSnapshotCheckpointEngine(CheckpointEngine):

@@ -1,11 +1,15 @@
 """Background flush worker pool for the real-mode engine.
 
 Host-to-storage flushes run on dedicated threads, mirroring the original
-engine's dedicated flush threads in C++ (and unlike the Python-thread
-baselines it criticises, the flush here never touches the training thread's
-data structures, only the pinned staging buffer and the file system, so GIL
-contention with the "training" computation is negligible — NumPy and file
-I/O release the GIL).
+engine's dedicated flush threads in C++.  A flush touches only the pinned
+staging buffer and the file system, never the training thread's data
+structures — but these are Python threads: NumPy copies, ``zlib.crc32`` and
+file I/O release the GIL, the interpreter work between them does not, and it
+is taken from the computation the flush is meant to hide behind.  dsbench
+measures that as ``core.engine.interference_frac`` (0.13-0.40 of an
+iteration's compute while every tensor cost its own task; see the README's
+"Zero-copy I/O fast path"), which is why the pipeline hands this pool one
+task per shard and moves extents, not tensors, inside it.
 """
 
 from __future__ import annotations

@@ -168,11 +168,13 @@ class ObjectStore:
         a producer that raises mid-stream publishes nothing (the in-memory
         analogue of the file backend's temp-name-then-rename protocol).
         """
-        staging = bytearray()
-        for chunk in chunks:
-            staging += chunk
+        # ``bytes`` chunks are joined in one pass over fresh pages, and a lone
+        # one — what a tier drain hands over — is stored as is.  A view is
+        # copied out before the next chunk is pulled: its producer may
+        # recycle the staging memory behind it.
+        payload = b"".join([chunk if isinstance(chunk, bytes) else bytes(chunk)
+                            for chunk in chunks])
         key = self.shard_key(tag, shard_name)
-        payload = bytes(staging)
         self._put(key, payload)
         return WriteReceipt(path=PurePosixPath(key), nbytes=len(payload))
 

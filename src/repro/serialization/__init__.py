@@ -7,6 +7,7 @@ from .header import (
     build_header,
     decode_preamble,
     encode_preamble,
+    plan_extents,
     preamble_size,
 )
 from .checksum import checksum_stream, crc32_combine, fold_section_checksums
@@ -39,6 +40,7 @@ __all__ = [
     "ShardHeader",
     "build_header",
     "encode_preamble",
+    "plan_extents",
     "decode_preamble",
     "preamble_size",
     "serialize_state",

@@ -25,7 +25,8 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,6 +88,12 @@ class ShardHeader:
 
     def to_bytes(self) -> bytes:
         """Serialize the header table to JSON bytes."""
+        return self._encoded
+
+    @cached_property
+    def _encoded(self) -> bytes:
+        # A header is immutable and the engines reuse it from save to save
+        # while the state's structure holds, so it is encoded once.
         payload = {
             "version": 1,
             "payload_bytes": self.payload_bytes,
@@ -121,6 +128,31 @@ def build_header(flattened: FlattenedState) -> ShardHeader:
         )
         offset += ref.nbytes
     return ShardHeader(entries=tuple(entries), payload_bytes=offset)
+
+
+def plan_extents(entries: Sequence[TensorEntry], limit: int) -> List[Tuple[int, int]]:
+    """Split header entries into *extents*: ``(start, stop)`` index runs.
+
+    A run's entries are adjacent in the payload region (each starts where the
+    previous one ends) and their bytes sum to at most ``limit``, so the run
+    can be staged in one buffer at its final relative offsets and written
+    with one ``pwrite`` at ``entries[start].offset``.  An entry larger than
+    ``limit`` is a run of its own; zero-length entries ride inside whatever
+    run they fall in; no entries, no runs.
+    """
+    extents: List[Tuple[int, int]] = []
+    start = 0
+    size = 0
+    end = 0
+    for index, entry in enumerate(entries):
+        if index > start and (size + entry.nbytes > limit or entry.offset != end):
+            extents.append((start, index))
+            start, size = index, 0
+        size += entry.nbytes
+        end = entry.offset + entry.nbytes
+    if entries:
+        extents.append((start, len(entries)))
+    return extents
 
 
 def encode_preamble(header: ShardHeader, skeleton: bytes) -> bytes:

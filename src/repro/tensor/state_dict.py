@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -85,6 +85,10 @@ def _is_tensor_leaf(value: Any) -> bool:
 def flatten_state_dict(state: Any) -> FlattenedState:
     """Flatten ``state`` into tensor references plus a picklable skeleton."""
     tensors: List[TensorRef] = []
+    cpu = str(Device.cpu())
+    # ``str(dtype)`` is NumPy's slowest per-tensor call here and a state has a
+    # handful of distinct dtypes.
+    dtype_names: Dict[np.dtype, str] = {}
 
     def visit(value: Any, path: KeyPath) -> Any:
         if _is_tensor_leaf(value):
@@ -94,11 +98,14 @@ def flatten_state_dict(state: Any) -> FlattenedState:
                 device = str(value.device)
             else:
                 array = value
-                device = str(Device.cpu())
+                device = cpu
+            dtype = dtype_names.get(array.dtype)
+            if dtype is None:
+                dtype = dtype_names[array.dtype] = str(array.dtype)
             ref = TensorRef(
                 path=path,
                 shape=tuple(array.shape),
-                dtype=str(array.dtype),
+                dtype=dtype,
                 nbytes=int(array.nbytes),
                 device=device,
                 payload=value,

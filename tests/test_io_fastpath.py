@@ -7,6 +7,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import CheckpointPolicy
 from repro.core import DataStatesCheckpointEngine
@@ -52,6 +54,40 @@ def test_crc32_combine_matches_zlib_on_concatenation():
         a, b = blob[:split], blob[split:]
         combined = crc32_combine(zlib.crc32(a), zlib.crc32(b), len(b))
         assert combined == (zlib.crc32(blob) & 0xFFFFFFFF)
+
+
+@settings(max_examples=150, deadline=None)
+@given(blob=st.binary(max_size=3000), split=st.integers(0, 3000))
+def test_crc32_combine_matches_zlib_on_random_splits(blob, split):
+    a, b = blob[:split], blob[split:]  # either half may be empty
+    assert crc32_combine(zlib.crc32(a), zlib.crc32(b), len(b)) == zlib.crc32(a + b)
+
+
+@settings(max_examples=50, deadline=None)
+@given(lengths=st.lists(st.sampled_from([0, 1, 7, 64, 1000, 4096]), min_size=1, max_size=40),
+       seed=st.integers(0, 2**32 - 1))
+def test_crc32_combine_folds_repeated_lengths(lengths, seed):
+    """A checkpoint folds a handful of distinct tensor sizes hundreds of times:
+    the memoised per-length operator must serve every repeat alike."""
+    rng = np.random.default_rng(seed)
+    pieces = [rng.integers(0, 256, size=n, dtype=np.uint8).tobytes() for n in lengths]
+    crc = 0
+    for piece in pieces:
+        crc = crc32_combine(crc, zlib.crc32(piece), len(piece))
+    assert crc == zlib.crc32(b"".join(pieces))
+
+
+def test_crc32_combine_survives_more_lengths_than_it_memoises():
+    from repro.serialization import checksum
+
+    head = zlib.crc32(b"head")
+    zeros = bytes(2 * checksum._ZERO_OPERATORS_LIMIT + 10)
+    for length in range(1, len(zeros)):
+        tail = zeros[:length]
+        assert crc32_combine(head, zlib.crc32(tail), length) == zlib.crc32(tail, head)
+    assert len(checksum._ZERO_OPERATORS) <= checksum._ZERO_OPERATORS_LIMIT
+    with pytest.raises(ValueError):
+        crc32_combine(head, 0, -1)
 
 
 def test_fold_section_checksums_over_many_pieces():
@@ -256,23 +292,6 @@ def test_parallel_capture_failure_aborts_and_releases_pool(store):
     finally:
         stream.shutdown()
         pipeline.shutdown(wait=False)
-
-
-def test_parallel_pipeline_sizes_its_writer_pool(store):
-    from repro.core.flush_pipeline import DEFAULT_WRITER_THREADS
-
-    pool = PinnedHostPool(1 << 20)
-    pipeline = FlushPipeline(store, pool, flush_threads=1, parallel_shard_writes=True)
-    try:
-        assert pipeline._pwriters is not None
-        assert pipeline._pwriters.num_workers == DEFAULT_WRITER_THREADS
-    finally:
-        pipeline.shutdown(wait=False)
-    wide = FlushPipeline(store, pool, flush_threads=8, parallel_shard_writes=True)
-    try:
-        assert wide._pwriters.num_workers == 8
-    finally:
-        wide.shutdown(wait=False)
 
 
 def test_parallel_flag_falls_back_without_pwrite_store(tmp_path):

@@ -122,6 +122,29 @@ def test_v2_fixture_manifest_has_no_v3_keys():
 
 
 # ---------------------------------------------------------------------------
+# Saving the fixture state today reproduces both fixtures byte for byte
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("root, tag, policy", [
+    (FIXTURE_ROOT, FIXTURE_TAG, dict(parallel_shard_writes=False)),
+    (V2_FIXTURE_ROOT, V2_FIXTURE_TAG, dict(shards_per_rank=2)),
+], ids=["v1", "v2"])
+def test_saving_the_fixture_state_reproduces_the_committed_fixture(tmp_path, root, tag, policy):
+    """On-disk identity, shard files *and* manifest: the committed v1 fixture
+    was written by the streaming sink (no per-tensor checksums), the v2 one by
+    the offset-addressed sink over a two-part plan."""
+    store = FileStore(tmp_path)
+    with DataStatesCheckpointEngine(
+            store, policy=CheckpointPolicy(host_buffer_size=1 << 20, **policy)) as engine:
+        engine.save(fixture_state(), tag=tag, iteration=int(tag.rsplit("-", 1)[1]))
+        engine.wait_all()
+    committed = sorted(path.name for path in (root / tag).iterdir())
+    assert sorted(path.name for path in (tmp_path / tag).iterdir()) == committed
+    for name in committed:
+        assert (tmp_path / tag / name).read_bytes() == (root / tag / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------------------
 # v2 round-trips; single-shard manifests stay v1-identical
 # ---------------------------------------------------------------------------
 

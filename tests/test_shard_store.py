@@ -123,6 +123,26 @@ def test_object_store_atomicity_no_partial_object_on_failure():
     assert store.keys() == []
 
 
+def test_object_store_copies_a_view_before_pulling_the_next_chunk():
+    """Chunks may be views of staging memory the producer recycles as soon as
+    the next chunk is requested (the pinned pool does exactly that)."""
+    store = ObjectStore()
+    staging = bytearray(4)
+
+    def recycled_views():
+        yield b"head:"
+        for fill in (b"aaaa", b"bbbb", b"cccc"):
+            staging[:] = fill
+            yield memoryview(staging)
+
+    receipt = store.write_shard("ckpt-1", "rank0", recycled_views())
+    assert receipt.nbytes == 17
+    assert store.read_shard("ckpt-1", "rank0") == b"head:aaaabbbbcccc"
+    # A lone bytes chunk (what a tier drain hands over) round-trips too.
+    store.write_shard("ckpt-1", "rank1", [b"whole shard"])
+    assert store.read_shard("ckpt-1", "rank1") == b"whole shard"
+
+
 def test_object_store_delete_and_total_bytes():
     store = ObjectStore()
     store.write_shard("ckpt-1", "rank0", [b"x" * 10])

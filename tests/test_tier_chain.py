@@ -560,13 +560,16 @@ def test_cli_list_shows_residency_column(tmp_path, capsys):
     from repro.cli import main
 
     root = tmp_path / "chain"
-    store = create_store("tiered", root=root,
-                         tiers="nvme:file,pfs:file,object:object")
+    # Every level is directory-backed, so residency survives the reopen: the
+    # CLI builds its own chain over the same root, and a fresh in-memory
+    # object level would be re-drained in the background while `list` prints.
+    tiers = "nvme:file,pfs:file,archive:file"
+    store = create_store("tiered", root=root, tiers=tiers)
     _save(store, ["ckpt-1"])
     store.wait_drained(timeout=30.0)
     store.close()
     code = main(["list", "--workdir", str(root), "--store", "tiered",
-                 "--tiers", "nvme:file,pfs:file,object:object"])
+                 "--tiers", tiers])
     out = capsys.readouterr().out
     assert code == 0
     assert "tiers" in out
