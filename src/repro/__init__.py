@@ -59,8 +59,8 @@ from .exceptions import (
     SimulationError,
     TransferError,
 )
-from .io import (FileStore, ObjectStore, ShardStore, TieredStore,
-                 available_stores, create_store, register_store)
+from .io import (FileStore, ObjectStore, ShardStore, available_stores,
+                 create_store, register_store)
 from .restart import CheckpointInfo, CheckpointLoader
 from .training import RealTrainer, SimTrainingRun, simulate_run
 
@@ -82,7 +82,6 @@ __all__ = [
     "available_real_engines",
     "FileStore",
     "ObjectStore",
-    "TieredStore",
     "ShardStore",
     "create_store",
     "register_store",

@@ -3,9 +3,8 @@
 The real-mode counterpart of the Figure 7/8 comparison: the same tiny NumPy
 transformer is trained under every engine name, and the training-visible
 checkpoint stall (consistency gate + save-request time) is reported per
-engine.  Shared by ``repro compare-real``, the
-``examples/real_engine_comparison.py`` walkthrough, and the
-``BENCH_real_engines.json`` benchmark sweep.
+engine.  Shared by ``repro compare-real`` / ``repro train`` and the
+``examples/real_engine_comparison.py`` walkthrough.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ..config import CheckpointPolicy
 from ..core import ENGINE_LABELS, ENGINE_NAMES, canonical_engine_name, create_real_engine
-from ..io import canonical_store_name, create_store
+from ..io import create_store
 from ..model import NumpyTransformerLM, tiny_config
 from ..restart import RestoreSpec
 from ..training import RealTrainer
@@ -63,18 +62,8 @@ def run_real_engine(
     reports the chunk pool's bytes-written / dedup-ratio counters.
     """
     name = canonical_engine_name(engine_name)
-    kwargs = dict(store_kwargs or {})
-    if policy is not None and canonical_store_name(store_backend) == "tiered":
-        # The policy's tiered knobs reach the store here (explicit
-        # store_kwargs still win) — a policy with drain_workers=8 must not
-        # silently run a 2-worker drain.
-        kwargs.setdefault("drain_workers", policy.drain_workers)
-        kwargs.setdefault("keep_local_latest", policy.keep_local_latest)
-        kwargs.setdefault("drain_retries", policy.drain_retries)
-        kwargs.setdefault("drain_backoff_s", policy.drain_backoff_s)
-        if policy.tiers is not None:
-            kwargs.setdefault("tiers", policy.tiers)
-    store = create_store(store_backend, root=Path(workdir) / name, **kwargs)
+    store = create_store(store_backend, root=Path(workdir) / name,
+                         **(store_kwargs or {}))
     engine = create_real_engine(name, store, policy=policy)
     with engine:
         model = NumpyTransformerLM(

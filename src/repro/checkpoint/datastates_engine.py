@@ -7,7 +7,7 @@ can quantify each one:
 * **Pre-allocated, pre-pinned host buffer** (``preallocated_pinned_buffer``):
   the staging region is reserved once; a checkpoint request only waits if the
   ring is still occupied by unflushed earlier checkpoints (back-pressure).
-* **Coalesced shard copies** (``coalesce_shards``): all shards of a request
+* **Coalesced shard copies**: all shards of a request
   are enqueued for device-to-host copy back-to-back, with no per-shard
   allocation or flush wait in between.
 * **Lazy non-blocking copies** (``lazy_snapshot``): the copies overlap the

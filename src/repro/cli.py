@@ -167,32 +167,24 @@ def _store_parent() -> argparse.ArgumentParser:
                        help="tiered only: N-level tier chain spec, "
                             "'name:backend[:root][:capacity[@watermark]]' "
                             "per level, comma-separated (e.g. "
-                            "'nvme:file:/a:50GiB,pfs:file:/b,object:object'); "
-                            "replaces --fast-store/--slow-store")
-    group.add_argument("--fast-store", type=_store_name, default="file",
-                       metavar="NAME",
-                       help="tiered only: backend of the fast tier "
-                            "(default: file)")
-    group.add_argument("--slow-store", type=_store_name, default="object",
-                       metavar="NAME",
-                       help="tiered only: backend of the slow tier "
-                            "(default: object)")
+                            "'nvme:file:/a:50GiB,pfs:file:/b,object:object'; "
+                            "default: 'fast:file,slow:object')")
     group.add_argument("--drain-workers", type=_positive_int, default=None,
                        help="tiered only: background workers draining "
                             "committed checkpoints to the slow tier "
-                            "(default: policy default)")
+                            "(default: the store's)")
     group.add_argument("--keep-local-latest", type=_watermark, default=None,
                        help="tiered only: newest replicated checkpoints "
                             "kept on the fast tier; older ones are evicted "
-                            "(-1 disables eviction; default: policy default)")
+                            "(-1 disables eviction; default: the store's)")
     group.add_argument("--drain-retries", type=_nonneg_int, default=None,
                        help="tiered only: retries per drain on transient "
                             "slow-tier failures, with exponential backoff "
-                            "(0 disables; default: policy default)")
+                            "(0 disables; default: the store's)")
     group.add_argument("--drain-backoff", type=_nonneg_float, default=None,
                        help="tiered only: base backoff seconds between "
                             "drain retries (attempt k sleeps backoff*2^k; "
-                            "default: policy default)")
+                            "default: the store's)")
     group.add_argument("--inner-store", type=_store_name, default="file",
                        metavar="NAME",
                        help="cas only: backend holding the shared chunk "
@@ -362,15 +354,9 @@ def _layout_policy(args: argparse.Namespace,
     engine allocate a 16 GB pinned pool the moment any layout flag is used.
     """
     prefetch_depth = getattr(args, "prefetch_depth", None)
-    drain_workers = getattr(args, "drain_workers", None)
-    keep_local_latest = getattr(args, "keep_local_latest", None)
-    drain_retries = getattr(args, "drain_retries", None)
-    drain_backoff = getattr(args, "drain_backoff", None)
     incremental = getattr(args, "incremental", False)
     if (args.shards_per_rank == 1 and args.capture_streams == 1
-            and prefetch_depth is None and drain_workers is None
-            and keep_local_latest is None and drain_retries is None
-            and drain_backoff is None and not incremental):
+            and prefetch_depth is None and not incremental):
         return None
     from .core.base_engine import DEFAULT_HOST_BUFFER_SIZE
 
@@ -379,16 +365,6 @@ def _layout_policy(args: argparse.Namespace,
         overrides["prefetch_depth"] = prefetch_depth
     if incremental:
         overrides["incremental"] = True
-    if drain_workers is not None:
-        overrides["drain_workers"] = drain_workers
-    if keep_local_latest is not None and keep_local_latest >= 0:
-        # -1 (never evict) is a store-level mode with no policy encoding;
-        # the store kwargs below carry it.
-        overrides["keep_local_latest"] = keep_local_latest
-    if drain_retries is not None:
-        overrides["drain_retries"] = drain_retries
-    if drain_backoff is not None:
-        overrides["drain_backoff_s"] = drain_backoff
     return CheckpointPolicy(
         shards_per_rank=args.shards_per_rank,
         capture_streams=args.capture_streams,
@@ -405,19 +381,21 @@ def _store_kwargs(args: argparse.Namespace) -> Optional[dict]:
     different ``--store`` is almost certainly a mistake, so it fails fast
     here rather than being silently ignored.
     """
-    tiered_flags = (args.fast_store != "file" or args.slow_store != "object"
-                    or args.tiers is not None
-                    or args.drain_workers is not None
-                    or args.keep_local_latest is not None
-                    or args.drain_retries is not None
-                    or args.drain_backoff is not None)
+    # Only what the user typed: the store's own defaults cover the rest.
+    tiered = {key: value for key, value in (
+        ("tiers", args.tiers),
+        ("drain_workers", args.drain_workers),
+        ("keep_local_latest", args.keep_local_latest),
+        ("drain_retries", args.drain_retries),
+        ("drain_backoff_s", args.drain_backoff),
+    ) if value is not None}
     cas_flags = (args.inner_store != "file" or args.namespace is not None
                  or args.incremental)
-    if args.store != "tiered" and tiered_flags:
+    if args.store != "tiered" and tiered:
         raise SystemExit(
-            "--tiers/--fast-store/--slow-store/--drain-workers/"
-            "--keep-local-latest/--drain-retries/--drain-backoff only apply "
-            f"to --store tiered (got --store {args.store})")
+            "--tiers/--drain-workers/--keep-local-latest/--drain-retries/"
+            "--drain-backoff only apply to --store tiered "
+            f"(got --store {args.store})")
     if args.store != "cas" and cas_flags:
         raise SystemExit(
             "--inner-store/--namespace/--incremental only apply to "
@@ -429,24 +407,10 @@ def _store_kwargs(args: argparse.Namespace) -> Optional[dict]:
         return kwargs
     if args.store != "tiered":
         return None
-    policy_defaults = CheckpointPolicy()
-    keep = (policy_defaults.keep_local_latest if args.keep_local_latest is None
-            else args.keep_local_latest)
-    kwargs = {
-        "fast_store": args.fast_store,
-        "slow_store": args.slow_store,
-        "drain_workers": (policy_defaults.drain_workers
-                          if args.drain_workers is None else args.drain_workers),
+    if tiered.get("keep_local_latest") == -1:
         # -1 means "never evict" (the store's keep_local_latest=None mode).
-        "keep_local_latest": None if keep == -1 else keep,
-        "drain_retries": (policy_defaults.drain_retries
-                          if args.drain_retries is None else args.drain_retries),
-        "drain_backoff_s": (policy_defaults.drain_backoff_s
-                            if args.drain_backoff is None else args.drain_backoff),
-    }
-    if args.tiers is not None:
-        kwargs["tiers"] = args.tiers
-    return kwargs
+        tiered["keep_local_latest"] = None
+    return tiered
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

@@ -17,7 +17,7 @@ Keeping every calibration constant in one documented place makes the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .exceptions import ConfigurationError
 from .units import GB, gbps
@@ -26,24 +26,6 @@ from .units import GB, gbps
 #: :class:`CheckpointPolicy` and loaders constructed without an explicit
 #: ``prefetch_depth`` (:class:`repro.restart.CheckpointLoader`).
 DEFAULT_PREFETCH_DEPTH = 4
-
-#: Default number of background drain workers of the tiered store — shared
-#: by :class:`CheckpointPolicy` and :class:`repro.io.TieredStore`.
-DEFAULT_DRAIN_WORKERS = 2
-
-#: Default tiered-store eviction watermark: how many of the newest
-#: replicated checkpoints keep their fast-tier copy for quick restarts.
-DEFAULT_KEEP_LOCAL_LATEST = 1
-
-#: Default number of drain retries after a transient slow-tier failure — a
-#: checkpoint only leaves DRAINING on success or once the retries are
-#: exhausted, shared by :class:`CheckpointPolicy` and
-#: :class:`repro.io.TieredStore`.
-DEFAULT_DRAIN_RETRIES = 2
-
-#: Default base delay (seconds) of the drain's exponential backoff: attempt
-#: ``k`` (0-based) sleeps ``drain_backoff_s * 2**k`` before retrying.
-DEFAULT_DRAIN_BACKOFF_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -222,9 +204,6 @@ class CheckpointPolicy:
     #: Whether the host staging buffer is pre-allocated and pinned once and
     #: reused (DataStates) or allocated per checkpoint/shard (CheckFreq-like).
     preallocated_pinned_buffer: bool = True
-    #: Whether shard copies are coalesced into a single pre-allocated region
-    #: rather than staged one-at-a-time.
-    coalesce_shards: bool = True
     #: Run the distributed commit protocol asynchronously (overlapping with
     #: training) instead of synchronously at the end of the checkpoint.
     async_consolidation: bool = True
@@ -244,32 +223,11 @@ class CheckpointPolicy:
     #: Restore-side prefetch: how many shard parts the loader's bounded
     #: fetch + CRC-validate stage keeps in flight ahead of deserialization,
     #: overlapping I/O with reassembly across the shard-set (and across
-    #: ranks in ``load_all``).  ``0`` selects auto mode: the loader measures
-    #: per-part fetch vs deserialize time and picks the depth from the
+    #: ranks in an all-ranks restore).  ``0`` selects auto mode: the loader
+    #: measures per-part fetch vs deserialize time and picks the depth from the
     #: overlap ratio; ``1`` is strictly serial fetch -> validate ->
     #: deserialize.
     prefetch_depth: int = DEFAULT_PREFETCH_DEPTH
-    #: Tiered store: number of background workers draining committed
-    #: checkpoints from the fast tier to the slow tier (only consulted when
-    #: the engine's store is ``tiered``).
-    drain_workers: int = DEFAULT_DRAIN_WORKERS
-    #: Tiered store: eviction watermark — how many of the newest replicated
-    #: checkpoints keep their fast-tier copy; older replicated copies are
-    #: evicted so the fast tier never grows past the hot set.  ``0`` evicts
-    #: every replicated checkpoint.
-    keep_local_latest: int = DEFAULT_KEEP_LOCAL_LATEST
-    #: Tiered store: bounded retries of a drain that hit a transient
-    #: slow-tier failure (``0`` fails a drain on its first error).
-    drain_retries: int = DEFAULT_DRAIN_RETRIES
-    #: Tiered store: base delay of the drain's exponential backoff in
-    #: seconds (attempt ``k`` sleeps ``drain_backoff_s * 2**k``).
-    drain_backoff_s: float = DEFAULT_DRAIN_BACKOFF_S
-    #: Tiered store: N-level chain spec
-    #: (``"nvme:file:/a:50GiB,pfs:file:/b,object:object"``, see
-    #: :func:`repro.io.parse_tier_chain_spec`).  ``None`` keeps the classic
-    #: two-level fast/slow pair; only consulted when the engine's store is
-    #: built from this policy (``repro.analysis.real_compare``, the CLI).
-    tiers: "str | None" = None
     #: Incremental checkpoints (CAS store): before writing, compare each
     #: shard part's per-tensor CRC32s (and the folded whole-part checksum)
     #: against the previous committed manifest and record unchanged parts as
@@ -293,14 +251,6 @@ class CheckpointPolicy:
             raise ConfigurationError("capture_streams must be positive")
         if self.prefetch_depth < 0:
             raise ConfigurationError("prefetch_depth must be >= 0")
-        if self.drain_workers <= 0:
-            raise ConfigurationError("drain_workers must be positive")
-        if self.keep_local_latest < 0:
-            raise ConfigurationError("keep_local_latest must be >= 0")
-        if self.drain_retries < 0:
-            raise ConfigurationError("drain_retries must be >= 0")
-        if self.drain_backoff_s < 0:
-            raise ConfigurationError("drain_backoff_s must be >= 0")
 
     def with_overrides(self, **kwargs: object) -> "CheckpointPolicy":
         """Return a copy of this policy with selected fields replaced."""

@@ -21,9 +21,9 @@ Contrast with :class:`~repro.core.DataStatesCheckpointEngine`:
 
 from __future__ import annotations
 
-import queue
 import threading
-from typing import Any, List, Optional, Set, Tuple
+from concurrent.futures import ThreadPoolExecutor
+from typing import Any, List, Optional, Set
 
 import numpy as np
 
@@ -73,12 +73,6 @@ class AsyncCheckpointHandle:
         self._done.set()
 
 
-#: One queued flush: (handle, shard plan, per-global-tensor views, iteration,
-#: incremental dirty-scan result or None).
-_FlushItem = Tuple[AsyncCheckpointHandle, ShardPlan, List[memoryview], int,
-                   Optional[IncrementalPlan]]
-
-
 class AsyncCheckpointEngine(CheckpointEngine):
     """Blocking snapshot into a fresh buffer + a single background flush thread."""
 
@@ -98,10 +92,9 @@ class AsyncCheckpointEngine(CheckpointEngine):
         #: Tags this rank has successfully voted for (wait_all awaits their
         #: commits, including those of already-pruned handles).
         self._voted_tags: Set[str] = set()
-        self._queue: "queue.Queue[Optional[_FlushItem]]" = queue.Queue()
-        self._flush_thread = threading.Thread(
-            target=self._flush_loop, name=f"checkfreq-flush-r{rank}", daemon=True)
-        self._flush_thread.start()
+        #: One worker: flushes of successive checkpoints run FIFO.
+        self._flusher = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix=f"checkfreq-flush-r{rank}")
 
     # ------------------------------------------------------------------ save
     def save(self, state: Any, tag: str, iteration: int = -1,
@@ -142,15 +135,8 @@ class AsyncCheckpointEngine(CheckpointEngine):
             self._handles = [h for h in self._handles
                              if not h._done.is_set() or h.error is not None]
             self._handles.append(handle)
-        self._queue.put((handle, plan, views, iteration, inc))
+        self._flusher.submit(self._flush, handle, plan, views, iteration, inc)
         return handle
-
-    def _flush_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            self._flush(*item)
 
     def _flush(self, handle: AsyncCheckpointHandle, plan: ShardPlan,
                views: List[memoryview], iteration: int,
@@ -216,5 +202,4 @@ class AsyncCheckpointEngine(CheckpointEngine):
 
     # ---------------------------------------------------------------- shutdown
     def _release_resources(self, wait: bool = True) -> None:
-        self._queue.put(None)
-        self._flush_thread.join(timeout=10.0 if wait else 0.1)
+        self._flusher.shutdown(wait=wait)

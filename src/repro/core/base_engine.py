@@ -37,8 +37,6 @@ extra call the paper adds):
     checkpoint.  Routed through
     :class:`~repro.restart.CheckpointLoader.restore`, so every engine
     shares one validated (size + CRC32, optionally mmap) restore path.
-    The legacy ``load(tag, shard_name)`` string form still works but emits
-    a ``DeprecationWarning``.
 
 ``list_checkpoints() / latest_checkpoint()``
     Discovery of committed checkpoints.
@@ -54,10 +52,9 @@ from __future__ import annotations
 import abc
 import dataclasses
 import threading
-import warnings
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from ..config import CheckpointPolicy
 from ..exceptions import CheckpointError
@@ -196,14 +193,6 @@ class CheckpointEngine(abc.ABC):
         #: plan: the one-entry cache behind :meth:`plan_shards`.
         self._last_plan: Optional[Tuple[tuple, Tuple[ShardPart, ...]]] = None
 
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        # The DeepSpeed checkpoint-engine interface calls this ``create``/
-        # ``commit``; ``save`` + the wait points keep the same semantics with
-        # one entry point.  Alias it on every concrete engine.
-        if "save" in cls.__dict__:
-            cls.checkpoint = cls.__dict__["save"]
-
     # ------------------------------------------------------------------ save
     @abc.abstractmethod
     def save(self, state: Any, tag: str, iteration: int = -1,
@@ -224,8 +213,7 @@ class CheckpointEngine(abc.ABC):
         """
 
     # ------------------------------------------------------------------ load
-    def load(self, spec: Union["RestoreSpec", str, None] = None,
-             shard_name: Optional[str] = None) -> Any:
+    def load(self, spec: Optional["RestoreSpec"] = None) -> Any:
         """Restore from a committed checkpoint per ``spec``.
 
         Every engine restores through the same
@@ -240,26 +228,10 @@ class CheckpointEngine(abc.ABC):
         (``spec.target_topology``) — this rank's slice of the target layout.
         ``load()`` with no arguments restores the engine's shard of the
         latest committed checkpoint.
-
-        The legacy ``load(tag, shard_name)`` string form delegates here and
-        emits a ``DeprecationWarning``.
         """
         from ..restart import CheckpointLoader, RestoreSpec
 
-        if spec is None and shard_name is None:
-            resolved = RestoreSpec()
-        elif isinstance(spec, RestoreSpec):
-            if shard_name is not None:
-                raise CheckpointError(
-                    "pass the shard selector inside the RestoreSpec, not as "
-                    "a separate shard_name argument")
-            resolved = spec
-        else:
-            warnings.warn(
-                "engine.load(tag, shard_name) is deprecated; pass a "
-                "RestoreSpec, e.g. engine.load(RestoreSpec.of_shard(name, tag=tag))",
-                DeprecationWarning, stacklevel=2)
-            resolved = RestoreSpec(tag=spec, shard=shard_name)
+        resolved = spec if spec is not None else RestoreSpec()
         if resolved.selects_everything:
             if resolved.target_topology is not None:
                 resolved = dataclasses.replace(resolved, rank=self.rank)

@@ -291,7 +291,6 @@ class DataStatesCheckpointEngine(CheckpointEngine):
             "host_buffer_peak_bytes": self.pool.peak_used_bytes,
             "host_buffer_blocked_waits": self.pool.blocked_waits,
             "pending_flushes": len(self.pipeline.pending_jobs()),
-            "queued_flush_tasks": self.pipeline.workers.unfinished,
         })
         return base
 

@@ -31,11 +31,12 @@ from __future__ import annotations
 
 import threading
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 from ..exceptions import CheckpointError
-from ..io import FlushTask, FlushWorkerPool, ShardStore, supports_shard_writer
+from ..io import ShardStore, supports_shard_writer
 from ..logging_utils import get_logger
 from ..memory import PinnedHostPool
 from ..serialization import ShardRecord, encode_preamble, fold_section_checksums
@@ -132,7 +133,8 @@ class FlushPipeline:
         self.pool = pool
         self.rank = rank
         self.chunk_size = chunk_size
-        self.workers = FlushWorkerPool(num_workers=flush_threads, name=f"flush-r{rank}")
+        self.workers = ThreadPoolExecutor(max_workers=flush_threads,
+                                          thread_name_prefix=f"flush-r{rank}")
         # The offset-addressed sink needs a store that can hand out pwrite
         # writers; plain stores (and test doubles) fall back to streaming.
         self.parallel_shard_writes = bool(
@@ -148,40 +150,41 @@ class FlushPipeline:
         job = ShardFlushJob(snapshot, self.rank)
         with self._lock:
             self._jobs.append(job)
+        self.workers.submit(self._run, job, on_durable)
+        return job
 
-        def run() -> None:
+    def _run(self, job: ShardFlushJob,
+             on_durable: Optional[Callable[[FlushResult], None]]) -> None:
+        snapshot = job.snapshot
+        try:
             job.result = self._write_shard(snapshot)
-
-        def on_done(error: Optional[BaseException]) -> None:
-            job.error = error
             # The durability callback (the commit vote) runs BEFORE the done
             # event fires: anyone woken by wait() may rely on the vote having
             # been cast — e.g. the engine prunes retired handles and then
             # waits on the coordinator for their tags.
-            if error is None and on_durable is not None and job.result is not None:
-                try:
-                    on_durable(job.result)
-                except Exception as exc:  # noqa: BLE001 - consolidation errors surface later
-                    job.error = exc
-                    logger.error("post-flush callback failed for %s: %s", snapshot.shard_name, exc)
+            if on_durable is not None:
+                on_durable(job.result)
+        except BaseException as exc:  # noqa: BLE001 - reported through the job
+            job.error = exc
+            logger.error("flush of %s/%s failed: %s",
+                         snapshot.tag, snapshot.shard_name, exc)
+        finally:
+            # A retired job leaves the list: it holds its snapshot, and
+            # through it the arrays of the state it saved.
+            with self._lock:
+                self._jobs.remove(job)
             job.done.set()
 
-        self.workers.submit(FlushTask(run=run, on_done=on_done,
-                                      description=f"{snapshot.tag}/{snapshot.shard_name}"))
-        return job
-
     # -- synchronisation ---------------------------------------------------------
-    def drain(self) -> None:
-        """Wait for every submitted flush to finish."""
-        self.workers.drain()
-
     def pending_jobs(self) -> List[ShardFlushJob]:
         """Flush jobs not yet known to be durable."""
         with self._lock:
-            return [job for job in self._jobs if not job.done.is_set()]
+            return list(self._jobs)
 
     def shutdown(self, wait: bool = True) -> None:
-        """Stop the flush workers."""
+        """Stop the flush workers.  Queued flushes still run either way —
+        a cancelled one would strand its snapshot's staged extents in the
+        pool; ``wait=False`` only skips waiting for them."""
         self.workers.shutdown(wait=wait)
 
     # -- the actual write ----------------------------------------------------------

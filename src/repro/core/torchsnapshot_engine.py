@@ -15,13 +15,14 @@ validation is byte-identical to every other engine's shards.
 
 from __future__ import annotations
 
-import threading
 import zlib
-from typing import Any, List, Optional, Tuple
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import wait as wait_futures
+from typing import Any, Optional
 
 from ..config import CheckpointPolicy
 from ..exceptions import CheckpointError
-from ..io import FlushTask, FlushWorkerPool, ShardStore, supports_shard_writer
+from ..io import ShardStore, supports_shard_writer
 from ..serialization import (
     CheckpointTopology,
     encode_preamble,
@@ -34,111 +35,15 @@ from .consolidation import TwoPhaseCommitCoordinator
 from .flush_pipeline import FlushResult
 
 
-class ParallelShardWrite:
-    """Coordinates the concurrent offset-addressed write of ONE shard.
-
-    A pending-task latch, per-tensor CRC32 accumulation, first-error capture,
-    and the fold of the whole-file checksum from the per-tensor CRCs (in
-    file-offset order, so it is byte-identical to a sequential CRC despite
-    out-of-order writes).
-    """
-
-    def __init__(self, writer, workers: FlushWorkerPool, header, preamble: bytes) -> None:
-        self.writer = writer
-        self.workers = workers
-        self.header = header
-        self.preamble = preamble
-        self.payload_start = len(preamble)
-        # Keyed by tensor key, not offset: zero-length tensors (legal under
-        # uneven ZeRO partitions) share their offset with the next entry.
-        self._index_by_key = {entry.key: i for i, entry in enumerate(header.entries)}
-        self._state_lock = threading.Lock()
-        self._tensor_crcs: List[Optional[int]] = [None] * len(header.entries)
-        self._errors: List[BaseException] = []
-        self._done_cv = threading.Condition()
-        self._pending = 0
-
-    def write_preamble(self) -> None:
-        """Write the header+skeleton at offset 0 (errors captured, not raised)."""
-        try:
-            self.writer.pwrite(0, self.preamble)
-        except BaseException as exc:  # noqa: BLE001 - surfaced via first_error
-            self._record_error(exc)
-
-    def _record_error(self, exc: BaseException) -> None:
-        with self._state_lock:
-            self._errors.append(exc)
-
-    @property
-    def failed(self) -> bool:
-        """True once any write has failed (producers should stop submitting)."""
-        with self._state_lock:
-            return bool(self._errors)
-
-    def submit(self, entry, view: memoryview, description: str = "",
-               chunk_size: Optional[int] = None) -> None:
-        """Queue one tensor's pwrite at its final offset.
-
-        With ``chunk_size`` the tensor is written (and checksummed) in
-        bounded pieces.  Raises only if the worker pool rejects the task; its
-        latch slot is undone first.
-        """
-        with self._done_cv:
-            self._pending += 1
-
-        def run() -> None:
-            try:
-                if chunk_size:
-                    crc = 0
-                    for start in range(0, entry.nbytes, chunk_size):
-                        stop = min(start + chunk_size, entry.nbytes)
-                        piece = view[start:stop]
-                        self.writer.pwrite(self.payload_start + entry.offset + start, piece)
-                        crc = zlib.crc32(piece, crc) & 0xFFFFFFFF
-                else:
-                    self.writer.pwrite(self.payload_start + entry.offset, view)
-                    crc = zlib.crc32(view) & 0xFFFFFFFF
-                with self._state_lock:
-                    self._tensor_crcs[self._index_by_key[entry.key]] = crc
-            except BaseException as exc:  # noqa: BLE001 - surfaced via first_error
-                self._record_error(exc)
-
-        def on_done(_error: Optional[BaseException]) -> None:
-            with self._done_cv:
-                self._pending -= 1
-                self._done_cv.notify_all()
-
-        try:
-            self.workers.submit(FlushTask(run=run, on_done=on_done,
-                                          description=description))
-        except BaseException:
-            # The task will never run: undo its latch slot before bailing out.
-            with self._done_cv:
-                self._pending -= 1
-            raise
-
-    def wait_writes(self) -> None:
-        """Block until every submitted pwrite has retired (always safe to
-        call — also on error paths, before closing the writer's fd)."""
-        with self._done_cv:
-            while self._pending:
-                self._done_cv.wait()
-
-    def first_error(self) -> Optional[BaseException]:
-        """The first write failure, if any."""
-        with self._state_lock:
-            return self._errors[0] if self._errors else None
-
-    def folded_checksum(self) -> int:
-        """Whole-file CRC32 folded from the per-tensor CRCs."""
-        return fold_section_checksums(
-            ((crc, entry.nbytes)
-             for entry, crc in zip(self.header.entries, self._tensor_crcs)),
-            initial=zlib.crc32(self.preamble))
-
-    def tensor_checksums(self) -> Tuple[Optional[int], ...]:
-        """Per-tensor CRC32s in header order."""
-        return tuple(self._tensor_crcs)
+def _pwrite_tensor(writer, offset: int, view: memoryview, chunk_size: int) -> int:
+    """Write one tensor at its final file offset in bounded pieces; returns
+    its CRC32."""
+    crc = 0
+    for start in range(0, len(view), chunk_size):
+        piece = view[start:start + chunk_size]
+        writer.pwrite(offset + start, piece)
+        crc = zlib.crc32(piece, crc)
+    return crc
 
 
 class TorchSnapshotCheckpointEngine(CheckpointEngine):
@@ -160,8 +65,8 @@ class TorchSnapshotCheckpointEngine(CheckpointEngine):
                          coordinator=coordinator, policy=policy,
                          host_buffer_size=host_buffer_size, topology=topology)
         self.commit_timeout = commit_timeout
-        self._writers = FlushWorkerPool(num_workers=self.policy.flush_threads,
-                                        name=f"ts-write-r{rank}")
+        self._writers = ThreadPoolExecutor(max_workers=self.policy.flush_threads,
+                                           thread_name_prefix=f"ts-write-r{rank}")
 
     # ------------------------------------------------------------------ save
     def save(self, state: Any, tag: str, iteration: int = -1,
@@ -227,32 +132,31 @@ class TorchSnapshotCheckpointEngine(CheckpointEngine):
         ``parts`` restricts the write to a subset (incremental saves skip
         clean parts); ``None`` writes the whole plan.
         """
-        part_writes = []
+        writes = []  # (part, writer, preamble, one future per tensor)
         try:
             for part in (plan.parts if parts is None else parts):
                 preamble = encode_preamble(part.header, plan.skeleton)
                 writer = self.store.create_shard_writer(
                     tag, part.name, len(preamble) + part.header.payload_bytes)
-                shard_write = ParallelShardWrite(writer, self._writers,
-                                                 part.header, preamble)
-                part_writes.append((part, writer, shard_write))
-                shard_write.write_preamble()
+                futures = []
+                writes.append((part, writer, preamble, futures))
+                writer.pwrite(0, preamble)
                 for entry, payload in iter_part_payloads(part):
-                    if shard_write.failed:
-                        break
-                    shard_write.submit(entry, memoryview(payload),
-                                       description=f"{tag}/{part.name}@{entry.offset}",
-                                       chunk_size=self.policy.chunk_size)
+                    futures.append(self._writers.submit(
+                        _pwrite_tensor, writer, len(preamble) + entry.offset,
+                        memoryview(payload), self.policy.chunk_size))
             records, results = [], []
-            for part, writer, shard_write in part_writes:
-                shard_write.wait_writes()
-                error = shard_write.first_error()
-                if error is not None:
-                    raise error
+            for part, writer, preamble, futures in writes:
+                # Header order; the first failed write re-raises here.
+                crcs = tuple(future.result() for future in futures)
                 receipt = writer.commit()
-                checksum = shard_write.folded_checksum()
+                # Folded in file-offset order, so the whole-file checksum is
+                # byte-identical to a sequential CRC despite out-of-order writes.
+                checksum = fold_section_checksums(
+                    zip(crcs, [entry.nbytes for entry in part.header.entries]),
+                    initial=zlib.crc32(preamble))
                 record = self._part_record(plan, part, receipt.nbytes, checksum,
-                                           tensor_checksums=shard_write.tensor_checksums())
+                                           tensor_checksums=crcs)
                 records.append(record)
                 results.append(FlushResult(tag=tag, shard_name=part.name,
                                            nbytes=receipt.nbytes, checksum=checksum,
@@ -262,9 +166,12 @@ class TorchSnapshotCheckpointEngine(CheckpointEngine):
             # Let in-flight pwrites retire before closing their fds; abort
             # discards any part not yet committed (commit() makes abort a
             # no-op for parts already published).
-            for _part, _writer, shard_write in part_writes:
-                shard_write.wait_writes()
-            for _part, writer, _shard_write in part_writes:
+            pending = [future for _part, _writer, _preamble, futures in writes
+                       for future in futures]
+            for future in pending:
+                future.cancel()
+            wait_futures(pending)
+            for _part, writer, _preamble, _futures in writes:
                 writer.abort()
             raise
 

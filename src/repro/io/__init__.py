@@ -15,7 +15,6 @@ from .filestore import (
     fsync_directory,
     publish_file,
 )
-from .flush_workers import FlushTask, FlushWorkerPool
 from .objectstore import ObjectShardWriter, ObjectStore
 from .sim_storage import (
     SimContentAddressedStorage,
@@ -46,7 +45,6 @@ from .tiered import (
     DrainState,
     TierChain,
     TierChainLevelSpec,
-    TieredStore,
     TierLevel,
     parse_tier_chain_spec,
 )
@@ -77,14 +75,11 @@ __all__ = [
     "FaultPlan",
     "FaultyStore",
     "InjectedProcessKill",
-    "TieredStore",
     "TierChain",
     "TierLevel",
     "TierChainLevelSpec",
     "parse_tier_chain_spec",
     "DrainState",
-    "FlushTask",
-    "FlushWorkerPool",
     "SimParallelFileSystem",
     "SimNodeLocalStorage",
     "SimTieredStorage",

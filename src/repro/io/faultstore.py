@@ -1,8 +1,8 @@
 """Seeded fault injection for shard stores: :class:`FaultPlan` + :class:`FaultyStore`.
 
 The chaos half of the fault-injection framework.  :class:`FaultyStore` wraps
-any registered :class:`~repro.io.ShardStore` (``file``, ``object``, or either
-tier of a :class:`~repro.io.TieredStore`) and injects the failure modes real
+any registered :class:`~repro.io.ShardStore` (``file``, ``object``, or any
+level of a :class:`~repro.io.TierChain`) and injects the failure modes real
 checkpointing deployments see, driven by a :class:`FaultPlan`:
 
 * **torn/short writes** — the shard's chunk stream is consumed in full (so

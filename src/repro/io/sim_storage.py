@@ -71,7 +71,7 @@ class SimNodeLocalStorage:
 class SimTieredStorage:
     """Drain-bandwidth model of the tiered store (NVMe commit, PFS drain).
 
-    The simulated mirror of :class:`~repro.io.TieredStore`: a write
+    The simulated mirror of a two-level :class:`~repro.io.TierChain`: a write
     *commits* once the fast (node-local) tier absorbed it — that is the
     event handed back to the engine, so simulated training unblocks at NVMe
     speed — and a background drain of the same bytes then starts on the slow
@@ -124,7 +124,7 @@ class SimTieredStorage:
         return event
 
     def metrics(self) -> Dict[str, float]:
-        """Drain counters (mirrors :meth:`repro.io.TieredStore.drain_metrics`)."""
+        """Drain counters (mirrors :meth:`repro.io.TierChain.drain_metrics`)."""
         return {
             "bytes_committed": self.bytes_committed,
             "bytes_drained": self.bytes_drained,

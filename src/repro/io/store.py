@@ -8,7 +8,7 @@ engine, the trainer, the restart path, and the CLI without touching any call
 site.  Stores are selected by name through :func:`create_store`, mirroring how
 engines are selected through :func:`repro.core.create_real_engine`.
 
-The protocol has a required core and two *optional capabilities*:
+The protocol has a required core and four *optional capabilities*:
 
 required
     ``write_shard`` / ``read_shard`` — streaming shard write, whole-shard read;
@@ -28,17 +28,18 @@ optional (feature-detected with ``callable(getattr(store, name, None))``)
     when absent — e.g. an object store has no file to map);
     ``read_shard_range`` — sub-shard ranged reads (``pread`` on the file
     backend, a ``Range:`` GET on the object backend) used by the restore
-    pipeline to stream large parts in bounded chunks and by the tiered
-    store's drain to copy without materialising whole shards.
+    pipeline to stream large parts in bounded chunks and by the tier
+    chain's drain to copy without materialising whole shards;
+    ``record_shard_reference`` — record a shard as a reference to the
+    previous committed checkpoint's identical shard (incremental saves;
+    :func:`supports_shard_reference`).
 
-The ``tiered`` backend (:class:`~repro.io.TieredStore`) composes two
-registered stores into a local fast tier with an asynchronous drain to a
-remote slow tier; see :mod:`repro.io.tiered`.  The ``cas`` backend
-(:class:`~repro.io.CASStore`) wraps any inner store in content-addressed
-chunk storage with per-job namespaces, incremental (reference-based) saves,
-and refcounted cross-job GC; see :mod:`repro.io.cas` — its extra capability
-``record_shard_reference`` is feature-detected via
-:func:`supports_shard_reference`.
+The ``tiered`` backend (:class:`~repro.io.TierChain`) composes registered
+stores into an ordered chain — commits land on level 0 and drain
+asynchronously to the deeper levels; see :mod:`repro.io.tiered`.  The ``cas``
+backend (:class:`~repro.io.CASStore`) wraps any inner store in
+content-addressed chunk storage with per-job namespaces, incremental
+(reference-based) saves, and refcounted cross-job GC; see :mod:`repro.io.cas`.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Protocol, Union, runtime_checkable
 
 from ..exceptions import ConfigurationError
+from .cas import DEFAULT_CHUNK_BYTES, DEFAULT_NAMESPACE, CASStore
 from .filestore import FileStore, WriteReceipt
 
 
@@ -110,7 +112,7 @@ STORE_NAMES: List[str] = ["file", "object", "tiered", "cas"]
 STORE_LABELS: Dict[str, str] = {
     "file": "FileStore (POSIX directory)",
     "object": "ObjectStore (in-memory, one part per key)",
-    "tiered": "TieredStore (fast tier + async drain to slow tier)",
+    "tiered": "TierChain (level-0 commits + async drain to deeper levels)",
     "cas": "CASStore (content-addressed chunks, namespaces, refcounted GC)",
     "faulty": "FaultyStore (seeded fault injection around another backend)",
 }
@@ -133,43 +135,24 @@ def _make_object_store(root=None, fsync: bool = False, **kwargs) -> ShardStore:
     return ObjectStore(bucket=bucket, fsync=fsync, **kwargs)
 
 
-#: Sentinel for "knob not given" in the tiered factory — distinct from None,
-#: which is TieredStore's documented "never evict" value for keep_local_latest.
-_UNSET = object()
+def _make_tiered_store(root=None, fsync: bool = False,
+                       tiers="fast:file,slow:object", **kwargs) -> ShardStore:
+    """Compose a :class:`~repro.io.TierChain` from registry backends.
 
-
-def _make_tiered_store(root=None, fsync: bool = False, fast_store: str = "file",
-                       slow_store: str = "object", drain_workers=_UNSET,
-                       keep_local_latest=_UNSET, drain_retries=_UNSET,
-                       drain_backoff_s=_UNSET, tiers=None, **kwargs) -> ShardStore:
-    """Compose a tiered store from registry backends.
-
-    With ``tiers=None`` (the default) this builds the classic two-level
-    :class:`~repro.io.TieredStore`: the fast tier under ``root/fast`` (its
-    sidecar tier-index next to the checkpoint directories), the slow tier
-    under ``root/slow`` when it is directory-backed or a ``<root>-remote``
-    bucket label otherwise.  Any registered pair of names works, so e.g.
-    ``fast_store="object"`` builds an all-in-memory tier pair for tests.
-    ``keep_local_latest=None`` passes through as TieredStore's "never evict"
-    mode.  ``drain_retries`` / ``drain_backoff_s`` configure the bounded
-    retry-with-backoff applied to transient deeper-tier failures during the
-    background drain.
-
-    ``tiers`` selects the N-level :class:`~repro.io.TierChain` instead: a
-    chain spec string (``"nvme:file:/a:50GiB,pfs:file:/b,object:object"``,
-    see :func:`~repro.io.parse_tier_chain_spec`) or a pre-parsed sequence of
-    :class:`~repro.io.TierChainLevelSpec`.  Levels without an explicit root
-    live under ``root/<name>`` (file) or a ``<root>-<name>`` bucket label
-    (object); ``fast_store`` / ``slow_store`` are ignored on this path.
+    ``tiers`` is a chain spec string
+    (``"nvme:file:/a:50GiB,pfs:file:/b,object:object"``, see
+    :func:`~repro.io.parse_tier_chain_spec`) or a pre-parsed sequence of
+    :class:`~repro.io.TierChainLevelSpec`; the default is a local ``fast``
+    file level draining to an in-memory ``slow`` object level.  Levels
+    without an explicit root live under ``root/<name>`` (file; level 0's
+    sidecar tier-index sits next to its checkpoint directories) or a
+    ``<root>-<name>`` bucket label (object).  Remaining kwargs
+    (``drain_workers``, ``keep_local_latest`` — ``None`` never evicts —,
+    ``drain_retries``, ``drain_backoff_s``, ...) go to the chain.
     """
     from .tiered import (
-        DEFAULT_DRAIN_BACKOFF_S,
-        DEFAULT_DRAIN_RETRIES,
-        DEFAULT_DRAIN_WORKERS,
-        DEFAULT_KEEP_LOCAL_LATEST,
         DEFAULT_TIER_WATERMARK,
         TierChain,
-        TieredStore,
         TierLevel,
         parse_tier_chain_spec,
     )
@@ -177,58 +160,29 @@ def _make_tiered_store(root=None, fsync: bool = False, fast_store: str = "file",
     if root is None:
         raise ConfigurationError("the 'tiered' store needs a root directory")
     root = Path(root)
-    resolved_workers = (DEFAULT_DRAIN_WORKERS if drain_workers is _UNSET
-                        else int(drain_workers))
-    resolved_keep = (DEFAULT_KEEP_LOCAL_LATEST if keep_local_latest is _UNSET
-                     else keep_local_latest)
-    resolved_retries = (DEFAULT_DRAIN_RETRIES if drain_retries is _UNSET
-                        else int(drain_retries))
-    resolved_backoff = (DEFAULT_DRAIN_BACKOFF_S if drain_backoff_s is _UNSET
-                        else float(drain_backoff_s))
-    if tiers is not None:
-        entries = (parse_tier_chain_spec(tiers) if isinstance(tiers, str)
-                   else list(tiers))
-        levels = []
-        for entry in entries:
-            backend = canonical_store_name(entry.backend)
-            if backend in ("tiered", "faulty"):
-                raise ConfigurationError(
-                    f"tier chain level {entry.name!r} cannot use the "
-                    f"{backend!r} backend")
-            if entry.root is not None:
-                level_root = entry.root
-            elif backend == "file":
-                level_root = root / entry.name
-            else:
-                level_root = f"{root.name}-{entry.name}"
-            levels.append(TierLevel(
-                store=create_store(backend, root=level_root, fsync=fsync),
-                name=entry.name,
-                capacity_bytes=entry.capacity_bytes,
-                watermark=(entry.watermark if entry.watermark is not None
-                           else DEFAULT_TIER_WATERMARK),
-            ))
-        return TierChain(
-            levels,
-            drain_workers=resolved_workers, keep_local_latest=resolved_keep,
-            drain_retries=resolved_retries, drain_backoff_s=resolved_backoff,
-            fsync=fsync, **kwargs,
-        )
-    fast_name = canonical_store_name(fast_store)
-    slow_name = canonical_store_name(slow_store)
-    if "tiered" in (fast_name, slow_name):
-        raise ConfigurationError("tiers of a tiered store cannot themselves be tiered")
-    slow_root = root / "slow" if slow_name == "file" else f"{root.name}-remote"
-    return TieredStore(
-        fast=create_store(fast_name, root=root / "fast", fsync=fsync),
-        slow=create_store(slow_name, root=slow_root, fsync=fsync),
-        drain_workers=resolved_workers,
-        keep_local_latest=resolved_keep,
-        drain_retries=resolved_retries,
-        drain_backoff_s=resolved_backoff,
-        fsync=fsync,
-        **kwargs,
-    )
+    entries = (parse_tier_chain_spec(tiers) if isinstance(tiers, str)
+               else list(tiers))
+    levels = []
+    for entry in entries:
+        backend = canonical_store_name(entry.backend)
+        if backend in ("tiered", "faulty"):
+            raise ConfigurationError(
+                f"tier chain level {entry.name!r} cannot use the "
+                f"{backend!r} backend")
+        if entry.root is not None:
+            level_root = entry.root
+        elif backend == "file":
+            level_root = root / entry.name
+        else:
+            level_root = f"{root.name}-{entry.name}"
+        levels.append(TierLevel(
+            store=create_store(backend, root=level_root, fsync=fsync),
+            name=entry.name,
+            capacity_bytes=entry.capacity_bytes,
+            watermark=(entry.watermark if entry.watermark is not None
+                       else DEFAULT_TIER_WATERMARK),
+        ))
+    return TierChain(levels, fsync=fsync, **kwargs)
 
 
 def _make_faulty_store(root=None, fsync: bool = False, inner: str = "file",
@@ -252,7 +206,8 @@ def _make_faulty_store(root=None, fsync: bool = False, inner: str = "file",
 
 
 def _make_cas_store(root=None, fsync: bool = False, inner: str = "file",
-                    namespace=_UNSET, chunk_bytes=_UNSET, quota_bytes=None,
+                    namespace: str = DEFAULT_NAMESPACE,
+                    chunk_bytes: int = DEFAULT_CHUNK_BYTES, quota_bytes=None,
                     **kwargs) -> ShardStore:
     """Wrap another registered backend in content-addressed chunk storage.
 
@@ -262,16 +217,12 @@ def _make_cas_store(root=None, fsync: bool = False, inner: str = "file",
     chunk size, and ``quota_bytes`` caps the namespace's committed logical
     bytes.  Remaining kwargs go to the inner backend's factory.
     """
-    from .cas import DEFAULT_CHUNK_BYTES, DEFAULT_NAMESPACE, CASStore
-
     inner_name = canonical_store_name(inner)
     if inner_name == "cas":
         raise ConfigurationError("the 'cas' store cannot wrap itself")
     return CASStore(
         create_store(inner_name, root=root, fsync=fsync, **kwargs),
-        namespace=DEFAULT_NAMESPACE if namespace is _UNSET else namespace,
-        chunk_bytes=DEFAULT_CHUNK_BYTES if chunk_bytes is _UNSET
-        else int(chunk_bytes),
+        namespace=namespace, chunk_bytes=int(chunk_bytes),
         quota_bytes=quota_bytes,
     )
 

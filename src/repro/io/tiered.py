@@ -49,13 +49,10 @@ directories, when that backend is directory-backed); the sidecar is a cache
 — on startup it is reconciled against the levels themselves, which stay the
 source of truth, and its legacy ``{"state", "sequence", "local"}`` entry
 shape is preserved (two-element chains stay byte-layout compatible with the
-pre-chain ``TieredStore``).
+pre-chain two-tier store).
 
 ``delete_checkpoint`` operates **cross-level** (and waits out an in-flight
 drain of the tag), so garbage collection never strands keys on any backend.
-:class:`TieredStore` remains as the two-level construction — registry name
-``tiered``, same constructor, same on-disk layout — now a thin subclass of
-:class:`TierChain` over ``[fast, slow]``.
 """
 
 from __future__ import annotations
@@ -70,12 +67,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..config import (
-    DEFAULT_DRAIN_BACKOFF_S,
-    DEFAULT_DRAIN_RETRIES,
-    DEFAULT_DRAIN_WORKERS,
-    DEFAULT_KEEP_LOCAL_LATEST,
-)
 from ..exceptions import CheckpointError
 from ..logging_utils import get_logger
 from ..units import parse_bytes
@@ -89,6 +80,22 @@ _DRAIN_CHUNK_BYTES = 32 * 1024 * 1024
 
 #: File name of the tier-index sidecar inside level 0's root.
 TIER_INDEX_NAME = "tier-index.json"
+
+#: Default number of background drain workers per link.
+DEFAULT_DRAIN_WORKERS = 2
+
+#: Default count-based eviction watermark: how many of the newest replicated
+#: checkpoints keep their level-0 copy for quick restarts.
+DEFAULT_KEEP_LOCAL_LATEST = 1
+
+#: Default number of drain retries after a transient deeper-level failure — a
+#: checkpoint only leaves DRAINING on success or once the retries are
+#: exhausted.
+DEFAULT_DRAIN_RETRIES = 2
+
+#: Default base delay (seconds) of the drain's exponential backoff: attempt
+#: ``k`` (0-based) sleeps ``drain_backoff_s * 2**k`` before retrying.
+DEFAULT_DRAIN_BACKOFF_S = 0.05
 
 #: Default high watermark: a level is trimmed back below this fraction of
 #: its capacity, and commits block while level 0 sits above it.
@@ -1132,25 +1139,3 @@ class TierChain:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close(wait=exc_type is None)
 
-
-class TieredStore(TierChain):
-    """The classic two-level chain: a fast local tier draining to a slow one.
-
-    Kept as the registry's ``tiered`` construction — same constructor, same
-    on-disk layout (including the ``tier-index.json`` sidecar entry shape),
-    same drain/evict/promote behavior — now expressed as a
-    :class:`TierChain` over ``[fast, slow]``.
-    """
-
-    def __init__(self, fast, slow, drain_workers: int = DEFAULT_DRAIN_WORKERS,
-                 keep_local_latest: Optional[int] = DEFAULT_KEEP_LOCAL_LATEST,
-                 drain_retries: int = DEFAULT_DRAIN_RETRIES,
-                 drain_backoff_s: float = DEFAULT_DRAIN_BACKOFF_S,
-                 fsync: bool = False, promote_on_read: bool = True) -> None:
-        if fast is slow:
-            raise CheckpointError("the fast and slow tiers must be distinct stores")
-        super().__init__(
-            [TierLevel(fast, name="fast"), TierLevel(slow, name="slow")],
-            drain_workers=drain_workers, keep_local_latest=keep_local_latest,
-            drain_retries=drain_retries, drain_backoff_s=drain_backoff_s,
-            fsync=fsync, promote_on_read=promote_on_read)

@@ -19,8 +19,7 @@ zero-copy read-only views that keep the map alive.
 Restores are described by a :class:`~repro.restart.RestoreSpec` and executed
 by :meth:`CheckpointLoader.restore` — one entry point covering a single shard,
 one rank, every rank, and (with ``spec.target_topology``) an elastic restore
-into a different parallel layout.  The legacy ``load_shard`` / ``load_rank`` /
-``load_all`` methods delegate through it and emit ``DeprecationWarning``.
+into a different parallel layout.
 
 Restores are **prefetched**: a bounded-worker stage (``prefetch_depth``
 workers, surfaced as :attr:`repro.config.CheckpointPolicy.prefetch_depth` and
@@ -47,7 +46,6 @@ import copy
 import math
 import threading
 import time
-import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -524,30 +522,6 @@ class CheckpointLoader:
                     f"{spec.target_topology.describe()}")
             return reshaped[spec.rank]
         return reshaped
-
-    def load_shard(self, tag: str, shard_name: str) -> Any:
-        """Deprecated: use ``restore(RestoreSpec.of_shard(shard_name, tag=tag))``."""
-        warnings.warn(
-            "CheckpointLoader.load_shard is deprecated; use "
-            "restore(RestoreSpec.of_shard(shard_name, tag=tag))",
-            DeprecationWarning, stacklevel=2)
-        return self.restore(RestoreSpec.of_shard(shard_name, tag=tag))
-
-    def load_rank(self, tag: str, rank: int, validate: bool = True) -> Any:
-        """Deprecated: use ``restore(RestoreSpec.of_rank(rank, tag=tag))``."""
-        warnings.warn(
-            "CheckpointLoader.load_rank is deprecated; use "
-            "restore(RestoreSpec.of_rank(rank, tag=tag))",
-            DeprecationWarning, stacklevel=2)
-        return self.restore(RestoreSpec.of_rank(rank, tag=tag, validate=validate))
-
-    def load_all(self, tag: str, validate: bool = True) -> Dict[int, Any]:
-        """Deprecated: use ``restore(RestoreSpec.full(tag=tag))``."""
-        warnings.warn(
-            "CheckpointLoader.load_all is deprecated; use "
-            "restore(RestoreSpec.full(tag=tag))",
-            DeprecationWarning, stacklevel=2)
-        return self.restore(RestoreSpec.full(tag=tag, validate=validate))
 
     def _load_shard(self, tag: str, shard_name: str, validate: bool = True) -> Any:
         """Load one logical shard by name, validated against the manifest.

@@ -1,13 +1,7 @@
 """The typed restore request — one entry point for every restore shape.
 
-The restore surface had accreted three string-typed entry points
-(``engine.load(tag, shard_name)``, ``CheckpointLoader.load_shard`` /
-``load_rank`` / ``load_all``) before the elastic-restart work added a fourth
-dimension (the target topology of a reshaping restore).  Instead of widening
-all of those signatures, a restore is now described once by a
-:class:`RestoreSpec` and executed by :meth:`CheckpointLoader.restore` (which
-``engine.load`` routes through); the old call forms survive as thin
-deprecated wrappers.
+A restore is described once by a :class:`RestoreSpec` and executed by
+:meth:`CheckpointLoader.restore` (which ``engine.load`` routes through).
 
 A spec names:
 

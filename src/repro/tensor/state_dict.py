@@ -82,50 +82,63 @@ def _is_tensor_leaf(value: Any) -> bool:
     return isinstance(value, (np.ndarray, DeviceTensor))
 
 
+_CPU = str(Device.cpu())
+
+
+# Module-level on purpose: an inner function that calls itself forms a
+# function<->cell cycle that owns whatever else it closes over — here the
+# tensor list, i.e. every payload of the state just saved — until the cyclic
+# GC happens to run.
+def _flatten(value: Any, path: KeyPath, tensors: List[TensorRef],
+             dtype_names: Dict[np.dtype, str]) -> Any:
+    if _is_tensor_leaf(value):
+        index = len(tensors)
+        if isinstance(value, DeviceTensor):
+            array = value.array
+            device = str(value.device)
+        else:
+            array = value
+            device = _CPU
+        dtype = dtype_names.get(array.dtype)
+        if dtype is None:
+            dtype = dtype_names[array.dtype] = str(array.dtype)
+        ref = TensorRef(
+            path=path,
+            shape=tuple(array.shape),
+            dtype=dtype,
+            nbytes=int(array.nbytes),
+            device=device,
+            payload=value,
+        )
+        tensors.append(ref)
+        return _Placeholder(index)
+    if isinstance(value, dict):
+        return {key: _flatten(item, path + (key,), tensors, dtype_names)
+                for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        items = [_flatten(item, path + (idx,), tensors, dtype_names)
+                 for idx, item in enumerate(value)]
+        return type(value)(items) if isinstance(value, tuple) else items
+    return value
+
+
 def flatten_state_dict(state: Any) -> FlattenedState:
     """Flatten ``state`` into tensor references plus a picklable skeleton."""
     tensors: List[TensorRef] = []
-    cpu = str(Device.cpu())
     # ``str(dtype)`` is NumPy's slowest per-tensor call here and a state has a
     # handful of distinct dtypes.
     dtype_names: Dict[np.dtype, str] = {}
-
-    def visit(value: Any, path: KeyPath) -> Any:
-        if _is_tensor_leaf(value):
-            index = len(tensors)
-            if isinstance(value, DeviceTensor):
-                array = value.array
-                device = str(value.device)
-            else:
-                array = value
-                device = cpu
-            dtype = dtype_names.get(array.dtype)
-            if dtype is None:
-                dtype = dtype_names[array.dtype] = str(array.dtype)
-            ref = TensorRef(
-                path=path,
-                shape=tuple(array.shape),
-                dtype=dtype,
-                nbytes=int(array.nbytes),
-                device=device,
-                payload=value,
-            )
-            tensors.append(ref)
-            return _Placeholder(index)
-        if isinstance(value, dict):
-            return {key: visit(item, path + (key,)) for key, item in value.items()}
-        if isinstance(value, (list, tuple)):
-            items = [visit(item, path + (idx,)) for idx, item in enumerate(value)]
-            return type(value)(items) if isinstance(value, tuple) else items
-        return value
-
-    skeleton = visit(state, ())
+    skeleton = _flatten(state, (), tensors, dtype_names)
     return FlattenedState(tensors=tensors, skeleton=skeleton)
 
 
 def unflatten_state_dict(skeleton: Any, arrays: Sequence[np.ndarray]) -> Any:
     """Rebuild the original nested object from a skeleton and tensor payloads."""
 
+    # ``visit`` closes over itself, so ``arrays`` outlives the result until the
+    # cyclic GC runs (see ``_flatten``).  Left as is on purpose: freeing a
+    # many-small-tensor state at once makes glibc trim the heap top, and the
+    # next restore pays the page faults again (ROADMAP item 5).
     def visit(value: Any) -> Any:
         if isinstance(value, _Placeholder):
             if value.index >= len(arrays):

@@ -41,7 +41,8 @@ from repro.io import (
     FaultyStore,
     FileStore,
     ObjectStore,
-    TieredStore,
+    TierChain,
+    TierLevel,
 )
 from repro.restart import CheckpointLoader, RestoreSpec
 
@@ -117,8 +118,8 @@ def _build_store(store_backend: str, plan: FaultPlan, tmp_path: Path):
         return store, clean_view, faulty_inner
     assert store_backend == "tiered"
     slow = FaultyStore(ObjectStore(), plan)
-    store = TieredStore(fast=FileStore(tmp_path / "fast"), slow=slow,
-                        drain_backoff_s=0.01)
+    store = TierChain([TierLevel(FileStore(tmp_path / "fast"), name="fast"),
+                       TierLevel(slow, name="slow")], drain_backoff_s=0.01)
     return store, store, slow
 
 

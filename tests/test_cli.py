@@ -180,3 +180,25 @@ def test_cli_accepts_custom_registered_engine(capsys, tmp_path):
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_cli_tiers_spec_spells_the_backend_pair(tmp_path):
+    """The backend of each level is spelled in ``--tiers``: an in-memory
+    commit level over a directory-backed one, and nothing else typed."""
+    from repro.cli import _build_parser, _open_store
+    from repro.io import FileStore, ObjectStore
+
+    args = _build_parser().parse_args([
+        "list", "--workdir", str(tmp_path), "--store", "tiered",
+        "--tiers", "fast:object,slow:file", "--keep-local-latest", "-1"])
+    store = _open_store(args, str(tmp_path))
+    try:
+        assert store.level_names == ["fast", "slow"]
+        assert isinstance(store.fast, ObjectStore)
+        assert isinstance(store.slow, FileStore)
+        assert store.slow.root == tmp_path / "slow"
+        assert store.keep_local_latest is None
+        # What was not typed is left to the store's own defaults.
+        assert (store.drain_workers, store.drain_retries) == (2, 2)
+    finally:
+        store.close()

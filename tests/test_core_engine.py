@@ -106,10 +106,6 @@ def test_save_and_load_roundtrip(engine):
     np.testing.assert_array_equal(loaded["optimizer"]["v"], state["optimizer"]["v"])
 
 
-def test_checkpoint_alias_is_save(engine):
-    assert DataStatesCheckpointEngine.checkpoint is DataStatesCheckpointEngine.save
-
-
 def test_snapshot_isolates_state_from_later_mutation(engine):
     """The defining property of a consistent snapshot: mutations made *after*
     wait_for_snapshot() returns must not leak into the checkpoint."""
@@ -131,6 +127,8 @@ def test_multiple_checkpoints_accumulate(engine):
     assert engine.list_checkpoints() == ["ckpt-0", "ckpt-1", "ckpt-2"]
     assert engine.latest_checkpoint() == "ckpt-2"
     assert engine.load(RestoreSpec(tag="ckpt-1"))["iteration"] == 1
+    # No spec: this rank's shard of the latest committed checkpoint.
+    assert engine.load()["iteration"] == 2
 
 
 def test_handle_exposes_capture_and_durability(engine):

@@ -1,12 +1,9 @@
-"""Tests for the on-disk file store and the background flush worker pool."""
-
-import threading
-import time
+"""Tests for the on-disk file store."""
 
 import pytest
 
 from repro.exceptions import CheckpointError
-from repro.io import FileStore, FlushTask, FlushWorkerPool
+from repro.io import FileStore
 
 
 # ---------------------------------------------------------------------------
@@ -86,79 +83,3 @@ def test_overwrite_shard_replaces_content(tmp_path):
     store.write_shard("ckpt-1", "rank0", [b"new-content"])
     assert store.read_shard("ckpt-1", "rank0") == b"new-content"
 
-
-# ---------------------------------------------------------------------------
-# FlushWorkerPool
-# ---------------------------------------------------------------------------
-
-def test_flush_pool_executes_tasks_in_background():
-    pool = FlushWorkerPool(num_workers=2)
-    results = []
-    done = threading.Event()
-
-    def work():
-        results.append(1)
-
-    pool.submit(FlushTask(run=work, on_done=lambda err: done.set()))
-    assert done.wait(timeout=5.0)
-    pool.drain()
-    assert results == [1]
-    pool.shutdown()
-
-
-def test_flush_pool_drain_waits_for_all():
-    pool = FlushWorkerPool(num_workers=1)
-    counter = []
-    for index in range(5):
-        pool.submit(FlushTask(run=lambda i=index: (time.sleep(0.01), counter.append(i))))
-    pool.drain()
-    assert sorted(counter) == list(range(5))
-    pool.shutdown()
-
-
-def test_flush_pool_reports_errors_on_drain():
-    pool = FlushWorkerPool(num_workers=1)
-
-    def bad():
-        raise ValueError("disk on fire")
-
-    pool.submit(FlushTask(run=bad, description="bad"))
-    with pytest.raises(CheckpointError):
-        pool.drain()
-    pool.shutdown()
-
-
-def test_flush_pool_on_done_receives_error():
-    pool = FlushWorkerPool(num_workers=1)
-    seen = []
-    finished = threading.Event()
-
-    def bad():
-        raise ValueError("nope")
-
-    pool.submit(FlushTask(run=bad, on_done=lambda err: (seen.append(err), finished.set())))
-    assert finished.wait(timeout=5.0)
-    assert isinstance(seen[0], ValueError)
-    pool.shutdown(wait=False)
-
-
-def test_flush_pool_rejects_after_shutdown():
-    pool = FlushWorkerPool(num_workers=1)
-    pool.shutdown()
-    with pytest.raises(CheckpointError):
-        pool.submit(FlushTask(run=lambda: None))
-
-
-def test_flush_pool_requires_workers():
-    with pytest.raises(CheckpointError):
-        FlushWorkerPool(num_workers=0)
-
-
-def test_flush_pool_single_worker_preserves_fifo_order():
-    pool = FlushWorkerPool(num_workers=1)
-    order = []
-    for index in range(10):
-        pool.submit(FlushTask(run=lambda i=index: order.append(i)))
-    pool.drain()
-    assert order == list(range(10))
-    pool.shutdown()

@@ -269,45 +269,6 @@ def test_restore_spec_builders_compose():
     assert reshaped.target_topology.data_parallel == 2
 
 
-def test_deprecated_loader_methods_delegate(tmp_path):
-    full = make_full_state()
-    topo = topology(dp=2)
-    store = FileStore(tmp_path)
-    save_elastic_checkpoint(store, full, topo, tag="t")
-    loader = CheckpointLoader(store)
-
-    with pytest.warns(DeprecationWarning):
-        old = loader.load_rank("t", 0)
-    new = loader.restore(RestoreSpec.of_rank(0, tag="t"))
-    np.testing.assert_array_equal(old["model"]["bias"], new["model"]["bias"])
-
-    with pytest.warns(DeprecationWarning):
-        assert set(loader.load_all("t")) == {0, 1}
-    with pytest.warns(DeprecationWarning):
-        loader.load_shard("t", "rank0")
-
-
-def test_engine_load_accepts_spec_and_warns_on_legacy_form(tmp_path):
-    from repro.core import create_real_engine
-
-    store = FileStore(tmp_path)
-    engine = create_real_engine("deepspeed", store, policy=FAST_POLICY)
-    state = {"model": {"w": np.arange(6, dtype=np.float32)}, "iteration": 1}
-    try:
-        engine.save(state, tag="t", iteration=1)
-        engine.wait_all()
-        via_spec = engine.load(RestoreSpec(tag="t"))
-        with pytest.warns(DeprecationWarning):
-            via_legacy = engine.load("t", "rank0")
-        no_args = engine.load()
-        with pytest.raises(CheckpointError):
-            engine.load(RestoreSpec(tag="t"), shard_name="rank0")
-    finally:
-        engine.shutdown(wait=False)
-    for loaded in (via_spec, via_legacy, no_args):
-        np.testing.assert_array_equal(loaded["model"]["w"], state["model"]["w"])
-
-
 # ---------------------------------------------------------------------------
 # Pre-v4 manifests restore unchanged through RestoreSpec
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Tests for device-tagged tensors, the device arena, and state-dict flattening."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,6 +185,20 @@ def test_unflatten_with_missing_payloads_fails():
     flattened = flatten_state_dict({"a": np.zeros(2), "b": np.zeros(2)})
     with pytest.raises(SerializationError):
         unflatten_state_dict(flattened.skeleton, [np.zeros(2)])
+
+
+def test_flatten_leaves_no_cycle_owning_the_arrays():
+    """The call may not leave garbage only the cyclic collector can free: a
+    state passed through it dies with its last reference."""
+    gc.disable()
+    try:
+        array = np.zeros(1 << 19)
+        ref = weakref.ref(array)
+        flattened = flatten_state_dict({"layer": {"w": array}})
+        del array, flattened
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_skeleton_bytes_is_picklable_and_small():

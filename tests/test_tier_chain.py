@@ -22,7 +22,6 @@ from repro.io import (
     ShardStore,
     TierChain,
     TierChainLevelSpec,
-    TieredStore,
     TierLevel,
     create_store,
     make_tier_chain_storage,
@@ -504,11 +503,11 @@ def test_engine_stats_surface_drain_wait(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Sidecar compatibility with the pre-chain TieredStore
+# Sidecar compatibility with the pre-chain two-tier store
 # ---------------------------------------------------------------------------
 
 def test_two_level_chain_restores_pre_refactor_sidecar(tmp_path):
-    """A checkpoint written by the pre-refactor TieredStore (sidecar entries
+    """A checkpoint written by the pre-chain two-tier store (sidecar entries
     carry only ``state``/``sequence``/``local``) restores bit-exactly
     through the chain, and the rewritten sidecar keeps the legacy keys."""
     fast = FileStore(tmp_path / "fast")
@@ -523,7 +522,8 @@ def test_two_level_chain_restores_pre_refactor_sidecar(tmp_path):
         "ckpt-1": {"state": "replicated", "sequence": 1, "local": True},
     }), encoding="utf-8")
 
-    store = TieredStore(fast, slow, keep_local_latest=None)
+    store = TierChain([TierLevel(fast, name="fast"), TierLevel(slow, name="slow")],
+                      keep_local_latest=None)
     try:
         assert store.list_committed_checkpoints() == ["ckpt-1"]
         assert store.drain_status("ckpt-1") is DrainState.REPLICATED
@@ -541,15 +541,54 @@ def test_two_level_chain_restores_pre_refactor_sidecar(tmp_path):
 
 
 def test_tiered_store_is_a_two_level_chain(tmp_path):
-    store = TieredStore(FileStore(tmp_path / "fast"), ObjectStore(),
-                        keep_local_latest=None)
+    """``create_store("tiered", root)`` with nothing else given builds the
+    classic pair — same level names, level-0 root and sidecar entry shape as
+    the two-tier store it replaced."""
+    store = create_store("tiered", root=tmp_path)
     try:
         assert isinstance(store, TierChain)
         assert store.level_names == ["fast", "slow"]
         assert len(store.levels) == 2
         assert store.drain_metrics()["tier_levels"] == 2
+        assert store.fast.root == tmp_path / "fast"
+        assert isinstance(store.slow, ObjectStore)
+        _save(store, ["ckpt-1"])
+        store.wait_drained(timeout=30.0)
+        sidecar = json.loads(
+            (tmp_path / "fast" / TIER_INDEX_NAME).read_text(encoding="utf-8"))
+        assert sidecar["ckpt-1"] == {"state": "replicated", "sequence": 1,
+                                     "local": True, "levels": [0, 1]}
     finally:
         store.close()
+
+
+def test_default_tiered_root_reopens_and_resumes_a_half_done_drain(tmp_path, monkeypatch):
+    """A root written through the default factory reopens through it: the
+    checkpoint whose drain died before its manifest reached the slow level
+    restores from level 0 and is drained again."""
+    store = create_store("tiered", root=tmp_path, drain_retries=0)
+
+    def outage(tag, manifest):
+        raise CheckpointError("simulated slow-level outage at manifest PUT")
+
+    monkeypatch.setattr(store.slow, "write_manifest", outage)
+    _save(store, ["ckpt-1"])
+    with pytest.raises(CheckpointError):
+        store.wait_drained(timeout=30.0)
+    store.close()
+    reference = CheckpointLoader(store).restore(RestoreSpec.full(tag="ckpt-1"))
+
+    reopened = create_store("tiered", root=tmp_path)
+    try:
+        assert reopened.drain_metrics()["resumed_drains"] == 1
+        reopened.wait_drained(timeout=30.0)
+        assert reopened.drain_status("ckpt-1") is DrainState.REPLICATED
+        assert reopened.slow.list_committed_checkpoints() == ["ckpt-1"]
+        restored = CheckpointLoader(reopened).restore(RestoreSpec.full(tag="ckpt-1"))
+        for name, array in reference[0]["model"].items():
+            np.testing.assert_array_equal(array, restored[0]["model"][name])
+    finally:
+        reopened.close()
 
 
 # ---------------------------------------------------------------------------

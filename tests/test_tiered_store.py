@@ -17,7 +17,8 @@ from repro.io import (
     FileStore,
     ObjectStore,
     ShardStore,
-    TieredStore,
+    TierChain,
+    TierLevel,
     create_store,
     make_tiered_storage,
     supports_mmap,
@@ -38,9 +39,15 @@ def _state(seed=0, size=256):
     }
 
 
-def _tiered(tmp_path, **kwargs) -> TieredStore:
+def _pair(fast, slow, **kwargs) -> TierChain:
+    """The two-level chain: ``fast`` commits, drains to ``slow``."""
+    return TierChain([TierLevel(fast, name="fast"), TierLevel(slow, name="slow")],
+                     **kwargs)
+
+
+def _tiered(tmp_path, **kwargs) -> TierChain:
     kwargs.setdefault("keep_local_latest", None)  # most tests want no eviction
-    return TieredStore(FileStore(tmp_path / "fast"), ObjectStore(), **kwargs)
+    return _pair(FileStore(tmp_path / "fast"), ObjectStore(), **kwargs)
 
 
 def _save(store, tags, seed_offset=0):
@@ -87,8 +94,9 @@ class _FailingManifestSlowStore(ObjectStore):
 
 def test_create_store_tiered_composes_backends(tmp_path):
     store = create_store("tiered", root=tmp_path / "t")
-    assert isinstance(store, TieredStore)
+    assert isinstance(store, TierChain)
     assert isinstance(store, ShardStore)
+    assert store.level_names == ["fast", "slow"]
     assert isinstance(store.fast, FileStore)
     assert isinstance(store.slow, ObjectStore)
     assert store.fast.root == tmp_path / "t" / "fast"
@@ -99,17 +107,18 @@ def test_create_store_tiered_composes_backends(tmp_path):
 
 
 def test_create_store_tiered_custom_tiers(tmp_path):
-    store = create_store("tiered", root=tmp_path, fast_store="object",
-                         slow_store="file", drain_workers=3, keep_local_latest=0)
+    store = create_store("tiered", root=tmp_path, tiers="fast:object,slow:file",
+                         drain_workers=3, keep_local_latest=0)
     assert isinstance(store.fast, ObjectStore)
     assert isinstance(store.slow, FileStore)
+    assert store.slow.root == tmp_path / "slow"
     assert store.drain_workers == 3
     assert store.keep_local_latest == 0
     # None is the documented "never evict" mode, not "use the default".
     never = create_store("tiered", root=tmp_path / "n", keep_local_latest=None)
     assert never.keep_local_latest is None
     with pytest.raises(ConfigurationError):
-        create_store("tiered", root=tmp_path, fast_store="tiered")
+        create_store("tiered", root=tmp_path, tiers="fast:tiered,slow:object")
     with pytest.raises(ConfigurationError):
         create_store("tiered")  # needs a root
 
@@ -117,11 +126,11 @@ def test_create_store_tiered_custom_tiers(tmp_path):
 def test_tiered_constructor_validation(tmp_path):
     fast = FileStore(tmp_path / "fast")
     with pytest.raises(CheckpointError):
-        TieredStore(fast, fast)
+        _pair(fast, fast)
     with pytest.raises(CheckpointError):
-        TieredStore(fast, ObjectStore(), drain_workers=0)
+        _pair(fast, ObjectStore(), drain_workers=0)
     with pytest.raises(CheckpointError):
-        TieredStore(fast, ObjectStore(), keep_local_latest=-1)
+        _pair(fast, ObjectStore(), keep_local_latest=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +139,7 @@ def test_tiered_constructor_validation(tmp_path):
 
 def test_commit_is_visible_before_the_drain_finishes(tmp_path):
     slow = _GatedSlowStore()
-    store = TieredStore(FileStore(tmp_path / "fast"), slow, keep_local_latest=None)
+    store = _pair(FileStore(tmp_path / "fast"), slow, keep_local_latest=None)
     try:
         store.write_shard("ckpt-1", "rank0", [b"payload"])
         store.write_manifest("ckpt-1", {"tag": "ckpt-1", "shards": [
@@ -156,8 +165,8 @@ def test_drain_orders_manifest_last(tmp_path):
             order.append(key)
             real_put(self, key, payload)
 
-    store = TieredStore(FileStore(tmp_path / "fast"), RecordingSlow(),
-                        keep_local_latest=None)
+    store = _pair(FileStore(tmp_path / "fast"), RecordingSlow(),
+                  keep_local_latest=None)
     _save(store, ["ckpt-1"])
     store.wait_drained()
     store.close()
@@ -327,7 +336,7 @@ def test_delete_removes_both_tiers(tmp_path):
 
 def test_delete_during_inflight_drain_strands_no_keys(tmp_path):
     slow = _GatedSlowStore()
-    store = TieredStore(FileStore(tmp_path / "fast"), slow, keep_local_latest=None)
+    store = _pair(FileStore(tmp_path / "fast"), slow, keep_local_latest=None)
     _save(store, ["ckpt-1"])
     deleter = threading.Thread(target=store.delete_checkpoint, args=("ckpt-1",))
     deleter.start()
@@ -358,7 +367,7 @@ def test_prune_uncommitted_ignores_evicted_checkpoints(tmp_path):
 def test_crash_mid_drain_restores_from_fast_and_resumes_idempotently(tmp_path):
     fast = FileStore(tmp_path / "fast")
     slow = _FailingManifestSlowStore()
-    store = TieredStore(fast, slow, keep_local_latest=None)
+    store = _pair(fast, slow, keep_local_latest=None)
     _save(store, ["ckpt-1"])
     with pytest.raises(CheckpointError, match="drain of checkpoint 'ckpt-1' failed"):
         store.wait_drained()
@@ -372,11 +381,11 @@ def test_crash_mid_drain_restores_from_fast_and_resumes_idempotently(tmp_path):
     reference = CheckpointLoader(store).restore(RestoreSpec.full(tag="ckpt-1"))
     assert 0 in reference
 
-    # "Restart": a new TieredStore over the same tiers resumes the drain.
+    # "Restart": a new chain over the same tiers resumes the drain.
     slow.heal()
     parts_before = sum(1 for key in slow.keys() if key.endswith(".shard"))
     puts_before = slow.put_count
-    resumed = TieredStore(fast, slow, keep_local_latest=None)
+    resumed = _pair(fast, slow, keep_local_latest=None)
     resumed.wait_drained("ckpt-1")
     assert resumed.drain_status("ckpt-1") is DrainState.REPLICATED
     assert slow.list_committed_checkpoints() == ["ckpt-1"]
@@ -394,7 +403,7 @@ def test_recovery_orders_by_iteration_not_tag_name(tmp_path):
     'iter-10' before 'iter-9' and evict the wrong fast copy."""
     fast = FileStore(tmp_path / "fast")
     slow = ObjectStore()
-    store = TieredStore(fast, slow, keep_local_latest=None)
+    store = _pair(fast, slow, keep_local_latest=None)
     with create_real_engine("datastates", store, host_buffer_size=8 << 20) as engine:
         engine.save(_state(seed=9), tag="iter-9", iteration=9)
         engine.wait_for_snapshot()
@@ -409,7 +418,7 @@ def test_recovery_orders_by_iteration_not_tag_name(tmp_path):
     with slow._lock:
         del slow._objects[slow.manifest_key("iter-9")]
 
-    reopened = TieredStore(fast, slow, keep_local_latest=1)
+    reopened = _pair(fast, slow, keep_local_latest=1)
     reopened.wait_drained()
     reopened.close()
     # iter-10 (iteration 10) is the newest: it keeps the fast copy.
@@ -422,23 +431,23 @@ def test_recovery_marks_slow_only_checkpoints_replicated(tmp_path):
     _save(store, ["ckpt-1"])
     store.wait_drained()
     store.close()
-    reopened = TieredStore(store.fast, store.slow, keep_local_latest=0)
+    reopened = _pair(store.fast, store.slow, keep_local_latest=0)
     assert reopened.drain_status("ckpt-1") is DrainState.REPLICATED
     assert reopened.drain_metrics()["resumed_drains"] == 0
     reopened.close()
 
 
-def test_run_real_engine_honours_policy_drain_knobs(tmp_path):
-    """CheckpointPolicy.{drain_workers,keep_local_latest} reach the tiered
-    store when the comparison harness builds it."""
+def test_run_real_engine_forwards_store_kwargs_drain_knobs(tmp_path):
+    """The tier knobs live on the store: ``store_kwargs`` reach the chain the
+    comparison harness builds."""
     from repro.analysis import run_real_engine
     from repro.config import CheckpointPolicy
 
     row = run_real_engine(
         "deepspeed", tmp_path, iterations=2, hidden_size=32,
-        policy=CheckpointPolicy(host_buffer_size=8 << 20, drain_workers=3,
-                                keep_local_latest=0),
-        store_backend="tiered")
+        policy=CheckpointPolicy(host_buffer_size=8 << 20),
+        store_backend="tiered",
+        store_kwargs={"drain_workers": 3, "keep_local_latest": 0})
     assert row["drain"]["drain_workers"] == 3
     assert row["drain"]["drained_checkpoints"] == 2
     assert row["drain"]["evicted_checkpoints"] == 2  # keep_local_latest=0
@@ -620,8 +629,8 @@ def test_drain_rides_out_transient_slow_tier_failures(tmp_path):
     """Every slow-tier op fails exactly once (a flaky NIC): the drain's
     bounded retries absorb it — replication succeeds with no failed drain."""
     slow = _flaky_slow(seed=1, write_error_prob=1.0, max_failures_per_op=1)
-    store = TieredStore(FileStore(tmp_path / "fast"), slow,
-                        keep_local_latest=None, drain_backoff_s=0.001)
+    store = _pair(FileStore(tmp_path / "fast"), slow,
+                  keep_local_latest=None, drain_backoff_s=0.001)
     _save(store, ["ckpt-000"])
     store.wait_drained(timeout=30.0)
     metrics = store.drain_metrics()
@@ -636,8 +645,8 @@ def test_drain_stays_draining_until_retries_resolve(tmp_path):
     """Between attempts the checkpoint must stay DRAINING (satellite
     requirement): it only leaves the state on success or exhausted retries."""
     slow = _GatedSlowStore()
-    store = TieredStore(FileStore(tmp_path / "fast"), slow,
-                        keep_local_latest=None, drain_backoff_s=0.001)
+    store = _pair(FileStore(tmp_path / "fast"), slow,
+                  keep_local_latest=None, drain_backoff_s=0.001)
     _save(store, ["ckpt-000"])
     assert store.drain_status("ckpt-000") in (DrainState.LOCAL, DrainState.DRAINING)
     slow.gate.set()
@@ -650,9 +659,9 @@ def test_exhausted_drain_retries_surface_in_counters_and_wait(tmp_path):
     (wait_drained raises), and the checkpoint stays restorable from the
     fast tier."""
     slow = _flaky_slow(seed=2, write_error_prob=1.0)  # persistent
-    store = TieredStore(FileStore(tmp_path / "fast"), slow,
-                        keep_local_latest=None, drain_retries=1,
-                        drain_backoff_s=0.001)
+    store = _pair(FileStore(tmp_path / "fast"), slow,
+                  keep_local_latest=None, drain_retries=1,
+                  drain_backoff_s=0.001)
     _save(store, ["ckpt-000"])
     with pytest.raises(CheckpointError):
         store.wait_drained(timeout=30.0)
@@ -668,8 +677,8 @@ def test_exhausted_drain_retries_surface_in_counters_and_wait(tmp_path):
 
 def test_zero_drain_retries_fail_on_first_error(tmp_path):
     slow = _flaky_slow(seed=3, write_error_prob=1.0, max_failures_per_op=1)
-    store = TieredStore(FileStore(tmp_path / "fast"), slow,
-                        keep_local_latest=None, drain_retries=0)
+    store = _pair(FileStore(tmp_path / "fast"), slow,
+                  keep_local_latest=None, drain_retries=0)
     _save(store, ["ckpt-000"])
     with pytest.raises(CheckpointError):
         store.wait_drained(timeout=30.0)
