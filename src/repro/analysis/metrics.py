@@ -2,31 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping
 
 from ..training.runtime import RunResult
-
-
-@dataclass(frozen=True)
-class EngineComparison:
-    """DataStates vs one baseline on one metric."""
-
-    baseline: str
-    metric: str
-    baseline_value: float
-    datastates_value: float
-
-    @property
-    def speedup(self) -> float:
-        """How many times better DataStates is (>1 means better).
-
-        For throughput-like metrics higher is better; for time-like metrics
-        lower is better — the caller chooses which ratio to build.
-        """
-        if self.baseline_value <= 0 or self.datastates_value <= 0:
-            return float("nan")
-        return self.baseline_value / self.datastates_value
 
 
 def throughput_speedups(results: Mapping[str, RunResult]) -> Dict[str, float]:

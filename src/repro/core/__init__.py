@@ -1,8 +1,10 @@
 """Real-mode checkpoint engines (the paper's primary contribution).
 
-One protocol (:class:`CheckpointEngine`), one registry
-(:func:`create_real_engine` / :func:`register_real_engine`), four engines —
-the paper's §6.2 baselines over real NumPy state:
+One protocol (:class:`CheckpointEngine`: its ``save`` is the one save path,
+every engine returns the one :class:`CheckpointHandle` and implements only
+``_write_parts``), one registry (:func:`create_real_engine` /
+:func:`register_real_engine`), four engines — the paper's §6.2 baselines over
+real NumPy state:
 
 ======================  ==========================================
 name                    engine
@@ -14,10 +16,10 @@ name                    engine
 ======================  ==========================================
 """
 
-from .async_engine import AsyncCheckpointEngine, AsyncCheckpointHandle
-from .base_engine import CheckpointEngine, CompletedCheckpointHandle
+from .async_engine import AsyncCheckpointEngine
+from .base_engine import CheckpointEngine, CheckpointHandle
 from .consolidation import TwoPhaseCommitCoordinator
-from .engine import CheckpointHandle, DataStatesCheckpointEngine
+from .engine import DataStatesCheckpointEngine
 from .flush_pipeline import FlushPipeline, FlushResult, ShardFlushJob
 from .lazy_snapshot import CopyStream, SnapshotJob, StagedExtent
 from .registry import (
@@ -35,11 +37,9 @@ from .torchsnapshot_engine import TorchSnapshotCheckpointEngine
 
 __all__ = [
     "CheckpointEngine",
-    "CompletedCheckpointHandle",
     "DataStatesCheckpointEngine",
     "SynchronousCheckpointEngine",
     "AsyncCheckpointEngine",
-    "AsyncCheckpointHandle",
     "TorchSnapshotCheckpointEngine",
     "CheckpointHandle",
     "TwoPhaseCommitCoordinator",

@@ -11,12 +11,25 @@ the benchmarks can swap engines by name through
 The protocol (mirroring DeepSpeed's checkpoint-engine interface plus the one
 extra call the paper adds):
 
-``save(state, tag, iteration=-1, shard_name=None) -> handle``
-    Request a checkpoint of ``state``.  How much of the work happens before
-    the call returns is the engine's defining property: the synchronous
-    baseline returns only once the checkpoint is globally committed, while
-    DataStates returns after the cheap parse/header phases.  Every engine
-    returns a handle exposing ``wait_captured()`` and ``wait_durable()``.
+``save(state, tag, iteration=-1, shard_name=None) -> CheckpointHandle``
+    Request a checkpoint of ``state``.  ``save`` is concrete — one template
+    in :class:`CheckpointEngine` flattens, plans, runs the incremental dirty
+    scan, records clean parts by reference, registers the
+    :class:`CheckpointHandle` and casts the rank's single vote once every
+    part is durable.  An engine implements only
+    ``_write_parts(handle, plan, dirty, inc)``: how the dirty parts' bytes
+    reach the store and on which thread, reporting each through
+    ``_part_written`` (or ``handle.part_done``).  How much of that happens
+    before ``save`` returns is the engine's defining property: an engine
+    with ``blocking = True`` (synchronous, TorchSnapshot) returns only once
+    the checkpoint is globally committed, while DataStates returns after the
+    cheap parse/header phases.
+
+    *Failed-tag rule.*  Whatever fails on a rank — a write, a capture, a
+    reference, the vote — reaches ``handle.fail``, which tells the
+    coordinator: the tag is then failed for **every** rank (their waits
+    raise ``ConsistencyError`` naming the failing rank instead of blocking
+    for a vote that will never come), and the next attempt uses a new tag.
 
 ``wait_for_snapshot(timeout=None)``
     The consistency gate: blocks while any previous snapshot capture is still
@@ -27,7 +40,9 @@ extra call the paper adds):
 
 ``wait_all(timeout=None)``
     Drain everything: captures, flushes, and the commit protocol for every
-    tag this rank initiated.  Called after the final save of a run.
+    tag this rank initiated.  Called after the final save of a run.  A
+    failed request, or a tag another rank failed, is raised here — and again
+    at every later wait point.
 
 ``load(spec=None)``
     Restore from a committed checkpoint, described by a
@@ -54,7 +69,7 @@ import dataclasses
 import threading
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..config import CheckpointPolicy
 from ..exceptions import CheckpointError
@@ -73,9 +88,10 @@ from ..serialization import (
     iter_shard_chunks,
     plan_shards,
 )
-from ..tensor import FlattenedState
+from ..tensor import FlattenedState, flatten_state_dict
 from .consolidation import TwoPhaseCommitCoordinator
 from .flush_pipeline import FlushResult
+from .lazy_snapshot import SnapshotJob, deadline_iter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (restart imports core)
     from ..restart import RestoreSpec
@@ -86,26 +102,91 @@ logger = get_logger(__name__)
 DEFAULT_HOST_BUFFER_SIZE = 256 * 1024 * 1024
 
 
-@dataclass
-class CompletedCheckpointHandle:
-    """Handle of a ``save`` that already completed before returning.
+class CheckpointHandle:
+    """One checkpoint request of one rank, from ``save`` to its vote.
 
-    Blocking engines (synchronous, TorchSnapshot-style) hand this back so
-    callers can treat every engine's handles uniformly: the capture and the
-    flush are already done, so the waits return immediately.
+    Every engine returns this.  The request is *settled* once each of its
+    parts has reported in through :meth:`part_done` and the rank's vote has
+    been cast, or once anything failed (:meth:`fail`) — the two places a tag
+    is voted for or failed at the coordinator.
     """
 
-    tag: str
-    shard_name: str
-    result: FlushResult
+    def __init__(self, engine: "CheckpointEngine", tag: str, shard_name: str,
+                 iteration: int, num_parts: int) -> None:
+        self.tag = tag
+        self.shard_name = shard_name
+        self.iteration = iteration
+        #: The lazy captures of this request; empty for engines that capture
+        #: inside ``save``.
+        self.snapshots: List[SnapshotJob] = []
+        self.settled = threading.Event()
+        self.error: Optional[BaseException] = None
+        self._engine = engine
+        self._records: List[Optional[ShardRecord]] = [None] * num_parts
+        self._results: List[Optional[FlushResult]] = [None] * num_parts
+        self._remaining = num_parts
+        self._lock = threading.Lock()
+
+    def part_done(self, index: int, record: ShardRecord, result: FlushResult) -> None:
+        """Part ``index`` (plan order) is durable.  The call that completes
+        the set casts the rank's one vote, with all of its records."""
+        with self._lock:
+            self._records[index] = record
+            self._results[index] = result
+            self._remaining -= 1
+            if self._remaining:
+                return
+        engine = self._engine
+        try:
+            engine.coordinator.vote(self.tag, engine.rank, list(self._records),
+                                    iteration=self.iteration)
+        except Exception as exc:  # noqa: BLE001 - surfaced via the handle
+            self.fail(exc)
+            return
+        with engine._lock:
+            engine._voted_tags.add(self.tag)
+        # Voted BEFORE anyone is woken: a waiter may go straight on to wait
+        # on the coordinator for this tag.
+        self.settled.set()
+
+    def fail(self, error: BaseException) -> None:
+        """Fail the request and, through the coordinator, the tag on every
+        rank.  The first error wins; a no-op once settled."""
+        with self._lock:
+            if self.error is not None or self.settled.is_set():
+                return
+            self.error = error
+        engine = self._engine
+        logger.error("checkpoint %s/%s of rank %d failed: %s",
+                     self.tag, self.shard_name, engine.rank, error)
+        try:
+            engine.coordinator.fail(self.tag, engine.rank, str(error))
+        except Exception:  # noqa: BLE001 - best effort
+            pass
+        self.settled.set()
 
     def wait_captured(self, timeout: Optional[float] = None) -> bool:
-        """The snapshot was captured inside ``save``; always already done."""
+        """Wait for every part's device-to-host capture (consistency gate).
+
+        ``timeout`` bounds the whole wait (a shared deadline), not each part.
+        """
+        for snapshot, remaining in deadline_iter(self.snapshots, timeout):
+            if not snapshot.wait_captured(timeout=remaining):
+                return False
         return True
 
     def wait_durable(self, timeout: Optional[float] = None) -> FlushResult:
-        """The shard was durably written inside ``save``."""
-        return self.result
+        """Wait until every shard file of the set is durably written (and
+        this rank's vote is cast); re-raise a failure."""
+        if not self.settled.wait(timeout=timeout):
+            raise CheckpointError(
+                f"timed out waiting for flush of {self.tag}/{self.shard_name}")
+        if self.error is not None:
+            raise CheckpointError(
+                f"flush of {self.tag}/{self.shard_name} failed: {self.error}"
+            ) from self.error
+        return CheckpointEngine._combine_results(self.tag, self.shard_name,
+                                                 self._results)
 
 
 @dataclass
@@ -136,13 +217,16 @@ class CheckpointEngine(abc.ABC):
     Hoists the plumbing every engine shares: store/rank/world validation,
     policy resolution, the two-phase-commit coordinator, default shard
     naming, the loader-backed restore path, checkpoint discovery, stats, and
-    the idempotent shutdown / context-manager lifecycle.  Subclasses
-    implement :meth:`save` and override the wait points their concurrency
-    model requires, plus :meth:`_release_resources` for teardown.
+    the idempotent shutdown / context-manager lifecycle — and the one save
+    path (:meth:`save`), its handles, votes and wait points.  Subclasses
+    implement :meth:`_write_parts`, plus :meth:`wait_for_snapshot` when they
+    capture lazily and :meth:`_release_resources` for teardown.
     """
 
     #: Canonical engine name (matches the registry and the figure legends).
     name: str = "base"
+    #: ``True``: ``save`` returns only once the tag is globally committed.
+    blocking: bool = False
 
     def __init__(
         self,
@@ -153,6 +237,7 @@ class CheckpointEngine(abc.ABC):
         policy: Optional[CheckpointPolicy] = None,
         host_buffer_size: Optional[int] = None,
         topology: Optional[CheckpointTopology] = None,
+        commit_timeout: Optional[float] = None,
     ) -> None:
         if not (0 <= rank < world_size):
             raise CheckpointError(f"rank {rank} outside world of size {world_size}")
@@ -184,7 +269,17 @@ class CheckpointEngine(abc.ABC):
                     f"engine topology {topology.describe()} conflicts with the "
                     f"shared coordinator's {coordinator.topology.describe()}")
         self.coordinator = coordinator
+        #: Upper bound on how long a ``blocking`` engine's ``save`` waits for
+        #: the collective commit (``None`` = wait forever, matching a
+        #: blocking collective).
+        self.commit_timeout = commit_timeout
         self._lock = threading.Lock()
+        #: Outstanding (or failed) requests; successfully retired handles are
+        #: pruned on the next save so a long run does not accumulate history.
+        self._handles: List[CheckpointHandle] = []
+        #: Tags this rank has voted for and not yet seen committed (wait_all
+        #: awaits their commits, including those of already-pruned handles).
+        self._voted_tags: Set[str] = set()
         self._closed = False
         self._checkpoints_requested = 0
         self._parts_referenced = 0
@@ -194,10 +289,70 @@ class CheckpointEngine(abc.ABC):
         self._last_plan: Optional[Tuple[tuple, Tuple[ShardPart, ...]]] = None
 
     # ------------------------------------------------------------------ save
-    @abc.abstractmethod
     def save(self, state: Any, tag: str, iteration: int = -1,
-             shard_name: Optional[str] = None):
-        """Checkpoint ``state`` under ``tag``; returns an engine handle."""
+             shard_name: Optional[str] = None) -> CheckpointHandle:
+        """Checkpoint ``state`` under ``tag``.
+
+        A ``blocking`` engine returns with the checkpoint durable *and*
+        globally committed.  Any other returns once :meth:`_write_parts`
+        does; the caller must then honour :meth:`wait_for_snapshot` before
+        mutating any tensor referenced by ``state``.
+        """
+        self._ensure_open()
+        with self._lock:
+            self._checkpoints_requested += 1
+        shard = shard_name or self.default_shard_name()
+        plan = self.plan_shards(flatten_state_dict(state), shard)
+        # The dirty scan reads the live tensors before save returns, so its
+        # CRC pass is consistent with what a capture would copy.
+        inc = self._plan_incremental(plan)
+        handle = CheckpointHandle(self, tag, shard, iteration, len(plan.parts))
+        with self._lock:
+            # Retired-and-successful handles are done with; failed ones are
+            # kept so the next wait point surfaces their error.
+            self._handles = [h for h in self._handles
+                             if not h.settled.is_set() or h.error is not None]
+            self._handles.append(handle)
+        try:
+            dirty = []
+            for index, part in enumerate(plan.parts):
+                if inc is not None and part.name in inc.clean:
+                    handle.part_done(index, *self._reference_shard(tag, plan, part, inc))
+                else:
+                    dirty.append((index, part))
+            self._write_parts(handle, plan, dirty, inc)
+        except BaseException as exc:
+            handle.fail(exc)
+            raise
+        if self.blocking:
+            handle.wait_durable()
+            if not self.coordinator.wait_committed(tag, timeout=self.commit_timeout):
+                raise CheckpointError(
+                    f"timed out waiting for checkpoint {tag!r} to commit "
+                    f"(world_size={self.world_size}; every rank must save the same tag)"
+                )
+        return handle
+
+    @abc.abstractmethod
+    def _write_parts(self, handle: CheckpointHandle, plan: ShardPlan,
+                     dirty: List[Tuple[int, ShardPart]],
+                     inc: Optional[IncrementalPlan]) -> None:
+        """Move the ``dirty`` parts — ``(index in plan.parts, part)`` pairs —
+        to the store, here or on a background thread.  Each part that becomes
+        durable is reported through :meth:`_part_written`; a failure is
+        raised (on this thread) or handed to ``handle.fail`` (off it)."""
+
+    def _part_written(self, handle: CheckpointHandle, plan: ShardPlan, index: int,
+                      nbytes: int, checksum: int,
+                      tensor_checksums: Optional[Tuple[Optional[int], ...]] = None,
+                      ) -> None:
+        """Report part ``index`` of ``plan`` as durably written."""
+        part = plan.parts[index]
+        record = self._part_record(plan, part, nbytes, checksum,
+                                   tensor_checksums=tensor_checksums)
+        handle.part_done(index, record, FlushResult(
+            tag=handle.tag, shard_name=part.name, nbytes=nbytes,
+            checksum=checksum, record=record))
 
     # ------------------------------------------------------------ wait points
     def wait_for_snapshot(self, timeout: Optional[float] = None) -> None:
@@ -206,11 +361,23 @@ class CheckpointEngine(abc.ABC):
         Default: no-op, for engines whose capture completes inside ``save``.
         """
 
-    def wait_all(self, timeout: Optional[float] = None) -> None:
-        """Drain captures, flushes, and commits of this rank's tags.
+    def wait_for_flushes(self, timeout: Optional[float] = None) -> List[FlushResult]:
+        """Block until every outstanding shard write of this rank is durable."""
+        with self._lock:
+            handles = list(self._handles)
+        return [handle.wait_durable(timeout=timeout) for handle in handles]
 
-        Default: no-op, for engines whose ``save`` is fully blocking.
-        """
+    def wait_all(self, timeout: Optional[float] = None) -> None:
+        """Drain everything: captures, flushes, and commits of this rank's tags."""
+        self.wait_for_snapshot(timeout=timeout)
+        self.wait_for_flushes(timeout=timeout)
+        with self._lock:
+            tags = sorted(self._voted_tags)
+        for tag in tags:
+            if not self.coordinator.wait_committed(tag, timeout=timeout):
+                raise CheckpointError(f"timed out waiting for commit of {tag!r}")
+            with self._lock:
+                self._voted_tags.discard(tag)
 
     # ------------------------------------------------------------------ load
     def load(self, spec: Optional["RestoreSpec"] = None) -> Any:
@@ -254,13 +421,16 @@ class CheckpointEngine(abc.ABC):
     # ------------------------------------------------------------------ stats
     def stats(self) -> Dict[str, float]:
         """Operational counters (engines extend this with their own)."""
-        counters = {
-            "engine": self.name,
-            "rank": self.rank,
-            "checkpoints_requested": self._checkpoints_requested,
-            "parts_referenced": self._parts_referenced,
-            "bytes_referenced": self._bytes_referenced,
-        }
+        with self._lock:
+            counters = {
+                "engine": self.name,
+                "rank": self.rank,
+                "checkpoints_requested": self._checkpoints_requested,
+                "parts_referenced": self._parts_referenced,
+                "bytes_referenced": self._bytes_referenced,
+                "pending_flushes": sum(
+                    1 for handle in self._handles if not handle.settled.is_set()),
+            }
         # Tier-chain backpressure: total ms this engine's commits spent
         # blocked at the fast tier's capacity watermark.
         drain_wait_ms = getattr(self.store, "drain_wait_ms", None)
@@ -411,10 +581,6 @@ class CheckpointEngine(abc.ABC):
         if self._closed:
             raise CheckpointError("checkpoint engine is shut down")
 
-    def _count_request(self) -> None:
-        with self._lock:
-            self._checkpoints_requested += 1
-
     def _write_streaming_shard(self, tag: str, shard_name: str, header: ShardHeader,
                                skeleton: bytes,
                                views: Sequence[memoryview]) -> Tuple[int, int]:
@@ -440,19 +606,6 @@ class CheckpointEngine(abc.ABC):
             raise CheckpointError(
                 f"shard write of {tag}/{shard_name} failed: {exc}") from exc
         return receipt.nbytes, checksum
-
-    def _vote_and_wait_commit(self, tag: str, records: Sequence[ShardRecord],
-                              iteration: int,
-                              timeout: Optional[float] = None) -> None:
-        """Cast this rank's vote (all of its shard records at once) and block
-        until ``tag`` is globally committed (the blocking half of the
-        synchronous engines' save contract)."""
-        self.coordinator.vote(tag, self.rank, list(records), iteration=iteration)
-        if not self.coordinator.wait_committed(tag, timeout=timeout):
-            raise CheckpointError(
-                f"timed out waiting for checkpoint {tag!r} to commit "
-                f"(world_size={self.world_size}; every rank must save the same tag)"
-            )
 
     # ---------------------------------------------------------------- shutdown
     def shutdown(self, wait: bool = True) -> None:

@@ -145,29 +145,34 @@ class FlushPipeline:
 
     # -- submission ---------------------------------------------------------
     def submit(self, snapshot: SnapshotJob,
-               on_durable: Optional[Callable[[FlushResult], None]] = None) -> ShardFlushJob:
-        """Queue a snapshot's shard for background writing."""
+               on_done: Optional[Callable[[Optional[FlushResult],
+                                           Optional[BaseException]], None]] = None,
+               ) -> ShardFlushJob:
+        """Queue a snapshot's shard for background writing.
+
+        ``on_done(result, error)`` — one of the two is ``None`` — runs on the
+        flush thread once the shard is durable or its write has failed.
+        """
         job = ShardFlushJob(snapshot, self.rank)
         with self._lock:
             self._jobs.append(job)
-        self.workers.submit(self._run, job, on_durable)
+        self.workers.submit(self._run, job, on_done)
         return job
 
-    def _run(self, job: ShardFlushJob,
-             on_durable: Optional[Callable[[FlushResult], None]]) -> None:
+    def _run(self, job: ShardFlushJob, on_done) -> None:
         snapshot = job.snapshot
         try:
             job.result = self._write_shard(snapshot)
-            # The durability callback (the commit vote) runs BEFORE the done
-            # event fires: anyone woken by wait() may rely on the vote having
-            # been cast — e.g. the engine prunes retired handles and then
-            # waits on the coordinator for their tags.
-            if on_durable is not None:
-                on_durable(job.result)
         except BaseException as exc:  # noqa: BLE001 - reported through the job
             job.error = exc
             logger.error("flush of %s/%s failed: %s",
                          snapshot.tag, snapshot.shard_name, exc)
+        try:
+            # The callback (the commit vote, or failing the tag) runs BEFORE
+            # the done event fires: anyone woken by wait() may rely on the
+            # vote having been cast.
+            if on_done is not None:
+                on_done(job.result, job.error)
         finally:
             # A retired job leaves the list: it holds its snapshot, and
             # through it the arrays of the state it saved.

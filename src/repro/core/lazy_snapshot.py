@@ -154,11 +154,6 @@ class SnapshotJob:
             ) from self._error
         return finished
 
-    @property
-    def total_payload_bytes(self) -> int:
-        """Bytes this snapshot stages in the pinned pool."""
-        return sum(entry.nbytes for entry in self.header.entries)
-
 
 class CopyStream:
     """A dedicated background thread that executes snapshot captures in order.

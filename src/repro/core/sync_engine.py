@@ -1,10 +1,12 @@
 """The synchronous ``torch.save``-style baseline over real NumPy state.
 
 This is the real-mode counterpart of the paper's "DeepSpeed (sync)" baseline
-(§6.2): :meth:`SynchronousCheckpointEngine.save` serializes the whole state,
-writes the shard, votes, and then **blocks until the checkpoint is globally
-committed** — the training loop is stalled for the full duration, which is
-exactly the behaviour the asynchronous engines are measured against.
+(§6.2): :class:`SynchronousCheckpointEngine` serializes the whole state and
+writes the shard inside ``save``, and — being a ``blocking`` engine — the
+shared :meth:`~repro.core.CheckpointEngine.save` template then votes and
+**blocks until the checkpoint is globally committed** — the training loop is
+stalled for the full duration, which is exactly the behaviour the
+asynchronous engines are measured against.
 
 Blocking contract
 -----------------
@@ -19,76 +21,31 @@ turned multi-rank "synchronous" saves into fire-and-forget ones.
 
 from __future__ import annotations
 
-from typing import Any, Optional
-
-from ..config import CheckpointPolicy
 from ..exceptions import CheckpointError
-from ..io import ShardStore
-from ..serialization import CheckpointTopology, checksum_bytes, serialize_part
-from ..tensor import flatten_state_dict
-from .base_engine import CheckpointEngine, CompletedCheckpointHandle
-from .consolidation import TwoPhaseCommitCoordinator
-from .flush_pipeline import FlushResult
+from ..serialization import checksum_bytes, serialize_part
+from .base_engine import CheckpointEngine
 
 
 class SynchronousCheckpointEngine(CheckpointEngine):
     """Blocking baseline: serialize, write, vote, and wait for the commit."""
 
     name = "deepspeed"
+    blocking = True
 
-    def __init__(self, store: ShardStore, rank: int = 0, world_size: int = 1,
-                 coordinator: Optional[TwoPhaseCommitCoordinator] = None,
-                 policy: Optional[CheckpointPolicy] = None,
-                 host_buffer_size: Optional[int] = None,
-                 commit_timeout: Optional[float] = None,
-                 topology: Optional[CheckpointTopology] = None) -> None:
-        # host_buffer_size is accepted (and ignored beyond policy resolution)
-        # so every engine shares the factory's uniform construction signature.
-        super().__init__(store, rank=rank, world_size=world_size,
-                         coordinator=coordinator, policy=policy,
-                         host_buffer_size=host_buffer_size, topology=topology)
-        #: Upper bound on how long ``save`` waits for the collective commit
-        #: (``None`` = wait forever, matching a blocking collective).
-        self.commit_timeout = commit_timeout
-
-    def save(self, state: Any, tag: str, iteration: int = -1,
-             shard_name: Optional[str] = None) -> CompletedCheckpointHandle:
-        """Blocking checkpoint of ``state``: durable *and* committed on return.
-
-        With ``policy.shards_per_rank > 1`` the state is serialized and
-        written one shard-set part at a time (still sequentially — this
-        baseline has no write parallelism by design).
-        """
-        self._ensure_open()
-        self._count_request()
-        shard = shard_name or self.default_shard_name()
-        plan = self.plan_shards(flatten_state_dict(state), shard)
-        inc = self._plan_incremental(plan)
-        records = []
-        results = []
-        for part in plan.parts:
-            if inc is not None and part.name in inc.clean:
-                record, result = self._reference_shard(tag, plan, part, inc)
-                records.append(record)
-                results.append(result)
-                continue
+    def _write_parts(self, handle, plan, dirty, inc) -> None:
+        """Serialize and write one part at a time (this baseline has no
+        write parallelism by design)."""
+        for index, part in dirty:
             raw = serialize_part(part, plan.skeleton)
             try:
-                receipt = self.store.write_shard(tag, part.name, [raw])
+                receipt = self.store.write_shard(handle.tag, part.name, [raw])
             except CheckpointError:
                 raise
             except OSError as exc:
                 # Same loud-failure contract as the async engines' flush
                 # wrapping: a store-level I/O error is a CheckpointError.
                 raise CheckpointError(
-                    f"shard write of {tag}/{part.name} failed: {exc}") from exc
-            record = self._part_record(
-                plan, part, receipt.nbytes, checksum_bytes(raw),
+                    f"shard write of {handle.tag}/{part.name} failed: {exc}") from exc
+            self._part_written(
+                handle, plan, index, receipt.nbytes, checksum_bytes(raw),
                 tensor_checksums=inc.tensor_checksums(part.name) if inc else None)
-            records.append(record)
-            results.append(FlushResult(tag=tag, shard_name=part.name,
-                                       nbytes=receipt.nbytes,
-                                       checksum=record.checksum, record=record))
-        self._vote_and_wait_commit(tag, records, iteration, timeout=self.commit_timeout)
-        result = self._combine_results(tag, shard, results)
-        return CompletedCheckpointHandle(tag=tag, shard_name=shard, result=result)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import wait as wait_futures
-from typing import Any, Optional
+from typing import Optional
 
 from ..config import CheckpointPolicy
 from ..exceptions import CheckpointError
@@ -29,10 +29,8 @@ from ..serialization import (
     fold_section_checksums,
     iter_part_payloads,
 )
-from ..tensor import flatten_state_dict
-from .base_engine import CheckpointEngine, CompletedCheckpointHandle
+from .base_engine import CheckpointEngine
 from .consolidation import TwoPhaseCommitCoordinator
-from .flush_pipeline import FlushResult
 
 
 def _pwrite_tensor(writer, offset: int, view: memoryview, chunk_size: int) -> int:
@@ -50,103 +48,75 @@ class TorchSnapshotCheckpointEngine(CheckpointEngine):
     """Chunked parallel-writer checkpointing, blocking until the flush completes."""
 
     name = "torchsnapshot"
+    blocking = True
 
     def __init__(self, store: ShardStore, rank: int = 0, world_size: int = 1,
                  coordinator: Optional[TwoPhaseCommitCoordinator] = None,
                  policy: Optional[CheckpointPolicy] = None,
                  host_buffer_size: Optional[int] = None,
-                 commit_timeout: Optional[float] = None,
-                 topology: Optional[CheckpointTopology] = None) -> None:
+                 topology: Optional[CheckpointTopology] = None,
+                 commit_timeout: Optional[float] = None) -> None:
         if policy is None:
             # The paper's TorchSnapshot configuration runs 4 flush threads.
             policy = CheckpointPolicy(host_buffer_size=host_buffer_size or 256 << 20,
                                       flush_threads=4)
         super().__init__(store, rank=rank, world_size=world_size,
                          coordinator=coordinator, policy=policy,
-                         host_buffer_size=host_buffer_size, topology=topology)
-        self.commit_timeout = commit_timeout
+                         host_buffer_size=host_buffer_size, topology=topology,
+                         commit_timeout=commit_timeout)
         self._writers = ThreadPoolExecutor(max_workers=self.policy.flush_threads,
                                            thread_name_prefix=f"ts-write-r{rank}")
 
-    # ------------------------------------------------------------------ save
-    def save(self, state: Any, tag: str, iteration: int = -1,
-             shard_name: Optional[str] = None) -> CompletedCheckpointHandle:
-        """Blocking checkpoint: chunked parallel write, durable and committed
-        (for this rank's part of the collective) before returning.
+    # ------------------------------------------------------------ write paths
+    def _write_parts(self, handle, plan, dirty, inc) -> None:
+        """Chunked parallel write of the dirty parts, durable before returning.
 
         With ``policy.shards_per_rank > 1`` the writer pool fans out over
         every part of the shard-set at once, so several files (and several
         OSTs of a striped PFS) are written concurrently.
         """
-        self._ensure_open()
-        self._count_request()
-        shard = shard_name or self.default_shard_name()
-        plan = self.plan_shards(flatten_state_dict(state), shard)
-        inc = self._plan_incremental(plan)
-        dirty = [part for part in plan.parts
-                 if inc is None or part.name not in inc.clean]
-
-        by_name = {}
         if supports_shard_writer(self.store):
             try:
-                records, results = self._write_parallel_set(tag, plan, parts=dirty)
+                self._write_parallel_set(handle, plan, dirty)
             except CheckpointError:
                 raise
             except OSError as exc:
                 # A pwrite/commit errno from the writer pool surfaces under
                 # the same loud-failure contract as the streaming path.
                 raise CheckpointError(
-                    f"parallel shard write of {tag}/{shard} failed: {exc}") from exc
-            for record, result in zip(records, results):
-                by_name[record.name] = (record, result)
-        else:
-            for part in dirty:
-                views = [memoryview(payload)
-                         for _entry, payload in iter_part_payloads(part)]
-                nbytes, checksum = self._write_streaming_shard(
-                    tag, part.name, part.header, plan.skeleton, views)
-                record = self._part_record(
-                    plan, part, nbytes, checksum,
-                    tensor_checksums=inc.tensor_checksums(part.name) if inc else None)
-                by_name[part.name] = (record, FlushResult(
-                    tag=tag, shard_name=part.name, nbytes=nbytes,
-                    checksum=checksum, record=record))
+                    f"parallel shard write of {handle.tag}/{plan.base_name} "
+                    f"failed: {exc}") from exc
+            return
+        for index, part in dirty:
+            views = [memoryview(payload)
+                     for _entry, payload in iter_part_payloads(part)]
+            nbytes, checksum = self._write_streaming_shard(
+                handle.tag, part.name, part.header, plan.skeleton, views)
+            self._part_written(
+                handle, plan, index, nbytes, checksum,
+                tensor_checksums=inc.tensor_checksums(part.name) if inc else None)
 
-        for part in plan.parts:
-            if part.name not in by_name:
-                by_name[part.name] = self._reference_shard(tag, plan, part, inc)
-        records = [by_name[part.name][0] for part in plan.parts]
-        results = [by_name[part.name][1] for part in plan.parts]
-
-        self._vote_and_wait_commit(tag, records, iteration, timeout=self.commit_timeout)
-        result = self._combine_results(tag, shard, results)
-        return CompletedCheckpointHandle(tag=tag, shard_name=shard, result=result)
-
-    # ------------------------------------------------------------ write paths
-    def _write_parallel_set(self, tag: str, plan, parts=None):
-        """Fan the (dirty subset of the) shard-set out to the writer pool.
+    def _write_parallel_set(self, handle, plan, dirty) -> None:
+        """Fan the dirty parts of the shard-set out to the writer pool.
 
         Every part's tensors are submitted before any wait, so the pool's
         chunked pwrites interleave across all files of the set — the
         multi-file analogue of the original single-shard parallel write.
-        ``parts`` restricts the write to a subset (incremental saves skip
-        clean parts); ``None`` writes the whole plan.
         """
-        writes = []  # (part, writer, preamble, one future per tensor)
+        writes = []  # (index, part, writer, preamble, one future per tensor)
         try:
-            for part in (plan.parts if parts is None else parts):
+            for index, part in dirty:
                 preamble = encode_preamble(part.header, plan.skeleton)
                 writer = self.store.create_shard_writer(
-                    tag, part.name, len(preamble) + part.header.payload_bytes)
+                    handle.tag, part.name, len(preamble) + part.header.payload_bytes)
                 futures = []
-                writes.append((part, writer, preamble, futures))
+                writes.append((index, part, writer, preamble, futures))
                 writer.pwrite(0, preamble)
                 for entry, payload in iter_part_payloads(part):
                     futures.append(self._writers.submit(
                         _pwrite_tensor, writer, len(preamble) + entry.offset,
                         memoryview(payload), self.policy.chunk_size))
-            records, results = [], []
-            for part, writer, preamble, futures in writes:
+            for index, part, writer, preamble, futures in writes:
                 # Header order; the first failed write re-raises here.
                 crcs = tuple(future.result() for future in futures)
                 receipt = writer.commit()
@@ -155,23 +125,17 @@ class TorchSnapshotCheckpointEngine(CheckpointEngine):
                 checksum = fold_section_checksums(
                     zip(crcs, [entry.nbytes for entry in part.header.entries]),
                     initial=zlib.crc32(preamble))
-                record = self._part_record(plan, part, receipt.nbytes, checksum,
-                                           tensor_checksums=crcs)
-                records.append(record)
-                results.append(FlushResult(tag=tag, shard_name=part.name,
-                                           nbytes=receipt.nbytes, checksum=checksum,
-                                           record=record))
-            return records, results
+                self._part_written(handle, plan, index, receipt.nbytes, checksum,
+                                   tensor_checksums=crcs)
         except BaseException:
             # Let in-flight pwrites retire before closing their fds; abort
             # discards any part not yet committed (commit() makes abort a
             # no-op for parts already published).
-            pending = [future for _part, _writer, _preamble, futures in writes
-                       for future in futures]
+            pending = [future for *_write, futures in writes for future in futures]
             for future in pending:
                 future.cancel()
             wait_futures(pending)
-            for _part, writer, _preamble, _futures in writes:
+            for _index, _part, writer, _preamble, _futures in writes:
                 writer.abort()
             raise
 

@@ -21,12 +21,10 @@ from .sim_storage import (
     SimNodeLocalStorage,
     SimParallelFileSystem,
     SimTierChainStorage,
-    SimTieredStorage,
     make_cas_storage,
     make_node_local_storage,
     make_parallel_fs,
     make_tier_chain_storage,
-    make_tiered_storage,
 )
 from .store import (
     STORE_LABELS,
@@ -82,12 +80,10 @@ __all__ = [
     "DrainState",
     "SimParallelFileSystem",
     "SimNodeLocalStorage",
-    "SimTieredStorage",
     "SimTierChainStorage",
     "SimContentAddressedStorage",
     "make_parallel_fs",
     "make_node_local_storage",
-    "make_tiered_storage",
     "make_tier_chain_storage",
     "make_cas_storage",
 ]

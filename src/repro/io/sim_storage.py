@@ -68,93 +68,10 @@ class SimNodeLocalStorage:
 
 
 @dataclass
-class SimTieredStorage:
-    """Drain-bandwidth model of the tiered store (NVMe commit, PFS drain).
-
-    The simulated mirror of a two-level :class:`~repro.io.TierChain`: a write
-    *commits* once the fast (node-local) tier absorbed it — that is the
-    event handed back to the engine, so simulated training unblocks at NVMe
-    speed — and a background drain of the same bytes then starts on the slow
-    (parallel-FS) tier, contending with every other drain on the shared
-    link.  ``backlog_bytes`` tracks how far the slow tier lags the fast one;
-    the drain bandwidths come from the same
-    :func:`repro.memory.tiers.default_hierarchy` tier descriptors the
-    checkpoint engines use, so the simulator's drain model and the real
-    store's tiers describe one hierarchy.
-    """
-
-    env: Environment
-    fast: SimNodeLocalStorage
-    slow: SimParallelFileSystem
-    bytes_committed: float = 0.0
-    bytes_drained: float = 0.0
-    backlog_bytes: float = 0.0
-    max_backlog_bytes: float = 0.0
-    drains_completed: int = 0
-    _idle_waiters: List[Event] = field(default_factory=list)
-
-    def write(self, nbytes: float, tag: Optional[str] = None) -> Event:
-        """Write ``nbytes``; the returned event fires at fast-tier commit.
-
-        The drain to the slow tier starts as soon as the fast-tier write
-        lands and completes asynchronously (observable through
-        :meth:`drained`, :attr:`backlog_bytes` and :meth:`metrics`).
-        """
-        self.bytes_committed += nbytes
-        self.backlog_bytes += nbytes
-        self.max_backlog_bytes = max(self.max_backlog_bytes, self.backlog_bytes)
-        commit = self.fast.write(nbytes, tag=tag or "tiered-commit")
-        commit._add_callback(lambda _event: self._start_drain(nbytes, tag))
-        return commit
-
-    def read(self, nbytes: float, local: bool = True,
-             tag: Optional[str] = None) -> Event:
-        """Nearest-tier restore: local NVMe read, or PFS read after loss."""
-        if local:
-            return self.fast.link.transfer(nbytes, tag=tag or "tiered-read-fast")
-        return self.slow.read(nbytes, tag=tag or "tiered-read-slow")
-
-    def drained(self) -> Event:
-        """An event that fires once the drain backlog is empty."""
-        event = Event(self.env)
-        if self.backlog_bytes <= 0:
-            event.succeed(self.metrics())
-        else:
-            self._idle_waiters.append(event)
-        return event
-
-    def metrics(self) -> Dict[str, float]:
-        """Drain counters (mirrors :meth:`repro.io.TierChain.drain_metrics`)."""
-        return {
-            "bytes_committed": self.bytes_committed,
-            "bytes_drained": self.bytes_drained,
-            "backlog_bytes": self.backlog_bytes,
-            "max_backlog_bytes": self.max_backlog_bytes,
-            "drains_completed": self.drains_completed,
-            "slow_tier_utilization": self.slow.link.utilization(),
-        }
-
-    def _start_drain(self, nbytes: float, tag: Optional[str]) -> None:
-        done = self.slow.write(nbytes, new_file=True,
-                               tag=f"drain:{tag}" if tag else "tiered-drain")
-        done._add_callback(lambda _event: self._on_drained(nbytes))
-
-    def _on_drained(self, nbytes: float) -> None:
-        self.bytes_drained += nbytes
-        self.backlog_bytes = max(0.0, self.backlog_bytes - nbytes)
-        self.drains_completed += 1
-        if self.backlog_bytes <= 0 and self._idle_waiters:
-            waiters, self._idle_waiters = self._idle_waiters, []
-            for event in waiters:
-                event.succeed(self.metrics())
-
-
-@dataclass
 class SimTierChainStorage:
     """Per-link drain-bandwidth model of an N-level tier chain.
 
-    The simulated mirror of :class:`~repro.io.TierChain`, generalizing
-    :class:`SimTieredStorage` from one drain link to a cascade: a write
+    The simulated mirror of :class:`~repro.io.TierChain`: a write
     *commits* once level 0 absorbed it, then the same bytes are drained link
     by link (level 0 -> 1 -> ... -> N-1), each link contending on its own
     level's bandwidth model.  ``link_backlog_bytes[i]`` tracks how far level
@@ -273,7 +190,7 @@ class SimContentAddressedStorage:
     """
 
     env: Environment
-    backing: object  # SimTieredStorage, SimParallelFileSystem, or NVMe model
+    backing: object  # SimTierChainStorage, SimParallelFileSystem, or NVMe model
     dedup_fraction: float = 0.0
     hash_bandwidth: float = DEFAULT_CAS_HASH_BANDWIDTH
     bytes_logical: float = 0.0
@@ -363,37 +280,6 @@ def make_node_local_storage(env: Environment, platform: PlatformSpec, node_id: i
     return SimNodeLocalStorage(env=env, link=link)
 
 
-def make_tiered_storage(env: Environment, platform: PlatformSpec, node_id: int,
-                        shared_pfs: Optional[SimParallelFileSystem] = None,
-                        host_buffer_size: Optional[int] = None) -> SimTieredStorage:
-    """Create one node's tiered (NVMe fast tier + PFS drain) storage model.
-
-    Bandwidths and latencies are taken from the
-    :func:`repro.memory.tiers.default_hierarchy` descriptors — the NVMe and
-    parallel-FS :class:`~repro.memory.TierSpec` entries — so the simulated
-    drain shares its calibration with the engines' tier hierarchy.
-
-    The fast tier's NVMe link is per node; the slow tier is the *shared*
-    parallel file system, so in a multi-node simulation every node must be
-    handed the same ``shared_pfs`` (build it once with
-    :func:`make_parallel_fs`) — that is what makes concurrent drains contend
-    for the aggregate PFS bandwidth.  When omitted, a private PFS model is
-    built (single-node convenience only).
-    """
-    from ..memory import TierKind, default_hierarchy
-
-    hierarchy = default_hierarchy(
-        platform, host_buffer_size or platform.host_memory // 8)
-    nvme = hierarchy[TierKind.NODE_LOCAL_NVME]
-    fast = SimNodeLocalStorage(
-        env=env,
-        link=FairShareLink(env, capacity=nvme.write_bandwidth,
-                           name=f"tiered-nvme-node{node_id}"),
-    )
-    slow = shared_pfs if shared_pfs is not None else make_parallel_fs(env, platform)
-    return SimTieredStorage(env=env, fast=fast, slow=slow)
-
-
 def make_tier_chain_storage(env: Environment, platform: PlatformSpec,
                             node_id: int,
                             shared_pfs: Optional[SimParallelFileSystem] = None,
@@ -401,13 +287,13 @@ def make_tier_chain_storage(env: Environment, platform: PlatformSpec,
                             ) -> SimTierChainStorage:
     """Create one node's 3-level chain model: NVMe -> shared PFS -> object.
 
-    The NVMe commit tier and the PFS middle tier share their calibration
-    with :func:`make_tiered_storage`; the deepest (object-store) tier is
-    reached over the node's NIC, so its drain link is capped at
-    ``object_bandwidth`` (default: the platform's NIC bandwidth).  As with
-    the two-level model, multi-node simulations must share one PFS
-    (``shared_pfs``) so concurrent drains contend for its aggregate
-    bandwidth.
+    The NVMe commit tier is calibrated from the
+    :func:`repro.memory.tiers.default_hierarchy` descriptors; the deepest
+    (object-store) tier is reached over the node's NIC, so its drain link is
+    capped at ``object_bandwidth`` (default: the platform's NIC bandwidth).
+    Multi-node simulations must share one PFS (``shared_pfs``, built once
+    with :func:`make_parallel_fs`) so concurrent drains contend for its
+    aggregate bandwidth.
     """
     from ..memory import TierKind, default_hierarchy
 
@@ -438,7 +324,7 @@ def make_cas_storage(env: Environment, platform: PlatformSpec, node_id: int,
     By default the chunk pool sits on the shared parallel file system (the
     deployment :class:`~repro.io.CASStore` over an object/PFS-backed inner
     store models); pass ``backing`` to layer dedup over any other storage
-    model, e.g. :func:`make_tiered_storage` for a CAS-over-tiered stack.
+    model, e.g. :func:`make_tier_chain_storage` for a CAS-over-tiered stack.
     ``dedup_fraction`` is the steady-state fraction of each checkpoint's
     bytes already resident in the pool (0 = every checkpoint written full).
     """

@@ -147,23 +147,6 @@ class TierLevel:
         if not 0.0 < self.watermark <= 1.0:
             raise CheckpointError("TierLevel.watermark must be in (0, 1]")
 
-    @classmethod
-    def from_spec(cls, store, spec, name: Optional[str] = None,
-                  drain_workers: Optional[int] = None,
-                  watermark: float = DEFAULT_TIER_WATERMARK) -> "TierLevel":
-        """Build a level from a :class:`~repro.memory.tiers.TierSpec`.
-
-        The spec contributes the capacity (and, absent an explicit ``name``,
-        its :class:`~repro.memory.tiers.TierKind` value as the level name);
-        bandwidths stay with the spec — the chain measures real I/O instead
-        of modelling it.
-        """
-        kind = getattr(spec, "kind", None)
-        return cls(store=store,
-                   name=name or (kind.value if kind is not None else None),
-                   capacity_bytes=int(spec.capacity),
-                   drain_workers=drain_workers, watermark=watermark)
-
 
 @dataclass(frozen=True)
 class TierChainLevelSpec:

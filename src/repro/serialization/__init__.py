@@ -28,7 +28,7 @@ from .shard_plan import (
     plan_shards,
     serialize_part,
 )
-from .writer import iter_shard_chunks, serialize_object, serialize_state
+from .writer import iter_shard_chunks, serialize_state
 
 __all__ = [
     "crc32_combine",
@@ -45,7 +45,6 @@ __all__ = [
     "preamble_size",
     "serialize_state",
     "iter_shard_chunks",
-    "serialize_object",
     "deserialize_state",
     "deserialize_rank_state",
     "peek_tensor_keys",

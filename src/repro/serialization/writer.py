@@ -14,7 +14,6 @@ Two paths are provided:
 
 from __future__ import annotations
 
-import pickle
 from typing import Iterator, List, Sequence, Union
 
 import numpy as np
@@ -66,11 +65,3 @@ def iter_shard_chunks(
         for start in range(0, entry.nbytes, chunk_size):
             stop = min(start + chunk_size, entry.nbytes)
             yield view[start:stop]
-
-
-def serialize_object(obj: object) -> bytes:
-    """Pickle small non-tensor metadata (used for manifests and rank metadata)."""
-    try:
-        return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception as exc:
-        raise SerializationError(f"cannot pickle object: {exc}") from exc

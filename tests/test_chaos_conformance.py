@@ -25,6 +25,7 @@ seed derives from the suite seed (``REPRO_CHAOS_SEED`` env var, default
 """
 
 import os
+import threading
 import zlib
 from pathlib import Path
 
@@ -32,7 +33,7 @@ import numpy as np
 import pytest
 
 from repro.config import CheckpointPolicy
-from repro.core import ENGINE_NAMES, create_real_engine
+from repro.core import ENGINE_NAMES, TwoPhaseCommitCoordinator, create_real_engine
 from repro.exceptions import CheckpointError, ConsistencyError, RestartError
 from repro.io import (
     STORE_NAMES,
@@ -132,6 +133,47 @@ def _dump_artifact(plan: FaultPlan, engine_name: str, store_backend: str,
     return path
 
 
+def _check_oracle(plan: FaultPlan, clean_view, faulty, expected, engine_name: str,
+                  store_backend: str, scenario: str) -> None:
+    """With injection suspended, every checkpoint the store claims is
+    committed must restore bit-identically to the states saved under its tag
+    (``expected[tag]``: one state per rank), or refuse loudly.  Anything else
+    is silent corruption."""
+    repro_hint = (f"[chaos seed {CHAOS_SEED}, config seed {plan.seed}: "
+                  f"{engine_name} × {store_backend} × {scenario}]")
+    with faulty.suspend():
+        committed = clean_view.list_committed_checkpoints()
+        loader = CheckpointLoader(clean_view)
+        validated = 0
+        for tag in committed:
+            if tag not in expected:
+                _dump_artifact(plan, engine_name, store_backend, scenario)
+                pytest.fail(f"store invented checkpoint {tag!r} {repro_hint}")
+            try:
+                restored = loader.restore(RestoreSpec.full(tag=tag))
+            except (CheckpointError, ConsistencyError):
+                continue  # detected damage: the sanctioned outcome
+            same = len(restored) == len(expected[tag]) and all(
+                np.array_equal(restored[rank]["model"]["w"], want["model"]["w"])
+                and np.array_equal(restored[rank]["model"]["b"], want["model"]["b"])
+                and np.array_equal(restored[rank]["optimizer"]["m"],
+                                   want["optimizer"]["m"])
+                for rank, want in enumerate(expected[tag]))
+            if not same:
+                artifact = _dump_artifact(plan, engine_name, store_backend, scenario)
+                pytest.fail(
+                    f"checkpoint {tag!r} restored with silently corrupted "
+                    f"state {repro_hint}; fault plan dumped to {artifact}")
+            validated += 1
+
+    # The suite must exercise both sides of the contract across the sweep;
+    # an individual config may legitimately commit nothing (persistent
+    # errors) or everything (faults only in the slow tier), so this only
+    # pins the sanity of the harness itself.
+    assert len(committed) <= ROUNDS
+    assert validated <= len(committed)
+
+
 def test_chaos_never_silently_corrupts(engine_name, store_backend, scenario,
                                        tmp_path):
     seed = config_seed(engine_name, store_backend, scenario)
@@ -147,7 +189,7 @@ def test_chaos_never_silently_corrupts(engine_name, store_backend, scenario,
         for round_index in range(ROUNDS):
             tag = f"ckpt-{round_index:03d}"
             state = _state(seed=round_index)
-            expected[tag] = state
+            expected[tag] = [state]
             try:
                 engine.save(state, tag=tag, iteration=round_index)
                 engine.wait_all(timeout=30.0)
@@ -167,39 +209,78 @@ def test_chaos_never_silently_corrupts(engine_name, store_backend, scenario,
         except (CheckpointError, ConsistencyError):
             pass
 
-    # Oracle: with injection suspended, every checkpoint the store claims is
-    # committed must restore bit-identically to the state saved under its
-    # tag, or refuse loudly.  Anything else is silent corruption.
-    with faulty.suspend():
-        committed = clean_view.list_committed_checkpoints()
-        loader = CheckpointLoader(clean_view)
-        validated = 0
-        for tag in committed:
-            if tag not in expected:
-                _dump_artifact(plan, engine_name, store_backend, scenario)
-                pytest.fail(f"store invented checkpoint {tag!r} {repro_hint}")
-            try:
-                restored = loader.restore(RestoreSpec.full(tag=tag))
-            except (CheckpointError, ConsistencyError):
-                continue  # detected damage: the sanctioned outcome
-            state = restored[0]  # rank 0's state (single-rank runs)
-            want = expected[tag]
-            same = (np.array_equal(state["model"]["w"], want["model"]["w"])
-                    and np.array_equal(state["model"]["b"], want["model"]["b"])
-                    and np.array_equal(state["optimizer"]["m"], want["optimizer"]["m"]))
-            if not same:
-                artifact = _dump_artifact(plan, engine_name, store_backend, scenario)
-                pytest.fail(
-                    f"checkpoint {tag!r} restored with silently corrupted "
-                    f"state {repro_hint}; fault plan dumped to {artifact}")
-            validated += 1
+    _check_oracle(plan, clean_view, faulty, expected,
+                  engine_name, store_backend, scenario)
 
-    # The suite must exercise both sides of the contract across the sweep;
-    # an individual config may legitimately commit nothing (persistent
-    # errors) or everything (faults only in the slow tier), so this only
-    # pins the sanity of the harness itself.
-    assert len(committed) <= ROUNDS
-    assert validated <= len(committed)
+
+#: A two-rank round — or the final drain — that takes longer than this hung.
+ROUND_BOUND_S = 30.0
+
+
+def _join_bounded(threads, what: str) -> None:
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(ROUND_BOUND_S)
+    hung = [thread.name for thread in threads if thread.is_alive()]
+    assert not hung, f"{what}: {hung} still blocked after {ROUND_BOUND_S} s"
+
+
+@pytest.mark.parametrize("scenario", ["transient_errors", "persistent_errors",
+                                      "outage", "kill_commit"])
+def test_chaos_two_ranks_never_hang_or_corrupt(engine_name, scenario, tmp_path):
+    """Two ranks, one coordinator, both saving each round's tag at once: the
+    single-rank oracle over both ranks' states, plus one more rule — a fault
+    on either rank ends the round loudly on *both*.  Waits carry no timeout,
+    so a rank left waiting for a vote that never comes overruns the bound."""
+    seed = config_seed(engine_name, "file-2rank", scenario)
+    plan = FaultPlan(seed=seed, **SCENARIOS[scenario])
+    store, clean_view, faulty = _build_store("file", plan, tmp_path)
+    coordinator = TwoPhaseCommitCoordinator(2, store)
+    engines = [create_real_engine(engine_name, store, rank=rank, world_size=2,
+                                  coordinator=coordinator,
+                                  policy=CheckpointPolicy(host_buffer_size=8 << 20))
+               for rank in range(2)]
+    expected = {}
+    escaped = []
+
+    def rank_round(rank, tag, round_index):
+        try:
+            handle = engines[rank].save(expected[tag][rank], tag=tag,
+                                        iteration=round_index)
+            # This round's own flush and commit: wait_all would stop at the
+            # first earlier failure (it resurfaces them, by design).
+            handle.wait_durable()
+            coordinator.wait_committed(tag)
+        except (CheckpointError, ConsistencyError):
+            pass  # loud failure: the sanctioned outcome
+        except OSError as exc:
+            escaped.append(exc)
+
+    def drain(rank):
+        try:
+            engines[rank].shutdown(wait=True)
+        except (CheckpointError, ConsistencyError):
+            pass
+
+    try:
+        for round_index in range(ROUNDS):
+            tag = f"ckpt-{round_index:03d}"
+            expected[tag] = [_state(seed=2 * round_index + rank) for rank in range(2)]
+            _join_bounded(
+                [threading.Thread(target=rank_round, args=(rank, tag, round_index),
+                                  name=f"rank{rank}", daemon=True)
+                 for rank in range(2)],
+                f"round {tag} [chaos seed {CHAOS_SEED}, config seed {seed}]")
+    finally:
+        _join_bounded([threading.Thread(target=drain, args=(rank,),
+                                        name=f"drain-rank{rank}", daemon=True)
+                       for rank in range(2)], "shutdown")
+    if escaped:
+        _dump_artifact(plan, engine_name, "file-2rank", scenario)
+        pytest.fail(f"raw OSError escaped the engine [config seed {seed}]: {escaped[0]}")
+    _check_oracle(plan, clean_view, faulty, expected, engine_name, "file-2rank",
+                  scenario)
 
 
 #: Read-path scenario -> FaultPlan overrides armed AFTER a clean save phase.

@@ -137,7 +137,7 @@ def test_handle_exposes_capture_and_durability(engine):
     result = handle.wait_durable(timeout=10.0)
     assert result.nbytes > 0
     assert result.tag == "ckpt-h"
-    engine.wait_for_commit("ckpt-h", timeout=10.0)
+    assert engine.coordinator.wait_committed("ckpt-h", timeout=10.0)
 
 
 def test_stats_reflect_activity(engine):

@@ -17,7 +17,12 @@ import numpy as np
 import pytest
 
 from repro.config import CheckpointPolicy
-from repro.core import ENGINE_NAMES, TwoPhaseCommitCoordinator, create_real_engine
+from repro.core import (
+    ENGINE_NAMES,
+    CheckpointHandle,
+    TwoPhaseCommitCoordinator,
+    create_real_engine,
+)
 from repro.exceptions import CheckpointError
 from repro.io import FileStore
 from repro.restart import CheckpointLoader, RestoreSpec
@@ -143,16 +148,61 @@ def test_flush_job_wait_never_returns_before_the_vote(tmp_path):
         assert coordinator.entered.wait(timeout=30.0)
         # The shard is durable and the vote is being cast: not done yet.
         assert (tmp_path / "ckpt" / "rank0.shard").exists()
-        assert not handle.flush.done.is_set()
+        assert not handle.settled.is_set()
         with pytest.raises(CheckpointError, match="timed out"):
-            handle.flush.wait(timeout=0.05)
+            handle.wait_durable(timeout=0.05)
         coordinator.release.set()
-        handle.flush.wait(timeout=30.0)
+        handle.wait_durable(timeout=30.0)
         coordinator.order.append("woken")
         assert coordinator.order == ["voted", "woken"]
     finally:
         coordinator.release.set()
         engine.shutdown(wait=True)
+
+
+class _RecordingCoordinator(TwoPhaseCommitCoordinator):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.votes = []
+
+    def vote(self, tag, rank, records, iteration=-1):
+        self.votes.append((tag, list(records)))
+
+
+def test_parts_reporting_at_once_cast_exactly_one_vote(tmp_path):
+    """Sixteen parts report in from sixteen threads released together, with
+    the interpreter switching threads as often as it can: one vote per
+    request, carrying every record in plan order, and a settled handle."""
+    store = FileStore(tmp_path)
+    coordinator = _RecordingCoordinator(1, store)
+    engine = create_real_engine("datastates", store, coordinator=coordinator,
+                                host_buffer_size=1 << 20)
+    parts, rounds = 16, 40
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_index in range(rounds):
+            handle = CheckpointHandle(engine, f"t{round_index}", "rank0",
+                                      round_index, parts)
+            barrier = threading.Barrier(parts)
+
+            def report(index):
+                barrier.wait(timeout=30.0)
+                handle.part_done(index, f"record-{index}", f"result-{index}")
+
+            threads = [threading.Thread(target=report, args=(index,), daemon=True)
+                       for index in range(parts)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert handle.settled.is_set() and handle.error is None
+    finally:
+        sys.setswitchinterval(interval)
+        engine.shutdown(wait=False)
+    records = [f"record-{index}" for index in range(parts)]
+    assert coordinator.votes == [(f"t{index}", records) for index in range(rounds)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ Parametrized over all four paper baselines via the registry
 bit-exactness through the ``RealTrainer``, the consistency gate before
 ``optimizer.step()``, handle semantics, ``wait_all`` after the final save,
 ``shutdown()`` idempotency, and the context-manager lifecycle.
+
+A fifth engine, written here from scratch against the ``CheckpointEngine``
+template (ten lines of ``_write_parts``), runs through the same suite: what
+the template promises an extension is exactly what the stock engines get.
 """
 
 import numpy as np
@@ -19,19 +23,53 @@ from repro.core import (
     DataStatesCheckpointEngine,
     SynchronousCheckpointEngine,
     TorchSnapshotCheckpointEngine,
+    TwoPhaseCommitCoordinator,
     available_real_engines,
     canonical_engine_name,
     create_real_engine,
     register_real_engine,
+    registry,
     resolve_real_engine_class,
 )
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.io import STORE_NAMES, ShardStore, create_store
 from repro.model import NumpyTransformerLM, tiny_config
 from repro.restart import CheckpointLoader, RestoreSpec
+from repro.serialization import CheckpointManifest, iter_part_payloads
 from repro.training import RealTrainer
 
-pytestmark = pytest.mark.parametrize("engine_name", ENGINE_NAMES)
+
+class StreamingCheckpointEngine(CheckpointEngine):
+    """An engine written from scratch: it says how its bytes reach the store
+    (one sequential stream per dirty part, inside ``save``) and nothing else
+    — planning, references, records, the vote, the handle, the wait points
+    and the failed-tag rule all come from ``CheckpointEngine.save``."""
+
+    name = "streaming"
+    blocking = True
+
+    def _write_parts(self, handle, plan, dirty, inc):
+        for index, part in dirty:
+            views = [memoryview(payload)
+                     for _entry, payload in iter_part_payloads(part)]
+            nbytes, checksum = self._write_streaming_shard(
+                handle.tag, part.name, part.header, plan.skeleton, views)
+            self._part_written(
+                handle, plan, index, nbytes, checksum,
+                tensor_checksums=inc.tensor_checksums(part.name) if inc else None)
+
+
+pytestmark = pytest.mark.parametrize(
+    "engine_name", ENGINE_NAMES + [StreamingCheckpointEngine.name])
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _streaming_engine_registered():
+    """The registry is process-global: the fifth engine exists for this
+    module only."""
+    register_real_engine(StreamingCheckpointEngine.name, StreamingCheckpointEngine)
+    yield
+    registry._REAL_REGISTRY.pop(StreamingCheckpointEngine.name, None)
 
 
 #: Registered backends plus a synthetic 3-level chain config: ``tiered3``
@@ -88,6 +126,7 @@ def test_factory_instantiates_and_aliases_resolve(engine_name, store_backend, tm
         "async": AsyncCheckpointEngine,
         "torchsnapshot": TorchSnapshotCheckpointEngine,
         "datastates": DataStatesCheckpointEngine,
+        "streaming": StreamingCheckpointEngine,
     }[engine_name]
     with _make_engine(engine_name, store_backend, tmp_path) as engine:
         assert type(engine) is expected
@@ -205,8 +244,6 @@ def test_shutdown_is_idempotent_and_final(engine_name, store_backend, tmp_path):
 
 
 def test_register_custom_real_engine(engine_name, tmp_path):
-    from repro.core import registry
-
     base_class = resolve_real_engine_class(engine_name)
 
     class Custom(base_class):
@@ -228,15 +265,14 @@ def test_register_custom_real_engine(engine_name, tmp_path):
 def test_register_under_alias_overrides_canonical(engine_name, tmp_path):
     """A custom engine registered under an alias must be honoured at lookup,
     not silently shadowed by the alias -> canonical mapping."""
-    from repro.core import registry
-
     base_class = resolve_real_engine_class(engine_name)
 
     class Custom(base_class):
         pass
 
     alias = {"deepspeed": "sync", "async": "checkfreq",
-             "torchsnapshot": "torchsnapshot", "datastates": "datastates-llm"}[engine_name]
+             "torchsnapshot": "torchsnapshot", "datastates": "datastates-llm",
+             "streaming": "streaming"}[engine_name]
     register_real_engine(alias, Custom)
     try:
         assert resolve_real_engine_class(alias) is Custom
@@ -246,3 +282,76 @@ def test_register_under_alias_overrides_canonical(engine_name, tmp_path):
     finally:
         registry._REAL_REGISTRY.pop(alias, None)
         registry._REAL_REGISTRY.setdefault(engine_name, base_class)
+
+
+# ---------------------------------------------------------------------------
+# What the save template gives every engine
+# ---------------------------------------------------------------------------
+
+def _assert_restores(engine, tag, state):
+    loaded = engine.load(RestoreSpec(tag=tag))
+    for group in ("model", "optimizer"):
+        for key, want in state[group].items():
+            np.testing.assert_array_equal(loaded[group][key], want)
+
+
+def test_shard_set_save_restores_bit_identically(engine_name, tmp_path):
+    policy = CheckpointPolicy(host_buffer_size=16 << 20, shards_per_rank=3)
+    state = _state(seed=5)
+    with create_real_engine(engine_name, _make_store("file", tmp_path, "set"),
+                            policy=policy) as engine:
+        result = engine.save(state, tag="set", iteration=5).wait_durable(timeout=30.0)
+        engine.wait_all()
+        manifest = CheckpointManifest.from_json(engine.store.read_manifest("set"))
+        names = ["rank0-s00", "rank0-s01", "rank0-s02"]
+        assert [record.name for record in manifest.shards_of_rank(0)] == names
+        assert [part.shard_name for part in result.parts] == names
+        assert result.nbytes == manifest.total_bytes
+        _assert_restores(engine, "set", state)
+
+
+def test_incremental_save_references_the_unchanged_parts(engine_name, tmp_path):
+    policy = CheckpointPolicy(host_buffer_size=16 << 20, shards_per_rank=3,
+                              incremental=True)
+    state = _state(seed=6)
+    with create_real_engine(engine_name, _make_store("cas", tmp_path, "inc"),
+                            policy=policy) as engine:
+        engine.save(state, tag="full", iteration=0)
+        engine.wait_all()
+        assert engine.stats()["parts_referenced"] == 0
+        state["model"]["b"] = state["model"]["b"] + 1.0   # dirties one part
+        engine.save(state, tag="delta", iteration=1)
+        engine.wait_all()
+        stats = engine.stats()
+        assert 0 < stats["parts_referenced"] < 3
+        assert stats["bytes_referenced"] > 0
+        CheckpointLoader(engine.store).validate("delta")
+        _assert_restores(engine, "delta", state)
+
+
+class _CountingCoordinator(TwoPhaseCommitCoordinator):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.commit_waits = 0
+
+    def wait_committed(self, tag, timeout=None):
+        self.commit_waits += 1
+        return super().wait_committed(tag, timeout=timeout)
+
+
+def test_wait_all_forgets_tags_it_has_seen_committed(engine_name, tmp_path):
+    """Five save + wait_all rounds wait for five commits, not 1+2+3+4+5, and
+    leave nothing pending."""
+    store = _make_store("file", tmp_path, "rounds")
+    coordinator = _CountingCoordinator(1, store)
+    with create_real_engine(engine_name, store, coordinator=coordinator,
+                            host_buffer_size=16 << 20) as engine:
+        waits_in_wait_all = 0
+        for index in range(5):
+            engine.save(_state(seed=index), tag=f"ckpt-{index}", iteration=index)
+            before = coordinator.commit_waits
+            engine.wait_all()
+            waits_in_wait_all += coordinator.commit_waits - before
+            assert engine.stats()["pending_flushes"] == 0
+        assert waits_in_wait_all == 5
+        assert engine.list_checkpoints() == [f"ckpt-{index}" for index in range(5)]

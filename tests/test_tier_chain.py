@@ -134,17 +134,6 @@ def test_tier_level_validation():
         TierLevel(store, watermark=1.5)
 
 
-def test_tier_level_from_spec_uses_memory_tier_capacity():
-    from repro.memory.tiers import TierKind, default_hierarchy
-
-    hierarchy = default_hierarchy(PlatformSpec.polaris(),
-                                  host_buffer_size=16 << 20)
-    spec = hierarchy[TierKind.NODE_LOCAL_NVME]
-    level = TierLevel.from_spec(ObjectStore(), spec)
-    assert level.capacity_bytes == int(spec.capacity)
-    assert level.name == "node_local_nvme"
-
-
 # ---------------------------------------------------------------------------
 # Factory: create_store("tiered", tiers=...)
 # ---------------------------------------------------------------------------

@@ -17,10 +17,12 @@ from repro.io import (
     FileStore,
     ObjectStore,
     ShardStore,
+    SimTierChainStorage,
     TierChain,
     TierLevel,
     create_store,
-    make_tiered_storage,
+    make_node_local_storage,
+    make_parallel_fs,
     supports_mmap,
     supports_ranged_reads,
     supports_shard_writer,
@@ -543,10 +545,17 @@ def _wait(env, event):
     return env.run_until_complete(env.process(waiter()))
 
 
+def _sim_pair(env, platform, node_id, shared_pfs=None):
+    """One node's NVMe commit tier draining to the (shared) PFS."""
+    return SimTierChainStorage(env=env, levels=[
+        make_node_local_storage(env, platform, node_id=node_id),
+        shared_pfs if shared_pfs is not None else make_parallel_fs(env, platform)])
+
+
 def test_sim_tiered_storage_commits_at_nvme_speed_and_drains_in_background():
     env = Environment()
     platform = PlatformSpec.polaris()
-    storage = make_tiered_storage(env, platform, node_id=0)
+    storage = _sim_pair(env, platform, node_id=0)
     nbytes = 10e9
 
     commit = storage.write(nbytes, tag="ckpt")
@@ -573,14 +582,13 @@ def test_sim_tiered_storage_drains_contend_on_a_shared_pfs():
     """Multi-node: every node's drain flows through ONE shared PFS link, so
     concurrent drains split the aggregate bandwidth instead of each seeing
     the full file system to themselves."""
-    from repro.io import make_parallel_fs
     from repro.units import gbps
 
     env = Environment()
     platform = PlatformSpec.polaris().with_overrides(
         pfs_aggregate_bandwidth=gbps(3.0), pfs_per_stream_bandwidth=gbps(2.2))
     pfs = make_parallel_fs(env, platform)
-    nodes = [make_tiered_storage(env, platform, node_id=i, shared_pfs=pfs)
+    nodes = [_sim_pair(env, platform, node_id=i, shared_pfs=pfs)
              for i in range(2)]
     nbytes = 10e9
     for node in nodes:
@@ -602,10 +610,10 @@ def test_sim_tiered_storage_drains_contend_on_a_shared_pfs():
 def test_sim_tiered_storage_nearest_tier_reads():
     env = Environment()
     platform = PlatformSpec.polaris()
-    storage = make_tiered_storage(env, platform, node_id=1)
-    _wait(env, storage.read(1e9, local=True))
+    storage = _sim_pair(env, platform, node_id=1)
+    _wait(env, storage.read(1e9, level=0))
     local_time = env.now
-    _wait(env, storage.read(1e9, local=False))
+    _wait(env, storage.read(1e9, level=1))
     remote_time = env.now - local_time
     # Each path runs at its own tier's modelled bandwidth (on Polaris a
     # single PFS stream is slightly faster than the NVMe, but it contends
