@@ -19,7 +19,10 @@ zero-copy read-only views that keep the map alive.
 Restores are described by a :class:`~repro.restart.RestoreSpec` and executed
 by :meth:`CheckpointLoader.restore` — one entry point covering a single shard,
 one rank, every rank, and (with ``spec.target_topology``) an elastic restore
-into a different parallel layout.
+into a different parallel layout, which fetches only the source ranks the
+requested target slices are made of and copies each source slice, out of a
+view of its shard buffer, straight into the target arrays
+(:meth:`CheckpointLoader._restore_reshaped`, :mod:`repro.restart.reshape`).
 
 Restores are **prefetched**: a bounded-worker stage (``prefetch_depth``
 workers, surfaced as :attr:`repro.config.CheckpointPolicy.prefetch_depth` and
@@ -46,6 +49,7 @@ import copy
 import math
 import threading
 import time
+import traceback
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -61,9 +65,11 @@ from ..serialization import (
     ShardRecord,
     checksum_stream,
     decode_preamble,
+    decode_rank_state,
     deserialize_rank_state,
     deserialize_state,
 )
+from ..tensor import unflatten_state_dict
 from .spec import RestoreSpec
 
 logger = get_logger(__name__)
@@ -502,9 +508,15 @@ class CheckpointLoader:
         return info.tag
 
     def _restore_reshaped(self, tag: str, spec: RestoreSpec) -> Any:
-        """Elastic restore: merge at the save-time topology, re-split at the
-        target, then apply the spec's rank selector (default: every rank)."""
-        from .reshape import reshape_state_dicts
+        """Elastic restore of ``spec.rank`` (default: every rank) of the target
+        grid.  :class:`~repro.restart.reshape.Remap` plans from the manifest
+        alone which source ranks the requested slices are made of; only their
+        shard-sets are fetched (like any restore: mapped or read, size/CRC
+        checked, prefetched), decoded to views and copied straight into the
+        target arrays.  What ``spec.validate`` cross-checks is described there.
+        The arrays returned are owned and writable, and every buffer is
+        released on return, not by a later GC."""
+        from .reshape import Remap
 
         manifest = self.manifest(tag)
         if manifest.topology is None:
@@ -512,16 +524,53 @@ class CheckpointLoader:
                 f"checkpoint {tag!r} carries no save-time topology block "
                 "(manifest schema < 4); it can only be restored into the "
                 "layout that saved it")
-        states = self._load_all(tag, validate=spec.validate)
-        reshaped = reshape_state_dicts(states, manifest.topology,
-                                       spec.target_topology)
-        if spec.rank is not None:
-            if spec.rank not in reshaped:
-                raise RestartError(
-                    f"rank {spec.rank} outside the target topology "
-                    f"{spec.target_topology.describe()}")
-            return reshaped[spec.rank]
-        return reshaped
+        plan = Remap(manifest.topology, spec.target_topology, spec.rank)
+        sets = [item for rank in sorted(plan.source_ranks)
+                for item in manifest.shard_sets_of_rank(rank).items()]
+        if len(sets) != len(plan.source_ranks):
+            raise RestartError(
+                f"checkpoint {tag!r} does not hold exactly one logical shard for "
+                f"each of the source ranks {sorted(plan.source_ranks)[:8]}")
+        held: List[Any] = []
+        sources: Dict[int, Any] = {}
+        busy = 0.0  # decode + remap wall time, fetch waits excluded
+        try:
+            for name, records, buffers in self._iter_prefetched_sets(
+                    tag, sets, spec.validate):
+                held.extend(buffers)
+                started, rank = time.perf_counter(), records[0].rank
+                try:
+                    skeleton, arrays = decode_rank_state(
+                        [self._buffer_data(buffer) for buffer in buffers], copy=False)
+                    try:
+                        # Kept in no local: this frame outlives a failed restore
+                        # in its traceback, and must not pin a view of a map.
+                        sources[rank] = unflatten_state_dict(skeleton, arrays)
+                    finally:
+                        # unflatten's closure cycle owns this list until the
+                        # cyclic GC runs; emptied, it pins no view either.
+                        del arrays[:]
+                except Exception as exc:
+                    raise RestartError(
+                        f"cannot deserialize shard {name!r} of {tag!r}: {exc}") from exc
+                if isinstance(sources[rank], dict) and sources[rank].get("extra") is not None:
+                    sources[rank]["extra"] = copy.deepcopy(sources[rank]["extra"])
+                busy += time.perf_counter() - started
+            started = time.perf_counter()
+            states = plan.run(sources, validate=spec.validate)
+            busy += time.perf_counter() - started
+        except BaseException as exc:
+            # The frames below this one still hold views of the buffers.
+            traceback.clear_frames(exc.__traceback__)
+            raise
+        finally:
+            sources.clear()
+            for buffer in held:
+                self._close_buffer(buffer)
+        # Auto mode's per-part deserialize cost, amortised as in _deserialize_set.
+        with self._timing_lock:
+            self._deserialize_seconds.extend([busy / max(1, len(held))] * len(held))
+        return states[spec.rank] if spec.rank is not None else states
 
     def _load_shard(self, tag: str, shard_name: str, validate: bool = True) -> Any:
         """Load one logical shard by name, validated against the manifest.

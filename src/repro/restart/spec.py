@@ -12,9 +12,9 @@ A spec names:
   unset means "the caller's default shard" for an engine and "all ranks" for
   a bare loader;
 * **the target topology** — ``target_topology`` requests an elastic
-  (reshaping) restore: the checkpoint's shards are merged at their save-time
-  topology (manifest schema v4) and re-split for the requested
-  (DP, PP, TP) grid before the selector is applied;
+  (reshaping) restore onto that (DP, PP, TP) grid: ``rank`` then names a rank
+  of the *target* grid, and only the source ranks its slices are made of
+  (per the manifest's schema-v4 topology block) are read;
 * **how to execute it** — ``validate`` (per-shard size/CRC32 checks),
   ``materialize`` / ``use_mmap`` / ``prefetch_depth`` override the loader's
   defaults when set.

@@ -19,7 +19,7 @@ from .manifest import (
     TensorLayout,
     checksum_bytes,
 )
-from .reader import deserialize_rank_state, deserialize_state, peek_tensor_keys
+from .reader import decode_rank_state, deserialize_rank_state, deserialize_state, peek_tensor_keys
 from .shard_plan import (
     ShardPart,
     ShardPlan,
@@ -47,6 +47,7 @@ __all__ = [
     "iter_shard_chunks",
     "deserialize_state",
     "deserialize_rank_state",
+    "decode_rank_state",
     "peek_tensor_keys",
     "CheckpointManifest",
     "CheckpointTopology",

@@ -14,7 +14,7 @@ tensor, not one shard.
 from __future__ import annotations
 
 import pickle
-from typing import Any, List, Sequence
+from typing import Any, List, Sequence, Tuple
 
 import numpy as np
 
@@ -65,11 +65,17 @@ def deserialize_rank_state(raws: Sequence[Any], copy: bool = True) -> Any:
     is read first.  A single v1 buffer (no ``index`` fields) is delegated to
     :func:`deserialize_state` unchanged.
     """
-    if not raws:
-        raise SerializationError("cannot reassemble a rank from zero shard buffers")
     if len(raws) == 1:
         return deserialize_state(raws[0], copy=copy)
+    return unflatten_state_dict(*decode_rank_state(raws, copy=copy))
 
+
+def decode_rank_state(raws: Sequence[Any], copy: bool = True) -> Tuple[Any, List[np.ndarray]]:
+    """Decode a shard-set (one buffer or many) to ``(skeleton, arrays)`` — the
+    state tree with placeholder leaves and the payloads they index — without
+    unflattening it.  With ``copy=False`` the arrays are views of ``raws``."""
+    if not raws:
+        raise SerializationError("cannot reassemble a rank from zero shard buffers")
     skeleton: Any = None
     have_skeleton = False
     arrays_by_index: dict = {}
@@ -109,8 +115,7 @@ def deserialize_rank_state(raws: Sequence[Any], copy: bool = True) -> Any:
         raise SerializationError(
             f"shard-set is missing tensors {missing[:4]} of {total}"
         )
-    arrays = [arrays_by_index[i] for i in range(total)]
-    return unflatten_state_dict(skeleton, arrays)
+    return skeleton, [arrays_by_index[i] for i in range(total)]
 
 
 def peek_tensor_keys(raw) -> List[str]:
