@@ -233,9 +233,9 @@ class CheckpointPolicy:
     #: against the previous committed manifest and record unchanged parts as
     #: chunk references instead of re-uploading them.  Only effective on a
     #: store exposing ``record_shard_reference`` (see
-    #: :class:`repro.io.CASStore`); ignored elsewhere.  The dirty scan reads
-    #: the live state once at request time, so lazy-capture engines pay one
-    #: synchronous CRC pass per save in exchange for skipping clean parts.
+    #: :class:`repro.io.CASStore`); ignored elsewhere.  The dirty scan runs
+    #: where the engine reads a part's tensors: inside ``save`` for engines
+    #: that capture there, on the copy thread (behind the gate) for lazy ones.
     incremental: bool = False
 
     def __post_init__(self) -> None:

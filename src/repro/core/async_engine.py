@@ -41,16 +41,18 @@ class AsyncCheckpointEngine(CheckpointEngine):
         self._flusher = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix=f"checkfreq-flush-r{self.rank}")
 
-    def _write_parts(self, handle, plan, dirty, inc) -> None:
-        """Blocking snapshot of the dirty parts; their flush proceeds in the
-        background.  On return every tensor has been copied into a buffer
+    def _write_parts(self, handle, plan, parts, inc) -> None:
+        """Blocking scan and snapshot of the dirty parts; their flush proceeds
+        in the background.  On return every tensor has been copied into a buffer
         allocated for this request alone, so the caller may mutate the state
         freely."""
         # Blocking D2H capture into freshly allocated buffers (CheckFreq pays
         # this allocation on every request; DataStates amortizes it with the
         # preallocated pinned pool).
         staged = []
-        for index, part in dirty:
+        for index, part in parts:
+            if self._scan_part(handle, plan, index, inc):
+                continue
             buffer = np.empty(max(part.payload_bytes, 1), dtype=np.uint8)
             staging = memoryview(buffer)
             views = []

@@ -13,23 +13,29 @@ extra call the paper adds):
 
 ``save(state, tag, iteration=-1, shard_name=None) -> CheckpointHandle``
     Request a checkpoint of ``state``.  ``save`` is concrete — one template
-    in :class:`CheckpointEngine` flattens, plans, runs the incremental dirty
-    scan, records clean parts by reference, registers the
-    :class:`CheckpointHandle` and casts the rank's single vote once every
-    part is durable.  An engine implements only
-    ``_write_parts(handle, plan, dirty, inc)``: how the dirty parts' bytes
-    reach the store and on which thread, reporting each through
-    ``_part_written`` (or ``handle.part_done``).  How much of that happens
-    before ``save`` returns is the engine's defining property: an engine
-    with ``blocking = True`` (synchronous, TorchSnapshot) returns only once
-    the checkpoint is globally committed, while DataStates returns after the
-    cheap parse/header phases.
+    in :class:`CheckpointEngine` flattens, plans, resolves the incremental
+    base, registers the :class:`CheckpointHandle` and casts the rank's
+    single vote once every part is durable.  An engine implements only
+    ``_write_parts(handle, plan, parts, inc)``: how every part's bytes reach
+    the store and on which thread, reporting each through ``_part_written``
+    (or ``handle.part_done``).  It runs the incremental dirty scan,
+    ``_scan_part``, where it reads a part's tensors — inside ``save`` for the
+    three engines that read them there, on the copy thread behind the
+    ``wait_for_snapshot`` gate for DataStates — and skips a part the scan
+    recorded by reference.  How much happens before ``save`` returns is the
+    engine's defining property: an engine with ``blocking = True``
+    (synchronous, TorchSnapshot) returns only once the checkpoint is
+    globally committed, while DataStates returns after the cheap
+    parse/header phases — nothing proportional to the state's bytes.
 
     *Failed-tag rule.*  Whatever fails on a rank — a write, a capture, a
     reference, the vote — reaches ``handle.fail``, which tells the
     coordinator: the tag is then failed for **every** rank (their waits
     raise ``ConsistencyError`` naming the failing rank instead of blocking
     for a vote that will never come), and the next attempt uses a new tag.
+    One exception, the *pruned-base rule*: a reference that fails because
+    its base checkpoint was deleted under the in-flight save only makes the
+    part dirty — it is written like any changed part.
 
 ``wait_for_snapshot(timeout=None)``
     The consistency gate: blocks while any previous snapshot capture is still
@@ -82,8 +88,8 @@ from ..serialization import (
     ShardPart,
     ShardPlan,
     ShardRecord,
-    crc32_combine,
     encode_preamble,
+    fold_section_checksums,
     iter_part_payloads,
     iter_shard_chunks,
     plan_shards,
@@ -191,20 +197,17 @@ class CheckpointHandle:
 
 @dataclass
 class IncrementalPlan:
-    """Dirty scan result of one save against the previous committed checkpoint.
+    """One incremental save's base, and what its dirty scan has found so far.
 
-    ``clean`` maps part names whose bytes are provably identical to the base
-    checkpoint's part (same size, same folded whole-part CRC32, same
-    per-tensor CRCs when the base recorded them) to the base's manifest
-    record; engines record those parts by reference
-    (:meth:`CheckpointEngine._reference_shard`) instead of re-serialising
-    them.  ``checksums`` carries the freshly computed per-tensor CRC32s of
-    *every* part, so dirty parts record them in the manifest and the next
-    save can run the same comparison.
+    ``base`` maps part names to the base checkpoint's manifest records of
+    this rank.  :meth:`CheckpointEngine._scan_part` compares a part against
+    its record and leaves the part's freshly computed per-tensor CRC32s in
+    ``checksums`` — clean or dirty, so every record of the new manifest
+    carries them and the next save can run the same comparison.
     """
 
     base_tag: str
-    clean: Dict[str, ShardRecord]
+    base: Dict[str, ShardRecord]
     checksums: Dict[str, Tuple[int, ...]]
 
     def tensor_checksums(self, part_name: str) -> Optional[Tuple[int, ...]]:
@@ -296,16 +299,17 @@ class CheckpointEngine(abc.ABC):
         A ``blocking`` engine returns with the checkpoint durable *and*
         globally committed.  Any other returns once :meth:`_write_parts`
         does; the caller must then honour :meth:`wait_for_snapshot` before
-        mutating any tensor referenced by ``state``.
+        mutating any tensor referenced by ``state`` — that gate covers a
+        lazy engine's incremental dirty scan as well as its copies.
         """
         self._ensure_open()
         with self._lock:
             self._checkpoints_requested += 1
         shard = shard_name or self.default_shard_name()
         plan = self.plan_shards(flatten_state_dict(state), shard)
-        # The dirty scan reads the live tensors before save returns, so its
-        # CRC pass is consistent with what a capture would copy.
-        inc = self._plan_incremental(plan)
+        # Only the base is resolved here; each part's CRC scan runs where the
+        # engine reads that part's tensors (_scan_part).
+        inc = self._plan_incremental()
         handle = CheckpointHandle(self, tag, shard, iteration, len(plan.parts))
         with self._lock:
             # Retired-and-successful handles are done with; failed ones are
@@ -314,13 +318,7 @@ class CheckpointEngine(abc.ABC):
                              if not h.settled.is_set() or h.error is not None]
             self._handles.append(handle)
         try:
-            dirty = []
-            for index, part in enumerate(plan.parts):
-                if inc is not None and part.name in inc.clean:
-                    handle.part_done(index, *self._reference_shard(tag, plan, part, inc))
-                else:
-                    dirty.append((index, part))
-            self._write_parts(handle, plan, dirty, inc)
+            self._write_parts(handle, plan, list(enumerate(plan.parts)), inc)
         except BaseException as exc:
             handle.fail(exc)
             raise
@@ -335,12 +333,14 @@ class CheckpointEngine(abc.ABC):
 
     @abc.abstractmethod
     def _write_parts(self, handle: CheckpointHandle, plan: ShardPlan,
-                     dirty: List[Tuple[int, ShardPart]],
+                     parts: List[Tuple[int, ShardPart]],
                      inc: Optional[IncrementalPlan]) -> None:
-        """Move the ``dirty`` parts — ``(index in plan.parts, part)`` pairs —
-        to the store, here or on a background thread.  Each part that becomes
-        durable is reported through :meth:`_part_written`; a failure is
-        raised (on this thread) or handed to ``handle.fail`` (off it)."""
+        """Move every part — ``(index in plan.parts, part)`` pairs — to the
+        store, here or on a background thread.  Where the engine reads a
+        part's tensors it first calls :meth:`_scan_part` and skips the part
+        when that returns true.  Each part that becomes durable is reported
+        through :meth:`_part_written`; a failure is raised (on this thread)
+        or handed to ``handle.fail`` (off it)."""
 
     def _part_written(self, handle: CheckpointHandle, plan: ShardPlan, index: int,
                       nbytes: int, checksum: int,
@@ -492,75 +492,77 @@ class CheckpointEngine(abc.ABC):
             num_parts=plan.num_parts if multi else None,
         )
 
-    def _plan_incremental(self, plan: ShardPlan) -> Optional[IncrementalPlan]:
-        """Dirty scan for an incremental save (``policy.incremental``).
-
-        Compares each part of ``plan`` against the latest committed
-        checkpoint: a part is *clean* — safely recordable by reference —
-        only when its exact byte stream would repeat, i.e. the serialized
-        size matches and the whole-part CRC32 (freshly-encoded preamble
-        folded with fresh per-tensor payload CRCs via ``crc32_combine``)
-        equals the base record's recorded checksum.  The preamble fold
-        matters: the skeleton embeds non-tensor leaves (iteration counters,
-        optimizer step), so per-tensor CRCs alone would reuse stale
-        metadata.  Returns ``None`` when incremental saves are off, the
-        store cannot record references, or there is no committed base.
-        """
+    def _plan_incremental(self) -> Optional[IncrementalPlan]:
+        """Resolve the base of an incremental save (``policy.incremental``):
+        the latest committed checkpoint and this rank's records in it.
+        ``None`` when incremental saves are off, the store cannot record
+        references, or there is no committed base."""
         if not self.policy.incremental or not supports_shard_reference(self.store):
             return None
         tags = self.store.list_committed_checkpoints()
         if not tags:
             return None
-        base_tag = tags[-1]
         try:
-            manifest = CheckpointManifest.from_json(self.store.read_manifest(base_tag))
+            manifest = CheckpointManifest.from_json(self.store.read_manifest(tags[-1]))
         except (CheckpointError, OSError):
             return None
-        base_records = {record.name: record
-                        for record in manifest.shards_of_rank(self.rank)}
-        clean: Dict[str, ShardRecord] = {}
-        checksums: Dict[str, Tuple[int, ...]] = {}
-        for part in plan.parts:
-            preamble = encode_preamble(part.header, plan.skeleton)
-            folded = zlib.crc32(preamble) & 0xFFFFFFFF
-            crcs = []
-            for entry, payload in iter_part_payloads(part):
-                crc = zlib.crc32(payload) & 0xFFFFFFFF
-                crcs.append(crc)
-                folded = crc32_combine(folded, crc, entry.nbytes)
-            checksums[part.name] = tuple(crcs)
-            base = base_records.get(part.name)
-            if (base is not None
-                    and base.checksum is not None
-                    and base.nbytes == len(preamble) + part.header.payload_bytes
-                    and base.checksum == folded
-                    and (base.tensor_checksums is None
-                         or tuple(base.tensor_checksums) == tuple(crcs))):
-                clean[part.name] = base
-        return IncrementalPlan(base_tag=base_tag, clean=clean, checksums=checksums)
+        return IncrementalPlan(
+            base_tag=tags[-1], checksums={},
+            base={record.name: record for record in manifest.shards_of_rank(self.rank)})
 
-    def _reference_shard(self, tag: str, plan: ShardPlan, part: ShardPart,
-                         inc: IncrementalPlan) -> Tuple[ShardRecord, FlushResult]:
-        """Record one clean part as a reference to the base checkpoint's
-        identical part — zero payload bytes move; the store pins the base's
-        chunk list into the new checkpoint's pending manifest."""
-        base = inc.clean[part.name]
+    def _scan_part(self, handle: CheckpointHandle, plan: ShardPlan, index: int,
+                   inc: Optional[IncrementalPlan]) -> bool:
+        """Dirty scan of part ``index``, on the thread that reads its tensors.
+
+        The part is *clean* only when its exact byte stream would repeat:
+        the serialized size matches the base record's and the whole-part
+        CRC32 (freshly-encoded preamble folded with fresh per-tensor payload
+        CRCs by ``fold_section_checksums``) equals the recorded checksum.  The
+        preamble fold matters: the skeleton embeds non-tensor leaves
+        (iteration counters, optimizer step), so per-tensor CRCs alone would
+        reuse stale metadata.  A clean part is recorded by reference and
+        reported to ``handle``; ``True`` then tells the caller to skip it.
+        Either way the fresh per-tensor CRCs are left in ``inc.checksums``.
+        """
+        if inc is None:
+            return False
+        part = plan.parts[index]
+        preamble = encode_preamble(part.header, plan.skeleton)
+        crcs = tuple(zlib.crc32(payload) & 0xFFFFFFFF
+                     for _entry, payload in iter_part_payloads(part))
+        folded = fold_section_checksums(
+            zip(crcs, [entry.nbytes for entry in part.header.entries]),
+            initial=zlib.crc32(preamble))
+        inc.checksums[part.name] = crcs
+        base = inc.base.get(part.name)
+        if not (base is not None
+                and base.checksum is not None
+                and base.nbytes == len(preamble) + part.header.payload_bytes
+                and base.checksum == folded
+                and (base.tensor_checksums is None
+                     or tuple(base.tensor_checksums) == crcs)):
+            return False
         try:
-            nbytes = self.store.record_shard_reference(tag, part.name, inc.base_tag)
-        except CheckpointError:
-            raise
-        except OSError as exc:
+            # Zero payload bytes move: the store pins the base's chunk list
+            # into the new checkpoint's pending manifest.
+            nbytes = self.store.record_shard_reference(handle.tag, part.name, inc.base_tag)
+        except (CheckpointError, OSError) as exc:
+            # Pruned-base rule: the base went away under the save (a lazy
+            # scan can run after the caller retired it) — the part is dirty.
+            if inc.base_tag not in self.store.list_committed_checkpoints():
+                return False
             raise CheckpointError(
-                f"recording shard reference {tag}/{part.name} -> "
+                f"recording shard reference {handle.tag}/{part.name} -> "
                 f"{inc.base_tag} failed: {exc}") from exc
         record = self._part_record(plan, part, nbytes, base.checksum,
-                                   tensor_checksums=inc.tensor_checksums(part.name))
-        result = FlushResult(tag=tag, shard_name=part.name, nbytes=nbytes,
-                             checksum=base.checksum, record=record)
+                                   tensor_checksums=crcs)
         with self._lock:
             self._parts_referenced += 1
             self._bytes_referenced += nbytes
-        return record, result
+        handle.part_done(index, record, FlushResult(
+            tag=handle.tag, shard_name=part.name, nbytes=nbytes,
+            checksum=base.checksum, record=record))
+        return True
 
     @staticmethod
     def _combine_results(tag: str, base_name: str,

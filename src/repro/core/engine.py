@@ -8,10 +8,11 @@ exact pipeline of §5.3:
 1. *parse* — recursively flatten the state object into a tensor table and a
    picklable skeleton (synchronous, cheap);
 2. *header* — compute the shard-file offsets for every tensor (synchronous);
-3. *capture* — copy tensor payloads into the pre-allocated pinned host pool
-   on a dedicated copy stream, lazily overlapping the caller's next
-   forward/backward work; file-adjacent tensors are coalesced into extents
-   (one pool allocation each) and checksummed where they land;
+3. *scan, then capture* — on a dedicated copy stream, lazily overlapping the
+   caller's next forward/backward work: an incremental save first CRC-scans
+   each part against its base (clean: recorded by reference, nothing staged),
+   then payloads are copied into the pre-allocated pinned host pool, coalesced
+   into extents of file-adjacent tensors and checksummed unless just scanned;
 4. *flush* — stream the shard file to storage as extents arrive, one write
    per extent, releasing pool space extent by extent;
 5. *commit* — vote in the asynchronous two-phase commit; once every rank's
@@ -78,17 +79,17 @@ class DataStatesCheckpointEngine(CheckpointEngine):
             )
         return super().plan_shards(flattened, base_name)
 
-    def _write_parts(self, handle, plan, dirty, inc) -> None:
-        """Queue the dirty parts' lazy captures and flushes and return.
+    def _write_parts(self, handle, plan, parts, inc) -> None:
+        """Queue every part's lazy capture and return.
 
-        The capture, flush, and commit proceed in the background.  The caller
-        must invoke :meth:`wait_for_snapshot` before mutating any tensor the
-        state references (typically right before ``optimizer.step()``).
+        The scan, capture, flush, and commit proceed in the background.  The
+        caller must invoke :meth:`wait_for_snapshot` before mutating any tensor
+        the state references (typically right before ``optimizer.step()``).
         """
         multi = not plan.is_single
         # Phase 3: lazy captures, dealt round-robin across the copy streams;
-        # phase 4: one flush per part, so capture and flush overlap per shard.
-        for stream_slot, (index, part) in enumerate(dirty):
+        # phase 4: a flush per dirty part, so capture and flush overlap per shard.
+        for index, part in parts:
             snapshot = SnapshotJob(
                 tag=handle.tag, shard_name=part.name, header=part.header,
                 skeleton=plan.skeleton, tensors=part.tensors,
@@ -96,7 +97,6 @@ class DataStatesCheckpointEngine(CheckpointEngine):
                 part_index=part.part_index if multi else None,
                 num_parts=plan.num_parts if multi else None)
             handle.snapshots.append(snapshot)
-            self.copy_streams[stream_slot % len(self.copy_streams)].submit(snapshot)
 
             def on_done(result, error, index=index):
                 if error is not None:
@@ -104,7 +104,20 @@ class DataStatesCheckpointEngine(CheckpointEngine):
                 else:
                     handle.part_done(index, result.record, result)
 
-            self.pipeline.submit(snapshot, on_done=on_done)
+            def begin(index=index, part=part, snapshot=snapshot, on_done=on_done):
+                # On the copy thread, behind the gate like the copies: the
+                # scan reads the tensors under the same immutability contract.
+                try:
+                    if self._scan_part(handle, plan, index, inc):
+                        return None
+                    self.pipeline.submit(snapshot, on_done=on_done)
+                except BaseException as exc:
+                    handle.fail(exc)
+                    raise
+                return inc.tensor_checksums(part.name) if inc else ()
+
+            snapshot.begin = begin
+            self.copy_streams[index % len(self.copy_streams)].submit(snapshot)
 
     # ------------------------------------------------------------ wait points
     def wait_for_snapshot(self, timeout: Optional[float] = None) -> None:

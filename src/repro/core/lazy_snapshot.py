@@ -9,9 +9,11 @@ file, coalesced into one pool allocation at their final relative offsets
 (:func:`~repro.serialization.plan_extents`) — so the pool, the queue and the
 flush pay one Python call chain per few MiB, not per tensor.  The copy thread
 also takes every tensor's CRC32 right after writing it, while the bytes are
-cache-hot; nothing downstream hashes a payload byte again.  Extents are
-handed to the flush pipeline through a FIFO queue, so flushing can start
-before the last tensor has been captured (streamlined flushing).
+cache-hot — unless the job's ``begin`` hook (an incremental save's dirty
+scan, first on the same thread) already has them; nothing downstream hashes
+a payload byte again.  Extents are handed to the flush pipeline through a FIFO
+queue, so flushing can start before the last tensor has been captured
+(streamlined flushing).
 
 The training loop calls :meth:`SnapshotJob.wait_captured` right before it
 mutates the model/optimizer state (the update phase) — that is the only
@@ -25,7 +27,7 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -100,6 +102,10 @@ class SnapshotJob:
         self.part_index = part_index
         self.num_parts = num_parts
         self.staged: "queue.Queue[Optional[StagedExtent]]" = queue.Queue()
+        #: Run once by the copy thread ahead of the copies.  Returns ``None``
+        #: for "nothing to capture", else the per-tensor CRC32s it already
+        #: took (empty: take them where the bytes land).
+        self.begin: Optional[Callable[[], Optional[Sequence[int]]]] = None
         self._captured = threading.Event()
         self._error: Optional[BaseException] = None
 
@@ -108,6 +114,12 @@ class SnapshotJob:
         """Copy and checksum every extent into the pinned pool, in file order
         (runs off-thread)."""
         try:
+            # Dropped before it runs: the hook closes over this job, and the
+            # cycle would keep the saved arrays alive after the save retired.
+            begin, self.begin = self.begin, None
+            known = begin() if begin is not None else ()
+            if known is None:
+                return
             entries = self.header.entries
             limit = min(MAX_EXTENT_BYTES, pool.capacity // 4)
             for start, stop in plan_extents(entries, limit):
@@ -122,12 +134,13 @@ class SnapshotJob:
                 try:
                     view = allocation.view
                     target = np.frombuffer(view, dtype=np.uint8)
-                    crcs = []
+                    crcs = list(known[start:stop])
                     for entry, array in zip(run, payloads):
                         lo = entry.offset - base
                         hi = lo + entry.nbytes
                         np.copyto(target[lo:hi], array.view(np.uint8).reshape(-1))
-                        crcs.append(zlib.crc32(view[lo:hi]))
+                        if not known:
+                            crcs.append(zlib.crc32(view[lo:hi]))
                 except BaseException:
                     pool.free(allocation)
                     raise

@@ -32,10 +32,12 @@ class SynchronousCheckpointEngine(CheckpointEngine):
     name = "deepspeed"
     blocking = True
 
-    def _write_parts(self, handle, plan, dirty, inc) -> None:
-        """Serialize and write one part at a time (this baseline has no
-        write parallelism by design)."""
-        for index, part in dirty:
+    def _write_parts(self, handle, plan, parts, inc) -> None:
+        """Scan, serialize and write one part at a time (this baseline has
+        no write parallelism by design)."""
+        for index, part in parts:
+            if self._scan_part(handle, plan, index, inc):
+                continue
             raw = serialize_part(part, plan.skeleton)
             try:
                 receipt = self.store.write_shard(handle.tag, part.name, [raw])

@@ -68,13 +68,15 @@ class TorchSnapshotCheckpointEngine(CheckpointEngine):
                                            thread_name_prefix=f"ts-write-r{rank}")
 
     # ------------------------------------------------------------ write paths
-    def _write_parts(self, handle, plan, dirty, inc) -> None:
+    def _write_parts(self, handle, plan, parts, inc) -> None:
         """Chunked parallel write of the dirty parts, durable before returning.
 
         With ``policy.shards_per_rank > 1`` the writer pool fans out over
         every part of the shard-set at once, so several files (and several
         OSTs of a striped PFS) are written concurrently.
         """
+        dirty = [(index, part) for index, part in parts
+                 if not self._scan_part(handle, plan, index, inc)]
         if supports_shard_writer(self.store):
             try:
                 self._write_parallel_set(handle, plan, dirty)

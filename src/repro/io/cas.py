@@ -4,10 +4,13 @@
 the storage model from whole-shard blobs to **fixed-size chunks keyed by
 content hash**, shared across every checkpoint and every tenant:
 
-* **Chunk pool** — ``write_shard`` re-cuts the incoming byte stream into
-  ``chunk_bytes``-sized pieces, SHA-256-hashes each piece, and uploads only
-  pieces whose hash is not already in the pool (one inner tag per chunk, so
-  the pool works over any backend's required core — no mmap/pwrite needed).
+* **Chunk pool** — ``write_shard`` cuts the incoming byte stream at fixed
+  ``chunk_bytes`` boundaries without re-buffering it: a chunk is a list of
+  views of the incoming pieces, SHA-256-hashed and handed to the backend as
+  they are (the only copy is the tail of a recyclable view that does not
+  complete a chunk), and uploaded only when its hash is not already in the
+  pool (one inner tag per chunk, so the pool works over any backend's
+  required core — no mmap/pwrite needed).
   Consecutive checkpoints of slowly-changing state therefore dedup
   automatically: unchanged tensor regions produce identical chunks.
 * **Namespaces** — one shared pool serves many jobs.  A :meth:`namespace`
@@ -22,7 +25,8 @@ content hash**, shared across every checkpoint and every tenant:
   engine whose dirty scan (per-tensor CRC32s against the previous committed
   manifest, see ``CheckpointPolicy.incremental``) proves a shard part
   unchanged record the part by reference: the base checkpoint's chunk list
-  is pinned and re-used without re-hashing or re-uploading a single byte.
+  is pinned — atomically with the sweeper, and only if every chunk is still
+  in the pool — and re-used without re-hashing or re-uploading a single byte.
 * **Refcounted two-phase GC** — a persistent chunk refcount index
   (``cas-refcounts`` under the inner store) is incremented on commit and
   decremented on prune; :meth:`sweep_unreferenced` deletes unreferenced
@@ -94,6 +98,8 @@ class _ShardChunks:
 
     chunks: Tuple[Tuple[str, int], ...]
     nbytes: int
+    #: Staged by ``record_shard_reference`` (counted in ``chunks_referenced``).
+    referenced: bool = False
 
 
 class _CASCore:
@@ -195,9 +201,25 @@ class _CASCore:
                     else:
                         self.pins.pop(chunk_hash, None)
 
-    def upload_chunk(self, chunk_hash: str, piece: bytes) -> None:
+    def stage(self, inner_tag: str, shard_name: str, entry: _ShardChunks) -> None:
+        """Make ``entry`` the pending chunk list of one shard.  An entry it
+        replaces (a retried write, a reference turned write) gives back its
+        pins and its share of the logical-byte / reference counters."""
+        with self.lock:
+            shards = self.pending.setdefault(inner_tag, {})
+            stale = shards.get(shard_name)
+            shards[shard_name] = entry
+            for item, sign in ((entry, 1), (stale, -1)):
+                if item is not None:
+                    self.bytes_logical += sign * item.nbytes
+                    self.chunks_referenced += sign * item.referenced * len(item.chunks)
+        if stale is not None:
+            self.unpin_all([stale])
+
+    def upload_chunk(self, chunk_hash: str, pieces: List[Union[bytes, memoryview]],
+                     nbytes: int) -> None:
         try:
-            self.inner.write_shard(chunk_tag(chunk_hash), CHUNK_SHARD_NAME, [piece])
+            self.inner.write_shard(chunk_tag(chunk_hash), CHUNK_SHARD_NAME, pieces)
         except CheckpointError:
             raise
         except OSError as exc:
@@ -205,7 +227,7 @@ class _CASCore:
                 f"chunk upload {chunk_hash[:12]}... failed: {exc}") from exc
         with self.lock:
             self.durable.add(chunk_hash)
-            self.bytes_written += len(piece)
+            self.bytes_written += nbytes
             self.chunks_written += 1
 
     def fetch_chunk(self, chunk_hash: str, nbytes: int) -> bytes:
@@ -313,52 +335,64 @@ class CASStore:
     # -- writes --------------------------------------------------------------
     def write_shard(self, tag: str, shard_name: str,
                     chunks: Iterable[Union[bytes, memoryview]]) -> WriteReceipt:
-        """Re-chunk the byte stream, upload pool-missing pieces, stage the list.
+        """Re-chunk the byte stream, upload pool-missing chunks, stage the list.
 
-        Each fixed-size piece is pinned (against the sweeper) before its
-        existence check, uploaded only when the pool lacks it, and recorded
-        in the pending chunk list that :meth:`write_manifest` later injects
-        into the manifest as schema v3.
+        The stream is cut at fixed ``chunk_bytes`` boundaries into lists of
+        views of the incoming pieces — hashed and uploaded as they are.  A
+        ``memoryview`` piece may be recycled by its producer once the next is
+        pulled, so the tail of one that does not complete a chunk is copied
+        (the only copy); ``bytes`` pieces are kept by reference.  Each chunk
+        is pinned (against the sweeper) before its existence check, uploaded
+        only when the pool lacks it, and recorded in the pending chunk list
+        that :meth:`write_manifest` later injects into the manifest as
+        schema v3.
         """
         core = self._core
         inner_tag = self._tag(tag)
         piece_list: List[Tuple[str, int]] = []
         total = 0
-        buffer = bytearray()
+        # The chunk being cut: its pieces, its bytes so far, their running hash.
+        pieces: List[Union[bytes, memoryview]] = []
+        filled = 0
+        digest = hashlib.sha256()
 
-        def land(piece: bytes) -> None:
-            chunk_hash = hashlib.sha256(piece).hexdigest()
+        def land() -> None:
+            chunk_hash = digest.hexdigest()
             present = core.pin(chunk_hash)
-            piece_list.append((chunk_hash, len(piece)))
+            piece_list.append((chunk_hash, filled))
             if present:
                 with core.lock:
                     core.chunks_deduped += 1
             else:
-                core.upload_chunk(chunk_hash, piece)
+                core.upload_chunk(chunk_hash, pieces, filled)
 
         try:
             for chunk in chunks:
-                data = chunk.tobytes() if isinstance(chunk, memoryview) else chunk
-                total += len(data)
-                buffer += data
-                while len(buffer) >= core.chunk_bytes:
-                    land(bytes(buffer[:core.chunk_bytes]))
-                    del buffer[:core.chunk_bytes]
-            if buffer:
-                land(bytes(buffer))
+                view = memoryview(chunk)
+                # (an empty N-d view cannot be cast)
+                view = view.cast("B") if view.nbytes else memoryview(b"")
+                total += len(view)
+                while len(view):
+                    piece = view[:core.chunk_bytes - filled]
+                    view = view[len(piece):]
+                    digest.update(piece)
+                    filled += len(piece)
+                    if filled == core.chunk_bytes:
+                        pieces.append(piece)
+                        land()
+                        pieces, filled, digest = [], 0, hashlib.sha256()
+                    else:
+                        pieces.append(piece if isinstance(chunk, bytes) else bytes(piece))
+            if filled:
+                land()
         except BaseException:
             # Roll back this shard's pins so an aborted write never blocks
             # the sweeper forever.
             core.unpin_all([_ShardChunks(chunks=tuple(piece_list), nbytes=total)])
             raise
 
-        entry = _ShardChunks(chunks=tuple(piece_list), nbytes=total)
-        with core.lock:
-            stale = core.pending.setdefault(inner_tag, {}).get(shard_name)
-            core.pending[inner_tag][shard_name] = entry
-            core.bytes_logical += total
-        if stale is not None:
-            core.unpin_all([stale])
+        core.stage(inner_tag, shard_name,
+                   _ShardChunks(chunks=tuple(piece_list), nbytes=total))
         return WriteReceipt(path=PurePosixPath(f"{inner_tag}/{shard_name}"),
                             nbytes=total)
 
@@ -368,25 +402,28 @@ class CASStore:
 
         The base chunk list is pinned without touching a single payload byte;
         the commit then refcounts the same chunks for the new checkpoint.
+        The whole list is pinned in one critical section with the sweeper,
+        and only if every chunk is still in the pool: a base deleted and
+        swept by another thread raises :class:`CheckpointError` (no pin
+        kept) instead of committing a manifest that names swept chunks.
         """
         core = self._core
-        inner_tag = self._tag(tag)
         base_entry = core.committed_shards(self._tag(base_tag)).get(shard_name)
         if base_entry is None:
             raise CheckpointError(
                 f"cannot reference shard {shard_name!r}: committed checkpoint "
                 f"{base_tag!r} has no such shard")
-        for chunk_hash, _nbytes in base_entry.chunks:
-            core.pin(chunk_hash)
-        entry = _ShardChunks(chunks=base_entry.chunks, nbytes=base_entry.nbytes)
         with core.lock:
-            stale = core.pending.setdefault(inner_tag, {}).get(shard_name)
-            core.pending[inner_tag][shard_name] = entry
-            core.bytes_logical += entry.nbytes
-            core.chunks_referenced += len(entry.chunks)
-        if stale is not None:
-            core.unpin_all([stale])
-        return entry.nbytes
+            for position, (chunk_hash, _nbytes) in enumerate(base_entry.chunks):
+                if not core.pin(chunk_hash):
+                    core.unpin_all([_ShardChunks(base_entry.chunks[:position + 1], 0)])
+                    raise CheckpointError(
+                        f"cannot reference shard {shard_name!r}: chunk "
+                        f"{chunk_hash[:12]}... of checkpoint {base_tag!r} is no "
+                        f"longer in the pool")
+        core.stage(self._tag(tag), shard_name, _ShardChunks(
+            chunks=base_entry.chunks, nbytes=base_entry.nbytes, referenced=True))
+        return base_entry.nbytes
 
     def write_manifest(self, tag: str, manifest: Dict) -> object:
         """Inject chunk lists (schema v3), refcount, and atomically commit.

@@ -37,6 +37,9 @@ from typing import Dict, Iterable, List, Union
 
 from ..exceptions import CheckpointError
 
+#: File whose presence in a checkpoint directory marks it committed.
+_MANIFEST_NAME = "manifest.json"
+
 
 @dataclass(frozen=True)
 class WriteReceipt:
@@ -257,7 +260,7 @@ class FileStore:
 
     def manifest_path(self, tag: str) -> Path:
         """Path of the commit manifest of checkpoint ``tag``."""
-        return self.checkpoint_dir(tag) / "manifest.json"
+        return self.checkpoint_dir(tag) / _MANIFEST_NAME
 
     # -- writes ----------------------------------------------------------------
     def write_shard(self, tag: str, shard_name: str,
@@ -387,13 +390,17 @@ class FileStore:
     # -- management --------------------------------------------------------------------
     def list_checkpoints(self) -> List[str]:
         """Tags of checkpoints present (committed or not), sorted."""
-        if not self.root.exists():
+        try:
+            with os.scandir(self.root) as entries:
+                return sorted(entry.name for entry in entries if entry.is_dir())
+        except FileNotFoundError:
             return []
-        return sorted(p.name for p in self.root.iterdir() if p.is_dir())
 
     def list_committed_checkpoints(self) -> List[str]:
         """Tags of checkpoints that have a manifest, sorted."""
-        return [tag for tag in self.list_checkpoints() if self.manifest_path(tag).exists()]
+        root = os.fspath(self.root)
+        return [tag for tag in self.list_checkpoints()
+                if os.path.exists(os.path.join(root, tag, _MANIFEST_NAME))]
 
     def delete_checkpoint(self, tag: str) -> None:
         """Remove an entire checkpoint directory."""

@@ -10,8 +10,14 @@ incremental``) against its <60 %-of-full-bytes acceptance bar, the
 (:class:`SimContentAddressedStorage`).
 """
 
+import hashlib
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import CheckpointPolicy, PlatformSpec
 from repro.core import ENGINE_NAMES, create_real_engine
@@ -333,6 +339,85 @@ def test_rebuild_corrects_a_stale_overcounting_index(tmp_path):
     assert reopened.namespace("jobB").read_shard("ck-b", "rank0") == keep
 
 
+def test_reference_to_a_swept_base_raises_and_keeps_no_pin(tmp_path):
+    """``record_shard_reference`` racing ``delete_checkpoint`` + sweep: the
+    referencer may have read the base's chunk list just before the delete.
+    It must notice that the chunks are gone — under the sweeper's lock —
+    instead of staging a list of swept chunks."""
+    pool = _pool(tmp_path)
+    payload = _payload(40, 3 * CHUNK)
+    _save(pool, "base", {"rank0": payload})
+    core = pool._core
+    warmed = core.committed_shards("ns-default--base")
+    pool.delete_checkpoint("base")
+    assert pool.sweep_unreferenced() == 3
+
+    with pytest.raises(CheckpointError, match="no manifest|never committed"):
+        pool.record_shard_reference("next", "rank0", "base")
+    # ... and with the chunk list the losing side of the race still holds:
+    core.committed["ns-default--base"] = warmed
+    first = warmed["rank0"].chunks[0][0]
+    with pytest.raises(CheckpointError) as raised:
+        pool.record_shard_reference("next", "rank0", "base")
+    assert first[:12] in str(raised.value) and "'base'" in str(raised.value)
+    assert core.pins == {}
+    assert core.pending == {}
+    core.committed.pop("ns-default--base")
+
+    _save(pool, "next", {"rank0": payload})   # the same state, written again
+    assert pool.read_shard("next", "rank0") == payload
+    assert core.pins == {}
+
+
+def test_reference_pins_the_whole_list_in_one_critical_section(tmp_path):
+    """No sweep can run between the first and the last pin of a reference."""
+    pool = _pool(tmp_path)
+    _save(pool, "base", {"rank0": _payload(41, 4 * CHUNK)})
+    core = pool._core
+    real_pin, outcomes = core.pin, []
+
+    def sweeper():
+        free = core.lock.acquire(timeout=0.05)
+        if free:
+            core.lock.release()
+        outcomes.append(free)
+
+    def pin_while_a_sweeper_tries(chunk_hash):
+        thread = threading.Thread(target=sweeper)
+        thread.start()
+        thread.join()
+        return real_pin(chunk_hash)
+
+    core.pin = pin_while_a_sweeper_tries
+    try:
+        pool.record_shard_reference("next", "rank0", "base")
+    finally:
+        core.pin = real_pin
+    assert outcomes == [False] * 4   # the lock was never free mid-list
+
+
+def test_a_replaced_pending_shard_is_counted_once(tmp_path):
+    pool = _pool(tmp_path)
+    payload = _payload(42, 2 * CHUNK + 5)
+    pool.write_shard("ck", "rank0", [payload])
+    pool.write_shard("ck", "rank0", [payload])            # a retried write
+    _save(pool, "base", {"rank1": payload})
+    pool.record_shard_reference("ck", "rank1", "base")
+    pool.record_shard_reference("ck", "rank1", "base")    # a retried reference
+    metrics = pool.dedup_metrics()
+    assert metrics["bytes_logical"] == 3 * len(payload)   # rank0, base, rank1
+    assert metrics["chunks_referenced"] == 3
+
+    pool.write_shard("ck", "rank1", [payload])            # reference, then write
+    metrics = pool.dedup_metrics()
+    assert metrics["bytes_logical"] == 3 * len(payload)
+    assert metrics["chunks_referenced"] == 0
+    pool.write_manifest("ck", {"tag": "ck", "shards": [
+        {"name": name, "rank": 0, "nbytes": len(payload)} for name in ("rank0", "rank1")]})
+    assert pool._core.pins == {}
+    assert pool.read_shard("ck", "rank1") == payload
+
+
 def test_orphan_chunks_from_an_aborted_save_are_swept(tmp_path):
     pool = _pool(tmp_path)
     pool.write_shard("never-committed", "rank0", [_payload(18, 2 * CHUNK)])
@@ -344,6 +429,100 @@ def test_orphan_chunks_from_an_aborted_save_are_swept(tmp_path):
     assert reopened.sweep_unreferenced() == 2
     assert len(reopened.pool_chunks()) == 1
     assert reopened.list_committed_checkpoints() == ["ck"]
+
+
+# ---------------------------------------------------------------------------
+# Chunk lists against an independent oracle, however the stream is cut
+# ---------------------------------------------------------------------------
+
+def _oracle(stream, cb):
+    return [(hashlib.sha256(stream[i:i + cb]).hexdigest(), len(stream[i:i + cb]))
+            for i in range(0, len(stream), cb)]
+
+
+def _recycling_producer(pieces, kinds):
+    """Yield ``pieces`` as ``bytes`` / 1-D view / multi-byte-itemsize view,
+    overwriting each yielded buffer as soon as the next piece is pulled —
+    what the flush sink's pool really does to a view it handed out."""
+    previous = None
+    for piece, kind in zip(pieces, kinds):
+        if previous is not None:
+            previous[:] = 0xAA
+        previous = None
+        if kind == "bytes":
+            yield piece
+            continue
+        previous = np.frombuffer(piece, dtype=np.uint8).copy()
+        if kind == "wide" and len(piece) % 4 == 0:
+            yield memoryview(previous.view(np.uint32))
+        else:
+            yield memoryview(previous)
+    if previous is not None:
+        previous[:] = 0xAA
+
+
+@st.composite
+def _cut_streams(draw):
+    cb = draw(st.sampled_from([1, 7, 4096]))
+    stream = draw(st.binary(max_size=min(3 * cb + 17, 64 * cb)))
+    cuts = sorted(draw(st.lists(st.integers(0, len(stream)), max_size=12)))
+    bounds = [0] + cuts + [len(stream)]   # repeated cuts make empty pieces
+    pieces = [stream[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    kinds = [draw(st.sampled_from(["bytes", "view", "wide"])) for _ in pieces]
+    return cb, stream, pieces, kinds
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_cut_streams())
+def test_chunk_list_matches_the_oracle_for_any_cut(tmp_path_factory, case):
+    cb, stream, pieces, kinds = case
+    store = _pool(tmp_path_factory.mktemp("oracle"), chunk_bytes=cb)
+    receipt = store.write_shard("ck", "rank0", _recycling_producer(pieces, kinds))
+    assert receipt.nbytes == len(stream)
+    store.write_manifest("ck", {"tag": "ck", "shards": [
+        {"name": "rank0", "rank": 0, "nbytes": len(stream)}]})
+
+    (record,) = store.read_manifest("ck")["shards"]
+    assert [tuple(item) for item in record["chunks"]] == _oracle(stream, cb)
+    assert store.read_shard("ck", "rank0") == stream
+    lo, hi = len(stream) // 3, len(stream) - len(stream) // 4
+    assert store.read_shard_range("ck", "rank0", lo, hi - lo) == stream[lo:hi]
+    assert store._core.pins == {}
+
+
+def test_a_producer_that_dies_midway_leaves_no_pin(tmp_path):
+    store = _pool(tmp_path)
+
+    def dying():
+        yield _payload(30, CHUNK + 10)
+        yield memoryview(bytearray(_payload(31, 2 * CHUNK)))
+        raise RuntimeError("capture died")
+
+    with pytest.raises(RuntimeError):
+        store.write_shard("ck", "rank0", dying())
+    assert store._core.pins == {}
+    assert store._core.pending == {}
+
+
+def test_write_shard_copies_at_most_the_unfinished_tail(tmp_path):
+    """A 4 x cb stream of views: the chunk being cut is a list of views, so
+    the traced peak stays under 1.5 x cb (re-buffering every byte through a
+    bytearray and two ``bytes`` copies peaked near 3 x cb)."""
+    cb = 1 << 20
+    store = _pool(tmp_path, chunk_bytes=cb)
+    staging = np.random.default_rng(32).integers(0, 256, 4 * cb, dtype=np.uint8)
+    view = memoryview(staging)
+    step = cb // 2 + 4096   # never aligned: every chunk has a copied tail
+    tracemalloc.start()
+    try:
+        store.write_shard("ck", "rank0",
+                          (view[lo:lo + step] for lo in range(0, len(view), step)))
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * cb
+    assert store._core.pending["ns-default--ck"]["rank0"].chunks == tuple(
+        _oracle(staging.tobytes(), cb))
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +594,120 @@ def test_incremental_base_prune_keeps_referencing_checkpoints_whole(
         restored = engine.load(RestoreSpec(tag="head"))
         np.testing.assert_array_equal(restored["model"]["w0"],
                                       state["model"]["w0"])
+
+
+class _HeldReferences:
+    """Forwards to a ``CASStore``; while armed, ``record_shard_reference``
+    parks its caller — the ``datastates`` copy thread, at its scan — until
+    the test releases it, and then fails if told to."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.armed = False
+        self.fail = False
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def record_shard_reference(self, tag, shard_name, base_tag):
+        if self.armed:
+            self.entered.set()
+            assert self.release.wait(30)
+            if self.fail:
+                raise OSError(f"injected: reference of {tag}/{shard_name}")
+        return self._inner.record_shard_reference(tag, shard_name, base_tag)
+
+
+class _LoggingFileStore(FileStore):
+    def __init__(self, root):
+        super().__init__(root)
+        self.written_tags = []
+
+    def write_shard(self, tag, shard_name, chunks):
+        self.written_tags.append(tag)
+        return super().write_shard(tag, shard_name, chunks)
+
+
+def _half_frozen(step):
+    rng = np.random.default_rng(11)
+    return {"frozen": rng.standard_normal(8192),
+            "hot": rng.standard_normal(8192) + step, "note": "constant"}
+
+
+def _lazy_incremental_chain(tmp_path):
+    """``ck-1`` <- ``ck-2`` (its frozen part a reference) on ``datastates``;
+    the next save will park at the frozen part's reference."""
+    bottom = _LoggingFileStore(tmp_path / "pool")
+    store = _HeldReferences(CASStore(bottom, chunk_bytes=4096))
+    engine = create_real_engine("datastates", store, policy=CheckpointPolicy(
+        host_buffer_size=1 << 22, incremental=True, shards_per_rank=2))
+    for step, tag in enumerate(["ck-1", "ck-2"]):
+        engine.save(_half_frozen(step), tag, iteration=step)
+        engine.wait_all(timeout=30)
+    assert engine.stats()["parts_referenced"] == 1
+    store.armed = True
+    return engine, store, bottom
+
+
+def test_base_pruned_under_a_lazy_scan_makes_its_parts_dirty(tmp_path):
+    """The scan of a lazy engine runs after ``save`` returned, so the caller
+    can retire the base first.  That costs a re-hash, never the tag."""
+    engine, store, bottom = _lazy_incremental_chain(tmp_path)
+    try:
+        state = _half_frozen(2)
+        engine.save(state, "ck-3", iteration=2)
+        assert store.entered.wait(30)          # the copy thread is at the scan
+        store.delete_checkpoint("ck-2")
+        store.sweep_unreferenced()
+        shared = {chunk_tag(chunk_hash)
+                  for record in store.read_manifest("ck-1")["shards"]
+                  for chunk_hash, _nbytes in record["chunks"]}
+        del bottom.written_tags[:]
+        store.release.set()
+        engine.wait_all(timeout=30)
+
+        assert store.list_committed_checkpoints() == ["ck-1", "ck-3"]
+        assert engine.stats()["parts_referenced"] == 1   # none for ``ck-3``
+        assert engine.pool.used_bytes == 0
+        assert store._core.pins == {}
+        # The frozen part was re-hashed and deduplicated, not re-uploaded.
+        assert not shared & set(bottom.written_tags)
+        restored = engine.load(RestoreSpec(tag="ck-3"))
+        for key in ("frozen", "hot"):
+            np.testing.assert_array_equal(restored[key], state[key])
+    finally:
+        store.release.set()
+        engine.shutdown(wait=False)
+
+
+def test_failed_lazy_reference_with_its_base_in_place_fails_the_tag(tmp_path):
+    engine, store, _bottom = _lazy_incremental_chain(tmp_path)
+    try:
+        store.fail = True
+        handle = engine.save(_half_frozen(2), "ck-3", iteration=2)
+        assert store.entered.wait(30)
+        store.release.set()
+        with pytest.raises(CheckpointError, match="injected"):
+            engine.wait_all(timeout=30)
+        with pytest.raises(CheckpointError, match="injected"):
+            handle.wait_captured(timeout=30)             # ... and at the gate
+        assert "ck-3" not in store.list_committed_checkpoints()
+        engine.wait_for_snapshot(timeout=30)     # the healthy part drains too
+        for job in engine.pipeline.pending_jobs():
+            assert job.done.wait(30)
+        assert engine.pool.used_bytes == 0
+
+        store.armed = False
+        state = _half_frozen(3)
+        engine.save(state, "ck-4", iteration=3).wait_durable(timeout=30)
+        assert engine.coordinator.wait_committed("ck-4", timeout=30)
+        np.testing.assert_array_equal(
+            engine.load(RestoreSpec(tag="ck-4"))["hot"], state["hot"])
+    finally:
+        store.release.set()
+        engine.shutdown(wait=False)
 
 
 @pytest.mark.parametrize("engine_name", ENGINE_NAMES)

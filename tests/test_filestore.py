@@ -46,6 +46,31 @@ def test_list_checkpoints_and_committed(tmp_path):
     assert store.list_committed_checkpoints() == ["a-ckpt"]
 
 
+def test_listing_a_missing_root_is_empty(tmp_path):
+    store = FileStore(tmp_path / "root")
+    (tmp_path / "root").rmdir()
+    assert store.list_checkpoints() == []
+    assert store.list_committed_checkpoints() == []
+
+
+def test_listing_ignores_plain_files_follows_dir_symlinks_and_sorts(tmp_path):
+    store = FileStore(tmp_path / "root")
+    outside = FileStore(tmp_path / "elsewhere")
+    outside.write_manifest("linked", {"tag": "linked"})
+    for tag in ("c-ckpt", "a-ckpt", "b-ckpt"):
+        store.write_manifest(tag, {"tag": tag})
+    store.write_shard("d-uncommitted", "rank0", [b"x"])
+    (tmp_path / "root" / "manifest.json").write_text("{}")       # a plain file
+    (tmp_path / "root" / "a-file").write_bytes(b"not a checkpoint")
+    (tmp_path / "root" / "b-link").symlink_to(tmp_path / "elsewhere" / "linked",
+                                              target_is_directory=True)
+    (tmp_path / "root" / "z-dangling").symlink_to(tmp_path / "nowhere")
+
+    committed = ["a-ckpt", "b-ckpt", "b-link", "c-ckpt"]
+    assert store.list_committed_checkpoints() == committed
+    assert store.list_checkpoints() == sorted(committed + ["d-uncommitted"])
+
+
 def test_delete_checkpoint(tmp_path):
     store = FileStore(tmp_path)
     store.write_shard("ckpt-1", "rank0", [b"x"])

@@ -8,7 +8,7 @@ bit-exactness through the ``RealTrainer``, the consistency gate before
 ``shutdown()`` idempotency, and the context-manager lifecycle.
 
 A fifth engine, written here from scratch against the ``CheckpointEngine``
-template (ten lines of ``_write_parts``), runs through the same suite: what
+template (a dozen lines of ``_write_parts``), runs through the same suite: what
 the template promises an extension is exactly what the stock engines get.
 """
 
@@ -41,15 +41,18 @@ from repro.training import RealTrainer
 
 class StreamingCheckpointEngine(CheckpointEngine):
     """An engine written from scratch: it says how its bytes reach the store
-    (one sequential stream per dirty part, inside ``save``) and nothing else
-    — planning, references, records, the vote, the handle, the wait points
-    and the failed-tag rule all come from ``CheckpointEngine.save``."""
+    (one sequential stream per dirty part, inside ``save``, after the shared
+    dirty scan where it reads the part) and nothing else — planning,
+    references, records, the vote, the handle, the wait points and the
+    failed-tag rule all come from ``CheckpointEngine``."""
 
     name = "streaming"
     blocking = True
 
-    def _write_parts(self, handle, plan, dirty, inc):
-        for index, part in dirty:
+    def _write_parts(self, handle, plan, parts, inc):
+        for index, part in parts:
+            if self._scan_part(handle, plan, index, inc):
+                continue
             views = [memoryview(payload)
                      for _entry, payload in iter_part_payloads(part)]
             nbytes, checksum = self._write_streaming_shard(
