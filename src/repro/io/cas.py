@@ -54,7 +54,7 @@ from pathlib import PurePosixPath
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..exceptions import CheckpointError, ConfigurationError, ConsistencyError
-from .filestore import WriteReceipt, _check_range
+from .filestore import WriteReceipt, _check_range, _landing_view
 
 #: Default content-chunk size.  Small enough that a localized update (one
 #: optimizer slice) dirties few chunks, large enough that per-chunk metadata
@@ -230,10 +230,12 @@ class _CASCore:
             self.bytes_written += nbytes
             self.chunks_written += 1
 
-    def fetch_chunk(self, chunk_hash: str, nbytes: int) -> bytes:
-        """Read one chunk back, verifying its content hash and size."""
+    def fetch_chunk(self, chunk_hash: str, nbytes: int, out=None):
+        """Read one chunk back — into ``out`` when given — verifying its size
+        and content hash where it landed (the one check of every chunk read)."""
         try:
-            payload = self.inner.read_shard(chunk_tag(chunk_hash), CHUNK_SHARD_NAME)
+            payload = self.inner.read_shard(chunk_tag(chunk_hash), CHUNK_SHARD_NAME,
+                                            out=out)
         except CheckpointError:
             raise
         except OSError as exc:
@@ -496,12 +498,23 @@ class CASStore:
                 f"> quota {self.quota_bytes}")
 
     # -- reads ---------------------------------------------------------------
-    def read_shard(self, tag: str, shard_name: str) -> bytes:
-        """Reassemble one shard from its chunks, hash-verifying each piece."""
+    def read_shard(self, tag: str, shard_name: str, out=None):
+        """Reassemble one shard from its chunks, hash-verifying each piece.
+
+        With ``out`` every chunk is read by the inner store straight into its
+        slice of it and verified in place: no per-chunk ``bytes``, no join.
+        """
         entry = self._core.shard_chunks(self._tag(tag), shard_name)
-        parts = [self._core.fetch_chunk(chunk_hash, nbytes)
-                 for chunk_hash, nbytes in entry.chunks]
-        return b"".join(parts)
+        if out is None:
+            return b"".join([self._core.fetch_chunk(chunk_hash, nbytes)
+                             for chunk_hash, nbytes in entry.chunks])
+        view = _landing_view(tag, shard_name, out, entry.nbytes)
+        position = 0
+        for chunk_hash, nbytes in entry.chunks:
+            self._core.fetch_chunk(chunk_hash, nbytes,
+                                   out=view[position:position + nbytes])
+            position += nbytes
+        return view[:position]
 
     def read_shard_range(self, tag: str, shard_name: str,
                          offset: int, length: int) -> bytes:

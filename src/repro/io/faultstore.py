@@ -310,11 +310,13 @@ class FaultyStore:
                          detail=f"kept {keep}/{len(payload)} bytes")
         return payload[:keep]
 
-    def read_shard(self, tag: str, shard_name: str) -> bytes:
+    def read_shard(self, tag: str, shard_name: str, out=None):
+        # ``out`` changes where the bytes land, never whether they are gated:
+        # a torn in-place read returns the shortened view of ``out``.
         key = f"{tag}/{shard_name}"
         op_index, occurrence = self._gate("read_shard", key,
                                           self.plan.read_error_prob)
-        payload = self._inner.read_shard(tag, shard_name)
+        payload = self._inner.read_shard(tag, shard_name, out=out)
         return self._maybe_tear_read("read_shard", key, occurrence, op_index,
                                      payload)
 

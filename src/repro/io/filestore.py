@@ -19,7 +19,8 @@ Two write paths are provided:
   staged view directly at its final offset.
 
 Restores mirror the split: :meth:`FileStore.read_shard` materialises the
-whole file as ``bytes``, while :meth:`FileStore.open_shard_mmap` returns a
+whole file as ``bytes`` (or, given ``out=``, reads it straight into the
+caller's buffer), while :meth:`FileStore.open_shard_mmap` returns a
 :class:`MappedShard` whose pages stream in lazily and are never duplicated on
 the heap.
 """
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Union
 
-from ..exceptions import CheckpointError
+from ..exceptions import CheckpointError, ConsistencyError
 
 #: File whose presence in a checkpoint directory marks it committed.
 _MANIFEST_NAME = "manifest.json"
@@ -241,6 +242,17 @@ def _check_range(tag: str, shard_name: str, offset: int, length: int,
         )
 
 
+def _landing_view(tag: str, shard_name: str, out, size: int) -> memoryview:
+    """``out`` of ``read_shard(out=)`` as a flat byte view, checked to be a
+    writable buffer of exactly the stored shard's ``size`` (every backend)."""
+    view = memoryview(out).cast("B")
+    if view.readonly or len(view) != size:
+        raise ConsistencyError(
+            f"shard {shard_name!r} of checkpoint {tag!r} is {size} bytes; reading "
+            f"it in place needs a writable buffer of that size, got {len(view)}")
+    return view
+
+
 class FileStore:
     """A directory-backed store of checkpoint shard files."""
 
@@ -331,12 +343,25 @@ class FileStore:
         return path
 
     # -- reads ---------------------------------------------------------------------
-    def read_shard(self, tag: str, shard_name: str) -> bytes:
-        """Read back one shard file."""
-        path = self.shard_path(tag, shard_name)
-        if not path.exists():
-            raise CheckpointError(f"shard {shard_name!r} of checkpoint {tag!r} does not exist")
-        return path.read_bytes()
+    def read_shard(self, tag: str, shard_name: str, out=None):
+        """Read back one shard file: as ``bytes``, or with ``out`` straight
+        into that buffer (one open, an ``fstat`` size check, ``readinto``)."""
+        try:
+            with open(self.shard_path(tag, shard_name), "rb", buffering=0) as handle:
+                if out is None:
+                    return handle.read()
+                view = _landing_view(tag, shard_name, out,
+                                     os.fstat(handle.fileno()).st_size)
+                filled = 0
+                while filled < len(view):
+                    got = handle.readinto(view[filled:])
+                    if not got:  # shrank under us: the caller's size check fails it
+                        break
+                    filled += got
+                return view[:filled]
+        except FileNotFoundError:
+            raise CheckpointError(
+                f"shard {shard_name!r} of checkpoint {tag!r} does not exist") from None
 
     def read_shard_range(self, tag: str, shard_name: str,
                          offset: int, length: int) -> bytes:

@@ -38,7 +38,7 @@ from pathlib import PurePosixPath
 from typing import Dict, Iterable, List, Union
 
 from ..exceptions import CheckpointError
-from .filestore import WriteReceipt, _check_range
+from .filestore import WriteReceipt, _check_range, _landing_view
 
 _SHARD_SUFFIX = ".shard"
 _MANIFEST_KEY = "manifest.json"
@@ -194,15 +194,20 @@ class ObjectStore:
         return key
 
     # -- reads ---------------------------------------------------------------
-    def read_shard(self, tag: str, shard_name: str) -> bytes:
-        """GET one shard object's full payload."""
+    def read_shard(self, tag: str, shard_name: str, out=None):
+        """GET one shard object's full payload (copied into ``out`` if given)."""
         key = self.shard_key(tag, shard_name)
         try:
-            return self._get(key)
+            payload = self._get(key)
         except CheckpointError:
             raise CheckpointError(
                 f"shard {shard_name!r} of checkpoint {tag!r} does not exist"
             ) from None
+        if out is None:
+            return payload
+        view = _landing_view(tag, shard_name, out, len(payload))
+        view[:] = payload
+        return view
 
     def read_shard_range(self, tag: str, shard_name: str,
                          offset: int, length: int) -> bytes:

@@ -11,7 +11,10 @@ engines are selected through :func:`repro.core.create_real_engine`.
 The protocol has a required core and four *optional capabilities*:
 
 required
-    ``write_shard`` / ``read_shard`` — streaming shard write, whole-shard read;
+    ``write_shard`` / ``read_shard`` — streaming shard write, whole-shard read
+    (``read_shard(tag, name, out=buffer)`` lands the bytes in the caller's
+    buffer instead of a fresh ``bytes`` — what a restore that cannot map a
+    shard does, one buffer per part, so nothing is joined or copied again);
     ``write_manifest`` / ``read_manifest`` — commit-manifest publish/read
     (publishing the manifest is what makes a checkpoint restorable, so a
     backend must order it after every shard of the tag is durable);
@@ -73,8 +76,16 @@ class ShardStore(Protocol):
         ...
 
     # -- reads ---------------------------------------------------------------
-    def read_shard(self, tag: str, shard_name: str) -> bytes:
-        """Read back one shard's bytes."""
+    def read_shard(self, tag: str, shard_name: str, out=None):
+        """Read back one shard's bytes — the one whole-shard read call.
+
+        With ``out``, a writable buffer of exactly the shard's size (else a
+        :class:`~repro.exceptions.ConsistencyError`), the bytes are read
+        straight into it and a ``memoryview`` of it is returned.  A wrapper
+        hands ``out`` to the store it reads and treats the result as it
+        treats the plain form: CAS verifies each chunk where it landed, a
+        fault-injecting store may return a shortened view.
+        """
         ...
 
     def read_manifest(self, tag: str) -> Dict:

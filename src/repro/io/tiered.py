@@ -904,8 +904,9 @@ class TierChain:
         walks toward the remote end, where bounded ranges are what pays)."""
         return bool(getattr(self._stores[-1], "prefers_ranged_reads", False))
 
-    def read_shard(self, tag: str, shard_name: str) -> bytes:
-        """Read one shard from the nearest level holding it.
+    def read_shard(self, tag: str, shard_name: str, out=None):
+        """Read one shard from the nearest level holding it (into ``out``,
+        when given: the level that is read fills it).
 
         A deeper-level fallback means the shallower copies are gone (evicted
         or lost); the just-fetched bytes are opportunistically promoted back
@@ -915,7 +916,7 @@ class TierChain:
         last_error: Optional[BaseException] = None
         for index, store in enumerate(self._stores):
             try:
-                payload = store.read_shard(tag, shard_name)
+                payload = store.read_shard(tag, shard_name, out=out)
             except (CheckpointError, OSError) as exc:
                 last_error = exc
                 continue

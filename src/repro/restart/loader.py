@@ -7,14 +7,21 @@ files are validated against the manifest's size and CRC32 before their
 contents are handed back to the trainer.
 
 By default shards are restored through a read-only mmap (``use_mmap=True``,
-on stores that can map — an object store cannot, and transparently falls back
-to whole-object reads): the CRC32 is verified by streaming over the buffer in
+on stores that can map): the CRC32 is verified by streaming over the buffer in
 bounded chunks and the arrays are rebuilt as ``np.frombuffer`` views straight
 out of it, so a multi-hundred-MB shard is validated and loaded without ever
-holding a second full copy of it in heap memory.  ``materialize=True`` (the
-default) copies each array out of the map one tensor at a time so the result
-is writable and the map can be released; ``materialize=False`` hands back
-zero-copy read-only views that keep the map alive.
+holding a second full copy of it in heap memory.  A store that cannot map (an
+object store, a CAS store) fills one landing buffer per part, owned by the
+restore (``read_shard(out=)``) and checked in place in the prefetch worker.
+
+One rule decides what is copied: *copy only when materialising out of a
+read-only buffer*.  ``materialize=True`` (the default) copies each array out
+of a map one tensor at a time, so the result is writable and the map can be
+released, and returns the arrays of a landing buffer as the writable, aligned
+views they already are (only an array whose slot is misaligned for its dtype
+is copied — mixed dtypes pack without padding).  ``materialize=False`` hands
+back zero-copy views either way; those of a map are read-only and keep it
+alive.
 
 Restores are described by a :class:`~repro.restart.RestoreSpec` and executed
 by :meth:`CheckpointLoader.restore` — one entry point covering a single shard,
@@ -55,8 +62,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..config import DEFAULT_PREFETCH_DEPTH
-from ..exceptions import CheckpointError, ConsistencyError, RestartError
+from ..exceptions import CheckpointError, ConsistencyError, RestartError, SerializationError
 from ..io import MappedShard, ShardStore, supports_mmap, supports_ranged_reads
 from ..logging_utils import get_logger
 from ..serialization import (
@@ -66,8 +75,6 @@ from ..serialization import (
     checksum_stream,
     decode_preamble,
     decode_rank_state,
-    deserialize_rank_state,
-    deserialize_state,
 )
 from ..tensor import unflatten_state_dict
 from .spec import RestoreSpec
@@ -80,6 +87,9 @@ _MAX_VALIDATE_WORKERS = 8
 #: Chunk size of ranged fetches on stores that support ``read_shard_range``;
 #: parts at most this large are fetched with one whole-shard read.
 DEFAULT_RANGE_FETCH_BYTES = 8 * 1024 * 1024
+
+#: A non-mapped part is landed so that its payload starts on this boundary.
+_PAYLOAD_ALIGN = 64
 
 #: One logical shard to restore: a set key and the records of its parts.
 _SetItem = Tuple[Any, List[ShardRecord]]
@@ -319,45 +329,60 @@ class CheckpointLoader:
                 raise
             return mapped
         try:
-            raw = self._read_part(tag, record)
+            return self._read_part(tag, record, validate)
         except OSError as exc:
             raise CheckpointError(
                 f"cannot read shard {record.name!r} of {tag!r}: {exc}") from exc
-        if validate:
-            self._check_record(tag, record, raw)
-        return raw
 
-    def _read_part(self, tag: str, record: ShardRecord):
-        """Materialise one shard part without mapping it.
+    def _read_part(self, tag: str, record: ShardRecord, validate: bool) -> memoryview:
+        """Land one shard part, without mapping it, in a buffer this restore owns.
 
-        On stores that *prefer* ranged access (``prefers_ranged_reads`` —
-        object stores and tiered stores whose slow tier is one) a large part
-        is fetched as a sequence of bounded sub-shard ranges instead of one
-        whole-object GET — the manifest already knows the part's exact size,
-        so the ranges tile it precisely.  This keeps the remote tier's
-        per-request payloads bounded while the prefetch stage overlaps whole
-        parts across the shard-set.  A local file store reads the part in
-        one pass (per-chunk preads would be pure reopen/syscall overhead).
+        The store fills the buffer through ``read_shard(out=)``.  On stores
+        that *prefer* ranged access (``prefers_ranged_reads`` — object stores
+        and tiered stores whose slow tier is one) a large part is fetched as
+        bounded sub-shard ranges instead, each written in place: the manifest
+        knows the part's exact size, so the ranges tile it precisely and the
+        remote tier's per-request payloads stay bounded.  A local file store
+        reads the part in one pass (per-chunk preads would be pure
+        reopen/syscall overhead).  The size + CRC32 check runs on the landed
+        bytes here, in the prefetch worker, and the checked shard image is
+        then moved up by the < 64 bytes that put its payload on a 64-byte
+        boundary: every consumer decodes the returned view like any shard
+        buffer, and a materialising restore returns aligned views of it.
         """
-        chunk = self.range_fetch_bytes
-        if (chunk and record.nbytes > chunk
+        nbytes, chunk = record.nbytes, self.range_fetch_bytes
+        # Not np.empty: NumPy requests huge pages from 4 MiB up, and where the
+        # kernel grants them on request only, first touches stall in compaction
+        # (incr_cas restores 75-113 ms_ref, 50-54 with this zero fill instead).
+        landing = np.frombuffer(bytearray(nbytes + _PAYLOAD_ALIGN - 1), dtype=np.uint8)
+        whole = memoryview(landing)
+        image = whole[:nbytes]
+        if (chunk and nbytes > chunk
                 and getattr(self.store, "prefers_ranged_reads", False)
                 and supports_ranged_reads(self.store)):
-            buffer = bytearray(record.nbytes)
-            for offset in range(0, record.nbytes, chunk):
-                length = min(chunk, record.nbytes - offset)
+            for offset in range(0, nbytes, chunk):
+                length = min(chunk, nbytes - offset)
                 piece = self.store.read_shard_range(tag, record.name, offset, length)
                 if len(piece) != length:
                     raise ConsistencyError(
                         f"ranged read of shard {record.name!r} ({tag!r}) returned "
                         f"{len(piece)} bytes for [{offset}, {offset + length})"
                     )
-                buffer[offset:offset + length] = piece
-            # Returned as-is (no bytes() copy — it would double peak memory
-            # per part); every consumer takes any buffer-protocol object,
-            # and the non-mmap path always deserializes with copy=True.
-            return buffer
-        return self.store.read_shard(tag, record.name)
+                image[offset:offset + length] = piece
+        else:
+            image = self.store.read_shard(tag, record.name, out=image)
+        if validate:
+            self._check_record(tag, record, image)
+        try:
+            payload_start = decode_preamble(image)[2]
+        except SerializationError:
+            return image  # whoever decodes it next reports it
+        shift = -(landing.ctypes.data + payload_start) % _PAYLOAD_ALIGN
+        if shift:
+            moved = whole[shift:shift + len(image)]
+            moved[:] = image  # overlapping: a memmove inside just-checked memory
+            image = moved
+        return image
 
     def _iter_prefetched_sets(self, tag: str, sets: Sequence[_SetItem],
                               validate: bool) -> Iterator[Tuple[Any, List[ShardRecord], List[Any]]]:
@@ -668,18 +693,23 @@ class CheckpointLoader:
                          buffers: List[Any]) -> Any:
         """Rebuild one logical shard's state; always releases the buffers.
 
-        With ``materialize=False`` the arrays are views into the maps:
-        close() defers to garbage collection while any view lives.
+        The one copy rule: copy only when materialising out of a read-only
+        buffer (a map, a ``bytes``).  The arrays of a landing buffer are
+        writable views of memory this restore owns; materialising copies
+        just those whose slot is misaligned for their dtype.  With
+        ``materialize=False`` the arrays are views into the maps: close()
+        defers to garbage collection while any view lives.
         """
-        copy = self.materialize if self.use_mmap else True
         try:
             datas = [self._buffer_data(buffer) for buffer in buffers]
+            copy = self.materialize and memoryview(datas[0]).readonly
             started = time.perf_counter()
             try:
-                if len(records) == 1 and not records[0].in_shard_set:
-                    state = deserialize_state(datas[0], copy=copy)
-                else:
-                    state = deserialize_rank_state(datas, copy=copy)
+                skeleton, arrays = decode_rank_state(datas, copy=copy)
+                if self.materialize and not copy:
+                    arrays = [array if array.flags.aligned else array.copy()
+                              for array in arrays]
+                state = unflatten_state_dict(skeleton, arrays)
             except Exception as exc:
                 raise RestartError(
                     f"cannot deserialize shard "

@@ -109,9 +109,9 @@ def test_ranged_read_touches_only_covering_chunks(tmp_path, monkeypatch):
     fetched = []
     real_read = store.inner.read_shard
 
-    def counting_read(tag, shard_name):
+    def counting_read(tag, shard_name, out=None):
         fetched.append(tag)
-        return real_read(tag, shard_name)
+        return real_read(tag, shard_name, out=out)
 
     monkeypatch.setattr(store.inner, "read_shard", counting_read)
     got = store.read_shard_range("ck", "rank0", 1000, 100)

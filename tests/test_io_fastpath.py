@@ -319,9 +319,9 @@ class _CountingStore(FileStore):
         self.reads = 0
         self.maps = 0
 
-    def read_shard(self, tag, shard_name):
+    def read_shard(self, tag, shard_name, out=None):
         self.reads += 1
-        return super().read_shard(tag, shard_name)
+        return super().read_shard(tag, shard_name, out=out)
 
     def open_shard_mmap(self, tag, shard_name):
         self.maps += 1

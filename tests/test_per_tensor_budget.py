@@ -11,6 +11,11 @@ The same kind of budget holds the incremental dirty scan in place: each
 engine CRCs a part where it reads the part's tensors — ``datastates`` on its
 copy thread, never on the caller's, and once per tensor per save — and all
 four engines still write the same manifests.
+
+And the restore side: a CAS restore reads each chunk once, straight into its
+slice of the one buffer its part lands in, and a single-dtype state comes back
+as views of those buffers — one read per chunk, one buffer per part, no copy
+per tensor.
 """
 
 import threading
@@ -97,6 +102,54 @@ def test_pwrites_and_pool_allocations_are_per_extent(tmp_path, tensors):
 
 def test_doubling_the_tensor_count_at_equal_bytes_adds_no_calls(tmp_path):
     assert _save_counting(tmp_path, 512) == _save_counting(tmp_path, 1024)
+
+
+# ---------------------------------------------------------------------------
+# The restore side: one read per chunk, one buffer per part, no copy per tensor
+# ---------------------------------------------------------------------------
+
+class _CountingReads(FileStore):
+    """Records the ``out`` of every whole-shard read."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.outs = []
+
+    def read_shard(self, tag, shard_name, out=None):
+        self.outs.append(out)
+        return super().read_shard(tag, shard_name, out=out)
+
+
+@pytest.mark.parametrize("tensors", [64, 128])
+def test_a_cas_restore_reads_each_chunk_once_into_one_buffer_per_part(tmp_path, tensors):
+    parts, chunk_bytes = 4, 256 * 1024
+    inner = _CountingReads(tmp_path)
+    store = CASStore(inner, chunk_bytes=chunk_bytes)
+    state = _state(tensors)
+    with create_real_engine("datastates", store, policy=CheckpointPolicy(
+            host_buffer_size=POOL_BYTES, shards_per_rank=parts)) as engine:
+        engine.save(state, tag="ckpt", iteration=0)
+        engine.wait_all()
+        records = store.read_manifest("ckpt")["shards"]
+        chunks = sum(len(record["chunks"]) for record in records)
+        assert len(records) == parts and chunks >= STATE_BYTES // chunk_bytes
+        inner.outs.clear()
+        restored = engine.load(RestoreSpec(tag="ckpt"))
+
+    for key, value in state.items():
+        np.testing.assert_array_equal(restored[key], value)
+    # C inner reads, every one handed the slice of a landing buffer to fill.
+    assert len(inner.outs) == chunks
+    assert all(isinstance(out, memoryview) and not out.readonly for out in inner.outs)
+    landings = {id(out.obj) for out in inner.outs}
+    assert len(landings) == parts
+    # No ndarray.copy: every array is a writable view of one of the P buffers.
+    for array in restored.values():
+        assert array.flags.writeable and array.flags.aligned and not array.flags.owndata
+        owner = array
+        while isinstance(owner, np.ndarray) and id(owner) not in landings:
+            owner = owner.base.obj if isinstance(owner.base, memoryview) else owner.base
+        assert id(owner) in landings
 
 
 # ---------------------------------------------------------------------------
