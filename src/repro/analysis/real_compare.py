@@ -21,23 +21,6 @@ from ..restart import RestoreSpec
 from ..training import RealTrainer
 
 
-def _store_location(store, store_backend: str) -> str:
-    """Display-friendly location of a store (directory, bucket, tier pair,
-    or namespaced chunk pool)."""
-    job_id = getattr(store, "job_id", None)
-    if job_id is not None and getattr(store, "inner", None) is not None:
-        return f"cas://{job_id}@{_store_location(store.inner, 'pool')}"
-    levels = getattr(store, "levels", None)
-    if levels is not None and getattr(store, "fast", None) is not None:
-        return "tiered://" + " -> ".join(
-            _store_location(level.store, name)
-            for level, name in zip(levels, store.level_names))
-    root = getattr(store, "root", None)
-    if root is not None:
-        return str(root)
-    return f"object://{getattr(store, 'bucket', store_backend)}"
-
-
 def run_real_engine(
     engine_name: str,
     workdir: Union[str, Path],
@@ -62,8 +45,8 @@ def run_real_engine(
     reports the chunk pool's bytes-written / dedup-ratio counters.
     """
     name = canonical_engine_name(engine_name)
-    store = create_store(store_backend, root=Path(workdir) / name,
-                         **(store_kwargs or {}))
+    root = Path(workdir) / name
+    store = create_store(store_backend, root=root, **(store_kwargs or {}))
     engine = create_real_engine(name, store, policy=policy)
     with engine:
         model = NumpyTransformerLM(
@@ -98,7 +81,7 @@ def run_real_engine(
     return {
         "engine": name,
         "label": ENGINE_LABELS.get(name, name),
-        "checkpoint_dir": _store_location(store, store_backend),
+        "checkpoint_dir": f"{store_backend}:{root}",
         "iterations": len(report.steps),
         "checkpoints": len(report.checkpoints),
         "committed": len(committed),

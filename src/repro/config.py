@@ -214,11 +214,10 @@ class CheckpointPolicy:
     #: out to its writer threads the same way.  ``False`` streams the same
     #: bytes through ``write_shard`` instead.
     parallel_shard_writes: bool = True
-    #: Restore shards through a read-only mmap instead of reading the whole
-    #: file into a heap ``bytes`` object: checksums are validated by
+    #: Restore shards through a read-only mmap: checksums are validated by
     #: streaming over the map and arrays are rebuilt straight out of it.
-    #: Ignored on stores with nothing to map (object stores), which fall
-    #: back to whole-object reads.
+    #: ``False``, or a store with nothing to map (object, CAS), lands each
+    #: part with one ``read_shard(out=)`` in a buffer the restore owns.
     mmap_restore: bool = True
     #: Restore-side prefetch: how many shard parts the loader's bounded
     #: fetch + CRC-validate stage keeps in flight ahead of deserialization,

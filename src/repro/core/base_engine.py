@@ -422,7 +422,7 @@ class CheckpointEngine(abc.ABC):
     def stats(self) -> Dict[str, float]:
         """Operational counters (engines extend this with their own)."""
         with self._lock:
-            counters = {
+            return {
                 "engine": self.name,
                 "rank": self.rank,
                 "checkpoints_requested": self._checkpoints_requested,
@@ -431,12 +431,6 @@ class CheckpointEngine(abc.ABC):
                 "pending_flushes": sum(
                     1 for handle in self._handles if not handle.settled.is_set()),
             }
-        # Tier-chain backpressure: total ms this engine's commits spent
-        # blocked at the fast tier's capacity watermark.
-        drain_wait_ms = getattr(self.store, "drain_wait_ms", None)
-        if drain_wait_ms is not None:
-            counters["drain_wait_ms"] = float(drain_wait_ms)
-        return counters
 
     # ---------------------------------------------------------------- helpers
     def default_shard_name(self) -> str:

@@ -35,7 +35,6 @@ from .store import (
     create_store,
     register_store,
     supports_mmap,
-    supports_ranged_reads,
     supports_shard_reference,
     supports_shard_writer,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "create_store",
     "register_store",
     "supports_mmap",
-    "supports_ranged_reads",
     "supports_shard_reference",
     "supports_shard_writer",
     "CASStore",

@@ -518,7 +518,9 @@ class CASStore:
 
     def read_shard_range(self, tag: str, shard_name: str,
                          offset: int, length: int) -> bytes:
-        """Ranged read assembled from only the chunks covering the range."""
+        """Ranged read assembled from only the chunks covering the range —
+        what the tier chain's drain uses to copy a large part in bounded
+        pieces."""
         entry = self._core.shard_chunks(self._tag(tag), shard_name)
         _check_range(tag, shard_name, offset, length, entry.nbytes)
         pieces = []

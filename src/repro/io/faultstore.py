@@ -31,8 +31,8 @@ The wrapper intentionally hides the inner store's ``create_shard_writer`` and
 ``open_shard_mmap`` capabilities: engines fall back to the streaming write
 path and loaders to heap reads, so **every byte moves through the fault
 filter** rather than bypassing it through an fd or a memory map.  Ranged
-reads stay available (with read faults injected) when the inner store has
-them.
+reads (``read_shard_range``, required of every store) are always gated like
+whole reads.
 """
 
 from __future__ import annotations
@@ -165,11 +165,6 @@ class FaultyStore:
         self._failures: Dict[Tuple[str, str], int] = {}
         self._log: List[Dict[str, object]] = []
         self._enabled = True
-        # Ranged reads are exposed (with injection) only when the inner store
-        # has them, as an instance attribute so ``supports_ranged_reads``
-        # feature detection keeps working.
-        if callable(getattr(inner, "read_shard_range", None)):
-            self.read_shard_range = self._faulty_read_shard_range
 
     # -- plumbing -------------------------------------------------------------
     @property
@@ -320,8 +315,8 @@ class FaultyStore:
         return self._maybe_tear_read("read_shard", key, occurrence, op_index,
                                      payload)
 
-    def _faulty_read_shard_range(self, tag: str, shard_name: str,
-                                 offset: int, length: int) -> bytes:
+    def read_shard_range(self, tag: str, shard_name: str,
+                         offset: int, length: int) -> bytes:
         key = f"{tag}/{shard_name}"
         op_index, occurrence = self._gate("read_shard_range", key,
                                           self.plan.read_error_prob)

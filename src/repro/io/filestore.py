@@ -234,7 +234,7 @@ class MappedShard:
 
 def _check_range(tag: str, shard_name: str, offset: int, length: int,
                  size: int) -> None:
-    """Shared bounds check of the ranged-read capability (file and object)."""
+    """Shared bounds check of ``read_shard_range`` (file, object, cas)."""
     if offset < 0 or length < 0 or offset + length > size:
         raise CheckpointError(
             f"range [{offset}, {offset + length}) outside shard "

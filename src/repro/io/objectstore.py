@@ -117,11 +117,6 @@ class ObjectShardWriter:
 class ObjectStore:
     """An in-memory S3-like store of checkpoint shard objects (one per key)."""
 
-    #: Remote-style backend: restores benefit from bounded ranged GETs
-    #: instead of materialising whole objects (the loader consults this — a
-    #: local file store reads a shard in one pass instead).
-    prefers_ranged_reads = True
-
     def __init__(self, bucket: str = "repro-checkpoints", fsync: bool = False) -> None:
         # ``fsync`` is accepted for signature parity with FileStore and
         # ignored: a PUT is durable-or-absent by definition here.
@@ -214,9 +209,9 @@ class ObjectStore:
         """Ranged GET: ``length`` bytes of one shard object from ``offset``.
 
         Each call is one request (it bumps ``get_count``), mirroring an S3
-        ``Range:`` GET — what lets the restore pipeline stream sub-shard
-        chunks instead of materialising whole objects.  Out-of-bounds ranges
-        are rejected rather than truncated (see the file backend).
+        ``Range:`` GET — what the tier chain's drain uses to copy a large
+        part in bounded pieces.  Out-of-bounds ranges are rejected rather
+        than truncated (see the file backend).
         """
         payload = self.read_shard(tag, shard_name)
         _check_range(tag, shard_name, offset, length, len(payload))

@@ -8,13 +8,16 @@ engine, the trainer, the restart path, and the CLI without touching any call
 site.  Stores are selected by name through :func:`create_store`, mirroring how
 engines are selected through :func:`repro.core.create_real_engine`.
 
-The protocol has a required core and four *optional capabilities*:
+The protocol has a required core and three *optional capabilities*:
 
 required
     ``write_shard`` / ``read_shard`` — streaming shard write, whole-shard read
     (``read_shard(tag, name, out=buffer)`` lands the bytes in the caller's
     buffer instead of a fresh ``bytes`` — what a restore that cannot map a
     shard does, one buffer per part, so nothing is joined or copied again);
+    ``read_shard_range`` — a sub-shard byte range (``pread`` on the file
+    backend, a ``Range:`` GET on the object backend), with which the tier
+    chain's drain copies a large part in bounded pieces;
     ``write_manifest`` / ``read_manifest`` — commit-manifest publish/read
     (publishing the manifest is what makes a checkpoint restorable, so a
     backend must order it after every shard of the tag is durable);
@@ -22,17 +25,16 @@ required
     ``list_checkpoints`` / ``list_committed_checkpoints`` /
     ``delete_checkpoint`` — discovery and housekeeping.
 
-optional (feature-detected with ``callable(getattr(store, name, None))``)
+optional (detected only through :func:`supports_shard_writer`,
+:func:`supports_mmap` and :func:`supports_shard_reference`, so a forwarding
+proxy that exposes the attribute exposes the capability)
     ``create_shard_writer`` — offset-addressed writer for the parallel pwrite
     fast path (:class:`~repro.core.FlushPipeline` and the TorchSnapshot-like
     engine fall back to streaming writes when absent);
     ``open_shard_mmap`` — zero-copy mapped reads for the mmap restore path
-    (:class:`~repro.restart.CheckpointLoader` falls back to ``read_shard``
-    when absent — e.g. an object store has no file to map);
-    ``read_shard_range`` — sub-shard ranged reads (``pread`` on the file
-    backend, a ``Range:`` GET on the object backend) used by the restore
-    pipeline to stream large parts in bounded chunks and by the tier
-    chain's drain to copy without materialising whole shards;
+    (:class:`~repro.restart.CheckpointLoader` falls back to
+    ``read_shard(out=)`` when absent — e.g. an object store has no file to
+    map);
     ``record_shard_reference`` — record a shard as a reference to the
     previous committed checkpoint's identical shard (incremental saves;
     :func:`supports_shard_reference`).
@@ -61,8 +63,9 @@ class ShardStore(Protocol):
 
     ``runtime_checkable`` so conformance tests can assert
     ``isinstance(store, ShardStore)``; the optional capabilities
-    (``create_shard_writer``, ``open_shard_mmap``) are deliberately not part
-    of the protocol — callers feature-detect them.
+    (``create_shard_writer``, ``open_shard_mmap``,
+    ``record_shard_reference``) are deliberately not part of the protocol —
+    callers detect them with the ``supports_*`` helpers.
     """
 
     # -- writes --------------------------------------------------------------
@@ -86,6 +89,13 @@ class ShardStore(Protocol):
         treats the plain form: CAS verifies each chunk where it landed, a
         fault-injecting store may return a shortened view.
         """
+        ...
+
+    def read_shard_range(self, tag: str, shard_name: str,
+                         offset: int, length: int) -> bytes:
+        """``length`` bytes of one shard from ``offset``; a range that does
+        not lie inside the shard, or a missing shard, is a
+        :class:`~repro.exceptions.CheckpointError` (never a short read)."""
         ...
 
     def read_manifest(self, tag: str) -> Dict:
@@ -299,11 +309,6 @@ def supports_shard_writer(store: object) -> bool:
 def supports_mmap(store: object) -> bool:
     """Whether ``store`` offers zero-copy mapped reads for restores."""
     return callable(getattr(store, "open_shard_mmap", None))
-
-
-def supports_ranged_reads(store: object) -> bool:
-    """Whether ``store`` offers ``read_shard_range`` (pread / ranged GET)."""
-    return callable(getattr(store, "read_shard_range", None))
 
 
 def supports_shard_reference(store: object) -> bool:

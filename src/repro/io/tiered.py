@@ -28,9 +28,9 @@ optional byte capacity, watermark, and drain-worker budget) where
 * **backpressure** replaces overflow: when level 0 sits above its high
   watermark, ``write_shard`` / ``create_shard_writer`` block (bounded by
   ``backpressure_timeout_s``, with the blocked time accumulated in the
-  ``drain_wait_ms`` counter surfaced through ``drain_metrics()`` and engine
-  stats) until drains + eviction free headroom — the paper's "slow the
-  trainer instead of losing the fast tier".
+  ``drain_wait_ms`` counter surfaced through ``drain_metrics()``) until
+  drains + eviction free headroom — the paper's "slow the trainer instead of
+  losing the fast tier".
 
 Per-checkpoint progress is tracked as a **residency set** (which levels hold
 a committed copy) generalizing the two-tier drain state machine; the legacy
@@ -43,13 +43,13 @@ states are derived views of it::
 A crash mid-drain leaves the target level uncommitted (torn parts, no
 manifest) while shallower levels still restore; the next construction over
 the same stores **resumes idempotently**, skipping parts whose copy on the
-target already matches by size.  Residency is cached in a small JSON
+target already matches by size.  Residency is mirrored into a small JSON
 **tier-index sidecar** (``tier-index.json`` next to level 0's checkpoint
-directories, when that backend is directory-backed); the sidecar is a cache
-— on startup it is reconciled against the levels themselves, which stay the
-source of truth, and its legacy ``{"state", "sequence", "local"}`` entry
-shape is preserved (two-element chains stay byte-layout compatible with the
-pre-chain two-tier store).
+directories, when that backend is directory-backed) for operators; nothing
+reads it back — on startup residency is rebuilt from the levels themselves,
+which stay the source of truth — and its legacy ``{"state", "sequence",
+"local"}`` entry shape is preserved (two-element chains stay byte-layout
+compatible with the pre-chain two-tier store).
 
 ``delete_checkpoint`` operates **cross-level** (and waits out an in-flight
 drain of the tag), so garbage collection never strands keys on any backend.
@@ -71,7 +71,7 @@ from ..exceptions import CheckpointError
 from ..logging_utils import get_logger
 from ..units import parse_bytes
 from .filestore import MappedShard, WriteReceipt, publish_file
-from .store import supports_mmap, supports_ranged_reads
+from .store import supports_mmap
 
 logger = get_logger(__name__)
 
@@ -321,7 +321,7 @@ class TierChain:
                  keep_local_latest: Optional[int] = DEFAULT_KEEP_LOCAL_LATEST,
                  drain_retries: int = DEFAULT_DRAIN_RETRIES,
                  drain_backoff_s: float = DEFAULT_DRAIN_BACKOFF_S,
-                 fsync: bool = False, promote_on_read: bool = True,
+                 fsync: bool = False,
                  backpressure_timeout_s: float = DEFAULT_BACKPRESSURE_TIMEOUT_S) -> None:
         wrapped = [level if isinstance(level, TierLevel) else TierLevel(level)
                    for level in levels]
@@ -352,7 +352,6 @@ class TierChain:
         self.drain_retries = int(drain_retries)
         self.drain_backoff_s = float(drain_backoff_s)
         self.fsync = fsync
-        self.promote_on_read = bool(promote_on_read)
         self.backpressure_timeout_s = float(backpressure_timeout_s)
         self._lock = threading.RLock()
         self._space = threading.Condition(self._lock)
@@ -756,10 +755,10 @@ class TierChain:
         self._account(tag, target, nbytes)
 
     def _part_chunks(self, source: int, tag: str, name: str, nbytes: int):
-        """Stream one shard from a level in bounded chunks (ranged reads when
-        the source supports them, one whole read otherwise)."""
+        """Stream one shard from a level: bounded ranged reads for a large
+        part, one whole read otherwise."""
         store = self._stores[source]
-        if supports_ranged_reads(store) and nbytes > _DRAIN_CHUNK_BYTES:
+        if nbytes > _DRAIN_CHUNK_BYTES:
             for offset in range(0, nbytes, _DRAIN_CHUNK_BYTES):
                 length = min(_DRAIN_CHUNK_BYTES, nbytes - offset)
                 yield store.read_shard_range(tag, name, offset, length)
@@ -897,13 +896,6 @@ class TierChain:
             }
 
     # -- reads (nearest level first) -------------------------------------------
-    @property
-    def prefers_ranged_reads(self) -> bool:
-        """Whether restores should stream sub-shard ranges: inherited from
-        the deepest level (shallow hits are local either way, but a miss
-        walks toward the remote end, where bounded ranges are what pays)."""
-        return bool(getattr(self._stores[-1], "prefers_ranged_reads", False))
-
     def read_shard(self, tag: str, shard_name: str, out=None):
         """Read one shard from the nearest level holding it (into ``out``,
         when given: the level that is read fills it).
@@ -942,8 +934,6 @@ class TierChain:
         loader's checksum pass, never be cached where later reads (including
         post-incident clean ones) would keep serving it.
         """
-        if not self.promote_on_read or hit_index == 0:
-            return
         with self._lock:
             if tag in self._deleted:
                 return
@@ -1003,18 +993,14 @@ class TierChain:
 
     def read_shard_range(self, tag: str, shard_name: str,
                          offset: int, length: int) -> bytes:
-        """Ranged read from the nearest level that holds the shard and
-        supports ranged reads."""
+        """Ranged read from the nearest level that holds the shard."""
         last_error: Optional[BaseException] = None
         for store in self._stores:
-            if not supports_ranged_reads(store):
-                continue
             try:
                 return store.read_shard_range(tag, shard_name, offset, length)
             except (CheckpointError, OSError) as exc:
                 last_error = exc
-        raise last_error if last_error is not None else CheckpointError(
-            f"no tier level supports ranged reads for {tag!r}/{shard_name!r}")
+        raise last_error
 
     def open_shard_mmap(self, tag: str, shard_name: str) -> MappedShard:
         """Zero-copy map from the nearest mappable level; heap fallback.

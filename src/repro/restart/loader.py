@@ -10,9 +10,10 @@ By default shards are restored through a read-only mmap (``use_mmap=True``,
 on stores that can map): the CRC32 is verified by streaming over the buffer in
 bounded chunks and the arrays are rebuilt as ``np.frombuffer`` views straight
 out of it, so a multi-hundred-MB shard is validated and loaded without ever
-holding a second full copy of it in heap memory.  A store that cannot map (an
-object store, a CAS store) fills one landing buffer per part, owned by the
-restore (``read_shard(out=)``) and checked in place in the prefetch worker.
+holding a second full copy of it in heap memory.  Every other part — on a
+store that cannot map (an object store, a CAS store) or with
+``use_mmap=False`` — is landed by one ``read_shard(out=)`` call in one
+buffer owned by the restore, and checked in place in the prefetch worker.
 
 One rule decides what is copied: *copy only when materialising out of a
 read-only buffer*.  ``materialize=True`` (the default) copies each array out
@@ -66,7 +67,7 @@ import numpy as np
 
 from ..config import DEFAULT_PREFETCH_DEPTH
 from ..exceptions import CheckpointError, ConsistencyError, RestartError, SerializationError
-from ..io import MappedShard, ShardStore, supports_mmap, supports_ranged_reads
+from ..io import MappedShard, ShardStore, supports_mmap
 from ..logging_utils import get_logger
 from ..serialization import (
     CheckpointManifest,
@@ -83,10 +84,6 @@ logger = get_logger(__name__)
 
 #: Upper bound on concurrent per-shard validation threads.
 _MAX_VALIDATE_WORKERS = 8
-
-#: Chunk size of ranged fetches on stores that support ``read_shard_range``;
-#: parts at most this large are fetched with one whole-shard read.
-DEFAULT_RANGE_FETCH_BYTES = 8 * 1024 * 1024
 
 #: A non-mapped part is landed so that its payload starts on this boundary.
 _PAYLOAD_ALIGN = 64
@@ -147,8 +144,7 @@ class CheckpointLoader:
 
     def __init__(self, store: ShardStore, verify_checksums: bool = True,
                  use_mmap: bool = True, materialize: bool = True,
-                 prefetch_depth: Optional[int] = None,
-                 range_fetch_bytes: Optional[int] = None) -> None:
+                 prefetch_depth: Optional[int] = None) -> None:
         self.store = store
         self.verify_checksums = verify_checksums
         self.use_mmap = bool(use_mmap and supports_mmap(store))
@@ -163,14 +159,6 @@ class CheckpointLoader:
         self._timing_lock = threading.Lock()
         self._fetch_seconds: deque = deque(maxlen=_TIMING_WINDOW)
         self._deserialize_seconds: deque = deque(maxlen=_TIMING_WINDOW)
-        # Non-mmap fetches stream sub-shard ranges of at most this many bytes
-        # on stores that support ranged reads (pread / object-store ranged
-        # GETs); 0 disables ranged fetching (whole-shard reads only).
-        chunk = (DEFAULT_RANGE_FETCH_BYTES if range_fetch_bytes is None
-                 else int(range_fetch_bytes))
-        if chunk < 0:
-            raise RestartError("range_fetch_bytes must be >= 0")
-        self.range_fetch_bytes = chunk
 
     # -- discovery ---------------------------------------------------------
     def committed_checkpoints(self) -> List[CheckpointInfo]:
@@ -337,40 +325,21 @@ class CheckpointLoader:
     def _read_part(self, tag: str, record: ShardRecord, validate: bool) -> memoryview:
         """Land one shard part, without mapping it, in a buffer this restore owns.
 
-        The store fills the buffer through ``read_shard(out=)``.  On stores
-        that *prefer* ranged access (``prefers_ranged_reads`` — object stores
-        and tiered stores whose slow tier is one) a large part is fetched as
-        bounded sub-shard ranges instead, each written in place: the manifest
-        knows the part's exact size, so the ranges tile it precisely and the
-        remote tier's per-request payloads stay bounded.  A local file store
-        reads the part in one pass (per-chunk preads would be pure
-        reopen/syscall overhead).  The size + CRC32 check runs on the landed
-        bytes here, in the prefetch worker, and the checked shard image is
-        then moved up by the < 64 bytes that put its payload on a 64-byte
-        boundary: every consumer decodes the returned view like any shard
-        buffer, and a materialising restore returns aligned views of it.
+        Every store fills the buffer with one ``read_shard(out=)`` call, sized
+        from the manifest (a store holding a different size fails it).  The
+        size + CRC32 check runs on the landed bytes here, in the prefetch
+        worker, and the checked shard image is then moved up by the < 64
+        bytes that put its payload on a 64-byte boundary: every consumer
+        decodes the returned view like any shard buffer, and a materialising
+        restore returns aligned views of it.
         """
-        nbytes, chunk = record.nbytes, self.range_fetch_bytes
+        nbytes = record.nbytes
         # Not np.empty: NumPy requests huge pages from 4 MiB up, and where the
         # kernel grants them on request only, first touches stall in compaction
         # (incr_cas restores 75-113 ms_ref, 50-54 with this zero fill instead).
         landing = np.frombuffer(bytearray(nbytes + _PAYLOAD_ALIGN - 1), dtype=np.uint8)
         whole = memoryview(landing)
-        image = whole[:nbytes]
-        if (chunk and nbytes > chunk
-                and getattr(self.store, "prefers_ranged_reads", False)
-                and supports_ranged_reads(self.store)):
-            for offset in range(0, nbytes, chunk):
-                length = min(chunk, nbytes - offset)
-                piece = self.store.read_shard_range(tag, record.name, offset, length)
-                if len(piece) != length:
-                    raise ConsistencyError(
-                        f"ranged read of shard {record.name!r} ({tag!r}) returned "
-                        f"{len(piece)} bytes for [{offset}, {offset + length})"
-                    )
-                image[offset:offset + length] = piece
-        else:
-            image = self.store.read_shard(tag, record.name, out=image)
+        image = self.store.read_shard(tag, record.name, out=whole[:nbytes])
         if validate:
             self._check_record(tag, record, image)
         try:

@@ -24,35 +24,15 @@ from .header import decode_preamble
 
 
 def deserialize_state(raw, copy: bool = True) -> Any:
-    """Rebuild the original nested state dict from shard-file bytes.
+    """Rebuild the original nested state dict from one shard file's bytes.
 
     ``copy=False`` returns read-only array views backed by ``raw`` (opt-in
     zero-copy restore); the caller must keep the buffer open for as long as
-    the arrays live.  ``copy=True`` returns independent writable arrays.
+    the arrays live.  ``copy=True`` returns independent writable arrays.  One
+    part of a multi-part set is not a state: it raises
+    :class:`~repro.exceptions.SerializationError`.
     """
-    header, skeleton_bytes, payload_start = decode_preamble(raw)
-    expected_end = payload_start + header.payload_bytes
-    if len(raw) < expected_end:
-        raise SerializationError(
-            f"shard file truncated: expected {expected_end} bytes, got {len(raw)}"
-        )
-    try:
-        skeleton = pickle.loads(skeleton_bytes)
-    except Exception as exc:
-        raise SerializationError(f"cannot unpickle shard skeleton: {exc}") from exc
-
-    arrays: List[np.ndarray] = []
-    for entry in header.entries:
-        start = payload_start + entry.offset
-        if start + entry.nbytes > expected_end:
-            raise SerializationError(f"payload for {entry.key!r} is truncated")
-        dtype = np.dtype(entry.dtype)
-        count = entry.nbytes // dtype.itemsize
-        array = np.frombuffer(raw, dtype=dtype, count=count, offset=start).reshape(entry.shape)
-        if copy:
-            array = array.copy()
-        arrays.append(array)
-    return unflatten_state_dict(skeleton, arrays)
+    return unflatten_state_dict(*decode_rank_state([raw], copy=copy))
 
 
 def deserialize_rank_state(raws: Sequence[Any], copy: bool = True) -> Any:
@@ -62,11 +42,8 @@ def deserialize_rank_state(raws: Sequence[Any], copy: bool = True) -> Any:
     any order.  Multi-shard headers carry each tensor's global index, which is
     used to map payloads back onto the skeleton's placeholders; every part
     carries the full skeleton, so reassembly does not depend on which buffer
-    is read first.  A single v1 buffer (no ``index`` fields) is delegated to
-    :func:`deserialize_state` unchanged.
+    is read first.
     """
-    if len(raws) == 1:
-        return deserialize_state(raws[0], copy=copy)
     return unflatten_state_dict(*decode_rank_state(raws, copy=copy))
 
 

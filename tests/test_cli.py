@@ -81,7 +81,7 @@ def test_cli_train_tiered_store_reports_drain(capsys, tmp_path):
     assert code == 0
     out = capsys.readouterr().out
     assert "drained" in out
-    assert "tiered://" in out
+    assert f"checkpoints -> tiered:{tmp_path / 'datastates'}" in out
     assert (tmp_path / "datastates" / "fast").is_dir()
 
 

@@ -14,11 +14,13 @@ import pytest
 
 from repro.config import CheckpointPolicy
 from repro.core import ENGINE_NAMES, DataStatesCheckpointEngine, create_real_engine
+from repro.exceptions import SerializationError
 from repro.io import FileStore
 from repro.model import NumpyTransformerLM, tiny_config
 from repro.restart import CheckpointLoader, RestoreSpec
 from repro.serialization import (
     deserialize_rank_state,
+    deserialize_state,
     plan_shards,
     serialize_part,
     serialize_state,
@@ -106,6 +108,16 @@ def test_multi_shard_set_reassembles_from_any_buffer_order():
         loaded = deserialize_rank_state(list(order))
         for key, value in state["model"].items():
             np.testing.assert_array_equal(loaded["model"][key], value)
+
+
+def test_one_part_of_a_multi_shard_set_is_not_a_state():
+    """``deserialize_state`` decodes like a one-buffer set: a lone part is
+    missing the other parts' tensors, never mapped onto the wrong slots."""
+    state = _state(tensors=9, seed=3)
+    plan = plan_shards(flatten_state_dict(state), "rank0", shards_per_rank=4)
+    for part in plan.parts:
+        with pytest.raises(SerializationError, match="missing tensors"):
+            deserialize_state(serialize_part(part, plan.skeleton))
 
 
 # ---------------------------------------------------------------------------

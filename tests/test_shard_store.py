@@ -18,7 +18,6 @@ from repro.io import (
     publish_file,
     register_store,
     supports_mmap,
-    supports_ranged_reads,
     supports_shard_writer,
 )
 from repro.restart import CheckpointLoader
@@ -73,8 +72,9 @@ def test_capability_detection(tmp_path):
     assert supports_shard_writer(file_store) and supports_mmap(file_store)
     # The object store has nothing to map but does stage parallel pwrites.
     assert supports_shard_writer(object_store) and not supports_mmap(object_store)
-    # Both backends serve sub-shard ranges (pread / ranged GET).
-    assert supports_ranged_reads(file_store) and supports_ranged_reads(object_store)
+    # Ranged reads are part of the protocol, not a capability to detect.
+    assert "read_shard_range" in ShardStore.__dict__
+    assert isinstance(file_store, ShardStore) and isinstance(object_store, ShardStore)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from repro.io import (
     make_node_local_storage,
     make_parallel_fs,
     supports_mmap,
-    supports_ranged_reads,
     supports_shard_writer,
 )
 from repro.io.tiered import TIER_INDEX_NAME
@@ -105,7 +104,6 @@ def test_create_store_tiered_composes_backends(tmp_path):
     # Every optional capability is present (fast tier is a FileStore).
     assert supports_shard_writer(store)
     assert supports_mmap(store)
-    assert supports_ranged_reads(store)
 
 
 def test_create_store_tiered_custom_tiers(tmp_path):
@@ -262,7 +260,7 @@ def test_reads_prefer_the_fast_tier(tmp_path):
 # Promote-on-read rehydration
 # ---------------------------------------------------------------------------
 
-def test_promote_on_read_rehydrates_fast_tier(tmp_path):
+def test_promotion_on_read_rehydrates_fast_tier(tmp_path):
     """A slow-tier fallback read lands the part back in the fast tier, and
     once every part is local the fast-tier manifest is republished
     (manifest-last) — so the next restore is served locally again."""
@@ -287,17 +285,6 @@ def test_promote_on_read_rehydrates_fast_tier(tmp_path):
     before = store.slow.get_count
     CheckpointLoader(store).restore(RestoreSpec.full(tag="ckpt-1"))
     assert store.slow.get_count == before
-    store.close()
-
-
-def test_promote_on_read_can_be_disabled(tmp_path):
-    store = _tiered(tmp_path, promote_on_read=False)
-    _save(store, ["ckpt-1"])
-    store.wait_drained()
-    store.fast.delete_checkpoint("ckpt-1")
-    CheckpointLoader(store).restore(RestoreSpec.full(tag="ckpt-1"))
-    assert store.fast.list_committed_checkpoints() == []
-    assert store.drain_metrics()["promoted_parts"] == 0
     store.close()
 
 
@@ -506,32 +493,6 @@ def test_tiered_read_shard_range_falls_back_to_slow(tmp_path):
     whole = store.fast.read_shard("ckpt-1", "rank0")
     store.fast.delete_checkpoint("ckpt-1")
     assert store.read_shard_range("ckpt-1", "rank0", 4, 16) == whole[4:20]
-    store.close()
-
-
-def test_loader_uses_ranged_fetches_on_the_slow_tier(tmp_path):
-    """With a small range-fetch chunk the non-mmap restore streams sub-shard
-    ranges (several GETs per part) instead of whole objects, and still
-    reassembles byte-identical state."""
-    store = _tiered(tmp_path)
-    _save(store, ["ckpt-1"])
-    store.wait_drained()
-    reference = CheckpointLoader(store).restore(RestoreSpec.full(tag="ckpt-1"))
-    store.fast.delete_checkpoint("ckpt-1")
-
-    slow = store.slow
-    before = slow.get_count
-    loader = CheckpointLoader(store, use_mmap=False, range_fetch_bytes=1024)
-    restored = loader.restore(RestoreSpec.full(tag="ckpt-1"))
-    nbytes = slow.total_bytes("ckpt-1")
-    assert slow.get_count - before >= nbytes // 1024  # many ranged GETs
-    np.testing.assert_array_equal(reference[0]["model"]["w"],
-                                  restored[0]["model"]["w"])
-
-    # range_fetch_bytes=0 disables ranged fetching: whole-object GETs again.
-    before = slow.get_count
-    CheckpointLoader(store, use_mmap=False, range_fetch_bytes=0).restore(RestoreSpec.full(tag="ckpt-1"))
-    assert slow.get_count - before < nbytes // 1024
     store.close()
 
 
