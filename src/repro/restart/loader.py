@@ -38,15 +38,19 @@ the CLI ``--prefetch-depth`` flag) fetches and CRC-validates shard parts
 ahead of deserialization, so a one-rank restore overlaps I/O with reassembly
 across a multi-shard set and an all-ranks restore additionally overlaps
 across ranks — while rank N's state is being rebuilt, rank N+1's parts are
-already being fetched and checksummed.  ``prefetch_depth=1`` disables the
-pipeline (strictly serial fetch -> validate -> deserialize);
+already being fetched and checksummed.  A mapped part's CRC32 pass runs on a
+worker while its arrays are copied out, so even one part checks and copies
+at once.  ``prefetch_depth=1`` keeps the strictly serial fetch -> validate
+-> deserialize path;
 ``prefetch_depth=0`` selects **auto mode**: the loader records per-part
 fetch and deserialize wall times and picks the depth from the measured
 overlap ratio (a fetch-bound restore gets a deeper pipeline, a
 deserialize-bound one stays shallow — see :func:`choose_prefetch_depth`).
 
 Validation and loading happen in one pass over each shard —
-``restore(spec)`` with ``validate=True`` never reads a shard twice, and
+``restore(spec)`` with ``validate=True`` never reads a shard twice, returns
+nothing (and closes no map) before its parts' checks have passed, and
+reports a failed check over any decode error its corrupt bytes caused.
 ``validate=False`` skips the per-shard size/CRC checks entirely (manifest
 completeness is still enforced).
 """
@@ -59,7 +63,7 @@ import threading
 import time
 import traceback
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -229,8 +233,9 @@ class CheckpointLoader:
 
         self._parallel_each(records, check)
 
-    def _check_record(self, tag: str, record: ShardRecord, buffer) -> None:
-        """Size + CRC32 validation of one shard against its manifest record.
+    def _check_record(self, tag: str, record: ShardRecord, buffer, crc: bool = True) -> None:
+        """Size + CRC32 validation of one shard against its manifest record
+        (``crc=False``: the size alone).
 
         ``buffer`` may be heap bytes or an mmap; the checksum pass streams
         over it in bounded chunks either way.
@@ -240,7 +245,7 @@ class CheckpointLoader:
                 f"shard {record.name!r} of {tag!r} has {len(buffer)} bytes, "
                 f"manifest says {record.nbytes}"
             )
-        if self.verify_checksums and record.checksum is not None:
+        if crc and self.verify_checksums and record.checksum is not None:
             if checksum_stream(buffer) != record.checksum:
                 raise ConsistencyError(
                     f"shard {record.name!r} of {tag!r} failed its checksum"
@@ -288,17 +293,50 @@ class CheckpointLoader:
         if isinstance(buffer, MappedShard):
             buffer.close()
 
+    def _release(self, buffers: Sequence[Any], checks: Sequence[Future]) -> None:
+        """Close fetched parts once the pending checks on them have finished:
+        a map closed while its check still reads it would stay mapped."""
+        wait(checks)
+        for buffer in buffers:
+            self._close_buffer(buffer)
+
+    @staticmethod
+    def _join_checks(checks: Sequence[Future]) -> None:
+        """Wait for every pending check, then raise the first that failed."""
+        wait(checks)
+        for check in checks:
+            check.result()
+
     def _fetch_part(self, tag: str, record: ShardRecord, validate: bool):
-        """Fetch one shard part, recording its wall time for auto mode."""
+        """Fetch and check one shard part, recording its wall time for auto mode."""
+        buffer, seconds = self._fetch_timed(tag, record, validate)
+        try:
+            self._finish_fetch(tag, record, validate, buffer, seconds)
+        except BaseException:
+            self._close_buffer(buffer)
+            raise
+        return buffer
+
+    def _fetch_timed(self, tag: str, record: ShardRecord, validate: bool) -> Tuple[Any, float]:
+        """``(part, seconds taken)`` of one :meth:`_fetch_part_untimed`."""
         started = time.perf_counter()
         buffer = self._fetch_part_untimed(tag, record, validate)
+        return buffer, time.perf_counter() - started
+
+    def _finish_fetch(self, tag: str, record: ShardRecord, validate: bool,
+                      buffer, seconds: float) -> None:
+        """Run a fetched map's CRC32 pass, then record the part's fetch time
+        for auto mode: ``seconds`` plus the pass, not any wait before it."""
+        started = time.perf_counter()
+        if validate and isinstance(buffer, MappedShard):
+            self._check_record(tag, record, buffer.data)
         with self._timing_lock:
-            self._fetch_seconds.append(time.perf_counter() - started)
-        return buffer
+            self._fetch_seconds.append(seconds + time.perf_counter() - started)
 
     def _fetch_part_untimed(self, tag: str, record: ShardRecord, validate: bool):
         """Fetch one shard part (mmap or whole read) and optionally validate
-        its size/CRC32; never leaks the mapping on a validation failure.
+        it (a map's size only: :meth:`_finish_fetch` runs its CRC32 pass);
+        never leaks the mapping on a validation failure.
 
         Store-level read failures (an outage, a flaky device, a vanished
         object) surface as :class:`~repro.exceptions.CheckpointError` rather
@@ -311,7 +349,7 @@ class CheckpointLoader:
                     f"cannot map shard {record.name!r} of {tag!r}: {exc}") from exc
             try:
                 if validate:
-                    self._check_record(tag, record, mapped.data)
+                    self._check_record(tag, record, mapped.data, crc=False)
             except BaseException:
                 mapped.close()
                 raise
@@ -353,35 +391,37 @@ class CheckpointLoader:
             image = moved
         return image
 
-    def _iter_prefetched_sets(self, tag: str, sets: Sequence[_SetItem],
-                              validate: bool) -> Iterator[Tuple[Any, List[ShardRecord], List[Any]]]:
-        """Yield ``(key, records, buffers)`` per logical shard, prefetching ahead.
+    def _iter_prefetched_sets(self, tag: str, sets: Sequence[_SetItem], validate: bool
+                              ) -> Iterator[Tuple[Any, List[ShardRecord], List[Any], List[Future]]]:
+        """Yield ``(key, records, buffers, checks)`` per logical shard, prefetching ahead.
 
         The fetch+validate stage runs on ``prefetch_depth`` bounded workers
         with at most ``prefetch_depth`` parts in flight, so while the consumer
         deserializes one shard-set the next parts (of this set, and of later
-        sets/ranks) are already being read and checksummed.  Ownership of the
-        yielded buffers passes to the consumer; buffers of sets never yielded
-        (because a fetch or the consumer failed) are closed here, so no mmap
-        handle outlives an aborted restore.
+        sets/ranks) are already being read and checksummed.  ``checks`` are
+        the CRC32 passes of the set's maps, still running, for the consumer
+        to join.  Ownership of the yielded buffers and checks passes to the
+        consumer; those of sets never yielded (because a fetch or the
+        consumer failed) are released here, so no mmap handle outlives an
+        aborted restore.
 
-        With ``prefetch_depth`` 1 (or a single part) the pipeline degrades
-        to the strictly serial path with identical semantics; 0 resolves to
-        a measured depth (see :attr:`effective_prefetch_depth`).
+        ``prefetch_depth`` 1 is the strictly serial path (every check done
+        before its set is yielded, ``checks`` empty); 0 resolves to a
+        measured depth (see :attr:`effective_prefetch_depth`).
         """
         parts = [(set_index, record)
                  for set_index, (_key, records) in enumerate(sets)
                  for record in records]
         resolved_depth = self.effective_prefetch_depth
-        if resolved_depth <= 1 or len(parts) <= 1:
+        if resolved_depth <= 1:
             for key, records in sets:
-                buffers = self._fetch_set(tag, records, validate)
-                yield key, records, buffers
+                yield key, records, self._fetch_set(tag, records, validate), []
             return
 
         depth = min(resolved_depth, len(parts))
-        pending: deque = deque()      # (set_index, future), submission order
+        pending: deque = deque()      # (set_index, record, future), submission order
         ready: Dict[int, List[Any]] = {}
+        checking: Dict[int, List[Future]] = {}
         next_part = 0
         emitted = 0
         with ThreadPoolExecutor(max_workers=depth,
@@ -390,32 +430,38 @@ class CheckpointLoader:
                 while emitted < len(sets):
                     while next_part < len(parts) and len(pending) < resolved_depth:
                         set_index, record = parts[next_part]
-                        pending.append(
-                            (set_index,
-                             pool.submit(self._fetch_part, tag, record, validate)))
+                        pending.append((set_index, record,
+                                        pool.submit(self._fetch_timed, tag, record, validate)))
                         next_part += 1
-                    set_index, future = pending.popleft()
+                    set_index, record, future = pending.popleft()
                     # Futures retire in submission order here, so each set's
                     # buffers accumulate in part order.
-                    ready.setdefault(set_index, []).append(future.result())
+                    buffer, seconds = future.result()
+                    ready.setdefault(set_index, []).append(buffer)
+                    if validate and isinstance(buffer, MappedShard):
+                        # Its CRC32 pass runs beside the consumer's copy out of it.
+                        checking.setdefault(set_index, []).append(pool.submit(
+                            self._finish_fetch, tag, record, validate, buffer, seconds))
+                    else:
+                        self._finish_fetch(tag, record, validate, buffer, seconds)
                     while (emitted < len(sets)
                            and len(ready.get(emitted, ())) == len(sets[emitted][1])):
                         key, records = sets[emitted]
-                        buffers = ready.pop(emitted)
+                        buffers, checks = ready.pop(emitted), checking.pop(emitted, [])
                         emitted += 1
-                        yield key, records, buffers
+                        yield key, records, buffers, checks
             except BaseException:
                 # A fetch failed or the consumer bailed (including
                 # GeneratorExit): drain the in-flight fetches and release
                 # every buffer still owned by the pipeline.
-                for _set_index, future in pending:
+                owned = [buffer for buffers in ready.values() for buffer in buffers]
+                for _set_index, _record, future in pending:
                     try:
-                        self._close_buffer(future.result())
+                        owned.append(future.result()[0])
                     except Exception:  # noqa: BLE001 - already failing
                         pass
-                for buffers in ready.values():
-                    for buffer in buffers:
-                        self._close_buffer(buffer)
+                self._release(owned, [check for checks in checking.values()
+                                      for check in checks])
                 raise
 
     @property
@@ -526,12 +572,14 @@ class CheckpointLoader:
                 f"checkpoint {tag!r} does not hold exactly one logical shard for "
                 f"each of the source ranks {sorted(plan.source_ranks)[:8]}")
         held: List[Any] = []
+        checks: List[Future] = []
         sources: Dict[int, Any] = {}
-        busy = 0.0  # decode + remap wall time, fetch waits excluded
+        busy = 0.0  # decode + remap wall time, fetch and check waits excluded
         try:
-            for name, records, buffers in self._iter_prefetched_sets(
+            for name, records, buffers, set_checks in self._iter_prefetched_sets(
                     tag, sets, spec.validate):
                 held.extend(buffers)
+                checks.extend(set_checks)
                 started, rank = time.perf_counter(), records[0].rank
                 try:
                     skeleton, arrays = decode_rank_state(
@@ -545,6 +593,7 @@ class CheckpointLoader:
                         # cyclic GC runs; emptied, it pins no view either.
                         del arrays[:]
                 except Exception as exc:
+                    traceback.clear_frames(exc.__traceback__)  # they hold views of the maps
                     raise RestartError(
                         f"cannot deserialize shard {name!r} of {tag!r}: {exc}") from exc
                 if isinstance(sources[rank], dict) and sources[rank].get("extra") is not None:
@@ -554,13 +603,15 @@ class CheckpointLoader:
             states = plan.run(sources, validate=spec.validate)
             busy += time.perf_counter() - started
         except BaseException as exc:
-            # The frames below this one still hold views of the buffers.
+            # The frames below this one still hold views of the buffers; a failed
+            # check outranks what its bytes broke (a decode, a coordinate, a twin).
             traceback.clear_frames(exc.__traceback__)
+            self._join_checks(checks)
             raise
         finally:
             sources.clear()
-            for buffer in held:
-                self._close_buffer(buffer)
+            self._release(held, checks)
+        self._join_checks(checks)
         # Auto mode's per-part deserialize cost, amortised as in _deserialize_set.
         with self._timing_lock:
             self._deserialize_seconds.extend([busy / max(1, len(held))] * len(held))
@@ -613,11 +664,11 @@ class CheckpointLoader:
         shard_sets = manifest.shard_sets_of_rank(rank)
         if not shard_sets:
             raise RestartError(f"checkpoint {tag!r} holds no shards for rank {rank}")
-        loaded = {
-            name: self._deserialize_set(tag, records, buffers)
-            for name, records, buffers in self._iter_prefetched_sets(
-                tag, list(shard_sets.items()), validate)
-        }
+        # Not a comprehension: its frame, in a failure's traceback, pins the pipeline.
+        loaded = {}
+        for name, records, buffers, checks in self._iter_prefetched_sets(
+                tag, list(shard_sets.items()), validate):
+            loaded[name] = self._deserialize_set(tag, records, buffers, checks)
         if len(loaded) == 1:
             return next(iter(loaded.values()))
         return loaded
@@ -643,23 +694,23 @@ class CheckpointLoader:
             for name, records in manifest.shard_sets_of_rank(rank).items():
                 sets.append(((rank, name), records))
         per_rank: Dict[int, Dict[str, Any]] = {}
-        for (rank, name), records, buffers in self._iter_prefetched_sets(
+        for (rank, name), records, buffers, checks in self._iter_prefetched_sets(
                 tag, sets, validate):
             per_rank.setdefault(rank, {})[name] = \
-                self._deserialize_set(tag, records, buffers)
+                self._deserialize_set(tag, records, buffers, checks)
         return {rank: next(iter(loaded.values())) if len(loaded) == 1 else loaded
                 for rank, loaded in per_rank.items()}
 
     def _load_shard_set(self, tag: str, records: List[ShardRecord],
                         validate: bool = True) -> Any:
         """Fetch + validate + reassemble one logical shard (1..N parts)."""
-        for _key, recs, buffers in self._iter_prefetched_sets(
+        for _key, recs, buffers, checks in self._iter_prefetched_sets(
                 tag, [(records[0].group or records[0].name, list(records))], validate):
-            return self._deserialize_set(tag, recs, buffers)
+            return self._deserialize_set(tag, recs, buffers, checks)
         raise RestartError(f"checkpoint {tag!r} shard-set is empty")  # pragma: no cover
 
     def _deserialize_set(self, tag: str, records: Sequence[ShardRecord],
-                         buffers: List[Any]) -> Any:
+                         buffers: List[Any], checks: Sequence[Future]) -> Any:
         """Rebuild one logical shard's state; always releases the buffers.
 
         The one copy rule: copy only when materialising out of a read-only
@@ -668,10 +719,16 @@ class CheckpointLoader:
         just those whose slot is misaligned for their dtype.  With
         ``materialize=False`` the arrays are views into the maps: close()
         defers to garbage collection while any view lives.
+
+        ``checks`` (the maps' pending CRC32 passes) run beside the copy and
+        are joined before anything is returned; a failed one outranks a
+        decode error.  Views are built only once their map has passed.
         """
         try:
             datas = [self._buffer_data(buffer) for buffer in buffers]
             copy = self.materialize and memoryview(datas[0]).readonly
+            if not copy:
+                self._join_checks(checks)
             started = time.perf_counter()
             try:
                 skeleton, arrays = decode_rank_state(datas, copy=copy)
@@ -680,6 +737,7 @@ class CheckpointLoader:
                               for array in arrays]
                 state = unflatten_state_dict(skeleton, arrays)
             except Exception as exc:
+                self._join_checks(checks)
                 raise RestartError(
                     f"cannot deserialize shard "
                     f"{records[0].group or records[0].name!r} of {tag!r}: {exc}"
@@ -687,12 +745,12 @@ class CheckpointLoader:
             # Per-part deserialize cost for auto mode: the set is rebuilt as
             # one unit, so the wall time is amortised over its parts.
             per_part = (time.perf_counter() - started) / max(1, len(records))
+            self._join_checks(checks)
             with self._timing_lock:
                 self._deserialize_seconds.extend([per_part] * len(records))
             return state
         finally:
-            for buffer in buffers:
-                self._close_buffer(buffer)
+            self._release(buffers, checks)
 
     # -- housekeeping --------------------------------------------------------------------
     def prune_uncommitted(self) -> List[str]:

@@ -246,6 +246,8 @@ class FairShareLink:
         if finished:
             for flow in finished:
                 self._flows.remove(flow)
+                # The residual below the epsilon is delivered with the flow.
+                self._bytes_transferred += flow.remaining
                 flow.remaining = 0.0
                 flow.finished_at = self.env.now
                 flow.done.succeed(flow)

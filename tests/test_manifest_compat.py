@@ -1,11 +1,15 @@
-"""Manifest v1 -> v2 compatibility.
+"""Manifest v1 -> v4 compatibility.
 
 ``tests/fixtures/v1_checkpoint`` holds a committed checkpoint exactly as
 every pre-multi-shard release wrote it: one ``rank0.shard`` and a v1
 manifest (no ``version`` key, no shard-set fields).  It must keep restoring
 bit-exactly through the new loader, and v2 manifests must round-trip with
 their shard-set metadata intact while single-shard checkpoints keep
-producing v1-identical manifest JSON.
+producing v1-identical manifest JSON.  Beside it sit a v2 (two-part shard
+set), a v3 (CAS chunk lists over a file root) and a v4 (an elastic dp1 x tp2
+grid with its topology block) fixture; each restores unchanged, is checked
+to really be its schema version, and is reproduced byte for byte by saving
+its state again.
 """
 
 from pathlib import Path
@@ -16,8 +20,13 @@ import pytest
 from repro.config import CheckpointPolicy
 from repro.core import DataStatesCheckpointEngine
 from repro.exceptions import ConsistencyError
-from repro.io import FileStore
-from repro.restart import CheckpointLoader, RestoreSpec
+from repro.io import CASStore, FileStore
+from repro.restart import (
+    CheckpointLoader,
+    RestoreSpec,
+    elastic_topology,
+    save_elastic_checkpoint,
+)
 from repro.serialization import CheckpointManifest, ShardRecord
 
 FIXTURE_ROOT = Path(__file__).parent / "fixtures" / "v1_checkpoint"
@@ -25,6 +34,13 @@ FIXTURE_TAG = "ckpt-000004"
 
 V2_FIXTURE_ROOT = Path(__file__).parent / "fixtures" / "v2_checkpoint"
 V2_FIXTURE_TAG = "ckpt-000008"
+
+V3_FIXTURE_ROOT = Path(__file__).parent / "fixtures" / "v3_checkpoint"
+V3_FIXTURE_TAG = "ckpt-000012"
+V3_CHUNK_BYTES = 1024  # four chunks for the 3135-byte shard
+
+V4_FIXTURE_ROOT = Path(__file__).parent / "fixtures" / "v4_checkpoint"
+V4_FIXTURE_TAG = "ckpt-000016"
 
 
 def fixture_state():
@@ -122,8 +138,131 @@ def test_v2_fixture_manifest_has_no_v3_keys():
 
 
 # ---------------------------------------------------------------------------
-# Saving the fixture state today reproduces both fixtures byte for byte
+# The committed v3 (CAS chunk-list) fixture restores unchanged
 # ---------------------------------------------------------------------------
+
+def _v3_store(root):
+    return CASStore(FileStore(root), chunk_bytes=V3_CHUNK_BYTES)
+
+
+@pytest.mark.parametrize("use_mmap", [True, False])
+def test_v3_fixture_checkpoint_restores_unchanged(use_mmap):
+    loader = CheckpointLoader(_v3_store(V3_FIXTURE_ROOT), use_mmap=use_mmap)
+
+    manifest = loader.validate(V3_FIXTURE_TAG)
+    assert manifest.version == 3
+    assert [record.name for record in manifest.shards] == ["rank0"]
+
+    expected = fixture_state()
+    loaded = loader.restore(RestoreSpec.of_rank(0, tag=V3_FIXTURE_TAG))
+    np.testing.assert_array_equal(loaded["model"]["w"], expected["model"]["w"])
+    np.testing.assert_array_equal(loaded["model"]["b"], expected["model"]["b"])
+    np.testing.assert_array_equal(loaded["optimizer"]["m"], expected["optimizer"]["m"])
+    assert loaded["optimizer"]["step"] == 4
+    assert loaded["iteration"] == 4
+
+
+def test_v3_fixture_manifest_has_chunk_lists_and_no_topology():
+    """Guard: the committed fixture is schema v3 on disk — every record a
+    chunk list summing to its size, no v4 topology block."""
+    import json
+
+    [manifest_path] = V3_FIXTURE_ROOT.glob(f"*{V3_FIXTURE_TAG}/manifest.json")
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["version"] == 3
+    assert "topology" not in manifest
+    for record in manifest["shards"]:
+        assert len(record["chunks"]) > 1
+        assert sum(size for _digest, size in record["chunks"]) == record["nbytes"]
+
+
+# ---------------------------------------------------------------------------
+# The committed v4 (elastic topology) fixture restores unchanged and reshaped
+# ---------------------------------------------------------------------------
+
+def v4_model():
+    """The exact model the committed v4 fixture was generated from."""
+    return {"w": (np.arange(48, dtype=np.float32) * 0.25).reshape(8, 6),
+            "b": np.arange(8, dtype=np.float32) - 4.0}
+
+
+V4_AXES = {"w": 0, "b": None}
+
+
+@pytest.mark.parametrize("use_mmap", [True, False])
+def test_v4_fixture_checkpoint_restores_unchanged(use_mmap):
+    loader = CheckpointLoader(FileStore(V4_FIXTURE_ROOT), use_mmap=use_mmap)
+    manifest = loader.validate(V4_FIXTURE_TAG)
+    assert manifest.version == 4
+    assert (manifest.topology.data_parallel, manifest.topology.tensor_parallel) == (1, 2)
+
+    # Each rank holds its flat tensor-parallel slice; ``b`` is replicated.
+    model = v4_model()
+    for rank in (0, 1):
+        loaded = loader.restore(RestoreSpec.of_rank(rank, tag=V4_FIXTURE_TAG))
+        np.testing.assert_array_equal(loaded["model"]["w"],
+                                      model["w"][4 * rank:4 * rank + 4].ravel())
+        np.testing.assert_array_equal(loaded["model"]["b"], model["b"])
+
+    # Reshaped to dp2 x tp1: each data-parallel rank holds half of every
+    # whole tensor, flattened.
+    target = elastic_topology(model, data_parallel=2, axes=V4_AXES)
+    states = loader.restore(RestoreSpec.full(tag=V4_FIXTURE_TAG).reshaped(target))
+    assert sorted(states) == [0, 1]
+    for rank, state in states.items():
+        for key, array in model.items():
+            half = array.size // 2
+            np.testing.assert_array_equal(state["model"][key],
+                                          array.ravel()[half * rank:half * rank + half])
+
+
+def test_v4_fixture_manifest_has_topology_block():
+    """Guard: the committed fixture is schema v4 on disk — a topology block
+    naming the save-time grid, plain (not chunk-list) shard records."""
+    import json
+
+    manifest = json.loads(
+        (V4_FIXTURE_ROOT / V4_FIXTURE_TAG / "manifest.json").read_text())
+    assert manifest["version"] == 4
+    topology = manifest["topology"]
+    assert (topology["data_parallel"], topology["tensor_parallel"]) == (1, 2)
+    assert [record["name"] for record in manifest["shards"]] == ["rank0", "rank1"]
+    for record in manifest["shards"]:
+        assert "chunks" not in record
+
+
+# ---------------------------------------------------------------------------
+# Saving the fixture state today reproduces every fixture byte for byte
+# ---------------------------------------------------------------------------
+
+def _files(root):
+    return sorted(path.relative_to(root) for path in root.rglob("*") if path.is_file())
+
+
+def _assert_same_tree(written, committed):
+    assert _files(written) == _files(committed)
+    for name in _files(committed):
+        assert (written / name).read_bytes() == (committed / name).read_bytes(), name
+
+
+def test_saving_the_fixture_state_reproduces_the_v3_fixture(tmp_path):
+    """Chunk files, refcount index and manifest: the CAS pool a default-policy
+    save of the fixture state leaves over a file root."""
+    with DataStatesCheckpointEngine(
+            _v3_store(tmp_path),
+            policy=CheckpointPolicy(host_buffer_size=1 << 20)) as engine:
+        engine.save(fixture_state(), tag=V3_FIXTURE_TAG, iteration=12)
+        engine.wait_all()
+    _assert_same_tree(tmp_path, V3_FIXTURE_ROOT)
+
+
+def test_saving_the_fixture_state_reproduces_the_v4_fixture(tmp_path):
+    model = v4_model()
+    save_elastic_checkpoint(
+        FileStore(tmp_path), {"model": model},
+        elastic_topology(model, data_parallel=1, tensor_parallel=2, axes=V4_AXES),
+        tag=V4_FIXTURE_TAG, iteration=16)
+    _assert_same_tree(tmp_path, V4_FIXTURE_ROOT)
 
 @pytest.mark.parametrize("root, tag, policy", [
     (FIXTURE_ROOT, FIXTURE_TAG, dict(parallel_shard_writes=False)),

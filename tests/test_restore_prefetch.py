@@ -285,3 +285,172 @@ def test_auto_mode_timings_shared_across_restore_spec_options(tmp_path):
     assert first > 0
     loader.restore(RestoreSpec.full(tag="ckpt", validate=False))
     assert len(loader.prefetch_timings()["fetch_seconds"]) > first
+
+
+# ---------------------------------------------------------------------------
+# A mapped part is checked while it is copied out
+# ---------------------------------------------------------------------------
+
+def _prefetch_threads():
+    return [thread for thread in threading.enumerate()
+            if thread.name.startswith("ckpt-prefetch")]
+
+
+def _assert_released(store):
+    assert store.handed_out
+    assert all(mapped.data.closed for mapped in store.handed_out)
+    assert _prefetch_threads() == []
+
+
+@pytest.mark.parametrize("prefetch_depth", [None, 1])
+def test_single_mapped_part_is_checked_while_it_is_decoded(tmp_path, monkeypatch,
+                                                           prefetch_depth):
+    """No timing: the check waits for the decode to start.  Beside the
+    decode (every depth >= 2, one part included) it completes; before it
+    (depth 1, strictly serial) it can only time out."""
+    from repro.restart import loader as loader_module
+
+    store = _TrackingStore(tmp_path)
+    state = _state(seed=20)
+    _commit(store, state, shards_per_rank=1)
+    decoding = threading.Event()
+    real_checksum, real_decode = loader_module.checksum_stream, loader_module.decode_rank_state
+
+    def checksum_after_decode_starts(buffer):
+        if not decoding.wait(10 if prefetch_depth is None else 0.5):
+            raise TimeoutError("the check ran before the decode")
+        return real_checksum(buffer)
+
+    def decode(*args, **kwargs):
+        decoding.set()
+        return real_decode(*args, **kwargs)
+
+    monkeypatch.setattr(loader_module, "checksum_stream", checksum_after_decode_starts)
+    monkeypatch.setattr(loader_module, "decode_rank_state", decode)
+    loader = CheckpointLoader(store, prefetch_depth=prefetch_depth)
+    spec = RestoreSpec.of_rank(0, tag="ckpt")
+    if prefetch_depth == 1:
+        with pytest.raises(TimeoutError):
+            loader.restore(spec)
+    else:
+        loaded = loader.restore(spec)
+        np.testing.assert_array_equal(loaded["model"]["w3"], state["model"]["w3"])
+    _assert_released(store)
+
+
+def _elastic_model():
+    rng = np.random.default_rng(21)
+    return {f"w{i}": rng.standard_normal((8, 6)).astype(np.float32) for i in range(6)}
+
+
+def _commit_elastic(store, parts):
+    from repro.restart import elastic_topology, save_elastic_checkpoint
+
+    model = _elastic_model()
+    # w0 is replicated: a full reshape compares rank 1's copy with rank 0's.
+    axes = {key: None if key == "w0" else 0 for key in model}
+    save_elastic_checkpoint(
+        store, {"model": model},
+        elastic_topology(model, data_parallel=1, tensor_parallel=2, axes=axes,
+                         shards_per_rank=parts),
+        tag="ckpt", iteration=1)
+    return elastic_topology(model, data_parallel=1, tensor_parallel=1, axes=axes,
+                            shards_per_rank=parts)
+
+
+def _committed(store, parts, mode):
+    """Commit a checkpoint of ``parts`` parts per rank; returns the spec that
+    restores it in ``mode`` and a check of what that restore returns."""
+    if mode == "reshaped":
+        target = _commit_elastic(store, parts)
+        model = _elastic_model()
+
+        def matches(states):
+            for key, array in model.items():
+                # One data-parallel rank holds the whole flat partition.
+                np.testing.assert_array_equal(states[0]["model"][key], array.ravel())
+        return RestoreSpec.full(tag="ckpt").reshaped(target), matches
+    state = _state(seed=22)
+    _commit(store, state, shards_per_rank=parts)
+
+    def matches(loaded):
+        for key, array in state["model"].items():
+            np.testing.assert_array_equal(loaded["model"][key], array)
+    return RestoreSpec.of_rank(0, tag="ckpt", materialize=mode == "copy"), matches
+
+
+def _flip(path, where):
+    from repro.serialization import decode_preamble
+
+    raw = bytearray(path.read_bytes())
+    if where == "preamble":
+        offset = 8 + 8 + 1  # inside the header table, past magic and length
+    elif where == "first_tensor":
+        header, _skeleton, payload_start = decode_preamble(bytes(raw))
+        offset = payload_start + header.entries[0].offset
+    else:
+        offset = len(raw) - 1
+    raw[offset] ^= 0xFF
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("where", ["preamble", "first_tensor", "last_byte"])
+@pytest.mark.parametrize("parts", [1, 4])
+@pytest.mark.parametrize("mode", ["copy", "views", "reshaped"])
+@pytest.mark.parametrize("prefetch_depth", [1, 4])
+def test_corrupt_mapped_part_fails_its_checksum(tmp_path, where, parts, mode,
+                                                prefetch_depth):
+    """Whatever the corrupt bytes break in the decode, the failed check is
+    what is raised, and every map is closed behind it."""
+    store = _TrackingStore(tmp_path)
+    spec, _matches = _committed(store, parts, mode)
+    _flip(sorted(store.checkpoint_dir("ckpt").glob("rank0*.shard"))[-1], where)
+    loader = CheckpointLoader(store, prefetch_depth=prefetch_depth)
+    with pytest.raises(ConsistencyError, match="checksum"):
+        loader.restore(spec)
+    _assert_released(store)
+
+
+@pytest.mark.parametrize("parts", [1, 4])
+@pytest.mark.parametrize("prefetch_depth", [1, 4])
+def test_corrupt_replicated_copy_fails_its_checksum_not_the_twin_compare(
+        tmp_path, parts, prefetch_depth):
+    """Rank 1's corrupt copy of the replicated w0 decodes fine and then fails
+    the reshape's byte-for-byte twin compare; the failed check still wins."""
+    store = _TrackingStore(tmp_path)
+    spec, _matches = _committed(store, parts, "reshaped")
+    _flip(sorted(store.checkpoint_dir("ckpt").glob("rank1*.shard"))[0], "first_tensor")
+    with pytest.raises(RestartError, match="replicated tensor"):
+        CheckpointLoader(store, verify_checksums=False).restore(spec)
+    store.handed_out.clear()
+    with pytest.raises(ConsistencyError, match="checksum"):
+        CheckpointLoader(store, prefetch_depth=prefetch_depth).restore(spec)
+    _assert_released(store)
+
+
+@pytest.mark.parametrize("parts", [1, 4])
+@pytest.mark.parametrize("mode", ["copy", "reshaped"])  # views keep their map open
+@pytest.mark.parametrize("prefetch_depth", [1, 4])
+def test_intact_mapped_restore_releases_every_map(tmp_path, parts, mode, prefetch_depth):
+    store = _TrackingStore(tmp_path)
+    spec, matches = _committed(store, parts, mode)
+    matches(CheckpointLoader(store, prefetch_depth=prefetch_depth).restore(spec))
+    _assert_released(store)
+
+
+@pytest.mark.parametrize("parts", [1, 4])
+@pytest.mark.parametrize("prefetch_depth", [1, 4])
+def test_decode_failure_with_passing_checks_is_a_restart_error(tmp_path, monkeypatch,
+                                                               parts, prefetch_depth):
+    from repro.restart import loader as loader_module
+
+    def broken_decode(*_args, **_kwargs):
+        raise ValueError("injected decode failure")
+
+    store = _TrackingStore(tmp_path)
+    _commit(store, _state(seed=23), shards_per_rank=parts)
+    monkeypatch.setattr(loader_module, "decode_rank_state", broken_decode)
+    loader = CheckpointLoader(store, prefetch_depth=prefetch_depth)
+    with pytest.raises(RestartError, match="injected decode failure"):
+        loader.restore(RestoreSpec.of_rank(0, tag="ckpt"))
+    _assert_released(store)

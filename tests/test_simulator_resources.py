@@ -207,6 +207,17 @@ def test_bytes_transferred_accounting():
     assert link.bytes_transferred == pytest.approx(500.0)
 
 
+def test_sub_epsilon_residual_is_counted_as_transferred():
+    """A flow retired with a residual below the completion epsilon still
+    delivers that residual: 2.0 + 2.00001 bytes count as 4.00001."""
+    env = Environment()
+    link = FairShareLink(env, capacity=1.0)
+    _run_transfer(env, link, 2.0)
+    _run_transfer(env, link, 2.00001)
+    env.run()
+    assert link.bytes_transferred == pytest.approx(4.00001, rel=1e-9)
+
+
 def test_busy_time_and_utilization():
     env = Environment()
     link = FairShareLink(env, capacity=100.0)
