@@ -94,7 +94,7 @@ from ..serialization import (
     iter_shard_chunks,
     plan_shards,
 )
-from ..tensor import FlattenedState, flatten_state_dict
+from ..tensor import FlattenCache, FlattenedState
 from .consolidation import TwoPhaseCommitCoordinator
 from .flush_pipeline import FlushResult
 from .lazy_snapshot import SnapshotJob, deadline_iter
@@ -287,9 +287,10 @@ class CheckpointEngine(abc.ABC):
         self._checkpoints_requested = 0
         self._parts_referenced = 0
         self._bytes_referenced = 0
-        #: ``(structure key, parts stripped of their tensors)`` of the last
-        #: plan: the one-entry cache behind :meth:`plan_shards`.
-        self._last_plan: Optional[Tuple[tuple, Tuple[ShardPart, ...]]] = None
+        #: The one-entry caches behind :meth:`_plan`: the state walk, and ``(base
+        #: name, shards per rank, structure, parts without tensors)`` of the last plan.
+        self._flattener = FlattenCache()
+        self._last_plan: Optional[Tuple[str, int, Any, Tuple[ShardPart, ...]]] = None
 
     # ------------------------------------------------------------------ save
     def save(self, state: Any, tag: str, iteration: int = -1,
@@ -306,7 +307,7 @@ class CheckpointEngine(abc.ABC):
         with self._lock:
             self._checkpoints_requested += 1
         shard = shard_name or self.default_shard_name()
-        plan = self.plan_shards(flatten_state_dict(state), shard)
+        plan = self._plan(state, shard)
         # Only the base is resolved here; each part's CRC scan runs where the
         # engine reads that part's tensors (_scan_part).
         inc = self._plan_incremental()
@@ -438,36 +439,33 @@ class CheckpointEngine(abc.ABC):
         return f"rank{self.rank}"
 
     def plan_shards(self, flattened: FlattenedState, base_name: str) -> ShardPlan:
-        """Partition this rank's state per ``policy.shards_per_rank``.
+        """Partition this rank's state per ``policy.shards_per_rank``: one
+        part by default (byte-identical to the original layout), several
+        size-balanced parts otherwise.  Runs only for a new structure."""
+        return plan_shards(flattened, base_name,
+                           shards_per_rank=self.policy.shards_per_rank)
 
-        Every engine saves through the resulting plan: one part with the
-        default policy (byte-identical to the original layout), several
-        size-balanced parts otherwise.
+    def _plan(self, state: Any, base_name: str) -> ShardPlan:
+        """The plan every engine saves ``state`` through.
 
         Binning, offsets and the encoded headers depend only on the state's
-        structure, which training loops repeat from save to save: the last
-        plan's parts are kept (one entry, replaced on any change) and a save
-        of the same structure only rebinds the fresh tensor references and
-        re-pickles the skeleton (it carries the non-tensor leaves).
+        structure, which training loops repeat from save to save.  While the
+        flattener reports the structure of the last plan, that plan's parts
+        (kept without their tensor references, so the cache never pins a
+        state's arrays) are rebound to the fresh references.
         """
-        tensors = flattened.tensors
-        key = (base_name, self.policy.shards_per_rank,
-               [(ref.path, ref.shape, ref.dtype, ref.nbytes) for ref in tensors])
+        flattened = self._flattener.flatten(state)
+        tensors, spr = flattened.tensors, self.policy.shards_per_rank
         last = self._last_plan
-        if last is not None and last[0] == key:
-            parts = tuple(
-                dataclasses.replace(part, tensors=tuple(
-                    [tensors[index] for index in part.global_indices]))
-                for part in last[1])
-            return ShardPlan(base_name=base_name, skeleton=flattened.skeleton_bytes(),
-                             num_tensors=len(tensors), parts=parts)
-        plan = plan_shards(flattened, base_name,
-                           shards_per_rank=self.policy.shards_per_rank)
-        # Kept without its tensor references, so the cache never pins a
-        # state's arrays.
-        self._last_plan = (key, tuple(dataclasses.replace(part, tensors=())
-                                      for part in plan.parts))
-        return plan
+        if last is None or last[:3] != (base_name, spr, flattened.structure):
+            plan = self.plan_shards(flattened, base_name)
+            self._last_plan = (base_name, spr, flattened.structure, tuple(
+                dataclasses.replace(part, tensors=()) for part in plan.parts))
+            return plan
+        parts = tuple(dataclasses.replace(part, tensors=tuple(
+            [tensors[index] for index in part.global_indices])) for part in last[3])
+        return ShardPlan(base_name=base_name, skeleton=flattened.skeleton_bytes(),
+                         num_tensors=len(tensors), parts=parts)
 
     def _part_record(self, plan: ShardPlan, part: ShardPart, nbytes: int,
                      checksum: Optional[int],

@@ -5,9 +5,11 @@
 from NumPy arrays / :class:`~repro.tensor.DeviceTensor` objects, using the
 exact pipeline of §5.3:
 
-1. *parse* — recursively flatten the state object into a tensor table and a
-   picklable skeleton (synchronous, cheap);
-2. *header* — compute the shard-file offsets for every tensor (synchronous);
+1. *parse* — walk the state object once; a new structure is flattened into
+   a tensor table and a pickled skeleton, a repeated one only binds its fresh
+   payloads to the last save's (synchronous, cheap);
+2. *header* — the shard-file offsets of every tensor, computed once per
+   structure and reused while it repeats (synchronous);
 3. *scan, then capture* — on a dedicated copy stream, lazily overlapping the
    caller's next forward/backward work: an incremental save first CRC-scans
    each part against its base (clean: recorded by reference, nothing staged),
@@ -70,13 +72,12 @@ class DataStatesCheckpointEngine(CheckpointEngine):
 
     # ------------------------------------------------------------------ save
     def plan_shards(self, flattened: FlattenedState, base_name: str) -> ShardPlan:
-        # Checked before anything of the request is recorded or staged.
+        # Checked once per structure, before anything of the request is
+        # recorded or staged.
         largest = max((ref.nbytes for ref in flattened.tensors), default=0)
         if largest > self.pool.capacity:
-            raise CheckpointError(
-                f"tensor of {largest} bytes exceeds the host staging buffer "
-                f"({self.pool.capacity} bytes); increase host_buffer_size"
-            )
+            raise CheckpointError(f"tensor of {largest} bytes exceeds the host staging buffer "
+                                  f"({self.pool.capacity} bytes); increase host_buffer_size")
         return super().plan_shards(flattened, base_name)
 
     def _write_parts(self, handle, plan, parts, inc) -> None:

@@ -149,6 +149,7 @@ class SnapshotJob:
             self._error = exc
             logger.error("snapshot capture of %s/%s failed: %s", self.tag, self.shard_name, exc)
         finally:
+            self.tensors = []  # a retired job, still on its handle, pins no array
             self.staged.put(_END_OF_SNAPSHOT)
             self._captured.set()
 

@@ -354,6 +354,7 @@ class TierChain:
         self.fsync = fsync
         self.backpressure_timeout_s = float(backpressure_timeout_s)
         self._lock = threading.RLock()
+        self._index_lock = threading.Lock()
         self._space = threading.Condition(self._lock)
         self._jobs: Dict[str, _DrainJob] = {}
         self._deleted: set = set()
@@ -425,29 +426,33 @@ class TierChain:
         """
         if self._index_path is None:
             return
-        with self._lock:
-            entries = {tag: job.snapshot() for tag, job in self._jobs.items()}
-        payload = json.dumps(entries, indent=2, sort_keys=True).encode("utf-8")
-        directory = self._index_path.parent
-        tmp_name = None
-        try:
-            directory.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(prefix=f".{TIER_INDEX_NAME}.",
-                                            dir=str(directory))
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(payload)
-                handle.flush()
-                if self.fsync:
-                    os.fsync(handle.fileno())
-            publish_file(tmp_name, self._index_path, directory, fsync=self.fsync)
-        except OSError as exc:
-            if tmp_name is not None:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-            logger.warning("could not persist tier index %s: %s",
-                           self._index_path, exc)
+        # One writer at a time, each publishing the snapshot it took under
+        # this lock: two drains finishing together could otherwise land the
+        # older snapshot last (an evicted tag recorded as still local).
+        with self._index_lock:
+            with self._lock:
+                entries = {tag: job.snapshot() for tag, job in self._jobs.items()}
+            payload = json.dumps(entries, indent=2, sort_keys=True).encode("utf-8")
+            directory = self._index_path.parent
+            tmp_name = None
+            try:
+                directory.mkdir(parents=True, exist_ok=True)
+                fd, tmp_name = tempfile.mkstemp(prefix=f".{TIER_INDEX_NAME}.",
+                                                dir=str(directory))
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(payload)
+                    handle.flush()
+                    if self.fsync:
+                        os.fsync(handle.fileno())
+                publish_file(tmp_name, self._index_path, directory, fsync=self.fsync)
+            except OSError as exc:
+                if tmp_name is not None:
+                    try:
+                        os.unlink(tmp_name)
+                    except OSError:
+                        pass
+                logger.warning("could not persist tier index %s: %s",
+                               self._index_path, exc)
 
     def _recover(self) -> None:
         """Rebuild residency from every level; resume interrupted drains.

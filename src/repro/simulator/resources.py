@@ -25,9 +25,6 @@ from ..exceptions import SimulationError
 from .engine import Environment
 from .events import Event
 
-#: Residual byte counts below this value are treated as "transfer complete".
-_COMPLETION_EPSILON_BYTES = 1e-3
-
 
 class Request(Event):
     """A pending claim on a :class:`Resource` slot."""
@@ -241,12 +238,17 @@ class FairShareLink:
     def _on_timer(self, token: int) -> None:
         if token != self._timer_token:
             return  # superseded by a newer reschedule
-        self._advance(self.env.now)
-        finished = [f for f in self._flows if f.remaining <= _COMPLETION_EPSILON_BYTES]
+        now = self.env.now
+        self._advance(now)
+        # A flow is done once what it has left takes less time than the clock
+        # can tell apart from ``now``: a timer for it would fire at ``now``
+        # again and never make progress.
+        resolution = math.ulp(now)
+        finished = [f for f in self._flows if f.remaining / f.rate < resolution]
         if finished:
             for flow in finished:
                 self._flows.remove(flow)
-                # The residual below the epsilon is delivered with the flow.
+                # The float residue is delivered with the flow.
                 self._bytes_transferred += flow.remaining
                 flow.remaining = 0.0
                 flow.finished_at = self.env.now

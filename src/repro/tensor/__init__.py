@@ -1,6 +1,7 @@
 """Device-tagged tensors and state-dict flattening utilities."""
 
 from .state_dict import (
+    FlattenCache,
     FlattenedState,
     TensorRef,
     flatten_state_dict,
@@ -15,6 +16,7 @@ __all__ = [
     "DeviceTensor",
     "DeviceArena",
     "TensorRef",
+    "FlattenCache",
     "FlattenedState",
     "flatten_state_dict",
     "unflatten_state_dict",

@@ -211,8 +211,9 @@ def test_parts_reporting_at_once_cast_exactly_one_vote(tmp_path):
 
 def test_retired_saves_do_not_pin_their_arrays(tmp_path):
     """Five drained saves of a fresh array each: a retired flush job leaves
-    the pipeline and retired handles go at the next save, so only the newest
-    state may still be referenced."""
+    the pipeline, a finished capture drops its tensor references and the plan
+    cache keeps none, so no drained state is referenced — not even the
+    newest, whose handle stays listed until the next save."""
     refs = []
     gc.disable()
     try:
@@ -225,7 +226,7 @@ def test_retired_saves_do_not_pin_their_arrays(tmp_path):
                 engine.wait_all()
                 del array
             assert engine.pipeline.pending_jobs() == []
-            assert [ref() is None for ref in refs] == [True] * 4 + [False]
+            assert [ref() is None for ref in refs] == [True] * 5
     finally:
         gc.enable()
 

@@ -286,8 +286,20 @@ def _base_state(seed):
     return {"model": {"w": rng.normal(size=(32, 8)).astype(np.float32),
                       "b": rng.normal(size=32).astype(np.float32),
                       "e": rng.normal(size=(4, 4))},
-            "optimizer": {"m": rng.normal(size=(32, 8)), "step": seed},
+            "optimizer": {"m": rng.normal(size=(32, 8)), "step": seed,
+                          "state": {1: rng.normal(size=3)}},
             "iteration": seed}
+
+
+def _new_seed(mutate=None):
+    """Every array object replaced (a new seed), the int leaves changed, then
+    ``mutate`` applied."""
+    def advance(state):
+        state = _base_state(seed=2)
+        if mutate is not None:
+            mutate(state)
+        return state
+    return advance
 
 
 def _added_tensor(state):
@@ -306,41 +318,87 @@ def _renamed_key(state):
     state["model"]["w2"] = state["model"].pop("w")
 
 
+def _same_objects(state):
+    return state
+
+
+def _written_in_place(state):
+    for array in state["model"].values():
+        array += 1
+    return state
+
+
+def _changed_str_leaf(state):
+    state["iteration"] = "two"
+    return state
+
+
+def _in_place_shape(state):
+    state["model"]["w"].shape = (8, 32)  # the same array object
+    return state
+
+
+def _in_place_dtype(state):
+    state["model"]["b"].dtype = np.int32
+    return state
+
+
+def _bool_key(state):
+    # True == 1 and hash(True) == hash(1), but the header key is another.
+    state["optimizer"]["state"] = {True: state["optimizer"]["state"][1]}
+    return state
+
+
 @pytest.mark.parametrize("shards_per_rank", [1, 2])
-@pytest.mark.parametrize("mutate, next_shards, recomputed", [
-    (None, None, False),
-    (_added_tensor, None, True),
-    (_changed_shape, None, True),
-    (_changed_dtype, None, True),
-    (_renamed_key, None, True),
-    (None, 3, True),
+@pytest.mark.parametrize("advance, next_shards, calls", [
+    # (plans over both saves, then flattens and pickles of the second save)
+    (_new_seed(), None, (1, 1, 1)),
+    (_new_seed(_added_tensor), None, (2, 1, 1)),
+    (_new_seed(_changed_shape), None, (2, 1, 1)),
+    (_new_seed(_changed_dtype), None, (2, 1, 1)),
+    (_new_seed(_renamed_key), None, (2, 1, 1)),
+    (_new_seed(), 3, (2, 1, 1)),
+    (_same_objects, None, (1, 0, 0)),
+    (_written_in_place, None, (1, 0, 0)),
+    (_changed_str_leaf, None, (1, 1, 1)),
+    (_in_place_shape, None, (2, 1, 1)),
+    (_in_place_dtype, None, (2, 1, 1)),
+    (_bool_key, None, (2, 1, 1)),
 ], ids=["same-structure", "added-tensor", "changed-shape", "changed-dtype",
-        "renamed-key", "changed-shards-per-rank"])
+        "renamed-key", "changed-shards-per-rank", "same-objects", "written-in-place",
+        "changed-str-leaf", "in-place-shape", "in-place-dtype", "bool-key"])
 def test_plan_cache_hits_on_structure_and_misses_on_any_change(
-        tmp_path, monkeypatch, shards_per_rank, mutate, next_shards, recomputed):
+        tmp_path, monkeypatch, shards_per_rank, advance, next_shards, calls):
+    import pickle
+
     import repro.core.base_engine as base_engine
+    import repro.tensor.state_dict as state_dict
 
-    planned = []
+    counts = {"plan": 0, "flatten": 0, "pickle": 0}
 
-    def counting_plan_shards(*args, **kwargs):
-        planned.append(kwargs)
-        return plan_shards(*args, **kwargs)
+    def counting(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(base_engine, "plan_shards", counting_plan_shards)
+    monkeypatch.setattr(base_engine, "plan_shards", counting("plan", plan_shards))
     store = FileStore(tmp_path)
     policy = CheckpointPolicy(host_buffer_size=1 << 20, shards_per_rank=shards_per_rank)
     with DataStatesCheckpointEngine(store, policy=policy) as engine:
-        engine.save(_base_state(seed=1), tag="base", iteration=1)
+        state = _base_state(seed=1)
+        engine.save(state, tag="base", iteration=1)
         engine.wait_all()
-        # Every array object is replaced (a new seed), non-tensor leaves change.
-        state = _base_state(seed=2)
-        if mutate is not None:
-            mutate(state)
+        state = advance(state)
         if next_shards is not None:
             engine.policy = engine.policy.with_overrides(shards_per_rank=next_shards)
-        engine.save(state, tag="next", iteration=2)
-        engine.wait_all()
-    assert len(planned) == (2 if recomputed else 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(state_dict, "flatten_state_dict",
+                          counting("flatten", state_dict.flatten_state_dict))
+            patch.setattr(pickle, "dumps", counting("pickle", pickle.dumps))
+            engine.save(state, tag="next", iteration=2)
+            engine.wait_all()
+    assert (counts["plan"], counts["flatten"], counts["pickle"]) == calls
 
     # Hit or miss, what landed is what an uncached plan of this state writes.
     fresh = plan_shards(flatten_state_dict(state), "rank0",
@@ -348,7 +406,10 @@ def test_plan_cache_hits_on_structure_and_misses_on_any_change(
     for part in fresh.parts:
         assert store.read_shard("next", part.name) == serialize_part(part, fresh.skeleton)
     restored = CheckpointLoader(store).restore(RestoreSpec.of_rank(0, tag="next"))
-    assert restored["iteration"] == 2 and restored["optimizer"]["step"] == 2
+    assert restored["iteration"] == state["iteration"]
+    assert restored["optimizer"]["step"] == state["optimizer"]["step"]
+    assert [type(key) for key in restored["optimizer"]["state"]] == [
+        type(key) for key in state["optimizer"]["state"]]
     for group in ("model", "optimizer"):
         assert list(restored[group]) == list(state[group])
         for key, value in state[group].items():
@@ -364,13 +425,14 @@ def test_plan_cache_does_not_pin_the_state(tmp_path):
 
     engine = DataStatesCheckpointEngine(FileStore(tmp_path), host_buffer_size=1 << 20)
     try:
-        state = _base_state(seed=3)
-        alive = weakref.ref(state["model"]["w"])
-        plan = engine.plan_shards(flatten_state_dict(state), "rank0")
-        assert plan.parts[0].tensors[0].payload is not None
-        del state, plan
-        gc.collect()
-        assert alive() is None
+        for seed in (3, 4):  # a miss, then a hit
+            state = _base_state(seed=seed)
+            alive = weakref.ref(state["model"]["w"])
+            engine.save(state, tag=f"ckpt-{seed}", iteration=seed)
+            engine.wait_all()
+            del state
+            gc.collect()
+            assert alive() is None
     finally:
         engine.shutdown(wait=False)
 

@@ -7,6 +7,10 @@ pool), so the number of pool allocations and of ``pwrite`` calls is set by the
 bytes of the state and does not move when the same bytes are cut into twice as
 many tensors.
 
+Nor may ``save()`` itself redo what depends only on the state's structure:
+saving a state of the same structure again flattens, pickles and plans
+nothing, and a changed ``int`` leaf costs one flatten and one pickle, no plan.
+
 The same kind of budget holds the incremental dirty scan in place: each
 engine CRCs a part where it reads the part's tensors — ``datastates`` on its
 copy thread, never on the caller's, and once per tensor per save — and all
@@ -102,6 +106,54 @@ def test_pwrites_and_pool_allocations_are_per_extent(tmp_path, tensors):
 
 def test_doubling_the_tensor_count_at_equal_bytes_adds_no_calls(tmp_path):
     assert _save_counting(tmp_path, 512) == _save_counting(tmp_path, 1024)
+
+
+# ---------------------------------------------------------------------------
+# The save call: a repeated structure is walked, not flattened, pickled, planned
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("int_leaf_changes, per_save", [
+    (False, {"flatten": 0, "pickle": 0, "plan": 0}),
+    (True, {"flatten": 1, "pickle": 1, "plan": 0}),
+], ids=["repeated", "changing-int-leaf"])
+def test_a_repeated_structure_save_calls(tmp_path, monkeypatch, int_leaf_changes, per_save):
+    import pickle
+
+    import repro.core.base_engine as base_engine
+    import repro.tensor.state_dict as state_dict
+
+    counts = dict.fromkeys(per_save, 0)
+
+    def counting(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    state = {"model": _state(512), "iteration": 0}
+    saves = 3
+    with DataStatesCheckpointEngine(FileStore(tmp_path), policy=CheckpointPolicy(
+            host_buffer_size=POOL_BYTES)) as engine:
+        engine.save(state, "ckpt-0", iteration=0)
+        engine.wait_all()
+        monkeypatch.setattr(state_dict, "flatten_state_dict",
+                            counting("flatten", state_dict.flatten_state_dict))
+        monkeypatch.setattr(pickle, "dumps", counting("pickle", pickle.dumps))
+        monkeypatch.setattr(base_engine, "plan_shards",
+                            counting("plan", base_engine.plan_shards))
+        for step in range(1, saves + 1):
+            for array in state["model"].values():
+                array += 1
+            if int_leaf_changes:
+                state["iteration"] = step
+            engine.save(state, f"ckpt-{step}", iteration=step)
+            engine.wait_all()
+        monkeypatch.undo()
+        restored = engine.load(RestoreSpec(tag=f"ckpt-{saves}"))
+    assert counts == {name: calls * saves for name, calls in per_save.items()}
+    assert restored["iteration"] == state["iteration"]
+    for key, value in state["model"].items():
+        np.testing.assert_array_equal(restored["model"][key], value)
 
 
 # ---------------------------------------------------------------------------

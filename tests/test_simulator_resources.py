@@ -1,7 +1,7 @@
 """Tests for Resource (counting semaphore) and FairShareLink (bandwidth sharing)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import SimulationError
@@ -208,14 +208,32 @@ def test_bytes_transferred_accounting():
 
 
 def test_sub_epsilon_residual_is_counted_as_transferred():
-    """A flow retired with a residual below the completion epsilon still
-    delivers that residual: 2.0 + 2.00001 bytes count as 4.00001."""
+    """A flow retired with a float residue still delivers it, and a small
+    residual is still a transfer: 2.0 + 2.00001 bytes count as 4.00001 and
+    the second flow ends at 4.00001, not when the first one does."""
     env = Environment()
     link = FairShareLink(env, capacity=1.0)
-    _run_transfer(env, link, 2.0)
-    _run_transfer(env, link, 2.00001)
+    first = _run_transfer(env, link, 2.0)
+    second = _run_transfer(env, link, 2.00001)
     env.run()
     assert link.bytes_transferred == pytest.approx(4.00001, rel=1e-9)
+    assert first["end"] == pytest.approx(4.0, abs=1e-12)
+    assert second["end"] == pytest.approx(4.00001, abs=1e-12)
+
+
+def test_a_flow_terminates_where_the_clock_is_coarse():
+    """At ``now`` = 1e9 the clock steps by ~1.2e-7 s: a residual that needs
+    less than that is retired instead of re-arming a timer that fires at the
+    same instant forever."""
+    start = 1e9
+    env = Environment(initial_time=start)
+    link = FairShareLink(env, capacity=1.0)
+    records = [_run_transfer(env, link, size) for size in (1.0, 1.0 + 1e-8, 3.0)]
+    env.run(max_events=1000)
+    assert [record["end"] - start for record in records] == pytest.approx(
+        [3.0, 3.0, 5.0], abs=1e-6)
+    assert link.active_flows == 0
+    assert link.bytes_transferred == pytest.approx(5.0 + 1e-8, rel=1e-9)
 
 
 def test_busy_time_and_utilization():
@@ -245,6 +263,7 @@ def test_estimate_duration_uncontended():
     sizes=st.lists(st.floats(min_value=1.0, max_value=1e6), min_size=1, max_size=8),
     capacity=st.floats(min_value=1.0, max_value=1e4),
 )
+@example(sizes=[2.0, 2.00001], capacity=1.0)
 def test_property_all_bytes_delivered_and_capacity_respected(sizes, capacity):
     """All flows complete, total bytes are conserved, and the makespan is at
     least the work/capacity lower bound."""

@@ -1,6 +1,7 @@
 """Tests for device-tagged tensors, the device arena, and state-dict flattening."""
 
 import gc
+import pickle
 import weakref
 
 import numpy as np
@@ -13,6 +14,8 @@ from repro.tensor import (
     Device,
     DeviceArena,
     DeviceTensor,
+    FlattenCache,
+    TensorRef,
     flatten_state_dict,
     state_dict_nbytes,
     tensor_payload_array,
@@ -242,3 +245,114 @@ def test_property_flatten_unflatten_roundtrip(state):
             assert a == b
 
     assert_equal(state, rebuilt)
+
+
+# ---------------------------------------------------------------------------
+# TensorRef, and the flatten cache a save goes through
+# ---------------------------------------------------------------------------
+
+def test_tensor_ref_is_immutable_and_compares_without_its_payload():
+    import dataclasses
+
+    ref = TensorRef(path=("a", 0), shape=(2,), dtype="float32", nbytes=8, device="cpu:0")
+    bound = ref.bind(np.zeros(2, dtype=np.float32))
+    assert bound == ref and hash(bound) == hash(ref) and ref.payload is None
+    assert (bound.path, bound.shape, bound.dtype, bound.nbytes, bound.device) == (
+        ("a", 0), (2,), "float32", 8, "cpu:0")
+    assert bound != dataclasses.replace(ref, nbytes=4)
+    assert dataclasses.replace(bound, payload=None).payload is None
+    assert "payload" not in repr(bound) and bound.key == "a.0"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bound.shape = (1, 2)
+
+
+def _pickled_like_a_fresh_flatten(cache, state):
+    flattened = cache.flatten(state)
+    assert flattened.skeleton_bytes() == flatten_state_dict(state).skeleton_bytes()
+    return flattened
+
+
+def test_flatten_cache_reuses_a_skeleton_only_for_the_same_immutable_leaves():
+    cache = FlattenCache()
+    text = "".join(["no", "te"])
+    state = {"w": np.zeros(3), "note": text, "again": text, "step": 7, "lr": -0.0}
+    first = _pickled_like_a_fresh_flatten(cache, state)
+    # A float leaf is never reused, not even the same object: -0.0 == 0.0.
+    assert cache.flatten(state).skeleton is not first.skeleton
+    state["lr"] = 0.0
+    second = _pickled_like_a_fresh_flatten(cache, state)
+    assert second.skeleton_bytes() != first.skeleton_bytes()
+    assert second.structure is first.structure
+    del state["lr"]
+    _pickled_like_a_fresh_flatten(cache, state)  # a new structure
+    kept = cache.flatten(state)
+    assert cache.flatten(state).skeleton is kept.skeleton  # same objects: reused
+    # Equal strings that are not the same object pickle without the memo
+    # reference the shared one got.
+    state["again"] = "".join(["no", "te"])
+    assert _pickled_like_a_fresh_flatten(cache, state).skeleton_bytes() != (
+        kept.skeleton_bytes())
+    # A mutable leaf compares by identity and may have changed in place.
+    box = {"model": [np.ones(2)], "meta": set()}
+    _pickled_like_a_fresh_flatten(cache, box)
+    box["meta"].add(3)
+    assert pickle.loads(_pickled_like_a_fresh_flatten(cache, box).skeleton_bytes())[
+        "meta"] == {3}
+
+
+def test_flatten_cache_matches_a_fresh_flatten_through_every_change():
+    """Each state goes through one cache and is compared with a fresh
+    flatten: references (device included), payloads and skeleton bytes."""
+    one, array = 1, np.zeros(2)
+    tensor = DeviceTensor(np.ones(2), Device.gpu(0))
+
+    def move_tensor():
+        tensor.device = Device.gpu(1)
+        return {"a": tensor}
+
+    states = [
+        # The same tokens but for the lengths.
+        lambda: {"a": [[], []]}, lambda: {"a": [[[]]]},
+        lambda: {"a": [(), ()]}, lambda: {"a": [((),)]},
+        # A leaf moves past a tensor.
+        lambda: {"a": [one, array]}, lambda: {"a": [array, one]},
+        # A tensor, same object, on another device.
+        lambda: {"a": tensor}, move_tensor,
+        # A key that is neither str nor int never hits.
+        lambda: {0.0: array}, lambda: {-0.0: array},
+    ]
+    cache = FlattenCache()
+    for make in states:
+        state = make()
+        flattened, fresh = cache.flatten(state), flatten_state_dict(state)
+        assert flattened.tensors == fresh.tensors
+        assert all(ours.payload is theirs.payload
+                   for ours, theirs in zip(flattened.tensors, fresh.tensors))
+        assert flattened.skeleton_bytes() == fresh.skeleton_bytes()
+        assert [ref.key for ref in flattened.tensors] == [ref.key for ref in fresh.tensors]
+
+
+def test_flatten_cache_binds_fresh_payloads_and_pins_none():
+    cache = FlattenCache()
+    gc.disable()
+    try:
+        for _ in range(2):  # a miss, then a hit
+            array = np.zeros(1 << 19)
+            ref = weakref.ref(array)
+            flattened = cache.flatten({"layer": {"w": array}, "step": 1})
+            assert flattened.tensors[0].payload is array
+            del array, flattened
+            assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_flatten_keeps_a_namedtuple():
+    from collections import namedtuple
+
+    pair = namedtuple("pair", "first second")
+    state = {"pair": pair(np.arange(3), "tail")}
+    flattened = flatten_state_dict(state)
+    rebuilt = unflatten_state_dict(flattened.skeleton, [np.arange(3)])
+    assert type(rebuilt["pair"]) is pair and rebuilt["pair"].second == "tail"
+    np.testing.assert_array_equal(rebuilt["pair"].first, np.arange(3))

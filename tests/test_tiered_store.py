@@ -459,6 +459,43 @@ def test_tier_index_sidecar_records_residency(tmp_path):
     assert TIER_INDEX_NAME not in store.fast.list_checkpoints()
 
 
+def test_tier_index_sidecar_never_lands_an_older_snapshot_last(tmp_path, monkeypatch):
+    """Two persists race: the first snapshots, then stalls in its publish
+    while residency changes and a second persist runs.  The sidecar must end
+    with the newer residency — the second waits for the first instead of
+    being overwritten by its older snapshot."""
+    import repro.io.tiered as tiered
+
+    store = _tiered(tmp_path)
+    _save(store, ["ckpt-1"])
+    store.wait_drained()
+    first_publishing, second_published = threading.Event(), threading.Event()
+    real_publish = tiered.publish_file
+
+    def publish(*args, **kwargs):
+        if not first_publishing.is_set():
+            first_publishing.set()
+            second_published.wait(timeout=0.5)  # times out once they are serialised
+            return real_publish(*args, **kwargs)
+        real_publish(*args, **kwargs)
+        second_published.set()
+
+    monkeypatch.setattr(tiered, "publish_file", publish)
+    first = threading.Thread(target=store._persist_index)
+    first.start()
+    assert first_publishing.wait(timeout=10.0)
+    with store._lock:
+        store._jobs["ckpt-1"].residency.discard(0)  # as an eviction would
+    second = threading.Thread(target=store._persist_index)
+    second.start()
+    for thread in (first, second):
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+    sidecar = json.loads((tmp_path / "fast" / TIER_INDEX_NAME).read_text("utf-8"))
+    assert sidecar["ckpt-1"]["local"] is False
+    store.close()
+
+
 # ---------------------------------------------------------------------------
 # Ranged reads (satellite): pread / ranged GET / nearest tier
 # ---------------------------------------------------------------------------
