@@ -1,8 +1,9 @@
 """Ablations of the DataStates-LLM design principles (§5.1).
 
-Not a paper figure, but the design decisions DESIGN.md calls out: each run
-disables one principle and measures what it costs on the 7B workload
-(checkpoint every iteration, 10 iterations).
+Not a paper figure, but the design decisions §5.1 of the paper calls out:
+each run disables one principle of the simulated DataStates engine (a
+constructor keyword, passed through ``engine_kwargs``) and measures what it
+costs on the 7B workload (checkpoint every iteration, 10 iterations).
 """
 
 from repro.analysis import format_table
@@ -12,9 +13,10 @@ from repro.training import simulate_run
 HOST_BUFFER = 64 * 10**9
 
 
-def _run(label, **overrides):
-    policy = CheckpointPolicy(host_buffer_size=HOST_BUFFER).with_overrides(**overrides)
-    result = simulate_run("7B", "datastates", iterations=10, checkpoint_interval=1, policy=policy)
+def _run(label, host_buffer_size=HOST_BUFFER, **switches):
+    policy = CheckpointPolicy(host_buffer_size=host_buffer_size)
+    result = simulate_run("7B", "datastates", iterations=10, checkpoint_interval=1,
+                          policy=policy, engine_kwargs=switches)
     return {
         "variant": label,
         "ckpt_throughput_gbps": round(result.checkpoint_throughput_gb_per_second, 1),

@@ -3,8 +3,8 @@
 Every benchmark regenerates one table or figure of the paper.  Besides the
 pytest-benchmark timing (how long the simulation/experiment harness itself
 takes), each benchmark emits the measured-vs-paper rows both to stdout and to
-``benchmarks/results/<name>.txt`` so EXPERIMENTS.md can reference concrete
-artefacts.
+``benchmarks/results/<name>.txt`` (git-ignored), so two checkouts' tables can
+be compared with ``diff -r``.
 
 Environment knobs:
 

@@ -2,8 +2,7 @@
 
 Each ``figureN_*`` function runs the necessary simulations and returns the
 same rows/series the corresponding figure plots, in plain dict form so the
-benchmark harness can print them and EXPERIMENTS.md can tabulate
-paper-vs-measured.  Scale knobs (model subsets, iteration counts) exist so
+benchmark harness can print them and tabulate paper-vs-measured.  Scale knobs (model subsets, iteration counts) exist so
 tests can exercise the code paths quickly; the defaults match the paper's
 experimental setup.
 """

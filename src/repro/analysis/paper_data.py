@@ -2,7 +2,7 @@
 
 These are the numbers published in the HPDC'24 paper (read off Figures 3, 4,
 7-12).  They are **not** used by the simulator in any way — they exist so the
-benchmark harness and EXPERIMENTS.md can put "paper" and "measured" columns
+benchmark harness can put "paper" and "measured" columns
 side by side and check that the *shape* of every result (ordering of the
 engines, approximate speedup factors, where trends bend) is reproduced.
 

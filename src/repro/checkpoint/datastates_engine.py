@@ -1,8 +1,9 @@
 """The DataStates-LLM checkpoint engine (the paper's contribution), Figure 5(d).
 
-Design principles from §5.1, all reflected here and individually toggleable
-through :class:`~repro.config.CheckpointPolicy` so the ablation benchmarks
-can quantify each one:
+Design principles from §5.1, all reflected here.  The first three can be
+switched off through constructor keywords (reached via
+``simulate_run(..., engine_kwargs=...)``) so the ablation benchmarks can
+quantify each one:
 
 * **Pre-allocated, pre-pinned host buffer** (``preallocated_pinned_buffer``):
   the staging region is reserved once; a checkpoint request only waits if the
@@ -16,9 +17,9 @@ can quantify each one:
 * **Streamlined multi-level flushing** (``streamlined_flush``): each shard is
   flushed to the parallel file system as soon as its device-to-host copy
   completes, so the PCIe and PFS links work in parallel.
-* **Asynchronous distributed consolidation** (``async_consolidation``): the
-  two-phase commit that declares the global checkpoint valid runs in the
-  background once the flushes finish, overlapping with training.
+* **Asynchronous distributed consolidation**: the two-phase commit that
+  declares the global checkpoint valid runs in the background once the
+  flushes finish, overlapping with training.
 """
 
 from __future__ import annotations
@@ -66,6 +67,9 @@ class DataStatesEngine(SimCheckpointEngine):
         compression_ratio: float = 1.0,
         compression_seconds_per_byte: float = DEFAULT_COMPRESSION_SECONDS_PER_BYTE,
         flush_via_nvme: bool = False,
+        lazy_snapshot: bool = True,
+        streamlined_flush: bool = True,
+        preallocated_pinned_buffer: bool = True,
     ) -> None:
         super().__init__(env, cluster, plan, policy, trace)
         self.parse_overhead_per_shard = parse_overhead_per_shard
@@ -84,6 +88,11 @@ class DataStatesEngine(SimCheckpointEngine):
         #: multi-level hierarchy) before draining to the parallel file system.
         #: Host-buffer space is released as soon as data is NVMe-resident.
         self.flush_via_nvme = flush_via_nvme
+        #: Ablation switches of three §5.1 principles (see the module
+        #: docstring); ``False`` removes that principle.
+        self.lazy_snapshot = lazy_snapshot
+        self.streamlined_flush = streamlined_flush
+        self.preallocated_pinned_buffer = preallocated_pinned_buffer
 
     # -- hooks ------------------------------------------------------------------
     def on_checkpoint(self, rank: int, iteration: int) -> Generator:
@@ -106,7 +115,7 @@ class DataStatesEngine(SimCheckpointEngine):
                 f"rank {rank}: shard of {largest_shard} bytes cannot fit the "
                 f"{state.host_buffer.capacity}-byte host staging buffer"
             )
-        if not self.policy.preallocated_pinned_buffer:
+        if not self.preallocated_pinned_buffer:
             # Ablation: pay allocation + pinning for the whole request up front.
             alloc_cost = (
                 self.platform.host_alloc_latency
@@ -123,7 +132,7 @@ class DataStatesEngine(SimCheckpointEngine):
             name=f"ds-snapshot-r{rank}-i{iteration}",
         )
 
-        if not self.policy.lazy_snapshot:
+        if not self.lazy_snapshot:
             # Ablation: behave eagerly — block until the snapshot is on the host.
             yield snapshot_done
 
@@ -182,7 +191,7 @@ class DataStatesEngine(SimCheckpointEngine):
                 yield from self._capture_one(rank, shard, shard_flush_events)
         snapshot_done.succeed()
 
-        if not self.policy.streamlined_flush:
+        if not self.streamlined_flush:
             # Ablation: staged flushing — writes only start once the whole
             # snapshot exists on the host, but they still go through the
             # rank's single flush stream.
@@ -191,18 +200,17 @@ class DataStatesEngine(SimCheckpointEngine):
         if shard_flush_events:
             yield self.env.all_of(shard_flush_events)
 
-        if self.policy.async_consolidation:
-            # The commit overlaps with training; account for its latency here so
-            # it is visible in the trace without blocking any rank.
-            commit_start = self.env.now
-            yield self.env.timeout(
-                consensus_latency(
-                    self.plan.topology.world_size,
-                    self.platform.gpus_per_node,
-                    self.platform.network_latency,
-                )
+        # The commit overlaps with training; account for its latency here so
+        # it is visible in the trace without blocking any rank.
+        commit_start = self.env.now
+        yield self.env.timeout(
+            consensus_latency(
+                self.plan.topology.world_size,
+                self.platform.gpus_per_node,
+                self.platform.network_latency,
             )
-            self._record(rank, "commit", commit_start, self.env.now, f"iter{iteration}")
+        )
+        self._record(rank, "commit", commit_start, self.env.now, f"iter{iteration}")
         flush_done.succeed()
 
     def _capture_one(self, rank: int, shard, shard_flush_events: List[Event]) -> Generator:
@@ -218,7 +226,7 @@ class DataStatesEngine(SimCheckpointEngine):
         copy_start = self.env.now
         yield state.gpu.pcie.d2h(shard.nbytes, pinned=True, tag=f"rank{rank}-lazy-d2h")
         self._record(rank, "d2h", copy_start, self.env.now, shard.name)
-        if self.policy.streamlined_flush:
+        if self.streamlined_flush:
             shard_flush_events.append(self._start_shard_flush(rank, shard.nbytes, shard.name))
 
     def _capture_lane(self, rank: int, lane: List, shard_flush_events: List[Event],

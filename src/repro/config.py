@@ -8,8 +8,11 @@ Two kinds of configuration live here:
   §6.1 of the paper and against the baseline (DeepSpeed synchronous
   checkpointing) behaviour reported in Figures 7, 8, 11 and 12.
 
-* :class:`CheckpointPolicy` — user-facing knobs of the checkpoint engines
-  (host buffer capacity, flush parallelism, checkpoint frequency).
+* :class:`CheckpointPolicy` — user-facing knobs shared by the real and the
+  simulated checkpoint engines (host buffer capacity, flush parallelism,
+  shard layout, restore path).  The simulator's ablation switches are not
+  here: they are constructor keywords of
+  :class:`~repro.checkpoint.DataStatesEngine`, the one engine that reads them.
 
 Keeping every calibration constant in one documented place makes the
 "paper value -> simulated value" mapping auditable.
@@ -169,8 +172,9 @@ class CheckpointPolicy:
     """User-facing checkpoint engine configuration.
 
     Mirrors the single configuration attribute the paper exposes through the
-    DeepSpeed config file (host buffer size, §5.2), plus the knobs needed to
-    express the compared baselines.
+    DeepSpeed config file (host buffer size, §5.2), plus the knobs of the
+    shard layout, the flush side and the restore path.  The real and the
+    simulated engines share it.
     """
 
     #: Host memory reserved per process for buffering checkpoints.  The
@@ -194,19 +198,6 @@ class CheckpointPolicy:
     #: shard-set (DataStates engine).  ``1`` is the original single copy
     #: stream; more streams let capture keep up with a multi-shard flush.
     capture_streams: int = 1
-    #: Whether D2H snapshots may lazily overlap the next iteration's forward
-    #: and backward passes (the DataStates contribution).  Baselines set this
-    #: to False.
-    lazy_snapshot: bool = True
-    #: Whether host-to-storage flushes may start before the whole checkpoint
-    #: has been copied to the host (streamlined multi-level flushing).
-    streamlined_flush: bool = True
-    #: Whether the host staging buffer is pre-allocated and pinned once and
-    #: reused (DataStates) or allocated per checkpoint/shard (CheckFreq-like).
-    preallocated_pinned_buffer: bool = True
-    #: Run the distributed commit protocol asynchronously (overlapping with
-    #: training) instead of synchronously at the end of the checkpoint.
-    async_consolidation: bool = True
     #: Offset-addressed shard writes: since the shard header fixes every file
     #: offset up front, each staged extent is pwritten at its final offset
     #: through the store's ``ShardWriter`` (when it has one) as its

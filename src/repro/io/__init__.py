@@ -2,8 +2,8 @@
 (:class:`ShardStore`, :func:`create_store`), the real POSIX file store, the
 in-memory S3-like object store, the N-level tier chain with its background
 per-link drain pipeline (the classic fast/slow pair is its two-level form),
-the content-addressed multi-tenant store, and the simulated
-NVMe/Lustre/tiered/CAS models."""
+the content-addressed multi-tenant store, and the simulator's NVMe and
+Lustre bandwidth models."""
 
 from .cas import DEFAULT_CHUNK_BYTES, DEFAULT_NAMESPACE, CASStore
 from .faultstore import FaultPlan, FaultyStore, InjectedProcessKill
@@ -17,14 +17,10 @@ from .filestore import (
 )
 from .objectstore import ObjectShardWriter, ObjectStore
 from .sim_storage import (
-    SimContentAddressedStorage,
     SimNodeLocalStorage,
     SimParallelFileSystem,
-    SimTierChainStorage,
-    make_cas_storage,
     make_node_local_storage,
     make_parallel_fs,
-    make_tier_chain_storage,
 )
 from .store import (
     STORE_LABELS,
@@ -78,10 +74,6 @@ __all__ = [
     "DrainState",
     "SimParallelFileSystem",
     "SimNodeLocalStorage",
-    "SimTierChainStorage",
-    "SimContentAddressedStorage",
     "make_parallel_fs",
     "make_node_local_storage",
-    "make_tier_chain_storage",
-    "make_cas_storage",
 ]

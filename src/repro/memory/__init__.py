@@ -1,16 +1,11 @@
-"""Memory tiers, the circular staging-buffer allocator, and the pinned host pool."""
+"""The circular staging-buffer allocator and the pinned host pool."""
 
 from .circular_buffer import CircularBufferManager, Segment
 from .pinned_pool import HostAllocation, PinnedHostPool
-from .tiers import TierKind, TierSpec, default_hierarchy, flush_order
 
 __all__ = [
     "CircularBufferManager",
     "Segment",
     "PinnedHostPool",
     "HostAllocation",
-    "TierKind",
-    "TierSpec",
-    "default_hierarchy",
-    "flush_order",
 ]

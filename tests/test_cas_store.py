@@ -5,9 +5,8 @@ dedup, hash-verified reads), namespace scoping and quotas over one shared
 pool, the refcounted two-phase cross-job GC (including the
 concurrent-writer-vs-sweeper race and crash-recovery refcount rebuilds),
 the engine-level incremental checkpoint path (``CheckpointPolicy.
-incremental``) against its <60 %-of-full-bytes acceptance bar, the
-``cas``-over-``object`` composition, and the simulated dedup model
-(:class:`SimContentAddressedStorage`).
+incremental``) against its <60 %-of-full-bytes acceptance bar, and the
+``cas``-over-``object`` composition.
 """
 
 import hashlib
@@ -19,22 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import CheckpointPolicy, PlatformSpec
+from repro.config import CheckpointPolicy
 from repro.core import ENGINE_NAMES, create_real_engine
 from repro.exceptions import CheckpointError, ConfigurationError, ConsistencyError
-from repro.io import (
-    CASStore,
-    FileStore,
-    SimContentAddressedStorage,
-    SimParallelFileSystem,
-    create_store,
-    make_cas_storage,
-    make_parallel_fs,
-    supports_shard_reference,
-)
+from repro.io import CASStore, FileStore, create_store, supports_shard_reference
 from repro.restart import RestoreSpec
 from repro.io.cas import CHUNK_SHARD_NAME, INDEX_TAG, chunk_tag
-from repro.simulator import Environment
 
 CHUNK = 1024
 
@@ -729,92 +718,3 @@ def test_engines_roundtrip_over_cas_with_object_inner(engine_name, tmp_path):
         restored = engine.load(RestoreSpec(tag="ck-2"))
         for key, value in state["model"].items():
             np.testing.assert_array_equal(restored["model"][key], value)
-
-
-# ---------------------------------------------------------------------------
-# Simulated dedup model
-# ---------------------------------------------------------------------------
-
-class _RecordingBacking:
-    """Constant-bandwidth backing model recording the bytes it was charged."""
-
-    def __init__(self, env, bandwidth):
-        self.env = env
-        self.bandwidth = bandwidth
-        self.bytes_written = 0.0
-        self.bytes_read = 0.0
-
-    def write(self, nbytes, tag=None, **kwargs):
-        self.bytes_written += nbytes
-        return self.env.timeout(nbytes / self.bandwidth)
-
-    def read(self, nbytes, tag=None, **kwargs):
-        self.bytes_read += nbytes
-        return self.env.timeout(nbytes / self.bandwidth)
-
-    def metrics(self):
-        return {"bytes_written": self.bytes_written}
-
-
-def _run(env, storage, op, nbytes):
-    record = {}
-
-    def proc():
-        yield getattr(storage, op)(nbytes)
-        record["end"] = env.now
-
-    env.process(proc())
-    env.run()
-    return record["end"]
-
-
-def test_sim_cas_write_charges_hash_pass_then_physical_remainder():
-    env = Environment()
-    backing = _RecordingBacking(env, bandwidth=1e9)
-    cas = SimContentAddressedStorage(env=env, backing=backing,
-                                     dedup_fraction=0.5, hash_bandwidth=2e9)
-    # 2 GB logical: 1 s hashing at 2 GB/s, then 1 GB physical at 1 GB/s.
-    assert _run(env, cas, "write", 2e9) == pytest.approx(2.0, rel=1e-6)
-    assert backing.bytes_written == pytest.approx(1e9)
-    metrics = cas.metrics()
-    assert metrics["bytes_deduped"] == pytest.approx(1e9)
-    assert metrics["dedup_ratio"] == pytest.approx(0.5)
-    assert metrics["backing_bytes_written"] == pytest.approx(1e9)
-
-
-def test_sim_cas_full_dedup_never_touches_the_backing():
-    env = Environment()
-    backing = _RecordingBacking(env, bandwidth=1e9)
-    cas = SimContentAddressedStorage(env=env, backing=backing,
-                                     dedup_fraction=1.0, hash_bandwidth=2e9)
-    assert _run(env, cas, "write", 2e9) == pytest.approx(1.0, rel=1e-6)
-    assert backing.bytes_written == 0.0
-
-
-def test_sim_cas_restore_reads_full_logical_bytes_plus_verify():
-    env = Environment()
-    backing = _RecordingBacking(env, bandwidth=1e9)
-    cas = SimContentAddressedStorage(env=env, backing=backing,
-                                     dedup_fraction=0.5, hash_bandwidth=2e9)
-    # Restores reassemble every chunk: 2 s backing read + 1 s verify.
-    assert _run(env, cas, "read", 2e9) == pytest.approx(3.0, rel=1e-6)
-    assert backing.bytes_read == pytest.approx(2e9)
-
-
-def test_sim_cas_validates_its_knobs():
-    env = Environment()
-    backing = _RecordingBacking(env, bandwidth=1e9)
-    with pytest.raises(ConfigurationError):
-        SimContentAddressedStorage(env=env, backing=backing, dedup_fraction=1.5)
-    with pytest.raises(ConfigurationError):
-        SimContentAddressedStorage(env=env, backing=backing, hash_bandwidth=0.0)
-
-
-def test_make_cas_storage_defaults_to_the_shared_pfs():
-    env = Environment()
-    platform = PlatformSpec.polaris()
-    cas = make_cas_storage(env, platform, node_id=0, dedup_fraction=0.25)
-    assert isinstance(cas.backing, SimParallelFileSystem)
-    shared = make_parallel_fs(env, platform)
-    reused = make_cas_storage(env, platform, node_id=1, shared_pfs=shared)
-    assert reused.backing is shared

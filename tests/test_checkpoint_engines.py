@@ -156,21 +156,22 @@ def test_traces_contain_engine_activity(results_3b):
 # Ablations of the DataStates design principles
 # ---------------------------------------------------------------------------
 
-def _run_datastates_with_policy(**overrides):
-    policy = CheckpointPolicy(host_buffer_size=64 * 10**9).with_overrides(**overrides)
-    return simulate_run("3B", "datastates", iterations=5, checkpoint_interval=1, policy=policy)
+def _run_datastates(host_buffer_size=64 * 10**9, **switches):
+    policy = CheckpointPolicy(host_buffer_size=host_buffer_size)
+    return simulate_run("3B", "datastates", iterations=5, checkpoint_interval=1,
+                        policy=policy, engine_kwargs=switches)
 
 
 def test_ablation_eager_snapshot_blocks_more_than_lazy():
-    lazy = _run_datastates_with_policy(lazy_snapshot=True)
-    eager = _run_datastates_with_policy(lazy_snapshot=False)
+    lazy = _run_datastates(lazy_snapshot=True)
+    eager = _run_datastates(lazy_snapshot=False)
     assert sum(eager.per_checkpoint_blocked_seconds) > sum(lazy.per_checkpoint_blocked_seconds)
     assert eager.checkpoint_throughput_bytes_per_second < lazy.checkpoint_throughput_bytes_per_second
 
 
 def test_ablation_per_request_allocation_slower_than_preallocated():
-    preallocated = _run_datastates_with_policy(preallocated_pinned_buffer=True)
-    allocate_each_time = _run_datastates_with_policy(preallocated_pinned_buffer=False)
+    preallocated = _run_datastates(preallocated_pinned_buffer=True)
+    allocate_each_time = _run_datastates(preallocated_pinned_buffer=False)
     assert (
         allocate_each_time.avg_iteration_seconds_with_checkpoint
         > preallocated.avg_iteration_seconds_with_checkpoint
@@ -178,17 +179,27 @@ def test_ablation_per_request_allocation_slower_than_preallocated():
 
 
 def test_ablation_staged_flush_delays_end_to_end():
-    streamlined = _run_datastates_with_policy(streamlined_flush=True)
-    staged = _run_datastates_with_policy(streamlined_flush=False)
+    streamlined = _run_datastates(streamlined_flush=True)
+    staged = _run_datastates(streamlined_flush=False)
     assert staged.end_to_end_seconds >= streamlined.end_to_end_seconds
+
+
+def test_ablation_switches_are_not_policy_fields():
+    """The switches live on the simulated DataStates engine alone: a policy
+    or another engine handed one refuses it instead of ignoring it."""
+    with pytest.raises(TypeError):
+        CheckpointPolicy(lazy_snapshot=False)
+    with pytest.raises(TypeError):
+        simulate_run("3B", "deepspeed", iterations=2,
+                     engine_kwargs={"lazy_snapshot": False})
 
 
 def test_small_host_buffer_creates_back_pressure():
     """With a staging buffer barely larger than one checkpoint, flushes gate
     the next checkpoint and the perceived throughput drops (the Figure 11a
     effect)."""
-    large = _run_datastates_with_policy(host_buffer_size=64 * 10**9)
-    small = _run_datastates_with_policy(host_buffer_size=12 * 10**9)
+    large = _run_datastates(host_buffer_size=64 * 10**9)
+    small = _run_datastates(host_buffer_size=12 * 10**9)
     assert (
         small.checkpoint_throughput_bytes_per_second
         < large.checkpoint_throughput_bytes_per_second

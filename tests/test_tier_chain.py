@@ -2,8 +2,8 @@
 spec grammar, per-link drains through three levels, nearest-level-first
 restores with multi-level promote-on-read, watermark eviction on interior
 levels, commit backpressure at the level-0 watermark (``drain_wait_ms``),
-pre-refactor sidecar compatibility, the simulated chain model, and the
-per-link generalization of the analytic drain-lag loss window."""
+pre-refactor sidecar compatibility, and the per-link generalization of the
+analytic drain-lag loss window."""
 
 import json
 import threading
@@ -24,12 +24,10 @@ from repro.io import (
     TierChainLevelSpec,
     TierLevel,
     create_store,
-    make_tier_chain_storage,
     parse_tier_chain_spec,
 )
 from repro.io.tiered import TIER_INDEX_NAME
 from repro.restart import CheckpointLoader, RestoreSpec
-from repro.simulator import Environment
 from repro.units import parse_bytes
 
 
@@ -629,49 +627,6 @@ def test_residency_cell_formats(tmp_path):
     assert _residency_cell(store, "missing") == "-"
     assert _residency_cell(FileStore(tmp_path / "plain"), "ckpt-1") is None
     store.close()
-
-
-# ---------------------------------------------------------------------------
-# Simulated chain model
-# ---------------------------------------------------------------------------
-
-def _wait(env, event):
-    def waiter():
-        yield event
-    return env.run_until_complete(env.process(waiter()))
-
-
-def test_sim_tier_chain_cascades_link_by_link():
-    env = Environment()
-    platform = PlatformSpec.polaris()
-    storage = make_tier_chain_storage(env, platform, node_id=0)
-    nbytes = 10e9
-
-    commit = storage.write(nbytes, tag="ckpt")
-    _wait(env, commit)
-    # Committed at NVMe speed; both links still hold the full backlog.
-    assert env.now == pytest.approx(nbytes / platform.nvme_write_bandwidth,
-                                    rel=1e-6)
-    assert storage.backlog_bytes == nbytes
-    assert storage.link_backlog_bytes == [nbytes, nbytes]
-
-    _wait(env, storage.drained())
-    metrics = storage.metrics()
-    assert metrics["backlog_bytes"] == 0
-    assert metrics["bytes_drained"] == nbytes
-    assert metrics["drains_completed"] == 1
-    assert metrics["link_bytes_drained"] == [nbytes, nbytes]
-    assert metrics["link_backlog_bytes"] == [0.0, 0.0]
-
-
-def test_sim_tier_chain_needs_two_levels():
-    env = Environment()
-    platform = PlatformSpec.polaris()
-    from repro.io import SimTierChainStorage, make_node_local_storage
-
-    with pytest.raises(ConfigurationError):
-        SimTierChainStorage(env=env, levels=[
-            make_node_local_storage(env, platform, node_id=0)])
 
 
 # ---------------------------------------------------------------------------

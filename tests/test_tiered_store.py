@@ -1,7 +1,7 @@
 """Tests for the tiered store: fast-tier commits, the background drain
 pipeline (LOCAL -> DRAINING -> REPLICATED, manifest-last ordering), eviction
 watermarks, nearest-tier restores after fast-tier loss, cross-tier GC,
-crash-mid-drain resume, ranged reads, and the simulated drain model."""
+crash-mid-drain resume, and ranged reads."""
 
 import json
 import threading
@@ -9,7 +9,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.config import PlatformSpec
 from repro.core import create_real_engine
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.io import (
@@ -17,18 +16,14 @@ from repro.io import (
     FileStore,
     ObjectStore,
     ShardStore,
-    SimTierChainStorage,
     TierChain,
     TierLevel,
     create_store,
-    make_node_local_storage,
-    make_parallel_fs,
     supports_mmap,
     supports_shard_writer,
 )
 from repro.io.tiered import TIER_INDEX_NAME
 from repro.restart import CheckpointLoader, RestoreSpec
-from repro.simulator import Environment
 
 
 def _state(seed=0, size=256):
@@ -531,94 +526,6 @@ def test_tiered_read_shard_range_falls_back_to_slow(tmp_path):
     store.fast.delete_checkpoint("ckpt-1")
     assert store.read_shard_range("ckpt-1", "rank0", 4, 16) == whole[4:20]
     store.close()
-
-
-# ---------------------------------------------------------------------------
-# Simulated drain-bandwidth model
-# ---------------------------------------------------------------------------
-
-def _wait(env, event):
-    def waiter():
-        yield event
-    return env.run_until_complete(env.process(waiter()))
-
-
-def _sim_pair(env, platform, node_id, shared_pfs=None):
-    """One node's NVMe commit tier draining to the (shared) PFS."""
-    return SimTierChainStorage(env=env, levels=[
-        make_node_local_storage(env, platform, node_id=node_id),
-        shared_pfs if shared_pfs is not None else make_parallel_fs(env, platform)])
-
-
-def test_sim_tiered_storage_commits_at_nvme_speed_and_drains_in_background():
-    env = Environment()
-    platform = PlatformSpec.polaris()
-    storage = _sim_pair(env, platform, node_id=0)
-    nbytes = 10e9
-
-    commit = storage.write(nbytes, tag="ckpt")
-    _wait(env, commit)
-    commit_time = env.now
-    # Committed at node-local NVMe bandwidth, far faster than the PFS stream.
-    assert commit_time == pytest.approx(nbytes / platform.nvme_write_bandwidth,
-                                        rel=1e-6)
-    assert storage.backlog_bytes == nbytes
-
-    _wait(env, storage.drained())
-    drain_time = env.now - commit_time
-    stream = platform.pfs_per_stream_bandwidth
-    expected = (nbytes + stream * platform.pfs_file_latency) / stream
-    assert drain_time == pytest.approx(expected, rel=1e-3)
-    metrics = storage.metrics()
-    assert metrics["backlog_bytes"] == 0
-    assert metrics["bytes_drained"] == nbytes
-    assert metrics["drains_completed"] == 1
-    assert metrics["max_backlog_bytes"] == nbytes
-
-
-def test_sim_tiered_storage_drains_contend_on_a_shared_pfs():
-    """Multi-node: every node's drain flows through ONE shared PFS link, so
-    concurrent drains split the aggregate bandwidth instead of each seeing
-    the full file system to themselves."""
-    from repro.units import gbps
-
-    env = Environment()
-    platform = PlatformSpec.polaris().with_overrides(
-        pfs_aggregate_bandwidth=gbps(3.0), pfs_per_stream_bandwidth=gbps(2.2))
-    pfs = make_parallel_fs(env, platform)
-    nodes = [_sim_pair(env, platform, node_id=i, shared_pfs=pfs)
-             for i in range(2)]
-    nbytes = 10e9
-    for node in nodes:
-        node.write(nbytes, tag="ckpt")
-    _wait(env, env.all_of([node.drained() for node in nodes]))
-    stream = gbps(2.2)
-    effective = nbytes + stream * platform.pfs_file_latency
-    solo = effective / stream
-    commit = nbytes / platform.nvme_write_bandwidth
-    # Two 2.2 GB/s drains squeezed through a 3 GB/s aggregate finish
-    # together at the link's fair-share rate — 2x the bytes over one shared
-    # link, visibly slower than a single uncontended drain would be.
-    contended = env.now - commit
-    assert contended == pytest.approx(2 * effective / gbps(3.0), rel=1e-3)
-    assert contended > solo
-    assert pfs.link.bytes_transferred == pytest.approx(2 * effective, rel=1e-3)
-
-
-def test_sim_tiered_storage_nearest_tier_reads():
-    env = Environment()
-    platform = PlatformSpec.polaris()
-    storage = _sim_pair(env, platform, node_id=1)
-    _wait(env, storage.read(1e9, level=0))
-    local_time = env.now
-    _wait(env, storage.read(1e9, level=1))
-    remote_time = env.now - local_time
-    # Each path runs at its own tier's modelled bandwidth (on Polaris a
-    # single PFS stream is slightly faster than the NVMe, but it contends
-    # with every drain in the job while the NVMe read is node-private).
-    assert local_time == pytest.approx(1e9 / platform.nvme_write_bandwidth, rel=1e-6)
-    assert remote_time == pytest.approx(1e9 / platform.pfs_per_stream_bandwidth,
-                                        rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
