@@ -57,9 +57,9 @@ def run_real_engine(
                                checkpoint_interval=checkpoint_interval)
         engine.wait_all()
         committed = engine.list_checkpoints()
-        # Restore round trip through the engine protocol (validated, and
-        # prefetched per policy.prefetch_depth) — makes the restore-side
-        # knobs observable in the comparison, not just the save side.
+        # Restore round trip through the engine protocol (validated and
+        # prefetched with the loader's defaults), so the comparison times
+        # the restore side as well as the save side.
         restore_seconds = None
         if committed:
             start = time.perf_counter()

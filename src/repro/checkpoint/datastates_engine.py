@@ -163,32 +163,11 @@ class DataStatesEngine(SimCheckpointEngine):
     # -- background pipeline -------------------------------------------------------
     def _snapshot_and_flush(self, rank: int, iteration: int,
                             snapshot_done: Event, flush_done: Event) -> Generator:
-        """Coalesced D2H copies with streamlined per-shard flushing.
-
-        With ``policy.capture_streams > 1`` the rank's shards are dealt
-        round-robin across that many concurrent copy streams (they share the
-        fair-share PCIe link, so total D2H bandwidth is unchanged, but a slow
-        flush backing up one stream no longer stalls the copies of the
-        others).
-        """
+        """Coalesced D2H copies with streamlined per-shard flushing."""
         state = self.ranks[rank]
         shard_flush_events: List[Event] = []
-        shards = list(state.plan.shards)
-        streams = max(1, int(self.policy.capture_streams))
-        if streams > 1 and len(shards) > 1:
-            lane_events: List[Event] = []
-            for lane_id in range(min(streams, len(shards))):
-                lane = shards[lane_id::streams]
-                lane_done = self.env.event()
-                lane_events.append(lane_done)
-                self.env.process(
-                    self._capture_lane(rank, lane, shard_flush_events, lane_done),
-                    name=f"ds-capture-r{rank}-i{iteration}-c{lane_id}",
-                )
-            yield self.env.all_of(lane_events)
-        else:
-            for shard in shards:
-                yield from self._capture_one(rank, shard, shard_flush_events)
+        for shard in state.plan.shards:
+            yield from self._capture_one(rank, shard, shard_flush_events)
         snapshot_done.succeed()
 
         if not self.streamlined_flush:
@@ -228,13 +207,6 @@ class DataStatesEngine(SimCheckpointEngine):
         self._record(rank, "d2h", copy_start, self.env.now, shard.name)
         if self.streamlined_flush:
             shard_flush_events.append(self._start_shard_flush(rank, shard.nbytes, shard.name))
-
-    def _capture_lane(self, rank: int, lane: List, shard_flush_events: List[Event],
-                      lane_done: Event) -> Generator:
-        """One concurrent capture stream: its share of the rank's shards, FIFO."""
-        for shard in lane:
-            yield from self._capture_one(rank, shard, shard_flush_events)
-        lane_done.succeed()
 
     def _start_shard_flush(self, rank: int, nbytes: int, label: str) -> Event:
         """Flush one shard on this rank's single flush stream (FIFO).

@@ -26,6 +26,8 @@ from .base import SimCheckpointEngine
 DEFAULT_STAGING_BANDWIDTH = gbps(2.3)
 #: Number of parallel flush threads per rank (the paper's configuration).
 DEFAULT_FLUSH_THREADS = 4
+#: Bytes per chunk file (the real engines' 64 MiB write chunk).
+CHUNK_SIZE = 64 * 1024 * 1024
 
 
 class TorchSnapshotEngine(SimCheckpointEngine):
@@ -58,7 +60,6 @@ class TorchSnapshotEngine(SimCheckpointEngine):
             yield self.env.all_of(pending)
         state.outstanding_flushes = [e for e in state.outstanding_flushes if not e.triggered]
 
-        chunk_size = self.policy.chunk_size
         all_chunks: List[int] = []
         for shard in state.plan.shards:
             remaining = shard.nbytes
@@ -70,7 +71,7 @@ class TorchSnapshotEngine(SimCheckpointEngine):
             )
             self._record(rank, "d2h", copy_start, self.env.now, shard.name)
             while remaining > 0:
-                chunk = min(chunk_size, remaining)
+                chunk = min(CHUNK_SIZE, remaining)
                 all_chunks.append(chunk)
                 remaining -= chunk
 

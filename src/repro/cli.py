@@ -24,8 +24,8 @@ Subcommands
 :func:`~repro.restart.reshape_checkpoint`).
 
 ``train``, ``compare-real``, ``list``, and ``reshape`` all share one store
-argument group (``--store``, tier/chunk-pool composition flags,
-``--prefetch-depth``) defined once as an argparse parent parser.
+argument group (``--store``, tier/chunk-pool composition flags) defined once
+as an argparse parent parser.
 """
 
 from __future__ import annotations
@@ -150,8 +150,8 @@ def _store_parent() -> argparse.ArgumentParser:
 
     Defined once and attached via ``parents=[...]`` to every subcommand that
     opens a store (``train``, ``compare-real``, ``list``, ``reshape``), so a
-    new store-touching subcommand gets the full backend/composition/restore
-    surface — and any new store flag reaches all of them — for free.
+    new store-touching subcommand gets the full backend/composition surface —
+    and any new store flag reaches all of them — for free.
     """
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("shard store")
@@ -198,11 +198,6 @@ def _store_parent() -> argparse.ArgumentParser:
                             "shards are recorded by reference to the "
                             "previous committed checkpoint, only changed "
                             "chunks are uploaded")
-    group.add_argument("--prefetch-depth", type=int, default=None,
-                       help="restore-side prefetch workers fetching+validating "
-                            "shard parts ahead of deserialization "
-                            "(0 = auto from measured timings, 1 = serial; "
-                            "default: policy default)")
     return parent
 
 
@@ -216,9 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--shards-per-rank", type=int, default=1,
                          help="spread each rank's state over N shard files "
                               "(multi-shard layout; 1 = classic single shard)")
-        cmd.add_argument("--capture-streams", type=int, default=1,
-                         help="concurrent snapshot capture streams feeding the "
-                              "shard-set (DataStates engine)")
 
     simulate = sub.add_parser("simulate", help="simulate one training run")
     simulate.add_argument("--model", choices=MODEL_SIZES, default="13B")
@@ -309,6 +301,10 @@ def _build_parser() -> argparse.ArgumentParser:
                               "(default: deepspeed)")
     reshape.add_argument("--no-validate", action="store_true",
                          help="skip checksum validation of the source shards")
+    reshape.add_argument("--prefetch-depth", type=int, default=None,
+                         help="source parts fetched and checked ahead of "
+                              "the reshape (0 = auto from measured timings, "
+                              "1 = serial; default: the loader's)")
 
     replay = sub.add_parser(
         "replay",
@@ -347,29 +343,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _layout_policy(args: argparse.Namespace,
                    host_buffer_size: Optional[int] = None) -> Optional[CheckpointPolicy]:
-    """Build a policy only when a non-default layout/restore knob was given.
+    """Build a policy only when a non-default layout knob was given.
 
     ``host_buffer_size`` must always be pinned explicitly: the dataclass
     default (16 GB, the simulator's per-rank budget) would make a real-mode
     engine allocate a 16 GB pinned pool the moment any layout flag is used.
     """
-    prefetch_depth = getattr(args, "prefetch_depth", None)
     incremental = getattr(args, "incremental", False)
-    if (args.shards_per_rank == 1 and args.capture_streams == 1
-            and prefetch_depth is None and not incremental):
+    if args.shards_per_rank == 1 and not incremental:
         return None
     from .core.base_engine import DEFAULT_HOST_BUFFER_SIZE
 
-    overrides = {}
-    if prefetch_depth is not None:
-        overrides["prefetch_depth"] = prefetch_depth
-    if incremental:
-        overrides["incremental"] = True
     return CheckpointPolicy(
         shards_per_rank=args.shards_per_rank,
-        capture_streams=args.capture_streams,
         host_buffer_size=host_buffer_size or DEFAULT_HOST_BUFFER_SIZE,
-        **overrides,
+        incremental=incremental,
     )
 
 

@@ -8,10 +8,11 @@ Two kinds of configuration live here:
   §6.1 of the paper and against the baseline (DeepSpeed synchronous
   checkpointing) behaviour reported in Figures 7, 8, 11 and 12.
 
-* :class:`CheckpointPolicy` — user-facing knobs shared by the real and the
+* :class:`CheckpointPolicy` — the save-side knobs shared by the real and the
   simulated checkpoint engines (host buffer capacity, flush parallelism,
-  shard layout, restore path).  The simulator's ablation switches are not
-  here: they are constructor keywords of
+  shard layout, incremental saves).  Restore options are per call, on
+  :class:`~repro.restart.RestoreSpec`.  The simulator's ablation switches are
+  not here either: they are constructor keywords of
   :class:`~repro.checkpoint.DataStatesEngine`, the one engine that reads them.
 
 Keeping every calibration constant in one documented place makes the
@@ -24,11 +25,6 @@ from dataclasses import dataclass, replace
 
 from .exceptions import ConfigurationError
 from .units import GB, gbps
-
-#: Default restore-side prefetch depth — the one source of truth shared by
-#: :class:`CheckpointPolicy` and loaders constructed without an explicit
-#: ``prefetch_depth`` (:class:`repro.restart.CheckpointLoader`).
-DEFAULT_PREFETCH_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -172,9 +168,11 @@ class CheckpointPolicy:
     """User-facing checkpoint engine configuration.
 
     Mirrors the single configuration attribute the paper exposes through the
-    DeepSpeed config file (host buffer size, §5.2), plus the knobs of the
-    shard layout, the flush side and the restore path.  The real and the
-    simulated engines share it.
+    DeepSpeed config file (host buffer size, §5.2), plus the flush
+    parallelism, the shard layout and incremental saves.  The real and the
+    simulated engines share it.  How a save is cut into writes follows the
+    store (an offset-addressed writer when it offers one), and how a restore
+    reads is chosen per call through :class:`~repro.restart.RestoreSpec`.
     """
 
     #: Host memory reserved per process for buffering checkpoints.  The
@@ -185,39 +183,12 @@ class CheckpointPolicy:
     #: 4 in the paper's configuration; DataStates uses a single streaming
     #: flush thread per rank).
     flush_threads: int = 1
-    #: Chunk size used when streaming tensors (TorchSnapshot-style chunking
-    #: and DataStates streaming flushes).
-    chunk_size: int = 64 * 1024 * 1024
     #: Multi-shard-per-rank layout: how many shard files one rank's state is
     #: spread across (greedy size-balanced binning).  ``1`` is the original
     #: single-shard layout, byte-identical to earlier releases.  Raising it
     #: lets the flush side drive several file streams (and several OSTs of a
     #: striped PFS) concurrently and unlocks per-shard capture/flush overlap.
     shards_per_rank: int = 1
-    #: Number of concurrent device-to-host snapshot copy streams feeding the
-    #: shard-set (DataStates engine).  ``1`` is the original single copy
-    #: stream; more streams let capture keep up with a multi-shard flush.
-    capture_streams: int = 1
-    #: Offset-addressed shard writes: since the shard header fixes every file
-    #: offset up front, each staged extent is pwritten at its final offset
-    #: through the store's ``ShardWriter`` (when it has one) as its
-    #: device-to-host copy lands; the TorchSnapshot-like engine fans tensors
-    #: out to its writer threads the same way.  ``False`` streams the same
-    #: bytes through ``write_shard`` instead.
-    parallel_shard_writes: bool = True
-    #: Restore shards through a read-only mmap: checksums are validated by
-    #: streaming over the map and arrays are rebuilt straight out of it.
-    #: ``False``, or a store with nothing to map (object, CAS), lands each
-    #: part with one ``read_shard(out=)`` in a buffer the restore owns.
-    mmap_restore: bool = True
-    #: Restore-side prefetch: how many shard parts the loader's bounded
-    #: fetch + CRC-validate stage keeps in flight ahead of deserialization,
-    #: overlapping I/O with reassembly across the shard-set (and across
-    #: ranks in an all-ranks restore).  ``0`` selects auto mode: the loader
-    #: measures per-part fetch vs deserialize time and picks the depth from the
-    #: overlap ratio; ``1`` is strictly serial fetch -> validate ->
-    #: deserialize.
-    prefetch_depth: int = DEFAULT_PREFETCH_DEPTH
     #: Incremental checkpoints (CAS store): before writing, compare each
     #: shard part's per-tensor CRC32s (and the folded whole-part checksum)
     #: against the previous committed manifest and record unchanged parts as
@@ -233,14 +204,8 @@ class CheckpointPolicy:
             raise ConfigurationError("host_buffer_size must be positive")
         if self.flush_threads <= 0:
             raise ConfigurationError("flush_threads must be positive")
-        if self.chunk_size <= 0:
-            raise ConfigurationError("chunk_size must be positive")
         if self.shards_per_rank <= 0:
             raise ConfigurationError("shards_per_rank must be positive")
-        if self.capture_streams <= 0:
-            raise ConfigurationError("capture_streams must be positive")
-        if self.prefetch_depth < 0:
-            raise ConfigurationError("prefetch_depth must be >= 0")
 
     def with_overrides(self, **kwargs: object) -> "CheckpointPolicy":
         """Return a copy of this policy with selected fields replaced."""

@@ -96,7 +96,7 @@ from ..serialization import (
 )
 from ..tensor import FlattenCache, FlattenedState
 from .consolidation import TwoPhaseCommitCoordinator
-from .flush_pipeline import FlushResult
+from .flush_pipeline import WRITE_CHUNK_BYTES, FlushResult
 from .lazy_snapshot import SnapshotJob, deadline_iter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (restart imports core)
@@ -385,11 +385,12 @@ class CheckpointEngine(abc.ABC):
         """Restore from a committed checkpoint per ``spec``.
 
         Every engine restores through the same
-        :meth:`~repro.restart.CheckpointLoader.restore` path: shards are
+        :meth:`~repro.restart.CheckpointLoader.restore` path, with the
+        loader's defaults unless the spec overrides them: shards are
         validated against the manifest (size + CRC32), fetched through the
-        prefetching pipeline (``policy.prefetch_depth`` bounded workers) and,
-        with ``policy.mmap_restore`` on a store that can map, rebuilt
-        straight out of a read-only memory map.
+        prefetching pipeline (``spec.prefetch_depth`` bounded workers) and,
+        on a store that can map and unless ``spec.use_mmap`` is ``False``,
+        rebuilt straight out of a read-only memory map.
 
         When the spec names no rank/shard selector the engine fills in its
         own: this rank's default shard, or — for a reshaping restore
@@ -406,9 +407,7 @@ class CheckpointEngine(abc.ABC):
             else:
                 resolved = dataclasses.replace(
                     resolved, shard=self.default_shard_name())
-        loader = CheckpointLoader(self.store, use_mmap=self.policy.mmap_restore,
-                                  prefetch_depth=self.policy.prefetch_depth)
-        return loader.restore(resolved)
+        return CheckpointLoader(self.store).restore(resolved)
 
     def list_checkpoints(self) -> List[str]:
         """Tags of committed checkpoints, oldest first."""
@@ -585,7 +584,7 @@ class CheckpointEngine(abc.ABC):
         def chunks():
             nonlocal checksum
             for chunk in iter_shard_chunks(header, skeleton, views,
-                                           chunk_size=self.policy.chunk_size):
+                                           chunk_size=WRITE_CHUNK_BYTES):
                 checksum = zlib.crc32(chunk, checksum) & 0xFFFFFFFF
                 yield chunk
 

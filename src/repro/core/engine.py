@@ -38,7 +38,7 @@ from ..serialization import ShardPlan
 from ..tensor import FlattenedState
 from .base_engine import CheckpointEngine
 from .flush_pipeline import FlushPipeline
-from .lazy_snapshot import CopyStream, SnapshotJob, deadline_iter
+from .lazy_snapshot import CopyStream, SnapshotJob
 
 
 class DataStatesCheckpointEngine(CheckpointEngine):
@@ -49,26 +49,10 @@ class DataStatesCheckpointEngine(CheckpointEngine):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.pool = PinnedHostPool(self.policy.host_buffer_size)
-        #: ``policy.capture_streams`` concurrent snapshot workers; shard-set
-        #: parts are dealt round-robin across them so several device-to-host
-        #: copies feed several shard files at once.
-        self.copy_streams = [
-            CopyStream(self.pool, name=f"d2h-copy-r{self.rank}-c{index}")
-            for index in range(self.policy.capture_streams)
-        ]
-        self.copy_stream = self.copy_streams[0]
-        # Every concurrently-captured shard needs a flush worker able to drain
-        # it, otherwise a full pool with interleaved allocations could leave a
-        # capture stream waiting on space only a queued-behind flush would
-        # free (deadlock); size the pool to the capture parallelism.
-        self.pipeline = FlushPipeline(
-            self.store,
-            self.pool,
-            rank=self.rank,
-            flush_threads=max(self.policy.flush_threads, self.policy.capture_streams),
-            chunk_size=self.policy.chunk_size,
-            parallel_shard_writes=self.policy.parallel_shard_writes,
-        )
+        #: The one snapshot worker: every part is captured on it, in plan order.
+        self.copy_stream = CopyStream(self.pool, name=f"d2h-copy-r{self.rank}-c0")
+        self.pipeline = FlushPipeline(self.store, self.pool, rank=self.rank,
+                                      flush_threads=self.policy.flush_threads)
 
     # ------------------------------------------------------------------ save
     def plan_shards(self, flattened: FlattenedState, base_name: str) -> ShardPlan:
@@ -88,8 +72,8 @@ class DataStatesCheckpointEngine(CheckpointEngine):
         the state references (typically right before ``optimizer.step()``).
         """
         multi = not plan.is_single
-        # Phase 3: lazy captures, dealt round-robin across the copy streams;
-        # phase 4: a flush per dirty part, so capture and flush overlap per shard.
+        # Phase 3: lazy captures, queued on the copy stream; phase 4: a flush
+        # per dirty part, so capture and flush overlap per shard.
         for index, part in parts:
             snapshot = SnapshotJob(
                 tag=handle.tag, shard_name=part.name, header=part.header,
@@ -118,7 +102,7 @@ class DataStatesCheckpointEngine(CheckpointEngine):
                 return inc.tensor_checksums(part.name) if inc else ()
 
             snapshot.begin = begin
-            self.copy_streams[index % len(self.copy_streams)].submit(snapshot)
+            self.copy_stream.submit(snapshot)
 
     # ------------------------------------------------------------ wait points
     def wait_for_snapshot(self, timeout: Optional[float] = None) -> None:
@@ -126,11 +110,9 @@ class DataStatesCheckpointEngine(CheckpointEngine):
 
         This is the consistency gate that must precede the optimizer update:
         once it returns, every tensor of every outstanding request has been
-        copied off the training state and may be mutated freely.  ``timeout``
-        bounds the whole gate, not each stream.
+        copied off the training state and may be mutated freely.
         """
-        for stream, remaining in deadline_iter(self.copy_streams, timeout):
-            stream.wait_idle(timeout=remaining)
+        self.copy_stream.wait_idle(timeout=timeout)
 
     # ------------------------------------------------------------------ stats
     def stats(self) -> Dict[str, float]:
@@ -146,7 +128,6 @@ class DataStatesCheckpointEngine(CheckpointEngine):
 
     # ---------------------------------------------------------------- shutdown
     def _release_resources(self, wait: bool = True) -> None:
-        for stream in self.copy_streams:
-            stream.shutdown()
+        self.copy_stream.shutdown()
         self.pipeline.shutdown(wait=wait)
         self.pool.close()

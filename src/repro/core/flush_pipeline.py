@@ -9,8 +9,7 @@ computation (streamlined multi-level flushing, §5.1).  Pool space goes back
 extent by extent as it is consumed, which is what lets the circular buffer
 admit the next checkpoint.
 
-One loop feeds one of two sinks, selected by what the store offers (and
-``parallel_shard_writes``):
+One loop feeds one of two sinks, selected by what the store offers:
 
 * **Offset-addressed** — the store hands out a :class:`~repro.io.ShardWriter`;
   because the shard header fixes every file offset up front, each extent is
@@ -19,7 +18,7 @@ One loop feeds one of two sinks, selected by what the store offers (and
 * **Streaming** — stores without a writer (CAS, fault-injecting, test
   doubles) pull the same bytes through
   :meth:`~repro.io.ShardStore.write_shard` as zero-copy ``memoryview``
-  chunks of the pool.
+  chunks of the pool, none longer than :data:`WRITE_CHUNK_BYTES`.
 
 Neither sink hashes a payload byte: the capture thread already took every
 tensor's CRC32, and the whole-file checksum is folded from those with
@@ -43,6 +42,10 @@ from ..serialization import ShardRecord, encode_preamble, fold_section_checksums
 from .lazy_snapshot import SnapshotJob, StagedExtent
 
 logger = get_logger(__name__)
+
+#: Longest single piece a real engine hands a store: a streamed chunk, or
+#: one ``pwrite`` of a tensor on the TorchSnapshot-like writer threads.
+WRITE_CHUNK_BYTES = 64 * 1024 * 1024
 
 
 @dataclass
@@ -124,19 +127,16 @@ class FlushPipeline:
         pool: PinnedHostPool,
         rank: int = 0,
         flush_threads: int = 1,
-        chunk_size: int = 8 * 1024 * 1024,
-        parallel_shard_writes: bool = False,
+        parallel_shard_writes: bool = True,
     ) -> None:
-        if chunk_size <= 0:
-            raise CheckpointError("chunk_size must be positive")
         self.store = store
         self.pool = pool
         self.rank = rank
-        self.chunk_size = chunk_size
         self.workers = ThreadPoolExecutor(max_workers=flush_threads,
                                           thread_name_prefix=f"flush-r{rank}")
         # The offset-addressed sink needs a store that can hand out pwrite
-        # writers; plain stores (and test doubles) fall back to streaming.
+        # writers; plain stores (and test doubles) stream.  ``False`` streams
+        # on any store.
         self.parallel_shard_writes = bool(
             parallel_shard_writes and supports_shard_writer(store)
         )
@@ -219,8 +219,8 @@ class FlushPipeline:
                     yield preamble
                     for extent in extents:
                         view = extent.allocation.view
-                        for start in range(0, len(view), self.chunk_size):
-                            yield view[start:start + self.chunk_size]
+                        for start in range(0, len(view), WRITE_CHUNK_BYTES):
+                            yield view[start:start + WRITE_CHUNK_BYTES]
                         crcs.extend(extent.crcs)
                     snapshot.wait_captured()  # raises if the capture died
 

@@ -82,8 +82,8 @@ class SnapshotJob:
     """The capture half of one checkpoint request (one shard file's worth).
 
     In the multi-shard-per-rank layout one checkpoint request fans out into
-    several jobs — one per :class:`~repro.serialization.ShardPart` — each fed
-    by its own capture stream and flushed independently; ``group``/
+    several jobs — one per :class:`~repro.serialization.ShardPart` — captured
+    in turn on the rank's copy stream and flushed independently; ``group``/
     ``part_index``/``num_parts`` identify the job's place in the rank's
     shard-set so the flush pipeline can stamp the manifest records.
     """

@@ -31,14 +31,15 @@ from ..serialization import (
 )
 from .base_engine import CheckpointEngine
 from .consolidation import TwoPhaseCommitCoordinator
+from .flush_pipeline import WRITE_CHUNK_BYTES
 
 
-def _pwrite_tensor(writer, offset: int, view: memoryview, chunk_size: int) -> int:
+def _pwrite_tensor(writer, offset: int, view: memoryview) -> int:
     """Write one tensor at its final file offset in bounded pieces; returns
     its CRC32."""
     crc = 0
-    for start in range(0, len(view), chunk_size):
-        piece = view[start:start + chunk_size]
+    for start in range(0, len(view), WRITE_CHUNK_BYTES):
+        piece = view[start:start + WRITE_CHUNK_BYTES]
         writer.pwrite(offset + start, piece)
         crc = zlib.crc32(piece, crc)
     return crc
@@ -117,7 +118,7 @@ class TorchSnapshotCheckpointEngine(CheckpointEngine):
                 for entry, payload in iter_part_payloads(part):
                     futures.append(self._writers.submit(
                         _pwrite_tensor, writer, len(preamble) + entry.offset,
-                        memoryview(payload), self.policy.chunk_size))
+                        memoryview(payload)))
             for index, part, writer, preamble, futures in writes:
                 # Header order; the first failed write re-raises here.
                 crcs = tuple(future.result() for future in futures)

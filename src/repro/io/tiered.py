@@ -742,7 +742,8 @@ class TierChain:
 
         The skip is what makes a resumed drain idempotent *and* cheap: parts
         that already landed before a crash are recognised by size and not
-        re-uploaded.
+        re-uploaded.  A copy of the wrong size (a short read on the source)
+        raises before the link's manifest is published, and is retried.
         """
         try:
             if self._stores[target].shard_size(tag, name) == nbytes:
@@ -751,8 +752,12 @@ class TierChain:
                 return
         except Exception:  # noqa: BLE001 - absent on the target level: copy it
             pass
-        self._stores[target].write_shard(
+        receipt = self._stores[target].write_shard(
             tag, name, self._part_chunks(source, tag, name, nbytes))
+        if receipt.nbytes != nbytes:
+            raise CheckpointError(
+                f"drain of {tag}/{name} to level {self._names[target]!r} copied "
+                f"{receipt.nbytes} of {nbytes} bytes")
         with self._lock:
             job.parts_copied += 1
             job.bytes_copied += nbytes

@@ -15,7 +15,7 @@ stays easy to property-test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..exceptions import AllocationError
 
@@ -135,33 +135,19 @@ class CircularBufferManager:
         if not self._segments:
             self._head = 0
 
-    def _live_intervals(self) -> List[Tuple[int, int]]:
-        """Sorted occupied intervals ``[start, end)`` of all reserved segments."""
-        intervals = sorted((seg.offset, seg.end) for seg in self._segments)
-        return intervals
-
     def _contiguous_allocation_offset(self, size: int) -> Optional[int]:
-        """Find where a new segment of ``size`` bytes would be placed, or None."""
+        """Find where a new segment of ``size`` bytes would be placed, or None.
+
+        The reserved bytes run from the oldest segment (the tail) to the
+        head, wrapping at most once.  Ahead of the tail, the free space is
+        ``[head, capacity)`` plus ``[0, tail)`` after a wrap; behind it (the
+        head has wrapped), only ``[head, tail)``.
+        """
         if not self._segments:
             return 0 if size <= self.capacity else None
-        intervals = self._live_intervals()
-        # Candidate 1: at the current head up to the next occupied byte / end.
-        head = self._head
-        next_occupied_after_head = self.capacity
-        blocked = False
-        for start, end in intervals:
-            if start <= head < end:
-                blocked = True
-                break
-            if start >= head:
-                next_occupied_after_head = min(next_occupied_after_head, start)
-        if not blocked and next_occupied_after_head - head >= size:
-            return head
-        # Candidate 2: wrap to offset zero, up to the first occupied byte.
-        first_start = intervals[0][0]
-        if first_start >= size and head != 0:
-            # Only valid if offset 0 is not inside an occupied interval.
-            inside = any(start <= 0 < end for start, end in intervals)
-            if not inside:
-                return 0
-        return None
+        head, tail = self._head, self._segments[0].offset
+        if head > tail:
+            if self.capacity - head >= size:
+                return head
+            return 0 if tail >= size else None
+        return head if tail - head >= size else None

@@ -33,8 +33,9 @@ view of its shard buffer, straight into the target arrays
 (:meth:`CheckpointLoader._restore_reshaped`, :mod:`repro.restart.reshape`).
 
 Restores are **prefetched**: a bounded-worker stage (``prefetch_depth``
-workers, surfaced as :attr:`repro.config.CheckpointPolicy.prefetch_depth` and
-the CLI ``--prefetch-depth`` flag) fetches and CRC-validates shard parts
+workers, set on the loader or per call through
+:attr:`RestoreSpec.prefetch_depth <repro.restart.RestoreSpec.prefetch_depth>`,
+and by ``repro reshape --prefetch-depth``) fetches and CRC-validates shard parts
 ahead of deserialization, so a one-rank restore overlaps I/O with reassembly
 across a multi-shard set and an all-ranks restore additionally overlaps
 across ranks — while rank N's state is being rebuilt, rank N+1's parts are
@@ -69,7 +70,6 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..config import DEFAULT_PREFETCH_DEPTH
 from ..exceptions import CheckpointError, ConsistencyError, RestartError, SerializationError
 from ..io import MappedShard, ShardStore, supports_mmap
 from ..logging_utils import get_logger
@@ -94,6 +94,9 @@ _PAYLOAD_ALIGN = 64
 
 #: One logical shard to restore: a set key and the records of its parts.
 _SetItem = Tuple[Any, List[ShardRecord]]
+
+#: Prefetch depth of a loader constructed without one.
+DEFAULT_PREFETCH_DEPTH = 4
 
 #: Deepest pipeline auto mode will pick, and how many of the most recent
 #: per-part timing samples it keeps (older restores stop steering new ones).

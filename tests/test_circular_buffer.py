@@ -176,3 +176,49 @@ def test_property_used_bytes_is_sum_of_unreclaimed(ops):
     for seg in live:
         buf.free(seg)
     assert buf.used_bytes == 0
+
+
+def _scan_placement(segments, head, capacity, size):
+    """Reference placement: scan every reserved interval for the free run at
+    the head, else at offset zero (the allocator's original algorithm)."""
+    if not segments:
+        return 0 if size <= capacity else None
+    intervals = sorted((seg.offset, seg.end) for seg in segments)
+    next_occupied = capacity
+    for start, end in intervals:
+        if start <= head < end:
+            break
+        if start >= head:
+            next_occupied = min(next_occupied, start)
+    else:
+        if next_occupied - head >= size:
+            return head
+    if intervals[0][0] >= size and head != 0:
+        if not any(start <= 0 < end for start, end in intervals):
+            return 0
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(capacity=st.integers(min_value=1, max_value=120),
+       ops=st.lists(st.tuples(st.booleans(), st.integers(min_value=1, max_value=130),
+                              st.integers(min_value=0, max_value=1000)),
+                    min_size=1, max_size=80))
+def test_property_head_tail_placement_matches_the_interval_scan(capacity, ops):
+    """Every placement — and every refusal — equals the full interval scan's,
+    under allocations of any size and frees in any order."""
+    buf = CircularBufferManager(capacity)
+    live = []
+    for is_free, size, pick in ops:
+        if is_free and live:
+            buf.free(live.pop(pick % len(live)))
+            continue
+        expected = _scan_placement(buf._segments, buf._head, capacity, size)
+        assert buf.would_fit(size) == (expected is not None)
+        if expected is None:
+            with pytest.raises(AllocationError):
+                buf.allocate(size)
+        else:
+            segment = buf.allocate(size)
+            assert segment.offset == expected
+            live.append(segment)

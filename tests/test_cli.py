@@ -182,6 +182,34 @@ def test_cli_requires_subcommand():
         main([])
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--capture-streams", "2"],
+    ["simulate", "--capture-streams", "2"],
+    ["train", "--prefetch-depth", "2"],
+    ["list", "--workdir", ".", "--prefetch-depth", "2"],
+])
+def test_cli_rejects_removed_flags(argv, capsys):
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_reshape_hands_prefetch_depth_to_the_reshape(tmp_path, monkeypatch):
+    import repro.restart
+
+    seen = {}
+
+    def fake_reshape(source_store, target, **kwargs):
+        seen.update(kwargs)
+        raise SystemExit(0)
+
+    monkeypatch.setattr(repro.restart, "reshape_checkpoint", fake_reshape)
+    with pytest.raises(SystemExit):
+        main(["reshape", "--workdir", str(tmp_path), "--target-dp", "2",
+              "--prefetch-depth", "2"])
+    assert seen["prefetch_depth"] == 2
+
+
 def test_cli_tiers_spec_spells_the_backend_pair(tmp_path):
     """The backend of each level is spelled in ``--tiers``: an in-memory
     commit level over a directory-backed one, and nothing else typed."""

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.config import CheckpointPolicy
 from repro.core import CopyStream, DataStatesCheckpointEngine, FlushPipeline, SnapshotJob
+from repro.core import flush_pipeline
 from repro.core.lazy_snapshot import MAX_EXTENT_BYTES
 from repro.exceptions import CheckpointError
 from repro.io import FileStore
@@ -112,13 +113,16 @@ def _many_small_tensors(count=300, seed=0):
 
 @pytest.mark.parametrize("sink", ["writer", "streaming"])
 @pytest.mark.parametrize("shards_per_rank", [1, 3])
-def test_golden_bytes_and_checksums_through_both_sinks(tmp_path, sink, shards_per_rank):
+def test_golden_bytes_and_checksums_through_both_sinks(tmp_path, monkeypatch, sink,
+                                                       shards_per_rank):
     state = _many_small_tensors()
     store = (FileStore if sink == "writer" else _StreamingOnlyStore)(tmp_path)
+    # Shrink the write chunk so the streaming sink slices the big extent.
+    monkeypatch.setattr(flush_pipeline, "WRITE_CHUNK_BYTES", 5000)
     # A 64 KiB pool: extents of at most 16 KiB, so the state is many extents
     # (and the big tensor is one of its own) and the ring wraps repeatedly.
     policy = CheckpointPolicy(host_buffer_size=max(64 << 10, 40_000 * 8),
-                              shards_per_rank=shards_per_rank, chunk_size=5000)
+                              shards_per_rank=shards_per_rank)
     with DataStatesCheckpointEngine(store, policy=policy) as engine:
         engine.save(state, tag="golden", iteration=3)
         engine.wait_all()
@@ -206,7 +210,7 @@ def test_write_failure_keeps_draining_so_the_capture_never_wedges(tmp_path, stor
     store = store_cls(tmp_path)
     pool = PinnedHostPool(256 << 10)
     stream = CopyStream(pool)
-    pipeline = FlushPipeline(store, pool, parallel_shard_writes=True, chunk_size=1 << 20)
+    pipeline = FlushPipeline(store, pool)
     snapshot = _snapshot(state)
     try:
         stream.submit(snapshot)

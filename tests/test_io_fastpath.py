@@ -199,18 +199,23 @@ def test_open_shard_mmap_missing_shard_raises(store):
 # Parallel flush path end to end
 # ---------------------------------------------------------------------------
 
-def _engine(store, parallel, host_buffer=32 << 20, **overrides):
-    policy = CheckpointPolicy(host_buffer_size=host_buffer,
-                              parallel_shard_writes=parallel, **overrides)
-    return DataStatesCheckpointEngine(store, policy=policy)
+class _StreamingOnlyStore(FileStore):
+    """A file store without offset-addressed writers: engines stream to it."""
+
+    create_shard_writer = None
+
+
+def _engine(store, host_buffer=32 << 20):
+    return DataStatesCheckpointEngine(
+        store, policy=CheckpointPolicy(host_buffer_size=host_buffer))
 
 
 def test_parallel_and_streaming_paths_produce_identical_files(tmp_path):
     state = _state(seed=3)
     raws = {}
-    for mode, parallel in (("parallel", True), ("streaming", False)):
-        store = FileStore(tmp_path / mode)
-        engine = _engine(store, parallel)
+    for mode, store_cls in (("parallel", FileStore), ("streaming", _StreamingOnlyStore)):
+        store = store_cls(tmp_path / mode)
+        engine = _engine(store)
         engine.save(state, tag="ckpt", iteration=0)
         engine.wait_all()
         engine.shutdown()
@@ -225,7 +230,7 @@ def test_out_of_order_written_shard_passes_restart_validation(store):
     pwrites must survive restart-time checksum validation and round-trip
     bit-exactly."""
     state = _state(seed=4, tensors=12, size=8192)
-    engine = _engine(store, parallel=True)
+    engine = _engine(store)
     engine.save(state, tag="ooo", iteration=1)
     engine.wait_all()
     engine.shutdown()
@@ -247,7 +252,7 @@ def test_out_of_order_written_shard_passes_restart_validation(store):
 
 
 def test_corruption_in_parallel_written_shard_detected(store):
-    engine = _engine(store, parallel=True)
+    engine = _engine(store)
     engine.save(_state(seed=5), tag="ckpt", iteration=0)
     engine.wait_all()
     engine.shutdown()
@@ -296,13 +301,8 @@ def test_parallel_capture_failure_aborts_and_releases_pool(store):
 
 def test_parallel_flag_falls_back_without_pwrite_store(tmp_path):
     """Stores that cannot hand out offset writers silently use streaming."""
-
-    class _LegacyStore(FileStore):
-        create_shard_writer = None  # simulates an older/simpler backend
-
-    store = _LegacyStore(tmp_path)
     pool = PinnedHostPool(1 << 20)
-    pipeline = FlushPipeline(store, pool, parallel_shard_writes=True)
+    pipeline = FlushPipeline(_StreamingOnlyStore(tmp_path), pool)
     try:
         assert not pipeline.parallel_shard_writes
     finally:
@@ -329,7 +329,7 @@ class _CountingStore(FileStore):
 
 
 def _commit_checkpoint(store, state, tag="ckpt"):
-    engine = _engine(store, parallel=True)
+    engine = _engine(store)
     engine.save(state, tag=tag, iteration=0)
     engine.wait_all()
     engine.shutdown()
@@ -411,26 +411,41 @@ def test_write_manifest_failure_leaves_no_temp_files(store, monkeypatch):
     assert leftovers == []
 
 
-def test_mmap_restore_policy_off_uses_read_path(tmp_path):
-    class _NoMmapCountingStore(_CountingStore):
-        pass
-
-    store = _NoMmapCountingStore(tmp_path)
+def test_engine_load_spec_without_mmap_lands_the_part(tmp_path):
+    """Restore options are per call: the spec, not the engine, picks the
+    landing path and the prefetch depth."""
+    store = _CountingStore(tmp_path)
     state = _state(seed=10)
-    engine = _engine(store, parallel=True, mmap_restore=False)
+    engine = _engine(store)
     engine.save(state, tag="ckpt", iteration=0)
     engine.wait_all()
     store.reads = store.maps = 0
-    loaded = engine.load(RestoreSpec(tag="ckpt"))
+    loaded = engine.load(RestoreSpec(tag="ckpt", use_mmap=False, prefetch_depth=1))
     engine.shutdown()
     assert store.reads == 1 and store.maps == 0
     np.testing.assert_array_equal(loaded["model"]["w0"], state["model"]["w0"])
+    assert loaded["model"]["w0"].flags.writeable
+
+
+def test_datastates_engine_runs_one_copy_thread(tmp_path):
+    before = set(threading.enumerate())
+
+    def new_copy_threads():
+        return [thread for thread in threading.enumerate()
+                if thread not in before and thread.name.startswith("d2h-copy-")]
+
+    policy = CheckpointPolicy(host_buffer_size=8 << 20, shards_per_rank=4)
+    with DataStatesCheckpointEngine(FileStore(tmp_path), policy=policy) as engine:
+        engine.save(_state(seed=12, tensors=8), tag="ckpt", iteration=0)
+        engine.wait_all()
+        assert [thread.name for thread in new_copy_threads()] == ["d2h-copy-r0-c0"]
+    assert new_copy_threads() == []
 
 
 def test_engine_load_uses_mmap_by_default(tmp_path):
     store = _CountingStore(tmp_path)
     state = _state(seed=11)
-    engine = _engine(store, parallel=True)
+    engine = _engine(store)
     engine.save(state, tag="ckpt", iteration=0)
     engine.wait_all()
     store.reads = store.maps = 0

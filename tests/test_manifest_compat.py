@@ -264,15 +264,23 @@ def test_saving_the_fixture_state_reproduces_the_v4_fixture(tmp_path):
         tag=V4_FIXTURE_TAG, iteration=16)
     _assert_same_tree(tmp_path, V4_FIXTURE_ROOT)
 
-@pytest.mark.parametrize("root, tag, policy", [
-    (FIXTURE_ROOT, FIXTURE_TAG, dict(parallel_shard_writes=False)),
-    (V2_FIXTURE_ROOT, V2_FIXTURE_TAG, dict(shards_per_rank=2)),
+class _StreamingOnlyStore(FileStore):
+    """A file store without offset-addressed writers: engines stream to it."""
+
+    create_shard_writer = None
+
+
+@pytest.mark.parametrize("root, tag, store_cls, policy", [
+    (FIXTURE_ROOT, FIXTURE_TAG, _StreamingOnlyStore, {}),
+    (V2_FIXTURE_ROOT, V2_FIXTURE_TAG, FileStore, dict(shards_per_rank=2)),
 ], ids=["v1", "v2"])
-def test_saving_the_fixture_state_reproduces_the_committed_fixture(tmp_path, root, tag, policy):
+def test_saving_the_fixture_state_reproduces_the_committed_fixture(tmp_path, root, tag,
+                                                                   store_cls, policy):
     """On-disk identity, shard files *and* manifest: the committed v1 fixture
-    was written by the streaming sink (no per-tensor checksums), the v2 one by
-    the offset-addressed sink over a two-part plan."""
-    store = FileStore(tmp_path)
+    was written by the streaming sink (no per-tensor checksums) a store
+    without a shard writer gets, the v2 one by the offset-addressed sink over
+    a two-part plan."""
+    store = store_cls(tmp_path)
     with DataStatesCheckpointEngine(
             store, policy=CheckpointPolicy(host_buffer_size=1 << 20, **policy)) as engine:
         engine.save(fixture_state(), tag=tag, iteration=int(tag.rsplit("-", 1)[1]))

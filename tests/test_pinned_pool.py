@@ -171,8 +171,15 @@ def test_ring_wraparound_under_sustained_alloc_free():
     assert pool.used_bytes == 0
 
 
-@pytest.mark.parametrize("parallel", [False, True], ids=["streaming", "parallel"])
-def test_two_inflight_checkpoints_larger_than_half_pool(tmp_path, parallel):
+class _StreamingOnlyStore(FileStore):
+    """A file store without offset-addressed writers: engines stream to it."""
+
+    create_shard_writer = None
+
+
+@pytest.mark.parametrize("store_cls", [_StreamingOnlyStore, FileStore],
+                         ids=["streaming", "parallel"])
+def test_two_inflight_checkpoints_larger_than_half_pool(tmp_path, store_cls):
     """Back-pressure acceptance: two concurrent in-flight checkpoints, each
     bigger than half the pinned pool, must flow through the ring without
     deadlock and round-trip byte-exactly on both write paths."""
@@ -183,9 +190,8 @@ def test_two_inflight_checkpoints_larger_than_half_pool(tmp_path, parallel):
         # ... vs ~0.75 MiB per checkpoint (6 x 128 KiB tensors).
         states[tag] = {f"t{i}": rng.integers(0, 1 << 30, size=16384, dtype=np.int64)
                        for i in range(6)}
-    store = FileStore(tmp_path)
-    policy = CheckpointPolicy(host_buffer_size=pool_bytes,
-                              parallel_shard_writes=parallel)
+    store = store_cls(tmp_path)
+    policy = CheckpointPolicy(host_buffer_size=pool_bytes)
     engine = DataStatesCheckpointEngine(store, policy=policy)
     try:
         for iteration, (tag, state) in enumerate(states.items()):

@@ -232,7 +232,7 @@ def test_keep_latest_zero_deletes_every_checkpoint(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_choose_prefetch_depth_tracks_fetch_deserialize_ratio():
-    from repro.config import DEFAULT_PREFETCH_DEPTH
+    from repro.restart.loader import DEFAULT_PREFETCH_DEPTH
     from repro.restart import choose_prefetch_depth
 
     # Fetch-bound (remote store): ~6x slower fetches want a deep pipeline.
@@ -252,7 +252,7 @@ def test_choose_prefetch_depth_tracks_fetch_deserialize_ratio():
 
 
 def test_auto_mode_starts_at_default_then_adapts(tmp_path):
-    from repro.config import DEFAULT_PREFETCH_DEPTH
+    from repro.restart.loader import DEFAULT_PREFETCH_DEPTH
 
     store = FileStore(tmp_path)
     _commit(store, _state(seed=3), shards_per_rank=4)

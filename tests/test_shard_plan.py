@@ -127,8 +127,7 @@ def test_one_part_of_a_multi_shard_set_is_not_a_state():
 @pytest.mark.parametrize("engine_name", ENGINE_NAMES)
 def test_every_engine_multi_shard_roundtrip(engine_name, tmp_path):
     state = _state(tensors=10, base=512, seed=11)
-    policy = CheckpointPolicy(host_buffer_size=8 << 20, shards_per_rank=3,
-                              capture_streams=2)
+    policy = CheckpointPolicy(host_buffer_size=8 << 20, shards_per_rank=3)
     store = FileStore(tmp_path / engine_name)
     with create_real_engine(engine_name, store, policy=policy) as engine:
         handle = engine.save(state, tag="ms", iteration=1)
@@ -154,8 +153,7 @@ def test_every_engine_multi_shard_roundtrip(engine_name, tmp_path):
 def test_trainer_resumes_bit_exactly_from_multi_shard_checkpoint(tmp_path):
     config = tiny_config(hidden_size=32, num_layers=2, num_attention_heads=2,
                          vocab_size=97, sequence_length=16)
-    policy = CheckpointPolicy(host_buffer_size=16 << 20, shards_per_rank=4,
-                              capture_streams=2)
+    policy = CheckpointPolicy(host_buffer_size=16 << 20, shards_per_rank=4)
     store = FileStore(tmp_path)
     with DataStatesCheckpointEngine(store, policy=policy) as engine:
         reference = RealTrainer(NumpyTransformerLM(config, seed=5), engine=engine)

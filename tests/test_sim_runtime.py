@@ -1,5 +1,7 @@
 """Tests for the simulated training runtime and its metrics."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import CheckpointPolicy, RunConfig
@@ -102,11 +104,18 @@ def test_checkpoint_policy_validation():
     with pytest.raises(ConfigurationError):
         CheckpointPolicy(flush_threads=0)
     with pytest.raises(ConfigurationError):
-        CheckpointPolicy(chunk_size=0)
-    with pytest.raises(ConfigurationError):
         CheckpointPolicy(shards_per_rank=0)
-    with pytest.raises(ConfigurationError):
-        CheckpointPolicy(capture_streams=0)
+
+
+def test_checkpoint_policy_keeps_only_the_save_knobs():
+    """Restore options live on RestoreSpec; the write chunk size, the copy
+    stream count and the sink choice are not options at all."""
+    assert [field.name for field in dataclasses.fields(CheckpointPolicy)] == [
+        "host_buffer_size", "flush_threads", "shards_per_rank", "incremental"]
+    for removed in ("chunk_size", "capture_streams", "parallel_shard_writes",
+                    "mmap_restore", "prefetch_depth"):
+        with pytest.raises(TypeError):
+            CheckpointPolicy(**{removed: 1})
 
 
 def test_policy_checkpoint_interval_is_gone():

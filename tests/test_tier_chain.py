@@ -17,6 +17,8 @@ from repro.core import create_real_engine
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.io import (
     DrainState,
+    FaultPlan,
+    FaultyStore,
     FileStore,
     ObjectStore,
     ShardStore,
@@ -250,6 +252,46 @@ def test_chain_resumes_interrupted_mid_chain_drain(tmp_path):
     assert job_bytes == len(payload)
     assert store.read_shard("ckpt-1", "rank0") == payload
     store.close()
+
+
+def _torn_source_chain(tmp_path, plan):
+    """Level 0 tears shard reads per ``plan``; level 1 is a plain object store."""
+    return TierChain([TierLevel(FaultyStore(FileStore(tmp_path / "l0"), plan), name="l0"),
+                      TierLevel(ObjectStore(), name="object")],
+                     keep_local_latest=None, drain_retries=2, drain_backoff_s=0.0)
+
+
+def test_short_drain_copy_never_publishes_the_deeper_manifest(tmp_path):
+    """Every read of the source is torn: the drain fails loudly and the
+    deeper level never lists a checkpoint whose part is short."""
+    store = _torn_source_chain(tmp_path, FaultPlan(torn_read_prob=1.0))
+    try:
+        _commit_raw(store, "ckpt-1", payload=b"x" * 4096)
+        with pytest.raises(CheckpointError, match="2048 of 4096"):
+            store.wait_drained(timeout=30.0)
+        assert store.slow.list_committed_checkpoints() == []
+        assert store.residency_names("ckpt-1") == ["l0"]
+    finally:
+        store.close()
+
+
+def test_short_drain_copy_is_retried_to_a_full_copy(tmp_path):
+    """Only the first read tears: the retry copies the whole part, and only
+    then is the deeper manifest published."""
+    key = "ckpt-1/rank0"
+    seed = next(seed for seed in range(1000)
+                if FaultPlan(seed=seed).roll("torn_read", key, 0) < 0.5
+                <= FaultPlan(seed=seed).roll("torn_read", key, 1))
+    store = _torn_source_chain(tmp_path, FaultPlan(seed=seed, torn_read_prob=0.5))
+    payload = bytes(range(256)) * 16
+    try:
+        _commit_raw(store, "ckpt-1", payload=payload)
+        store.wait_drained(timeout=30.0)
+        assert store.drains_retried == 1
+        assert store.slow.list_committed_checkpoints() == ["ckpt-1"]
+        assert store.slow.read_shard("ckpt-1", "rank0") == payload
+    finally:
+        store.close()
 
 
 # ---------------------------------------------------------------------------
