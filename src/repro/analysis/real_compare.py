@@ -56,10 +56,10 @@ def run_real_engine(
         report = trainer.train(iterations=iterations,
                                checkpoint_interval=checkpoint_interval)
         engine.wait_all()
-        committed = engine.list_checkpoints()
-        # Restore round trip through the engine protocol (validated and
-        # prefetched with the loader's defaults), so the comparison times
-        # the restore side as well as the save side.
+        committed = engine.list_checkpoints()  # oldest (by iteration) first
+        # Restore round trip of the latest checkpoint through the engine
+        # protocol (a default RestoreSpec: validated, mapped where the store
+        # can), so the comparison times the restore side as well as the save.
         restore_seconds = None
         if committed:
             start = time.perf_counter()

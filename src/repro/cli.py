@@ -301,10 +301,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               "(default: deepspeed)")
     reshape.add_argument("--no-validate", action="store_true",
                          help="skip checksum validation of the source shards")
-    reshape.add_argument("--prefetch-depth", type=int, default=None,
-                         help="source parts fetched and checked ahead of "
-                              "the reshape (0 = auto from measured timings, "
-                              "1 = serial; default: the loader's)")
 
     replay = sub.add_parser(
         "replay",
@@ -484,10 +480,14 @@ def _cmd_compare_real(args: argparse.Namespace) -> int:
 
 
 def _open_store(args: argparse.Namespace, workdir: str):
+    """The store over an existing ``workdir``: opening one creates its root,
+    so a mistyped path is refused here instead of silently created."""
     from pathlib import Path
 
     from .io import create_store
 
+    if not Path(workdir).is_dir():
+        raise SystemExit(f"--workdir {workdir}: not an existing directory")
     return create_store(args.store, root=Path(workdir),
                         **(_store_kwargs(args) or {}))
 
@@ -563,7 +563,6 @@ def _cmd_reshape(args: argparse.Namespace) -> int:
         source_store, target,
         tag=args.tag, dest_store=dest_store, out_tag=args.out_tag,
         engine=args.engine, validate=not args.no_validate,
-        prefetch_depth=args.prefetch_depth,
     )
     print(report.summary())
     return 0

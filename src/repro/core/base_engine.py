@@ -53,14 +53,15 @@ extra call the paper adds):
 ``load(spec=None)``
     Restore from a committed checkpoint, described by a
     :class:`~repro.restart.RestoreSpec` (tag + rank/shard selector +
-    optional target topology + validate/materialize/prefetch options).
+    optional target topology + the ``validate`` / ``use_mmap`` options).
     With no spec the engine restores its own shard of the latest committed
     checkpoint.  Routed through
     :class:`~repro.restart.CheckpointLoader.restore`, so every engine
     shares one validated (size + CRC32, optionally mmap) restore path.
 
 ``list_checkpoints() / latest_checkpoint()``
-    Discovery of committed checkpoints.
+    Discovery of committed checkpoints, ordered by iteration (then tag) as
+    :meth:`~repro.restart.CheckpointLoader.committed_checkpoints` orders them.
 
 ``shutdown(wait=True)``
     Idempotent teardown of background resources; with ``wait=True`` the
@@ -385,12 +386,11 @@ class CheckpointEngine(abc.ABC):
         """Restore from a committed checkpoint per ``spec``.
 
         Every engine restores through the same
-        :meth:`~repro.restart.CheckpointLoader.restore` path, with the
-        loader's defaults unless the spec overrides them: shards are
-        validated against the manifest (size + CRC32), fetched through the
-        prefetching pipeline (``spec.prefetch_depth`` bounded workers) and,
+        :meth:`~repro.restart.CheckpointLoader.restore` path: shards are
+        fetched through the prefetching pipeline, validated against the
+        manifest (size + CRC32) unless ``spec.validate`` is ``False`` and,
         on a store that can map and unless ``spec.use_mmap`` is ``False``,
-        rebuilt straight out of a read-only memory map.
+        copied straight out of a read-only memory map.
 
         When the spec names no rank/shard selector the engine fills in its
         own: this rank's default shard, or — for a reshaping restore
@@ -410,13 +410,17 @@ class CheckpointEngine(abc.ABC):
         return CheckpointLoader(self.store).restore(resolved)
 
     def list_checkpoints(self) -> List[str]:
-        """Tags of committed checkpoints, oldest first."""
-        return self.store.list_committed_checkpoints()
+        """Tags of committed checkpoints, oldest (by iteration, then tag) first."""
+        from ..restart import CheckpointLoader
+
+        return [info.tag for info in CheckpointLoader(self.store).committed_checkpoints()]
 
     def latest_checkpoint(self) -> Optional[str]:
-        """Most recent committed checkpoint tag, if any."""
-        tags = self.list_checkpoints()
-        return tags[-1] if tags else None
+        """Most recent committed checkpoint tag (by iteration, then tag), if any."""
+        from ..restart import CheckpointLoader
+
+        info = CheckpointLoader(self.store).latest()
+        return info.tag if info is not None else None
 
     # ------------------------------------------------------------------ stats
     def stats(self) -> Dict[str, float]:

@@ -1,6 +1,6 @@
 """Checkpoint discovery, validation, and restore (incl. elastic reshape)."""
 
-from .loader import CheckpointInfo, CheckpointLoader, choose_prefetch_depth
+from .loader import CheckpointInfo, CheckpointLoader
 from .spec import RestoreSpec
 from .reshape import (
     ReshapeReport,
@@ -16,7 +16,6 @@ __all__ = [
     "CheckpointLoader",
     "CheckpointInfo",
     "RestoreSpec",
-    "choose_prefetch_depth",
     "ReshapeReport",
     "elastic_topology",
     "merge_full_state",

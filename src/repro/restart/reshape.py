@@ -503,8 +503,7 @@ def reshape_checkpoint(source_store: ShardStore, target: CheckpointTopology,
                        out_tag: Optional[str] = None,
                        engine: str = "deepspeed",
                        policy: Optional[CheckpointPolicy] = None,
-                       validate: bool = True,
-                       prefetch_depth: Optional[int] = None) -> ReshapeReport:
+                       validate: bool = True) -> ReshapeReport:
     """Offline converter: re-write a committed checkpoint at a new topology.
 
     Restores ``tag`` (default: the latest committed checkpoint on
@@ -514,9 +513,12 @@ def reshape_checkpoint(source_store: ShardStore, target: CheckpointTopology,
     through real engines: a first-class committed checkpoint, restorable anywhere.
     """
     started = time.monotonic()
-    loader = CheckpointLoader(source_store, prefetch_depth=prefetch_depth)
+    loader = CheckpointLoader(source_store)
     if tag is None:
-        tag = loader._latest_tag()
+        latest = loader.latest()
+        if latest is None:
+            raise RestartError("no committed checkpoints to reshape")
+        tag = latest.tag
     manifest = loader.manifest(tag)
     dest = dest_store if dest_store is not None else source_store
     resolved_out = out_tag or f"{tag}-{target.describe()}"

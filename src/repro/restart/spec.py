@@ -15,9 +15,9 @@ A spec names:
   (reshaping) restore onto that (DP, PP, TP) grid: ``rank`` then names a rank
   of the *target* grid, and only the source ranks its slices are made of
   (per the manifest's schema-v4 topology block) are read;
-* **how to execute it** — ``validate`` (per-shard size/CRC32 checks),
-  ``materialize`` / ``use_mmap`` / ``prefetch_depth`` override the loader's
-  defaults when set.
+* **how to execute it** — ``validate`` (per-shard size/CRC32 checks) and
+  ``use_mmap`` (map the parts on a store that can, instead of landing each
+  in a buffer).  These are the only restore options: the loader takes none.
 
 Specs are frozen dataclasses: build variants with the classmethod
 constructors (:meth:`RestoreSpec.of_rank`, :meth:`RestoreSpec.of_shard`,
@@ -54,14 +54,9 @@ class RestoreSpec:
     target_topology: Optional[CheckpointTopology] = None
     #: Verify each shard's size + CRC32 against the manifest while loading.
     validate: bool = True
-    #: Override the loader's ``materialize`` default (copy arrays out of the
-    #: mmap vs. hand back zero-copy views) when not ``None``.
-    materialize: Optional[bool] = None
-    #: Override the loader's mmap-vs-read default when not ``None``.
-    use_mmap: Optional[bool] = None
-    #: Override the loader's prefetch depth (bounded fetch+CRC workers
-    #: running ahead of deserialization) when not ``None``.
-    prefetch_depth: Optional[int] = None
+    #: Map the parts on a store that can; ``False`` lands each part in a
+    #: buffer the restore owns with one ``read_shard(out=)``.
+    use_mmap: bool = True
 
     def __post_init__(self) -> None:
         selectors = sum((self.rank is not None, self.shard is not None,
@@ -73,9 +68,6 @@ class RestoreSpec:
                 f"all_ranks={self.all_ranks!r})")
         if self.rank is not None and self.rank < 0:
             raise RestartError(f"rank must be >= 0 (got {self.rank})")
-        if self.prefetch_depth is not None and self.prefetch_depth < 0:
-            raise RestartError(
-                f"prefetch_depth must be >= 0 (got {self.prefetch_depth})")
         if self.target_topology is not None and self.shard is not None:
             raise RestartError(
                 "a reshaping restore addresses ranks of the *target* "

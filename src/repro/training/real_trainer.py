@@ -222,26 +222,21 @@ class RealTrainer:
         """Restore the trainer from the latest (or a named) committed checkpoint.
 
         ``source`` may be a :class:`~repro.restart.CheckpointLoader`, any
-        :class:`~repro.core.CheckpointEngine` (the engine protocol's ``load``
-        path), or ``None`` to use this trainer's own engine.
+        :class:`~repro.core.CheckpointEngine` (a loader over its store), or
+        ``None`` to use this trainer's own engine.  "Latest" is the loader's:
+        the highest iteration, then tag.
         """
         if source is None:
             source = self.engine
         if source is None:
             raise RestartError("no loader or engine to resume from")
-        if isinstance(source, CheckpointEngine):
-            if tag is None:
-                tag = source.latest_checkpoint()
-                if tag is None:
-                    raise RestartError("no committed checkpoint to resume from")
-            state = source.load(RestoreSpec.of_shard(f"rank{rank}", tag=tag))
-        else:
-            if tag is None:
-                info = source.latest()
-                if info is None:
-                    raise RestartError("no committed checkpoint to resume from")
-                tag = info.tag
-            state = source.restore(RestoreSpec.of_rank(rank, tag=tag))
+        loader = CheckpointLoader(source.store) if isinstance(source, CheckpointEngine) else source
+        if tag is None:
+            info = loader.latest()
+            if info is None:
+                raise RestartError("no committed checkpoint to resume from")
+            tag = info.tag
+        state = loader.restore(RestoreSpec.of_rank(rank, tag=tag))
         self.load_state_dict(state)
         logger.info("resumed training from checkpoint %s at iteration %d", tag, self.iteration)
         return tag

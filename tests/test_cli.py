@@ -187,6 +187,7 @@ def test_cli_requires_subcommand():
     ["simulate", "--capture-streams", "2"],
     ["train", "--prefetch-depth", "2"],
     ["list", "--workdir", ".", "--prefetch-depth", "2"],
+    ["reshape", "--workdir", ".", "--target-dp", "2", "--prefetch-depth", "2"],
 ])
 def test_cli_rejects_removed_flags(argv, capsys):
     with pytest.raises(SystemExit):
@@ -194,20 +195,13 @@ def test_cli_rejects_removed_flags(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_cli_reshape_hands_prefetch_depth_to_the_reshape(tmp_path, monkeypatch):
-    import repro.restart
-
-    seen = {}
-
-    def fake_reshape(source_store, target, **kwargs):
-        seen.update(kwargs)
-        raise SystemExit(0)
-
-    monkeypatch.setattr(repro.restart, "reshape_checkpoint", fake_reshape)
-    with pytest.raises(SystemExit):
-        main(["reshape", "--workdir", str(tmp_path), "--target-dp", "2",
-              "--prefetch-depth", "2"])
-    assert seen["prefetch_depth"] == 2
+@pytest.mark.parametrize("command", [["list"], ["reshape", "--target-dp", "2"]])
+def test_cli_refuses_a_missing_workdir_and_creates_nothing(tmp_path, capsys, command):
+    workdir = tmp_path / "typo" / "ckpts"
+    with pytest.raises(SystemExit) as exit_info:
+        main([command[0], "--workdir", str(workdir), *command[1:]])
+    assert exit_info.value.code not in (0, None)
+    assert not (tmp_path / "typo").exists()
 
 
 def test_cli_tiers_spec_spells_the_backend_pair(tmp_path):

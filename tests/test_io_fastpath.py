@@ -205,6 +205,12 @@ class _StreamingOnlyStore(FileStore):
     create_shard_writer = None
 
 
+class _UnmappedStore(FileStore):
+    """A file store that cannot map: the loader lands every part."""
+
+    open_shard_mmap = None
+
+
 def _engine(store, host_buffer=32 << 20):
     return DataStatesCheckpointEngine(
         store, policy=CheckpointPolicy(host_buffer_size=host_buffer))
@@ -243,8 +249,8 @@ def test_out_of_order_written_shard_passes_restart_validation(store):
     assert record.tensor_checksums is not None
     assert len(record.tensor_checksums) == 12
     loader.verify_tensor_checksums("ooo", record)
-    # The per-tensor verify also works for stores/loaders without mmap.
-    CheckpointLoader(store, use_mmap=False).verify_tensor_checksums("ooo", record)
+    # The per-tensor verify also works for stores without mmap.
+    CheckpointLoader(_UnmappedStore(store.root)).verify_tensor_checksums("ooo", record)
 
     loaded = loader.restore(RestoreSpec.of_rank(0, tag="ooo"))
     for key, value in state["model"].items():
@@ -340,27 +346,16 @@ def test_load_all_with_validation_reads_each_shard_once(tmp_path):
     state = _state(seed=7)
     _commit_checkpoint(store, state)
 
+    loader = CheckpointLoader(store)
     store.reads = store.maps = 0
-    loader = CheckpointLoader(store, use_mmap=False)
-    states = loader.restore(RestoreSpec.full(tag="ckpt", validate=True))
+    states = loader.restore(RestoreSpec.full(tag="ckpt", validate=True, use_mmap=False))
     assert store.reads == 1  # previously: one read to validate + one to load
     np.testing.assert_array_equal(states[0]["model"]["w0"], state["model"]["w0"])
 
     store.reads = store.maps = 0
-    loader = CheckpointLoader(store, use_mmap=True)
-    states = loader.restore(RestoreSpec.full(tag="ckpt", validate=True))
+    states = loader.restore(RestoreSpec.full(tag="ckpt", validate=True, use_mmap=True))
     assert store.reads == 0 and store.maps == 1
     np.testing.assert_array_equal(states[0]["model"]["w3"], state["model"]["w3"])
-
-
-def test_loader_zero_copy_mode_returns_views(tmp_path):
-    store = FileStore(tmp_path)
-    state = _state(seed=8)
-    _commit_checkpoint(store, state)
-    loader = CheckpointLoader(store, materialize=False)
-    loaded = loader.restore(RestoreSpec.of_rank(0, tag="ckpt"))
-    assert not loaded["model"]["w0"].flags.writeable
-    np.testing.assert_array_equal(loaded["model"]["w0"], state["model"]["w0"])
 
 
 def test_loader_mmap_detects_truncation_on_load(tmp_path):
@@ -413,14 +408,14 @@ def test_write_manifest_failure_leaves_no_temp_files(store, monkeypatch):
 
 def test_engine_load_spec_without_mmap_lands_the_part(tmp_path):
     """Restore options are per call: the spec, not the engine, picks the
-    landing path and the prefetch depth."""
+    landing path."""
     store = _CountingStore(tmp_path)
     state = _state(seed=10)
     engine = _engine(store)
     engine.save(state, tag="ckpt", iteration=0)
     engine.wait_all()
     store.reads = store.maps = 0
-    loaded = engine.load(RestoreSpec(tag="ckpt", use_mmap=False, prefetch_depth=1))
+    loaded = engine.load(RestoreSpec(tag="ckpt", use_mmap=False))
     engine.shutdown()
     assert store.reads == 1 and store.maps == 0
     np.testing.assert_array_equal(loaded["model"]["w0"], state["model"]["w0"])

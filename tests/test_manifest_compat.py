@@ -62,7 +62,7 @@ def fixture_state():
 @pytest.mark.parametrize("use_mmap", [True, False])
 def test_v1_fixture_checkpoint_restores_unchanged(use_mmap):
     store = FileStore(FIXTURE_ROOT)
-    loader = CheckpointLoader(store, use_mmap=use_mmap)
+    loader = CheckpointLoader(store)
 
     manifest = loader.validate(FIXTURE_TAG)
     assert manifest.version == 1
@@ -71,7 +71,7 @@ def test_v1_fixture_checkpoint_restores_unchanged(use_mmap):
     assert manifest.shards[0].part_index is None
 
     expected = fixture_state()
-    loaded = loader.restore(RestoreSpec.of_rank(0, tag=FIXTURE_TAG))
+    loaded = loader.restore(RestoreSpec.of_rank(0, tag=FIXTURE_TAG, use_mmap=use_mmap))
     np.testing.assert_array_equal(loaded["model"]["w"], expected["model"]["w"])
     np.testing.assert_array_equal(loaded["model"]["b"], expected["model"]["b"])
     np.testing.assert_array_equal(loaded["optimizer"]["m"], expected["optimizer"]["m"])
@@ -107,7 +107,7 @@ def test_v1_fixture_manifest_has_no_v2_keys():
 @pytest.mark.parametrize("use_mmap", [True, False])
 def test_v2_fixture_checkpoint_restores_unchanged(use_mmap):
     store = FileStore(V2_FIXTURE_ROOT)
-    loader = CheckpointLoader(store, use_mmap=use_mmap)
+    loader = CheckpointLoader(store)
 
     manifest = loader.validate(V2_FIXTURE_TAG)
     assert manifest.version == 2
@@ -116,7 +116,7 @@ def test_v2_fixture_checkpoint_restores_unchanged(use_mmap):
     assert all(record.group == "rank0" for record in manifest.shards)
 
     expected = fixture_state()
-    loaded = loader.restore(RestoreSpec.of_rank(0, tag=V2_FIXTURE_TAG))
+    loaded = loader.restore(RestoreSpec.of_rank(0, tag=V2_FIXTURE_TAG, use_mmap=use_mmap))
     np.testing.assert_array_equal(loaded["model"]["w"], expected["model"]["w"])
     np.testing.assert_array_equal(loaded["model"]["b"], expected["model"]["b"])
     np.testing.assert_array_equal(loaded["optimizer"]["m"], expected["optimizer"]["m"])
@@ -147,14 +147,14 @@ def _v3_store(root):
 
 @pytest.mark.parametrize("use_mmap", [True, False])
 def test_v3_fixture_checkpoint_restores_unchanged(use_mmap):
-    loader = CheckpointLoader(_v3_store(V3_FIXTURE_ROOT), use_mmap=use_mmap)
+    loader = CheckpointLoader(_v3_store(V3_FIXTURE_ROOT))
 
     manifest = loader.validate(V3_FIXTURE_TAG)
     assert manifest.version == 3
     assert [record.name for record in manifest.shards] == ["rank0"]
 
     expected = fixture_state()
-    loaded = loader.restore(RestoreSpec.of_rank(0, tag=V3_FIXTURE_TAG))
+    loaded = loader.restore(RestoreSpec.of_rank(0, tag=V3_FIXTURE_TAG, use_mmap=use_mmap))
     np.testing.assert_array_equal(loaded["model"]["w"], expected["model"]["w"])
     np.testing.assert_array_equal(loaded["model"]["b"], expected["model"]["b"])
     np.testing.assert_array_equal(loaded["optimizer"]["m"], expected["optimizer"]["m"])
@@ -191,7 +191,7 @@ V4_AXES = {"w": 0, "b": None}
 
 @pytest.mark.parametrize("use_mmap", [True, False])
 def test_v4_fixture_checkpoint_restores_unchanged(use_mmap):
-    loader = CheckpointLoader(FileStore(V4_FIXTURE_ROOT), use_mmap=use_mmap)
+    loader = CheckpointLoader(FileStore(V4_FIXTURE_ROOT))
     manifest = loader.validate(V4_FIXTURE_TAG)
     assert manifest.version == 4
     assert (manifest.topology.data_parallel, manifest.topology.tensor_parallel) == (1, 2)
@@ -199,7 +199,7 @@ def test_v4_fixture_checkpoint_restores_unchanged(use_mmap):
     # Each rank holds its flat tensor-parallel slice; ``b`` is replicated.
     model = v4_model()
     for rank in (0, 1):
-        loaded = loader.restore(RestoreSpec.of_rank(rank, tag=V4_FIXTURE_TAG))
+        loaded = loader.restore(RestoreSpec.of_rank(rank, tag=V4_FIXTURE_TAG, use_mmap=use_mmap))
         np.testing.assert_array_equal(loaded["model"]["w"],
                                       model["w"][4 * rank:4 * rank + 4].ravel())
         np.testing.assert_array_equal(loaded["model"]["b"], model["b"])
@@ -207,7 +207,8 @@ def test_v4_fixture_checkpoint_restores_unchanged(use_mmap):
     # Reshaped to dp2 x tp1: each data-parallel rank holds half of every
     # whole tensor, flattened.
     target = elastic_topology(model, data_parallel=2, axes=V4_AXES)
-    states = loader.restore(RestoreSpec.full(tag=V4_FIXTURE_TAG).reshaped(target))
+    states = loader.restore(
+        RestoreSpec.full(tag=V4_FIXTURE_TAG, use_mmap=use_mmap).reshaped(target))
     assert sorted(states) == [0, 1]
     for rank, state in states.items():
         for key, array in model.items():

@@ -254,8 +254,6 @@ def test_restore_spec_validation():
     with pytest.raises(RestartError):
         RestoreSpec(rank=-1)
     with pytest.raises(RestartError):
-        RestoreSpec(prefetch_depth=-2)
-    with pytest.raises(RestartError):
         # A named shard is a physical file of the *saved* grid; it has no
         # meaning on the reshaped one.
         RestoreSpec(shard="rank0", target_topology=CheckpointTopology(2))

@@ -442,7 +442,7 @@ def _truncate_a_slice(states):
 def test_no_mapping_or_descriptor_outlives_the_restore(tamper, tmp_path):
     store, full, axes, _source = saved(tmp_path, tamper=tamper)
     target = topology_of(full["model"], axes, (2, 1, 1))
-    loader = CheckpointLoader(store, prefetch_depth=2)
+    loader = CheckpointLoader(store)
     spec = RestoreSpec.full(tag="ckpt").reshaped(target)
     gc.collect()
     gc.disable()

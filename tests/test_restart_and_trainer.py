@@ -139,6 +139,26 @@ def test_resume_without_checkpoints_raises(store):
         trainer.resume_from(loader)
 
 
+def test_engine_latest_is_the_loaders_latest_not_the_last_tag_by_name(store):
+    """``ckpt-10`` sorts before ``ckpt-9`` by name; by iteration it is the
+    latest, for the engine, the loader and a trainer resuming from either."""
+    from repro.core import create_real_engine
+
+    trainer = RealTrainer(NumpyTransformerLM(_tiny(), seed=1), engine=None)
+    with create_real_engine("deepspeed", store) as engine:
+        for iteration in (9, 10):
+            trainer.iteration = iteration
+            engine.save(trainer.state_dict(), tag=f"ckpt-{iteration}", iteration=iteration)
+        engine.wait_all()
+        assert engine.list_checkpoints() == ["ckpt-9", "ckpt-10"]
+        assert engine.latest_checkpoint() == "ckpt-10"
+        assert CheckpointLoader(store).latest().tag == "ckpt-10"
+        for source in (engine, CheckpointLoader(store)):
+            resumed = RealTrainer(NumpyTransformerLM(_tiny(), seed=5), engine=None)
+            assert resumed.resume_from(source) == "ckpt-10"
+            assert resumed.iteration == 10
+
+
 def test_trainer_load_state_dict_rejects_missing_fields():
     trainer = RealTrainer(NumpyTransformerLM(_tiny(), seed=1), engine=None)
     with pytest.raises(RestartError):

@@ -5,7 +5,7 @@ A restore that cannot map a shard gives the store one buffer per part to fill
 size- and hash-checked there, the part's size + CRC32 check runs on it, and a
 materialising restore returns aligned, writable views of it — nothing is
 joined and nothing is copied but an array whose slot is misaligned for its
-dtype.  The mmap path and ``materialize=False`` keep their meaning.
+dtype.  A mapped part keeps its meaning: its arrays are copied out of the map.
 """
 
 import gc
@@ -28,6 +28,7 @@ from repro.io import (
     FileStore,
     ObjectStore,
     create_store,
+    supports_mmap,
 )
 from repro.io.cas import CHUNK_SHARD_NAME, chunk_tag
 from repro.restart import CheckpointLoader, RestoreSpec
@@ -86,27 +87,22 @@ def _assert_equal(restored, state):
 
 
 # ---------------------------------------------------------------------------
-# Every store x mmap x materialize x part count
+# Every store x mmap x validate x part count
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("parts", [1, 8])
-@pytest.mark.parametrize("materialize", [True, False])
+@pytest.mark.parametrize("validate", [True, False])
 @pytest.mark.parametrize("use_mmap", [True, False])
 @pytest.mark.parametrize("store_name", STORES)
-def test_restore_matrix(tmp_path, store_name, use_mmap, materialize, parts):
+def test_restore_matrix(tmp_path, store_name, use_mmap, validate, parts):
     store = _store(store_name, tmp_path)
     state = _state(seed=3)
     _save(store, state, parts)
-    loader = CheckpointLoader(store, use_mmap=use_mmap, materialize=materialize)
-    spec = RestoreSpec.of_rank(0, tag="ckpt")
+    loader = CheckpointLoader(store)
+    spec = RestoreSpec.of_rank(0, tag="ckpt", validate=validate, use_mmap=use_mmap)
 
     restored = loader.restore(spec)
     _assert_equal(restored, state)
-    if not materialize:
-        # Views either way: of the map (read-only) or of the landing buffer.
-        assert all(not array.flags.owndata for array in _arrays(restored))
-        return
-
     for array in _arrays(restored):
         assert array.flags.aligned and array.flags.writeable
     # The arrays are the restore's own: scribbling on one reaches neither
@@ -115,7 +111,7 @@ def test_restore_matrix(tmp_path, store_name, use_mmap, materialize, parts):
     first[...] = -1.0
     _assert_equal(loader.restore(spec), state)
 
-    if not loader.use_mmap:
+    if not (use_mmap and supports_mmap(store)):
         # A single-dtype state is all views: P landing buffers, no copy, and
         # the buffers go when the state goes.
         assert all(not array.flags.owndata for array in _arrays(restored))
@@ -135,7 +131,7 @@ def test_validate_and_tensor_checksums_read_the_landed_image(tmp_path, store_nam
     state = _state(seed=4)
     for parts, tag in ((1, "one"), (4, "set")):
         _save(store, state, parts, tag=tag)
-        loader = CheckpointLoader(store, use_mmap=False)
+        loader = CheckpointLoader(store)
         manifest = loader.validate(tag)
         for record in manifest.shards:
             if record.tensor_checksums is not None:
@@ -182,12 +178,6 @@ def test_misaligned_slots_are_copied_and_only_those(odd, parts, seed):
     # dtype's boundary: those arrays, and no others, own their memory.
     assert any(array.flags.owndata for array in arrays)
     assert not restored["model"]["a_half"].flags.owndata
-    # materialize=False never copies: the same slots come back unaligned.
-    views = CheckpointLoader(store, materialize=False).restore(
-        RestoreSpec.of_rank(0, tag="ckpt"))
-    _assert_equal(views, state)
-    assert all(not array.flags.owndata for array in _arrays(views))
-    assert not all(array.flags.aligned for array in _arrays(views))
 
 
 # ---------------------------------------------------------------------------

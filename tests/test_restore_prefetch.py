@@ -1,8 +1,17 @@
 """Restore-path tests: the prefetching load pipeline, the mmap-handle leak
-regression, ``RestoreSpec(validate=False)`` semantics, and retention edge
-cases (``keep_latest(0)``)."""
+regression, ``RestoreSpec(validate=False)`` semantics, the restore API's
+surface, and retention edge cases (``keep_latest(0)``).
 
+Every restore runs at one depth, ``PREFETCH_DEPTH``.  A test parametrized by
+``depth`` sets that constant (``None`` leaves it as shipped) to hold the
+pipeline's window bookkeeping when the window is narrower or wider than a
+set; it is not a caller option.
+"""
+
+import dataclasses
+import inspect
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +19,9 @@ import pytest
 from repro.config import CheckpointPolicy
 from repro.core import TwoPhaseCommitCoordinator, create_real_engine
 from repro.exceptions import CheckpointError, ConsistencyError, RestartError
-from repro.io import FileStore, ObjectStore
+from repro.io import FileStore, ObjectStore, supports_mmap
 from repro.restart import CheckpointLoader, RestoreSpec
+from repro.restart import loader as loader_module
 
 
 def _state(seed=0, tensors=6, size=2048):
@@ -28,6 +38,11 @@ def _commit(store, state, tag="ckpt", shards_per_rank=4):
     with create_real_engine("deepspeed", store, policy=policy) as engine:
         engine.save(state, tag=tag, iteration=0)
         engine.wait_all()
+
+
+def _set_depth(monkeypatch, depth):
+    if depth is not None:
+        monkeypatch.setattr(loader_module, "PREFETCH_DEPTH", depth)
 
 
 class _TrackingStore(FileStore):
@@ -58,34 +73,35 @@ class _TrackingStore(FileStore):
 # mmap-handle leak regression (satellite bugfix)
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("prefetch_depth", [0, 3])
-def test_failed_set_open_closes_already_opened_mmaps(tmp_path, prefetch_depth):
-    """If opening a later part of a shard-set fails, every already-opened
-    mmap must be closed — the seed leaked them from the list comprehension."""
+@pytest.mark.parametrize("opened", [0, 3])
+def test_failed_set_open_closes_already_opened_mmaps(tmp_path, opened):
+    """If opening a part of a shard-set fails — the first, or the last after
+    three opened fine — every already-opened mmap must be closed."""
     store = _TrackingStore(tmp_path)
     _commit(store, _state(seed=1), shards_per_rank=4)
 
-    store.fail_on_open = 3  # parts 1 and 2 open fine, part 3 raises
-    loader = CheckpointLoader(store, prefetch_depth=prefetch_depth)
+    store.fail_on_open = opened + 1  # this open and every later one raises
+    loader = CheckpointLoader(store)
     with pytest.raises(CheckpointError, match="injected failure"):
         loader.restore(RestoreSpec.of_rank(0, tag="ckpt"))
-    assert len(store.handed_out) == 2
+    assert len(store.handed_out) == opened
     assert all(mapped.data.closed for mapped in store.handed_out)
 
 
-@pytest.mark.parametrize("prefetch_depth", [0, 3])
-def test_failed_validation_closes_already_opened_mmaps(tmp_path, prefetch_depth):
-    """A CRC failure on one part must not leak the other parts' mappings."""
+@pytest.mark.parametrize("victim", [0, 3])
+def test_failed_validation_closes_already_opened_mmaps(tmp_path, victim):
+    """A CRC failure on one part (the first or the last) must not leak the
+    other parts' mappings."""
     store = _TrackingStore(tmp_path)
     _commit(store, _state(seed=2), shards_per_rank=4)
 
     # Corrupt one part's payload (same size, different bytes -> CRC mismatch).
-    victim = sorted(store.checkpoint_dir("ckpt").glob("*.shard"))[2]
-    raw = bytearray(victim.read_bytes())
+    path = sorted(store.checkpoint_dir("ckpt").glob("*.shard"))[victim]
+    raw = bytearray(path.read_bytes())
     raw[-1] ^= 0xFF
-    victim.write_bytes(bytes(raw))
+    path.write_bytes(bytes(raw))
 
-    loader = CheckpointLoader(store, prefetch_depth=prefetch_depth)
+    loader = CheckpointLoader(store)
     with pytest.raises(ConsistencyError, match="checksum"):
         loader.restore(RestoreSpec.of_rank(0, tag="ckpt"))
     assert all(mapped.data.closed for mapped in store.handed_out)
@@ -95,7 +111,7 @@ def test_successful_load_closes_every_mmap(tmp_path):
     store = _TrackingStore(tmp_path)
     state = _state(seed=3)
     _commit(store, state, shards_per_rank=4)
-    loader = CheckpointLoader(store, prefetch_depth=2)
+    loader = CheckpointLoader(store)
     loaded = loader.restore(RestoreSpec.of_rank(0, tag="ckpt"))
     np.testing.assert_array_equal(loaded["model"]["w0"], state["model"]["w0"])
     assert len(store.handed_out) == 4
@@ -106,30 +122,29 @@ def test_successful_load_closes_every_mmap(tmp_path):
 # Prefetching pipeline: equivalence across depths, paths, and backends
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("prefetch_depth", [0, 1, 2, 8])
+@pytest.mark.parametrize("depth", [1, 2, 4, 8])
 @pytest.mark.parametrize("use_mmap", [True, False])
-def test_prefetch_depths_load_identical_state(tmp_path, prefetch_depth, use_mmap):
+def test_prefetch_depths_load_identical_state(tmp_path, monkeypatch, depth, use_mmap):
     store = FileStore(tmp_path)
     state = _state(seed=4)
     _commit(store, state, shards_per_rank=3)
-    loader = CheckpointLoader(store, use_mmap=use_mmap,
-                              prefetch_depth=prefetch_depth)
-    states = loader.restore(RestoreSpec.full(tag="ckpt"))
+    _set_depth(monkeypatch, depth)
+    states = CheckpointLoader(store).restore(RestoreSpec.full(tag="ckpt", use_mmap=use_mmap))
     for key, array in state["model"].items():
         np.testing.assert_array_equal(states[0]["model"][key], array)
     assert states[0]["iteration"] == 4
 
 
-@pytest.mark.parametrize("prefetch_depth", [0, 4])
-def test_prefetch_on_object_store(prefetch_depth):
+@pytest.mark.parametrize("depth", [1, 4])
+def test_prefetch_on_object_store(monkeypatch, depth):
     """The object store has no mmap; the prefetch stage overlaps whole-object
     GETs instead, with identical results."""
     store = ObjectStore()
     state = _state(seed=5)
     _commit(store, state, shards_per_rank=3)
-    loader = CheckpointLoader(store, prefetch_depth=prefetch_depth)
-    assert loader.use_mmap is False
-    loaded = loader.restore(RestoreSpec.of_rank(0, tag="ckpt"))
+    assert not supports_mmap(store)
+    _set_depth(monkeypatch, depth)
+    loaded = CheckpointLoader(store).restore(RestoreSpec.of_rank(0, tag="ckpt"))
     np.testing.assert_array_equal(loaded["model"]["w5"], state["model"]["w5"])
 
 
@@ -153,7 +168,7 @@ def test_prefetch_overlaps_across_ranks_in_load_all(tmp_path):
         for engine in engines:
             engine.shutdown()
 
-    loader = CheckpointLoader(store, prefetch_depth=3)
+    loader = CheckpointLoader(store)
     loaded = loader.restore(RestoreSpec.full(tag="ckpt"))
     assert sorted(loaded) == [0, 1]
     for rank in (0, 1):
@@ -161,9 +176,51 @@ def test_prefetch_overlaps_across_ranks_in_load_all(tmp_path):
                                       states[rank]["model"]["w1"])
 
 
-def test_negative_prefetch_depth_rejected(tmp_path):
-    with pytest.raises(RestartError):
-        CheckpointLoader(FileStore(tmp_path), prefetch_depth=-1)
+# ---------------------------------------------------------------------------
+# The restore API: a loader takes a store, a spec carries two options
+# ---------------------------------------------------------------------------
+
+def test_loader_takes_the_store_only(tmp_path):
+    assert list(inspect.signature(CheckpointLoader).parameters) == ["store"]
+    for removed in ("verify_checksums", "use_mmap", "materialize", "prefetch_depth"):
+        with pytest.raises(TypeError):
+            CheckpointLoader(FileStore(tmp_path), **{removed: True})
+
+
+def test_restore_spec_carries_validate_and_use_mmap_only():
+    assert [field.name for field in dataclasses.fields(RestoreSpec)] == [
+        "tag", "rank", "shard", "all_ranks", "target_topology", "validate", "use_mmap"]
+    for removed in ("materialize", "prefetch_depth"):
+        with pytest.raises(TypeError):
+            RestoreSpec(**{removed: 1})
+        with pytest.raises(TypeError):
+            RestoreSpec.of_rank(0, **{removed: 1})
+
+
+def test_validate_runs_through_the_pipeline_and_releases_it(tmp_path):
+    store = _TrackingStore(tmp_path)
+    _commit(store, _state(seed=8), shards_per_rank=4)
+    loader = CheckpointLoader(store)
+    assert [record.name for record in loader.validate("ckpt").shards] == [
+        f"rank0-s{index:02d}" for index in range(4)]
+    assert len(store.handed_out) == 4
+    _assert_released(store, threads=("ckpt-prefetch", "ckpt-validate"))
+
+    _corrupt_one_payload_byte(store, "ckpt")
+    store.handed_out.clear()
+    with pytest.raises(ConsistencyError, match="checksum"):
+        loader.validate("ckpt")
+    _assert_released(store, threads=("ckpt-prefetch", "ckpt-validate"))
+
+
+def test_restore_reports_its_depth_and_per_part_timings(tmp_path):
+    store = FileStore(tmp_path)
+    _commit(store, _state(seed=9), shards_per_rank=4)
+    loader = CheckpointLoader(store)
+    loader.restore(RestoreSpec.of_rank(0, tag="ckpt"))
+    assert loader.effective_prefetch_depth == loader_module.PREFETCH_DEPTH == 4
+    timings = loader.prefetch_timings()
+    assert len(timings["fetch_seconds"]) == len(timings["deserialize_seconds"]) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +242,11 @@ def test_load_all_validate_false_skips_per_shard_checks(tmp_path, use_mmap):
     _commit(store, _state(seed=6), shards_per_rank=2)
     _corrupt_one_payload_byte(store, "ckpt")
 
-    loader = CheckpointLoader(store, use_mmap=use_mmap)
+    loader = CheckpointLoader(store)
     with pytest.raises(ConsistencyError):
-        loader.restore(RestoreSpec.full(tag="ckpt", validate=True))
+        loader.restore(RestoreSpec.full(tag="ckpt", validate=True, use_mmap=use_mmap))
     # validate=False trusts the medium: the corrupted payload loads fine.
-    states = loader.restore(RestoreSpec.full(tag="ckpt", validate=False))
+    states = loader.restore(RestoreSpec.full(tag="ckpt", validate=False, use_mmap=use_mmap))
     assert states[0]["iteration"] == 6
 
 
@@ -228,88 +285,23 @@ def test_keep_latest_zero_deletes_every_checkpoint(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Auto prefetch depth (prefetch_depth=0)
-# ---------------------------------------------------------------------------
-
-def test_choose_prefetch_depth_tracks_fetch_deserialize_ratio():
-    from repro.restart.loader import DEFAULT_PREFETCH_DEPTH
-    from repro.restart import choose_prefetch_depth
-
-    # Fetch-bound (remote store): ~6x slower fetches want a deep pipeline.
-    assert choose_prefetch_depth([0.06] * 8, [0.01] * 8) == 7
-    # Deserialize-bound (local mmap): the minimum useful depth of 2.
-    assert choose_prefetch_depth([0.001] * 8, [0.02] * 8) == 2
-    # Balanced: one in flight plus one of slack.
-    assert choose_prefetch_depth([0.01] * 8, [0.01] * 8) == 2
-    # Extreme ratios clamp at the pipeline cap.
-    assert choose_prefetch_depth([1.0] * 8, [0.001] * 8) == 8
-    assert choose_prefetch_depth([1.0] * 8, [0.001] * 8, max_depth=5) == 5
-    # Too few samples (cold restore) or degenerate timings: the static
-    # default — measuring must never make the first restore worse.
-    assert choose_prefetch_depth([], []) == DEFAULT_PREFETCH_DEPTH
-    assert choose_prefetch_depth([0.01] * 2, [0.01] * 8) == DEFAULT_PREFETCH_DEPTH
-    assert choose_prefetch_depth([0.0] * 8, [0.0] * 8) == DEFAULT_PREFETCH_DEPTH
-
-
-def test_auto_mode_starts_at_default_then_adapts(tmp_path):
-    from repro.restart.loader import DEFAULT_PREFETCH_DEPTH
-
-    store = FileStore(tmp_path)
-    _commit(store, _state(seed=3), shards_per_rank=4)
-    loader = CheckpointLoader(store, prefetch_depth=0)
-    # Cold: no samples yet, so auto resolves to the static default.
-    assert loader.effective_prefetch_depth == DEFAULT_PREFETCH_DEPTH
-
-    restored = loader.restore(RestoreSpec.full(tag="ckpt"))
-    want = _state(seed=3)
-    for key, value in want["model"].items():
-        np.testing.assert_array_equal(restored[0]["model"][key], value)
-
-    # The restore populated both timing windows; auto now resolves from
-    # them and stays within the pipeline's [2, cap] band.
-    timings = loader.prefetch_timings()
-    assert len(timings["fetch_seconds"]) >= 4
-    assert len(timings["deserialize_seconds"]) >= 4
-    from repro.restart.loader import MAX_AUTO_PREFETCH_DEPTH
-    assert 2 <= loader.effective_prefetch_depth <= MAX_AUTO_PREFETCH_DEPTH
-
-
-def test_auto_mode_timings_shared_across_restore_spec_options(tmp_path):
-    """RestoreSpec-driven loader clones (validate=False etc.) keep feeding
-    the same timing windows, so the session's measurements accumulate."""
-    store = FileStore(tmp_path)
-    _commit(store, _state(seed=5), shards_per_rank=3)
-    loader = CheckpointLoader(store, prefetch_depth=0)
-    loader.restore(RestoreSpec.full(tag="ckpt"))
-    first = len(loader.prefetch_timings()["fetch_seconds"])
-    assert first > 0
-    loader.restore(RestoreSpec.full(tag="ckpt", validate=False))
-    assert len(loader.prefetch_timings()["fetch_seconds"]) > first
-
-
-# ---------------------------------------------------------------------------
 # A mapped part is checked while it is copied out
 # ---------------------------------------------------------------------------
 
-def _prefetch_threads():
-    return [thread for thread in threading.enumerate()
-            if thread.name.startswith("ckpt-prefetch")]
-
-
-def _assert_released(store):
-    assert store.handed_out
+def _assert_released(store, maps=True, threads=("ckpt-prefetch",)):
+    """Every map handed out is closed (``maps=False``: none was handed out,
+    the parts were landed) and no pipeline thread is left."""
+    assert bool(store.handed_out) == maps
     assert all(mapped.data.closed for mapped in store.handed_out)
-    assert _prefetch_threads() == []
+    assert [thread for thread in threading.enumerate()
+            if thread.name.startswith(threads)] == []
 
 
-@pytest.mark.parametrize("prefetch_depth", [None, 1])
-def test_single_mapped_part_is_checked_while_it_is_decoded(tmp_path, monkeypatch,
-                                                           prefetch_depth):
-    """No timing: the check waits for the decode to start.  Beside the
-    decode (every depth >= 2, one part included) it completes; before it
-    (depth 1, strictly serial) it can only time out."""
-    from repro.restart import loader as loader_module
-
+@pytest.mark.parametrize("depth", [None, 1])
+def test_single_mapped_part_is_checked_while_it_is_decoded(tmp_path, monkeypatch, depth):
+    """No timing: the check waits for the decode to start, and completes.
+    It runs beside the decode at every depth, one worker included: there
+    is no serial path that would check before decoding."""
     store = _TrackingStore(tmp_path)
     state = _state(seed=20)
     _commit(store, state, shards_per_rank=1)
@@ -317,7 +309,7 @@ def test_single_mapped_part_is_checked_while_it_is_decoded(tmp_path, monkeypatch
     real_checksum, real_decode = loader_module.checksum_stream, loader_module.decode_rank_state
 
     def checksum_after_decode_starts(buffer):
-        if not decoding.wait(10 if prefetch_depth is None else 0.5):
+        if not decoding.wait(10):
             raise TimeoutError("the check ran before the decode")
         return real_checksum(buffer)
 
@@ -327,14 +319,9 @@ def test_single_mapped_part_is_checked_while_it_is_decoded(tmp_path, monkeypatch
 
     monkeypatch.setattr(loader_module, "checksum_stream", checksum_after_decode_starts)
     monkeypatch.setattr(loader_module, "decode_rank_state", decode)
-    loader = CheckpointLoader(store, prefetch_depth=prefetch_depth)
-    spec = RestoreSpec.of_rank(0, tag="ckpt")
-    if prefetch_depth == 1:
-        with pytest.raises(TimeoutError):
-            loader.restore(spec)
-    else:
-        loaded = loader.restore(spec)
-        np.testing.assert_array_equal(loaded["model"]["w3"], state["model"]["w3"])
+    _set_depth(monkeypatch, depth)
+    loaded = CheckpointLoader(store).restore(RestoreSpec.of_rank(0, tag="ckpt"))
+    np.testing.assert_array_equal(loaded["model"]["w3"], state["model"]["w3"])
     _assert_released(store)
 
 
@@ -360,7 +347,11 @@ def _commit_elastic(store, parts):
 
 def _committed(store, parts, mode):
     """Commit a checkpoint of ``parts`` parts per rank; returns the spec that
-    restores it in ``mode`` and a check of what that restore returns."""
+    restores it in ``mode`` and a check of what that restore returns.
+
+    ``copy`` maps the parts and copies the arrays out; ``views`` lands them
+    unmapped, and the arrays are views of the landing buffers; ``reshaped``
+    maps them and remaps the slices onto another grid."""
     if mode == "reshaped":
         target = _commit_elastic(store, parts)
         model = _elastic_model()
@@ -376,7 +367,7 @@ def _committed(store, parts, mode):
     def matches(loaded):
         for key, array in state["model"].items():
             np.testing.assert_array_equal(loaded["model"][key], array)
-    return RestoreSpec.of_rank(0, tag="ckpt", materialize=mode == "copy"), matches
+    return RestoreSpec.of_rank(0, tag="ckpt", use_mmap=mode != "views"), matches
 
 
 def _flip(path, where):
@@ -397,60 +388,64 @@ def _flip(path, where):
 @pytest.mark.parametrize("where", ["preamble", "first_tensor", "last_byte"])
 @pytest.mark.parametrize("parts", [1, 4])
 @pytest.mark.parametrize("mode", ["copy", "views", "reshaped"])
-@pytest.mark.parametrize("prefetch_depth", [1, 4])
-def test_corrupt_mapped_part_fails_its_checksum(tmp_path, where, parts, mode,
-                                                prefetch_depth):
+@pytest.mark.parametrize("depth", [1, 4])
+def test_corrupt_mapped_part_fails_its_checksum(tmp_path, monkeypatch, where, parts, mode,
+                                                depth):
     """Whatever the corrupt bytes break in the decode, the failed check is
-    what is raised, and every map is closed behind it."""
+    what is raised, and every map is closed behind it (in ``views`` mode
+    the same part is landed instead, and fails the same check)."""
     store = _TrackingStore(tmp_path)
     spec, _matches = _committed(store, parts, mode)
     _flip(sorted(store.checkpoint_dir("ckpt").glob("rank0*.shard"))[-1], where)
-    loader = CheckpointLoader(store, prefetch_depth=prefetch_depth)
+    _set_depth(monkeypatch, depth)
     with pytest.raises(ConsistencyError, match="checksum"):
-        loader.restore(spec)
-    _assert_released(store)
+        CheckpointLoader(store).restore(spec)
+    _assert_released(store, maps=mode != "views")
 
 
 @pytest.mark.parametrize("parts", [1, 4])
-@pytest.mark.parametrize("prefetch_depth", [1, 4])
+@pytest.mark.parametrize("depth", [1, 4])
 def test_corrupt_replicated_copy_fails_its_checksum_not_the_twin_compare(
-        tmp_path, parts, prefetch_depth):
+        tmp_path, monkeypatch, parts, depth):
     """Rank 1's corrupt copy of the replicated w0 decodes fine and then fails
     the reshape's byte-for-byte twin compare; the failed check still wins."""
     store = _TrackingStore(tmp_path)
     spec, _matches = _committed(store, parts, "reshaped")
     _flip(sorted(store.checkpoint_dir("ckpt").glob("rank1*.shard"))[0], "first_tensor")
-    with pytest.raises(RestartError, match="replicated tensor"):
-        CheckpointLoader(store, verify_checksums=False).restore(spec)
+    _set_depth(monkeypatch, depth)
+    with monkeypatch.context() as passing:
+        # Every CRC32 compares equal: only the twin compare is left to fail.
+        passing.setattr(loader_module, "checksum_stream", lambda _buffer: mock.ANY)
+        with pytest.raises(RestartError, match="replicated tensor"):
+            CheckpointLoader(store).restore(spec)
     store.handed_out.clear()
     with pytest.raises(ConsistencyError, match="checksum"):
-        CheckpointLoader(store, prefetch_depth=prefetch_depth).restore(spec)
+        CheckpointLoader(store).restore(spec)
     _assert_released(store)
 
 
 @pytest.mark.parametrize("parts", [1, 4])
-@pytest.mark.parametrize("mode", ["copy", "reshaped"])  # views keep their map open
-@pytest.mark.parametrize("prefetch_depth", [1, 4])
-def test_intact_mapped_restore_releases_every_map(tmp_path, parts, mode, prefetch_depth):
+@pytest.mark.parametrize("mode", ["copy", "reshaped"])
+@pytest.mark.parametrize("depth", [1, 4])
+def test_intact_mapped_restore_releases_every_map(tmp_path, monkeypatch, parts, mode, depth):
     store = _TrackingStore(tmp_path)
     spec, matches = _committed(store, parts, mode)
-    matches(CheckpointLoader(store, prefetch_depth=prefetch_depth).restore(spec))
+    _set_depth(monkeypatch, depth)
+    matches(CheckpointLoader(store).restore(spec))
     _assert_released(store)
 
 
 @pytest.mark.parametrize("parts", [1, 4])
-@pytest.mark.parametrize("prefetch_depth", [1, 4])
+@pytest.mark.parametrize("depth", [1, 4])
 def test_decode_failure_with_passing_checks_is_a_restart_error(tmp_path, monkeypatch,
-                                                               parts, prefetch_depth):
-    from repro.restart import loader as loader_module
-
+                                                               parts, depth):
     def broken_decode(*_args, **_kwargs):
         raise ValueError("injected decode failure")
 
     store = _TrackingStore(tmp_path)
     _commit(store, _state(seed=23), shards_per_rank=parts)
     monkeypatch.setattr(loader_module, "decode_rank_state", broken_decode)
-    loader = CheckpointLoader(store, prefetch_depth=prefetch_depth)
+    _set_depth(monkeypatch, depth)
     with pytest.raises(RestartError, match="injected decode failure"):
-        loader.restore(RestoreSpec.of_rank(0, tag="ckpt"))
+        CheckpointLoader(store).restore(RestoreSpec.of_rank(0, tag="ckpt"))
     _assert_released(store)

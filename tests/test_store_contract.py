@@ -117,8 +117,8 @@ def test_unmapped_restore_is_one_landing_read_per_part(store):
     assert min(store.shard_size("ckpt", name) for name in names) > 8 << 20
 
     counting = _CountingReads(store)
-    restored = CheckpointLoader(counting, use_mmap=False).restore(
-        RestoreSpec.of_rank(0, tag="ckpt"))
+    restored = CheckpointLoader(counting).restore(
+        RestoreSpec.of_rank(0, tag="ckpt", use_mmap=False))
 
     assert sorted(counting.calls) == sorted(
         ("read_shard", name, True) for name in names)

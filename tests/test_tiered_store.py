@@ -234,7 +234,7 @@ def test_restore_from_slow_tier_after_local_loss_is_byte_identical(tmp_path):
     store.fast.delete_checkpoint("ckpt-1")  # simulated local loss
     assert store.list_committed_checkpoints() == ["ckpt-1"]
     for use_mmap in (True, False):
-        restored = CheckpointLoader(store, use_mmap=use_mmap).restore(RestoreSpec.full(tag="ckpt-1"))
+        restored = CheckpointLoader(store).restore(RestoreSpec.full(tag="ckpt-1", use_mmap=use_mmap))
         for key in ("model", "optimizer"):
             for name, array in reference[0][key].items():
                 np.testing.assert_array_equal(array, restored[0][key][name])
