@@ -19,24 +19,26 @@ content hash**, shared across every checkpoint and every tenant:
   checkpointing the same base model share bytes.
 * **Manifest schema v3** — at commit time the per-shard chunk lists are
   injected into the manifest (``chunks: [[hash, nbytes], ...]`` per record),
-  making every committed checkpoint self-describing: restores, refcount
-  rebuilds, and cross-job GC all read only committed manifests.
+  making every committed checkpoint self-describing: restores, refcounts,
+  and cross-job GC all read only committed manifests.
 * **Incremental checkpoints** — :meth:`record_shard_reference` lets an
   engine whose dirty scan (per-tensor CRC32s against the previous committed
   manifest, see ``CheckpointPolicy.incremental``) proves a shard part
   unchanged record the part by reference: the base checkpoint's chunk list
   is pinned — atomically with the sweeper, and only if every chunk is still
   in the pool — and re-used without re-hashing or re-uploading a single byte.
-* **Refcounted two-phase GC** — a persistent chunk refcount index
-  (``cas-refcounts`` under the inner store) is incremented on commit and
-  decremented on prune; :meth:`sweep_unreferenced` deletes unreferenced
-  chunks.  Writers pin chunks (under the same lock the sweeper re-checks)
-  between first-use and commit, so a concurrent save re-referencing a chunk
-  mid-sweep can never lose it.  Crash ordering is leak-safe, never
-  lose-safe: refcounts are persisted *before* a manifest publish and the
-  inner tag is deleted *before* a prune's decrement, so a crash strands at
-  most garbage chunks (reclaimed by :meth:`rebuild_refcounts` + sweep) and
-  can never under-count a live one.
+* **Refcounted two-phase GC** — the committed manifests are the only record
+  of which chunks are referenced: opening a pool counts every namespace's
+  chunk lists, a commit raises the counts after its manifest publishes and
+  a prune lowers them after its inner tag is deleted;
+  :meth:`sweep_unreferenced` deletes unreferenced chunks.  Writers pin
+  chunks (under the same lock the sweeper re-checks) between first use and
+  the counts going up, so neither a concurrent save re-referencing a chunk
+  mid-sweep nor a commit between its publish and its count can lose it.
+  Nothing but the manifests is persisted, so the counts are exact after any
+  restart: a crash strands at most unreferenced chunks, which the next
+  sweep reclaims.  A ``cas-refcounts`` index object left by an older
+  release is ignored, and deleted by the pool's first commit or sweep.
 
 The store intentionally exposes neither ``create_shard_writer`` nor
 ``open_shard_mmap`` — every engine falls back to the streaming write path and
@@ -64,7 +66,7 @@ DEFAULT_CHUNK_BYTES = 4 * 1024 * 1024
 #: Default tenant for stores built without an explicit job id.
 DEFAULT_NAMESPACE = "default"
 
-#: Inner tag holding the persistent chunk refcount index.
+#: Inner tag of the refcount index older releases persisted (never written).
 INDEX_TAG = "cas-refcounts"
 
 _CHUNK_TAG_PREFIX = "cas-chunk-"
@@ -102,12 +104,21 @@ class _ShardChunks:
     referenced: bool = False
 
 
+def _parse_shards(manifest: Dict) -> Dict[str, _ShardChunks]:
+    """Per-shard chunk lists of one committed (v3) manifest."""
+    return {
+        str(record["name"]): _ShardChunks(
+            chunks=tuple((str(h), int(n)) for h, n in record.get("chunks") or []),
+            nbytes=int(record["nbytes"]))
+        for record in manifest.get("shards", [])}
+
+
 class _CASCore:
     """State shared by every namespace handle of one chunk pool.
 
-    Owns the inner store, the chunk refcount index, the pin table protecting
-    in-flight (uncommitted) chunk uses from the sweeper, the pending
-    per-checkpoint chunk lists, and the dedup byte counters.
+    Owns the inner store, the chunk refcounts, the pin table protecting
+    in-flight (uncommitted) chunk uses from the sweeper, the pending and
+    committed per-checkpoint chunk lists, and the dedup byte counters.
     """
 
     def __init__(self, inner, chunk_bytes: int) -> None:
@@ -116,14 +127,13 @@ class _CASCore:
         self.inner = inner
         self.chunk_bytes = int(chunk_bytes)
         self.lock = threading.RLock()
-        #: Committed references per chunk hash (persisted; positive only).
+        #: Committed references per chunk hash (positive only), counted from
+        #: the committed manifests at open.
         self.refcounts: Dict[str, int] = {}
         #: Uncommitted uses per chunk hash — held between a writer's first
-        #: use of a chunk and the commit/prune of its checkpoint; the sweeper
-        #: never deletes a pinned chunk.
+        #: use of a chunk and the count (or prune) of its checkpoint; the
+        #: sweeper never deletes a pinned chunk.
         self.pins: Dict[str, int] = {}
-        #: Hashes known to be durably present in the inner pool.
-        self.durable: set = set()
         #: Uncommitted chunk lists: inner tag -> shard name -> chunk list.
         self.pending: Dict[str, Dict[str, _ShardChunks]] = {}
         #: Committed chunk lists (cache of manifest contents).
@@ -135,54 +145,40 @@ class _CASCore:
         self.chunks_deduped = 0
         self.chunks_referenced = 0
         self.chunks_swept = 0
-        self._load_index()
-
-    # -- index persistence ---------------------------------------------------
-    def _load_index(self) -> None:
-        try:
-            data = self.inner.read_manifest(INDEX_TAG)
-        except (CheckpointError, OSError):
-            self.rebuild_refcounts(persist=False)
-            return
-        counts = data.get("refcounts", {})
-        self.refcounts = {str(h): int(c) for h, c in counts.items() if int(c) > 0}
-        self.durable = set(self.refcounts)
-
-    def persist_index(self) -> None:
-        """Atomically persist the refcount index through the inner store."""
-        with self.lock:
-            counts = {h: c for h, c in self.refcounts.items() if c > 0}
-        try:
-            self.inner.write_manifest(INDEX_TAG, {"refcounts": counts})
-        except CheckpointError:
-            raise
-        except OSError as exc:
-            raise CheckpointError(f"persisting chunk refcount index failed: {exc}") from exc
-
-    def rebuild_refcounts(self, persist: bool = True) -> Dict[str, int]:
-        """Reconstruct the refcount index from every committed manifest.
-
-        The crash-recovery path: committed manifests are the ground truth of
-        which chunks are referenced, so a lost or stale index is rebuilt by
-        re-counting their chunk lists (across *all* namespaces).
-        """
-        counts: Dict[str, int] = {}
-        for inner_tag in self.inner.list_committed_checkpoints():
+        tags = self.inner.list_committed_checkpoints()
+        #: An older release's index object, deleted before the pool changes.
+        self.legacy_index = INDEX_TAG in tags
+        for inner_tag in tags:
             if not inner_tag.startswith(_NAMESPACE_TAG_PREFIX):
                 continue
             try:
-                data = self.inner.read_manifest(inner_tag)
+                shards = _parse_shards(self.inner.read_manifest(inner_tag))
             except (CheckpointError, OSError):
                 continue
-            for record in data.get("shards", []):
-                for chunk_hash, _nbytes in record.get("chunks") or []:
-                    counts[chunk_hash] = counts.get(chunk_hash, 0) + 1
+            self.committed[inner_tag] = shards
+            self.count(shards.values(), 1)
+        #: Hashes known to be durably present in the inner pool.
+        self.durable = set(self.refcounts)
+
+    def count(self, shard_lists: Iterable[_ShardChunks], sign: int) -> None:
+        """Raise (``sign=1``) or lower (``-1``) the refcount of every chunk."""
         with self.lock:
-            self.refcounts = counts
-            self.durable |= set(counts)
-        if persist:
-            self.persist_index()
-        return dict(counts)
+            for entry in shard_lists:
+                for chunk_hash, _nbytes in entry.chunks:
+                    left = self.refcounts.get(chunk_hash, 0) + sign
+                    if left > 0:
+                        self.refcounts[chunk_hash] = left
+                    else:
+                        self.refcounts.pop(chunk_hash, None)
+
+    def drop_legacy_index(self) -> None:
+        """Delete an older release's index object before the pool changes,
+        so that release, reopening the pool, counts from the manifests
+        instead of trusting counts that stopped moving."""
+        with self.lock:
+            if self.legacy_index:
+                self.inner.delete_checkpoint(INDEX_TAG)
+                self.legacy_index = False
 
     # -- chunk pool ----------------------------------------------------------
     def pin(self, chunk_hash: str) -> bool:
@@ -276,11 +272,7 @@ class _CASCore:
             if required:
                 raise
             return {}
-        shards = {}
-        for record in data.get("shards", []):
-            chunks = tuple((str(h), int(n)) for h, n in record.get("chunks") or [])
-            shards[str(record["name"])] = _ShardChunks(
-                chunks=chunks, nbytes=int(record["nbytes"]))
+        shards = _parse_shards(data)
         with self.lock:
             self.committed[inner_tag] = shards
         return shards
@@ -312,7 +304,7 @@ class CASStore:
     # -- namespace plumbing --------------------------------------------------
     @property
     def inner(self):
-        """The wrapped backend holding chunks, manifests, and the index."""
+        """The wrapped backend holding chunks and manifests."""
         return self._core.inner
 
     @property
@@ -428,11 +420,12 @@ class CASStore:
         return base_entry.nbytes
 
     def write_manifest(self, tag: str, manifest: Dict) -> object:
-        """Inject chunk lists (schema v3), refcount, and atomically commit.
+        """Inject chunk lists (schema v3), atomically commit, then count.
 
-        Two-phase crash ordering: the refcount index is persisted *before*
-        the manifest publish, so a crash in between over-counts (stranding
-        reclaimable garbage) but never under-counts a live chunk.
+        The inner manifest publishes first and the refcounts go up after:
+        the writer's pins keep the sweeper off the chunks until then, so a
+        failed publish leaves nothing to undo, and a crash in between loses
+        nothing (a reopened pool counts from the published manifests).
         """
         core = self._core
         inner_tag = self._tag(tag)
@@ -457,28 +450,10 @@ class CASStore:
 
         self._check_quota(tag, sum(entry.nbytes for entry in entries_used))
 
+        core.drop_legacy_index()
+        receipt = core.inner.write_manifest(inner_tag, data)
         with core.lock:
-            for entry in entries_used:
-                for chunk_hash, _nbytes in entry.chunks:
-                    core.refcounts[chunk_hash] = core.refcounts.get(chunk_hash, 0) + 1
-        try:
-            core.persist_index()
-            receipt = core.inner.write_manifest(inner_tag, data)
-        except BaseException:
-            with core.lock:
-                for entry in entries_used:
-                    for chunk_hash, _nbytes in entry.chunks:
-                        left = core.refcounts.get(chunk_hash, 0) - 1
-                        if left > 0:
-                            core.refcounts[chunk_hash] = left
-                        else:
-                            core.refcounts.pop(chunk_hash, None)
-            try:
-                core.persist_index()
-            except Exception:  # noqa: BLE001 - rollback is best effort
-                pass
-            raise
-        with core.lock:
+            core.count(entries_used, 1)
             staged = core.pending.pop(inner_tag, {})
             core.committed[inner_tag] = {
                 name: entry for name, entry in staged.items()}
@@ -573,9 +548,9 @@ class CASStore:
         """Prune one checkpoint: phase one of the two-phase GC.
 
         The inner tag (manifest) is deleted *first*, then the refcounts are
-        decremented and persisted — a crash in between leaks chunks (safe)
-        instead of under-counting live ones.  Actual chunk deletion is
-        deferred to :meth:`sweep_unreferenced`.
+        lowered — the chunks are never unreferenced while a manifest still
+        names them.  Actual chunk deletion is deferred to
+        :meth:`sweep_unreferenced`.
         """
         core = self._core
         inner_tag = self._tag(tag)
@@ -587,15 +562,7 @@ class CASStore:
         core.inner.delete_checkpoint(inner_tag)
         with core.lock:
             core.committed.pop(inner_tag, None)
-            for entry in shards.values():
-                for chunk_hash, _nbytes in entry.chunks:
-                    left = core.refcounts.get(chunk_hash, 0) - 1
-                    if left > 0:
-                        core.refcounts[chunk_hash] = left
-                    else:
-                        core.refcounts.pop(chunk_hash, None)
-        if shards:
-            core.persist_index()
+            core.count(shards.values(), -1)
 
     def sweep_unreferenced(self) -> int:
         """Phase two of the GC: delete every unreferenced, unpinned chunk.
@@ -605,8 +572,11 @@ class CASStore:
         inner tag deleted — under the pool lock, so a writer pinning the same
         chunk mid-sweep either pins it before the re-check (the sweep skips
         it) or after the delete (the exists-check then re-uploads it).
+        Chunks a crash stranded are unreferenced from the pool's open on, so
+        they go too.
         """
         core = self._core
+        core.drop_legacy_index()
         removed = 0
         for inner_tag in core.inner.list_checkpoints():
             if not inner_tag.startswith(_CHUNK_TAG_PREFIX):
@@ -618,17 +588,10 @@ class CASStore:
                 if core.pins.get(chunk_hash, 0) > 0:
                     continue
                 core.durable.discard(chunk_hash)
-                core.refcounts.pop(chunk_hash, None)
                 core.inner.delete_checkpoint(inner_tag)
                 core.chunks_swept += 1
                 removed += 1
-        if removed:
-            core.persist_index()
         return removed
-
-    def rebuild_refcounts(self) -> Dict[str, int]:
-        """Crash recovery: rebuild the refcount index from committed manifests."""
-        return self._core.rebuild_refcounts()
 
     def total_bytes(self, tag: str) -> int:
         inner_tag = self._tag(tag)

@@ -416,7 +416,7 @@ class TierChain:
         root = getattr(self._stores[0], "root", None)
         return Path(root) / TIER_INDEX_NAME if root is not None else None
 
-    def _persist_index(self) -> None:
+    def _persist_sidecar(self) -> None:
         """Atomically rewrite the sidecar (no-op for root-less level 0).
 
         Best-effort: the sidecar is a *cache* — a persist failure must never
@@ -507,7 +507,7 @@ class TierChain:
             self.drains_resumed += 1
             self._spawn_drain(tag)
         if self._jobs:
-            self._persist_index()
+            self._persist_sidecar()
 
     def _next_sequence(self) -> int:
         self._sequence += 1
@@ -623,7 +623,6 @@ class TierChain:
             # A re-committed tag supersedes any earlier delete tombstone.
             self._deleted.discard(tag)
             self._jobs[tag] = _DrainJob(tag=tag, sequence=self._next_sequence())
-        self._persist_index()
         self._spawn_drain(tag)
         return receipt
 
@@ -655,7 +654,7 @@ class TierChain:
                 return
             job.state = DrainState.DRAINING
         try:
-            self._persist_index()
+            self._persist_sidecar()
             while True:
                 with self._lock:
                     if tag in self._deleted:
@@ -679,7 +678,7 @@ class TierChain:
             with self._lock:
                 job.state = DrainState.REPLICATED
                 self.drains_completed += 1
-            self._persist_index()
+            self._persist_sidecar()
         except BaseException as exc:  # noqa: BLE001 - surfaced via wait_drained
             with self._lock:
                 job.error = exc
@@ -734,7 +733,7 @@ class TierChain:
         with self._lock:
             job.residency.add(target)
             self.drain_seconds_total += time.perf_counter() - started
-        self._persist_index()
+        self._persist_sidecar()
 
     def _drain_part(self, tag: str, job: _DrainJob, source: int, target: int,
                     name: str, nbytes: int) -> None:
@@ -843,7 +842,7 @@ class TierChain:
             if evicted:
                 with self._lock:
                     self.evicted_checkpoints += evicted
-                self._persist_index()
+                self._persist_sidecar()
 
     # -- drain introspection --------------------------------------------------
     def drain_status(self, tag: str) -> Optional[DrainState]:
@@ -997,7 +996,7 @@ class TierChain:
                 job.residency.add(target)
             if target == 0:
                 self.promoted_checkpoints += 1
-        self._persist_index()
+        self._persist_sidecar()
         logger.info("promoted checkpoint %s back to tier level %s", tag,
                     self._names[target])
 
@@ -1092,7 +1091,7 @@ class TierChain:
             store.delete_checkpoint(tag)
         for index in range(len(self._stores)):
             self._discount(tag, index)
-        self._persist_index()
+        self._persist_sidecar()
 
     def total_bytes(self, tag: str) -> int:
         """Shard bytes of one checkpoint, from the nearest level holding it."""

@@ -3,7 +3,8 @@
 Covers the chunk pool's content addressing (fixed-size sha256 chunks,
 dedup, hash-verified reads), namespace scoping and quotas over one shared
 pool, the refcounted two-phase cross-job GC (including the
-concurrent-writer-vs-sweeper race and crash-recovery refcount rebuilds),
+concurrent-writer-vs-sweeper and prune-vs-commit races, and the exact
+refcounts a reopened pool counts from its committed manifests),
 the engine-level incremental checkpoint path (``CheckpointPolicy.
 incremental``) against its <60 %-of-full-bytes acceptance bar, and the
 ``cas``-over-``object`` composition.
@@ -23,7 +24,7 @@ from repro.core import ENGINE_NAMES, create_real_engine
 from repro.exceptions import CheckpointError, ConfigurationError, ConsistencyError
 from repro.io import CASStore, FileStore, create_store, supports_shard_reference
 from repro.restart import RestoreSpec
-from repro.io.cas import CHUNK_SHARD_NAME, INDEX_TAG, chunk_tag
+from repro.io.cas import CHUNK_SHARD_NAME, chunk_tag
 
 CHUNK = 1024
 
@@ -234,7 +235,7 @@ def test_sweep_reclaims_the_pool_after_the_last_reference(tmp_path):
     assert pool.sweep_unreferenced() == 3
     assert pool.pool_chunks() == []
     assert pool.dedup_metrics()["chunks_swept"] == 3
-    # The emptied index is persisted: a cold open of the same pool agrees.
+    # A cold open of the same pool counts the same (empty) state.
     reopened = CASStore(FileStore(tmp_path / "pool"), chunk_bytes=CHUNK)
     assert reopened.pool_chunks() == []
     assert reopened.list_committed_checkpoints() == []
@@ -286,16 +287,49 @@ def test_rewrite_after_a_completed_sweep_reuploads(tmp_path):
     assert pool.read_shard("new", "rank0") == payload
 
 
+def test_a_prune_beside_a_commit_never_loses_the_committed_chunks(tmp_path):
+    """A retention prune on one thread and a commit on another: the prune's
+    store writes are held back until the commit has published, and a
+    reopened and swept pool still restores the committed checkpoint."""
+    pool = _pool(tmp_path)
+    _save(pool, "old", {"rank0": _payload(18, 2 * CHUNK)})
+    parked, committed = threading.Event(), threading.Event()
+    real_write_manifest = pool.inner.write_manifest
+
+    def write_manifest(tag, manifest):
+        if threading.current_thread().name == "retire" and not parked.is_set():
+            parked.set()
+            committed.wait(10.0)
+        receipt = real_write_manifest(tag, manifest)
+        if (threading.current_thread() is threading.main_thread()
+                and tag.startswith("ns-")):
+            committed.set()
+        return receipt
+
+    pool.inner.write_manifest = write_manifest
+    retire = threading.Thread(target=pool.delete_checkpoint, args=("old",),
+                              name="retire")
+    retire.start()
+    parked.wait(1.0)
+    new = _payload(19, 2 * CHUNK)
+    _save(pool, "new", {"rank0": new})
+    retire.join(10.0)
+    assert not retire.is_alive()
+
+    reopened = CASStore(FileStore(tmp_path / "pool"), chunk_bytes=CHUNK)
+    reopened.sweep_unreferenced()
+    assert reopened.read_shard("new", "rank0") == new
+
+
 # ---------------------------------------------------------------------------
-# Refcount index crash recovery
+# Refcounts counted from the committed manifests
 # ---------------------------------------------------------------------------
 
-def test_lost_index_is_rebuilt_from_committed_manifests(tmp_path):
+def test_a_pool_with_no_index_object_reopens_with_exact_counts(tmp_path):
     pool = _pool(tmp_path)
     shared = _payload(15, 2 * CHUNK)
     _save(pool.namespace("jobA"), "ck", {"rank0": shared})
     _save(pool.namespace("jobB"), "ck", {"rank0": shared})
-    pool.inner.delete_checkpoint(INDEX_TAG)  # crash loses the index
 
     reopened = CASStore(FileStore(tmp_path / "pool"), chunk_bytes=CHUNK)
     for chunk_hash in reopened.pool_chunks():
@@ -304,26 +338,26 @@ def test_lost_index_is_rebuilt_from_committed_manifests(tmp_path):
     assert reopened.namespace("jobB").read_shard("ck", "rank0") == shared
 
 
-def test_rebuild_corrects_a_stale_overcounting_index(tmp_path):
-    """A crash between a prune's inner delete and its decrement persist
-    leaves the index over-counting — stranded garbage, never data loss.
-    ``rebuild_refcounts`` re-derives truth from committed manifests so the
-    sweep can reclaim it."""
+def test_a_crash_pruned_checkpoints_chunks_go_at_the_next_sweep(tmp_path):
+    """A crash between a prune's inner delete and its count leaves the
+    chunks stranded in the pool; a reopened pool counts only what the
+    committed manifests name, so the next sweep reclaims them."""
     pool = _pool(tmp_path)
     job_a, job_b = pool.namespace("jobA"), pool.namespace("jobB")
     _save(job_a, "ck-a", {"rank0": _payload(16, 2 * CHUNK)})
     keep = _payload(17, 2 * CHUNK)
     _save(job_b, "ck-b", {"rank0": keep})
 
-    # Crash-prune ck-a: the inner tag vanishes, the decrement never lands.
+    # Crash-prune ck-a: the inner tag vanishes, the count never drops.
     [inner_tag] = [tag for tag in pool.inner.list_committed_checkpoints()
                    if tag.endswith("ck-a")]
     pool.inner.delete_checkpoint(inner_tag)
 
     reopened = CASStore(FileStore(tmp_path / "pool"), chunk_bytes=CHUNK)
-    assert len(reopened.pool_chunks()) == 4  # 2 stranded + 2 live
-    counts = reopened.rebuild_refcounts()
-    assert sum(counts.values()) == 2  # only ck-b's chunks are referenced
+    chunks = reopened.pool_chunks()
+    assert len(chunks) == 4  # 2 stranded + 2 live
+    # only ck-b's chunks are referenced
+    assert sum(reopened.refcount(chunk_hash) for chunk_hash in chunks) == 2
     assert reopened.sweep_unreferenced() == 2
     assert reopened.namespace("jobB").read_shard("ck-b", "rank0") == keep
 

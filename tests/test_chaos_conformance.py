@@ -94,9 +94,9 @@ def _build_store(store_backend: str, plan: FaultPlan, tmp_path: Path):
     """A faulted store plus the clean view the oracle validates through.
 
     ``file``/``object`` wrap the whole backend.  ``cas`` wraps the **inner
-    chunk pool**: every chunk upload, refcount-index write, and manifest
-    publish passes the fault filter, and the oracle validates through a
-    fresh CAS view over the same (clean) pool directory.  ``tiered`` wraps
+    chunk pool**: every chunk upload and manifest publish passes the fault
+    filter, and the oracle validates through a fresh CAS view over the same
+    (clean) pool directory.  ``tiered`` wraps
     the **slow tier**: the fault surface that matters there is the
     background drain (outages and flaky writes mid-drain exercise the retry
     machinery), while the fast tier keeps serving nearest-tier restores.

@@ -9,9 +9,14 @@ producing v1-identical manifest JSON.  Beside it sit a v2 (two-part shard
 set), a v3 (CAS chunk lists over a file root) and a v4 (an elastic dp1 x tp2
 grid with its topology block) fixture; each restores unchanged, is checked
 to really be its schema version, and is reproduced byte for byte by saving
-its state again.
+its state again (the v3 pool but for the refcount index object its release
+kept, which no save writes now: a copy of that legacy pool opens, counts and
+restores without it).
 """
 
+import json
+import shutil
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +26,7 @@ from repro.config import CheckpointPolicy
 from repro.core import DataStatesCheckpointEngine
 from repro.exceptions import ConsistencyError
 from repro.io import CASStore, FileStore
+from repro.io.cas import INDEX_TAG
 from repro.restart import (
     CheckpointLoader,
     RestoreSpec,
@@ -38,6 +44,9 @@ V2_FIXTURE_TAG = "ckpt-000008"
 V3_FIXTURE_ROOT = Path(__file__).parent / "fixtures" / "v3_checkpoint"
 V3_FIXTURE_TAG = "ckpt-000012"
 V3_CHUNK_BYTES = 1024  # four chunks for the 3135-byte shard
+#: The refcount index object the release that wrote the v3 fixture kept
+#: beside its chunks; today's pools never write one.
+V3_LEGACY_INDEX = Path(INDEX_TAG) / "manifest.json"
 
 V4_FIXTURE_ROOT = Path(__file__).parent / "fixtures" / "v4_checkpoint"
 V4_FIXTURE_TAG = "ckpt-000016"
@@ -92,8 +101,6 @@ def test_v1_fixture_loads_through_engine_protocol(tmp_path):
 
 def test_v1_fixture_manifest_has_no_v2_keys():
     """Guard: the fixture really is v1 on disk (else this suite tests nothing)."""
-    import json
-
     manifest = json.loads((FIXTURE_ROOT / FIXTURE_TAG / "manifest.json").read_text())
     assert "version" not in manifest
     for record in manifest["shards"]:
@@ -127,8 +134,6 @@ def test_v2_fixture_checkpoint_restores_unchanged(use_mmap):
 def test_v2_fixture_manifest_has_no_v3_keys():
     """Guard: the committed fixture is schema v2 on disk — shard-set fields
     present, no CAS chunk lists (those are the v3 extension)."""
-    import json
-
     manifest = json.loads(
         (V2_FIXTURE_ROOT / V2_FIXTURE_TAG / "manifest.json").read_text())
     assert manifest["version"] == 2
@@ -145,10 +150,7 @@ def _v3_store(root):
     return CASStore(FileStore(root), chunk_bytes=V3_CHUNK_BYTES)
 
 
-@pytest.mark.parametrize("use_mmap", [True, False])
-def test_v3_fixture_checkpoint_restores_unchanged(use_mmap):
-    loader = CheckpointLoader(_v3_store(V3_FIXTURE_ROOT))
-
+def _assert_restores_the_v3_fixture(loader, use_mmap=True):
     manifest = loader.validate(V3_FIXTURE_TAG)
     assert manifest.version == 3
     assert [record.name for record in manifest.shards] == ["rank0"]
@@ -162,11 +164,86 @@ def test_v3_fixture_checkpoint_restores_unchanged(use_mmap):
     assert loaded["iteration"] == 4
 
 
+@pytest.mark.parametrize("use_mmap", [True, False])
+def test_v3_fixture_checkpoint_restores_unchanged(use_mmap):
+    _assert_restores_the_v3_fixture(CheckpointLoader(_v3_store(V3_FIXTURE_ROOT)), use_mmap)
+
+
+class _WriteCountingStore:
+    """Forwards every call to ``inner``, recording those that change it."""
+
+    WRITES = ("write_shard", "create_shard_writer", "write_manifest", "delete_checkpoint")
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.writes = []
+
+    def __getattr__(self, name):
+        attr = getattr(self.inner, name)
+        if name not in self.WRITES:
+            return attr
+
+        def write(*args, **kwargs):
+            self.writes.append((name, args[0]))
+            return attr(*args, **kwargs)
+        return write
+
+
+def _legacy_v3_pool(tmp_path, index):
+    """A copy of the v3 fixture pool, its legacy index object replaced by
+    ``index`` when one is given."""
+    root = tmp_path / "pool"
+    shutil.copytree(V3_FIXTURE_ROOT, root)
+    if index is not None:
+        (root / V3_LEGACY_INDEX).write_text(json.dumps(index), encoding="utf-8")
+    return root
+
+
+@pytest.mark.parametrize("index", [None, {"refcounts": {}}],
+                         ids=["as-committed", "under-counting"])
+def test_v3_legacy_pool_opens_without_a_write_and_counts_from_its_manifests(tmp_path, index):
+    """A pool an older release left with a ``cas-refcounts`` index object:
+    opening it writes nothing and ignores the index — an under-counting one
+    too — counting each chunk from the committed manifests; the first
+    sweep deletes the index."""
+    root = _legacy_v3_pool(tmp_path, index)
+    inner = _WriteCountingStore(FileStore(root))
+    store = CASStore(inner, chunk_bytes=V3_CHUNK_BYTES)
+    assert inner.writes == []
+
+    [manifest_path] = root.glob(f"*{V3_FIXTURE_TAG}/manifest.json")
+    references = Counter(
+        digest for record in json.loads(manifest_path.read_text())["shards"]
+        for digest, _nbytes in record["chunks"])
+    assert {digest: store.refcount(digest) for digest in store.pool_chunks()} == references
+
+    _assert_restores_the_v3_fixture(CheckpointLoader(store))
+    assert inner.writes == []
+    assert store.sweep_unreferenced() == 0
+    assert inner.writes == [("delete_checkpoint", INDEX_TAG)]
+    assert store.pool_chunks() == sorted(references)
+    _assert_restores_the_v3_fixture(CheckpointLoader(_v3_store(root)))
+
+
+def test_v3_legacy_pool_loses_its_index_at_the_first_commit(tmp_path):
+    """The first commit deletes the legacy index before it publishes, so an
+    older release reopening the pool counts from the manifests instead of
+    trusting an index that no longer moves."""
+    root = _legacy_v3_pool(tmp_path, {"refcounts": {}})
+    with DataStatesCheckpointEngine(
+            _v3_store(root), policy=CheckpointPolicy(host_buffer_size=1 << 20)) as engine:
+        engine.save(fixture_state(), tag="ckpt-000013", iteration=13)
+        engine.wait_all()
+    assert INDEX_TAG not in FileStore(root).list_checkpoints()
+    reopened = _v3_store(root)
+    assert reopened.list_committed_checkpoints() == [V3_FIXTURE_TAG, "ckpt-000013"]
+    assert reopened.sweep_unreferenced() == 0
+    _assert_restores_the_v3_fixture(CheckpointLoader(reopened))
+
+
 def test_v3_fixture_manifest_has_chunk_lists_and_no_topology():
     """Guard: the committed fixture is schema v3 on disk — every record a
     chunk list summing to its size, no v4 topology block."""
-    import json
-
     [manifest_path] = V3_FIXTURE_ROOT.glob(f"*{V3_FIXTURE_TAG}/manifest.json")
     manifest = json.loads(manifest_path.read_text())
     assert manifest["version"] == 3
@@ -220,8 +297,6 @@ def test_v4_fixture_checkpoint_restores_unchanged(use_mmap):
 def test_v4_fixture_manifest_has_topology_block():
     """Guard: the committed fixture is schema v4 on disk — a topology block
     naming the save-time grid, plain (not chunk-list) shard records."""
-    import json
-
     manifest = json.loads(
         (V4_FIXTURE_ROOT / V4_FIXTURE_TAG / "manifest.json").read_text())
     assert manifest["version"] == 4
@@ -240,21 +315,24 @@ def _files(root):
     return sorted(path.relative_to(root) for path in root.rglob("*") if path.is_file())
 
 
-def _assert_same_tree(written, committed):
-    assert _files(written) == _files(committed)
-    for name in _files(committed):
+def _assert_same_tree(written, committed, skip=None):
+    expected = [name for name in _files(committed) if name != skip]
+    assert _files(written) == expected
+    for name in expected:
         assert (written / name).read_bytes() == (committed / name).read_bytes(), name
 
 
 def test_saving_the_fixture_state_reproduces_the_v3_fixture(tmp_path):
-    """Chunk files, refcount index and manifest: the CAS pool a default-policy
-    save of the fixture state leaves over a file root."""
+    """Chunk files and manifest: the CAS pool a default-policy save of the
+    fixture state leaves over a file root.  The fixture also holds the
+    refcount index object of the release that wrote it; a save writes none."""
     with DataStatesCheckpointEngine(
             _v3_store(tmp_path),
             policy=CheckpointPolicy(host_buffer_size=1 << 20)) as engine:
         engine.save(fixture_state(), tag=V3_FIXTURE_TAG, iteration=12)
         engine.wait_all()
-    _assert_same_tree(tmp_path, V3_FIXTURE_ROOT)
+    assert INDEX_TAG not in FileStore(tmp_path).list_checkpoints()
+    _assert_same_tree(tmp_path, V3_FIXTURE_ROOT, skip=V3_LEGACY_INDEX)
 
 
 def test_saving_the_fixture_state_reproduces_the_v4_fixture(tmp_path):

@@ -570,6 +570,36 @@ def test_two_level_chain_restores_pre_refactor_sidecar(tmp_path):
         store.close()
 
 
+def test_level_zero_commit_writes_no_sidecar_on_the_committing_thread(tmp_path,
+                                                                    monkeypatch):
+    """The training-visible commit is the level-0 manifest alone: the
+    sidecar is first written by the drain (its DRAINING record), and after
+    the drain it records the tag on every level."""
+    import repro.io.tiered as tiered
+
+    publishers = []
+    real_publish = tiered.publish_file
+
+    def publish(*args, **kwargs):
+        publishers.append(threading.current_thread())
+        return real_publish(*args, **kwargs)
+
+    monkeypatch.setattr(tiered, "publish_file", publish)
+    store = _chain3(tmp_path)
+    try:
+        store.write_shard("ckpt-1", "rank0", [b"0123456789"])
+        store.write_manifest("ckpt-1", {"tag": "ckpt-1", "iteration": 1, "shards": [
+            {"rank": 0, "name": "rank0", "nbytes": 10, "checksum": None}]})
+        assert threading.current_thread() not in publishers
+        store.wait_drained(timeout=30.0)
+        assert publishers
+        sidecar = json.loads((tmp_path / "nvme" / TIER_INDEX_NAME).read_text(encoding="utf-8"))
+        assert sidecar == {"ckpt-1": {"state": "replicated", "sequence": 1,
+                                      "local": True, "levels": [0, 1, 2]}}
+    finally:
+        store.close()
+
+
 def test_tiered_store_is_a_two_level_chain(tmp_path):
     """``create_store("tiered", root)`` with nothing else given builds the
     classic pair — same level names, level-0 root and sidecar entry shape as

@@ -476,12 +476,12 @@ def test_tier_index_sidecar_never_lands_an_older_snapshot_last(tmp_path, monkeyp
         second_published.set()
 
     monkeypatch.setattr(tiered, "publish_file", publish)
-    first = threading.Thread(target=store._persist_index)
+    first = threading.Thread(target=store._persist_sidecar)
     first.start()
     assert first_publishing.wait(timeout=10.0)
     with store._lock:
         store._jobs["ckpt-1"].residency.discard(0)  # as an eviction would
-    second = threading.Thread(target=store._persist_index)
+    second = threading.Thread(target=store._persist_sidecar)
     second.start()
     for thread in (first, second):
         thread.join(timeout=10.0)
