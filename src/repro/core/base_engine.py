@@ -74,7 +74,6 @@ from __future__ import annotations
 import abc
 import dataclasses
 import threading
-import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -89,6 +88,7 @@ from ..serialization import (
     ShardPart,
     ShardPlan,
     ShardRecord,
+    crc32,
     encode_preamble,
     fold_section_checksums,
     iter_part_payloads,
@@ -523,11 +523,11 @@ class CheckpointEngine(abc.ABC):
             return False
         part = plan.parts[index]
         preamble = encode_preamble(part.header, plan.skeleton)
-        crcs = tuple(zlib.crc32(payload) & 0xFFFFFFFF
+        crcs = tuple(crc32(payload)
                      for _entry, payload in iter_part_payloads(part))
         folded = fold_section_checksums(
             zip(crcs, [entry.nbytes for entry in part.header.entries]),
-            initial=zlib.crc32(preamble))
+            initial=crc32(preamble))
         inc.checksums[part.name] = crcs
         base = inc.base.get(part.name)
         if not (base is not None
@@ -589,7 +589,7 @@ class CheckpointEngine(abc.ABC):
             nonlocal checksum
             for chunk in iter_shard_chunks(header, skeleton, views,
                                            chunk_size=WRITE_CHUNK_BYTES):
-                checksum = zlib.crc32(chunk, checksum) & 0xFFFFFFFF
+                checksum = crc32(chunk, checksum)
                 yield chunk
 
         try:

@@ -21,15 +21,15 @@ One loop feeds one of two sinks, selected by what the store offers:
   chunks of the pool, none longer than :data:`WRITE_CHUNK_BYTES`.
 
 Neither sink hashes a payload byte: the capture thread already took every
-tensor's CRC32, and the whole-file checksum is folded from those with
-:func:`~repro.serialization.crc32_combine`, bit-identical to a sequential
-``zlib.crc32`` pass over the file.
+tensor's CRC32, and the whole-file checksum is folded from those (after the
+preamble's own :func:`~repro.serialization.crc32`) with
+:func:`~repro.serialization.crc32_combine`, bit-identical to one sequential
+CRC32 pass over the file.
 """
 
 from __future__ import annotations
 
 import threading
-import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Tuple, Union
@@ -38,7 +38,7 @@ from ..exceptions import CheckpointError
 from ..io import ShardStore, supports_shard_writer
 from ..logging_utils import get_logger
 from ..memory import PinnedHostPool
-from ..serialization import ShardRecord, encode_preamble, fold_section_checksums
+from ..serialization import ShardRecord, crc32, encode_preamble, fold_section_checksums
 from .lazy_snapshot import SnapshotJob, StagedExtent
 
 logger = get_logger(__name__)
@@ -236,7 +236,7 @@ class FlushPipeline:
         # can be re-verified by hashing the file once at restart time.
         checksum = fold_section_checksums(
             zip(crcs, [entry.nbytes for entry in header.entries]),
-            initial=zlib.crc32(preamble))
+            initial=crc32(preamble))
         # The record carries the job's shard-set placement (multi-shard-per-
         # rank layout) when it has one; per-tensor CRCs only on the writer sink.
         record = ShardRecord(

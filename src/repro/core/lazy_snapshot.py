@@ -11,9 +11,11 @@ flush pay one Python call chain per few MiB, not per tensor.  The copy thread
 also takes every tensor's CRC32 right after writing it, while the bytes are
 cache-hot — unless the job's ``begin`` hook (an incremental save's dirty
 scan, first on the same thread) already has them; nothing downstream hashes
-a payload byte again.  Extents are handed to the flush pipeline through a FIFO
-queue, so flushing can start before the last tensor has been captured
-(streamlined flushing).
+a payload byte again.  That CRC is :func:`~repro.serialization.crc32`, on
+libdeflate where the host has it: on the cache-hot bytes it adds about a
+quarter to the copy thread's time, where zlib's table-driven CRC tripled it.
+Extents are handed to the flush pipeline through a FIFO queue, so flushing
+can start before the last tensor has been captured (streamlined flushing).
 
 The training loop calls :meth:`SnapshotJob.wait_captured` right before it
 mutates the model/optimizer state (the update phase) — that is the only
@@ -25,7 +27,6 @@ from __future__ import annotations
 import queue
 import threading
 import time
-import zlib
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -34,7 +35,7 @@ import numpy as np
 from ..exceptions import CheckpointError
 from ..logging_utils import get_logger
 from ..memory import HostAllocation, PinnedHostPool
-from ..serialization import ShardHeader, TensorEntry, plan_extents
+from ..serialization import ShardHeader, TensorEntry, crc32, plan_extents
 from ..tensor import TensorRef, tensor_payload_array
 
 logger = get_logger(__name__)
@@ -140,7 +141,7 @@ class SnapshotJob:
                         hi = lo + entry.nbytes
                         np.copyto(target[lo:hi], array.view(np.uint8).reshape(-1))
                         if not known:
-                            crcs.append(zlib.crc32(view[lo:hi]))
+                            crcs.append(crc32(view[lo:hi]))
                 except BaseException:
                     pool.free(allocation)
                     raise

@@ -8,14 +8,15 @@ the lazy capture/flush overlap that DataStates adds.
 The writers use the offset-addressed ``pwrite`` fast path when the store
 supports it (each tensor lands at its final file offset computed by the shard
 header, chunk by chunk), falling back to a single-threaded streaming write
-otherwise.  Per-tensor CRC32s are folded into the whole-file checksum with
+otherwise.  Each writer thread takes its tensor's CRC32
+(:func:`~repro.serialization.crc32`) piece by piece as it writes, and the
+per-tensor CRC32s are folded into the whole-file checksum with
 :func:`~repro.serialization.fold_section_checksums`, so restart-time
 validation is byte-identical to every other engine's shards.
 """
 
 from __future__ import annotations
 
-import zlib
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import wait as wait_futures
 from typing import Optional
@@ -25,6 +26,7 @@ from ..exceptions import CheckpointError
 from ..io import ShardStore, supports_shard_writer
 from ..serialization import (
     CheckpointTopology,
+    crc32,
     encode_preamble,
     fold_section_checksums,
     iter_part_payloads,
@@ -41,7 +43,7 @@ def _pwrite_tensor(writer, offset: int, view: memoryview) -> int:
     for start in range(0, len(view), WRITE_CHUNK_BYTES):
         piece = view[start:start + WRITE_CHUNK_BYTES]
         writer.pwrite(offset + start, piece)
-        crc = zlib.crc32(piece, crc)
+        crc = crc32(piece, crc)
     return crc
 
 
@@ -127,7 +129,7 @@ class TorchSnapshotCheckpointEngine(CheckpointEngine):
                 # byte-identical to a sequential CRC despite out-of-order writes.
                 checksum = fold_section_checksums(
                     zip(crcs, [entry.nbytes for entry in part.header.entries]),
-                    initial=zlib.crc32(preamble))
+                    initial=crc32(preamble))
                 self._part_written(handle, plan, index, receipt.nbytes, checksum,
                                    tensor_checksums=crcs)
         except BaseException:

@@ -10,7 +10,7 @@ from .header import (
     plan_extents,
     preamble_size,
 )
-from .checksum import checksum_stream, crc32_combine, fold_section_checksums
+from .checksum import CRC32_KERNEL, checksum_stream, crc32, crc32_combine, fold_section_checksums
 from .manifest import (
     MANIFEST_VERSION,
     CheckpointManifest,
@@ -31,6 +31,8 @@ from .shard_plan import (
 from .writer import iter_shard_chunks, serialize_state
 
 __all__ = [
+    "CRC32_KERNEL",
+    "crc32",
     "crc32_combine",
     "fold_section_checksums",
     "checksum_stream",

@@ -38,11 +38,11 @@ Schema versions
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import ConsistencyError
+from .checksum import crc32
 
 #: Current manifest schema version (v2/v3/v4 keys are written only when
 #: shard-sets / chunk lists / a topology block are actually present).
@@ -332,4 +332,4 @@ class CheckpointManifest:
 
 def checksum_bytes(payload: bytes) -> int:
     """CRC32 checksum used in shard records (cheap, catches truncation/corruption)."""
-    return zlib.crc32(payload) & 0xFFFFFFFF
+    return crc32(payload)

@@ -23,7 +23,6 @@ per tensor.
 """
 
 import threading
-import zlib
 
 import numpy as np
 import pytest
@@ -33,7 +32,7 @@ from repro.core import ENGINE_NAMES, DataStatesCheckpointEngine, create_real_eng
 from repro.core.lazy_snapshot import MAX_EXTENT_BYTES
 from repro.io import CASStore, FileStore
 from repro.restart import RestoreSpec
-from repro.serialization import build_header, plan_extents, plan_shards
+from repro.serialization import build_header, checksum, plan_extents, plan_shards
 from repro.tensor import flatten_state_dict
 
 STATE_BYTES = 8 << 20
@@ -233,10 +232,12 @@ def _incremental_engine(engine_name, root):
 
 
 def _crc_calls_of_an_incremental_save(engine_name, root, monkeypatch):
-    """``(thread name, nbytes)`` of every ``zlib.crc32`` call made between an
-    incremental ``save()`` and the end of its ``wait_all()``."""
+    """``(thread name, nbytes)`` of every CRC32 call made between an
+    incremental ``save()`` and the end of its ``wait_all()``, counted at the
+    kernel seam behind ``repro.serialization.crc32`` — the same count on
+    libdeflate as on zlib."""
     calls = []
-    real = zlib.crc32
+    real = checksum._kernel
 
     def recording(data, *args):
         calls.append((threading.current_thread().name, memoryview(data).nbytes))
@@ -245,7 +246,7 @@ def _crc_calls_of_an_incremental_save(engine_name, root, monkeypatch):
     with _incremental_engine(engine_name, root) as engine:
         engine.save(_half_frozen_state(0), "ckpt-0", iteration=0)
         engine.wait_all()
-        monkeypatch.setattr(zlib, "crc32", recording)
+        monkeypatch.setattr(checksum, "_kernel", recording)
         engine.save(_half_frozen_state(1), "ckpt-1", iteration=1)
         engine.wait_all()
         monkeypatch.undo()
