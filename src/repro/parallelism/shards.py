@@ -77,11 +77,6 @@ class CheckpointPlan:
         """Per-rank checkpoint sizes (for load-balance analysis, Figure 3)."""
         return [rank.total_bytes for rank in self.ranks]
 
-    @property
-    def max_rank_bytes(self) -> int:
-        """Largest per-rank contribution (the straggler that gates throughput)."""
-        return max(self.bytes_per_rank) if self.ranks else 0
-
     def load_imbalance(self) -> float:
         """Max/mean ratio of per-rank checkpoint sizes."""
         sizes = self.bytes_per_rank

@@ -18,11 +18,14 @@ in one buffer owned by the restore, and checked in place in the prefetch
 worker.
 
 One rule decides what is copied: *copy only out of a read-only buffer*.  The
-arrays of a map are copied out one tensor at a time, so the result is
-writable and the map can be released; the arrays of a landing buffer are
-returned as the writable, aligned views they already are (only an array
-whose slot is misaligned for its dtype is copied — mixed dtypes pack without
-padding).
+arrays of a map are copied out, so the result is writable and the map can be
+released; the arrays of a landing buffer are returned as the writable,
+aligned views they already are (only an array whose slot is misaligned for
+its dtype is copied — mixed dtypes pack without padding).  A map's copy-out
+is bound by first-touch page faults on the fresh arrays, not by memcpy, so it
+is split into :data:`PREFETCH_DEPTH` groups balanced by bytes: the consumer
+copies one group and the prefetch workers the others, taking their faults in
+parallel (:meth:`CheckpointLoader._copied_out`).
 
 :meth:`CheckpointLoader.restore` is one entry point covering a single shard,
 one rank, every rank, and (with ``spec.target_topology``) an elastic restore
@@ -38,7 +41,8 @@ Every fetch — a restore of any shape, :meth:`CheckpointLoader.validate` and
 ahead of deserialization, so a one-rank restore overlaps I/O with reassembly
 across a multi-shard set and an all-ranks restore additionally overlaps
 across ranks.  A mapped part's CRC32 pass runs on a worker while its arrays
-are copied out, so even one part checks and copies at once.
+are copied out on the others and the consumer, so even one part checks and
+copies at once.
 
 Validation and loading happen in one pass over each shard — a restore with
 ``validate=True`` never reads a shard twice, returns nothing (and closes no
@@ -71,13 +75,15 @@ from ..serialization import (
     decode_preamble,
     decode_rank_state,
 )
+from ..serialization.reader import copy_views, empty_copies
+from ..serialization.shard_plan import _binned_indices
 from ..tensor import unflatten_state_dict
 from .spec import RestoreSpec
 
 logger = get_logger(__name__)
 
-#: Shard parts fetched and checked ahead of deserialization, and the
-#: workers doing it.
+#: Shard parts fetched and checked ahead of deserialization, the workers
+#: doing it, and the groups a map's arrays are copied out in.
 PREFETCH_DEPTH = 4
 
 #: A non-mapped part is landed so that its payload starts on this boundary.
@@ -158,7 +164,7 @@ class CheckpointLoader:
         manifest = self.manifest(tag)
         manifest.validate_complete()
         sets = [(record.name, [record]) for record in manifest.shards]
-        for _name, _records, buffers, checks in self._iter_prefetched_sets(
+        for _name, _records, buffers, checks, _pool in self._iter_prefetched_sets(
                 tag, sets, validate=True, mmap=supports_mmap(self.store)):
             try:
                 self._join_checks(checks)
@@ -191,7 +197,7 @@ class CheckpointLoader:
             raise RestartError(
                 f"shard {record.name!r} of {tag!r} carries no per-tensor checksums"
             )
-        for _name, _records, buffers, checks in self._iter_prefetched_sets(
+        for _name, _records, buffers, checks, _pool in self._iter_prefetched_sets(
                 tag, [(record.name, [record])], validate=False,
                 mmap=supports_mmap(self.store)):
             try:
@@ -315,15 +321,19 @@ class CheckpointLoader:
 
     def _iter_prefetched_sets(self, tag: str, sets: Sequence[_SetItem], validate: bool,
                               mmap: bool
-                              ) -> Iterator[Tuple[Any, List[ShardRecord], List[Any], List[Future]]]:
-        """Yield ``(key, records, buffers, checks)`` per logical shard, prefetching ahead.
+                              ) -> Iterator[Tuple[Any, List[ShardRecord], List[Any], List[Future],
+                                                  ThreadPoolExecutor]]:
+        """Yield ``(key, records, buffers, checks, pool)`` per logical shard,
+        prefetching ahead.
 
         The fetch+validate stage runs on :data:`PREFETCH_DEPTH` bounded
         workers with at most that many parts in flight, so while the consumer
         deserializes one shard-set the next parts (of this set, and of later
         sets/ranks) are already being read and checksummed.  ``checks`` are
         the CRC32 passes of the set's maps, still running, for the consumer
-        to join.  Ownership of the yielded buffers and checks passes to the
+        to join; ``pool`` is the workers themselves, for the consumer to copy
+        a map's arrays out on (it has :data:`PREFETCH_DEPTH` workers even for
+        one part).  Ownership of the yielded buffers and checks passes to the
         consumer; those of sets never yielded (because a fetch or the
         consumer failed) are released here, so no mmap handle outlives an
         aborted restore.
@@ -336,7 +346,7 @@ class CheckpointLoader:
         checking: Dict[int, List[Future]] = {}
         next_part = 0
         emitted = 0
-        with ThreadPoolExecutor(max_workers=max(1, min(PREFETCH_DEPTH, len(parts))),
+        with ThreadPoolExecutor(max_workers=PREFETCH_DEPTH,
                                 thread_name_prefix="ckpt-prefetch") as pool:
             try:
                 while emitted < len(sets):
@@ -361,7 +371,7 @@ class CheckpointLoader:
                         key, records = sets[emitted]
                         buffers, checks = ready.pop(emitted), checking.pop(emitted, [])
                         emitted += 1
-                        yield key, records, buffers, checks
+                        yield key, records, buffers, checks, pool
             except BaseException:
                 # A fetch failed or the consumer bailed (including
                 # GeneratorExit): drain the in-flight fetches and release
@@ -430,10 +440,10 @@ class CheckpointLoader:
                     for name, records in manifest.shard_sets_of_rank(rank).items()]
         per_rank: Dict[int, Dict[str, Any]] = {}
         # Not a comprehension: its frame, in a failure's traceback, pins the pipeline.
-        for (rank, name), records, buffers, checks in self._iter_prefetched_sets(
+        for (rank, name), records, buffers, checks, pool in self._iter_prefetched_sets(
                 tag, sets, spec.validate, mmap):
             per_rank.setdefault(rank, {})[name] = \
-                self._deserialize_set(tag, records, buffers, checks)
+                self._deserialize_set(tag, records, buffers, checks, pool)
         states = {rank: next(iter(named.values())) if len(named) == 1 else named
                   for rank, named in per_rank.items()}
         if spec.shard is not None or spec.rank is not None:
@@ -509,7 +519,7 @@ class CheckpointLoader:
         sources: Dict[int, Any] = {}
         busy = 0.0  # decode + remap wall time, fetch and check waits excluded
         try:
-            for name, records, buffers, set_checks in self._iter_prefetched_sets(
+            for name, records, buffers, set_checks, _pool in self._iter_prefetched_sets(
                     tag, sets, spec.validate, mmap):
                 held.extend(buffers)
                 checks.extend(set_checks)
@@ -549,28 +559,20 @@ class CheckpointLoader:
         return states[spec.rank] if spec.rank is not None else states
 
     def _deserialize_set(self, tag: str, records: Sequence[ShardRecord],
-                         buffers: List[Any], checks: Sequence[Future]) -> Any:
+                         buffers: List[Any], checks: Sequence[Future],
+                         pool: ThreadPoolExecutor) -> Any:
         """Rebuild one logical shard's state; always releases the buffers.
 
-        The one copy rule: copy only out of a read-only buffer (a map).  The
-        arrays of a landing buffer are writable views of memory this restore
-        owns; just those whose slot is misaligned for their dtype are copied.
-
-        ``checks`` (the maps' pending CRC32 passes) run beside the copy and
-        are joined before anything is returned; a failed one outranks a
-        decode error.
+        ``checks`` (the maps' pending CRC32 passes) run beside the decode and
+        the copy-out (:meth:`_owned_arrays`) and are joined before anything
+        is returned; a failed one outranks a decode or copy error.
         """
         try:
-            datas = [self._buffer_data(buffer) for buffer in buffers]
             started = time.perf_counter()
             try:
-                copy_out = memoryview(datas[0]).readonly
-                skeleton, arrays = decode_rank_state(datas, copy=copy_out)
-                if not copy_out:
-                    arrays = [array if array.flags.aligned else array.copy()
-                              for array in arrays]
-                state = unflatten_state_dict(skeleton, arrays)
+                state = unflatten_state_dict(*self._owned_arrays(buffers, pool))
             except Exception as exc:
+                traceback.clear_frames(exc.__traceback__)  # they hold views of the maps
                 self._join_checks(checks)
                 raise RestartError(
                     f"cannot deserialize shard "
@@ -582,6 +584,46 @@ class CheckpointLoader:
             return state
         finally:
             self._release(buffers, checks)
+
+    def _owned_arrays(self, buffers: Sequence[Any],
+                      pool: ThreadPoolExecutor) -> Tuple[Any, List[np.ndarray]]:
+        """``(skeleton, arrays)`` of one shard-set, no array a view of a map.
+
+        The one copy rule: copy only out of a read-only buffer (a map), on
+        the prefetch ``pool`` and this thread (:meth:`_copied_out`).  The
+        arrays of a landing buffer are writable views of memory this restore
+        owns; just those whose slot is misaligned for their dtype are copied.
+        """
+        datas = [self._buffer_data(buffer) for buffer in buffers]
+        skeleton, arrays = decode_rank_state(datas, copy=False)
+        if memoryview(datas[0]).readonly:
+            return skeleton, self._copied_out(arrays, pool)
+        return skeleton, [array if array.flags.aligned else array.copy() for array in arrays]
+
+    @staticmethod
+    def _copied_out(views: List[np.ndarray], pool: ThreadPoolExecutor) -> List[np.ndarray]:
+        """Writable copies of a map's ``views``, in :data:`PREFETCH_DEPTH`
+        groups balanced by bytes: this thread copies the first, ``pool`` the
+        others.  The copy is bound by first-touch page faults on the fresh
+        arrays, and faults taken on different threads run in parallel.
+
+        Every group has finished, and ``views`` is emptied, before this
+        returns or raises: a finished task still pins its arguments for a
+        moment, and must not pin a view of a map that is about to close.
+        """
+        copies = empty_copies(views)
+        groups = [group for group in _binned_indices([view.nbytes for view in views],
+                                                     PREFETCH_DEPTH) if group]
+        futures = [pool.submit(copy_views, views, copies, group) for group in groups[1:]]
+        try:
+            for group in groups[:1]:
+                copy_views(views, copies, group)
+        finally:
+            wait(futures)
+            del views[:]
+        for future in futures:
+            future.result()
+        return copies
 
     # -- housekeeping --------------------------------------------------------------------
     def prune_uncommitted(self) -> List[str]:

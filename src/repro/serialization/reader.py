@@ -6,15 +6,17 @@ read the classic way, a ``memoryview``, or an ``mmap.mmap`` of the shard file
 ``np.frombuffer`` view into that buffer.  The views keep the underlying
 buffer alive, so an mmap-backed load never materialises a second full copy of
 the shard in heap memory; pages stream in from the page cache on first
-touch.  With ``copy=True`` (the default) each array is materialised
-one-at-a-time into fresh writable memory, so peak extra heap usage is one
-tensor, not one shard.
+touch.  With ``copy=True`` (the default) the set is decoded to views, the
+writable outputs are allocated (:func:`empty_copies`), and each view is copied
+into its output (:func:`copy_views`) — no intermediate copy of the shard is
+ever held in heap memory.  A caller that copies on several threads runs the
+same three steps and splits the last one by index.
 """
 
 from __future__ import annotations
 
 import pickle
-from typing import Any, List, Sequence, Tuple
+from typing import Any, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -51,6 +53,29 @@ def decode_rank_state(raws: Sequence[Any], copy: bool = True) -> Tuple[Any, List
     """Decode a shard-set (one buffer or many) to ``(skeleton, arrays)`` — the
     state tree with placeholder leaves and the payloads they index — without
     unflattening it.  With ``copy=False`` the arrays are views of ``raws``."""
+    skeleton, views = _decode_views(raws)
+    if not copy:
+        return skeleton, views
+    copies = empty_copies(views)
+    copy_views(views, copies, range(len(views)))
+    return skeleton, copies
+
+
+def empty_copies(views: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """Uninitialised writable arrays shaped like ``views``, one each; their
+    pages are first touched by whoever copies into them."""
+    return [np.empty_like(view) for view in views]
+
+
+def copy_views(views: Sequence[np.ndarray], outputs: Sequence[np.ndarray],
+               indices: Iterable[int]) -> None:
+    """Copy ``views[i]`` into ``outputs[i]`` for every ``i`` in ``indices``."""
+    for index in indices:
+        np.copyto(outputs[index], views[index])
+
+
+def _decode_views(raws: Sequence[Any]) -> Tuple[Any, List[np.ndarray]]:
+    """``(skeleton, views)`` of a shard-set: every array a view of ``raws``."""
     if not raws:
         raise SerializationError("cannot reassemble a rank from zero shard buffers")
     skeleton: Any = None
@@ -81,10 +106,8 @@ def decode_rank_state(raws: Sequence[Any], copy: bool = True) -> Tuple[Any, List
                 raise SerializationError(f"payload for {entry.key!r} is truncated")
             dtype = np.dtype(entry.dtype)
             count = entry.nbytes // dtype.itemsize
-            array = np.frombuffer(raw, dtype=dtype, count=count, offset=start).reshape(entry.shape)
-            if copy:
-                array = array.copy()
-            arrays_by_index[global_index] = array
+            arrays_by_index[global_index] = np.frombuffer(
+                raw, dtype=dtype, count=count, offset=start).reshape(entry.shape)
 
     total = (max(arrays_by_index) + 1) if arrays_by_index else 0
     missing = [i for i in range(total) if i not in arrays_by_index]

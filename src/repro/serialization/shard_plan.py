@@ -82,11 +82,6 @@ class ShardPlan:
         """True for the backwards-compatible one-shard-per-rank layout."""
         return len(self.parts) == 1
 
-    @property
-    def total_payload_bytes(self) -> int:
-        """Payload bytes across the whole shard-set."""
-        return sum(part.payload_bytes for part in self.parts)
-
     def balance_spread(self) -> int:
         """Heaviest-minus-lightest part payload (bounded by the largest tensor)."""
         sizes = [part.payload_bytes for part in self.parts]

@@ -22,18 +22,12 @@ class Environment:
         self._now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._sequence = 0
-        self._active_process: Optional[Process] = None
 
     # -- clock -----------------------------------------------------------
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being stepped (None outside of callbacks)."""
-        return self._active_process
 
     # -- event factories ---------------------------------------------------
     def event(self) -> Event:

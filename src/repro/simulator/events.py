@@ -156,21 +156,17 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         if self._triggered:
             return
-        self.env._active_process = self
         try:
             if event._ok:
                 target = self.generator.send(event._value)
             else:
                 target = self.generator.throw(event._value)
         except StopIteration as stop:
-            self.env._active_process = None
             self.succeed(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate into waiters
-            self.env._active_process = None
             self.fail(exc)
             return
-        self.env._active_process = None
         if not isinstance(target, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}, which is not an Event"

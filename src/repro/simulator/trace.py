@@ -49,10 +49,6 @@ class TraceRecorder:
         """Increment a named counter."""
         self._counters[name] = self._counters.get(name, 0.0) + amount
 
-    def set_counter(self, name: str, value: float) -> None:
-        """Set a named counter to an absolute value."""
-        self._counters[name] = value
-
     # -- queries -----------------------------------------------------------
     @property
     def spans(self) -> Tuple[Span, ...]:

@@ -72,11 +72,6 @@ class RunResult:
         """Perceived checkpoint throughput in decimal GB/s (the figures' unit)."""
         return self.checkpoint_throughput_bytes_per_second / 1e9
 
-    @property
-    def total_blocked_seconds(self) -> float:
-        """Total time the training was blocked by checkpointing."""
-        return sum(self.per_checkpoint_blocked_seconds)
-
     def summary(self) -> Dict[str, float]:
         """Flat summary dict used by reports and benchmarks."""
         return {

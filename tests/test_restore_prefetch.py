@@ -10,6 +10,8 @@ set; it is not a caller option.
 
 import dataclasses
 import inspect
+import itertools
+import mmap
 import threading
 from unittest import mock
 
@@ -349,9 +351,10 @@ def _committed(store, parts, mode):
     """Commit a checkpoint of ``parts`` parts per rank; returns the spec that
     restores it in ``mode`` and a check of what that restore returns.
 
-    ``copy`` maps the parts and copies the arrays out; ``views`` lands them
-    unmapped, and the arrays are views of the landing buffers; ``reshaped``
-    maps them and remaps the slices onto another grid."""
+    ``copy`` maps the parts and copies the arrays out (``failed_copy`` too,
+    for a test that fails one of the copies); ``views`` lands them unmapped,
+    and the arrays are views of the landing buffers; ``reshaped`` maps them
+    and remaps the slices onto another grid."""
     if mode == "reshaped":
         target = _commit_elastic(store, parts)
         model = _elastic_model()
@@ -385,22 +388,42 @@ def _flip(path, where):
     path.write_bytes(bytes(raw))
 
 
+def _fail_one_worker_copy(monkeypatch):
+    """The first group of a copy-out that a prefetch worker copies, not the
+    consumer, raises ``MemoryError``; returns the count of worker copies
+    begun so far."""
+    real_copy, consumer = loader_module.copy_views, threading.current_thread()
+    worker_copies = itertools.count()
+
+    def copy_or_fail(views, outputs, indices):
+        if threading.current_thread() is not consumer and next(worker_copies) == 0:
+            raise MemoryError("injected copy failure")
+        real_copy(views, outputs, indices)
+
+    monkeypatch.setattr(loader_module, "copy_views", copy_or_fail)
+    return worker_copies
+
+
 @pytest.mark.parametrize("where", ["preamble", "first_tensor", "last_byte"])
 @pytest.mark.parametrize("parts", [1, 4])
-@pytest.mark.parametrize("mode", ["copy", "views", "reshaped"])
+@pytest.mark.parametrize("mode", ["copy", "views", "reshaped", "failed_copy"])
 @pytest.mark.parametrize("depth", [1, 4])
 def test_corrupt_mapped_part_fails_its_checksum(tmp_path, monkeypatch, where, parts, mode,
                                                 depth):
-    """Whatever the corrupt bytes break in the decode, the failed check is
-    what is raised, and every map is closed behind it (in ``views`` mode
-    the same part is landed instead, and fails the same check)."""
+    """Whatever the corrupt bytes break in the decode or the copy-out, the
+    failed check is what is raised, and every map is closed behind it (in
+    ``views`` mode the same part is landed instead, and fails the same
+    check)."""
     store = _TrackingStore(tmp_path)
     spec, _matches = _committed(store, parts, mode)
     _flip(sorted(store.checkpoint_dir("ckpt").glob("rank0*.shard"))[-1], where)
     _set_depth(monkeypatch, depth)
+    worker_copies = _fail_one_worker_copy(monkeypatch) if mode == "failed_copy" else None
     with pytest.raises(ConsistencyError, match="checksum"):
         CheckpointLoader(store).restore(spec)
     _assert_released(store, maps=mode != "views")
+    if worker_copies is not None and depth > 1 and where != "preamble":
+        assert next(worker_copies) > 0  # the injected copy failure fired
 
 
 @pytest.mark.parametrize("parts", [1, 4])
@@ -448,4 +471,70 @@ def test_decode_failure_with_passing_checks_is_a_restart_error(tmp_path, monkeyp
     _set_depth(monkeypatch, depth)
     with pytest.raises(RestartError, match="injected decode failure"):
         CheckpointLoader(store).restore(RestoreSpec.of_rank(0, tag="ckpt"))
+    _assert_released(store)
+
+
+@pytest.mark.parametrize("parts", [1, 4])
+def test_failed_worker_copy_is_a_restart_error(tmp_path, monkeypatch, parts):
+    store = _TrackingStore(tmp_path)
+    _commit(store, _state(seed=24), shards_per_rank=parts)
+    _fail_one_worker_copy(monkeypatch)
+    _set_depth(monkeypatch, 4)
+    with pytest.raises(RestartError, match="shard 'rank0' of 'ckpt': injected copy failure"):
+        CheckpointLoader(store).restore(RestoreSpec.of_rank(0, tag="ckpt"))
+    _assert_released(store)
+
+
+# ---------------------------------------------------------------------------
+# A map's arrays are copied out on every prefetch worker
+# ---------------------------------------------------------------------------
+
+def _mixed_state():
+    """Eight tensors of mixed dtypes: packed without padding, most slots
+    are misaligned for their dtype."""
+    rng = np.random.default_rng(25)
+    dtypes = [np.int8, np.float64, np.float16, np.int64, np.uint8, np.float32,
+              np.complex64, np.int16]
+    return {"model": {f"t{i}": (rng.standard_normal(1000 + 37 * i) * 100).astype(dtype)
+                      for i, dtype in enumerate(dtypes)},
+            "iteration": 25}
+
+
+@pytest.mark.parametrize("depth", [1, 4])
+def test_mapped_copy_out_runs_on_every_prefetch_worker(tmp_path, monkeypatch, depth):
+    """No timing: at depth 4, every group's copy waits on a two-party barrier,
+    which a serial copy-out never passes.  At depth 1 the consumer copies
+    the one group itself.  Either way each tensor is copied exactly once,
+    into an owned, writable array."""
+    store = _TrackingStore(tmp_path)
+    state = _mixed_state()
+    _commit(store, state, shards_per_rank=1)
+    real_copy, consumer = loader_module.copy_views, threading.current_thread()
+    barrier = threading.Barrier(2, timeout=10) if depth > 1 else None
+    copied, copied_lock = [], threading.Lock()
+
+    def copy_in_pairs(views, outputs, indices):
+        with copied_lock:
+            copied.append((threading.current_thread(), list(indices)))
+        if barrier is not None:
+            barrier.wait()
+        real_copy(views, outputs, indices)
+
+    monkeypatch.setattr(loader_module, "copy_views", copy_in_pairs)
+    _set_depth(monkeypatch, depth)
+    loaded = CheckpointLoader(store).restore(RestoreSpec.of_rank(0, tag="ckpt"))
+
+    for key, array in state["model"].items():
+        restored = loaded["model"][key]
+        assert restored.dtype == array.dtype and restored.tobytes() == array.tobytes()
+        assert restored.flags.writeable and restored.flags.owndata
+        base = restored
+        while base is not None:
+            assert not isinstance(base, mmap.mmap)
+            base = getattr(base, "base", None)
+    assert sorted(index for _thread, indices in copied for index in indices) == \
+        list(range(len(state["model"])))
+    threads = {thread for thread, _indices in copied}
+    assert len(copied) == depth and consumer in threads
+    assert (threads == {consumer}) == (depth == 1)
     _assert_released(store)
