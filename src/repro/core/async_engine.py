@@ -26,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ..serialization import iter_part_payloads
+from ..serialization import iter_part_payloads, tensor_bytes
 from .base_engine import CheckpointEngine
 
 
@@ -54,11 +54,11 @@ class AsyncCheckpointEngine(CheckpointEngine):
             if self._scan_part(handle, plan, index, inc):
                 continue
             buffer = np.empty(max(part.payload_bytes, 1), dtype=np.uint8)
-            staging = memoryview(buffer)
             views = []
             for entry, payload in iter_part_payloads(part):
-                buffer[entry.offset:entry.offset + entry.nbytes] = payload
-                views.append(staging[entry.offset:entry.offset + entry.nbytes])
+                (landed,) = tensor_bytes(
+                    payload, buffer[entry.offset:entry.offset + entry.nbytes])
+                views.append(landed)
             staged.append((index, part, views))
         self._flusher.submit(self._flush, handle, plan, staged, inc)
 

@@ -94,6 +94,7 @@ from ..serialization import (
     iter_part_payloads,
     iter_shard_chunks,
     plan_shards,
+    tensor_bytes,
 )
 from ..tensor import FlattenCache, FlattenedState
 from .consolidation import TwoPhaseCommitCoordinator
@@ -107,6 +108,14 @@ logger = get_logger(__name__)
 
 #: Default host staging budget when neither a policy nor an explicit size is given.
 DEFAULT_HOST_BUFFER_SIZE = 256 * 1024 * 1024
+
+
+def _payload_crc(payload) -> int:
+    """CRC32 of one tensor payload, one call per piece it is read in."""
+    crc = 0
+    for piece in tensor_bytes(payload):
+        crc = crc32(piece, crc)
+    return crc
 
 
 class CheckpointHandle:
@@ -523,7 +532,7 @@ class CheckpointEngine(abc.ABC):
             return False
         part = plan.parts[index]
         preamble = encode_preamble(part.header, plan.skeleton)
-        crcs = tuple(crc32(payload)
+        crcs = tuple(_payload_crc(payload)
                      for _entry, payload in iter_part_payloads(part))
         folded = fold_section_checksums(
             zip(crcs, [entry.nbytes for entry in part.header.entries]),
@@ -580,14 +589,16 @@ class CheckpointEngine(abc.ABC):
 
     def _write_streaming_shard(self, tag: str, shard_name: str, header: ShardHeader,
                                skeleton: bytes,
-                               views: Sequence[memoryview]) -> Tuple[int, int]:
-        """Sequentially stream a captured shard to the store, accumulating the
-        whole-file CRC32 chunk by chunk; returns ``(nbytes, checksum)``."""
+                               payloads: Sequence[Any]) -> Tuple[int, int]:
+        """Sequentially stream a shard to the store — from staged views or the
+        state's own payloads (:func:`~repro.serialization.iter_shard_chunks`)
+        — accumulating the whole-file CRC32 chunk by chunk; returns
+        ``(nbytes, checksum)``."""
         checksum = 0
 
         def chunks():
             nonlocal checksum
-            for chunk in iter_shard_chunks(header, skeleton, views,
+            for chunk in iter_shard_chunks(header, skeleton, payloads,
                                            chunk_size=WRITE_CHUNK_BYTES):
                 checksum = crc32(chunk, checksum)
                 yield chunk

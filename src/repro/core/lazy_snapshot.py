@@ -35,17 +35,20 @@ import numpy as np
 from ..exceptions import CheckpointError
 from ..logging_utils import get_logger
 from ..memory import HostAllocation, PinnedHostPool
-from ..serialization import ShardHeader, TensorEntry, crc32, plan_extents
+from ..serialization import (
+    MAX_EXTENT_BYTES,
+    ShardHeader,
+    TensorEntry,
+    crc32,
+    plan_extents,
+    tensor_bytes,
+)
 from ..tensor import TensorRef, tensor_payload_array
 
 logger = get_logger(__name__)
 
 #: Sentinel placed on the staging queue when the last extent has been copied.
 _END_OF_SNAPSHOT = None
-
-#: Upper bound of one coalesced extent; a quarter of the pool if that is less,
-#: so two checkpoints in flight through a small pool still make progress.
-MAX_EXTENT_BYTES = 4 * 1024 * 1024
 
 
 def deadline_iter(items, timeout: Optional[float]):
@@ -122,13 +125,14 @@ class SnapshotJob:
             if known is None:
                 return
             entries = self.header.entries
+            # A quarter of the pool if that is less than the extent bound, so
+            # two checkpoints in flight through a small pool still progress.
             limit = min(MAX_EXTENT_BYTES, pool.capacity // 4)
             for start, stop in plan_extents(entries, limit):
                 run = entries[start:stop]
                 # Resolve the payloads before reserving pool space so a broken
                 # reference cannot leak an allocation no flush will ever free.
-                payloads = [np.ascontiguousarray(tensor_payload_array(ref))
-                            for ref in self.tensors[start:stop]]
+                payloads = [tensor_payload_array(ref) for ref in self.tensors[start:stop]]
                 base = run[0].offset
                 allocation = pool.allocate(run[-1].offset + run[-1].nbytes - base,
                                            blocking=True)
@@ -136,12 +140,11 @@ class SnapshotJob:
                     view = allocation.view
                     target = np.frombuffer(view, dtype=np.uint8)
                     crcs = list(known[start:stop])
-                    for entry, array in zip(run, payloads):
+                    for entry, payload in zip(run, payloads):
                         lo = entry.offset - base
-                        hi = lo + entry.nbytes
-                        np.copyto(target[lo:hi], array.view(np.uint8).reshape(-1))
+                        (landed,) = tensor_bytes(payload, target[lo:lo + entry.nbytes])
                         if not known:
-                            crcs.append(crc32(view[lo:hi]))
+                            crcs.append(crc32(landed))
                 except BaseException:
                     pool.free(allocation)
                     raise

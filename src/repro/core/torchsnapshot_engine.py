@@ -30,20 +30,24 @@ from ..serialization import (
     encode_preamble,
     fold_section_checksums,
     iter_part_payloads,
+    tensor_bytes,
 )
 from .base_engine import CheckpointEngine
 from .consolidation import TwoPhaseCommitCoordinator
 from .flush_pipeline import WRITE_CHUNK_BYTES
 
 
-def _pwrite_tensor(writer, offset: int, view: memoryview) -> int:
-    """Write one tensor at its final file offset in bounded pieces; returns
-    its CRC32."""
+def _pwrite_tensor(writer, offset: int, payload) -> int:
+    """Write one tensor at its final file offset in bounded pieces — one
+    ``pwrite`` and one CRC32 per piece — and return its CRC32.  A strided
+    slice is gathered here, on the writer thread, into one reused buffer."""
     crc = 0
-    for start in range(0, len(view), WRITE_CHUNK_BYTES):
-        piece = view[start:start + WRITE_CHUNK_BYTES]
-        writer.pwrite(offset + start, piece)
-        crc = crc32(piece, crc)
+    for data in tensor_bytes(payload):
+        for start in range(0, len(data), WRITE_CHUNK_BYTES):
+            piece = data[start:start + WRITE_CHUNK_BYTES]
+            writer.pwrite(offset, piece)
+            crc = crc32(piece, crc)
+            offset += len(piece)
     return crc
 
 
@@ -93,10 +97,9 @@ class TorchSnapshotCheckpointEngine(CheckpointEngine):
                     f"failed: {exc}") from exc
             return
         for index, part in dirty:
-            views = [memoryview(payload)
-                     for _entry, payload in iter_part_payloads(part)]
+            payloads = [payload for _entry, payload in iter_part_payloads(part)]
             nbytes, checksum = self._write_streaming_shard(
-                handle.tag, part.name, part.header, plan.skeleton, views)
+                handle.tag, part.name, part.header, plan.skeleton, payloads)
             self._part_written(
                 handle, plan, index, nbytes, checksum,
                 tensor_checksums=inc.tensor_checksums(part.name) if inc else None)
@@ -119,8 +122,7 @@ class TorchSnapshotCheckpointEngine(CheckpointEngine):
                 writer.pwrite(0, preamble)
                 for entry, payload in iter_part_payloads(part):
                     futures.append(self._writers.submit(
-                        _pwrite_tensor, writer, len(preamble) + entry.offset,
-                        memoryview(payload)))
+                        _pwrite_tensor, writer, len(preamble) + entry.offset, payload))
             for index, part, writer, preamble, futures in writes:
                 # Header order; the first failed write re-raises here.
                 crcs = tuple(future.result() for future in futures)

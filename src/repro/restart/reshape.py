@@ -39,8 +39,11 @@ tensors from TP rank 0 of their stage, cross-checked among the ranks fetched);
 the whole grid fetches, and cross-checks, every rank.
 
 Entry points: :func:`save_elastic_checkpoint` writes a full state through the
-real engines at some topology (handing them views wherever a slice is one
-contiguous run of the caller's array); :func:`reshape_state_dicts` remaps
+real engines at some topology without copying a slice: a slice that is one
+contiguous run of the caller's array is handed over as a view of it, any other
+as a :class:`~repro.tensor.StridedSlice` of its (at most three) row-block
+windows of it, which each engine copies once, into the buffer it writes from
+(:func:`~repro.serialization.tensor_bytes`); :func:`reshape_state_dicts` remaps
 in-memory states; :func:`reshape_checkpoint` is the offline converter behind
 ``repro reshape`` — source tag in, reshaped committed checkpoint out, on any
 :class:`~repro.io.ShardStore`.
@@ -64,6 +67,7 @@ from ..parallelism.partition import balanced_contiguous_partition
 from ..parallelism.topology3d import ParallelTopology
 from ..parallelism.zero import partition_elements
 from ..serialization import CheckpointTopology, TensorLayout
+from ..tensor import StridedSlice
 from .loader import CheckpointLoader
 from .spec import RestoreSpec
 
@@ -251,9 +255,11 @@ class Remap:
         self.ranks = range(target.world_size) if rank is None else [rank]
         self._coords, self._target_coords = _grid_coords(source), _grid_coords(target)
         stage_of, target_stage_of = _stage_assignment(source), _stage_assignment(target)
-        #: ``(target_rank, key, numel, run, [(source_rank, numel, moves, twin)])``: ``run``
-        #: as in :func:`_rank_slice`, a move is ``(source_block, target_block, *overlap)``,
-        #: twins (TP ranks > 0 of a replicated tensor) come last: compared, never copied.
+        #: ``(target_rank, key, numel, run, lend, [(source_rank, numel, moves, twin)])``:
+        #: ``run`` as in :func:`_rank_slice`, ``lend`` when one source holds the whole
+        #: tensor (so the slice can be a view of it), a move is ``(source_block,
+        #: target_block, *overlap)``, twins (TP ranks > 0 of a replicated tensor) come
+        #: last: compared, never copied.
         self.entries: List[tuple] = []
         for layout in target.tensors:
             key, shape = layout.key, layout.shape
@@ -282,26 +288,28 @@ class Remap:
                              for overlap in [src.overlap(dst)] if overlap]
                     if moves:
                         sources.append((source_rank, count, moves, twin))
-                if len(sources) != 1 or sources[0][1] != math.prod(shape):
-                    run = None  # only a source holding the whole tensor can lend a view
+                lend = len(sources) == 1 and sources[0][1] == math.prod(shape)
                 # An empty slice copies nothing but still takes its dtype.
-                self.entries.append((target_rank, key, numel, run,
+                self.entries.append((target_rank, key, numel, run, lend and numel > 0,
                                      sources or [(held[0][1], held[0][2], [], False)]))
         #: What a run reads: every rank for the whole target grid (so each TP
         #: group's replicas can be cross-checked), else only the sources of ``rank``
         #: (rank 0, for the replicated ``extra``, when its stage holds no tensor).
         self.source_ranks = set(range(source.world_size)) if rank is None else {
-            item[0] for entry in self.entries for item in entry[4] if not item[3]} or {0}
+            item[0] for entry in self.entries for item in entry[5] if not item[3]} or {0}
 
     def run(self, states: Mapping[int, Any], validate: bool = True,
             views: bool = False) -> Dict[int, Dict[str, Any]]:
         """Build the target ranks' elastic states from the source ranks'.
 
         Every returned array is freshly allocated and owned — except with
-        ``views``, where a slice that is one contiguous run of a source holding
-        the whole tensor is that run.  ``validate`` cross-checks the recorded
-        coordinates, and every replicated tensor's copies on the TP ranks in
-        ``states`` bit for bit: a shard swapped with another rank's fails here.
+        ``views``, where nothing is copied from a source holding the whole
+        tensor: a slice that is one contiguous run of it is that run (a view),
+        any other is a :class:`~repro.tensor.StridedSlice` of its windows of
+        it, which the engines read in place.  ``validate`` cross-checks the
+        recorded coordinates, and every replicated tensor's copies on the TP
+        ranks in ``states`` bit for bit: a shard swapped with another rank's
+        fails here.
         """
         if not self.source_ranks <= set(states) <= set(range(len(self._coords))):
             raise RestartError(
@@ -318,7 +326,7 @@ class Remap:
                                "coord": list(self._target_coords[rank])},
                    "model": {}}
             for rank in self.ranks}
-        for target_rank, key, numel, run, sources in self.entries:
+        for target_rank, key, numel, run, lend, sources in self.entries:
             bufs = (states[sources[0][0]].get("zero") or {}).get(key)
             if bufs is not None:
                 out[target_rank].setdefault("zero", {})[key] = {}
@@ -328,8 +336,9 @@ class Remap:
                     if twin and not (validate and rank in states):
                         continue
                     piece = _slice_of(states[rank], rank, key, name, count)
-                    if views and run is not None:
-                        made = piece[run:run + numel]
+                    if views and lend:
+                        made = (piece[run:run + numel] if run is not None else StridedSlice(
+                            src.window(piece, *overlap) for src, _dst, *overlap in moves))
                         break
                     if made is None:
                         made = np.empty(numel, dtype=piece.dtype)
@@ -452,10 +461,12 @@ def save_elastic_checkpoint(store: ShardStore, full_state: Mapping[str, Any],
                             policy: Optional[CheckpointPolicy] = None) -> None:
     """Write ``full_state`` as a committed elastic checkpoint at ``topology``.
 
-    The engines are handed views of the caller's arrays wherever a rank's
-    slice is one contiguous run of them (a strided copy otherwise): nothing
-    here returns before every engine's ``wait_all()`` has, the same "immutable
-    until the snapshot is taken" contract the lazy capture rests on.
+    No slice is copied here: the engines are handed views of the caller's
+    arrays where a rank's slice is one contiguous run of them, and a
+    :class:`~repro.tensor.StridedSlice` of its windows of them otherwise
+    (:meth:`Remap.run` with ``views``).  Nothing here returns before every
+    engine's ``wait_all()`` has and its threads are joined — the same
+    "immutable until the snapshot is taken" contract the lazy capture rests on.
     """
     _save_rank_states(store, _shard(full_state, topology, views=True), topology,
                       tag, engine, iteration, policy)
@@ -468,7 +479,9 @@ def _save_rank_states(store: ShardStore, states: Mapping[int, Any],
     per rank of the grid (threads, sharing one two-phase-commit coordinator,
     exactly like the conformance harness), every rank saved concurrently — the
     synchronous engines block in ``save`` until the collective commits, so the
-    pool must span the world."""
+    pool must span the world.  Every engine is shut down, and its threads
+    joined, before this returns, on success and on failure: by then the pool
+    has retired every save."""
     from ..core import create_real_engine
     from ..core.consolidation import TwoPhaseCommitCoordinator
 
@@ -479,10 +492,11 @@ def _save_rank_states(store: ShardStore, states: Mapping[int, Any],
     elif policy.shards_per_rank != topology.shards_per_rank:
         policy = policy.with_overrides(shards_per_rank=topology.shards_per_rank)
     coordinator = TwoPhaseCommitCoordinator(world, store, topology=topology)
-    engines = [create_real_engine(engine, store, rank=rank, world_size=world,
-                                  coordinator=coordinator, policy=policy)
-               for rank in range(world)]
+    engines = []
     try:
+        for rank in range(world):
+            engines.append(create_real_engine(engine, store, rank=rank, world_size=world,
+                                              coordinator=coordinator, policy=policy))
         with ThreadPoolExecutor(max_workers=world,
                                 thread_name_prefix="reshape-save") as pool:
             futures = [pool.submit(engines[rank].save, states[rank], tag,
@@ -494,7 +508,7 @@ def _save_rank_states(store: ShardStore, states: Mapping[int, Any],
             eng.wait_all()
     finally:
         for eng in engines:
-            eng.shutdown(wait=False)
+            eng.shutdown()
 
 
 def reshape_checkpoint(source_store: ShardStore, target: CheckpointTopology,

@@ -19,6 +19,7 @@ from .manifest import (
     TensorLayout,
     checksum_bytes,
 )
+from .payload import MAX_EXTENT_BYTES, tensor_bytes
 from .reader import decode_rank_state, deserialize_rank_state, deserialize_state, peek_tensor_keys
 from .shard_plan import (
     ShardPart,
@@ -62,4 +63,6 @@ __all__ = [
     "serialize_part",
     "iter_part_payloads",
     "checksum_bytes",
+    "MAX_EXTENT_BYTES",
+    "tensor_bytes",
 ]

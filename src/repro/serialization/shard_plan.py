@@ -25,12 +25,13 @@ name, same header JSON (no ``index`` fields), same bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Any, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from ..tensor import FlattenedState, TensorRef, tensor_payload_array
 from .header import ShardHeader, TensorEntry, build_header, encode_preamble
+from .payload import tensor_bytes
 
 
 def part_shard_name(base_name: str, part_index: int, num_parts: int) -> str:
@@ -166,21 +167,26 @@ def plan_shards(flattened: FlattenedState, base_name: str,
                      num_tensors=num_tensors, parts=tuple(parts))
 
 
-def serialize_part(part: ShardPart, skeleton: bytes) -> bytes:
-    """One-shot serialization of one shard-set part (blocking engines).
+def serialize_part(part: ShardPart, skeleton: bytes) -> bytearray:
+    """One-shot serialization of one shard-set part (blocking engines): the
+    preamble and every payload, each copied once into one buffer.
 
     For a single-part plan this produces exactly the bytes of
     :func:`~repro.serialization.serialize_state` on the whole state.
     """
-    chunks: List[bytes] = [encode_preamble(part.header, skeleton)]
-    for ref in part.tensors:
-        array = np.ascontiguousarray(tensor_payload_array(ref))
-        chunks.append(array.tobytes())
-    return b"".join(chunks)
-
-
-def iter_part_payloads(part: ShardPart) -> Iterator[Tuple[TensorEntry, np.ndarray]]:
-    """Yield ``(entry, contiguous uint8 payload)`` pairs of one part."""
+    preamble = encode_preamble(part.header, skeleton)
+    out = bytearray(len(preamble) + part.payload_bytes)
+    out[:len(preamble)] = preamble
+    payload = np.frombuffer(out, dtype=np.uint8)[len(preamble):]
     for entry, ref in zip(part.header.entries, part.tensors):
-        array = np.ascontiguousarray(tensor_payload_array(ref))
-        yield entry, array.view(np.uint8).reshape(-1)
+        tensor_bytes(tensor_payload_array(ref),
+                     payload[entry.offset:entry.offset + entry.nbytes])
+    return out
+
+
+def iter_part_payloads(part: ShardPart) -> Iterator[Tuple[TensorEntry, Any]]:
+    """Yield ``(entry, payload)`` pairs of one part, each payload as the state
+    holds it: an array or a strided slice, for
+    :func:`~repro.serialization.tensor_bytes`."""
+    for entry, ref in zip(part.header.entries, part.tensors):
+        yield entry, tensor_payload_array(ref)

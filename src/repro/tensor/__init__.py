@@ -9,12 +9,13 @@ from .state_dict import (
     tensor_payload_array,
     unflatten_state_dict,
 )
-from .tensor import Device, DeviceArena, DeviceTensor
+from .tensor import Device, DeviceArena, DeviceTensor, StridedSlice
 
 __all__ = [
     "Device",
     "DeviceTensor",
     "DeviceArena",
+    "StridedSlice",
     "TensorRef",
     "FlattenCache",
     "FlattenedState",

@@ -1,7 +1,8 @@
 """State-dict flattening — phase 1 of the checkpoint pipeline (§5.3).
 
 Given an arbitrary nested Python object (dicts, lists, tuples, scalars,
-NumPy arrays, :class:`~repro.tensor.tensor.DeviceTensor`), the engine needs:
+NumPy arrays, :class:`~repro.tensor.tensor.DeviceTensor`,
+:class:`~repro.tensor.tensor.StridedSlice`), the engine needs:
 
 1. a flat list of the *large* payloads (tensors/arrays) with their sizes so
    it can plan device-to-host copies and file offsets, and
@@ -25,12 +26,12 @@ import copyreg
 import operator
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..exceptions import SerializationError
-from .tensor import Device, DeviceTensor
+from .tensor import Device, DeviceTensor, StridedSlice
 
 #: Key paths are tuples of dict keys / sequence indices from the root.
 KeyPath = Tuple[Any, ...]
@@ -121,8 +122,9 @@ class FlattenedState:
         return self._pickled
 
 
-#: What counts as a tensor leaf, for ``_flatten`` and ``_walk`` alike.
-_TENSOR_TYPES = (np.ndarray, DeviceTensor)
+#: What counts as a tensor leaf, for ``_flatten`` and ``_walk`` alike.  A
+#: strided slice is saved as the 1-D array it stands for.
+_TENSOR_TYPES = (np.ndarray, DeviceTensor, StridedSlice)
 
 
 def _sequence_like(value: Any, items: List[Any]) -> Any:
@@ -316,11 +318,12 @@ def state_dict_nbytes(state: Any) -> int:
     return flatten_state_dict(state).total_tensor_bytes
 
 
-def tensor_payload_array(ref: TensorRef) -> np.ndarray:
-    """Return the NumPy array behind a :class:`TensorRef`."""
+def tensor_payload_array(ref: TensorRef) -> Union[np.ndarray, StridedSlice]:
+    """Return the NumPy array (or the strided slice) behind a :class:`TensorRef`;
+    :func:`repro.serialization.tensor_bytes` turns either into bytes."""
     payload = ref.payload
     if isinstance(payload, DeviceTensor):
         return payload.array
-    if isinstance(payload, np.ndarray):
+    if isinstance(payload, (np.ndarray, StridedSlice)):
         return payload
     raise SerializationError(f"tensor reference {ref.key!r} has no live payload")

@@ -118,6 +118,36 @@ class DeviceTensor:
         return f"DeviceTensor(name={self.name!r}, shape={self.shape}, dtype={self.dtype}, device={self.device})"
 
 
+class StridedSlice:
+    """A 1-D slice of an array that is not one contiguous run of it, uncopied.
+
+    An elastic rank's slice of a tensor split along a later axis (a Megatron
+    row-parallel weight at ``tp > 1``) keeps a band of columns of every row;
+    its ZeRO-1 range of that band tiles into at most three row-major blocks —
+    partial head row, whole rows, partial tail row.  ``windows`` are those
+    blocks as 2-D views of the caller's array, each row a contiguous run, and
+    the slice is their rows in order.  A checkpoint engine saves the leaf as
+    an array of ``shape`` ``(numel,)`` and ``dtype``;
+    :func:`repro.serialization.tensor_bytes` copies the windows once, into
+    the buffer the bytes are written from.
+    """
+
+    __slots__ = ("windows", "shape", "dtype")
+
+    def __init__(self, windows: Iterable[np.ndarray]) -> None:
+        self.windows = tuple(windows)
+        self.dtype = self.windows[0].dtype
+        self.shape = (sum(window.size for window in self.windows),)
+
+    @property
+    def nbytes(self) -> int:
+        """Payload size in bytes."""
+        return self.shape[0] * self.dtype.itemsize
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"StridedSlice(shape={self.shape}, dtype={self.dtype}, windows={len(self.windows)})"
+
+
 class DeviceArena:
     """Capacity accounting for a simulated GPU.
 

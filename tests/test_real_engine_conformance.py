@@ -53,10 +53,9 @@ class StreamingCheckpointEngine(CheckpointEngine):
         for index, part in parts:
             if self._scan_part(handle, plan, index, inc):
                 continue
-            views = [memoryview(payload)
-                     for _entry, payload in iter_part_payloads(part)]
+            payloads = [payload for _entry, payload in iter_part_payloads(part)]
             nbytes, checksum = self._write_streaming_shard(
-                handle.tag, part.name, part.header, plan.skeleton, views)
+                handle.tag, part.name, part.header, plan.skeleton, payloads)
             self._part_written(
                 handle, plan, index, nbytes, checksum,
                 tensor_checksums=inc.tensor_checksums(part.name) if inc else None)

@@ -8,13 +8,16 @@ here is plain NumPy indexing — ``np.ascontiguousarray(full[tp_index])
 nothing from that module.  The second half pins the resource claims: a reshaped
 restore opens only the source ranks it needs, leaves no shard mapping or file
 descriptor behind even with the cyclic GC off (and even when it fails midway),
-holds about one copy of what it returns, and ``save_elastic_checkpoint`` hands
-the engines views where a slice is one contiguous run of the caller's array.
+holds about one copy of what it returns; and ``save_elastic_checkpoint`` copies
+no slice (every slice it hands an engine is a view of the caller's arrays, a
+strided one gathered by the writer threads a bounded piece at a time), writes
+the bytes a save of owned copies writes, and joins every thread it started.
 """
 
 import gc
 import os
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -25,8 +28,8 @@ from hypothesis import strategies as st
 
 from repro.config import CheckpointPolicy
 from repro.core import ENGINE_NAMES
-from repro.exceptions import RestartError
-from repro.io import FileStore, create_store
+from repro.exceptions import CheckpointError, RestartError
+from repro.io import CASStore, FaultPlan, FaultyStore, FileStore, create_store
 from repro.parallelism.partition import balanced_contiguous_partition
 from repro.restart import (
     CheckpointLoader,
@@ -38,7 +41,8 @@ from repro.restart import (
     save_elastic_checkpoint,
     shard_full_state,
 )
-from repro.serialization import CheckpointTopology
+from repro.serialization import MAX_EXTENT_BYTES, CheckpointTopology, tensor_bytes
+from repro.tensor import StridedSlice
 
 V1_FIXTURE_ROOT = Path(__file__).parent / "fixtures" / "v1_checkpoint"
 V1_FIXTURE_TAG = "ckpt-000004"
@@ -523,8 +527,21 @@ class RecordingEngine:
         pass
 
 
-@pytest.mark.parametrize("grid", [(2, 1, 2), (3, 1, 1)])
+def _gathered(state):
+    """A handed state's slices as plain arrays, read as the engines read them."""
+    def array(piece):
+        data = b"".join(bytes(view) for view in tensor_bytes(piece))
+        return np.frombuffer(data, dtype=piece.dtype)
+
+    return {"model": {key: array(piece) for key, piece in state["model"].items()},
+            "zero": {key: {name: array(buf) for name, buf in bufs.items()}
+                     for key, bufs in state["zero"].items()}}
+
+
+@pytest.mark.parametrize("grid", [(2, 1, 2), (3, 1, 1), (3, 1, 2)])
 def test_save_hands_engines_views_where_a_slice_is_contiguous(grid, monkeypatch, tmp_path):
+    """Every slice handed to an engine shares memory with the caller's arrays:
+    a contiguous run is a view, any other slice a ``StridedSlice`` of views."""
     full, axes = fixed_state()
     handed = {}
     monkeypatch.setattr(
@@ -532,29 +549,135 @@ def test_save_hands_engines_views_where_a_slice_is_contiguous(grid, monkeypatch,
         lambda name, store, rank, **kwargs: RecordingEngine(rank, handed))
     save_elastic_checkpoint(FileStore(tmp_path), full, topology_of(full["model"], axes, grid),
                             tag="ckpt")
-    assert_matches_oracle(handed, oracle_states(full, axes, grid), owned=False)
+    assert_matches_oracle({rank: _gathered(state) for rank, state in handed.items()},
+                          oracle_states(full, axes, grid), owned=False)
     for state in handed.values():
         for key, piece in state["model"].items():
             strided = key.endswith("cols") and grid[2] > 1   # axis 1, rows > 1
             sources = [(piece, full["model"][key]),
                        (state["zero"][key]["m"], full["zero"][key]["m"])]
             for handed_slice, array in sources:
-                if handed_slice.size:
-                    assert np.shares_memory(handed_slice, array) != strided, key
+                assert isinstance(handed_slice, StridedSlice) == strided, key
+                windows = handed_slice.windows if strided else [handed_slice]
+                assert 1 <= len(windows) <= 3
+                assert all(np.shares_memory(window, array) for window in windows), key
+    if grid == (3, 1, 2):  # ZeRO ranges that cut rows: head, body and tail windows
+        assert max(len(state["model"]["a.cols"].windows) for state in handed.values()) == 3
+
+
+def _store_of(kind, root):
+    if kind == "file":
+        return FileStore(root)
+    if kind == "object":
+        return create_store("object")
+    return CASStore(FileStore(root))
+
+
+def _saved_bytes(kind, store, root):
+    """Everything a store holds, by name: its files, or its in-memory objects."""
+    if kind == "object":
+        return dict(store._objects)
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(Path(root).rglob("*")) if path.is_file()}
 
 
 @pytest.mark.parametrize("engine_name", ENGINE_NAMES)
 def test_view_sharded_save_writes_the_same_bytes(engine_name, tmp_path):
+    """Every consumer of a strided slice — a writer thread or a streaming sink
+    gathering it, a copy into a pool extent, a staging buffer or a serialized
+    part — lands the bytes a save of owned copies lands, on every store."""
     full, axes = fixed_state()
-    topology = topology_of(full["model"], axes, (2, 1, 2), shards_per_rank=2)
-    by_view, by_copy = FileStore(tmp_path / "view"), FileStore(tmp_path / "copy")
-    save_elastic_checkpoint(by_view, full, topology, tag="ckpt", engine=engine_name,
-                            iteration=3, policy=FAST_POLICY)
-    save_rank_states(by_copy, shard_full_state(full, topology), topology,
-                     engine=engine_name, iteration=3)
-    files = sorted(path.name for path in (tmp_path / "view" / "ckpt").iterdir())
-    assert files == sorted(path.name for path in (tmp_path / "copy" / "ckpt").iterdir())
-    assert len(files) == 4 * 2 + 1
-    for name in files:
-        assert ((tmp_path / "view" / "ckpt" / name).read_bytes()
-                == (tmp_path / "copy" / "ckpt" / name).read_bytes()), name
+    for grid in [(2, 1, 2), (3, 1, 2)]:
+        topology = topology_of(full["model"], axes, grid, shards_per_rank=2)
+        for kind in ("file", "object", "cas"):
+            root = tmp_path / f"{kind}-dp{grid[0]}"
+            by_view, by_copy = _store_of(kind, root / "view"), _store_of(kind, root / "copy")
+            save_elastic_checkpoint(by_view, full, topology, tag="ckpt", engine=engine_name,
+                                    iteration=3, policy=FAST_POLICY)
+            save_rank_states(by_copy, shard_full_state(full, topology), topology,
+                             engine=engine_name, iteration=3)
+            viewed = _saved_bytes(kind, by_view, root / "view")
+            copied = _saved_bytes(kind, by_copy, root / "copy")
+            assert sorted(viewed) == sorted(copied), (kind, grid)
+            assert len(viewed) >= topology.world_size * 2 + 1
+            for name, data in viewed.items():
+                assert data == copied[name], (kind, grid, name)
+
+
+def test_a_strided_save_holds_one_gather_buffer_per_writer_thread(tmp_path):
+    """Row-parallel weights and their moments at tp=2: every slice is strided.
+    The writer threads gather them a piece at a time, so the save allocates
+    about one bounded buffer per writer thread — not a copy of its slices."""
+    rng = np.random.default_rng(11)
+    shape = (64, 32768)   # float32, 8 MiB a tensor
+    full = {"model": {"w": rng.random(shape, dtype=np.float32)},
+            "zero": {"w": {name: rng.random(shape, dtype=np.float32) for name in "mv"}}}
+    topology = topology_of(full["model"], {"w": 1}, (1, 1, 2))
+    assert _state_nbytes(full) > 4 * MAX_EXTENT_BYTES
+    writer_threads = topology.world_size * FAST_POLICY.flush_threads
+    gc.collect()
+    tracemalloc.start()
+    try:
+        save_elastic_checkpoint(FileStore(tmp_path), full, topology, tag="ckpt",
+                                engine="torchsnapshot", policy=FAST_POLICY)
+        _live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < writer_threads * MAX_EXTENT_BYTES + (1 << 20), peak / MAX_EXTENT_BYTES
+    restored = CheckpointLoader(FileStore(tmp_path)).restore(RestoreSpec.full(tag="ckpt"))
+    assert_matches_oracle(restored, oracle_states(full, {"w": 1}, (1, 1, 2)))
+
+
+class _Rank0Writes:
+    """Forwards to ``inner``; rank 0's shard writes fail — a streamed write at
+    once, an offset-addressed one at its first payload ``pwrite``, with the
+    writer threads running."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def write_shard(self, tag, shard_name, chunks):
+        if shard_name.startswith("rank0"):
+            raise OSError(f"injected: write_shard of {tag}/{shard_name}")
+        return self._inner.write_shard(tag, shard_name, chunks)
+
+    def create_shard_writer(self, tag, shard_name, total_bytes):
+        writer = self._inner.create_shard_writer(tag, shard_name, total_bytes)
+        return _PayloadPwriteFails(writer) if shard_name.startswith("rank0") else writer
+
+
+class _PayloadPwriteFails:
+    def __init__(self, writer):
+        self._writer = writer
+
+    def __getattr__(self, name):
+        return getattr(self._writer, name)
+
+    def pwrite(self, offset, data):
+        if offset:
+            raise OSError("injected: payload pwrite")
+        return self._writer.pwrite(offset, data)
+
+
+@pytest.mark.parametrize("engine_name", ENGINE_NAMES)
+def test_save_elastic_checkpoint_returns_with_every_thread_it_started_joined(
+        engine_name, tmp_path):
+    full, axes = fixed_state()
+    topology = topology_of(full["model"], axes, (1, 1, 2), shards_per_rank=2)
+    stores = {"clean": FileStore(tmp_path / "clean"),
+              "rank 0 writes fail": _Rank0Writes(FileStore(tmp_path / "rank0")),
+              "every write fails": FaultyStore(FileStore(tmp_path / "faulty"),
+                                               FaultPlan(write_error_prob=1.0))}
+    for what, store in stores.items():
+        before = set(threading.enumerate())
+        try:
+            save_elastic_checkpoint(store, full, topology, tag="ckpt", engine=engine_name,
+                                    policy=FAST_POLICY)
+        except CheckpointError:
+            assert what != "clean"
+        else:
+            assert what == "clean"
+        assert set(threading.enumerate()) == before, what
