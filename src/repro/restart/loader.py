@@ -21,11 +21,7 @@ One rule decides what is copied: *copy only out of a read-only buffer*.  The
 arrays of a map are copied out, so the result is writable and the map can be
 released; the arrays of a landing buffer are returned as the writable,
 aligned views they already are (only an array whose slot is misaligned for
-its dtype is copied — mixed dtypes pack without padding).  A map's copy-out
-is bound by first-touch page faults on the fresh arrays, not by memcpy, so it
-is split into :data:`PREFETCH_DEPTH` groups balanced by bytes: the consumer
-copies one group and the prefetch workers the others, taking their faults in
-parallel (:meth:`CheckpointLoader._copied_out`).
+its dtype is copied — mixed dtypes pack without padding).
 
 :meth:`CheckpointLoader.restore` is one entry point covering a single shard,
 one rank, every rank, and (with ``spec.target_topology``) an elastic restore
@@ -33,6 +29,13 @@ into a different parallel layout, which fetches only the source ranks the
 requested target slices are made of and copies each source slice, out of a
 view of its shard buffer, straight into the target arrays
 (:meth:`CheckpointLoader._restore_reshaped`, :mod:`repro.restart.reshape`).
+
+Both copies — a map's copy-out and a reshape's moves — are one list of
+``(target, source)`` pairs run by one helper, :func:`copy_grouped`.  They
+are bound by first-touch page faults on the fresh arrays, not by memcpy, so
+the pairs are split into :data:`PREFETCH_DEPTH` groups balanced by bytes:
+the consumer copies one group and the prefetch workers the others, taking
+their faults in parallel.
 
 Every fetch — a restore of any shape, :meth:`CheckpointLoader.validate` and
 :meth:`CheckpointLoader.verify_tensor_checksums` — runs through one
@@ -60,7 +63,7 @@ import traceback
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,15 +78,17 @@ from ..serialization import (
     decode_preamble,
     decode_rank_state,
 )
-from ..serialization.reader import copy_views, empty_copies
 from ..serialization.shard_plan import _binned_indices
 from ..tensor import unflatten_state_dict
 from .spec import RestoreSpec
 
+if TYPE_CHECKING:
+    from .reshape import Remap
+
 logger = get_logger(__name__)
 
 #: Shard parts fetched and checked ahead of deserialization, the workers
-#: doing it, and the groups a map's arrays are copied out in.
+#: doing it, and the groups a restore's copies run in (:func:`copy_grouped`).
 PREFETCH_DEPTH = 4
 
 #: A non-mapped part is landed so that its payload starts on this boundary.
@@ -94,6 +99,46 @@ _TIMING_WINDOW = 256
 
 #: One logical shard to restore: a set key and the records of its parts.
 _SetItem = Tuple[Any, List[ShardRecord]]
+
+#: One copy of a restore: ``(target window, source window)``.
+CopyPair = Tuple[np.ndarray, np.ndarray]
+
+
+def copy_pairs(pairs: Sequence[CopyPair], indices: Iterable[int]) -> None:
+    """Copy each source window into its target window, for the ``pairs`` at
+    ``indices``: one group of :func:`copy_grouped`."""
+    for index in indices:
+        np.copyto(*pairs[index])
+
+
+def copy_grouped(pairs: List[CopyPair], pool: Optional[ThreadPoolExecutor] = None) -> None:
+    """Run every ``(target, source)`` copy of ``pairs``: the one copy step of
+    a mapped restore's copy-out and of a reshape.
+
+    With a ``pool`` (a restore's prefetch workers) the pairs are split into
+    :data:`PREFETCH_DEPTH` groups balanced by bytes: this thread copies the
+    first, ``pool`` the others.  The copy is bound by first-touch page
+    faults on the fresh targets, and faults taken on different threads run
+    in parallel.  Without one, this thread copies every pair.
+
+    Every group has finished, and ``pairs`` is emptied, before this returns
+    or raises: a finished task still pins its arguments for a moment, and
+    must not pin a view of a map that is about to close.
+    """
+    futures: List[Future] = []
+    try:
+        groups = ([range(len(pairs))] if pool is None else
+                  [group for group in _binned_indices([target.nbytes for target, _ in pairs],
+                                                      PREFETCH_DEPTH) if group])
+        for group in groups[1:]:
+            futures.append(pool.submit(copy_pairs, pairs, group))
+        for group in groups[:1]:
+            copy_pairs(pairs, group)
+    finally:
+        wait(futures)
+        del pairs[:]
+    for future in futures:
+        future.result()
 
 
 @dataclass(frozen=True)
@@ -331,12 +376,13 @@ class CheckpointLoader:
         deserializes one shard-set the next parts (of this set, and of later
         sets/ranks) are already being read and checksummed.  ``checks`` are
         the CRC32 passes of the set's maps, still running, for the consumer
-        to join; ``pool`` is the workers themselves, for the consumer to copy
-        a map's arrays out on (it has :data:`PREFETCH_DEPTH` workers even for
-        one part).  Ownership of the yielded buffers and checks passes to the
-        consumer; those of sets never yielded (because a fetch or the
-        consumer failed) are released here, so no mmap handle outlives an
-        aborted restore.
+        to join; ``pool`` is the workers themselves, for the consumer to run
+        its copies on (:func:`copy_grouped`; it has :data:`PREFETCH_DEPTH`
+        workers even for one part) before it asks for the next set: the pool
+        is shut down once the last set has been consumed.  Ownership of the
+        yielded buffers and checks passes to the consumer; those of sets
+        never yielded (because a fetch or the consumer failed) are released
+        here, so no mmap handle outlives an aborted restore.
         """
         parts = [(set_index, record)
                  for set_index, (_key, records) in enumerate(sets)
@@ -495,10 +541,14 @@ class CheckpointLoader:
         grid.  :class:`~repro.restart.reshape.Remap` plans from the manifest
         alone which source ranks the requested slices are made of; only their
         shard-sets are fetched (like any restore: mapped or read, size/CRC
-        checked, prefetched), decoded to views and copied straight into the
-        target arrays.  What ``spec.validate`` cross-checks is described there.
-        The arrays returned are owned and writable, and every buffer is
-        released on return, not by a later GC."""
+        checked, prefetched) and decoded to views.  Once the last is decoded,
+        :meth:`~repro.restart.reshape.Remap.run` hands over its moves and they
+        are copied straight into the target arrays on this thread and the
+        prefetch workers (:func:`copy_grouped`), before the pipeline shuts
+        its workers down.  What ``spec.validate`` cross-checks is described
+        there.  The arrays returned are owned and writable, each target rank
+        gets its own copy of the ``extra`` block, and every buffer is released
+        on return, not by a later GC."""
         from .reshape import Remap
 
         manifest = self.manifest(tag)
@@ -519,7 +569,7 @@ class CheckpointLoader:
         sources: Dict[int, Any] = {}
         busy = 0.0  # decode + remap wall time, fetch and check waits excluded
         try:
-            for name, records, buffers, set_checks, _pool in self._iter_prefetched_sets(
+            for name, records, buffers, set_checks, pool in self._iter_prefetched_sets(
                     tag, sets, spec.validate, mmap):
                 held.extend(buffers)
                 checks.extend(set_checks)
@@ -539,15 +589,13 @@ class CheckpointLoader:
                     traceback.clear_frames(exc.__traceback__)  # they hold views of the maps
                     raise RestartError(
                         f"cannot deserialize shard {name!r} of {tag!r}: {exc}") from exc
-                if isinstance(sources[rank], dict) and sources[rank].get("extra") is not None:
-                    sources[rank]["extra"] = copy.deepcopy(sources[rank]["extra"])
+                if len(sources) == len(sets):
+                    states = self._reshaped_states(tag, plan, sources, spec.validate, pool)
                 busy += time.perf_counter() - started
-            started = time.perf_counter()
-            states = plan.run(sources, validate=spec.validate)
-            busy += time.perf_counter() - started
         except BaseException as exc:
             # The frames below this one still hold views of the buffers; a failed
-            # check outranks what its bytes broke (a decode, a coordinate, a twin).
+            # check outranks what its bytes broke (a decode, a coordinate, a twin,
+            # a copy).
             traceback.clear_frames(exc.__traceback__)
             self._join_checks(checks)
             raise
@@ -557,6 +605,24 @@ class CheckpointLoader:
         self._join_checks(checks)
         self._record_deserialize(busy, len(held))
         return states[spec.rank] if spec.rank is not None else states
+
+    @staticmethod
+    def _reshaped_states(tag: str, plan: Remap, sources: Dict[int, Any], validate: bool,
+                         pool: ThreadPoolExecutor) -> Dict[int, Dict[str, Any]]:
+        """The target states of ``plan`` from the decoded ``sources``: every
+        move copied on this thread and ``pool``, every target rank's ``extra``
+        a deep copy of its own, none of it a view of a source buffer.  A frame
+        of its own: until the deep copies, the states hold views of the
+        buffers, and a failed restore's traceback clears this frame."""
+        states, moves = plan.run(sources, validate=validate)
+        try:
+            copy_grouped(moves, pool)
+        except Exception as exc:
+            raise RestartError(f"cannot reshape checkpoint {tag!r}: {exc}") from exc
+        for state in states.values():
+            if "extra" in state:
+                state["extra"] = copy.deepcopy(state["extra"])
+        return states
 
     def _deserialize_set(self, tag: str, records: Sequence[ShardRecord],
                          buffers: List[Any], checks: Sequence[Future],
@@ -590,40 +656,17 @@ class CheckpointLoader:
         """``(skeleton, arrays)`` of one shard-set, no array a view of a map.
 
         The one copy rule: copy only out of a read-only buffer (a map), on
-        the prefetch ``pool`` and this thread (:meth:`_copied_out`).  The
+        the prefetch ``pool`` and this thread (:func:`copy_grouped`).  The
         arrays of a landing buffer are writable views of memory this restore
         owns; just those whose slot is misaligned for their dtype are copied.
         """
         datas = [self._buffer_data(buffer) for buffer in buffers]
         skeleton, arrays = decode_rank_state(datas, copy=False)
         if memoryview(datas[0]).readonly:
-            return skeleton, self._copied_out(arrays, pool)
+            copies = [np.empty_like(view) for view in arrays]
+            copy_grouped([*zip(copies, arrays)], pool)
+            return skeleton, copies
         return skeleton, [array if array.flags.aligned else array.copy() for array in arrays]
-
-    @staticmethod
-    def _copied_out(views: List[np.ndarray], pool: ThreadPoolExecutor) -> List[np.ndarray]:
-        """Writable copies of a map's ``views``, in :data:`PREFETCH_DEPTH`
-        groups balanced by bytes: this thread copies the first, ``pool`` the
-        others.  The copy is bound by first-touch page faults on the fresh
-        arrays, and faults taken on different threads run in parallel.
-
-        Every group has finished, and ``views`` is emptied, before this
-        returns or raises: a finished task still pins its arguments for a
-        moment, and must not pin a view of a map that is about to close.
-        """
-        copies = empty_copies(views)
-        groups = [group for group in _binned_indices([view.nbytes for view in views],
-                                                     PREFETCH_DEPTH) if group]
-        futures = [pool.submit(copy_views, views, copies, group) for group in groups[1:]]
-        try:
-            for group in groups[:1]:
-                copy_views(views, copies, group)
-        finally:
-            wait(futures)
-            del views[:]
-        for future in futures:
-            future.result()
-        return copies
 
     # -- housekeeping --------------------------------------------------------------------
     def prune_uncommitted(self) -> List[str]:

@@ -16,9 +16,11 @@ split along axis 0).  A TP rank's part is a band of columns, a DP rank keeps
 a flat range of that band (:func:`repro.parallelism.zero.partition_elements`,
 the ZeRO-1 table), which tiles into at most three row-aligned blocks: partial
 head row, whole rows, partial tail row.  What a target slice takes from a
-source slice is the pairwise block intersections, each one (strided) NumPy
-assignment from a view of the source buffer into a freshly allocated, owned
-target array; pipeline stages hold contiguous key ranges
+source slice is the pairwise block intersections, each one (strided) copy
+from a view of the source buffer into a freshly allocated, owned target array
+— a ``(target window, source window)`` move that :meth:`Remap.run` hands over
+and :func:`~repro.restart.loader.copy_grouped` runs (on a restore's prefetch
+workers too); pipeline stages hold contiguous key ranges
 (:func:`repro.parallelism.partition.balanced_contiguous_partition`).
 Splitting a full state is the remap from the 1x1x1 grid, merging the remap
 onto it, and an identity reshape reproduces every rank's arrays bit-for-bit.
@@ -68,7 +70,7 @@ from ..parallelism.topology3d import ParallelTopology
 from ..parallelism.zero import partition_elements
 from ..serialization import CheckpointTopology, TensorLayout
 from ..tensor import StridedSlice
-from .loader import CheckpointLoader
+from .loader import CheckpointLoader, CopyPair, copy_grouped
 from .spec import RestoreSpec
 
 logger = get_logger(__name__)
@@ -255,12 +257,17 @@ class Remap:
         self.ranks = range(target.world_size) if rank is None else [rank]
         self._coords, self._target_coords = _grid_coords(source), _grid_coords(target)
         stage_of, target_stage_of = _stage_assignment(source), _stage_assignment(target)
-        #: ``(target_rank, key, numel, run, lend, [(source_rank, numel, moves, twin)])``:
+        #: ``(target_rank, key, numel, run, lend, [(source_rank, numel, moves, twin_of)])``:
         #: ``run`` as in :func:`_rank_slice`, ``lend`` when one source holds the whole
         #: tensor (so the slice can be a view of it), a move is ``(source_block,
-        #: target_block, *overlap)``, twins (TP ranks > 0 of a replicated tensor) come
-        #: last: compared, never copied.
+        #: target_block, *overlap)``.  Twins (TP ranks > 0 of a replicated tensor)
+        #: come last: compared with the TP rank 0 ``twin_of`` of their DP rank and
+        #: stage, whose blocks are theirs, never copied (``twin_of`` is ``None``
+        #: for a source that is copied).
         self.entries: List[tuple] = []
+        rank_at = {coord: source_rank for source_rank, coord in enumerate(self._coords)}
+        tp0_of = {source_rank: rank_at[d, p, 0]
+                  for source_rank, (d, p, t) in enumerate(self._coords) if t > 0}
         for layout in target.tensors:
             key, shape = layout.key, layout.shape
             axis = table[key].partition_axis if source.tensor_parallel > 1 else None
@@ -287,29 +294,35 @@ class Remap:
                     moves = [(src, dst, *overlap) for dst in mine for src in blocks
                              for overlap in [src.overlap(dst)] if overlap]
                     if moves:
-                        sources.append((source_rank, count, moves, twin))
+                        sources.append((source_rank, count, moves,
+                                        tp0_of[source_rank] if twin else None))
                 lend = len(sources) == 1 and sources[0][1] == math.prod(shape)
                 # An empty slice copies nothing but still takes its dtype.
                 self.entries.append((target_rank, key, numel, run, lend and numel > 0,
-                                     sources or [(held[0][1], held[0][2], [], False)]))
+                                     sources or [(held[0][1], held[0][2], [], None)]))
         #: What a run reads: every rank for the whole target grid (so each TP
         #: group's replicas can be cross-checked), else only the sources of ``rank``
         #: (rank 0, for the replicated ``extra``, when its stage holds no tensor).
         self.source_ranks = set(range(source.world_size)) if rank is None else {
-            item[0] for entry in self.entries for item in entry[5] if not item[3]} or {0}
+            item[0] for entry in self.entries for item in entry[5] if item[3] is None} or {0}
 
-    def run(self, states: Mapping[int, Any], validate: bool = True,
-            views: bool = False) -> Dict[int, Dict[str, Any]]:
-        """Build the target ranks' elastic states from the source ranks'.
+    def run(self, states: Mapping[int, Any], validate: bool = True, views: bool = False
+            ) -> Tuple[Dict[int, Dict[str, Any]], List[CopyPair]]:
+        """Plan the target ranks' elastic states from the source ranks':
+        ``(states, moves)``, nothing copied yet.
 
-        Every returned array is freshly allocated and owned — except with
-        ``views``, where nothing is copied from a source holding the whole
-        tensor: a slice that is one contiguous run of it is that run (a view),
-        any other is a :class:`~repro.tensor.StridedSlice` of its windows of
-        it, which the engines read in place.  ``validate`` cross-checks the
+        Every target array is freshly allocated and owned, and filled by
+        running ``moves``, its ``(target window, source window)`` pairs
+        (:func:`~repro.restart.loader.copy_grouped`) — except with ``views``,
+        where nothing is taken from a source holding the whole tensor: a
+        slice that is one contiguous run of it is that run (a view), any
+        other is a :class:`~repro.tensor.StridedSlice` of its windows of it,
+        which the engines read in place.  ``validate`` cross-checks the
         recorded coordinates, and every replicated tensor's copies on the TP
-        ranks in ``states`` bit for bit: a shard swapped with another rank's
-        fails here.
+        ranks in ``states`` against TP rank 0's source, bit for bit and
+        before any move runs: a shard swapped with another rank's fails here.
+        The ``extra`` block of the first source rank holding one is shared by
+        every target rank.
         """
         if not self.source_ranks <= set(states) <= set(range(len(self._coords))):
             raise RestartError(
@@ -326,14 +339,19 @@ class Remap:
                                "coord": list(self._target_coords[rank])},
                    "model": {}}
             for rank in self.ranks}
+        pairs: List[CopyPair] = []
         for target_rank, key, numel, run, lend, sources in self.entries:
             bufs = (states[sources[0][0]].get("zero") or {}).get(key)
             if bufs is not None:
                 out[target_rank].setdefault("zero", {})[key] = {}
             for name in (None, *(bufs or ())):
                 made = None
-                for rank, count, moves, twin in sources:
-                    if twin and not (validate and rank in states):
+                for rank, count, moves, twin_of in sources:
+                    if twin_of is not None:
+                        if validate and rank in states:
+                            _compare_twin(key, rank, moves,
+                                          _slice_of(states[twin_of], twin_of, key, name, count),
+                                          _slice_of(states[rank], rank, key, name, count))
                         continue
                     piece = _slice_of(states[rank], rank, key, name, count)
                     if views and lend:
@@ -342,16 +360,8 @@ class Remap:
                         break
                     if made is None:
                         made = np.empty(numel, dtype=piece.dtype)
-                    for src, dst, *overlap in moves:
-                        ours, theirs = dst.window(made, *overlap), src.window(piece, *overlap)
-                        if not twin:
-                            ours[...] = theirs
-                        # NaN-safe: a twin must match in raw bytes, not in value.
-                        elif ours.dtype != theirs.dtype or not np.array_equal(
-                                np.ascontiguousarray(ours).view(np.uint8),
-                                np.ascontiguousarray(theirs).view(np.uint8)):
-                            raise RestartError(f"replicated tensor {key!r} differs "
-                                               f"between TP rank 0 and rank {rank}")
+                    pairs.extend((dst.window(made, *overlap), src.window(piece, *overlap))
+                                 for src, dst, *overlap in moves)
                 if name is None:
                     out[target_rank]["model"][key] = made
                 else:
@@ -361,7 +371,29 @@ class Remap:
         if extra is not None:
             for state in out.values():
                 state["extra"] = extra
-        return out
+        return out, pairs
+
+
+def _compare_twin(key: str, rank: int, moves: List[tuple], base: np.ndarray,
+                  twin: np.ndarray) -> None:
+    """Rank ``rank``'s copy ``twin`` of replicated tensor ``key`` must equal TP
+    rank 0's ``base`` over every window of ``moves`` (the blocks of both)."""
+    for src, _dst, *overlap in moves:
+        ours, theirs = src.window(base, *overlap), src.window(twin, *overlap)
+        # NaN-safe: a twin must match in raw bytes, not in value.
+        if ours.dtype != theirs.dtype or not np.array_equal(
+                np.ascontiguousarray(ours).view(np.uint8),
+                np.ascontiguousarray(theirs).view(np.uint8)):
+            raise RestartError(f"replicated tensor {key!r} differs "
+                               f"between TP rank 0 and rank {rank}")
+
+
+def _remapped(plan: Remap, states: Mapping[int, Any], validate: bool = True,
+              views: bool = False) -> Dict[int, Dict[str, Any]]:
+    """:meth:`Remap.run` with its moves copied on this thread."""
+    out, moves = plan.run(states, validate=validate, views=views)
+    copy_grouped(moves)
+    return out
 
 
 # ------------------------------------------------------ split, merge, reshape
@@ -392,7 +424,7 @@ def _shard(full_state: Mapping[str, Any], topology: CheckpointTopology,
              "zero": {key: {name: flat(key, buf) for name, buf in bufs.items()}
                       for key, bufs in zero.items()},
              "extra": full_state.get("extra")}
-    return Remap(_single(topology), topology).run({0: whole}, views=views)
+    return _remapped(Remap(_single(topology), topology), {0: whole}, views=views)
 
 
 def shard_full_state(full_state: Mapping[str, Any],
@@ -417,7 +449,7 @@ def merge_full_state(states: Mapping[int, Any], topology: CheckpointTopology,
     each tensor then reshaped to its table shape.  ``validate`` as in
     :meth:`Remap.run`.
     """
-    state = Remap(topology, _single(topology)).run(states, validate=validate)[0]
+    state = _remapped(Remap(topology, _single(topology)), states, validate=validate)[0]
     del state["elastic"]
     for key, layout in topology.layout_table().items():
         state["model"][key] = state["model"][key].reshape(layout.shape)
@@ -432,7 +464,7 @@ def reshape_state_dicts(states: Mapping[int, Any], source: CheckpointTopology,
     """Remap every rank's in-memory state from ``source`` onto ``target`` (which,
     without a partition table of its own, inherits the source's — the common
     case: same tensors, different grid)."""
-    return Remap(source, target).run(states, validate=validate)
+    return _remapped(Remap(source, target), states, validate=validate)
 
 
 # ----------------------------------------------------------------- converting

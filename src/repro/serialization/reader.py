@@ -6,17 +6,16 @@ read the classic way, a ``memoryview``, or an ``mmap.mmap`` of the shard file
 ``np.frombuffer`` view into that buffer.  The views keep the underlying
 buffer alive, so an mmap-backed load never materialises a second full copy of
 the shard in heap memory; pages stream in from the page cache on first
-touch.  With ``copy=True`` (the default) the set is decoded to views, the
-writable outputs are allocated (:func:`empty_copies`), and each view is copied
-into its output (:func:`copy_views`) — no intermediate copy of the shard is
-ever held in heap memory.  A caller that copies on several threads runs the
-same three steps and splits the last one by index.
+touch.  With ``copy=True`` (the default) the set is decoded to views and
+each view is copied once, into a writable array of its own — no intermediate
+copy of the shard is ever held in heap memory.  A restore copies the same
+views on several threads instead (:func:`repro.restart.loader.copy_grouped`).
 """
 
 from __future__ import annotations
 
 import pickle
-from typing import Any, Iterable, List, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 import numpy as np
 
@@ -54,24 +53,7 @@ def decode_rank_state(raws: Sequence[Any], copy: bool = True) -> Tuple[Any, List
     state tree with placeholder leaves and the payloads they index — without
     unflattening it.  With ``copy=False`` the arrays are views of ``raws``."""
     skeleton, views = _decode_views(raws)
-    if not copy:
-        return skeleton, views
-    copies = empty_copies(views)
-    copy_views(views, copies, range(len(views)))
-    return skeleton, copies
-
-
-def empty_copies(views: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """Uninitialised writable arrays shaped like ``views``, one each; their
-    pages are first touched by whoever copies into them."""
-    return [np.empty_like(view) for view in views]
-
-
-def copy_views(views: Sequence[np.ndarray], outputs: Sequence[np.ndarray],
-               indices: Iterable[int]) -> None:
-    """Copy ``views[i]`` into ``outputs[i]`` for every ``i`` in ``indices``."""
-    for index in indices:
-        np.copyto(outputs[index], views[index])
+    return skeleton, [view.copy() for view in views] if copy else views
 
 
 def _decode_views(raws: Sequence[Any]) -> Tuple[Any, List[np.ndarray]]:

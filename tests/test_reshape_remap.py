@@ -8,13 +8,17 @@ here is plain NumPy indexing — ``np.ascontiguousarray(full[tp_index])
 nothing from that module.  The second half pins the resource claims: a reshaped
 restore opens only the source ranks it needs, leaves no shard mapping or file
 descriptor behind even with the cyclic GC off (and even when it fails midway),
-holds about one copy of what it returns; and ``save_elastic_checkpoint`` copies
-no slice (every slice it hands an engine is a view of the caller's arrays, a
-strided one gathered by the writer threads a bounded piece at a time), writes
-the bytes a save of owned copies writes, and joins every thread it started.
+holds about one copy of what it returns, runs its copies on every prefetch
+worker, and gives each target rank its own ``extra``; and
+``save_elastic_checkpoint`` copies no slice (every slice it hands an engine is
+a view of the caller's arrays, a strided one gathered by the writer threads a
+bounded piece at a time), writes the bytes a save of owned copies writes, and
+joins every thread it started.
 """
 
+import contextlib
 import gc
+import itertools
 import os
 import tempfile
 import threading
@@ -28,7 +32,7 @@ from hypothesis import strategies as st
 
 from repro.config import CheckpointPolicy
 from repro.core import ENGINE_NAMES
-from repro.exceptions import CheckpointError, RestartError
+from repro.exceptions import CheckpointError, ConsistencyError, RestartError
 from repro.io import CASStore, FaultPlan, FaultyStore, FileStore, create_store
 from repro.parallelism.partition import balanced_contiguous_partition
 from repro.restart import (
@@ -41,7 +45,13 @@ from repro.restart import (
     save_elastic_checkpoint,
     shard_full_state,
 )
-from repro.serialization import MAX_EXTENT_BYTES, CheckpointTopology, tensor_bytes
+from repro.restart import loader as loader_module
+from repro.serialization import (
+    MAX_EXTENT_BYTES,
+    CheckpointTopology,
+    decode_preamble,
+    tensor_bytes,
+)
 from repro.tensor import StridedSlice
 
 V1_FIXTURE_ROOT = Path(__file__).parent / "fixtures" / "v1_checkpoint"
@@ -442,16 +452,28 @@ def _truncate_a_slice(states):
     states[1]["model"]["a.cols"] = states[1]["model"]["a.cols"][:-2]
 
 
+@contextlib.contextmanager
+def nothing_left_open():
+    """With the cyclic GC off, the block must leave no shard mapped and no
+    file descriptor open that was not open before it."""
+    gc.collect()
+    gc.disable()
+    try:
+        descriptors = len(os.listdir("/proc/self/fd"))
+        yield
+        assert _shard_maps() == []
+        assert len(os.listdir("/proc/self/fd")) == descriptors
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("tamper", [None, _truncate_a_slice])
 def test_no_mapping_or_descriptor_outlives_the_restore(tamper, tmp_path):
     store, full, axes, _source = saved(tmp_path, tamper=tamper)
     target = topology_of(full["model"], axes, (2, 1, 1))
     loader = CheckpointLoader(store)
     spec = RestoreSpec.full(tag="ckpt").reshaped(target)
-    gc.collect()
-    gc.disable()
-    try:
-        descriptors = len(os.listdir("/proc/self/fd"))
+    with nothing_left_open():
         if tamper is None:
             states = loader.restore(spec)
             assert_matches_oracle(states, oracle_states(full, axes, (2, 1, 1)))
@@ -460,10 +482,6 @@ def test_no_mapping_or_descriptor_outlives_the_restore(tamper, tmp_path):
             with pytest.raises(RestartError, match="elements") as failure:
                 loader.restore(spec)
             assert failure.value is not None
-        assert _shard_maps() == []
-        assert len(os.listdir("/proc/self/fd")) == descriptors
-    finally:
-        gc.enable()
 
 
 def _state_nbytes(state):
@@ -489,6 +507,134 @@ def test_reshaped_restore_holds_about_one_copy(tmp_path):
     assert sum(_state_nbytes(state) for state in states.values()) == nbytes
     assert peak < 1.3 * nbytes, (peak / nbytes)
     assert live < 1.1 * nbytes, (live / nbytes)   # and no gc.collect() ran
+
+
+# ---------------------------------------------------------------------------
+# The copies run on every prefetch worker, and each rank owns what it gets
+# ---------------------------------------------------------------------------
+
+def _set_depth(monkeypatch, depth):
+    monkeypatch.setattr(loader_module, "PREFETCH_DEPTH", depth)
+
+
+def _to_dp2(made):
+    """``(store, spec, expected)``: a :func:`saved` checkpoint, the spec of
+    its full-grid restore onto dp2 x tp1, and the oracle's states for it."""
+    store, full, axes, _source = made
+    target = topology_of(full["model"], axes, (2, 1, 1))
+    return (store, RestoreSpec.full(tag="ckpt").reshaped(target),
+            oracle_states(full, axes, (2, 1, 1)))
+
+
+@pytest.mark.parametrize("depth", [1, 4])
+def test_reshaped_copy_runs_on_every_prefetch_worker(depth, monkeypatch, tmp_path):
+    """No timing: at depth 4, every group's copy waits on a two-party barrier,
+    which a serial copy never passes.  At depth 1 the consumer copies the
+    one group itself.  Either way each move is copied exactly once, into
+    owned, writable arrays."""
+    store, spec, expected = _to_dp2(saved(tmp_path))
+    real_copy, consumer = loader_module.copy_pairs, threading.current_thread()
+    barrier = threading.Barrier(2, timeout=10) if depth > 1 else None
+    copied, copied_lock = [], threading.Lock()
+
+    def copy_in_pairs(pairs, indices):
+        with copied_lock:
+            copied.append((threading.current_thread(), list(indices), len(pairs)))
+        if barrier is not None:
+            barrier.wait()
+        real_copy(pairs, indices)
+
+    monkeypatch.setattr(loader_module, "copy_pairs", copy_in_pairs)
+    _set_depth(monkeypatch, depth)
+    with nothing_left_open():
+        states = CheckpointLoader(store).restore(spec)
+    assert_matches_oracle(states, expected)
+    (moves,) = {count for _thread, _indices, count in copied}
+    assert sorted(index for _thread, indices, _count in copied for index in indices) == \
+        list(range(moves))
+    threads = {thread for thread, _indices, _count in copied}
+    assert len(copied) == depth and consumer in threads
+    assert (threads == {consumer}) == (depth == 1)
+
+
+def _fail_one_worker_copy(monkeypatch):
+    """The first copy group a prefetch worker runs, not the consumer, raises
+    ``MemoryError``; returns the count of worker groups begun so far."""
+    real_copy, consumer = loader_module.copy_pairs, threading.current_thread()
+    worker_copies = itertools.count()
+
+    def copy_or_fail(pairs, indices):
+        if threading.current_thread() is not consumer and next(worker_copies) == 0:
+            raise MemoryError("injected copy failure")
+        real_copy(pairs, indices)
+
+    monkeypatch.setattr(loader_module, "copy_pairs", copy_or_fail)
+    return worker_copies
+
+
+def test_failed_worker_copy_of_a_reshaped_restore_is_a_restart_error(monkeypatch, tmp_path):
+    store, spec, _expected = _to_dp2(saved(tmp_path))
+    _fail_one_worker_copy(monkeypatch)
+    _set_depth(monkeypatch, 4)
+    with nothing_left_open():
+        # Held on purpose: the traceback must not pin a view either.
+        with pytest.raises(RestartError, match="injected copy failure") as failure:
+            CheckpointLoader(store).restore(spec)
+        assert failure.value is not None
+
+
+def _flip_a_copied_byte(store):
+    """Flip the first payload byte of a tensor of rank 0 that is copied, not
+    compared as a replica: its shard decodes, and only its CRC32 fails."""
+    path = sorted(store.checkpoint_dir("ckpt").glob("rank0*.shard"))[0]
+    raw = bytearray(path.read_bytes())
+    header, _skeleton, payload_start = decode_preamble(bytes(raw))
+    entry = next(entry for entry in header.entries if "norm" not in entry.key)
+    raw[payload_start + entry.offset] ^= 0xFF
+    path.write_bytes(bytes(raw))
+
+
+def test_corrupt_byte_outranks_a_failed_copy_of_a_reshaped_restore(monkeypatch, tmp_path):
+    store, spec, _expected = _to_dp2(saved(tmp_path))
+    _flip_a_copied_byte(store)
+    worker_copies = _fail_one_worker_copy(monkeypatch)
+    _set_depth(monkeypatch, 4)
+    with nothing_left_open():
+        with pytest.raises(ConsistencyError, match="checksum"):
+            CheckpointLoader(store).restore(spec)
+    assert next(worker_copies) > 0  # the injected copy failure fired
+
+
+@pytest.mark.parametrize("depth", [1, 4])
+def test_a_reshaped_restore_compares_a_replica_with_its_source(depth, monkeypatch, tmp_path):
+    """The copies never run here: a replica is compared with TP rank 0's
+    source, so an intact one passes and a corrupt one fails, whatever the
+    target arrays hold."""
+    intact, spec, _expected = _to_dp2(saved(tmp_path / "intact", source_grid=(1, 1, 2)))
+    tampered = saved(tmp_path / "tampered", source_grid=(1, 1, 2), tamper=_corrupt_replica)[0]
+    monkeypatch.setattr(loader_module, "copy_pairs", lambda pairs, indices: None)
+    _set_depth(monkeypatch, depth)
+    assert sorted(CheckpointLoader(intact).restore(spec)) == [0, 1]
+    with pytest.raises(RestartError, match="replicated tensor 'a.norm' differs"):
+        CheckpointLoader(tampered).restore(spec)
+
+
+@pytest.mark.parametrize("use_mmap", [True, False])
+def test_each_reshaped_rank_gets_its_own_extra(use_mmap, tmp_path):
+    """A step bump on one restored rank leaves every other rank's alone."""
+    full, axes = fixed_state()
+    full["extra"] = {"iteration": 9, "step": np.arange(3)}
+    source = topology_of(full["model"], axes, (1, 1, 2), shards_per_rank=2)
+    store = FileStore(tmp_path)
+    save_elastic_checkpoint(store, full, source, tag="ckpt", policy=FAST_POLICY)
+    target = topology_of(full["model"], axes, (2, 1, 1))
+    states = CheckpointLoader(store).restore(
+        RestoreSpec.full(tag="ckpt", use_mmap=use_mmap).reshaped(target))
+    assert states[0]["extra"] is not states[1]["extra"]
+    states[0]["extra"]["step"] += 1
+    assert_bits(states[0]["extra"]["step"], np.arange(1, 4), "bumped")
+    assert_bits(states[1]["extra"]["step"], np.arange(3), "untouched")
+    assert states[1]["extra"]["iteration"] == 9
 
 
 def test_offline_reshape_never_builds_the_full_model(tmp_path):

@@ -392,15 +392,15 @@ def _fail_one_worker_copy(monkeypatch):
     """The first group of a copy-out that a prefetch worker copies, not the
     consumer, raises ``MemoryError``; returns the count of worker copies
     begun so far."""
-    real_copy, consumer = loader_module.copy_views, threading.current_thread()
+    real_copy, consumer = loader_module.copy_pairs, threading.current_thread()
     worker_copies = itertools.count()
 
-    def copy_or_fail(views, outputs, indices):
+    def copy_or_fail(pairs, indices):
         if threading.current_thread() is not consumer and next(worker_copies) == 0:
             raise MemoryError("injected copy failure")
-        real_copy(views, outputs, indices)
+        real_copy(pairs, indices)
 
-    monkeypatch.setattr(loader_module, "copy_views", copy_or_fail)
+    monkeypatch.setattr(loader_module, "copy_pairs", copy_or_fail)
     return worker_copies
 
 
@@ -509,18 +509,18 @@ def test_mapped_copy_out_runs_on_every_prefetch_worker(tmp_path, monkeypatch, de
     store = _TrackingStore(tmp_path)
     state = _mixed_state()
     _commit(store, state, shards_per_rank=1)
-    real_copy, consumer = loader_module.copy_views, threading.current_thread()
+    real_copy, consumer = loader_module.copy_pairs, threading.current_thread()
     barrier = threading.Barrier(2, timeout=10) if depth > 1 else None
     copied, copied_lock = [], threading.Lock()
 
-    def copy_in_pairs(views, outputs, indices):
+    def copy_in_pairs(pairs, indices):
         with copied_lock:
             copied.append((threading.current_thread(), list(indices)))
         if barrier is not None:
             barrier.wait()
-        real_copy(views, outputs, indices)
+        real_copy(pairs, indices)
 
-    monkeypatch.setattr(loader_module, "copy_views", copy_in_pairs)
+    monkeypatch.setattr(loader_module, "copy_pairs", copy_in_pairs)
     _set_depth(monkeypatch, depth)
     loaded = CheckpointLoader(store).restore(RestoreSpec.of_rank(0, tag="ckpt"))
 
