@@ -73,6 +73,7 @@ def run_real_engine(
         store.wait_drained()
         drain_metrics = dict(store.drain_metrics())
         drain_metrics["drain_wait_seconds"] = time.perf_counter() - start
+        store.close()  # joins the chain's drain threads
     # CAS stores: the chunk pool's dedup economics (bytes actually written
     # vs logical checkpoint bytes) are the headline of the incremental path.
     dedup_metrics = None

@@ -115,16 +115,8 @@ def _watermark(value: str) -> int:
     return number
 
 
-def _nonneg_int(value: str) -> int:
-    """argparse type: an integer >= 0 (retry counts)."""
-    number = int(value)
-    if number < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0 (got {value})")
-    return number
-
-
 def _nonneg_float(value: str) -> float:
-    """argparse type: a float >= 0 (backoff delays)."""
+    """argparse type: a float >= 0 (durations)."""
     number = float(value)
     if number < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0 (got {value})")
@@ -170,21 +162,13 @@ def _store_parent() -> argparse.ArgumentParser:
                             "'nvme:file:/a:50GiB,pfs:file:/b,object:object'; "
                             "default: 'fast:file,slow:object')")
     group.add_argument("--drain-workers", type=_positive_int, default=None,
-                       help="tiered only: background workers draining "
-                            "committed checkpoints to the slow tier "
+                       help="tiered only: drain threads per link of the "
+                            "chain, however many checkpoints are queued "
                             "(default: the store's)")
     group.add_argument("--keep-local-latest", type=_watermark, default=None,
                        help="tiered only: newest replicated checkpoints "
                             "kept on the fast tier; older ones are evicted "
                             "(-1 disables eviction; default: the store's)")
-    group.add_argument("--drain-retries", type=_nonneg_int, default=None,
-                       help="tiered only: retries per drain on transient "
-                            "slow-tier failures, with exponential backoff "
-                            "(0 disables; default: the store's)")
-    group.add_argument("--drain-backoff", type=_nonneg_float, default=None,
-                       help="tiered only: base backoff seconds between "
-                            "drain retries (attempt k sleeps backoff*2^k; "
-                            "default: the store's)")
     group.add_argument("--inner-store", type=_store_name, default="file",
                        metavar="NAME",
                        help="cas only: backend holding the shared chunk "
@@ -370,15 +354,13 @@ def _store_kwargs(args: argparse.Namespace) -> Optional[dict]:
         ("tiers", args.tiers),
         ("drain_workers", args.drain_workers),
         ("keep_local_latest", args.keep_local_latest),
-        ("drain_retries", args.drain_retries),
-        ("drain_backoff_s", args.drain_backoff),
     ) if value is not None}
     cas_flags = (args.inner_store != "file" or args.namespace is not None
                  or args.incremental)
     if args.store != "tiered" and tiered:
         raise SystemExit(
-            "--tiers/--drain-workers/--keep-local-latest/--drain-retries/"
-            "--drain-backoff only apply to --store tiered "
+            "--tiers/--drain-workers/--keep-local-latest only apply to "
+            "--store tiered "
             f"(got --store {args.store})")
     if args.store != "cas" and cas_flags:
         raise SystemExit(

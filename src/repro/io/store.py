@@ -167,9 +167,9 @@ def _make_tiered_store(root=None, fsync: bool = False,
     file level draining to an in-memory ``slow`` object level.  Levels
     without an explicit root live under ``root/<name>`` (file; level 0's
     sidecar tier-index sits next to its checkpoint directories) or a
-    ``<root>-<name>`` bucket label (object).  Remaining kwargs
-    (``drain_workers``, ``keep_local_latest`` — ``None`` never evicts —,
-    ``drain_retries``, ``drain_backoff_s``, ...) go to the chain.
+    ``<root>-<name>`` bucket label (object).  Remaining kwargs go to the
+    chain: ``drain_workers`` (threads per link) and ``keep_local_latest``
+    (``None`` never evicts).
     """
     from .tiered import (
         DEFAULT_TIER_WATERMARK,

@@ -4,17 +4,20 @@ The paper frames checkpointing as a lazy multilevel pipeline — GPU -> pinned
 host -> node-local storage -> parallel FS -> object store — and
 :class:`TierChain` models exactly that: an **ordered list** of
 :class:`TierLevel` (each a registered :class:`~repro.io.ShardStore` plus an
-optional byte capacity, watermark, and drain-worker budget) where
+optional byte capacity and watermark) where
 
 * **commits land on level 0** — shards, parallel shard writers, and the
   commit manifest all hit the fastest tier, so training unblocks at
   local-disk speed;
 * a background **per-link drain pipeline** moves every committed checkpoint
-  down the chain one link at a time (level 0 -> 1 -> ... -> N-1), copying
-  every shard part first and publishing the manifest *last* on each level,
-  so every level inherits the same commit invariant as every backend: a
+  down the chain one link at a time (level 0 -> 1 -> ... -> N-1).  Each link
+  is one ``ThreadPoolExecutor`` of ``drain_workers`` threads; a link task
+  copies every shard part first and publishes the manifest *last* on its
+  target level, then hands the checkpoint to the next link's executor.  So
+  every level inherits the same commit invariant as every backend (a
   checkpoint is restorable from a level if and only if its manifest exists
-  there;
+  there), and a chain never runs more than ``drain_workers`` drain threads
+  per link, however many checkpoints are queued;
 * restores are **nearest-level-first** — reads walk the chain from level 0
   and serve from the shallowest level holding the data, and a hit on a
   deeper level **promotes on read**: the just-fetched part is re-warmed into
@@ -24,10 +27,10 @@ optional byte capacity, watermark, and drain-worker budget) where
   a deeper level, its copy on a capacity-bounded shallower level becomes
   evictable, and levels are trimmed oldest-first back below
   ``watermark * capacity_bytes`` (levels without a capacity fall back to the
-  legacy ``keep_local_latest`` count on level 0 only);
+  ``keep_local_latest`` count on level 0 only);
 * **backpressure** replaces overflow: when level 0 sits above its high
   watermark, ``write_shard`` / ``create_shard_writer`` block (bounded by
-  ``backpressure_timeout_s``, with the blocked time accumulated in the
+  :data:`BACKPRESSURE_TIMEOUT_S`, with the blocked time accumulated in the
   ``drain_wait_ms`` counter surfaced through ``drain_metrics()``) until
   drains + eviction free headroom — the paper's "slow the trainer instead of
   losing the fast tier".
@@ -36,8 +39,8 @@ Per-checkpoint progress is tracked as a **residency set** (which levels hold
 a committed copy) generalizing the two-tier drain state machine; the legacy
 states are derived views of it::
 
-    LOCAL       residency == {0} and no worker active
-    DRAINING    a drain worker is walking the chain right now
+    LOCAL       not (or no longer) being drained, not on the deepest level
+    DRAINING    claimed by the drain: between its first link and its last
     REPLICATED  the deepest level is in the residency set
 
 A crash mid-drain leaves the target level uncommitted (torn parts, no
@@ -51,8 +54,10 @@ which stay the source of truth — and its legacy ``{"state", "sequence",
 "local"}`` entry shape is preserved (two-element chains stay byte-layout
 compatible with the pre-chain two-tier store).
 
-``delete_checkpoint`` operates **cross-level** (and waits out an in-flight
+``delete_checkpoint`` operates **cross-level** (and waits out a claimed
 drain of the tag), so garbage collection never strands keys on any backend.
+``close()`` stops taking commits and shuts the link executors down; a
+process that exits without it still finishes the links already queued.
 """
 
 from __future__ import annotations
@@ -63,9 +68,11 @@ import os
 import tempfile
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Collection, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 from ..exceptions import CheckpointError
 from ..logging_utils import get_logger
@@ -88,14 +95,13 @@ DEFAULT_DRAIN_WORKERS = 2
 #: checkpoints keep their level-0 copy for quick restarts.
 DEFAULT_KEEP_LOCAL_LATEST = 1
 
-#: Default number of drain retries after a transient deeper-level failure — a
-#: checkpoint only leaves DRAINING on success or once the retries are
-#: exhausted.
-DEFAULT_DRAIN_RETRIES = 2
+#: Retries of one link after a transient deeper-level failure — a checkpoint
+#: only leaves DRAINING on success or once the retries are exhausted.
+DRAIN_RETRIES = 2
 
-#: Default base delay (seconds) of the drain's exponential backoff: attempt
-#: ``k`` (0-based) sleeps ``drain_backoff_s * 2**k`` before retrying.
-DEFAULT_DRAIN_BACKOFF_S = 0.05
+#: Base delay (seconds) of a link's exponential backoff: attempt ``k``
+#: (0-based) sleeps ``DRAIN_BACKOFF_S * 2**k`` before retrying.
+DRAIN_BACKOFF_S = 0.05
 
 #: Default high watermark: a level is trimmed back below this fraction of
 #: its capacity, and commits block while level 0 sits above it.
@@ -103,7 +109,7 @@ DEFAULT_TIER_WATERMARK = 0.9
 
 #: Upper bound on how long one commit may block on backpressure before the
 #: write fails loudly (overflowing the fast tier is never the fallback).
-DEFAULT_BACKPRESSURE_TIMEOUT_S = 60.0
+BACKPRESSURE_TIMEOUT_S = 60.0
 
 
 class DrainState(str, enum.Enum):
@@ -114,9 +120,11 @@ class DrainState(str, enum.Enum):
     stable operator-facing summary.
     """
 
-    #: Not yet fully drained; waiting for (or retrying) its next link.
+    #: Not on the deepest level and not claimed by the drain: queued for
+    #: its first link, or its drain failed.
     LOCAL = "local"
-    #: A drain worker is walking it down the chain right now.
+    #: Claimed by the drain: a link is copying it, or it is queued for the
+    #: next link.
     DRAINING = "draining"
     #: Fully present (manifest included) on the deepest level.
     REPLICATED = "replicated"
@@ -124,26 +132,22 @@ class DrainState(str, enum.Enum):
 
 @dataclass
 class TierLevel:
-    """One level of a :class:`TierChain`: a store plus its drain policy.
+    """One level of a :class:`TierChain`: a store plus its eviction policy.
 
     ``capacity_bytes`` bounds the level (``None`` = unbounded, never evicted
     by watermark); ``watermark`` is the high-water fraction of that capacity
     eviction trims back below (and, on level 0, the commit-backpressure
-    threshold); ``drain_workers`` bounds concurrent drains *out of* this
-    level (``None`` inherits the chain default).
+    threshold).
     """
 
     store: object
     name: Optional[str] = None
     capacity_bytes: Optional[int] = None
-    drain_workers: Optional[int] = None
     watermark: float = DEFAULT_TIER_WATERMARK
 
     def __post_init__(self) -> None:
         if self.capacity_bytes is not None and self.capacity_bytes <= 0:
             raise CheckpointError("TierLevel.capacity_bytes must be positive (or None)")
-        if self.drain_workers is not None and self.drain_workers <= 0:
-            raise CheckpointError("TierLevel.drain_workers must be positive (or None)")
         if not 0.0 < self.watermark <= 1.0:
             raise CheckpointError("TierLevel.watermark must be in (0, 1]")
 
@@ -241,9 +245,6 @@ class _DrainJob:
     state: DrainState = DrainState.LOCAL
     done: threading.Event = field(default_factory=threading.Event)
     error: Optional[BaseException] = None
-    parts_copied: int = 0
-    parts_skipped: int = 0
-    bytes_copied: int = 0
 
     def snapshot(self) -> Dict[str, object]:
         """JSON-serialisable sidecar entry.
@@ -255,6 +256,41 @@ class _DrainJob:
         return {"state": self.state.value, "sequence": self.sequence,
                 "local": 0 in self.residency,
                 "levels": sorted(self.residency)}
+
+
+def eviction_victims(jobs: Iterable[_DrainJob], level_index: int, level: TierLevel,
+                     used: int, tag_bytes: Mapping[Tuple[str, int], int],
+                     keep_local_latest: Optional[int], deleted: Collection[str] = (),
+                     headroom: int = 0) -> List[_DrainJob]:
+    """The checkpoints to evict from one level, oldest first.
+
+    Pure: it reads its arguments and changes nothing.  A candidate is a
+    checkpoint resident on ``level_index`` *and* on a deeper level, and not
+    tombstoned in ``deleted``.  A capacity-bounded level takes candidates in
+    ``sequence`` order until its ``used`` bytes, less each victim's
+    ``tag_bytes[(tag, level_index)]``, are at or below
+    ``watermark * capacity_bytes - headroom``.  Level 0 without a capacity
+    keeps the newest ``keep_local_latest`` candidates (``None``: keeps all).
+    Any other level without a capacity evicts nothing, and so does the
+    deepest level (the durability floor): nothing is resident below it.
+    """
+    candidates = sorted((job for job in jobs
+                         if level_index in job.residency
+                         and max(job.residency) > level_index
+                         and job.tag not in deleted),
+                        key=lambda job: job.sequence)
+    if level.capacity_bytes is not None:
+        limit = max(0.0, level.watermark * level.capacity_bytes - headroom)
+        victims = []
+        for job in candidates:
+            if used <= limit:
+                break
+            victims.append(job)
+            used -= tag_bytes.get((job.tag, level_index), 0)
+        return victims
+    if level_index == 0 and keep_local_latest is not None:
+        return candidates[:max(0, len(candidates) - keep_local_latest)]
+    return []
 
 
 class _HeapShard(MappedShard):
@@ -310,19 +346,14 @@ class TierChain:
 
     See the module docstring for the commit/drain/evict/promote life cycle.
     ``levels`` is a sequence of :class:`TierLevel` (bare stores are wrapped
-    with defaults); chain-level ``drain_workers`` / ``drain_retries`` /
-    ``drain_backoff_s`` apply to every link unless a level overrides its
-    outgoing worker budget.  ``keep_local_latest`` is the legacy count-based
-    eviction watermark applied to level 0 when it has no byte capacity
-    (``None`` disables it).
+    with defaults); ``drain_workers`` sizes every link's executor.
+    ``keep_local_latest`` is the count-based eviction watermark applied to
+    level 0 when it has no byte capacity (``None`` disables it).
     """
 
     def __init__(self, levels: Sequence, drain_workers: int = DEFAULT_DRAIN_WORKERS,
                  keep_local_latest: Optional[int] = DEFAULT_KEEP_LOCAL_LATEST,
-                 drain_retries: int = DEFAULT_DRAIN_RETRIES,
-                 drain_backoff_s: float = DEFAULT_DRAIN_BACKOFF_S,
-                 fsync: bool = False,
-                 backpressure_timeout_s: float = DEFAULT_BACKPRESSURE_TIMEOUT_S) -> None:
+                 fsync: bool = False) -> None:
         wrapped = [level if isinstance(level, TierLevel) else TierLevel(level)
                    for level in levels]
         if len(wrapped) < 2:
@@ -334,12 +365,6 @@ class TierChain:
             raise CheckpointError("drain_workers must be positive")
         if keep_local_latest is not None and keep_local_latest < 0:
             raise CheckpointError("keep_local_latest must be >= 0 (or None)")
-        if drain_retries < 0:
-            raise CheckpointError("drain_retries must be >= 0")
-        if drain_backoff_s < 0:
-            raise CheckpointError("drain_backoff_s must be >= 0")
-        if backpressure_timeout_s <= 0:
-            raise CheckpointError("backpressure_timeout_s must be positive")
         self.levels: List[TierLevel] = wrapped
         self._stores = stores
         self._names = [level.name or f"level{index}"
@@ -349,26 +374,20 @@ class TierChain:
         self._last = len(wrapped) - 1
         self.drain_workers = int(drain_workers)
         self.keep_local_latest = keep_local_latest
-        self.drain_retries = int(drain_retries)
-        self.drain_backoff_s = float(drain_backoff_s)
         self.fsync = fsync
-        self.backpressure_timeout_s = float(backpressure_timeout_s)
         self._lock = threading.RLock()
         self._index_lock = threading.Lock()
         self._space = threading.Condition(self._lock)
         self._jobs: Dict[str, _DrainJob] = {}
         self._deleted: set = set()
         self._sequence = 0
-        #: One semaphore per link i (draining level i -> i+1).
-        self._link_slots = [
-            threading.BoundedSemaphore(level.drain_workers or self.drain_workers)
-            for level in wrapped[:-1]
+        self._closed = False
+        #: One executor per link i (draining level i -> i+1).
+        self._links = [
+            ThreadPoolExecutor(max_workers=self.drain_workers,
+                               thread_name_prefix=f"tiered-drain-{name}")
+            for name in self._names[:-1]
         ]
-        self._threads: List[threading.Thread] = []
-        #: Capacity accounting is only maintained when some level is bounded
-        #: (the unbounded legacy chain pays zero bookkeeping for it).
-        self._capacity_aware = any(level.capacity_bytes is not None
-                                   for level in wrapped)
         self._level_bytes = [0] * len(wrapped)
         self._tag_bytes: Dict[Tuple[str, int], int] = {}
         # -- metrics ---------------------------------------------------------
@@ -387,16 +406,6 @@ class TierChain:
         self._recover()
 
     # -- chain introspection ---------------------------------------------------
-    @property
-    def fast(self):
-        """Level 0's store (the commit tier; legacy two-tier name)."""
-        return self._stores[0]
-
-    @property
-    def slow(self):
-        """The deepest level's store (legacy two-tier name)."""
-        return self._stores[-1]
-
     @property
     def level_names(self) -> List[str]:
         """Display names of the chain's levels, shallowest first."""
@@ -476,11 +485,9 @@ class TierChain:
                 iteration = -1
             return (iteration, tag)
 
-        all_tags = set().union(*committed) if committed else set()
-        ordered = sorted(all_tags, key=commit_order)
         to_drain = []
         with self._lock:
-            for tag in ordered:
+            for tag in sorted(set().union(*committed), key=commit_order):
                 residency = {index for index, tags in enumerate(committed)
                              if tag in tags}
                 job = _DrainJob(tag=tag, sequence=self._next_sequence(),
@@ -489,23 +496,21 @@ class TierChain:
                     job.state = DrainState.REPLICATED
                     job.done.set()
                 else:
-                    job.state = DrainState.LOCAL
-                    to_drain.append(tag)
+                    to_drain.append(job)
                 self._jobs[tag] = job
-        if self._capacity_aware:
-            for index, store in enumerate(self._stores):
+        for index, store in enumerate(self._stores):
+            try:
+                tags = store.list_checkpoints()
+            except Exception:  # noqa: BLE001 - opportunistic accounting
+                continue
+            for tag in tags:
                 try:
-                    tags = store.list_checkpoints()
-                except Exception:  # noqa: BLE001 - opportunistic accounting
+                    self._account(tag, index, int(store.total_bytes(tag)))
+                except Exception:  # noqa: BLE001
                     continue
-                for tag in tags:
-                    try:
-                        self._account(tag, index, int(store.total_bytes(tag)))
-                    except Exception:  # noqa: BLE001
-                        continue
-        for tag in to_drain:
+        for job in to_drain:
             self.drains_resumed += 1
-            self._spawn_drain(tag)
+            self._submit(job, max(job.residency))
         if self._jobs:
             self._persist_sidecar()
 
@@ -515,7 +520,7 @@ class TierChain:
 
     # -- capacity accounting and backpressure ----------------------------------
     def _account(self, tag: str, level_index: int, nbytes: int) -> None:
-        if not self._capacity_aware or nbytes <= 0:
+        if nbytes <= 0:
             return
         with self._lock:
             key = (tag, level_index)
@@ -523,8 +528,6 @@ class TierChain:
             self._level_bytes[level_index] += nbytes
 
     def _discount(self, tag: str, level_index: int) -> None:
-        if not self._capacity_aware:
-            return
         with self._lock:
             freed = self._tag_bytes.pop((tag, level_index), 0)
             self._level_bytes[level_index] -= freed
@@ -532,10 +535,13 @@ class TierChain:
                 self._space.notify_all()
 
     def level_used_bytes(self, level_index: int = 0) -> int:
-        """Accounted bytes currently resident on one level (0 when no level
-        of the chain has a capacity — accounting is off then)."""
+        """Accounted bytes currently resident on one level."""
         with self._lock:
             return self._level_bytes[level_index]
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise CheckpointError("the tier chain is closed: it takes no more commits")
 
     def _gate_commit(self, tag: str, incoming_bytes: int = 0) -> None:
         """Block a level-0 write while the level sits above its watermark.
@@ -543,16 +549,18 @@ class TierChain:
         The "slow the trainer instead of losing the fast tier" behavior:
         waiting gives in-flight drains time to replicate checkpoints deeper
         so eviction can free headroom.  Bounded by
-        ``backpressure_timeout_s`` — on timeout the write fails loudly
+        :data:`BACKPRESSURE_TIMEOUT_S` — on timeout the write fails loudly
         rather than overflowing the level.  Blocked time accumulates in
-        ``drain_wait_ms``.
+        ``drain_wait_ms``.  A closed chain refuses every write here.
         """
+        self._check_open()
         level = self.levels[0]
         if level.capacity_bytes is None:
             return
         limit = level.watermark * level.capacity_bytes
+        timeout = BACKPRESSURE_TIMEOUT_S
         started = None
-        deadline = time.monotonic() + self.backpressure_timeout_s
+        deadline = time.monotonic() + timeout
         while True:
             with self._lock:
                 used = self._level_bytes[0]
@@ -579,7 +587,7 @@ class TierChain:
                     raise CheckpointError(
                         f"backpressure timeout: level 0 ({self._names[0]!r}) "
                         f"held {used} bytes against a watermark of "
-                        f"{int(limit)} for {self.backpressure_timeout_s:.1f}s "
+                        f"{int(limit)} for {timeout:.1f}s "
                         f"while committing {tag!r} — drains cannot keep up")
                 self._space.wait(min(remaining, 0.05))
         if started is not None:
@@ -607,126 +615,134 @@ class TierChain:
         """
         self._gate_commit(tag, incoming_bytes=int(total_bytes))
         inner = self._stores[0].create_shard_writer(tag, shard_name, total_bytes)
-        if not self._capacity_aware:
-            return inner
         return _AccountingShardWriter(self, tag, inner)
 
     def write_manifest(self, tag: str, manifest: Dict) -> object:
-        """Publish the manifest on level 0 and enqueue the drain.
+        """Publish the manifest on level 0 and queue the tag's first link.
 
         The level-0 manifest is the training-visible commit point — the call
         returns as soon as the local publish is durable; replication down
         the chain proceeds in the background.
         """
+        self._check_open()
         receipt = self._stores[0].write_manifest(tag, manifest)
         with self._lock:
             # A re-committed tag supersedes any earlier delete tombstone.
             self._deleted.discard(tag)
-            self._jobs[tag] = _DrainJob(tag=tag, sequence=self._next_sequence())
-        self._spawn_drain(tag)
+            job = _DrainJob(tag=tag, sequence=self._next_sequence())
+            self._jobs[tag] = job
+        try:
+            self._submit(job, 0)
+        except CheckpointError as exc:  # closed between the check and here
+            self._fail(job, exc)
+            raise
         return receipt
 
     # -- the drain pipeline ---------------------------------------------------
-    def _spawn_drain(self, tag: str) -> None:
-        thread = threading.Thread(target=self._drain, args=(tag,),
-                                  name=f"tiered-drain-{tag}", daemon=True)
-        with self._lock:
-            self._threads = [t for t in self._threads if t.is_alive()]
-            self._threads.append(thread)
-            # Started under the lock so close() can never snapshot (and try
-            # to join) a published-but-unstarted thread.
-            thread.start()
-
-    def _drain(self, tag: str) -> None:
-        """Drain worker: walk the checkpoint down the chain link by link.
-
-        Each link copies every part and publishes the manifest last on the
-        target level, retrying transient failures with bounded exponential
-        backoff.  The checkpoint stays DRAINING across retries — it only
-        leaves the state on success (REPLICATED) or once a link's retries
-        are exhausted (back to LOCAL, surfaced in
-        ``failed_drains``/``wait_drained`` and re-attempted by the next
-        construction's recovery scan).
-        """
-        with self._lock:
-            job = self._jobs.get(tag)
-            if job is None or tag in self._deleted:
-                return
-            job.state = DrainState.DRAINING
+    def _submit(self, job: _DrainJob, source: int) -> None:
+        """Queue link ``source`` -> ``source + 1`` of ``job`` on that link's
+        executor."""
         try:
-            self._persist_sidecar()
-            while True:
-                with self._lock:
-                    if tag in self._deleted:
-                        return
-                    source = max(job.residency) if job.residency else -1
-                    if source >= self._last:
-                        break
-                    if source < 0:
-                        raise CheckpointError(
-                            f"checkpoint {tag!r} is resident on no level")
-                with self._link_slots[source]:
-                    self._drain_link(tag, job, source, source + 1)
-                # Eviction is best-effort housekeeping over *other*
-                # checkpoints: its own try so a failed delete is logged and
-                # retried by a later drain, never poisoning the
-                # just-replicated checkpoint's state.
-                try:
-                    self._evict_pass()
-                except Exception as exc:  # noqa: BLE001 - retried next drain
-                    logger.warning("tier eviction failed: %s", exc)
+            self._links[source].submit(self._run_link, job, source)
+        except RuntimeError as exc:  # the executor is shut down
+            raise CheckpointError(
+                f"the tier chain is closed: checkpoint {job.tag!r} stays on "
+                f"level {self._names[source]!r}") from exc
+
+    def _current(self, job: _DrainJob) -> bool:
+        """Whether ``job`` is still the tag's live job (not deleted or
+        superseded by a re-commit)."""
+        return self._jobs.get(job.tag) is job
+
+    def _fail(self, job: _DrainJob, exc: BaseException) -> None:
+        with self._lock:
+            job.error = exc
+            job.state = DrainState.LOCAL
+            self.drains_failed += 1
+        job.done.set()
+        logger.warning("drain of checkpoint %s failed: %s", job.tag, exc)
+
+    def _run_link(self, job: _DrainJob, source: int) -> None:
+        """One link of one checkpoint's drain, on that link's executor.
+
+        The link copies every part and publishes the manifest last on level
+        ``source + 1``, retrying transient failures with bounded exponential
+        backoff.  Every exit either hands the checkpoint to the next link's
+        executor or sets ``job.done``: on the deepest level it is
+        REPLICATED; on a failure that outlives the retries it goes back to
+        LOCAL (surfaced in ``failed_drains``/``wait_drained`` and retried by
+        the next construction's recovery scan); a deleted tag just stops.
+        """
+        try:
+            with self._lock:
+                if not self._current(job):
+                    job.done.set()
+                    return
+                claiming = job.state is not DrainState.DRAINING
+                job.state = DrainState.DRAINING
+            if claiming:
+                self._persist_sidecar()
+            if not self._drain_link(job, source):
+                job.done.set()
+                return
+            # Eviction is best-effort housekeeping over *other* copies: its
+            # own try so a failed delete is logged and retried by a later
+            # link, never poisoning the just-copied checkpoint's state.
+            try:
+                self._evict_pass()
+            except Exception as exc:  # noqa: BLE001 - retried next link
+                logger.warning("tier eviction failed: %s", exc)
+            if source + 1 < self._last:
+                self._submit(job, source + 1)
+                return
             with self._lock:
                 job.state = DrainState.REPLICATED
                 self.drains_completed += 1
             self._persist_sidecar()
-        except BaseException as exc:  # noqa: BLE001 - surfaced via wait_drained
-            with self._lock:
-                job.error = exc
-                job.state = DrainState.LOCAL
-                self.drains_failed += 1
-            logger.warning("drain of checkpoint %s failed after %d attempt(s): %s",
-                           tag, self.drain_retries + 1, exc)
-        finally:
             job.done.set()
+        except BaseException as exc:  # noqa: BLE001 - surfaced via wait_drained
+            self._fail(job, exc)
 
-    def _drain_link(self, tag: str, job: _DrainJob, source: int, target: int) -> None:
-        """One link with retries: copy level ``source`` -> ``target``."""
-        for attempt in range(self.drain_retries + 1):
+    def _drain_link(self, job: _DrainJob, source: int) -> bool:
+        """One link with retries: copy level ``source`` -> ``source + 1``.
+        False when the tag was deleted meanwhile."""
+        target = source + 1
+        for attempt in range(DRAIN_RETRIES):
             try:
-                self._drain_link_once(tag, job, source, target)
-                return
+                return self._drain_link_once(job, source, target)
             except BaseException as exc:  # noqa: BLE001 - retried below
-                if attempt >= self.drain_retries or tag in self._deleted:
+                if not self._current(job):
                     raise
                 with self._lock:
                     self.drains_retried += 1
-                delay = self.drain_backoff_s * (2 ** attempt)
+                delay = DRAIN_BACKOFF_S * (2 ** attempt)
                 logger.warning(
                     "drain of checkpoint %s over link %s->%s failed "
-                    "(attempt %d/%d), retrying in %.3fs: %s", tag,
+                    "(attempt %d/%d), retrying in %.3fs: %s", job.tag,
                     self._names[source], self._names[target], attempt + 1,
-                    self.drain_retries + 1, delay, exc)
+                    DRAIN_RETRIES + 1, delay, exc)
                 if delay > 0:
                     time.sleep(delay)
+        return self._drain_link_once(job, source, target)
 
-    def _drain_link_once(self, tag: str, job: _DrainJob, source: int,
-                         target: int) -> None:
+    def _drain_link_once(self, job: _DrainJob, source: int, target: int) -> bool:
         """One link attempt: copy parts, then the manifest (manifest-last).
 
         Part copies are idempotent (up-to-date target copies are skipped by
         size), so a retry after a mid-copy failure re-uploads only what is
-        missing.  Returns silently when a concurrent delete tombstoned the
-        tag (the caller's finally block marks the job done).
+        missing.  Returns False, publishing nothing more, once a concurrent
+        delete has tombstoned the tag.
         """
+        tag = job.tag
         started = time.perf_counter()
         manifest = self._stores[source].read_manifest(tag)
         for record in manifest.get("shards", []):
-            if tag in self._deleted:
-                return
-            self._drain_part(tag, job, source, target, str(record["name"]),
+            if not self._current(job):
+                return False
+            self._drain_part(tag, source, target, str(record["name"]),
                              int(record["nbytes"]))
-        if tag in self._deleted:
-            return
+        if not self._current(job):
+            return False
         # Manifest last: the target level commits only once every part of
         # the tag is durable there — same invariant as a save.
         self._stores[target].write_manifest(tag, manifest)
@@ -734,9 +750,10 @@ class TierChain:
             job.residency.add(target)
             self.drain_seconds_total += time.perf_counter() - started
         self._persist_sidecar()
+        return True
 
-    def _drain_part(self, tag: str, job: _DrainJob, source: int, target: int,
-                    name: str, nbytes: int) -> None:
+    def _drain_part(self, tag: str, source: int, target: int, name: str,
+                    nbytes: int) -> None:
         """Copy one shard part down a link, skipping up-to-date copies.
 
         The skip is what makes a resumed drain idempotent *and* cheap: parts
@@ -746,8 +763,6 @@ class TierChain:
         """
         try:
             if self._stores[target].shard_size(tag, name) == nbytes:
-                with self._lock:
-                    job.parts_skipped += 1
                 return
         except Exception:  # noqa: BLE001 - absent on the target level: copy it
             pass
@@ -758,8 +773,6 @@ class TierChain:
                 f"drain of {tag}/{name} to level {self._names[target]!r} copied "
                 f"{receipt.nbytes} of {nbytes} bytes")
         with self._lock:
-            job.parts_copied += 1
-            job.bytes_copied += nbytes
             self.bytes_drained += nbytes
         self._account(tag, target, nbytes)
 
@@ -786,39 +799,13 @@ class TierChain:
             self._evict_level(index, headroom=level0_headroom if index == 0 else 0)
 
     def _evict_level(self, level_index: int, headroom: int = 0) -> None:
-        """Evict checkpoints (already resident deeper) from one level.
-
-        Capacity-bounded levels evict oldest-first until the level is back
-        below ``watermark * capacity_bytes`` (less ``headroom``); level 0
-        without a capacity falls back to the legacy ``keep_local_latest``
-        count.  The deepest level is never evicted (it is the durability
-        floor).
-        """
-        level = self.levels[level_index]
+        """Delete :func:`eviction_victims`' choice from one level."""
         with self._lock:
-            candidates = sorted(
-                (job for job in self._jobs.values()
-                 if level_index in job.residency and job.residency
-                 and max(job.residency) > level_index
-                 and job.tag not in self._deleted),
-                key=lambda job: job.sequence)
-            if level.capacity_bytes is not None:
-                limit = max(0.0, level.watermark * level.capacity_bytes - headroom)
-                projected = self._level_bytes[level_index]
-                victims = []
-                for job in candidates:
-                    if projected <= limit:
-                        break
-                    victims.append(job)
-                    projected -= self._tag_bytes.get((job.tag, level_index), 0)
-            elif level_index == 0 and self.keep_local_latest is not None:
-                if self.keep_local_latest:
-                    victims = candidates[:-self.keep_local_latest]
-                else:
-                    victims = candidates
-            else:
-                return
-            # Claiming under the lock keeps concurrent drain threads from
+            victims = eviction_victims(
+                self._jobs.values(), level_index, self.levels[level_index],
+                self._level_bytes[level_index], self._tag_bytes,
+                self.keep_local_latest, self._deleted, headroom)
+            # Claiming under the lock keeps concurrent link workers from
             # double-evicting (and double-counting) the same checkpoint.
             for job in victims:
                 job.residency.discard(level_index)
@@ -830,7 +817,7 @@ class TierChain:
                 except BaseException:
                     with self._lock:
                         # Unclaim everything not deleted: still resident, a
-                        # later drain's eviction pass will retry.
+                        # later link's eviction pass will retry.
                         for remaining in victims[index:]:
                             remaining.residency.add(level_index)
                     raise
@@ -888,7 +875,6 @@ class TierChain:
                           if job.state is not DrainState.REPLICATED)
             return {
                 "drain_workers": self.drain_workers,
-                "drain_retries": self.drain_retries,
                 "drained_checkpoints": self.drains_completed,
                 "resumed_drains": self.drains_resumed,
                 "failed_drains": self.drains_failed,
@@ -905,6 +891,19 @@ class TierChain:
             }
 
     # -- reads (nearest level first) -------------------------------------------
+    def _nearest(self, read: Callable[[object], object]) -> Tuple[int, object]:
+        """``(level index, read(store))`` from the shallowest level that
+        answers.  A level raising :class:`CheckpointError` or ``OSError`` —
+        what every store raises for a missing part or manifest — is skipped;
+        anything else propagates.  When no level answers, the deepest
+        level's error is raised."""
+        for index, store in enumerate(self._stores[:-1]):
+            try:
+                return index, read(store)
+            except (CheckpointError, OSError):
+                continue
+        return self._last, read(self._stores[-1])
+
     def read_shard(self, tag: str, shard_name: str, out=None):
         """Read one shard from the nearest level holding it (into ``out``,
         when given: the level that is read fills it).
@@ -914,18 +913,11 @@ class TierChain:
         into every level above the hit so the next restore of this
         checkpoint is served nearer again.
         """
-        last_error: Optional[BaseException] = None
-        for index, store in enumerate(self._stores):
-            try:
-                payload = store.read_shard(tag, shard_name, out=out)
-            except (CheckpointError, OSError) as exc:
-                last_error = exc
-                continue
-            if index:
-                self._promote_part(tag, shard_name, payload, index)
-            return payload
-        raise last_error if last_error is not None else CheckpointError(
-            f"shard {shard_name!r} of checkpoint {tag!r} is on no tier level")
+        index, payload = self._nearest(
+            lambda store: store.read_shard(tag, shard_name, out=out))
+        if index:
+            self._promote_part(tag, shard_name, payload, index)
+        return payload
 
     def _promote_part(self, tag: str, shard_name: str, payload: bytes,
                       hit_index: int) -> None:
@@ -1003,13 +995,8 @@ class TierChain:
     def read_shard_range(self, tag: str, shard_name: str,
                          offset: int, length: int) -> bytes:
         """Ranged read from the nearest level that holds the shard."""
-        last_error: Optional[BaseException] = None
-        for store in self._stores:
-            try:
-                return store.read_shard_range(tag, shard_name, offset, length)
-            except (CheckpointError, OSError) as exc:
-                last_error = exc
-        raise last_error
+        return self._nearest(lambda store: store.read_shard_range(
+            tag, shard_name, offset, length))[1]
 
     def open_shard_mmap(self, tag: str, shard_name: str) -> MappedShard:
         """Zero-copy map from the nearest mappable level; heap fallback.
@@ -1030,25 +1017,11 @@ class TierChain:
 
     def read_manifest(self, tag: str) -> Dict:
         """Read the commit manifest from the nearest level holding it."""
-        last_error: Optional[BaseException] = None
-        for store in self._stores:
-            try:
-                return store.read_manifest(tag)
-            except (CheckpointError, OSError) as exc:
-                last_error = exc
-        raise last_error if last_error is not None else CheckpointError(
-            f"checkpoint {tag!r} has no manifest on any tier level")
+        return self._nearest(lambda store: store.read_manifest(tag))[1]
 
     def shard_size(self, tag: str, shard_name: str) -> int:
         """Stored size of one shard, nearest level first."""
-        last_error: Optional[BaseException] = None
-        for store in self._stores:
-            try:
-                return store.shard_size(tag, shard_name)
-            except Exception as exc:  # noqa: BLE001 - FileStore raises FileNotFoundError
-                last_error = exc
-        raise last_error if last_error is not None else CheckpointError(
-            f"shard {shard_name!r} of checkpoint {tag!r} is on no tier level")
+        return self._nearest(lambda store: store.shard_size(tag, shard_name))[1]
 
     # -- management (cross-level) ------------------------------------------------
     def list_checkpoints(self) -> List[str]:
@@ -1073,16 +1046,16 @@ class TierChain:
     def delete_checkpoint(self, tag: str) -> None:
         """Remove ``tag`` from every level (cross-level GC).
 
-        An in-flight drain of the tag is told to abort (it checks the
-        tombstone between parts and links) and waited out, so the delete
-        cannot race a late part/manifest PUT into resurrecting the
-        checkpoint on a deeper level.
+        A claimed drain of the tag — a link copying it, or the tag queued
+        for its next link — is told to stop (it checks between parts and
+        links) and waited out, so the delete cannot race a late part or
+        manifest PUT into resurrecting the checkpoint on a deeper level.
         """
         with self._lock:
             self._deleted.add(tag)
             job = self._jobs.pop(tag, None)
-            # Only a drain that already claimed the job will set done; one
-            # that finds the job gone returns without touching the event.
+            # A job still queued for its first link was never claimed: that
+            # link finds it gone and publishes nothing.
             claimed = (job is not None and job.state is DrainState.DRAINING
                        and not job.done.is_set())
         if claimed:
@@ -1103,18 +1076,21 @@ class TierChain:
 
     # -- lifecycle --------------------------------------------------------------
     def close(self, wait: bool = True) -> None:
-        """Join outstanding drain threads (drains are daemons; this is for
-        deterministic teardown in tests and at the end of a run)."""
-        if not wait:
-            return
+        """Take no more commits and shut the link executors down.
+
+        With ``wait`` the links are shut down shallowest first, each after
+        its queued tasks ran, so every queued checkpoint still reaches the
+        deepest level and no drain thread is left.  Without it, a link that
+        finishes after its next link's executor is shut down fails the
+        checkpoint's drain (it stays LOCAL; the next chain resumes it).
+        """
         with self._lock:
-            threads = list(self._threads)
-        for thread in threads:
-            thread.join()
+            self._closed = True
+        for executor in self._links:
+            executor.shutdown(wait=wait)
 
     def __enter__(self) -> "TierChain":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close(wait=exc_type is None)
-

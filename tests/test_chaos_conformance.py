@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.io.tiered as tiered
 from repro.config import CheckpointPolicy
 from repro.core import ENGINE_NAMES, TwoPhaseCommitCoordinator, create_real_engine
 from repro.exceptions import CheckpointError, ConsistencyError, RestartError
@@ -66,6 +67,12 @@ SCENARIOS = {
 }
 
 pytestmark = pytest.mark.parametrize("engine_name", ENGINE_NAMES)
+
+
+@pytest.fixture(autouse=True)
+def _short_drain_backoff(monkeypatch):
+    """A chain's drain retries here back off 10 ms, not the module's 50 ms."""
+    monkeypatch.setattr(tiered, "DRAIN_BACKOFF_S", 0.01)
 
 
 @pytest.fixture(params=STORE_NAMES)
@@ -120,7 +127,7 @@ def _build_store(store_backend: str, plan: FaultPlan, tmp_path: Path):
     assert store_backend == "tiered"
     slow = FaultyStore(ObjectStore(), plan)
     store = TierChain([TierLevel(FileStore(tmp_path / "fast"), name="fast"),
-                       TierLevel(slow, name="slow")], drain_backoff_s=0.01)
+                       TierLevel(slow, name="slow")])
     return store, store, slow
 
 
@@ -417,7 +424,7 @@ def _build_chain_store(plan: FaultPlan, tmp_path: Path):
         TierLevel(FileStore(tmp_path / "fast"), name="fast"),
         TierLevel(faulty_mid, name="mid"),
         TierLevel(ObjectStore(), name="deep"),
-    ], keep_local_latest=None, drain_backoff_s=0.01)
+    ], keep_local_latest=None)
     return store, faulty_mid
 
 
@@ -464,7 +471,7 @@ def test_chaos_mid_chain_persistent_errors_fail_loudly(engine_name, tmp_path):
     # or deeper (manifest-last per link), and the chain reports the failure.
     with faulty_mid.suspend():
         assert faulty_mid.list_committed_checkpoints() == []
-    assert store.slow.list_committed_checkpoints() == []
+    assert store.levels[-1].store.list_committed_checkpoints() == []
     assert store.drain_metrics()["failed_drains"] >= 1
     state = CheckpointLoader(store).restore(RestoreSpec.full(tag="ckpt-1"))[0]
     np.testing.assert_array_equal(state["model"]["w"], want["model"]["w"])
@@ -495,8 +502,8 @@ def test_chaos_mid_chain_read_outage_falls_through(engine_name, tmp_path):
     reopened = TierChain([
         TierLevel(FileStore(tmp_path / "fast"), name="fast"),
         TierLevel(faulty_mid, name="mid"),
-        TierLevel(store.slow, name="deep"),
-    ], keep_local_latest=None, drain_backoff_s=0.01)
+        TierLevel(store.levels[-1].store, name="deep"),
+    ], keep_local_latest=None)
     try:
         state = CheckpointLoader(reopened).restore(
             RestoreSpec.full(tag="ckpt-1"))[0]

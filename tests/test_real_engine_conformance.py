@@ -103,8 +103,7 @@ def _state(seed=0, size=512):
 def _make_store(store_backend, tmp_path, name) -> ShardStore:
     if store_backend == "tiered3":
         store = create_store("tiered", root=tmp_path / name,
-                             tiers="nvme:file,pfs:file,object:object",
-                             drain_backoff_s=0.01)
+                             tiers="nvme:file,pfs:file,object:object")
     else:
         store = create_store(store_backend, root=tmp_path / name)
     assert isinstance(store, ShardStore)

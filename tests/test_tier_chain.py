@@ -1,17 +1,23 @@
 """Tests for the N-level tier chain: chain construction and the ``--tiers``
-spec grammar, per-link drains through three levels, nearest-level-first
-restores with multi-level promote-on-read, watermark eviction on interior
-levels, commit backpressure at the level-0 watermark (``drain_wait_ms``),
+spec grammar, per-link drains through three levels, one executor per link
+(its thread bound, hand-offs, a delete behind a queued link, ``close``),
+nearest-level-first restores with multi-level promote-on-read, watermark
+eviction on interior levels and its pure victim choice against a sorted-list
+oracle, commit backpressure at the level-0 watermark (``drain_wait_ms``),
 pre-refactor sidecar compatibility, and the per-link generalization of the
 analytic drain-lag loss window."""
 
 import json
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import repro.io.tiered as tiered
 from repro.config import PlatformSpec
 from repro.core import create_real_engine
 from repro.exceptions import CheckpointError, ConfigurationError
@@ -28,9 +34,15 @@ from repro.io import (
     create_store,
     parse_tier_chain_spec,
 )
-from repro.io.tiered import TIER_INDEX_NAME
+from repro.io.tiered import TIER_INDEX_NAME, _DrainJob, eviction_victims
 from repro.restart import CheckpointLoader, RestoreSpec
 from repro.units import parse_bytes
+
+
+@pytest.fixture(autouse=True)
+def _short_drain_backoff(monkeypatch):
+    """Drain retries here back off 10 ms, not the module's 50 ms."""
+    monkeypatch.setattr(tiered, "DRAIN_BACKOFF_S", 0.01)
 
 
 def _state(seed=0, size=256):
@@ -45,7 +57,6 @@ def _state(seed=0, size=256):
 def _chain3(tmp_path, **kwargs) -> TierChain:
     """A 3-level file -> file -> object chain with no eviction by default."""
     kwargs.setdefault("keep_local_latest", None)
-    kwargs.setdefault("drain_backoff_s", 0.01)
     return TierChain(
         [
             TierLevel(FileStore(tmp_path / "nvme"), name="nvme"),
@@ -70,6 +81,23 @@ def _commit_raw(store, tag, payload=b"0123456789", iteration=0):
     store.write_shard(tag, "rank0", [payload])
     store.write_manifest(tag, {"tag": tag, "iteration": iteration, "shards": [
         {"rank": 0, "name": "rank0", "nbytes": len(payload), "checksum": None}]})
+
+
+def _wait_for(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert predicate()
+
+
+def _gated_chain3(tmp_path, gated, **kwargs) -> TierChain:
+    """nvme -> pfs -> ``gated``: the deepest level's shard writes wait for
+    its gate."""
+    return TierChain([
+        TierLevel(FileStore(tmp_path / "nvme"), name="nvme"),
+        TierLevel(FileStore(tmp_path / "pfs"), name="pfs"),
+        TierLevel(gated, name="object"),
+    ], keep_local_latest=None, **kwargs)
 
 
 class _GatedStore(ObjectStore):
@@ -126,8 +154,8 @@ def test_tier_level_validation():
     store = ObjectStore()
     with pytest.raises(CheckpointError):
         TierLevel(store, capacity_bytes=0)
-    with pytest.raises(CheckpointError):
-        TierLevel(store, drain_workers=0)
+    with pytest.raises(TypeError):  # drain_workers is the chain's alone
+        TierLevel(store, drain_workers=1)
     with pytest.raises(CheckpointError):
         TierLevel(store, watermark=0.0)
     with pytest.raises(CheckpointError):
@@ -145,11 +173,11 @@ def test_create_store_tiers_builds_chain(tmp_path):
     assert isinstance(store, TierChain)
     assert isinstance(store, ShardStore)
     assert store.level_names == ["nvme", "pfs", "object"]
-    assert isinstance(store.fast, FileStore)
+    assert isinstance(store.levels[0].store, FileStore)
     assert isinstance(store.levels[1].store, FileStore)
-    assert isinstance(store.slow, ObjectStore)
+    assert isinstance(store.levels[-1].store, ObjectStore)
     # Per-level roots derive from the chain root and the level name.
-    assert store.fast.root == tmp_path / "chain" / "nvme"
+    assert store.levels[0].store.root == tmp_path / "chain" / "nvme"
     assert store.levels[1].store.root == tmp_path / "chain" / "pfs"
     assert store.levels[0].capacity_bytes == 16 * 2**20
     assert store.levels[0].watermark == 0.75
@@ -173,8 +201,8 @@ def test_chain_constructor_validation(tmp_path):
     with pytest.raises(CheckpointError):
         TierChain([TierLevel(fast, name="x"),
                    TierLevel(ObjectStore(), name="x")])  # duplicate names
-    with pytest.raises(CheckpointError):
-        TierChain([fast, ObjectStore()], backpressure_timeout_s=0.0)
+    with pytest.raises(TypeError):  # BACKPRESSURE_TIMEOUT_S is a module constant
+        TierChain([fast, ObjectStore()], backpressure_timeout_s=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +246,13 @@ def test_chain_drain_publishes_manifest_last_per_link(tmp_path):
         # Link 0 is gated at its first shard PUT: nothing may be committed on
         # the interior or deep level yet.
         assert gated.list_committed_checkpoints() == []
-        assert store.slow.list_committed_checkpoints() == []
+        assert store.levels[-1].store.list_committed_checkpoints() == []
         assert store.residency_names("ckpt-1") == ["nvme"]
     finally:
         gated.gate.set()
     store.wait_drained(timeout=30.0)
     assert gated.list_committed_checkpoints() == ["ckpt-1"]
-    assert store.slow.list_committed_checkpoints() == ["ckpt-1"]
+    assert store.levels[-1].store.list_committed_checkpoints() == ["ckpt-1"]
     store.close()
 
 
@@ -258,7 +286,7 @@ def _torn_source_chain(tmp_path, plan):
     """Level 0 tears shard reads per ``plan``; level 1 is a plain object store."""
     return TierChain([TierLevel(FaultyStore(FileStore(tmp_path / "l0"), plan), name="l0"),
                       TierLevel(ObjectStore(), name="object")],
-                     keep_local_latest=None, drain_retries=2, drain_backoff_s=0.0)
+                     keep_local_latest=None)
 
 
 def test_short_drain_copy_never_publishes_the_deeper_manifest(tmp_path):
@@ -269,7 +297,7 @@ def test_short_drain_copy_never_publishes_the_deeper_manifest(tmp_path):
         _commit_raw(store, "ckpt-1", payload=b"x" * 4096)
         with pytest.raises(CheckpointError, match="2048 of 4096"):
             store.wait_drained(timeout=30.0)
-        assert store.slow.list_committed_checkpoints() == []
+        assert store.levels[-1].store.list_committed_checkpoints() == []
         assert store.residency_names("ckpt-1") == ["l0"]
     finally:
         store.close()
@@ -288,8 +316,138 @@ def test_short_drain_copy_is_retried_to_a_full_copy(tmp_path):
         _commit_raw(store, "ckpt-1", payload=payload)
         store.wait_drained(timeout=30.0)
         assert store.drains_retried == 1
-        assert store.slow.list_committed_checkpoints() == ["ckpt-1"]
-        assert store.slow.read_shard("ckpt-1", "rank0") == payload
+        assert store.levels[-1].store.list_committed_checkpoints() == ["ckpt-1"]
+        assert store.levels[-1].store.read_shard("ckpt-1", "rank0") == payload
+    finally:
+        store.close()
+
+
+# ---------------------------------------------------------------------------
+# One executor per link: bounded threads, hand-offs, deletes and close
+# ---------------------------------------------------------------------------
+
+def test_a_stalled_deep_level_holds_at_most_drain_workers_threads_per_link(tmp_path):
+    """30 commits behind a gated deepest level: each link runs at most
+    ``drain_workers`` drain threads while the gate is closed, every tag
+    drains once it opens, and no drain thread outlives ``close()``."""
+    before = set(threading.enumerate())
+
+    def drain_threads(prefix="tiered-drain"):
+        return [thread for thread in threading.enumerate()
+                if thread not in before and thread.name.startswith(prefix)]
+
+    gated = _GatedStore()
+    store = _gated_chain3(tmp_path, gated, drain_workers=2)
+    tags = [f"ckpt-{index:02d}" for index in range(30)]
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more hand-offs interleave with commits
+    try:
+        for index, tag in enumerate(tags):
+            _commit_raw(store, tag, iteration=index)
+        # Link 0 is open: every tag reaches pfs and queues for the gated link.
+        _wait_for(lambda: all(store.residency_names(tag) == ["nvme", "pfs"]
+                              for tag in tags))
+        assert len(drain_threads()) <= 4
+        assert 0 < len(drain_threads("tiered-drain-pfs")) <= 2
+        assert len(drain_threads("tiered-drain-nvme")) <= 2
+    finally:
+        gated.gate.set()
+        sys.setswitchinterval(switch_interval)
+    store.wait_drained(timeout=30.0)
+    assert sorted(gated.list_committed_checkpoints()) == tags
+    metrics = store.drain_metrics()
+    assert metrics["drained_checkpoints"] == 30
+    assert metrics["bytes_drained"] == 30 * 2 * len(b"0123456789")  # two links each
+    store.close()
+    assert drain_threads() == []
+
+
+def test_delete_behind_a_queued_link_waits_for_it_and_strands_nothing(tmp_path):
+    """Tag A holds link 1 at a gate; tag B finished link 0 and is queued
+    behind A.  Deleting B returns once B's queued link has run (after the
+    gate opens), B leaves nothing on any level, and A still drains.  After
+    ``close()`` a commit fails as a CheckpointError."""
+    gated = _GatedStore()
+    store = _gated_chain3(tmp_path, gated, drain_workers=1)
+    try:
+        _commit_raw(store, "ckpt-a", iteration=1)
+        _commit_raw(store, "ckpt-b", iteration=2)
+        _wait_for(lambda: store.residency_names("ckpt-b") == ["nvme", "pfs"])
+        assert store.drain_status("ckpt-b") is DrainState.DRAINING
+        deleter = threading.Thread(target=store.delete_checkpoint, args=("ckpt-b",))
+        deleter.start()
+        deleter.join(timeout=0.2)
+        assert deleter.is_alive()  # B's link is queued behind A's, at the gate
+    finally:
+        gated.gate.set()
+    deleter.join(timeout=30.0)
+    assert not deleter.is_alive()
+    for level in store.levels:
+        assert "ckpt-b" not in level.store.list_checkpoints()
+    assert [key for key in gated.keys() if key.startswith("ckpt-b/")] == []
+    store.wait_drained("ckpt-a", timeout=30.0)
+    assert store.residency_names("ckpt-a") == ["nvme", "pfs", "object"]
+    store.close()
+    with pytest.raises(CheckpointError, match="closed"):
+        store.write_shard("ckpt-c", "rank0", [b"0123456789"])
+    with pytest.raises(CheckpointError, match="closed"):
+        store.write_manifest("ckpt-c", {"tag": "ckpt-c", "iteration": 3, "shards": []})
+    assert "ckpt-c" not in store.list_checkpoints()
+
+
+def test_close_without_wait_fails_the_hand_off_instead_of_hanging(tmp_path):
+    """A link that finishes after ``close(wait=False)`` cannot queue the
+    next link: the drain fails loudly (never hangs ``wait_drained``), the
+    tag stays LOCAL, and the next chain over the same levels resumes it."""
+    gated_mid, deep = _GatedStore(bucket="mid"), ObjectStore(bucket="deep")
+
+    def chain():
+        return TierChain([TierLevel(FileStore(tmp_path / "nvme"), name="nvme"),
+                          TierLevel(gated_mid, name="mid"),
+                          TierLevel(deep, name="deep")], keep_local_latest=None)
+
+    store = chain()
+    _commit_raw(store, "ckpt-1")
+    _wait_for(lambda: store.drain_status("ckpt-1") is DrainState.DRAINING)
+    store.close(wait=False)
+    gated_mid.gate.set()
+    with pytest.raises(CheckpointError, match="closed"):
+        store.wait_drained("ckpt-1", timeout=30.0)
+    assert store.drain_status("ckpt-1") is DrainState.LOCAL
+    assert deep.list_committed_checkpoints() == []
+    reopened = chain()
+    try:
+        reopened.wait_drained(timeout=30.0)
+        assert deep.list_committed_checkpoints() == ["ckpt-1"]
+    finally:
+        reopened.close()
+
+
+class _SizeBugStore(ObjectStore):
+    """A level whose ``shard_size`` has a programming error."""
+
+    def shard_size(self, tag, shard_name):
+        raise TypeError("a bug in this level, not a missing part")
+
+
+def test_shard_size_surfaces_a_level_bug_instead_of_asking_deeper(tmp_path):
+    """Only what stores raise for a missing part (CheckpointError, OSError)
+    falls through to a deeper level; a TypeError in a level surfaces."""
+    deep = ObjectStore(bucket="deep")
+    _commit_raw(deep, "ckpt-1")
+    store = TierChain([TierLevel(_SizeBugStore(), name="l0"),
+                       TierLevel(deep, name="deep")], keep_local_latest=None)
+    try:
+        with pytest.raises(TypeError, match="a bug in this level"):
+            store.shard_size("ckpt-1", "rank0")
+    finally:
+        store.close()
+    store = TierChain([TierLevel(FileStore(tmp_path / "l0"), name="l0"),
+                       TierLevel(deep, name="deep")], keep_local_latest=None)
+    try:
+        assert store.shard_size("ckpt-1", "rank0") == 10  # FileNotFoundError on l0
+        with pytest.raises(CheckpointError):
+            store.shard_size("ckpt-1", "absent")  # the deepest level's error
     finally:
         store.close()
 
@@ -349,7 +507,7 @@ def test_restore_from_interior_level_promotes_to_level_zero(tmp_path):
     chain = TierChain([
         TierLevel(FileStore(tmp_path / "nvme"), name="nvme"),
         TierLevel(pfs, name="pfs"), TierLevel(deep, name="object"),
-    ], keep_local_latest=None, drain_backoff_s=0.01)
+    ], keep_local_latest=None)
     try:
         # Recovery sees pfs-only residency and resumes the drain; wait it out
         # so the read below exercises promotion, not the drain.
@@ -376,7 +534,7 @@ def test_interior_level_evicts_back_below_watermark(tmp_path):
         TierLevel(FileStore(tmp_path / "pfs"), name="pfs",
                   capacity_bytes=6000, watermark=0.9),
         TierLevel(ObjectStore(), name="object"),
-    ], keep_local_latest=None, drain_backoff_s=0.01)
+    ], keep_local_latest=None)
     try:
         _commit_raw(store, "ckpt-1", payload, iteration=1)
         store.wait_drained("ckpt-1", timeout=30.0)
@@ -391,7 +549,7 @@ def test_interior_level_evicts_back_below_watermark(tmp_path):
         assert "ckpt-1" not in store.levels[1].store.list_committed_checkpoints()
         # The chain still serves both (nearest remaining level), and the
         # deepest level still holds everything.
-        assert sorted(store.slow.list_committed_checkpoints()) == [
+        assert sorted(store.levels[-1].store.list_committed_checkpoints()) == [
             "ckpt-1", "ckpt-2"]
         assert store.read_shard("ckpt-1", "rank0") == payload
     finally:
@@ -403,7 +561,7 @@ def test_uncapacitied_level_zero_keeps_legacy_count_eviction(tmp_path):
         TierLevel(FileStore(tmp_path / "nvme"), name="nvme"),
         TierLevel(FileStore(tmp_path / "pfs"), name="pfs"),
         TierLevel(ObjectStore(), name="object"),
-    ], keep_local_latest=1, drain_backoff_s=0.01)
+    ], keep_local_latest=1)
     try:
         for index in (1, 2):
             _commit_raw(store, f"ckpt-{index}", iteration=index)
@@ -421,6 +579,85 @@ def test_uncapacitied_level_zero_keeps_legacy_count_eviction(tmp_path):
         store.close()
 
 
+def _victims_oracle(jobs, level_index, level, deepest, used, tag_bytes,
+                    keep_local_latest, deleted, headroom):
+    """The eviction rules, restated over a sorted list."""
+    if level_index == deepest:  # the durability floor
+        return []
+    eligible = [job.tag for job in sorted(jobs, key=lambda job: job.sequence)
+                if level_index in job.residency
+                and any(other > level_index for other in job.residency)
+                and job.tag not in deleted]
+    if level.capacity_bytes is not None:
+        limit = max(0.0, level.watermark * level.capacity_bytes - headroom)
+        left = [used - sum(tag_bytes.get((tag, level_index), 0) for tag in eligible[:count])
+                for count in range(len(eligible) + 1)]
+        count = next((count for count, rest in enumerate(left) if rest <= limit),
+                     len(eligible))
+        return eligible[:count]
+    if level_index == 0 and keep_local_latest is not None:
+        newest = set(eligible[::-1][:keep_local_latest])
+        return [tag for tag in eligible if tag not in newest]
+    return []
+
+
+@st.composite
+def _eviction_cases(draw):
+    depth = draw(st.integers(2, 4))
+    sequences = draw(st.lists(st.integers(0, 10_000), max_size=12, unique=True))
+    jobs, tag_bytes = [], {}
+    for index, sequence in enumerate(sequences):
+        residency = draw(st.sets(st.integers(0, depth - 1), min_size=1))
+        jobs.append(_DrainJob(tag=f"t{index}", sequence=sequence, residency=set(residency)))
+        for level_index in residency:
+            tag_bytes[(f"t{index}", level_index)] = draw(st.sampled_from([0, 5, 10, 20]))
+    deleted = draw(st.sets(st.sampled_from([job.tag for job in jobs]))) if jobs else set()
+    # Few whole sizes and limits, so "exactly at the limit" comes up often.
+    level = TierLevel(ObjectStore(),
+                      capacity_bytes=draw(st.none() | st.sampled_from([20, 40, 80])),
+                      watermark=draw(st.sampled_from([0.5, 1.0])))
+    level_index = draw(st.integers(0, depth - 1))
+    # What the level holds: its residents' bytes, plus parts of tags not
+    # yet committed there.
+    used = sum(size for (_tag, index), size in tag_bytes.items() if index == level_index)
+    return dict(jobs=jobs, level_index=level_index, level=level, deepest=depth - 1,
+                used=used + draw(st.sampled_from([0, 5, 10])), tag_bytes=tag_bytes,
+                keep_local_latest=draw(st.none() | st.integers(0, 5)),
+                deleted=deleted, headroom=draw(st.sampled_from([0, 5, 10, 20])))
+
+
+def _case(level_index, capacity_bytes, used, keep_local_latest, residents):
+    """A hand-written eviction case: ``residents`` maps a tag to its
+    ``{level: bytes}``; sequences follow their order."""
+    return dict(
+        jobs=[_DrainJob(tag=tag, sequence=index, residency=set(sizes))
+              for index, (tag, sizes) in enumerate(residents.items())],
+        level_index=level_index,
+        level=TierLevel(ObjectStore(), capacity_bytes=capacity_bytes, watermark=0.5),
+        deepest=2, used=used, keep_local_latest=keep_local_latest, deleted=set(),
+        headroom=0, tag_bytes={(tag, level): size for tag, sizes in residents.items()
+                               for level, size in sizes.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_eviction_cases())
+# Interior level: a victim frees its bytes on *this* level, and the level
+# stops exactly at its limit (20 bytes over a 10-byte limit: one victim).
+@example(_case(1, 20, 20, None, {"a": {0: 0, 1: 10, 2: 10}, "b": {1: 10, 2: 10}}))
+# keep_local_latest above the number of candidates keeps them all.
+@example(_case(0, None, 30, 4, {tag: {0: 10, 1: 10} for tag in "abc"}))
+def test_eviction_victims_match_a_sorted_list_oracle(case):
+    """Oldest first; only tags resident deeper and not tombstoned; stop at
+    or below ``watermark * capacity - headroom``; ``keep_local_latest``
+    keeps level 0's newest; the deepest level never evicts."""
+    residency_before = {job.tag: set(job.residency) for job in case["jobs"]}
+    victims = eviction_victims(**{key: value for key, value in case.items()
+                                  if key != "deepest"})
+    assert [job.tag for job in victims] == _victims_oracle(**case)
+    # Pure: nothing it was handed changed.
+    assert {job.tag: job.residency for job in case["jobs"]} == residency_before
+
+
 # ---------------------------------------------------------------------------
 # Backpressure: commits block at the level-0 watermark
 # ---------------------------------------------------------------------------
@@ -435,7 +672,7 @@ def test_commit_blocks_at_watermark_until_drain_frees_space(tmp_path):
         TierLevel(FileStore(tmp_path / "nvme"), name="nvme",
                   capacity_bytes=64 * 1024, watermark=0.9),
         TierLevel(gated, name="object"),
-    ], keep_local_latest=None, drain_backoff_s=0.01)
+    ], keep_local_latest=None)
     payload = b"a" * (60 * 1024)  # above the 57.6 KiB watermark on its own
     try:
         _commit_raw(store, "ckpt-1", payload, iteration=1)
@@ -467,7 +704,7 @@ def test_commit_blocks_at_watermark_until_drain_frees_space(tmp_path):
         store.close()
 
 
-def test_large_incoming_write_evicts_past_the_watermark(tmp_path):
+def test_large_incoming_write_evicts_past_the_watermark(tmp_path, monkeypatch):
     """Regression: a pending commit bigger than the level's free headroom
     must drive eviction BELOW the watermark.  With the level just under its
     watermark, a headroom-blind eviction pass sees a healthy level, frees
@@ -476,8 +713,8 @@ def test_large_incoming_write_evicts_past_the_watermark(tmp_path):
         TierLevel(FileStore(tmp_path / "nvme"), name="nvme",
                   capacity_bytes=64 * 1024, watermark=0.9),
         TierLevel(ObjectStore(), name="object"),
-    ], keep_local_latest=None, drain_backoff_s=0.01,
-        backpressure_timeout_s=10.0)
+    ], keep_local_latest=None)
+    monkeypatch.setattr(tiered, "BACKPRESSURE_TIMEOUT_S", 10.0)
     payload = b"c" * (40 * 1024)  # under the 57.6 KiB watermark on its own
     try:
         _commit_raw(store, "ckpt-1", payload, iteration=1)
@@ -500,13 +737,14 @@ def test_large_incoming_write_evicts_past_the_watermark(tmp_path):
         store.close()
 
 
-def test_backpressure_times_out_loudly(tmp_path):
+def test_backpressure_times_out_loudly(tmp_path, monkeypatch):
+    monkeypatch.setattr(tiered, "BACKPRESSURE_TIMEOUT_S", 0.2)
     gated = _GatedStore()
     store = TierChain([
         TierLevel(FileStore(tmp_path / "nvme"), name="nvme",
                   capacity_bytes=16 * 1024, watermark=0.5),
         TierLevel(gated, name="object"),
-    ], keep_local_latest=None, backpressure_timeout_s=0.2)
+    ], keep_local_latest=None)
     payload = b"b" * (12 * 1024)
     try:
         _commit_raw(store, "ckpt-1", payload)
@@ -610,8 +848,8 @@ def test_tiered_store_is_a_two_level_chain(tmp_path):
         assert store.level_names == ["fast", "slow"]
         assert len(store.levels) == 2
         assert store.drain_metrics()["tier_levels"] == 2
-        assert store.fast.root == tmp_path / "fast"
-        assert isinstance(store.slow, ObjectStore)
+        assert store.levels[0].store.root == tmp_path / "fast"
+        assert isinstance(store.levels[-1].store, ObjectStore)
         _save(store, ["ckpt-1"])
         store.wait_drained(timeout=30.0)
         sidecar = json.loads(
@@ -626,12 +864,13 @@ def test_default_tiered_root_reopens_and_resumes_a_half_done_drain(tmp_path, mon
     """A root written through the default factory reopens through it: the
     checkpoint whose drain died before its manifest reached the slow level
     restores from level 0 and is drained again."""
-    store = create_store("tiered", root=tmp_path, drain_retries=0)
+    monkeypatch.setattr(tiered, "DRAIN_RETRIES", 0)
+    store = create_store("tiered", root=tmp_path)
 
     def outage(tag, manifest):
         raise CheckpointError("simulated slow-level outage at manifest PUT")
 
-    monkeypatch.setattr(store.slow, "write_manifest", outage)
+    monkeypatch.setattr(store.levels[-1].store, "write_manifest", outage)
     _save(store, ["ckpt-1"])
     with pytest.raises(CheckpointError):
         store.wait_drained(timeout=30.0)
@@ -643,7 +882,7 @@ def test_default_tiered_root_reopens_and_resumes_a_half_done_drain(tmp_path, mon
         assert reopened.drain_metrics()["resumed_drains"] == 1
         reopened.wait_drained(timeout=30.0)
         assert reopened.drain_status("ckpt-1") is DrainState.REPLICATED
-        assert reopened.slow.list_committed_checkpoints() == ["ckpt-1"]
+        assert reopened.levels[-1].store.list_committed_checkpoints() == ["ckpt-1"]
         restored = CheckpointLoader(reopened).restore(RestoreSpec.full(tag="ckpt-1"))
         for name, array in reference[0]["model"].items():
             np.testing.assert_array_equal(array, restored[0]["model"][name])

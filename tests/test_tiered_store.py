@@ -9,6 +9,7 @@ import threading
 import numpy as np
 import pytest
 
+import repro.io.tiered as tiered
 from repro.core import create_real_engine
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.io import (
@@ -24,6 +25,12 @@ from repro.io import (
 )
 from repro.io.tiered import TIER_INDEX_NAME
 from repro.restart import CheckpointLoader, RestoreSpec
+
+
+@pytest.fixture(autouse=True)
+def _short_drain_backoff(monkeypatch):
+    """Drain retries here back off 1 ms, not the module's 50 ms."""
+    monkeypatch.setattr(tiered, "DRAIN_BACKOFF_S", 0.001)
 
 
 def _state(seed=0, size=256):
@@ -93,9 +100,9 @@ def test_create_store_tiered_composes_backends(tmp_path):
     assert isinstance(store, TierChain)
     assert isinstance(store, ShardStore)
     assert store.level_names == ["fast", "slow"]
-    assert isinstance(store.fast, FileStore)
-    assert isinstance(store.slow, ObjectStore)
-    assert store.fast.root == tmp_path / "t" / "fast"
+    assert isinstance(store.levels[0].store, FileStore)
+    assert isinstance(store.levels[-1].store, ObjectStore)
+    assert store.levels[0].store.root == tmp_path / "t" / "fast"
     # Every optional capability is present (fast tier is a FileStore).
     assert supports_shard_writer(store)
     assert supports_mmap(store)
@@ -104,9 +111,9 @@ def test_create_store_tiered_composes_backends(tmp_path):
 def test_create_store_tiered_custom_tiers(tmp_path):
     store = create_store("tiered", root=tmp_path, tiers="fast:object,slow:file",
                          drain_workers=3, keep_local_latest=0)
-    assert isinstance(store.fast, ObjectStore)
-    assert isinstance(store.slow, FileStore)
-    assert store.slow.root == tmp_path / "slow"
+    assert isinstance(store.levels[0].store, ObjectStore)
+    assert isinstance(store.levels[-1].store, FileStore)
+    assert store.levels[-1].store.root == tmp_path / "slow"
     assert store.drain_workers == 3
     assert store.keep_local_latest == 0
     # None is the documented "never evict" mode, not "use the default".
@@ -174,12 +181,12 @@ def test_all_shard_bytes_replicated_identically(tmp_path):
     store = _tiered(tmp_path)
     _save(store, ["ckpt-1"])
     store.wait_drained()
-    assert store.fast.read_shard("ckpt-1", "rank0") == \
-        store.slow.read_shard("ckpt-1", "rank0")
-    assert store.fast.read_manifest("ckpt-1") == store.slow.read_manifest("ckpt-1")
+    assert store.levels[0].store.read_shard("ckpt-1", "rank0") == \
+        store.levels[-1].store.read_shard("ckpt-1", "rank0")
+    assert store.levels[0].store.read_manifest("ckpt-1") == store.levels[-1].store.read_manifest("ckpt-1")
     metrics = store.drain_metrics()
     assert metrics["drained_checkpoints"] == 1
-    assert metrics["bytes_drained"] == store.fast.total_bytes("ckpt-1")
+    assert metrics["bytes_drained"] == store.levels[0].store.total_bytes("ckpt-1")
     assert metrics["pending_drains"] == 0
     store.close()
 
@@ -194,7 +201,7 @@ def test_eviction_keeps_newest_local(tmp_path):
     store.wait_drained()
     store.close()
     # Only the newest replicated checkpoint keeps its fast-tier copy ...
-    assert store.fast.list_committed_checkpoints() == ["ckpt-3"]
+    assert store.levels[0].store.list_committed_checkpoints() == ["ckpt-3"]
     # ... but every checkpoint is still committed and restorable (slow tier).
     assert store.list_committed_checkpoints() == ["ckpt-1", "ckpt-2", "ckpt-3"]
     assert store.drain_metrics()["evicted_checkpoints"] == 2
@@ -206,7 +213,7 @@ def test_eviction_disabled_keeps_everything_local(tmp_path):
     _save(store, ["ckpt-1", "ckpt-2"])
     store.wait_drained()
     store.close()
-    assert store.fast.list_committed_checkpoints() == ["ckpt-1", "ckpt-2"]
+    assert store.levels[0].store.list_committed_checkpoints() == ["ckpt-1", "ckpt-2"]
     assert store.drain_metrics()["evicted_checkpoints"] == 0
 
 
@@ -215,7 +222,7 @@ def test_eviction_watermark_zero_evicts_all_replicated(tmp_path):
     _save(store, ["ckpt-1", "ckpt-2"])
     store.wait_drained()
     store.close()
-    assert store.fast.list_committed_checkpoints() == []
+    assert store.levels[0].store.list_committed_checkpoints() == []
     assert store.list_committed_checkpoints() == ["ckpt-1", "ckpt-2"]
 
 
@@ -231,7 +238,7 @@ def test_restore_from_slow_tier_after_local_loss_is_byte_identical(tmp_path):
     store.wait_drained()
     reference = CheckpointLoader(store).restore(RestoreSpec.full(tag="ckpt-1"))
 
-    store.fast.delete_checkpoint("ckpt-1")  # simulated local loss
+    store.levels[0].store.delete_checkpoint("ckpt-1")  # simulated local loss
     assert store.list_committed_checkpoints() == ["ckpt-1"]
     for use_mmap in (True, False):
         restored = CheckpointLoader(store).restore(RestoreSpec.full(tag="ckpt-1", use_mmap=use_mmap))
@@ -245,9 +252,9 @@ def test_reads_prefer_the_fast_tier(tmp_path):
     store = _tiered(tmp_path)
     _save(store, ["ckpt-1"])
     store.wait_drained()
-    before = store.slow.get_count
+    before = store.levels[-1].store.get_count
     CheckpointLoader(store).restore(RestoreSpec.full(tag="ckpt-1"))
-    assert store.slow.get_count == before  # served entirely from the fast tier
+    assert store.levels[-1].store.get_count == before  # served entirely from the fast tier
     store.close()
 
 
@@ -263,23 +270,23 @@ def test_promotion_on_read_rehydrates_fast_tier(tmp_path):
     _save(store, ["ckpt-1"])
     store.wait_drained()
     reference = CheckpointLoader(store).restore(RestoreSpec.full(tag="ckpt-1"))
-    store.fast.delete_checkpoint("ckpt-1")  # simulated local loss
+    store.levels[0].store.delete_checkpoint("ckpt-1")  # simulated local loss
 
     restored = CheckpointLoader(store).restore(RestoreSpec.full(tag="ckpt-1"))
     for name, array in reference[0]["model"].items():
         np.testing.assert_array_equal(array, restored[0]["model"][name])
     # Promotion rehydrated the fast tier with the commit invariant intact.
-    assert store.fast.list_committed_checkpoints() == ["ckpt-1"]
-    assert store.fast.read_manifest("ckpt-1") == store.slow.read_manifest("ckpt-1")
+    assert store.levels[0].store.list_committed_checkpoints() == ["ckpt-1"]
+    assert store.levels[0].store.read_manifest("ckpt-1") == store.levels[-1].store.read_manifest("ckpt-1")
     metrics = store.drain_metrics()
     assert metrics["promoted_checkpoints"] == 1
     assert metrics["promoted_parts"] >= 1
-    assert metrics["bytes_promoted"] == store.fast.total_bytes("ckpt-1")
+    assert metrics["bytes_promoted"] == store.levels[0].store.total_bytes("ckpt-1")
 
     # The next restore never touches the slow tier again.
-    before = store.slow.get_count
+    before = store.levels[-1].store.get_count
     CheckpointLoader(store).restore(RestoreSpec.full(tag="ckpt-1"))
-    assert store.slow.get_count == before
+    assert store.levels[-1].store.get_count == before
     store.close()
 
 
@@ -289,15 +296,15 @@ def test_promotion_failure_never_fails_the_read(tmp_path, monkeypatch):
     store = _tiered(tmp_path)
     _save(store, ["ckpt-1"])
     store.wait_drained()
-    store.fast.delete_checkpoint("ckpt-1")
+    store.levels[0].store.delete_checkpoint("ckpt-1")
 
     def broken(*_args, **_kwargs):
         raise OSError("read-only file system")
 
-    monkeypatch.setattr(store.fast, "write_shard", broken)
+    monkeypatch.setattr(store.levels[0].store, "write_shard", broken)
     restored = CheckpointLoader(store).restore(RestoreSpec.full(tag="ckpt-1"))
     assert 0 in restored
-    assert store.fast.list_committed_checkpoints() == []
+    assert store.levels[0].store.list_committed_checkpoints() == []
     assert store.drain_metrics()["promoted_checkpoints"] == 0
     store.close()
 
@@ -312,8 +319,8 @@ def test_delete_removes_both_tiers(tmp_path):
     store.wait_drained()
     store.delete_checkpoint("ckpt-1")
     assert store.list_checkpoints() == ["ckpt-2"]
-    assert store.fast.list_checkpoints() == ["ckpt-2"]
-    assert store.slow.list_checkpoints() == ["ckpt-2"]
+    assert store.levels[0].store.list_checkpoints() == ["ckpt-2"]
+    assert store.levels[-1].store.list_checkpoints() == ["ckpt-2"]
     store.delete_checkpoint("ckpt-1")  # idempotent
     store.close()
 
@@ -328,7 +335,7 @@ def test_delete_during_inflight_drain_strands_no_keys(tmp_path):
     deleter.join(timeout=30.0)
     assert not deleter.is_alive()
     store.close()
-    assert store.fast.list_checkpoints() == []
+    assert store.levels[0].store.list_checkpoints() == []
     assert slow.keys() == []  # no orphaned part/manifest objects
     assert store.list_checkpoints() == []
 
@@ -415,7 +422,7 @@ def test_recovery_marks_slow_only_checkpoints_replicated(tmp_path):
     _save(store, ["ckpt-1"])
     store.wait_drained()
     store.close()
-    reopened = _pair(store.fast, store.slow, keep_local_latest=0)
+    reopened = _pair(store.levels[0].store, store.levels[-1].store, keep_local_latest=0)
     assert reopened.drain_status("ckpt-1") is DrainState.REPLICATED
     assert reopened.drain_metrics()["resumed_drains"] == 0
     reopened.close()
@@ -451,7 +458,7 @@ def test_tier_index_sidecar_records_residency(tmp_path):
     assert sidecar["ckpt-1"]["local"] is False    # evicted
     assert sidecar["ckpt-2"]["local"] is True     # the kept-local newest
     # The sidecar never shadows the fast tier's checkpoint listing.
-    assert TIER_INDEX_NAME not in store.fast.list_checkpoints()
+    assert TIER_INDEX_NAME not in store.levels[0].store.list_checkpoints()
 
 
 def test_tier_index_sidecar_never_lands_an_older_snapshot_last(tmp_path, monkeypatch):
@@ -522,8 +529,8 @@ def test_tiered_read_shard_range_falls_back_to_slow(tmp_path):
     store = _tiered(tmp_path)
     _save(store, ["ckpt-1"])
     store.wait_drained()
-    whole = store.fast.read_shard("ckpt-1", "rank0")
-    store.fast.delete_checkpoint("ckpt-1")
+    whole = store.levels[0].store.read_shard("ckpt-1", "rank0")
+    store.levels[0].store.delete_checkpoint("ckpt-1")
     assert store.read_shard_range("ckpt-1", "rank0", 4, 16) == whole[4:20]
     store.close()
 
@@ -542,8 +549,7 @@ def test_drain_rides_out_transient_slow_tier_failures(tmp_path):
     """Every slow-tier op fails exactly once (a flaky NIC): the drain's
     bounded retries absorb it — replication succeeds with no failed drain."""
     slow = _flaky_slow(seed=1, write_error_prob=1.0, max_failures_per_op=1)
-    store = _pair(FileStore(tmp_path / "fast"), slow,
-                  keep_local_latest=None, drain_backoff_s=0.001)
+    store = _pair(FileStore(tmp_path / "fast"), slow, keep_local_latest=None)
     _save(store, ["ckpt-000"])
     store.wait_drained(timeout=30.0)
     metrics = store.drain_metrics()
@@ -558,8 +564,7 @@ def test_drain_stays_draining_until_retries_resolve(tmp_path):
     """Between attempts the checkpoint must stay DRAINING (satellite
     requirement): it only leaves the state on success or exhausted retries."""
     slow = _GatedSlowStore()
-    store = _pair(FileStore(tmp_path / "fast"), slow,
-                  keep_local_latest=None, drain_backoff_s=0.001)
+    store = _pair(FileStore(tmp_path / "fast"), slow, keep_local_latest=None)
     _save(store, ["ckpt-000"])
     assert store.drain_status("ckpt-000") in (DrainState.LOCAL, DrainState.DRAINING)
     slow.gate.set()
@@ -567,14 +572,13 @@ def test_drain_stays_draining_until_retries_resolve(tmp_path):
     assert store.drain_status("ckpt-000") is DrainState.REPLICATED
 
 
-def test_exhausted_drain_retries_surface_in_counters_and_wait(tmp_path):
+def test_exhausted_drain_retries_surface_in_counters_and_wait(tmp_path, monkeypatch):
     """Persistent slow-tier failure: retries exhaust, the drain fails loudly
     (wait_drained raises), and the checkpoint stays restorable from the
     fast tier."""
+    monkeypatch.setattr(tiered, "DRAIN_RETRIES", 1)
     slow = _flaky_slow(seed=2, write_error_prob=1.0)  # persistent
-    store = _pair(FileStore(tmp_path / "fast"), slow,
-                  keep_local_latest=None, drain_retries=1,
-                  drain_backoff_s=0.001)
+    store = _pair(FileStore(tmp_path / "fast"), slow, keep_local_latest=None)
     _save(store, ["ckpt-000"])
     with pytest.raises(CheckpointError):
         store.wait_drained(timeout=30.0)
@@ -588,10 +592,10 @@ def test_exhausted_drain_retries_surface_in_counters_and_wait(tmp_path):
     np.testing.assert_array_equal(loaded[0]["model"]["w"], _state(0)["model"]["w"])
 
 
-def test_zero_drain_retries_fail_on_first_error(tmp_path):
+def test_zero_drain_retries_fail_on_first_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(tiered, "DRAIN_RETRIES", 0)
     slow = _flaky_slow(seed=3, write_error_prob=1.0, max_failures_per_op=1)
-    store = _pair(FileStore(tmp_path / "fast"), slow,
-                  keep_local_latest=None, drain_retries=0)
+    store = _pair(FileStore(tmp_path / "fast"), slow, keep_local_latest=None)
     _save(store, ["ckpt-000"])
     with pytest.raises(CheckpointError):
         store.wait_drained(timeout=30.0)
@@ -600,13 +604,23 @@ def test_zero_drain_retries_fail_on_first_error(tmp_path):
     assert metrics["retried_drains"] == 0
 
 
-def test_drain_retry_knobs_validated_and_reported(tmp_path):
+def test_drain_retry_settings_are_module_constants(tmp_path, monkeypatch):
+    """Retries, their backoff and the backpressure bound are module
+    constants, not settings of a chain: the constructor and the factory
+    refuse them, drain_metrics() does not echo them, and the constant is
+    what a link reads when it runs."""
+    for knob in ("drain_retries", "drain_backoff_s", "backpressure_timeout_s"):
+        with pytest.raises(TypeError):
+            _tiered(tmp_path, **{knob: 1})
+        with pytest.raises(TypeError):
+            create_store("tiered", root=tmp_path / "t", **{knob: 1})
+    monkeypatch.setattr(tiered, "DRAIN_RETRIES", 3)
+    slow = _flaky_slow(seed=2, write_error_prob=1.0)  # persistent
+    store = _pair(FileStore(tmp_path / "fast"), slow, keep_local_latest=None)
+    _save(store, ["ckpt-000"])
     with pytest.raises(CheckpointError):
-        _tiered(tmp_path, drain_retries=-1)
-    with pytest.raises(CheckpointError):
-        _tiered(tmp_path, drain_backoff_s=-0.5)
-    store = create_store("tiered", root=tmp_path / "t", drain_retries=5,
-                         drain_backoff_s=0.25)
-    assert store.drain_retries == 5
-    assert store.drain_backoff_s == 0.25
-    assert store.drain_metrics()["drain_retries"] == 5
+        store.wait_drained(timeout=30.0)
+    metrics = store.drain_metrics()
+    assert metrics["retried_drains"] == 3
+    assert "drain_retries" not in metrics
+    store.close()
