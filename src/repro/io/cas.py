@@ -289,9 +289,7 @@ class CASStore:
     def __init__(self, inner, namespace: str = DEFAULT_NAMESPACE,
                  chunk_bytes: int = DEFAULT_CHUNK_BYTES,
                  quota_bytes: Optional[int] = None,
-                 fsync: bool = False, _core: Optional[_CASCore] = None) -> None:
-        # ``fsync`` is accepted for factory-signature parity; durability is
-        # the inner backend's concern (it already honoured its own flag).
+                 _core: Optional[_CASCore] = None) -> None:
         if isinstance(inner, CASStore):
             raise ConfigurationError("the 'cas' store cannot wrap itself")
         self._core = _core if _core is not None else _CASCore(inner, chunk_bytes)

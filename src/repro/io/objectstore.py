@@ -117,11 +117,8 @@ class ObjectShardWriter:
 class ObjectStore:
     """An in-memory S3-like store of checkpoint shard objects (one per key)."""
 
-    def __init__(self, bucket: str = "repro-checkpoints", fsync: bool = False) -> None:
-        # ``fsync`` is accepted for signature parity with FileStore and
-        # ignored: a PUT is durable-or-absent by definition here.
+    def __init__(self, bucket: str = "repro-checkpoints") -> None:
         self.bucket = str(bucket)
-        self.fsync = fsync
         self._lock = threading.Lock()
         self._objects: Dict[str, bytes] = {}
         self.put_count = 0

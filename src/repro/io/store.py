@@ -141,23 +141,23 @@ STORE_LABELS: Dict[str, str] = {
 _StoreFactory = Callable[..., ShardStore]
 
 
-def _make_file_store(root=None, fsync: bool = False, **kwargs) -> ShardStore:
+def _make_file_store(root=None, **kwargs) -> ShardStore:
     if root is None:
         raise ConfigurationError("the 'file' store needs a root directory")
-    return FileStore(root, fsync=fsync, **kwargs)
+    return FileStore(root, **kwargs)
 
 
-def _make_object_store(root=None, fsync: bool = False, **kwargs) -> ShardStore:
+def _make_object_store(root=None, **kwargs) -> ShardStore:
     from .objectstore import ObjectStore
 
     # ``root`` becomes the bucket label so per-backend workdirs stay legible
     # in reports; an object store has no directory to create.
     bucket = str(root) if root is not None else "repro-checkpoints"
-    return ObjectStore(bucket=bucket, fsync=fsync, **kwargs)
+    return ObjectStore(bucket=bucket, **kwargs)
 
 
-def _make_tiered_store(root=None, fsync: bool = False,
-                       tiers="fast:file,slow:object", **kwargs) -> ShardStore:
+def _make_tiered_store(root=None, tiers="fast:file,slow:object",
+                       **kwargs) -> ShardStore:
     """Compose a :class:`~repro.io.TierChain` from registry backends.
 
     ``tiers`` is a chain spec string
@@ -197,17 +197,17 @@ def _make_tiered_store(root=None, fsync: bool = False,
         else:
             level_root = f"{root.name}-{entry.name}"
         levels.append(TierLevel(
-            store=create_store(backend, root=level_root, fsync=fsync),
+            store=create_store(backend, root=level_root),
             name=entry.name,
             capacity_bytes=entry.capacity_bytes,
             watermark=(entry.watermark if entry.watermark is not None
                        else DEFAULT_TIER_WATERMARK),
         ))
-    return TierChain(levels, fsync=fsync, **kwargs)
+    return TierChain(levels, **kwargs)
 
 
-def _make_faulty_store(root=None, fsync: bool = False, inner: str = "file",
-                       plan=None, **kwargs) -> ShardStore:
+def _make_faulty_store(root=None, inner: str = "file", plan=None,
+                       **kwargs) -> ShardStore:
     """Wrap another registered backend in seeded fault injection.
 
     ``inner`` names the wrapped backend (anything registered except
@@ -222,11 +222,10 @@ def _make_faulty_store(root=None, fsync: bool = False, inner: str = "file",
         raise ConfigurationError("the 'faulty' store cannot wrap itself")
     if isinstance(plan, dict):
         plan = FaultPlan(**plan)
-    return FaultyStore(create_store(inner_name, root=root, fsync=fsync, **kwargs),
-                       plan=plan)
+    return FaultyStore(create_store(inner_name, root=root, **kwargs), plan=plan)
 
 
-def _make_cas_store(root=None, fsync: bool = False, inner: str = "file",
+def _make_cas_store(root=None, inner: str = "file",
                     namespace: str = DEFAULT_NAMESPACE,
                     chunk_bytes: int = DEFAULT_CHUNK_BYTES, quota_bytes=None,
                     **kwargs) -> ShardStore:
@@ -242,7 +241,7 @@ def _make_cas_store(root=None, fsync: bool = False, inner: str = "file",
     if inner_name == "cas":
         raise ConfigurationError("the 'cas' store cannot wrap itself")
     return CASStore(
-        create_store(inner_name, root=root, fsync=fsync, **kwargs),
+        create_store(inner_name, root=root, **kwargs),
         namespace=namespace, chunk_bytes=int(chunk_bytes),
         quota_bytes=quota_bytes,
     )
@@ -274,22 +273,22 @@ def canonical_store_name(name: str) -> str:
     return key
 
 
-def create_store(name: str, root=None, fsync: bool = False, **kwargs) -> ShardStore:
+def create_store(name: str, root=None, **kwargs) -> ShardStore:
     """Instantiate a shard store backend by name.
 
     ``root`` is the backing directory for the ``file`` store and a cosmetic
-    bucket label for the ``object`` store; ``fsync`` selects durable renames
-    on backends that have something to sync (accepted and ignored elsewhere
-    so call sites stay backend-agnostic).
+    bucket label for the ``object`` store; the other keyword arguments go
+    to the backend (``create_store("file", root=path, fsync=True)`` makes a
+    durable :class:`~repro.io.FileStore`).
     """
     factory = _STORE_REGISTRY[canonical_store_name(name)]
-    return factory(root=root, fsync=fsync, **kwargs)
+    return factory(root=root, **kwargs)
 
 
 def register_store(name: str, factory: _StoreFactory) -> None:
     """Register a custom store backend under a new name.
 
-    ``factory`` must accept ``(root=..., fsync=..., **kwargs)`` and return a
+    ``factory`` must accept ``(root=..., **kwargs)`` and return a
     :class:`ShardStore`; registered names become selectable everywhere stores
     are chosen by name (``create_store``, the CLI ``--store`` flag).
     """

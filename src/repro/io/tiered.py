@@ -19,10 +19,11 @@ optional byte capacity and watermark) where
   there), and a chain never runs more than ``drain_workers`` drain threads
   per link, however many checkpoints are queued;
 * restores are **nearest-level-first** — reads walk the chain from level 0
-  and serve from the shallowest level holding the data, and a hit on a
-  deeper level **promotes on read**: the just-fetched part is re-warmed into
-  every level above the hit (manifest republished per level once all parts
-  are back, manifest-last again);
+  and serve from the shallowest level holding the data.  A hit on a deeper
+  level hands its bytes to the caller and **promotes behind the read, as
+  upward links**: once per checkpoint, the same link copy the drain runs
+  moves it from the hit level to level 0 one level at a time, on the
+  executor of each link it crosses (parts first, manifest last);
 * **eviction is watermark-driven per level**: once a checkpoint has reached
   a deeper level, its copy on a capacity-bounded shallower level becomes
   evictable, and levels are trimmed oldest-first back below
@@ -40,7 +41,7 @@ a committed copy) generalizing the two-tier drain state machine; the legacy
 states are derived views of it::
 
     LOCAL       not (or no longer) being drained, not on the deepest level
-    DRAINING    claimed by the drain: between its first link and its last
+    DRAINING    claimed by a drain or a promotion: a link is in flight
     REPLICATED  the deepest level is in the residency set
 
 A crash mid-drain leaves the target level uncommitted (torn parts, no
@@ -55,9 +56,10 @@ which stay the source of truth — and its legacy ``{"state", "sequence",
 compatible with the pre-chain two-tier store).
 
 ``delete_checkpoint`` operates **cross-level** (and waits out a claimed
-drain of the tag), so garbage collection never strands keys on any backend.
-``close()`` stops taking commits and shuts the link executors down; a
-process that exits without it still finishes the links already queued.
+drain or promotion of the tag), so garbage collection never strands keys on
+any backend.  ``close()`` stops taking commits, waits every checkpoint's
+links out and shuts the link executors down; a process that exits without
+it still finishes the links already queued.
 """
 
 from __future__ import annotations
@@ -71,8 +73,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Callable, Collection, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from ..exceptions import CheckpointError
 from ..logging_utils import get_logger
@@ -123,10 +125,12 @@ class DrainState(str, enum.Enum):
     #: Not on the deepest level and not claimed by the drain: queued for
     #: its first link, or its drain failed.
     LOCAL = "local"
-    #: Claimed by the drain: a link is copying it, or it is queued for the
-    #: next link.
+    #: Claimed by a drain or a promotion: a link is copying it (down the
+    #: chain, or up toward level 0), or it is queued for the next link.  A
+    #: replicated checkpoint reads DRAINING while a promotion holds it.
     DRAINING = "draining"
-    #: Fully present (manifest included) on the deepest level.
+    #: Fully present (manifest included) on the deepest level, and no
+    #: promotion holds it.
     REPLICATED = "replicated"
 
 
@@ -260,15 +264,15 @@ class _DrainJob:
 
 def eviction_victims(jobs: Iterable[_DrainJob], level_index: int, level: TierLevel,
                      used: int, tag_bytes: Mapping[Tuple[str, int], int],
-                     keep_local_latest: Optional[int], deleted: Collection[str] = (),
+                     keep_local_latest: Optional[int],
                      headroom: int = 0) -> List[_DrainJob]:
     """The checkpoints to evict from one level, oldest first.
 
     Pure: it reads its arguments and changes nothing.  A candidate is a
-    checkpoint resident on ``level_index`` *and* on a deeper level, and not
-    tombstoned in ``deleted``.  A capacity-bounded level takes candidates in
-    ``sequence`` order until its ``used`` bytes, less each victim's
-    ``tag_bytes[(tag, level_index)]``, are at or below
+    checkpoint resident on ``level_index`` *and* on a deeper level.  A
+    capacity-bounded level takes candidates in ``sequence`` order until its
+    ``used`` bytes, less each victim's ``tag_bytes[(tag, level_index)]``,
+    are at or below
     ``watermark * capacity_bytes - headroom``.  Level 0 without a capacity
     keeps the newest ``keep_local_latest`` candidates (``None``: keeps all).
     Any other level without a capacity evicts nothing, and so does the
@@ -276,8 +280,7 @@ def eviction_victims(jobs: Iterable[_DrainJob], level_index: int, level: TierLev
     """
     candidates = sorted((job for job in jobs
                          if level_index in job.residency
-                         and max(job.residency) > level_index
-                         and job.tag not in deleted),
+                         and max(job.residency) > level_index),
                         key=lambda job: job.sequence)
     if level.capacity_bytes is not None:
         limit = max(0.0, level.watermark * level.capacity_bytes - headroom)
@@ -352,8 +355,7 @@ class TierChain:
     """
 
     def __init__(self, levels: Sequence, drain_workers: int = DEFAULT_DRAIN_WORKERS,
-                 keep_local_latest: Optional[int] = DEFAULT_KEEP_LOCAL_LATEST,
-                 fsync: bool = False) -> None:
+                 keep_local_latest: Optional[int] = DEFAULT_KEEP_LOCAL_LATEST) -> None:
         wrapped = [level if isinstance(level, TierLevel) else TierLevel(level)
                    for level in levels]
         if len(wrapped) < 2:
@@ -374,15 +376,13 @@ class TierChain:
         self._last = len(wrapped) - 1
         self.drain_workers = int(drain_workers)
         self.keep_local_latest = keep_local_latest
-        self.fsync = fsync
         self._lock = threading.RLock()
         self._index_lock = threading.Lock()
         self._space = threading.Condition(self._lock)
         self._jobs: Dict[str, _DrainJob] = {}
-        self._deleted: set = set()
         self._sequence = 0
         self._closed = False
-        #: One executor per link i (draining level i -> i+1).
+        #: One executor per link i (between levels i and i+1, both ways).
         self._links = [
             ThreadPoolExecutor(max_workers=self.drain_workers,
                                thread_name_prefix=f"tiered-drain-{name}")
@@ -402,7 +402,10 @@ class TierChain:
         self.promoted_checkpoints = 0
         self.bytes_promoted = 0
         self.drain_wait_ms = 0.0
-        self._index_path = self._sidecar_path()
+        root = getattr(stores[0], "root", None)
+        self._index_path = Path(root) / TIER_INDEX_NAME if root is not None else None
+        # The sidecar is published as durably as level 0's own files.
+        self._index_fsync = bool(getattr(stores[0], "fsync", False))
         self._recover()
 
     # -- chain introspection ---------------------------------------------------
@@ -421,10 +424,6 @@ class TierChain:
             return [self._names[index] for index in sorted(job.residency)]
 
     # -- tier-index sidecar ---------------------------------------------------
-    def _sidecar_path(self) -> Optional[Path]:
-        root = getattr(self._stores[0], "root", None)
-        return Path(root) / TIER_INDEX_NAME if root is not None else None
-
     def _persist_sidecar(self) -> None:
         """Atomically rewrite the sidecar (no-op for root-less level 0).
 
@@ -451,9 +450,10 @@ class TierChain:
                 with os.fdopen(fd, "wb") as handle:
                     handle.write(payload)
                     handle.flush()
-                    if self.fsync:
+                    if self._index_fsync:
                         os.fsync(handle.fileno())
-                publish_file(tmp_name, self._index_path, directory, fsync=self.fsync)
+                publish_file(tmp_name, self._index_path, directory,
+                             fsync=self._index_fsync)
             except OSError as exc:
                 if tmp_name is not None:
                     try:
@@ -510,7 +510,8 @@ class TierChain:
                     continue
         for job in to_drain:
             self.drains_resumed += 1
-            self._submit(job, max(job.residency))
+            source = max(job.residency)
+            self._submit(job, source, source + 1)
         if self._jobs:
             self._persist_sidecar()
 
@@ -627,23 +628,21 @@ class TierChain:
         self._check_open()
         receipt = self._stores[0].write_manifest(tag, manifest)
         with self._lock:
-            # A re-committed tag supersedes any earlier delete tombstone.
-            self._deleted.discard(tag)
             job = _DrainJob(tag=tag, sequence=self._next_sequence())
             self._jobs[tag] = job
         try:
-            self._submit(job, 0)
+            self._submit(job, 0, 1)
         except CheckpointError as exc:  # closed between the check and here
             self._fail(job, exc)
             raise
         return receipt
 
     # -- the drain pipeline ---------------------------------------------------
-    def _submit(self, job: _DrainJob, source: int) -> None:
-        """Queue link ``source`` -> ``source + 1`` of ``job`` on that link's
-        executor."""
+    def _submit(self, job: _DrainJob, source: int, target: int) -> None:
+        """Queue link ``source`` -> ``target`` (adjacent levels, either way)
+        of ``job`` on the executor of the link between them."""
         try:
-            self._links[source].submit(self._run_link, job, source)
+            self._links[min(source, target)].submit(self._run_link, job, source, target)
         except RuntimeError as exc:  # the executor is shut down
             raise CheckpointError(
                 f"the tier chain is closed: checkpoint {job.tag!r} stays on "
@@ -654,25 +653,39 @@ class TierChain:
         superseded by a re-commit)."""
         return self._jobs.get(job.tag) is job
 
-    def _fail(self, job: _DrainJob, exc: BaseException) -> None:
+    def _fail(self, job: _DrainJob, exc: BaseException, upward: bool = False) -> None:
+        """End a drain (LOCAL, with ``exc`` surfaced by ``wait_drained``) or
+        a promotion (logged only: the job's state follows its residency)."""
         with self._lock:
-            job.error = exc
-            job.state = DrainState.LOCAL
-            self.drains_failed += 1
+            if upward:
+                job.state = self._settled(job)
+            else:
+                job.error = exc
+                job.state = DrainState.LOCAL
+                self.drains_failed += 1
         job.done.set()
-        logger.warning("drain of checkpoint %s failed: %s", job.tag, exc)
+        logger.warning("%s of checkpoint %s failed: %s",
+                       "promotion" if upward else "drain", job.tag, exc)
 
-    def _run_link(self, job: _DrainJob, source: int) -> None:
-        """One link of one checkpoint's drain, on that link's executor.
+    def _settled(self, job: _DrainJob) -> DrainState:
+        """The state of a job no link holds, from its residency."""
+        return (DrainState.REPLICATED if self._last in job.residency
+                else DrainState.LOCAL)
+
+    def _run_link(self, job: _DrainJob, source: int, target: int) -> None:
+        """One link of a checkpoint's drain or promotion, on its executor.
 
         The link copies every part and publishes the manifest last on level
-        ``source + 1``, retrying transient failures with bounded exponential
-        backoff.  Every exit either hands the checkpoint to the next link's
-        executor or sets ``job.done``: on the deepest level it is
-        REPLICATED; on a failure that outlives the retries it goes back to
-        LOCAL (surfaced in ``failed_drains``/``wait_drained`` and retried by
-        the next construction's recovery scan); a deleted tag just stops.
+        ``target``, retrying transient failures with bounded exponential
+        backoff.  Every exit either hands the checkpoint to the next link in
+        the same direction or sets ``job.done``.  A drain (``target >
+        source``) ends REPLICATED on the deepest level; on a failure that
+        outlives the retries it goes back to LOCAL (surfaced in
+        ``failed_drains``/``wait_drained`` and retried by the next
+        construction's recovery scan).  A promotion ends on level 0, and a
+        failed one is only logged.  A deleted tag just stops.
         """
+        upward = target < source
         try:
             with self._lock:
                 if not self._current(job):
@@ -682,42 +695,47 @@ class TierChain:
                 job.state = DrainState.DRAINING
             if claiming:
                 self._persist_sidecar()
-            if not self._drain_link(job, source):
+            if not self._drain_link(job, source, target):
                 job.done.set()
                 return
-            # Eviction is best-effort housekeeping over *other* copies: its
-            # own try so a failed delete is logged and retried by a later
-            # link, never poisoning the just-copied checkpoint's state.
-            try:
-                self._evict_pass()
-            except Exception as exc:  # noqa: BLE001 - retried next link
-                logger.warning("tier eviction failed: %s", exc)
-            if source + 1 < self._last:
-                self._submit(job, source + 1)
+            if not upward:
+                # Eviction is best-effort housekeeping over *other* copies:
+                # its own try so a failed delete is logged and retried by a
+                # later link, never poisoning the just-copied checkpoint.
+                try:
+                    self._evict_pass()
+                except Exception as exc:  # noqa: BLE001 - retried next link
+                    logger.warning("tier eviction failed: %s", exc)
+            following = 2 * target - source  # the next level, same way
+            if 0 <= following <= self._last:
+                self._submit(job, target, following)
                 return
             with self._lock:
-                job.state = DrainState.REPLICATED
-                self.drains_completed += 1
+                if upward:
+                    self.promoted_checkpoints += 1
+                else:
+                    self.drains_completed += 1
+                job.state = self._settled(job)
             self._persist_sidecar()
             job.done.set()
         except BaseException as exc:  # noqa: BLE001 - surfaced via wait_drained
-            self._fail(job, exc)
+            self._fail(job, exc, upward)
 
-    def _drain_link(self, job: _DrainJob, source: int) -> bool:
-        """One link with retries: copy level ``source`` -> ``source + 1``.
+    def _drain_link(self, job: _DrainJob, source: int, target: int) -> bool:
+        """One link with retries: copy level ``source`` -> ``target``.
         False when the tag was deleted meanwhile."""
-        target = source + 1
         for attempt in range(DRAIN_RETRIES):
             try:
                 return self._drain_link_once(job, source, target)
             except BaseException as exc:  # noqa: BLE001 - retried below
                 if not self._current(job):
                     raise
-                with self._lock:
-                    self.drains_retried += 1
+                if target > source:
+                    with self._lock:
+                        self.drains_retried += 1
                 delay = DRAIN_BACKOFF_S * (2 ** attempt)
                 logger.warning(
-                    "drain of checkpoint %s over link %s->%s failed "
+                    "copy of checkpoint %s over link %s->%s failed "
                     "(attempt %d/%d), retrying in %.3fs: %s", job.tag,
                     self._names[source], self._names[target], attempt + 1,
                     DRAIN_RETRIES + 1, delay, exc)
@@ -731,7 +749,7 @@ class TierChain:
         Part copies are idempotent (up-to-date target copies are skipped by
         size), so a retry after a mid-copy failure re-uploads only what is
         missing.  Returns False, publishing nothing more, once a concurrent
-        delete has tombstoned the tag.
+        delete has removed the tag's job.
         """
         tag = job.tag
         started = time.perf_counter()
@@ -739,7 +757,7 @@ class TierChain:
         for record in manifest.get("shards", []):
             if not self._current(job):
                 return False
-            self._drain_part(tag, source, target, str(record["name"]),
+            self._drain_part(job, source, target, str(record["name"]),
                              int(record["nbytes"]))
         if not self._current(job):
             return False
@@ -748,44 +766,67 @@ class TierChain:
         self._stores[target].write_manifest(tag, manifest)
         with self._lock:
             job.residency.add(target)
-            self.drain_seconds_total += time.perf_counter() - started
+            if target > source:
+                self.drain_seconds_total += time.perf_counter() - started
         self._persist_sidecar()
         return True
 
-    def _drain_part(self, tag: str, source: int, target: int, name: str,
+    def _drain_part(self, job: _DrainJob, source: int, target: int, name: str,
                     nbytes: int) -> None:
-        """Copy one shard part down a link, skipping up-to-date copies.
+        """Copy one shard part over a link, skipping up-to-date copies.
 
         The skip is what makes a resumed drain idempotent *and* cheap: parts
         that already landed before a crash are recognised by size and not
-        re-uploaded.  A copy of the wrong size (a short read on the source)
-        raises before the link's manifest is published, and is retried.
+        re-uploaded.  Only what a store raises for a missing part
+        (:class:`CheckpointError`, ``OSError``) reads as "absent"; any other
+        error in the target level fails the link.  A copy of the wrong size
+        fails the link before its manifest is published: a short read raises
+        before the part lands, and a short write leaves no part on a level
+        it promotes into (a torn part above a good copy is served first).
         """
+        tag = job.tag
         try:
             if self._stores[target].shard_size(tag, name) == nbytes:
                 return
-        except Exception:  # noqa: BLE001 - absent on the target level: copy it
+        except (CheckpointError, OSError):  # absent on the target level: copy it
             pass
         receipt = self._stores[target].write_shard(
             tag, name, self._part_chunks(source, tag, name, nbytes))
         if receipt.nbytes != nbytes:
+            # Only this link adds ``target`` to the residency it reads here.
+            if target < source and target not in job.residency:
+                self._stores[target].delete_checkpoint(tag)
+                self._discount(tag, target)
             raise CheckpointError(
-                f"drain of {tag}/{name} to level {self._names[target]!r} copied "
+                f"copy of {tag}/{name} to level {self._names[target]!r} wrote "
                 f"{receipt.nbytes} of {nbytes} bytes")
         with self._lock:
-            self.bytes_drained += nbytes
+            if target < source:
+                self.promoted_parts += 1
+                self.bytes_promoted += nbytes
+            else:
+                self.bytes_drained += nbytes
         self._account(tag, target, nbytes)
 
     def _part_chunks(self, source: int, tag: str, name: str, nbytes: int):
         """Stream one shard from a level: bounded ranged reads for a large
-        part, one whole read otherwise."""
+        part, one whole read otherwise.  A short stream raises after its
+        last chunk, so the target's write publishes nothing."""
         store = self._stores[source]
         if nbytes > _DRAIN_CHUNK_BYTES:
-            for offset in range(0, nbytes, _DRAIN_CHUNK_BYTES):
-                length = min(_DRAIN_CHUNK_BYTES, nbytes - offset)
-                yield store.read_shard_range(tag, name, offset, length)
+            chunks = (store.read_shard_range(tag, name, offset,
+                                             min(_DRAIN_CHUNK_BYTES, nbytes - offset))
+                      for offset in range(0, nbytes, _DRAIN_CHUNK_BYTES))
         else:
-            yield store.read_shard(tag, name)
+            chunks = [store.read_shard(tag, name)]
+        copied = 0
+        for chunk in chunks:
+            copied += memoryview(chunk).nbytes
+            yield chunk
+        if copied != nbytes:
+            raise CheckpointError(
+                f"copy of {tag}/{name} from level {self._names[source]!r} "
+                f"read {copied} of {nbytes} bytes")
 
     # -- eviction ---------------------------------------------------------------
     def _evict_pass(self, level0_headroom: int = 0) -> None:
@@ -804,7 +845,7 @@ class TierChain:
             victims = eviction_victims(
                 self._jobs.values(), level_index, self.levels[level_index],
                 self._level_bytes[level_index], self._tag_bytes,
-                self.keep_local_latest, self._deleted, headroom)
+                self.keep_local_latest, headroom)
             # Claiming under the lock keeps concurrent link workers from
             # double-evicting (and double-counting) the same checkpoint.
             for job in victims:
@@ -865,14 +906,16 @@ class TierChain:
     def drain_metrics(self) -> Dict[str, float]:
         """Operational counters of the drain pipeline (for reports/benches).
 
-        ``bytes_drained`` counts every link crossing (a checkpoint fully
-        drained down an N-level chain contributes N-1 times its size);
-        ``drain_wait_ms`` is the total time commits spent blocked on
-        level-0 backpressure.
+        The drain counters count downward links only: ``bytes_drained``
+        every crossing (a checkpoint fully drained down an N-level chain
+        contributes N-1 times its size), and ``pending_drains`` the
+        checkpoints not yet on the deepest level.  ``promoted_parts`` /
+        ``bytes_promoted`` count upward crossings.  ``drain_wait_ms`` is the
+        total time commits spent blocked on level-0 backpressure.
         """
         with self._lock:
             pending = sum(1 for job in self._jobs.values()
-                          if job.state is not DrainState.REPLICATED)
+                          if self._last not in job.residency)
             return {
                 "drain_workers": self.drain_workers,
                 "drained_checkpoints": self.drains_completed,
@@ -908,89 +951,40 @@ class TierChain:
         """Read one shard from the nearest level holding it (into ``out``,
         when given: the level that is read fills it).
 
-        A deeper-level fallback means the shallower copies are gone (evicted
-        or lost); the just-fetched bytes are opportunistically promoted back
-        into every level above the hit so the next restore of this
-        checkpoint is served nearer again.
+        A deeper-level hit means the shallower copies are gone (evicted or
+        lost): the bytes go back to the caller at once, and the checkpoint
+        is promoted behind the read (see :meth:`_promote`) so the next
+        restore of it is served nearer again.
         """
         index, payload = self._nearest(
             lambda store: store.read_shard(tag, shard_name, out=out))
         if index:
-            self._promote_part(tag, shard_name, payload, index)
+            self._promote(tag, index)
         return payload
 
-    def _promote_part(self, tag: str, shard_name: str, payload: bytes,
-                      hit_index: int) -> None:
-        """Rehydrate one just-read part into every level above the hit.
+    def _promote(self, tag: str, source: int) -> None:
+        """Queue the promotion of ``tag`` from level ``source`` to level 0.
 
-        Promotion follows the same commit invariant as a save: a level's
-        manifest is republished only once **every** part of the checkpoint
-        is back on that level (manifest-last), so a half-promoted checkpoint
-        is never visible as committed there.  Best-effort by design — a
-        promotion failure on one level is logged, the remaining levels are
-        still tried, and the read that triggered it never fails.
-
-        The payload is validated against the hit level's manifest *before*
-        it touches any shallower level: a torn deep read must surface to the
-        loader's checksum pass, never be cached where later reads (including
-        post-incident clean ones) would keep serving it.
+        A promotion is a chain of upward links: the drain's own link copy
+        (parts, each checked by size, then the manifest) from ``source`` to
+        ``source - 1``, handed on until level 0 holds the checkpoint.  It
+        claims the tag's job as a drain does, so a job a drain or another
+        promotion holds queues nothing: a checkpoint is promoted once
+        however many of its parts are read deep.  (A deep read that outlives
+        a whole promotion queues another, which finds every part in place
+        and only republishes the manifests.)  Best effort: a promotion that
+        fails is logged, and the read that queued it never fails.
         """
         with self._lock:
-            if tag in self._deleted:
-                return
-        try:
-            manifest = self._stores[hit_index].read_manifest(tag)
-        except Exception as exc:  # noqa: BLE001 - opportunistic housekeeping
-            logger.warning("not promoting %s/%s: no manifest on level %s: %s",
-                           tag, shard_name, self._names[hit_index], exc)
-            return
-        expected = next(
-            (int(record["nbytes"]) for record in manifest.get("shards", [])
-             if str(record["name"]) == shard_name), None)
-        if expected is None or len(payload) != expected:
-            logger.warning(
-                "not promoting %s/%s: payload is %d bytes, manifest says %s "
-                "(torn deep-level read?)", tag, shard_name, len(payload),
-                expected)
-            return
-        for target in range(hit_index - 1, -1, -1):
-            try:
-                self._promote_into_level(tag, shard_name, payload, manifest,
-                                         target)
-            except Exception as exc:  # noqa: BLE001 - per-level best effort
-                logger.warning("promotion of %s/%s into level %s failed: %s",
-                               tag, shard_name, self._names[target], exc)
-
-    def _promote_into_level(self, tag: str, shard_name: str, payload: bytes,
-                            manifest: Dict, target: int) -> None:
-        """Land one part on one level; republish that level's manifest once
-        every part of the checkpoint is present there."""
-        self._stores[target].write_shard(tag, shard_name, [payload])
-        self._account(tag, target, len(payload))
-        with self._lock:
-            self.promoted_parts += 1
-            self.bytes_promoted += len(payload)
-        for record in manifest.get("shards", []):
-            try:
-                present = (self._stores[target].shard_size(tag, str(record["name"]))
-                           == int(record["nbytes"]))
-            except Exception:  # noqa: BLE001 - part not yet promoted
-                present = False
-            if not present:
-                return  # more parts still to come back
-        with self._lock:
-            if tag in self._deleted:
-                return
-        self._stores[target].write_manifest(tag, manifest)
-        with self._lock:
             job = self._jobs.get(tag)
-            if job is not None:
-                job.residency.add(target)
-            if target == 0:
-                self.promoted_checkpoints += 1
-        self._persist_sidecar()
-        logger.info("promoted checkpoint %s back to tier level %s", tag,
-                    self._names[target])
+            if self._closed or job is None or not job.done.is_set():
+                return
+            job.state = DrainState.DRAINING
+            job.done.clear()
+        try:
+            self._submit(job, source, source - 1)
+        except CheckpointError as exc:  # closed between the check and here
+            self._fail(job, exc, upward=True)
 
     def read_shard_range(self, tag: str, shard_name: str,
                          offset: int, length: int) -> bytes:
@@ -1046,13 +1040,12 @@ class TierChain:
     def delete_checkpoint(self, tag: str) -> None:
         """Remove ``tag`` from every level (cross-level GC).
 
-        A claimed drain of the tag — a link copying it, or the tag queued
-        for its next link — is told to stop (it checks between parts and
-        links) and waited out, so the delete cannot race a late part or
-        manifest PUT into resurrecting the checkpoint on a deeper level.
+        A claimed drain or promotion of the tag — a link copying it, or the
+        tag queued for its next link — is told to stop (it checks between
+        parts and links) and waited out, so the delete cannot race a late
+        part or manifest PUT into resurrecting the checkpoint on any level.
         """
         with self._lock:
-            self._deleted.add(tag)
             job = self._jobs.pop(tag, None)
             # A job still queued for its first link was never claimed: that
             # link finds it gone and publishes nothing.
@@ -1076,16 +1069,21 @@ class TierChain:
 
     # -- lifecycle --------------------------------------------------------------
     def close(self, wait: bool = True) -> None:
-        """Take no more commits and shut the link executors down.
+        """Take no more commits or promotions and shut the link executors
+        down.
 
-        With ``wait`` the links are shut down shallowest first, each after
-        its queued tasks ran, so every queued checkpoint still reaches the
-        deepest level and no drain thread is left.  Without it, a link that
+        With ``wait`` every checkpoint's drain or promotion first runs to
+        its end, so every queued checkpoint still reaches the deepest level
+        (or level 0) and no drain thread is left.  Without it, a link that
         finishes after its next link's executor is shut down fails the
         checkpoint's drain (it stays LOCAL; the next chain resumes it).
         """
         with self._lock:
             self._closed = True
+            jobs = list(self._jobs.values())
+        if wait:
+            for job in jobs:
+                job.done.wait()
         for executor in self._links:
             executor.shutdown(wait=wait)
 

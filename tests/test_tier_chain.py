@@ -1,13 +1,16 @@
 """Tests for the N-level tier chain: chain construction and the ``--tiers``
 spec grammar, per-link drains through three levels, one executor per link
 (its thread bound, hand-offs, a delete behind a queued link, ``close``),
-nearest-level-first restores with multi-level promote-on-read, watermark
-eviction on interior levels and its pure victim choice against a sorted-list
-oracle, commit backpressure at the level-0 watermark (``drain_wait_ms``),
-pre-refactor sidecar compatibility, and the per-link generalization of the
-analytic drain-lag loss window."""
+nearest-level-first restores with multi-level promote-on-read — behind the
+read, as upward links on the link executors, once per checkpoint, waited out
+by ``delete_checkpoint`` and ``close`` — watermark eviction on interior
+levels and its pure victim choice against a sorted-list oracle, commit
+backpressure at the level-0 watermark (``drain_wait_ms``), pre-refactor
+sidecar compatibility, and the per-link generalization of the analytic
+drain-lag loss window."""
 
 import json
+import random
 import sys
 import threading
 import time
@@ -18,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.io.tiered as tiered
-from repro.config import PlatformSpec
+from repro.config import CheckpointPolicy, PlatformSpec
 from repro.core import create_real_engine
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.io import (
@@ -482,6 +485,7 @@ def test_restore_falls_through_and_promotes_every_level_above_hit(tmp_path):
         restored = CheckpointLoader(reopened).restore(RestoreSpec.full(tag="ckpt-1"))
         np.testing.assert_array_equal(restored[0]["model"]["w"],
                                       _state(seed=0)["model"]["w"])
+        reopened.wait_drained(timeout=30.0)
         # Promote-on-read re-warmed BOTH shallow levels, manifest included.
         assert reopened.levels[0].store.list_committed_checkpoints() == ["ckpt-1"]
         assert reopened.levels[1].store.list_committed_checkpoints() == ["ckpt-1"]
@@ -513,10 +517,340 @@ def test_restore_from_interior_level_promotes_to_level_zero(tmp_path):
         # so the read below exercises promotion, not the drain.
         chain.wait_drained(timeout=30.0)
         assert chain.read_shard("ckpt-1", "rank0") == payload
+        chain.wait_drained(timeout=30.0)
         assert chain.levels[0].store.list_committed_checkpoints() == ["ckpt-1"]
         assert chain.residency_names("ckpt-1") == ["nvme", "pfs", "object"]
     finally:
         chain.close()
+
+
+# ---------------------------------------------------------------------------
+# Promotion behind the read: upward links on the link executors
+# ---------------------------------------------------------------------------
+
+def _deep_only_chain(level0):
+    """A two-level chain whose checkpoint ``ckpt-1`` is committed on the deep
+    level only (level 0 lost it), so every read of it is a deep hit."""
+    deep = ObjectStore(bucket="deep")
+    _commit_raw(deep, "ckpt-1")
+    return TierChain([TierLevel(level0, name="l0"), TierLevel(deep, name="deep")],
+                     keep_local_latest=None)
+
+
+def _started(target, *args):
+    thread = threading.Thread(target=target, args=args, daemon=True)
+    thread.start()
+    return thread
+
+
+class _Recording:
+    """Forwards everything to a store, recording the thread of each
+    ``read_manifest``, ``shard_size`` and ``write_shard`` call."""
+
+    COUNTED = ("read_manifest", "shard_size", "write_shard")
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls = []
+
+    def __getattr__(self, name):
+        attr = getattr(self._inner, name)
+        if name not in self.COUNTED:
+            return attr
+
+        def call(*args, **kwargs):
+            self.calls.append((name, threading.get_ident()))
+            return attr(*args, **kwargs)
+        return call
+
+    def count(self, name, thread=None):
+        return sum(1 for called, ident in self.calls
+                   if called == name and thread in (None, ident))
+
+
+def test_a_size_bug_in_the_target_level_fails_the_drain(tmp_path):
+    """Only CheckpointError/OSError from a target level's ``shard_size``
+    mean "part absent": a TypeError there is a bug, and the drain fails
+    loudly instead of committing on that level."""
+    buggy = _SizeBugStore(bucket="buggy")
+    store = TierChain([TierLevel(FileStore(tmp_path / "l0"), name="l0"),
+                       TierLevel(buggy, name="buggy")], keep_local_latest=None)
+    try:
+        _commit_raw(store, "ckpt-1")
+        with pytest.raises(CheckpointError, match="a bug in this level"):
+            store.wait_drained(timeout=30.0)
+        assert store.drain_metrics()["failed_drains"] == 1
+        assert buggy.list_committed_checkpoints() == []
+    finally:
+        store.close()
+
+
+def test_a_deep_restore_returns_before_its_promotion_lands(tmp_path):
+    """The restore gets its bytes while the promotion's level-0 write is
+    still held at a gate; the promotion lands once the gate opens."""
+    gated = _GatedStore(bucket="l0")
+    deep = ObjectStore(bucket="deep")
+    _save(deep, ["ckpt-1"])
+    store = TierChain([TierLevel(gated, name="l0"), TierLevel(deep, name="deep")],
+                      keep_local_latest=None)
+    out = {}
+    try:
+        reader = _started(lambda: out.update(state=CheckpointLoader(store).restore(
+            RestoreSpec.full(tag="ckpt-1"))))
+        reader.join(timeout=10.0)
+        assert not reader.is_alive()  # the restore did not wait for level 0
+        np.testing.assert_array_equal(out["state"][0]["model"]["w"],
+                                      _state(seed=0)["model"]["w"])
+        assert gated.list_committed_checkpoints() == []
+        assert store.drain_status("ckpt-1") is DrainState.DRAINING
+    finally:
+        gated.gate.set()
+    store.wait_drained(timeout=30.0)
+    assert gated.list_committed_checkpoints() == ["ckpt-1"]
+    assert store.drain_status("ckpt-1") is DrainState.REPLICATED
+    assert store.drain_metrics()["promoted_checkpoints"] == 1
+    store.close()
+
+
+def test_a_deep_restore_promotes_once_per_link_off_the_restoring_thread(tmp_path):
+    """An 8-part checkpoint held only on the object level of a 3-level
+    chain: each link reads its source level's manifest once and probes
+    ``shard_size`` once per part, and no level is written from the
+    restoring thread."""
+    nvme = _Recording(FileStore(tmp_path / "nvme"))
+    pfs = _Recording(FileStore(tmp_path / "pfs"))
+    deep = _Recording(ObjectStore(bucket="deep"))
+    rng = np.random.default_rng(7)
+    want = {"model": {f"w{index}": rng.normal(size=(64, 4)) for index in range(8)}}
+    with create_real_engine("datastates", deep._inner, policy=CheckpointPolicy(
+            host_buffer_size=8 << 20, shards_per_rank=8)) as engine:
+        engine.save(want, tag="ckpt-1", iteration=0)
+        engine.wait_all()
+    assert len(deep.read_manifest("ckpt-1")["shards"]) == 8
+    store = TierChain([TierLevel(nvme, name="nvme"), TierLevel(pfs, name="pfs"),
+                       TierLevel(deep, name="object")], keep_local_latest=None)
+    for level in (nvme, pfs, deep):
+        level.calls.clear()  # the recovery scan's reads are not the restore's
+    try:
+        restored = CheckpointLoader(store).restore(RestoreSpec.full(tag="ckpt-1"))
+        store.wait_drained(timeout=30.0)
+        for name, array in want["model"].items():
+            np.testing.assert_array_equal(restored[0]["model"][name], array)
+        me = threading.get_ident()
+        # One read from the loader, one from the object -> pfs link.
+        assert deep.count("read_manifest") - deep.count("read_manifest", me) == 1
+        assert deep.count("read_manifest", me) == 1
+        # The pfs -> nvme link reads pfs's manifest once.
+        assert pfs.count("read_manifest") - pfs.count("read_manifest", me) == 1
+        for level in (nvme, pfs):
+            assert level.count("shard_size") <= 8
+            assert level.count("write_shard") == 8
+            assert level.count("write_shard", me) == 0
+        assert nvme.list_committed_checkpoints() == ["ckpt-1"]
+        metrics = store.drain_metrics()
+        assert metrics["promoted_parts"] == 16
+        assert metrics["promoted_checkpoints"] == 1
+    finally:
+        store.close()
+
+
+def test_delete_during_a_promotion_waits_it_out(tmp_path):
+    """A delete of a tag whose promotion is held at a level-0 gate returns
+    only after the promotion stopped, and no level keeps the tag."""
+    gated = _GatedStore(bucket="l0")
+    store = _deep_only_chain(gated)
+    try:
+        reader = _started(store.read_shard, "ckpt-1", "rank0")
+        reader.join(timeout=10.0)
+        assert not reader.is_alive()
+        deleter = _started(store.delete_checkpoint, "ckpt-1")
+        deleter.join(timeout=0.2)
+        assert deleter.is_alive()  # the promotion holds the tag
+    finally:
+        gated.gate.set()
+    deleter.join(timeout=30.0)
+    assert not deleter.is_alive()
+    for level in store.levels:
+        assert "ckpt-1" not in level.store.list_checkpoints()
+    assert gated.keys() == []
+    store.close()
+
+
+def test_close_during_a_promotion_finishes_it(tmp_path):
+    """``close()`` waits a promotion held at a level-0 gate out: level 0
+    commits the checkpoint, and no drain thread outlives the close."""
+    before = set(threading.enumerate())
+    gated = _GatedStore(bucket="l0")
+    store = _deep_only_chain(gated)
+    try:
+        reader = _started(store.read_shard, "ckpt-1", "rank0")
+        reader.join(timeout=10.0)
+        assert not reader.is_alive()
+        closer = _started(store.close)
+        closer.join(timeout=0.2)
+        assert closer.is_alive()  # the promotion is still at the gate
+    finally:
+        gated.gate.set()
+    closer.join(timeout=30.0)
+    assert not closer.is_alive()
+    assert gated.list_committed_checkpoints() == ["ckpt-1"]
+    assert store.drain_metrics()["promoted_checkpoints"] == 1
+    assert [thread for thread in threading.enumerate()
+            if thread not in before and thread.name.startswith("tiered-drain-")] == []
+
+
+def test_a_failed_promotion_is_retried_and_never_fails_a_drain(tmp_path, monkeypatch):
+    """Every level-0 write of a promotion fails: the link is retried like
+    any link, on its executor, and then only logged — ``failed_drains``
+    stays 0 and ``wait_drained`` does not raise."""
+    level0 = FileStore(tmp_path / "l0")
+    store = _deep_only_chain(level0)
+    writers = []
+
+    def broken(*_args, **_kwargs):
+        writers.append(threading.get_ident())
+        raise OSError("read-only file system")
+
+    monkeypatch.setattr(level0, "write_shard", broken)
+    try:
+        assert store.read_shard("ckpt-1", "rank0") == b"0123456789"
+        store.wait_drained(timeout=30.0)
+        metrics = store.drain_metrics()
+        assert metrics["failed_drains"] == 0
+        assert metrics["retried_drains"] == 0  # drain counters count drains
+        assert metrics["promoted_checkpoints"] == 0
+        assert len(writers) == tiered.DRAIN_RETRIES + 1
+        assert threading.get_ident() not in writers
+        assert level0.list_committed_checkpoints() == []
+        assert store.drain_status("ckpt-1") is DrainState.REPLICATED
+    finally:
+        store.close()
+
+
+def test_a_torn_write_on_the_target_level_fails_the_drain(tmp_path):
+    """Every shard write on the deep level lands short: the drain fails
+    loudly, the deep level publishes no manifest, and level 0 keeps every
+    checkpoint (eviction never drops the only good copy)."""
+    deep = FaultyStore(ObjectStore(bucket="deep"), FaultPlan(torn_write_prob=1.0))
+    store = TierChain([TierLevel(FileStore(tmp_path / "l0"), name="l0"),
+                       TierLevel(deep, name="deep")])  # keep_local_latest=1
+    try:
+        for tag in ("ckpt-1", "ckpt-2"):
+            _commit_raw(store, tag, iteration=int(tag[-1]))
+        for tag in ("ckpt-1", "ckpt-2"):
+            with pytest.raises(CheckpointError, match="wrote 5 of 10 bytes"):
+                store.wait_drained(tag, timeout=30.0)
+        assert deep.list_committed_checkpoints() == []
+        assert store.levels[0].store.list_committed_checkpoints() == [
+            "ckpt-1", "ckpt-2"]
+        assert store.drain_metrics()["failed_drains"] == 2
+        assert store.drain_status("ckpt-1") is DrainState.LOCAL
+    finally:
+        store.close()
+
+
+def test_a_promotion_with_torn_level_zero_writes_leaves_no_part_there(tmp_path):
+    """Every level-0 write of a promotion lands short: level 0 publishes no
+    manifest and keeps no torn part, so a second read of the checkpoint
+    still gets the deep level's whole bytes."""
+    level0 = FaultyStore(FileStore(tmp_path / "l0"), FaultPlan(torn_write_prob=1.0))
+    store = _deep_only_chain(level0)
+    try:
+        assert store.read_shard("ckpt-1", "rank0") == b"0123456789"
+        store.wait_drained(timeout=30.0)
+        assert level0.list_committed_checkpoints() == []
+        assert level0.list_checkpoints() == []
+        assert store.level_used_bytes(0) == 0
+        assert store.drain_metrics()["promoted_parts"] == 0
+        assert store.read_shard("ckpt-1", "rank0") == b"0123456789"
+    finally:
+        store.close()
+
+
+def test_concurrent_deep_reads_write_each_part_to_level_zero_once(tmp_path):
+    """Eight threads read every part of four deep-only checkpoints at once,
+    with a short switch interval: one promotion at a time claims each
+    checkpoint, and a later one finds every part in place, so level 0 sees
+    one write per part."""
+    deep = ObjectStore(bucket="deep")
+    tags = [f"ckpt-{index}" for index in range(4)]
+    parts = [f"rank0-s{index}" for index in range(4)]
+    for iteration, tag in enumerate(tags):
+        for name in parts:
+            deep.write_shard(tag, name, [name.encode() * 64])
+        deep.write_manifest(tag, {"tag": tag, "iteration": iteration, "shards": [
+            {"rank": 0, "name": name, "nbytes": len(name) * 64, "checksum": None}
+            for name in parts]})
+    level0 = _Recording(ObjectStore(bucket="l0"))
+    store = TierChain([TierLevel(level0, name="l0"), TierLevel(deep, name="deep")],
+                      keep_local_latest=None)
+    order = [(tag, name) for tag in tags for name in parts]
+    wrong = []
+
+    def reader(seed):
+        for tag, name in random.Random(seed).sample(order, len(order)):
+            if store.read_shard(tag, name) != name.encode() * 64:
+                wrong.append((tag, name))
+
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        readers = [_started(reader, seed) for seed in range(8)]
+        for thread in readers:
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(switch_interval)
+    assert wrong == []
+    try:
+        store.wait_drained(timeout=30.0)
+        metrics = store.drain_metrics()
+        assert metrics["promoted_checkpoints"] >= len(tags)
+        assert metrics["promoted_parts"] == len(tags) * len(parts)
+        assert level0.count("write_shard") == len(tags) * len(parts)
+        assert sorted(level0.list_committed_checkpoints()) == tags
+    finally:
+        store.close()
+
+
+class _FirstReadGatedStore(ObjectStore):
+    """An object store whose first shard read waits for the test's gate."""
+
+    def __init__(self, bucket):
+        super().__init__(bucket=bucket)
+        self.gate, self.held = threading.Event(), threading.Event()
+
+    def read_shard(self, tag, shard_name, out=None):
+        if not self.held.is_set():
+            self.held.set()
+            self.gate.wait(timeout=30.0)
+        return super().read_shard(tag, shard_name, out=out)
+
+
+def test_a_deep_read_that_outlives_a_promotion_copies_no_part_twice(tmp_path):
+    """A deep read held past a whole promotion of its checkpoint, which a
+    later read queued and which finished, copies no part to level 0 again:
+    level 0 sees one write per part."""
+    deep = _FirstReadGatedStore(bucket="deep")
+    _commit_raw(deep, "ckpt-1")
+    level0 = _Recording(ObjectStore(bucket="l0"))
+    store = TierChain([TierLevel(level0, name="l0"),
+                       TierLevel(deep, name="deep")], keep_local_latest=None)
+    try:
+        slow = _started(store.read_shard, "ckpt-1", "rank0")
+        assert deep.held.wait(timeout=10.0)  # past level 0, held on deep
+        assert store.read_shard("ckpt-1", "rank0") == b"0123456789"
+        store.wait_drained(timeout=30.0)
+        deep.gate.set()
+        slow.join(timeout=10.0)
+        assert not slow.is_alive()
+        store.wait_drained(timeout=30.0)
+        assert store.drain_metrics()["promoted_parts"] == 1
+        assert level0.count("write_shard") == 1
+        assert level0.list_committed_checkpoints() == ["ckpt-1"]
+    finally:
+        deep.gate.set()
+        store.close()
 
 
 # ---------------------------------------------------------------------------
@@ -580,14 +914,13 @@ def test_uncapacitied_level_zero_keeps_legacy_count_eviction(tmp_path):
 
 
 def _victims_oracle(jobs, level_index, level, deepest, used, tag_bytes,
-                    keep_local_latest, deleted, headroom):
+                    keep_local_latest, headroom):
     """The eviction rules, restated over a sorted list."""
     if level_index == deepest:  # the durability floor
         return []
     eligible = [job.tag for job in sorted(jobs, key=lambda job: job.sequence)
                 if level_index in job.residency
-                and any(other > level_index for other in job.residency)
-                and job.tag not in deleted]
+                and any(other > level_index for other in job.residency)]
     if level.capacity_bytes is not None:
         limit = max(0.0, level.watermark * level.capacity_bytes - headroom)
         left = [used - sum(tag_bytes.get((tag, level_index), 0) for tag in eligible[:count])
@@ -611,7 +944,6 @@ def _eviction_cases(draw):
         jobs.append(_DrainJob(tag=f"t{index}", sequence=sequence, residency=set(residency)))
         for level_index in residency:
             tag_bytes[(f"t{index}", level_index)] = draw(st.sampled_from([0, 5, 10, 20]))
-    deleted = draw(st.sets(st.sampled_from([job.tag for job in jobs]))) if jobs else set()
     # Few whole sizes and limits, so "exactly at the limit" comes up often.
     level = TierLevel(ObjectStore(),
                       capacity_bytes=draw(st.none() | st.sampled_from([20, 40, 80])),
@@ -623,7 +955,7 @@ def _eviction_cases(draw):
     return dict(jobs=jobs, level_index=level_index, level=level, deepest=depth - 1,
                 used=used + draw(st.sampled_from([0, 5, 10])), tag_bytes=tag_bytes,
                 keep_local_latest=draw(st.none() | st.integers(0, 5)),
-                deleted=deleted, headroom=draw(st.sampled_from([0, 5, 10, 20])))
+                headroom=draw(st.sampled_from([0, 5, 10, 20])))
 
 
 def _case(level_index, capacity_bytes, used, keep_local_latest, residents):
@@ -634,8 +966,7 @@ def _case(level_index, capacity_bytes, used, keep_local_latest, residents):
               for index, (tag, sizes) in enumerate(residents.items())],
         level_index=level_index,
         level=TierLevel(ObjectStore(), capacity_bytes=capacity_bytes, watermark=0.5),
-        deepest=2, used=used, keep_local_latest=keep_local_latest, deleted=set(),
-        headroom=0, tag_bytes={(tag, level): size for tag, sizes in residents.items()
+        deepest=2, used=used, keep_local_latest=keep_local_latest, headroom=0, tag_bytes={(tag, level): size for tag, sizes in residents.items()
                                for level, size in sizes.items()})
 
 
@@ -647,9 +978,9 @@ def _case(level_index, capacity_bytes, used, keep_local_latest, residents):
 # keep_local_latest above the number of candidates keeps them all.
 @example(_case(0, None, 30, 4, {tag: {0: 10, 1: 10} for tag in "abc"}))
 def test_eviction_victims_match_a_sorted_list_oracle(case):
-    """Oldest first; only tags resident deeper and not tombstoned; stop at
-    or below ``watermark * capacity - headroom``; ``keep_local_latest``
-    keeps level 0's newest; the deepest level never evicts."""
+    """Oldest first; only tags resident deeper; stop at or below
+    ``watermark * capacity - headroom``; ``keep_local_latest`` keeps level
+    0's newest; the deepest level never evicts."""
     residency_before = {job.tag: set(job.residency) for job in case["jobs"]}
     victims = eviction_victims(**{key: value for key, value in case.items()
                                   if key != "deepest"})

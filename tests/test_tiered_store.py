@@ -273,6 +273,7 @@ def test_promotion_on_read_rehydrates_fast_tier(tmp_path):
     store.levels[0].store.delete_checkpoint("ckpt-1")  # simulated local loss
 
     restored = CheckpointLoader(store).restore(RestoreSpec.full(tag="ckpt-1"))
+    store.wait_drained(timeout=30.0)
     for name, array in reference[0]["model"].items():
         np.testing.assert_array_equal(array, restored[0]["model"][name])
     # Promotion rehydrated the fast tier with the commit invariant intact.
@@ -303,6 +304,7 @@ def test_promotion_failure_never_fails_the_read(tmp_path, monkeypatch):
 
     monkeypatch.setattr(store.levels[0].store, "write_shard", broken)
     restored = CheckpointLoader(store).restore(RestoreSpec.full(tag="ckpt-1"))
+    store.wait_drained(timeout=30.0)
     assert 0 in restored
     assert store.levels[0].store.list_committed_checkpoints() == []
     assert store.drain_metrics()["promoted_checkpoints"] == 0
