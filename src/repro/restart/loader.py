@@ -21,7 +21,11 @@ One rule decides what is copied: *copy only out of a read-only buffer*.  The
 arrays of a map are copied out, so the result is writable and the map can be
 released; the arrays of a landing buffer are returned as the writable,
 aligned views they already are (only an array whose slot is misaligned for
-its dtype is copied — mixed dtypes pack without padding).
+its dtype is copied — mixed dtypes pack without padding).  Either way a
+restore returns writable, aligned views of memory it allocated itself — a
+landing buffer, or the one slab per rank its copies go into
+(:func:`empty_arrays`) — and never of a map; one live array keeps its buffer
+or its slab alive.
 
 :meth:`CheckpointLoader.restore` is one entry point covering a single shard,
 one rank, every rank, and (with ``spec.target_topology``) an elastic restore
@@ -31,11 +35,14 @@ view of its shard buffer, straight into the target arrays
 (:meth:`CheckpointLoader._restore_reshaped`, :mod:`repro.restart.reshape`).
 
 Both copies — a map's copy-out and a reshape's moves — are one list of
-``(target, source)`` pairs run by one helper, :func:`copy_grouped`.  They
-are bound by first-touch page faults on the fresh arrays, not by memcpy, so
-the pairs are split into :data:`PREFETCH_DEPTH` groups balanced by bytes:
-the consumer copies one group and the prefetch workers the others, taking
-their faults in parallel.
+``(target, source)`` pairs run by one helper, :func:`copy_grouped`, into
+targets from one helper, :func:`empty_arrays`: a rank's large arrays share
+one slab, which is faulted in huge pages where per-array allocations would
+each be a fresh mapping faulted 4 KiB at a time.  The copies are bound by
+first-touch page faults on the fresh arrays, not by memcpy, so the pairs are
+split into :data:`PREFETCH_DEPTH` groups balanced by bytes: the consumer
+copies one group and the prefetch workers the others, taking their faults in
+parallel.
 
 Every fetch — a restore of any shape, :meth:`CheckpointLoader.validate` and
 :meth:`CheckpointLoader.verify_tensor_checksums` — runs through one
@@ -56,7 +63,7 @@ per-shard size/CRC checks entirely (manifest completeness is still enforced).
 
 from __future__ import annotations
 
-import copy
+import math
 import threading
 import time
 import traceback
@@ -91,8 +98,17 @@ logger = get_logger(__name__)
 #: doing it, and the groups a restore's copies run in (:func:`copy_grouped`).
 PREFETCH_DEPTH = 4
 
-#: A non-mapped part is landed so that its payload starts on this boundary.
+#: A non-mapped part is landed so that its payload starts on this boundary,
+#: and every slab array of :func:`empty_arrays` starts on it too.
 _PAYLOAD_ALIGN = 64
+
+#: Arrays of at least this many bytes share their restore's slab
+#: (:func:`empty_arrays`).  It is glibc's default ``M_MMAP_THRESHOLD``: from
+#: it up every allocation is a fresh mapping, faulted 4 KiB at a time on
+#: first touch (NumPy asks for huge pages only from 4 MiB), while one slab
+#: that large is faulted in huge pages.  Below it malloc recycles heap memory
+#: that is already faulted, so those arrays keep their own allocations.
+SLAB_MIN_BYTES = 128 * 1024
 
 #: How many of the most recent per-part timing samples are kept.
 _TIMING_WINDOW = 256
@@ -139,6 +155,30 @@ def copy_grouped(pairs: List[CopyPair], pool: Optional[ThreadPoolExecutor] = Non
         del pairs[:]
     for future in futures:
         future.result()
+
+
+def empty_arrays(specs: Sequence[Tuple[Tuple[int, ...], np.dtype]]) -> List[np.ndarray]:
+    """Fresh, writable arrays of the ``(shape, dtype)`` of each of ``specs``:
+    the destinations of one restored rank's copies.
+
+    Every array of at least :data:`SLAB_MIN_BYTES` is a view of one
+    ``np.empty`` slab, starting on a 64-byte boundary; a smaller one is its
+    own ``np.empty``.  One live slab array keeps the whole slab alive.
+    """
+    sized = [(shape, dtype, math.prod(shape) * dtype.itemsize) for shape, dtype in specs]
+    offsets: List[Optional[int]] = []
+    total = 0
+    for _shape, _dtype, nbytes in sized:
+        if nbytes < SLAB_MIN_BYTES:
+            offsets.append(None)
+        else:
+            offsets.append(total)
+            total += nbytes + -nbytes % _PAYLOAD_ALIGN
+    slab = np.empty(total + _PAYLOAD_ALIGN - 1, np.uint8)
+    slab = slab[-slab.ctypes.data % _PAYLOAD_ALIGN:]
+    return [np.empty(shape, dtype) if offset is None else
+            slab[offset:offset + nbytes].view(dtype).reshape(shape)
+            for (shape, dtype, nbytes), offset in zip(sized, offsets)]
 
 
 @dataclass(frozen=True)
@@ -546,9 +586,10 @@ class CheckpointLoader:
         are copied straight into the target arrays on this thread and the
         prefetch workers (:func:`copy_grouped`), before the pipeline shuts
         its workers down.  What ``spec.validate`` cross-checks is described
-        there.  The arrays returned are owned and writable, each target rank
-        gets its own copy of the ``extra`` block, and every buffer is released
-        on return, not by a later GC."""
+        there.  The arrays returned are writable views of one slab per target
+        rank (:func:`empty_arrays`; a small one is an array of its own), each
+        target rank gets its own copy of the ``extra`` block, and every buffer
+        is released on return, not by a later GC."""
         from .reshape import Remap
 
         manifest = self.manifest(tag)
@@ -610,18 +651,14 @@ class CheckpointLoader:
     def _reshaped_states(tag: str, plan: Remap, sources: Dict[int, Any], validate: bool,
                          pool: ThreadPoolExecutor) -> Dict[int, Dict[str, Any]]:
         """The target states of ``plan`` from the decoded ``sources``: every
-        move copied on this thread and ``pool``, every target rank's ``extra``
-        a deep copy of its own, none of it a view of a source buffer.  A frame
-        of its own: until the deep copies, the states hold views of the
-        buffers, and a failed restore's traceback clears this frame."""
+        move copied on this thread and ``pool``, none of it a view of a source
+        buffer.  A frame of its own: until the copies, its moves hold views of
+        the buffers, and a failed restore's traceback clears this frame."""
         states, moves = plan.run(sources, validate=validate)
         try:
             copy_grouped(moves, pool)
         except Exception as exc:
             raise RestartError(f"cannot reshape checkpoint {tag!r}: {exc}") from exc
-        for state in states.values():
-            if "extra" in state:
-                state["extra"] = copy.deepcopy(state["extra"])
         return states
 
     def _deserialize_set(self, tag: str, records: Sequence[ShardRecord],
@@ -656,14 +693,16 @@ class CheckpointLoader:
         """``(skeleton, arrays)`` of one shard-set, no array a view of a map.
 
         The one copy rule: copy only out of a read-only buffer (a map), on
-        the prefetch ``pool`` and this thread (:func:`copy_grouped`).  The
-        arrays of a landing buffer are writable views of memory this restore
-        owns; just those whose slot is misaligned for their dtype are copied.
+        the prefetch ``pool`` and this thread (:func:`copy_grouped`), into
+        one :func:`empty_arrays` call for all of the set's parts: the large
+        arrays are views of one slab.  The arrays of a landing buffer are
+        writable views of memory this restore owns; just those whose slot is
+        misaligned for their dtype are copied.
         """
         datas = [self._buffer_data(buffer) for buffer in buffers]
         skeleton, arrays = decode_rank_state(datas, copy=False)
         if memoryview(datas[0]).readonly:
-            copies = [np.empty_like(view) for view in arrays]
+            copies = empty_arrays([(view.shape, view.dtype) for view in arrays])
             copy_grouped([*zip(copies, arrays)], pool)
             return skeleton, copies
         return skeleton, [array if array.flags.aligned else array.copy() for array in arrays]

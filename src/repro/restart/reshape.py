@@ -17,10 +17,11 @@ a flat range of that band (:func:`repro.parallelism.zero.partition_elements`,
 the ZeRO-1 table), which tiles into at most three row-aligned blocks: partial
 head row, whole rows, partial tail row.  What a target slice takes from a
 source slice is the pairwise block intersections, each one (strided) copy
-from a view of the source buffer into a freshly allocated, owned target array
-— a ``(target window, source window)`` move that :meth:`Remap.run` hands over
-and :func:`~repro.restart.loader.copy_grouped` runs (on a restore's prefetch
-workers too); pipeline stages hold contiguous key ranges
+from a view of the source buffer into a freshly allocated target array (a
+target rank's large arrays are views of one slab it alone holds, never of a
+source) — a ``(target window, source window)`` move that :meth:`Remap.run`
+hands over and :func:`~repro.restart.loader.copy_grouped` runs (on a
+restore's prefetch workers too); pipeline stages hold contiguous key ranges
 (:func:`repro.parallelism.partition.balanced_contiguous_partition`).
 Splitting a full state is the remap from the 1x1x1 grid, merging the remap
 onto it, and an identity reshape reproduces every rank's arrays bit-for-bit.
@@ -53,6 +54,7 @@ in-memory states; :func:`reshape_checkpoint` is the offline converter behind
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -70,7 +72,7 @@ from ..parallelism.topology3d import ParallelTopology
 from ..parallelism.zero import partition_elements
 from ..serialization import CheckpointTopology, TensorLayout
 from ..tensor import StridedSlice
-from .loader import CheckpointLoader, CopyPair, copy_grouped
+from .loader import CheckpointLoader, CopyPair, copy_grouped, empty_arrays
 from .spec import RestoreSpec
 
 logger = get_logger(__name__)
@@ -311,8 +313,10 @@ class Remap:
         """Plan the target ranks' elastic states from the source ranks':
         ``(states, moves)``, nothing copied yet.
 
-        Every target array is freshly allocated and owned, and filled by
-        running ``moves``, its ``(target window, source window)`` pairs
+        Every target array is freshly allocated — the large ones of a target
+        rank are views of one slab, from one
+        :func:`~repro.restart.loader.empty_arrays` call per rank — and filled
+        by running ``moves``, its ``(target window, source window)`` pairs
         (:func:`~repro.restart.loader.copy_grouped`) — except with ``views``,
         where nothing is taken from a source holding the whole tensor: a
         slice that is one contiguous run of it is that run (a view), any
@@ -321,8 +325,9 @@ class Remap:
         recorded coordinates, and every replicated tensor's copies on the TP
         ranks in ``states`` against TP rank 0's source, bit for bit and
         before any move runs: a shard swapped with another rank's fails here.
-        The ``extra`` block of the first source rank holding one is shared by
-        every target rank.
+        Each target rank gets its own deep copy of the ``extra`` block of the
+        first source rank holding one; with ``views`` (a save, which only
+        reads it) every target rank shares that block.
         """
         if not self.source_ranks <= set(states) <= set(range(len(self._coords))):
             raise RestartError(
@@ -339,13 +344,18 @@ class Remap:
                                "coord": list(self._target_coords[rank])},
                    "model": {}}
             for rank in self.ranks}
-        pairs: List[CopyPair] = []
+        # First pass: every slice taken or compared, and each copied one's
+        # slot, numel and sources, so that a rank's arrays come from one slab.
+        copied: Dict[int, List[tuple]] = {rank: [] for rank in self.ranks}
         for target_rank, key, numel, run, lend, sources in self.entries:
             bufs = (states[sources[0][0]].get("zero") or {}).get(key)
             if bufs is not None:
                 out[target_rank].setdefault("zero", {})[key] = {}
             for name in (None, *(bufs or ())):
-                made = None
+                slot, label = ((out[target_rank]["model"], key) if name is None else
+                               (out[target_rank]["zero"][key], name))
+                slot[label] = None  # placed now: the key order is the save's layout
+                pieces = []
                 for rank, count, moves, twin_of in sources:
                     if twin_of is not None:
                         if validate and rank in states:
@@ -355,22 +365,26 @@ class Remap:
                         continue
                     piece = _slice_of(states[rank], rank, key, name, count)
                     if views and lend:
-                        made = (piece[run:run + numel] if run is not None else StridedSlice(
-                            src.window(piece, *overlap) for src, _dst, *overlap in moves))
+                        slot[label] = (piece[run:run + numel] if run is not None else
+                                       StridedSlice(src.window(piece, *overlap)
+                                                    for src, _dst, *overlap in moves))
                         break
-                    if made is None:
-                        made = np.empty(numel, dtype=piece.dtype)
-                    pairs.extend((dst.window(made, *overlap), src.window(piece, *overlap))
-                                 for src, dst, *overlap in moves)
-                if name is None:
-                    out[target_rank]["model"][key] = made
-                else:
-                    out[target_rank]["zero"][key][name] = made
+                    pieces.append((piece, moves))
+                if pieces:
+                    copied[target_rank].append((slot, label, numel, pieces))
+        pairs: List[CopyPair] = []
+        for slices in copied.values():
+            made = empty_arrays([((numel,), pieces[0][0].dtype)
+                                 for _slot, _label, numel, pieces in slices])
+            for (slot, label, _numel, pieces), array in zip(slices, made):
+                slot[label] = array
+                pairs.extend((dst.window(array, *overlap), src.window(piece, *overlap))
+                             for piece, moves in pieces for src, dst, *overlap in moves)
         extra = next((states[rank]["extra"] for rank in sorted(states)
                       if states[rank].get("extra") is not None), None)
         if extra is not None:
             for state in out.values():
-                state["extra"] = extra
+                state["extra"] = extra if views else copy.deepcopy(extra)
         return out, pairs
 
 
@@ -436,7 +450,8 @@ def shard_full_state(full_state: Mapping[str, Any],
     model tensor — Adam moments under ZeRO-1) and ``extra`` (replicated
     picklables).  Every model key must appear in the topology's partition
     table.  Returns ``{global_rank: state}`` covering the whole grid, every
-    slice an owned copy (the remap from the 1x1x1 grid).
+    slice a copy (the remap from the 1x1x1 grid) — a rank's large slices are
+    views of one slab of its own — and every rank's ``extra`` a deep copy.
     """
     return _shard(full_state, topology, views=False)
 

@@ -107,6 +107,25 @@ def assert_bits(actual, expected, what):
     assert actual.tobytes() == expected.tobytes(), what
 
 
+def assert_owned(array, what):
+    """Writable, and a view of memory the restore allocated: its ``.base``
+    chain ends in an ndarray that owns its data — never a map or bytes."""
+    assert array.flags.writeable, what
+    while not array.flags.owndata:
+        array = array.base
+        assert isinstance(array, np.ndarray), (what, type(array))
+
+
+def assert_own_extra(state, full):
+    """``state`` holds a deep copy of ``full``'s ``extra``, if it has one."""
+    assert ("extra" in state) == ("extra" in full)
+    if "extra" in full:
+        assert state["extra"] is not full["extra"]
+        assert state["extra"]["iteration"] == full["extra"]["iteration"]
+        assert_bits(state["extra"]["step"], full["extra"]["step"], "extra")
+        assert not np.shares_memory(state["extra"]["step"], full["extra"]["step"])
+
+
 def assert_matches_oracle(states, expected, ranks=None, owned=True):
     ranks = sorted(expected) if ranks is None else ranks
     assert sorted(states) == list(ranks)
@@ -121,7 +140,7 @@ def assert_matches_oracle(states, expected, ranks=None, owned=True):
         for actual, wanted, what in pairs:
             assert_bits(actual, wanted, what)
             if owned:
-                assert actual.flags.owndata and actual.flags.writeable, what
+                assert_owned(actual, what)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +200,7 @@ def test_shard_merge_reshape_match_the_oracle(drawn, source_grid, target_grid):
     for rank, state in sharded.items():
         d, rest = divmod(rank, source_grid[1] * source_grid[2])
         assert state["elastic"] == {"format": 1, "coord": [d, *divmod(rest, source_grid[2])]}
-        assert state.get("extra") is full.get("extra")
+        assert_own_extra(state, full)
 
     reshaped = reshape_state_dicts(sharded, source, target)
     assert_matches_oracle(reshaped, at_target)
@@ -240,10 +259,8 @@ def test_restore_reshaped_matches_the_oracle(drawn, source_grid, target_grid,
         one = loader.restore(RestoreSpec.of_rank(rank, tag="ckpt").reshaped(target))
         assert_matches_oracle({rank: one}, expected, ranks=[rank])
         for state in (one, everything[0]):
-            assert ("extra" in state) == ("extra" in full)
+            assert_own_extra(state, full)
             if "extra" in full:
-                assert state["extra"]["iteration"] == full["extra"]["iteration"]
-                assert_bits(state["extra"]["step"], full["extra"]["step"], "extra")
                 assert state["extra"]["step"].flags.owndata
 
 
@@ -637,6 +654,24 @@ def test_each_reshaped_rank_gets_its_own_extra(use_mmap, tmp_path):
     assert states[1]["extra"]["iteration"] == 9
 
 
+def test_in_memory_remaps_give_each_rank_its_own_extra():
+    """Sharding, reshaping and merging in memory copy ``extra`` per rank: a
+    step bump on one rank reaches neither another rank nor the caller."""
+    full, axes = fixed_state()
+    full["extra"] = {"iteration": 9, "step": np.arange(3)}
+    source = topology_of(full["model"], axes, (1, 1, 2))
+    target = topology_of(full["model"], axes, (2, 1, 1))
+    sharded = shard_full_state(full, source)
+    reshaped = reshape_state_dicts(sharded, source, target)
+    merged = merge_full_state(reshaped, target)
+    for state in (*sharded.values(), *reshaped.values(), merged):
+        assert_own_extra(state, full)
+    sharded[0]["extra"]["step"] += 1
+    reshaped[0]["extra"]["step"] += 1
+    for state in (full, sharded[1], reshaped[1], merged):
+        assert_bits(state["extra"]["step"], np.arange(3), "untouched")
+
+
 def test_offline_reshape_never_builds_the_full_model(tmp_path):
     store, full, axes, _source = saved(tmp_path / "src", source_grid=(1, 1, 2), rows=16384)
     nbytes = _state_nbytes(full)
@@ -653,6 +688,33 @@ def test_offline_reshape_never_builds_the_full_model(tmp_path):
     assert peak < 3.5 * nbytes, (peak / nbytes)
     restored = CheckpointLoader(dest).restore(RestoreSpec.full())
     assert_matches_oracle(restored, oracle_states(full, axes, (2, 1, 1)))
+
+
+# ---------------------------------------------------------------------------
+# A restored rank's large arrays are views of one slab
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.integers(0, 80), max_size=3),
+                          st.sampled_from([*DTYPES, np.int8, np.complex128])),
+                max_size=10))
+def test_slab_empty_arrays_property(specs):
+    """Shapes and dtypes as asked; an array of ``SLAB_MIN_BYTES`` or more is
+    a view of the one slab on a 64-byte boundary, a smaller one owns its
+    data; every array is writable and none overlaps another."""
+    specs = [(tuple(shape), np.dtype(dtype)) for shape, dtype in specs]
+    arrays = loader_module.empty_arrays(specs)
+    assert [(array.shape, array.dtype) for array in arrays] == specs
+    large = [array for array in arrays if array.nbytes >= loader_module.SLAB_MIN_BYTES]
+    assert len({id(array.base) for array in large}) <= 1
+    for array in arrays:
+        assert array.flags.writeable and array.flags.c_contiguous
+        if array.nbytes >= loader_module.SLAB_MIN_BYTES:
+            assert array.base.flags.owndata and array.ctypes.data % 64 == 0
+        else:
+            assert array.flags.owndata
+    for first, second in itertools.combinations(arrays, 2):
+        assert not np.shares_memory(first, second)
 
 
 # ---------------------------------------------------------------------------

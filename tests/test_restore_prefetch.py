@@ -9,9 +9,9 @@ set; it is not a caller option.
 """
 
 import dataclasses
+import gc
 import inspect
 import itertools
-import mmap
 import threading
 from unittest import mock
 
@@ -489,6 +489,15 @@ def test_failed_worker_copy_is_a_restart_error(tmp_path, monkeypatch, parts):
 # A map's arrays are copied out on every prefetch worker
 # ---------------------------------------------------------------------------
 
+def _assert_owned(array):
+    """Writable, and a view of memory the restore allocated: its ``.base``
+    chain ends in an ndarray that owns its data — never a map or bytes."""
+    assert array.flags.writeable
+    while not array.flags.owndata:
+        array = array.base
+        assert isinstance(array, np.ndarray), type(array)
+
+
 def _mixed_state():
     """Eight tensors of mixed dtypes: packed without padding, most slots
     are misaligned for their dtype."""
@@ -527,14 +536,83 @@ def test_mapped_copy_out_runs_on_every_prefetch_worker(tmp_path, monkeypatch, de
     for key, array in state["model"].items():
         restored = loaded["model"][key]
         assert restored.dtype == array.dtype and restored.tobytes() == array.tobytes()
-        assert restored.flags.writeable and restored.flags.owndata
-        base = restored
-        while base is not None:
-            assert not isinstance(base, mmap.mmap)
-            base = getattr(base, "base", None)
+        _assert_owned(restored)
     assert sorted(index for _thread, indices in copied for index in indices) == \
         list(range(len(state["model"])))
     threads = {thread for thread, _indices in copied}
     assert len(copied) == depth and consumer in threads
     assert (threads == {consumer}) == (depth == 1)
+    _assert_released(store)
+
+
+# ---------------------------------------------------------------------------
+# A restored rank's large arrays are views of one slab of its own
+# ---------------------------------------------------------------------------
+
+def _slab_model():
+    """Tensors of ``SLAB_MIN_BYTES`` and more (still so in a half slice) and
+    smaller ones, of mixed dtypes, with a 0-d and two zero-length tensors."""
+    rng = np.random.default_rng(26)
+    shapes = {"big_f32": ((128, 640), np.float32), "big_f64": ((48, 1000), np.float64),
+              "big_f16": ((300, 512), np.float16), "big_i64": (40000, np.int64),
+              "mid_i64": (20000, np.int64), "small_f32": ((7, 3), np.float32),
+              "small_i8": (101, np.int8), "scalar": ((), np.float64),
+              "empty": (0, np.float32), "empty_rows": ((0, 4), np.int64)}
+    return {key: (rng.standard_normal(shape) * 100).astype(dtype)
+            for key, (shape, dtype) in shapes.items()}
+
+
+def _assert_slabs(states):
+    """Each rank's large arrays share one owned base, no other rank's; its
+    small ones own their data; all are writable and aligned for their dtype,
+    and no two arrays share a byte."""
+    arrays, slabs = [], set()
+    for state in states.values():
+        mine = list(state["model"].values())
+        large = [array for array in mine if array.nbytes >= loader_module.SLAB_MIN_BYTES]
+        (slab,) = {id(array.base) for array in large}
+        assert large[0].base.flags.owndata and slab not in slabs
+        slabs.add(slab)
+        assert all(array.flags.owndata for array in mine
+                   if array.nbytes < loader_module.SLAB_MIN_BYTES)
+        arrays.extend(mine)
+    for array in arrays:
+        assert array.flags.writeable and array.flags.aligned
+    for first, second in itertools.combinations(arrays, 2):
+        assert not np.shares_memory(first, second)
+
+
+@pytest.mark.parametrize("mode", ["mapped", "reshaped"])
+@pytest.mark.parametrize("depth", [1, 4])
+def test_slab_restore_is_bit_identical_and_holds_no_map(tmp_path, monkeypatch, mode, depth):
+    """Saved replicated at dp1 x tp2 in two parts a rank, restored mapped
+    (each rank the whole model) or reshaped onto dp2 x tp1 (each rank a flat
+    half of it): the bytes of plain NumPy slicing, each rank in a slab of its
+    own, and no shard left mapped, with the cyclic GC off."""
+    from repro.restart import elastic_topology, save_elastic_checkpoint
+
+    store = _TrackingStore(tmp_path)
+    model = _slab_model()
+    save_elastic_checkpoint(store, {"model": model},
+                            elastic_topology(model, 1, 1, 2, shards_per_rank=2),
+                            tag="ckpt", iteration=1)
+    spec = RestoreSpec.full(tag="ckpt")
+    if mode == "reshaped":
+        spec = spec.reshaped(elastic_topology(model, 2, 1, 1))
+    _set_depth(monkeypatch, depth)
+    gc.collect()
+    gc.disable()
+    try:
+        states = CheckpointLoader(store).restore(spec)
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            assert [line for line in maps if ".shard" in line] == []
+    finally:
+        gc.enable()
+    for rank, state in states.items():
+        for key, array in model.items():
+            want = (array.reshape(-1) if mode == "mapped" else
+                    np.array_split(array.reshape(-1), 2)[rank])
+            got = state["model"][key]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (rank, key)
+    _assert_slabs(states)
     _assert_released(store)
