@@ -17,10 +17,10 @@ name                    engine
 """
 
 from .async_engine import AsyncCheckpointEngine
-from .base_engine import CheckpointEngine, CheckpointHandle
+from .base_engine import CheckpointEngine, CheckpointHandle, FlushResult
 from .consolidation import TwoPhaseCommitCoordinator
 from .engine import DataStatesCheckpointEngine
-from .flush_pipeline import FlushPipeline, FlushResult, ShardFlushJob
+from .flush_pipeline import FlushPipeline, ShardFlushJob
 from .lazy_snapshot import CopyStream, SnapshotJob, StagedExtent
 from .registry import (
     ENGINE_ALIASES,

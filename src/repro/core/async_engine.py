@@ -60,16 +60,13 @@ class AsyncCheckpointEngine(CheckpointEngine):
                     payload, buffer[entry.offset:entry.offset + entry.nbytes])
                 views.append(landed)
             staged.append((index, part, views))
-        self._flusher.submit(self._flush, handle, plan, staged, inc)
+        self._flusher.submit(self._flush, handle, plan, staged)
 
-    def _flush(self, handle, plan, staged, inc) -> None:
+    def _flush(self, handle, plan, staged) -> None:
         try:
             for index, part, views in staged:
-                nbytes, checksum = self._write_streaming_shard(
-                    handle.tag, part.name, part.header, plan.skeleton, views)
-                self._part_written(
-                    handle, plan, index, nbytes, checksum,
-                    tensor_checksums=inc.tensor_checksums(part.name) if inc else None)
+                self._part_written(handle, plan, index, *self._write_streaming_shard(
+                    handle.tag, part.name, part.header, plan.skeleton, views))
         except BaseException as exc:  # noqa: BLE001 - surfaced via the handle
             handle.fail(exc)
 

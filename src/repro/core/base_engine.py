@@ -18,15 +18,16 @@ extra call the paper adds):
     single vote once every part is durable.  An engine implements only
     ``_write_parts(handle, plan, parts, inc)``: how every part's bytes reach
     the store and on which thread, reporting each through ``_part_written``
-    (or ``handle.part_done``).  It runs the incremental dirty scan,
-    ``_scan_part``, where it reads a part's tensors — inside ``save`` for the
-    three engines that read them there, on the copy thread behind the
-    ``wait_for_snapshot`` gate for DataStates — and skips a part the scan
-    recorded by reference.  How much happens before ``save`` returns is the
-    engine's defining property: an engine with ``blocking = True``
-    (synchronous, TorchSnapshot) returns only once the checkpoint is
-    globally committed, while DataStates returns after the cheap
-    parse/header phases — nothing proportional to the state's bytes.
+    with its size, its preamble's CRC32 and one CRC32 per tensor.  It runs
+    the incremental dirty scan, ``_scan_part``, where it reads a part's
+    tensors — inside ``save`` for the three engines that read them there,
+    on the copy thread behind the ``wait_for_snapshot`` gate for
+    DataStates — and skips a part the scan recorded by reference.  How much
+    happens before ``save`` returns is the engine's defining property: an
+    engine with ``blocking = True`` (synchronous, TorchSnapshot) returns
+    only once the checkpoint is globally committed, while DataStates
+    returns after the cheap parse/header phases — nothing proportional to
+    the state's bytes.
 
     *Failed-tag rule.*  Whatever fails on a rank — a write, a capture, a
     reference, the vote — reaches ``handle.fail``, which tells the
@@ -98,7 +99,7 @@ from ..serialization import (
 )
 from ..tensor import FlattenCache, FlattenedState
 from .consolidation import TwoPhaseCommitCoordinator
-from .flush_pipeline import WRITE_CHUNK_BYTES, FlushResult
+from .flush_pipeline import WRITE_CHUNK_BYTES, PartWrite
 from .lazy_snapshot import SnapshotJob, deadline_iter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (restart imports core)
@@ -116,6 +117,32 @@ def _payload_crc(payload) -> int:
     for piece in tensor_bytes(payload):
         crc = crc32(piece, crc)
     return crc
+
+
+def _fold_part(part: ShardPart, preamble_crc: int, crcs: Sequence[int]) -> int:
+    """The whole-part CRC32: the preamble's folded with each tensor's, in
+    file order — bit-identical to one sequential CRC32 over the part."""
+    return fold_section_checksums(
+        zip(crcs, [entry.nbytes for entry in part.header.entries]),
+        initial=preamble_crc)
+
+
+@dataclass
+class FlushResult:
+    """Outcome of flushing one shard (or, aggregated, one rank's shard-set).
+
+    For a multi-shard-per-rank save the engines hand back one rank-level
+    result whose ``nbytes`` sums the set and whose ``parts`` holds the
+    individual per-file results; ``checksum``/``record`` then refer to the
+    set's first part.
+    """
+
+    tag: str
+    shard_name: str
+    nbytes: int
+    checksum: int
+    record: ShardRecord
+    parts: Optional[Tuple["FlushResult", ...]] = None
 
 
 class CheckpointHandle:
@@ -212,16 +239,13 @@ class IncrementalPlan:
     ``base`` maps part names to the base checkpoint's manifest records of
     this rank.  :meth:`CheckpointEngine._scan_part` compares a part against
     its record and leaves the part's freshly computed per-tensor CRC32s in
-    ``checksums`` — clean or dirty, so every record of the new manifest
-    carries them and the next save can run the same comparison.
+    ``checksums``, where DataStates' capture takes them instead of hashing
+    the staged bytes again.  Every sink records its own per-tensor CRC32s.
     """
 
     base_tag: str
     base: Dict[str, ShardRecord]
     checksums: Dict[str, Tuple[int, ...]]
-
-    def tensor_checksums(self, part_name: str) -> Optional[Tuple[int, ...]]:
-        return self.checksums.get(part_name)
 
 
 class CheckpointEngine(abc.ABC):
@@ -354,13 +378,23 @@ class CheckpointEngine(abc.ABC):
         or handed to ``handle.fail`` (off it)."""
 
     def _part_written(self, handle: CheckpointHandle, plan: ShardPlan, index: int,
-                      nbytes: int, checksum: int,
-                      tensor_checksums: Optional[Tuple[Optional[int], ...]] = None,
-                      ) -> None:
-        """Report part ``index`` of ``plan`` as durably written."""
+                      nbytes: int, preamble_crc: int,
+                      tensor_checksums: Sequence[int]) -> None:
+        """Report part ``index`` of ``plan`` as durably written: ``nbytes``
+        on the store, the CRC32 of its preamble and one CRC32 per tensor, in
+        header order, each taken over the bytes the sink wrote.  The part's
+        checksum is folded from them here, the one place a record is built,
+        so a record's checksum always agrees with its per-tensor CRCs."""
         part = plan.parts[index]
-        record = self._part_record(plan, part, nbytes, checksum,
-                                   tensor_checksums=tensor_checksums)
+        checksum = _fold_part(part, preamble_crc, tensor_checksums)
+        multi = not plan.is_single
+        # Shard-set fields only when the plan has several parts.
+        record = ShardRecord(
+            rank=self.rank, name=part.name, nbytes=nbytes, checksum=checksum,
+            tensor_checksums=tuple(tensor_checksums),
+            group=plan.base_name if multi else None,
+            part_index=part.part_index if multi else None,
+            num_parts=plan.num_parts if multi else None)
         handle.part_done(index, record, FlushResult(
             tag=handle.tag, shard_name=part.name, nbytes=nbytes,
             checksum=checksum, record=record))
@@ -479,23 +513,6 @@ class CheckpointEngine(abc.ABC):
         return ShardPlan(base_name=base_name, skeleton=flattened.skeleton_bytes(),
                          num_tensors=len(tensors), parts=parts)
 
-    def _part_record(self, plan: ShardPlan, part: ShardPart, nbytes: int,
-                     checksum: Optional[int],
-                     tensor_checksums: Optional[Tuple[Optional[int], ...]] = None,
-                     ) -> ShardRecord:
-        """Manifest record of one written part (set fields only when multi)."""
-        multi = not plan.is_single
-        return ShardRecord(
-            rank=self.rank,
-            name=part.name,
-            nbytes=nbytes,
-            checksum=checksum,
-            tensor_checksums=tensor_checksums,
-            group=plan.base_name if multi else None,
-            part_index=part.part_index if multi else None,
-            num_parts=plan.num_parts if multi else None,
-        )
-
     def _plan_incremental(self) -> Optional[IncrementalPlan]:
         """Resolve the base of an incremental save (``policy.incremental``):
         the latest committed checkpoint and this rank's records in it.
@@ -521,7 +538,7 @@ class CheckpointEngine(abc.ABC):
         The part is *clean* only when its exact byte stream would repeat:
         the serialized size matches the base record's and the whole-part
         CRC32 (freshly-encoded preamble folded with fresh per-tensor payload
-        CRCs by ``fold_section_checksums``) equals the recorded checksum.  The
+        CRCs, as :meth:`_part_written` folds them) equals the recorded checksum.  The
         preamble fold matters: the skeleton embeds non-tensor leaves
         (iteration counters, optimizer step), so per-tensor CRCs alone would
         reuse stale metadata.  A clean part is recorded by reference and
@@ -532,17 +549,16 @@ class CheckpointEngine(abc.ABC):
             return False
         part = plan.parts[index]
         preamble = encode_preamble(part.header, plan.skeleton)
+        preamble_crc = crc32(preamble)
         crcs = tuple(_payload_crc(payload)
                      for _entry, payload in iter_part_payloads(part))
-        folded = fold_section_checksums(
-            zip(crcs, [entry.nbytes for entry in part.header.entries]),
-            initial=crc32(preamble))
         inc.checksums[part.name] = crcs
         base = inc.base.get(part.name)
         if not (base is not None
                 and base.checksum is not None
                 and base.nbytes == len(preamble) + part.header.payload_bytes
-                and base.checksum == folded
+                and base.checksum == _fold_part(part, preamble_crc, crcs)
+                # A base committed before every record carried its CRCs.
                 and (base.tensor_checksums is None
                      or tuple(base.tensor_checksums) == crcs)):
             return False
@@ -558,14 +574,10 @@ class CheckpointEngine(abc.ABC):
             raise CheckpointError(
                 f"recording shard reference {handle.tag}/{part.name} -> "
                 f"{inc.base_tag} failed: {exc}") from exc
-        record = self._part_record(plan, part, nbytes, base.checksum,
-                                   tensor_checksums=crcs)
         with self._lock:
             self._parts_referenced += 1
             self._bytes_referenced += nbytes
-        handle.part_done(index, record, FlushResult(
-            tag=handle.tag, shard_name=part.name, nbytes=nbytes,
-            checksum=base.checksum, record=record))
+        self._part_written(handle, plan, index, nbytes, preamble_crc, crcs)
         return True
 
     @staticmethod
@@ -588,19 +600,32 @@ class CheckpointEngine(abc.ABC):
             raise CheckpointError("checkpoint engine is shut down")
 
     def _write_streaming_shard(self, tag: str, shard_name: str, header: ShardHeader,
-                               skeleton: bytes,
-                               payloads: Sequence[Any]) -> Tuple[int, int]:
+                               skeleton: bytes, payloads: Sequence[Any]) -> PartWrite:
         """Sequentially stream a shard to the store — from staged views or the
         state's own payloads (:func:`~repro.serialization.iter_shard_chunks`)
-        — accumulating the whole-file CRC32 chunk by chunk; returns
-        ``(nbytes, checksum)``."""
-        checksum = 0
+        — taking each tensor's CRC32 chunk by chunk as it goes out; returns
+        ``(nbytes, preamble CRC32, per-tensor CRC32s)`` for
+        :meth:`_part_written`."""
+        sizes = [entry.nbytes for entry in header.entries]
+        crcs = [0] * len(sizes)  # a zero-byte tensor's CRC32 is 0
+        preamble_crc = 0
 
         def chunks():
-            nonlocal checksum
-            for chunk in iter_shard_chunks(header, skeleton, payloads,
-                                           chunk_size=WRITE_CHUNK_BYTES):
-                checksum = crc32(chunk, checksum)
+            nonlocal preamble_crc
+            stream = iter_shard_chunks(header, skeleton, payloads,
+                                       chunk_size=WRITE_CHUNK_BYTES)
+            preamble = next(stream)
+            preamble_crc = crc32(preamble)
+            yield preamble
+            # No chunk spans two tensors: each one continues the CRC32 of
+            # the first tensor whose bytes are not all out yet.
+            index, left = -1, 0
+            for chunk in stream:
+                while not left:
+                    index += 1
+                    left = sizes[index]
+                crcs[index] = crc32(chunk, crcs[index])
+                left -= chunk.nbytes
                 yield chunk
 
         try:
@@ -613,7 +638,7 @@ class CheckpointEngine(abc.ABC):
             # "committed or loud", never a raw errno escaping the engine.
             raise CheckpointError(
                 f"shard write of {tag}/{shard_name} failed: {exc}") from exc
-        return receipt.nbytes, checksum
+        return receipt.nbytes, preamble_crc, tuple(crcs)
 
     # ---------------------------------------------------------------- shutdown
     def shutdown(self, wait: bool = True) -> None:

@@ -71,23 +71,19 @@ class DataStatesCheckpointEngine(CheckpointEngine):
         caller must invoke :meth:`wait_for_snapshot` before mutating any tensor
         the state references (typically right before ``optimizer.step()``).
         """
-        multi = not plan.is_single
         # Phase 3: lazy captures, queued on the copy stream; phase 4: a flush
         # per dirty part, so capture and flush overlap per shard.
         for index, part in parts:
             snapshot = SnapshotJob(
                 tag=handle.tag, shard_name=part.name, header=part.header,
-                skeleton=plan.skeleton, tensors=part.tensors,
-                group=plan.base_name if multi else None,
-                part_index=part.part_index if multi else None,
-                num_parts=plan.num_parts if multi else None)
+                skeleton=plan.skeleton, tensors=part.tensors)
             handle.snapshots.append(snapshot)
 
-            def on_done(result, error, index=index):
+            def on_done(written, error, index=index):
                 if error is not None:
                     handle.fail(error)
                 else:
-                    handle.part_done(index, result.record, result)
+                    self._part_written(handle, plan, index, *written)
 
             def begin(index=index, part=part, snapshot=snapshot, on_done=on_done):
                 # On the copy thread, behind the gate like the copies: the
@@ -99,7 +95,7 @@ class DataStatesCheckpointEngine(CheckpointEngine):
                 except BaseException as exc:
                     handle.fail(exc)
                     raise
-                return inc.tensor_checksums(part.name) if inc else ()
+                return inc.checksums[part.name] if inc else ()
 
             snapshot.begin = begin
             self.copy_stream.submit(snapshot)

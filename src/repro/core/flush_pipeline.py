@@ -21,24 +21,24 @@ One loop feeds one of two sinks, selected by what the store offers:
   chunks of the pool, none longer than :data:`WRITE_CHUNK_BYTES`.
 
 Neither sink hashes a payload byte: the capture thread already took every
-tensor's CRC32, and the whole-file checksum is folded from those (after the
-preamble's own :func:`~repro.serialization.crc32`) with
-:func:`~repro.serialization.crc32_combine`, bit-identical to one sequential
-CRC32 pass over the file.
+tensor's CRC32 where the bytes landed.  Either sink reports the same three
+things — the bytes written, the preamble's :func:`~repro.serialization.crc32`
+and the per-tensor CRC32s — and the engine folds the part checksum from them
+(:meth:`~repro.core.CheckpointEngine._part_written`), as it does for every
+other engine's sinks.
 """
 
 from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 from ..exceptions import CheckpointError
 from ..io import ShardStore, supports_shard_writer
 from ..logging_utils import get_logger
 from ..memory import PinnedHostPool
-from ..serialization import ShardRecord, crc32, encode_preamble, fold_section_checksums
+from ..serialization import crc32, encode_preamble
 from .lazy_snapshot import SnapshotJob, StagedExtent
 
 logger = get_logger(__name__)
@@ -48,35 +48,21 @@ logger = get_logger(__name__)
 WRITE_CHUNK_BYTES = 64 * 1024 * 1024
 
 
-@dataclass
-class FlushResult:
-    """Outcome of flushing one shard (or, aggregated, one rank's shard-set).
-
-    For a multi-shard-per-rank save the engines hand back one rank-level
-    result whose ``nbytes`` sums the set and whose ``parts`` holds the
-    individual per-file results; ``checksum``/``record`` then refer to the
-    set's first part.
-    """
-
-    tag: str
-    shard_name: str
-    nbytes: int
-    checksum: int
-    record: ShardRecord
-    parts: Optional[Tuple["FlushResult", ...]] = None
+#: What a sink reports for one written part: the bytes on the store, the
+#: preamble's CRC32 and one CRC32 per tensor, in header order.
+PartWrite = Tuple[int, int, Tuple[int, ...]]
 
 
 class ShardFlushJob:
     """Tracks one shard flush from submission to durability."""
 
-    def __init__(self, snapshot: SnapshotJob, rank: int) -> None:
+    def __init__(self, snapshot: SnapshotJob) -> None:
         self.snapshot = snapshot
-        self.rank = rank
         self.done = threading.Event()
-        self.result: Optional[FlushResult] = None
+        self.result: Optional[PartWrite] = None
         self.error: Optional[BaseException] = None
 
-    def wait(self, timeout: Optional[float] = None) -> FlushResult:
+    def wait(self, timeout: Optional[float] = None) -> PartWrite:
         """Block until the shard is durably written; re-raise failures."""
         if not self.done.wait(timeout=timeout):
             raise CheckpointError(
@@ -140,12 +126,10 @@ class FlushPipeline:
         self.parallel_shard_writes = bool(
             parallel_shard_writes and supports_shard_writer(store)
         )
-        self._jobs: List[ShardFlushJob] = []
-        self._lock = threading.Lock()
 
     # -- submission ---------------------------------------------------------
     def submit(self, snapshot: SnapshotJob,
-               on_done: Optional[Callable[[Optional[FlushResult],
+               on_done: Optional[Callable[[Optional[PartWrite],
                                            Optional[BaseException]], None]] = None,
                ) -> ShardFlushJob:
         """Queue a snapshot's shard for background writing.
@@ -153,9 +137,7 @@ class FlushPipeline:
         ``on_done(result, error)`` — one of the two is ``None`` — runs on the
         flush thread once the shard is durable or its write has failed.
         """
-        job = ShardFlushJob(snapshot, self.rank)
-        with self._lock:
-            self._jobs.append(job)
+        job = ShardFlushJob(snapshot)
         self.workers.submit(self._run, job, on_done)
         return job
 
@@ -174,18 +156,9 @@ class FlushPipeline:
             if on_done is not None:
                 on_done(job.result, job.error)
         finally:
-            # A retired job leaves the list: it holds its snapshot, and
-            # through it the arrays of the state it saved.
-            with self._lock:
-                self._jobs.remove(job)
             job.done.set()
 
     # -- synchronisation ---------------------------------------------------------
-    def pending_jobs(self) -> List[ShardFlushJob]:
-        """Flush jobs not yet known to be durable."""
-        with self._lock:
-            return list(self._jobs)
-
     def shutdown(self, wait: bool = True) -> None:
         """Stop the flush workers.  Queued flushes still run either way —
         a cancelled one would strand its snapshot's staged extents in the
@@ -193,7 +166,7 @@ class FlushPipeline:
         self.workers.shutdown(wait=wait)
 
     # -- the actual write ----------------------------------------------------------
-    def _write_shard(self, snapshot: SnapshotJob) -> FlushResult:
+    def _write_shard(self, snapshot: SnapshotJob) -> PartWrite:
         header = snapshot.header
         preamble = encode_preamble(header, snapshot.skeleton)
         crcs: List[int] = []
@@ -232,18 +205,4 @@ class FlushPipeline:
             # checkpoint's allocations) must never block on pool space no
             # writer will ever release.
             extents.close()
-        # Whole-file CRC32 folded from the capture-side per-tensor CRCs, so it
-        # can be re-verified by hashing the file once at restart time.
-        checksum = fold_section_checksums(
-            zip(crcs, [entry.nbytes for entry in header.entries]),
-            initial=crc32(preamble))
-        # The record carries the job's shard-set placement (multi-shard-per-
-        # rank layout) when it has one; per-tensor CRCs only on the writer sink.
-        record = ShardRecord(
-            rank=self.rank, name=snapshot.shard_name, nbytes=receipt.nbytes,
-            checksum=checksum,
-            tensor_checksums=tuple(crcs) if self.parallel_shard_writes else None,
-            group=snapshot.group, part_index=snapshot.part_index,
-            num_parts=snapshot.num_parts)
-        return FlushResult(tag=snapshot.tag, shard_name=snapshot.shard_name,
-                           nbytes=receipt.nbytes, checksum=checksum, record=record)
+        return receipt.nbytes, crc32(preamble), tuple(crcs)

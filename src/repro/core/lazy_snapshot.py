@@ -87,24 +87,18 @@ class SnapshotJob:
 
     In the multi-shard-per-rank layout one checkpoint request fans out into
     several jobs — one per :class:`~repro.serialization.ShardPart` — captured
-    in turn on the rank's copy stream and flushed independently; ``group``/
-    ``part_index``/``num_parts`` identify the job's place in the rank's
-    shard-set so the flush pipeline can stamp the manifest records.
+    in turn on the rank's copy stream and flushed independently.  A job
+    knows nothing of the manifest: the engine builds each part's record
+    from what the flush reports.
     """
 
     def __init__(self, tag: str, shard_name: str, header: ShardHeader,
-                 skeleton: bytes, tensors: Sequence[TensorRef],
-                 group: Optional[str] = None,
-                 part_index: Optional[int] = None,
-                 num_parts: Optional[int] = None) -> None:
+                 skeleton: bytes, tensors: Sequence[TensorRef]) -> None:
         self.tag = tag
         self.shard_name = shard_name
         self.header = header
         self.skeleton = skeleton
         self.tensors = list(tensors)
-        self.group = group
-        self.part_index = part_index
-        self.num_parts = num_parts
         self.staged: "queue.Queue[Optional[StagedExtent]]" = queue.Queue()
         #: Run once by the copy thread ahead of the copies.  Returns ``None``
         #: for "nothing to capture", else the per-tensor CRC32s it already

@@ -22,7 +22,7 @@ turned multi-rank "synchronous" saves into fire-and-forget ones.
 from __future__ import annotations
 
 from ..exceptions import CheckpointError
-from ..serialization import checksum_bytes, serialize_part
+from ..serialization import crc32, serialize_part
 from .base_engine import CheckpointEngine
 
 
@@ -48,6 +48,10 @@ class SynchronousCheckpointEngine(CheckpointEngine):
                 # wrapping: a store-level I/O error is a CheckpointError.
                 raise CheckpointError(
                     f"shard write of {handle.tag}/{part.name} failed: {exc}") from exc
-            self._part_written(
-                handle, plan, index, receipt.nbytes, checksum_bytes(raw),
-                tensor_checksums=inc.tensor_checksums(part.name) if inc else None)
+            # One CRC32 per section of the buffer just written.
+            start = len(raw) - part.payload_bytes  # where the payload begins
+            with memoryview(raw) as view:
+                self._part_written(
+                    handle, plan, index, receipt.nbytes, crc32(view[:start]),
+                    [crc32(view[start + entry.offset:start + entry.offset + entry.nbytes])
+                     for entry in part.header.entries])

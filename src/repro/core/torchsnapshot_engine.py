@@ -9,10 +9,10 @@ The writers use the offset-addressed ``pwrite`` fast path when the store
 supports it (each tensor lands at its final file offset computed by the shard
 header, chunk by chunk), falling back to a single-threaded streaming write
 otherwise.  Each writer thread takes its tensor's CRC32
-(:func:`~repro.serialization.crc32`) piece by piece as it writes, and the
-per-tensor CRC32s are folded into the whole-file checksum with
-:func:`~repro.serialization.fold_section_checksums`, so restart-time
-validation is byte-identical to every other engine's shards.
+(:func:`~repro.serialization.crc32`) piece by piece as it writes; the engine
+folds the per-tensor CRC32s into the whole-file checksum, as it does for
+every engine, so restart-time validation is byte-identical to every other
+engine's shards.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from ..serialization import (
     CheckpointTopology,
     crc32,
     encode_preamble,
-    fold_section_checksums,
     iter_part_payloads,
     tensor_bytes,
 )
@@ -98,11 +97,8 @@ class TorchSnapshotCheckpointEngine(CheckpointEngine):
             return
         for index, part in dirty:
             payloads = [payload for _entry, payload in iter_part_payloads(part)]
-            nbytes, checksum = self._write_streaming_shard(
-                handle.tag, part.name, part.header, plan.skeleton, payloads)
-            self._part_written(
-                handle, plan, index, nbytes, checksum,
-                tensor_checksums=inc.tensor_checksums(part.name) if inc else None)
+            self._part_written(handle, plan, index, *self._write_streaming_shard(
+                handle.tag, part.name, part.header, plan.skeleton, payloads))
 
     def _write_parallel_set(self, handle, plan, dirty) -> None:
         """Fan the dirty parts of the shard-set out to the writer pool.
@@ -127,13 +123,10 @@ class TorchSnapshotCheckpointEngine(CheckpointEngine):
                 # Header order; the first failed write re-raises here.
                 crcs = tuple(future.result() for future in futures)
                 receipt = writer.commit()
-                # Folded in file-offset order, so the whole-file checksum is
-                # byte-identical to a sequential CRC despite out-of-order writes.
-                checksum = fold_section_checksums(
-                    zip(crcs, [entry.nbytes for entry in part.header.entries]),
-                    initial=crc32(preamble))
-                self._part_written(handle, plan, index, receipt.nbytes, checksum,
-                                   tensor_checksums=crcs)
+                # In header order, so the folded checksum is byte-identical to
+                # a sequential CRC despite out-of-order writes.
+                self._part_written(handle, plan, index, receipt.nbytes,
+                                   crc32(preamble), crcs)
         except BaseException:
             # Let in-flight pwrites retire before closing their fds; abort
             # discards any part not yet committed (commit() makes abort a

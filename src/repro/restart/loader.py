@@ -276,8 +276,10 @@ class CheckpointLoader:
                 )
 
     def verify_tensor_checksums(self, tag: str, record: ShardRecord) -> None:
-        """Validate each tensor payload against the per-tensor CRC32 records
-        written by the parallel flush path, pinpointing corruption to a key."""
+        """Validate each tensor payload against the record's per-tensor
+        CRC32s, pinpointing corruption to a key.  Every record written now
+        carries them; a record of an older manifest without them raises
+        :class:`RestartError`."""
         if record.tensor_checksums is None:
             raise RestartError(
                 f"shard {record.name!r} of {tag!r} carries no per-tensor checksums"

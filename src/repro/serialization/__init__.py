@@ -17,7 +17,6 @@ from .manifest import (
     CheckpointTopology,
     ShardRecord,
     TensorLayout,
-    checksum_bytes,
 )
 from .payload import MAX_EXTENT_BYTES, tensor_bytes
 from .reader import decode_rank_state, deserialize_rank_state, deserialize_state, peek_tensor_keys
@@ -62,7 +61,6 @@ __all__ = [
     "part_shard_name",
     "serialize_part",
     "iter_part_payloads",
-    "checksum_bytes",
     "MAX_EXTENT_BYTES",
     "tensor_bytes",
 ]

@@ -9,7 +9,9 @@ corruption.
 Schema versions
 ---------------
 * **v1** — one (or more, independently named) shard files per rank; each
-  record is ``{rank, name, nbytes, checksum[, tensor_checksums]}``.
+  record is ``{rank, name, nbytes, checksum[, tensor_checksums]}``.  Every
+  record written now carries ``tensor_checksums``, one CRC32 per tensor that
+  folds to ``checksum``; records of older releases may lack it.
 * **v2** — adds the multi-shard-per-rank layout: records belonging to a
   shard-set additionally carry ``group`` (the logical per-rank shard name,
   e.g. ``rank0``), ``part_index``, and ``num_parts``, and the manifest top
@@ -42,7 +44,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import ConsistencyError
-from .checksum import crc32
 
 #: Current manifest schema version (v2/v3/v4 keys are written only when
 #: shard-sets / chunk lists / a topology block are actually present).
@@ -162,10 +163,10 @@ class ShardRecord:
     nbytes: int
     checksum: Optional[int] = None
     #: Per-tensor payload CRC32s, ordered like the shard header's tensor
-    #: table.  Written by the parallel (out-of-order pwrite) flush path, which
-    #: checksums each tensor on its staged view; the whole-file ``checksum``
+    #: table.  Every engine and sink records them; the whole-file ``checksum``
     #: above is folded from these, and the restart path can use them to
-    #: pinpoint which tensor of a corrupt shard went bad.
+    #: pinpoint which tensor of a corrupt shard went bad.  ``None`` only in
+    #: manifests written before every record carried them.
     tensor_checksums: Optional[Tuple[int, ...]] = None
     #: Logical shard-set this record belongs to (the rank's base shard name,
     #: e.g. ``rank0``) in the multi-shard-per-rank layout; ``None`` for
@@ -328,8 +329,3 @@ class CheckpointManifest:
         for item in data.get("shards", []):
             manifest.add_shard(ShardRecord.from_json(item))
         return manifest
-
-
-def checksum_bytes(payload: bytes) -> int:
-    """CRC32 checksum used in shard records (cheap, catches truncation/corruption)."""
-    return crc32(payload)

@@ -12,6 +12,7 @@ incremental``) against its <60 %-of-full-bytes acceptance bar, and the
 
 import hashlib
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -718,8 +719,9 @@ def test_failed_lazy_reference_with_its_base_in_place_fails_the_tag(tmp_path):
             handle.wait_captured(timeout=30)             # ... and at the gate
         assert "ck-3" not in store.list_committed_checkpoints()
         engine.wait_for_snapshot(timeout=30)     # the healthy part drains too
-        for job in engine.pipeline.pending_jobs():
-            assert job.done.wait(30)
+        deadline = time.monotonic() + 30
+        while engine.pool.used_bytes and time.monotonic() < deadline:
+            time.sleep(0.01)
         assert engine.pool.used_bytes == 0
 
         store.armed = False

@@ -225,7 +225,6 @@ def test_retired_saves_do_not_pin_their_arrays(tmp_path):
                 engine.save({"w": array}, tag=f"ckpt-{index}", iteration=index)
                 engine.wait_all()
                 del array
-            assert engine.pipeline.pending_jobs() == []
             assert [ref() is None for ref in refs] == [True] * 5
     finally:
         gc.enable()

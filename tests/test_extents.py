@@ -136,13 +136,10 @@ def test_golden_bytes_and_checksums_through_both_sinks(tmp_path, monkeypatch, si
         assert raw == serialize_part(part, plan.skeleton)
         assert record.nbytes == len(raw)
         assert record.checksum == zlib.crc32(raw)
-        if sink == "writer":
-            payload = raw[len(raw) - part.payload_bytes:]
-            assert tuple(record.tensor_checksums) == tuple(
-                zlib.crc32(payload[entry.offset:entry.offset + entry.nbytes])
-                for entry in part.header.entries)
-        else:
-            assert record.tensor_checksums is None
+        payload = raw[len(raw) - part.payload_bytes:]
+        assert tuple(record.tensor_checksums) == tuple(
+            zlib.crc32(payload[entry.offset:entry.offset + entry.nbytes])
+            for entry in part.header.entries)
     if shards_per_rank == 1:
         assert store.read_shard("golden", "rank0") == serialize_state(state)
 

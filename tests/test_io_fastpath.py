@@ -20,8 +20,8 @@ from repro.memory import PinnedHostPool
 from repro.restart import CheckpointLoader, RestoreSpec
 from repro.serialization import (
     build_header,
-    checksum_bytes,
     checksum_stream,
+    crc32,
     crc32_combine,
     deserialize_state,
     fold_section_checksums,
@@ -99,10 +99,10 @@ def test_fold_section_checksums_over_many_pieces():
     assert folded == (zlib.crc32(b"".join(pieces)) & 0xFFFFFFFF)
 
 
-def test_checksum_stream_matches_checksum_bytes():
+def test_checksum_stream_matches_crc32():
     payload = os.urandom(1 << 20)
-    assert checksum_stream(payload, chunk_size=4096) == checksum_bytes(payload)
-    assert checksum_stream(memoryview(payload)) == checksum_bytes(payload)
+    assert checksum_stream(payload, chunk_size=4096) == crc32(payload)
+    assert checksum_stream(memoryview(payload)) == crc32(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +227,7 @@ def test_parallel_and_streaming_paths_produce_identical_files(tmp_path):
         engine.shutdown()
         raws[mode] = store.read_shard("ckpt", "rank0")
         manifest = store.read_manifest("ckpt")
-        assert manifest["shards"][0]["checksum"] == checksum_bytes(raws[mode])
+        assert manifest["shards"][0]["checksum"] == crc32(raws[mode])
     assert raws["parallel"] == raws["streaming"]
 
 

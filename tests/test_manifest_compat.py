@@ -8,13 +8,15 @@ their shard-set metadata intact while single-shard checkpoints keep
 producing v1-identical manifest JSON.  Beside it sit a v2 (two-part shard
 set), a v3 (CAS chunk lists over a file root) and a v4 (an elastic dp1 x tp2
 grid with its topology block) fixture; each restores unchanged, is checked
-to really be its schema version, and is reproduced byte for byte by saving
-its state again (the v3 pool but for the refcount index object its release
-kept, which no save writes now: a copy of that legacy pool opens, counts and
-restores without it).
+to really be its schema version, and is reproduced by saving its state
+again: every shard and chunk file byte for byte, every manifest but for the
+per-tensor CRCs that records now always carry (the v3 pool but for the
+refcount index object its release kept, which no save writes now: a copy of
+that legacy pool opens, counts and restores without it).
 """
 
 import json
+import zlib
 import shutil
 from collections import Counter
 from pathlib import Path
@@ -24,7 +26,7 @@ import pytest
 
 from repro.config import CheckpointPolicy
 from repro.core import DataStatesCheckpointEngine
-from repro.exceptions import ConsistencyError
+from repro.exceptions import ConsistencyError, RestartError
 from repro.io import CASStore, FileStore
 from repro.io.cas import INDEX_TAG
 from repro.restart import (
@@ -33,7 +35,7 @@ from repro.restart import (
     elastic_topology,
     save_elastic_checkpoint,
 )
-from repro.serialization import CheckpointManifest, ShardRecord
+from repro.serialization import CheckpointManifest, ShardRecord, decode_preamble
 
 FIXTURE_ROOT = Path(__file__).parent / "fixtures" / "v1_checkpoint"
 FIXTURE_TAG = "ckpt-000004"
@@ -97,6 +99,16 @@ def test_v1_fixture_loads_through_engine_protocol(tmp_path):
     finally:
         engine.shutdown(wait=False)
     np.testing.assert_array_equal(loaded["model"]["w"], fixture_state()["model"]["w"])
+
+
+def test_v1_fixture_has_no_tensor_checksums_to_verify():
+    """The one fallback: a record from before every record carried its
+    per-tensor CRCs is checked whole, and a per-tensor check of it says so."""
+    loader = CheckpointLoader(FileStore(FIXTURE_ROOT))
+    [record] = loader.validate(FIXTURE_TAG).shards
+    assert record.tensor_checksums is None
+    with pytest.raises(RestartError, match="'rank0'.*no per-tensor checksums"):
+        loader.verify_tensor_checksums(FIXTURE_TAG, record)
 
 
 def test_v1_fixture_manifest_has_no_v2_keys():
@@ -315,33 +327,52 @@ def _files(root):
     return sorted(path.relative_to(root) for path in root.rglob("*") if path.is_file())
 
 
-def _assert_same_tree(written, committed, skip=None):
+def _assert_same_tree(written, committed, store, skip=None):
+    """Every shard and chunk file byte for byte; every manifest as parsed
+    JSON once each record's ``tensor_checksums`` is taken out — a record
+    written now always carries them, the fixtures' releases did not always
+    — and those must be zlib's CRC32 of the payload sections of the part
+    ``store`` reads back."""
     expected = [name for name in _files(committed) if name != skip]
     assert _files(written) == expected
     for name in expected:
-        assert (written / name).read_bytes() == (committed / name).read_bytes(), name
+        if name.name != "manifest.json":
+            assert (written / name).read_bytes() == (committed / name).read_bytes(), name
+            continue
+        ours = json.loads((written / name).read_text())
+        theirs = json.loads((committed / name).read_text())
+        for record, committed_record in zip(ours["shards"], theirs["shards"]):
+            crcs = record.pop("tensor_checksums")
+            assert committed_record.pop("tensor_checksums", crcs) == crcs
+            raw = store.read_shard(ours["tag"], record["name"])
+            header, _skeleton, start = decode_preamble(raw)
+            assert crcs == [zlib.crc32(raw[start + entry.offset:
+                                           start + entry.offset + entry.nbytes])
+                            for entry in header.entries]
+        assert ours == theirs, name
 
 
 def test_saving_the_fixture_state_reproduces_the_v3_fixture(tmp_path):
     """Chunk files and manifest: the CAS pool a default-policy save of the
     fixture state leaves over a file root.  The fixture also holds the
     refcount index object of the release that wrote it; a save writes none."""
+    store = _v3_store(tmp_path)
     with DataStatesCheckpointEngine(
-            _v3_store(tmp_path),
-            policy=CheckpointPolicy(host_buffer_size=1 << 20)) as engine:
+            store, policy=CheckpointPolicy(host_buffer_size=1 << 20)) as engine:
         engine.save(fixture_state(), tag=V3_FIXTURE_TAG, iteration=12)
         engine.wait_all()
     assert INDEX_TAG not in FileStore(tmp_path).list_checkpoints()
-    _assert_same_tree(tmp_path, V3_FIXTURE_ROOT, skip=V3_LEGACY_INDEX)
+    _assert_same_tree(tmp_path, V3_FIXTURE_ROOT, store, skip=V3_LEGACY_INDEX)
 
 
 def test_saving_the_fixture_state_reproduces_the_v4_fixture(tmp_path):
     model = v4_model()
+    store = FileStore(tmp_path)
     save_elastic_checkpoint(
-        FileStore(tmp_path), {"model": model},
+        store, {"model": model},
         elastic_topology(model, data_parallel=1, tensor_parallel=2, axes=V4_AXES),
         tag=V4_FIXTURE_TAG, iteration=16)
-    _assert_same_tree(tmp_path, V4_FIXTURE_ROOT)
+    _assert_same_tree(tmp_path, V4_FIXTURE_ROOT, store)
 
 class _StreamingOnlyStore(FileStore):
     """A file store without offset-addressed writers: engines stream to it."""
@@ -356,18 +387,15 @@ class _StreamingOnlyStore(FileStore):
 def test_saving_the_fixture_state_reproduces_the_committed_fixture(tmp_path, root, tag,
                                                                    store_cls, policy):
     """On-disk identity, shard files *and* manifest: the committed v1 fixture
-    was written by the streaming sink (no per-tensor checksums) a store
-    without a shard writer gets, the v2 one by the offset-addressed sink over
-    a two-part plan."""
+    was written by the streaming sink a store without a shard writer gets
+    (when that sink recorded no per-tensor checksums), the v2 one by the
+    offset-addressed sink over a two-part plan."""
     store = store_cls(tmp_path)
     with DataStatesCheckpointEngine(
             store, policy=CheckpointPolicy(host_buffer_size=1 << 20, **policy)) as engine:
         engine.save(fixture_state(), tag=tag, iteration=int(tag.rsplit("-", 1)[1]))
         engine.wait_all()
-    committed = sorted(path.name for path in (root / tag).iterdir())
-    assert sorted(path.name for path in (tmp_path / tag).iterdir()) == committed
-    for name in committed:
-        assert (tmp_path / tag / name).read_bytes() == (root / tag / name).read_bytes(), name
+    _assert_same_tree(tmp_path, root, store)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,13 @@ template (a dozen lines of ``_write_parts``), runs through the same suite: what
 the template promises an extension is exactly what the stock engines get.
 """
 
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.config import CheckpointPolicy
+from repro.core import base_engine, flush_pipeline, torchsnapshot_engine
 from repro.core import (
     ENGINE_NAMES,
     AsyncCheckpointEngine,
@@ -32,10 +35,15 @@ from repro.core import (
     resolve_real_engine_class,
 )
 from repro.exceptions import CheckpointError, ConfigurationError
-from repro.io import STORE_NAMES, ShardStore, create_store
+from repro.io import STORE_NAMES, ShardStore, create_store, supports_shard_reference
 from repro.model import NumpyTransformerLM, tiny_config
 from repro.restart import CheckpointLoader, RestoreSpec
-from repro.serialization import CheckpointManifest, iter_part_payloads
+from repro.serialization import (
+    CheckpointManifest,
+    decode_preamble,
+    fold_section_checksums,
+    iter_part_payloads,
+)
 from repro.training import RealTrainer
 
 
@@ -54,11 +62,8 @@ class StreamingCheckpointEngine(CheckpointEngine):
             if self._scan_part(handle, plan, index, inc):
                 continue
             payloads = [payload for _entry, payload in iter_part_payloads(part)]
-            nbytes, checksum = self._write_streaming_shard(
-                handle.tag, part.name, part.header, plan.skeleton, payloads)
-            self._part_written(
-                handle, plan, index, nbytes, checksum,
-                tensor_checksums=inc.tensor_checksums(part.name) if inc else None)
+            self._part_written(handle, plan, index, *self._write_streaming_shard(
+                handle.tag, part.name, part.header, plan.skeleton, payloads))
 
 
 pytestmark = pytest.mark.parametrize(
@@ -328,6 +333,48 @@ def test_incremental_save_references_the_unchanged_parts(engine_name, tmp_path):
         assert stats["bytes_referenced"] > 0
         CheckpointLoader(engine.store).validate("delta")
         _assert_restores(engine, "delta", state)
+
+
+@pytest.mark.parametrize("incremental", [False, True], ids=["full", "incremental"])
+def test_every_record_carries_tensor_crcs_that_fold_to_its_checksum(
+        engine_name, store_backend, tmp_path, monkeypatch, incremental):
+    """One part record from every engine and every sink: one CRC32 per
+    header entry, each over its section of the part as stored, folding with
+    the preamble's CRC32 to the part checksum — for a tensor streamed in
+    several chunks, a zero-byte tensor and a part recorded by reference."""
+    for module in (base_engine, flush_pipeline, torchsnapshot_engine):
+        monkeypatch.setattr(module, "WRITE_CHUNK_BYTES", 1000)
+    store = _make_store(store_backend, tmp_path, "records")
+    policy = CheckpointPolicy(host_buffer_size=16 << 20, shards_per_rank=3,
+                              incremental=incremental)
+    state = _state(seed=7)
+    # Zero-byte tensors before and after a streamed one in their part.
+    state["model"] = {"e0": np.zeros(0), **state["model"]}
+    state["optimizer"] = {"e1": np.zeros((0, 3)), **state["optimizer"]}
+    with create_real_engine(engine_name, store, policy=policy) as engine:
+        for step in range(2):
+            state["model"]["b"] = state["model"]["b"] + step  # dirties one part
+            engine.save(state, tag=f"ckpt-{step}", iteration=step)
+            engine.wait_all()
+        referenced = engine.stats()["parts_referenced"]
+    assert (referenced > 0) == (incremental and supports_shard_reference(store))
+
+    loader = CheckpointLoader(store)
+    sizes = []
+    for tag in ("ckpt-0", "ckpt-1"):
+        for record in loader.validate(tag).shards:
+            raw = store.read_shard(tag, record.name)
+            header, _skeleton, start = decode_preamble(raw)
+            sections = [raw[start + entry.offset:start + entry.offset + entry.nbytes]
+                        for entry in header.entries]
+            sizes.extend(len(section) for section in sections)
+            assert list(record.tensor_checksums) == [
+                zlib.crc32(section) for section in sections]
+            assert fold_section_checksums(
+                zip(record.tensor_checksums, [len(section) for section in sections]),
+                initial=zlib.crc32(raw[:start])) == record.checksum
+            loader.verify_tensor_checksums(tag, record)
+    assert 0 in sizes and max(sizes) > 1000
 
 
 class _CountingCoordinator(TwoPhaseCommitCoordinator):

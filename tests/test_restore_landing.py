@@ -134,8 +134,7 @@ def test_validate_and_tensor_checksums_read_the_landed_image(tmp_path, store_nam
         loader = CheckpointLoader(store)
         manifest = loader.validate(tag)
         for record in manifest.shards:
-            if record.tensor_checksums is not None:
-                loader.verify_tensor_checksums(tag, record)
+            loader.verify_tensor_checksums(tag, record)
         _assert_equal(loader.restore(RestoreSpec.of_shard("rank0", tag=tag)), state)
 
 

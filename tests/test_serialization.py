@@ -10,7 +10,6 @@ from repro.serialization import (
     ShardRecord,
     TensorEntry,
     build_header,
-    checksum_bytes,
     decode_preamble,
     deserialize_state,
     encode_preamble,
@@ -189,8 +188,3 @@ def test_manifest_validate_complete_passes_when_all_ranks_present():
     manifest.add_shard(ShardRecord(rank=0, name="rank0", nbytes=1))
     manifest.add_shard(ShardRecord(rank=1, name="rank1", nbytes=1))
     manifest.validate_complete()
-
-
-def test_checksum_bytes_is_stable_and_sensitive():
-    assert checksum_bytes(b"hello") == checksum_bytes(b"hello")
-    assert checksum_bytes(b"hello") != checksum_bytes(b"hellp")
