@@ -19,26 +19,26 @@ content hash**, shared across every checkpoint and every tenant:
   checkpointing the same base model share bytes.
 * **Manifest schema v3** — at commit time the per-shard chunk lists are
   injected into the manifest (``chunks: [[hash, nbytes], ...]`` per record),
-  making every committed checkpoint self-describing: restores, refcounts,
-  and cross-job GC all read only committed manifests.
+  making every committed checkpoint self-describing: restores, reference
+  counts and cross-job GC all read only committed manifests.
 * **Incremental checkpoints** — :meth:`record_shard_reference` lets an
   engine whose dirty scan (per-tensor CRC32s against the previous committed
   manifest, see ``CheckpointPolicy.incremental``) proves a shard part
   unchanged record the part by reference: the base checkpoint's chunk list
   is pinned — atomically with the sweeper, and only if every chunk is still
   in the pool — and re-used without re-hashing or re-uploading a single byte.
-* **Refcounted two-phase GC** — the committed manifests are the only record
-  of which chunks are referenced: opening a pool counts every namespace's
-  chunk lists, a commit raises the counts after its manifest publishes and
-  a prune lowers them after its inner tag is deleted;
-  :meth:`sweep_unreferenced` deletes unreferenced chunks.  Writers pin
-  chunks (under the same lock the sweeper re-checks) between first use and
-  the counts going up, so neither a concurrent save re-referencing a chunk
-  mid-sweep nor a commit between its publish and its count can lose it.
-  Nothing but the manifests is persisted, so the counts are exact after any
-  restart: a crash strands at most unreferenced chunks, which the next
-  sweep reclaims.  A ``cas-refcounts`` index object left by an older
-  release is ignored, and deleted by the pool's first commit or sweep.
+* **Mark-and-sweep GC** — the committed manifests are the one record of
+  which chunks are referenced and the pool's chunk tags the one record of
+  which exist; neither is mirrored in memory, so a second handle over the
+  same root cannot make it stale.  :meth:`sweep_unreferenced` re-reads every
+  committed manifest (mark) and deletes every other chunk (sweep).  A writer
+  pins each chunk before it asks the pool for it and keeps the pin until its
+  commit's chunk lists are cached, under the lock the sweeper deletes under,
+  so neither a concurrent save nor a commit the mark missed loses a chunk.
+  A crash strands at most unreferenced chunks, which the next sweep
+  reclaims.  An older release's index object (``INDEX_TAG``) is ignored,
+  and deleted by the pool's first commit or sweep.  Pins are per process:
+  another process's uncommitted save is not protected.
 
 The store intentionally exposes neither ``create_shard_writer`` nor
 ``open_shard_mmap`` — every engine falls back to the streaming write path and
@@ -51,6 +51,7 @@ from __future__ import annotations
 import hashlib
 import re
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import PurePosixPath
 from typing import Dict, Iterable, List, Optional, Tuple, Union
@@ -116,9 +117,11 @@ def _parse_shards(manifest: Dict) -> Dict[str, _ShardChunks]:
 class _CASCore:
     """State shared by every namespace handle of one chunk pool.
 
-    Owns the inner store, the chunk refcounts, the pin table protecting
-    in-flight (uncommitted) chunk uses from the sweeper, the pending and
-    committed per-checkpoint chunk lists, and the dedup byte counters.
+    Owns the inner store, the pin table protecting in-flight (uncommitted)
+    chunk uses from the sweeper, the pending and committed per-checkpoint
+    chunk lists, and the dedup byte counters.  Which chunks are referenced
+    and which exist it asks the manifests (:meth:`mark`) and the pool
+    (:meth:`pin`) each time.
     """
 
     def __init__(self, inner, chunk_bytes: int) -> None:
@@ -127,12 +130,9 @@ class _CASCore:
         self.inner = inner
         self.chunk_bytes = int(chunk_bytes)
         self.lock = threading.RLock()
-        #: Committed references per chunk hash (positive only), counted from
-        #: the committed manifests at open.
-        self.refcounts: Dict[str, int] = {}
         #: Uncommitted uses per chunk hash — held between a writer's first
-        #: use of a chunk and the count (or prune) of its checkpoint; the
-        #: sweeper never deletes a pinned chunk.
+        #: use of a chunk and the caching (or prune) of its checkpoint's
+        #: chunk lists; the sweeper never deletes a pinned chunk.
         self.pins: Dict[str, int] = {}
         #: Uncommitted chunk lists: inner tag -> shard name -> chunk list.
         self.pending: Dict[str, Dict[str, _ShardChunks]] = {}
@@ -145,31 +145,8 @@ class _CASCore:
         self.chunks_deduped = 0
         self.chunks_referenced = 0
         self.chunks_swept = 0
-        tags = self.inner.list_committed_checkpoints()
         #: An older release's index object, deleted before the pool changes.
-        self.legacy_index = INDEX_TAG in tags
-        for inner_tag in tags:
-            if not inner_tag.startswith(_NAMESPACE_TAG_PREFIX):
-                continue
-            try:
-                shards = _parse_shards(self.inner.read_manifest(inner_tag))
-            except (CheckpointError, OSError):
-                continue
-            self.committed[inner_tag] = shards
-            self.count(shards.values(), 1)
-        #: Hashes known to be durably present in the inner pool.
-        self.durable = set(self.refcounts)
-
-    def count(self, shard_lists: Iterable[_ShardChunks], sign: int) -> None:
-        """Raise (``sign=1``) or lower (``-1``) the refcount of every chunk."""
-        with self.lock:
-            for entry in shard_lists:
-                for chunk_hash, _nbytes in entry.chunks:
-                    left = self.refcounts.get(chunk_hash, 0) + sign
-                    if left > 0:
-                        self.refcounts[chunk_hash] = left
-                    else:
-                        self.refcounts.pop(chunk_hash, None)
+        self.legacy_index = INDEX_TAG in self.inner.list_committed_checkpoints()
 
     def drop_legacy_index(self) -> None:
         """Delete an older release's index object before the pool changes,
@@ -180,12 +157,36 @@ class _CASCore:
                 self.inner.delete_checkpoint(INDEX_TAG)
                 self.legacy_index = False
 
+    def mark(self) -> Counter:
+        """References per chunk hash in every committed manifest, read now.
+        A manifest deleted after the listing is skipped; one still listed
+        that cannot be read raises, so no sweep deletes its chunks."""
+        references: Counter = Counter()
+        for inner_tag in self.inner.list_committed_checkpoints():
+            if not inner_tag.startswith(_NAMESPACE_TAG_PREFIX):
+                continue
+            try:
+                manifest = self.inner.read_manifest(inner_tag)
+            except (CheckpointError, OSError):
+                if inner_tag in self.inner.list_committed_checkpoints():
+                    raise
+                continue
+            for entry in _parse_shards(manifest).values():
+                references.update(chunk_hash for chunk_hash, _nbytes in entry.chunks)
+        return references
+
     # -- chunk pool ----------------------------------------------------------
-    def pin(self, chunk_hash: str) -> bool:
-        """Pin one chunk use; returns whether the chunk is already durable."""
+    def pin(self, chunk_hash: str, nbytes: int) -> bool:
+        """Pin one chunk use, then ask the pool whether it holds the chunk
+        whole.  Pinned first, the answer holds until the pin goes: the
+        sweeper deletes no pinned chunk.  The pin stays taken when the probe
+        raises; the caller gives it back with the rest of its pins."""
         with self.lock:
             self.pins[chunk_hash] = self.pins.get(chunk_hash, 0) + 1
-            return self.refcounts.get(chunk_hash, 0) > 0 or chunk_hash in self.durable
+        try:
+            return self.inner.shard_size(chunk_tag(chunk_hash), CHUNK_SHARD_NAME) == nbytes
+        except (CheckpointError, OSError):  # absent from the pool
+            return False
 
     def unpin_all(self, shard_lists: Iterable[_ShardChunks]) -> None:
         with self.lock:
@@ -222,7 +223,6 @@ class _CASCore:
             raise CheckpointError(
                 f"chunk upload {chunk_hash[:12]}... failed: {exc}") from exc
         with self.lock:
-            self.durable.add(chunk_hash)
             self.bytes_written += nbytes
             self.chunks_written += 1
 
@@ -334,10 +334,10 @@ class CASStore:
         ``memoryview`` piece may be recycled by its producer once the next is
         pulled, so the tail of one that does not complete a chunk is copied
         (the only copy); ``bytes`` pieces are kept by reference.  Each chunk
-        is pinned (against the sweeper) before its existence check, uploaded
-        only when the pool lacks it, and recorded in the pending chunk list
-        that :meth:`write_manifest` later injects into the manifest as
-        schema v3.
+        is pinned (against the sweeper) before the pool is asked for it,
+        uploaded only when the pool lacks it, and recorded in the pending
+        chunk list that :meth:`write_manifest` later injects into the
+        manifest as schema v3.
         """
         core = self._core
         inner_tag = self._tag(tag)
@@ -350,9 +350,8 @@ class CASStore:
 
         def land() -> None:
             chunk_hash = digest.hexdigest()
-            present = core.pin(chunk_hash)
             piece_list.append((chunk_hash, filled))
-            if present:
+            if core.pin(chunk_hash, filled):
                 with core.lock:
                     core.chunks_deduped += 1
             else:
@@ -393,7 +392,7 @@ class CASStore:
         committed checkpoint ``base_tag`` — the incremental-save fast path.
 
         The base chunk list is pinned without touching a single payload byte;
-        the commit then refcounts the same chunks for the new checkpoint.
+        the new checkpoint's manifest then names the same chunks.
         The whole list is pinned in one critical section with the sweeper,
         and only if every chunk is still in the pool: a base deleted and
         swept by another thread raises :class:`CheckpointError` (no pin
@@ -406,24 +405,26 @@ class CASStore:
                 f"cannot reference shard {shard_name!r}: committed checkpoint "
                 f"{base_tag!r} has no such shard")
         with core.lock:
-            for position, (chunk_hash, _nbytes) in enumerate(base_entry.chunks):
-                if not core.pin(chunk_hash):
-                    core.unpin_all([_ShardChunks(base_entry.chunks[:position + 1], 0)])
-                    raise CheckpointError(
-                        f"cannot reference shard {shard_name!r}: chunk "
-                        f"{chunk_hash[:12]}... of checkpoint {base_tag!r} is no "
-                        f"longer in the pool")
+            try:
+                for position, (chunk_hash, nbytes) in enumerate(base_entry.chunks):
+                    if not core.pin(chunk_hash, nbytes):
+                        raise CheckpointError(
+                            f"cannot reference shard {shard_name!r}: chunk "
+                            f"{chunk_hash[:12]}... of checkpoint {base_tag!r} is "
+                            f"no longer in the pool")
+            except BaseException:
+                core.unpin_all([_ShardChunks(base_entry.chunks[:position + 1], 0)])
+                raise
         core.stage(self._tag(tag), shard_name, _ShardChunks(
             chunks=base_entry.chunks, nbytes=base_entry.nbytes, referenced=True))
         return base_entry.nbytes
 
     def write_manifest(self, tag: str, manifest: Dict) -> object:
-        """Inject chunk lists (schema v3), atomically commit, then count.
+        """Inject chunk lists (schema v3), atomically commit, then cache them.
 
-        The inner manifest publishes first and the refcounts go up after:
-        the writer's pins keep the sweeper off the chunks until then, so a
-        failed publish leaves nothing to undo, and a crash in between loses
-        nothing (a reopened pool counts from the published manifests).
+        The writer's pins keep the sweeper off the chunks until the published
+        lists are cached, where a sweep whose mark missed this publish finds
+        them; a failed publish leaves nothing to undo.
         """
         core = self._core
         inner_tag = self._tag(tag)
@@ -432,7 +433,7 @@ class CASStore:
 
         data = dict(manifest)
         records = []
-        entries_used: List[_ShardChunks] = []
+        logical = 0
         for record in manifest.get("shards", []):
             record = dict(record)
             entry = pending.get(str(record["name"]))
@@ -442,16 +443,15 @@ class CASStore:
                     f"through the CAS store (nothing to commit)")
             record["chunks"] = [[h, int(n)] for h, n in entry.chunks]
             records.append(record)
-            entries_used.append(entry)
+            logical += entry.nbytes
         data["shards"] = records
         data["version"] = 3
 
-        self._check_quota(tag, sum(entry.nbytes for entry in entries_used))
+        self._check_quota(tag, logical)
 
         core.drop_legacy_index()
         receipt = core.inner.write_manifest(inner_tag, data)
         with core.lock:
-            core.count(entries_used, 1)
             staged = core.pending.pop(inner_tag, {})
             core.committed[inner_tag] = {
                 name: entry for name, entry in staged.items()}
@@ -545,8 +545,8 @@ class CASStore:
     def delete_checkpoint(self, tag: str) -> None:
         """Prune one checkpoint: phase one of the two-phase GC.
 
-        The inner tag (manifest) is deleted *first*, then the refcounts are
-        lowered — the chunks are never unreferenced while a manifest still
+        The inner tag (manifest) is deleted *first*, then its cached chunk
+        lists — the chunks are never unreferenced while a manifest still
         names them.  Actual chunk deletion is deferred to
         :meth:`sweep_unreferenced`.
         """
@@ -556,37 +556,34 @@ class CASStore:
             staged = core.pending.pop(inner_tag, None)
         if staged:
             core.unpin_all(staged.values())
-        shards = core.committed_shards(inner_tag, required=False)
         core.inner.delete_checkpoint(inner_tag)
         with core.lock:
             core.committed.pop(inner_tag, None)
-            core.count(shards.values(), -1)
 
     def sweep_unreferenced(self) -> int:
         """Phase two of the GC: delete every unreferenced, unpinned chunk.
 
-        Candidates come from the inner store's actual chunk tags (so orphans
-        from crashes are found too); each candidate is re-checked — and its
-        inner tag deleted — under the pool lock, so a writer pinning the same
-        chunk mid-sweep either pins it before the re-check (the sweep skips
-        it) or after the delete (the exists-check then re-uploads it).
-        Chunks a crash stranded are unreferenced from the pool's open on, so
-        they go too.
+        Candidates are the inner store's chunk tags (crash orphans too),
+        listed before the mark re-reads the manifests outside the pool lock.
+        The delete phase holds the lock and spares marked chunks, this
+        pool's cached committed lists (a commit the mark missed keeps its
+        pins until they are cached) and pinned chunks: a writer pins either
+        before it (spared) or after (its probe finds the chunk gone and
+        re-uploads it).
         """
         core = self._core
         core.drop_legacy_index()
+        candidates = self.pool_chunks()
+        live = set(core.mark())
         removed = 0
-        for inner_tag in core.inner.list_checkpoints():
-            if not inner_tag.startswith(_CHUNK_TAG_PREFIX):
-                continue
-            chunk_hash = inner_tag[len(_CHUNK_TAG_PREFIX):]
-            with core.lock:
-                if core.refcounts.get(chunk_hash, 0) > 0:
+        with core.lock:
+            for shards in core.committed.values():
+                for entry in shards.values():
+                    live.update(chunk_hash for chunk_hash, _nbytes in entry.chunks)
+            for chunk_hash in candidates:
+                if chunk_hash in live or core.pins.get(chunk_hash, 0) > 0:
                     continue
-                if core.pins.get(chunk_hash, 0) > 0:
-                    continue
-                core.durable.discard(chunk_hash)
-                core.inner.delete_checkpoint(inner_tag)
+                core.inner.delete_checkpoint(chunk_tag(chunk_hash))
                 core.chunks_swept += 1
                 removed += 1
         return removed
@@ -601,9 +598,9 @@ class CASStore:
 
     # -- introspection -------------------------------------------------------
     def refcount(self, chunk_hash: str) -> int:
-        """Committed references of one chunk (0 when unreferenced)."""
-        with self._core.lock:
-            return self._core.refcounts.get(chunk_hash, 0)
+        """Committed references of one chunk (0 when unreferenced), counted
+        by the same walk over the committed manifests a sweep marks with."""
+        return self._core.mark()[chunk_hash]
 
     def pool_chunks(self) -> List[str]:
         """Hashes of every chunk physically present in the inner pool."""

@@ -225,8 +225,14 @@ class ObjectStore:
         return _decode_manifest(payload)
 
     def shard_size(self, tag: str, shard_name: str) -> int:
-        """Stored size of one shard object."""
-        return len(self.read_shard(tag, shard_name))
+        """Stored size of one shard object: a HEAD, which ``get_count``
+        does not count."""
+        with self._lock:
+            payload = self._objects.get(self.shard_key(tag, shard_name))
+        if payload is None:
+            raise CheckpointError(
+                f"shard {shard_name!r} of checkpoint {tag!r} does not exist")
+        return len(payload)
 
     # -- management ----------------------------------------------------------
     def _tags(self) -> List[str]:

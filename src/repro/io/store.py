@@ -44,7 +44,8 @@ stores into an ordered chain — commits land on level 0 and drain
 asynchronously to the deeper levels; see :mod:`repro.io.tiered`.  The ``cas``
 backend (:class:`~repro.io.CASStore`) wraps any inner store in
 content-addressed chunk storage with per-job namespaces, incremental
-(reference-based) saves, and refcounted cross-job GC; see :mod:`repro.io.cas`.
+(reference-based) saves, and mark-and-sweep cross-job GC; see
+:mod:`repro.io.cas`.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ STORE_LABELS: Dict[str, str] = {
     "file": "FileStore (POSIX directory)",
     "object": "ObjectStore (in-memory, one part per key)",
     "tiered": "TierChain (level-0 commits + async drain to deeper levels)",
-    "cas": "CASStore (content-addressed chunks, namespaces, refcounted GC)",
+    "cas": "CASStore (content-addressed chunks, namespaces, mark-and-sweep GC)",
     "faulty": "FaultyStore (seeded fault injection around another backend)",
 }
 

@@ -24,7 +24,7 @@ Schema versions
   ordered list of ``[hash, nbytes]`` pairs naming the content-addressed
   chunks whose concatenation is the shard's byte stream.  The field is only
   present for CAS checkpoints, so v1/v2 manifests stay byte-identical and
-  parse unchanged; the refcounting garbage collector counts its chunk
+  parse unchanged; the mark-and-sweep garbage collector marks its chunk
   references from exactly these lists.
 * **v4** — elastic restart: checkpoints saved with a declared parallel
   layout carry a top-level ``topology`` block

@@ -2,15 +2,17 @@
 
 Covers the chunk pool's content addressing (fixed-size sha256 chunks,
 dedup, hash-verified reads), namespace scoping and quotas over one shared
-pool, the refcounted two-phase cross-job GC (including the
-concurrent-writer-vs-sweeper and prune-vs-commit races, and the exact
-refcounts a reopened pool counts from its committed manifests),
+pool, the mark-and-sweep cross-job GC (including the
+concurrent-writer-vs-sweeper and prune-vs-commit races, several handles and
+processes over one root, and the exact reference counts the committed
+manifests give a reopened pool),
 the engine-level incremental checkpoint path (``CheckpointPolicy.
 incremental``) against its <60 %-of-full-bytes acceptance bar, and the
 ``cas``-over-``object`` composition.
 """
 
 import hashlib
+import multiprocessing
 import threading
 import time
 import tracemalloc
@@ -23,8 +25,9 @@ from hypothesis import strategies as st
 from repro.config import CheckpointPolicy
 from repro.core import ENGINE_NAMES, create_real_engine
 from repro.exceptions import CheckpointError, ConfigurationError, ConsistencyError
-from repro.io import CASStore, FileStore, create_store, supports_shard_reference
-from repro.restart import RestoreSpec
+from repro.io import (CASStore, FileStore, ObjectStore, create_store,
+                      supports_shard_reference)
+from repro.restart import CheckpointLoader, RestoreSpec
 from repro.io.cas import CHUNK_SHARD_NAME, chunk_tag
 
 CHUNK = 1024
@@ -205,7 +208,7 @@ def test_quota_is_enforced_at_commit_per_namespace(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Cross-job refcounted GC
+# Cross-job mark-and-sweep GC
 # ---------------------------------------------------------------------------
 
 def test_cross_job_gc_never_deletes_a_still_referenced_chunk(tmp_path):
@@ -243,13 +246,13 @@ def test_sweep_reclaims_the_pool_after_the_last_reference(tmp_path):
 
 
 def test_sweep_skips_a_chunk_repinned_by_a_concurrent_writer(tmp_path, monkeypatch):
-    """The prune-vs-save race: a writer re-referencing a zero-refcount chunk
+    """The prune-vs-save race: a writer re-referencing an unreferenced chunk
     between the sweeper's candidate listing and its per-chunk re-check must
     win — the pin taken at first use makes the re-check skip the chunk."""
     pool = _pool(tmp_path)
     payload = _payload(13, 2 * CHUNK)
     _save(pool, "old", {"rank0": payload})
-    pool.delete_checkpoint("old")  # refcounts drop to zero, chunks linger
+    pool.delete_checkpoint("old")  # no manifest names the chunks; they linger
 
     writer = pool.namespace("writer")
     real_list = pool.inner.list_checkpoints
@@ -273,9 +276,8 @@ def test_sweep_skips_a_chunk_repinned_by_a_concurrent_writer(tmp_path, monkeypat
 
 
 def test_rewrite_after_a_completed_sweep_reuploads(tmp_path):
-    """The other side of the race window: once the sweep deleted a chunk
-    (and dropped it from the durable set), a later identical write must
-    re-upload rather than trust the stale pool entry."""
+    """The other side of the race window: once the sweep deleted a chunk,
+    a later identical write must find it gone and re-upload it."""
     pool = _pool(tmp_path)
     payload = _payload(14, CHUNK)
     _save(pool, "old", {"rank0": payload})
@@ -323,7 +325,7 @@ def test_a_prune_beside_a_commit_never_loses_the_committed_chunks(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Refcounts counted from the committed manifests
+# Reference counts read from the committed manifests
 # ---------------------------------------------------------------------------
 
 def test_a_pool_with_no_index_object_reopens_with_exact_counts(tmp_path):
@@ -340,8 +342,8 @@ def test_a_pool_with_no_index_object_reopens_with_exact_counts(tmp_path):
 
 
 def test_a_crash_pruned_checkpoints_chunks_go_at_the_next_sweep(tmp_path):
-    """A crash between a prune's inner delete and its count leaves the
-    chunks stranded in the pool; a reopened pool counts only what the
+    """A prune that removed only the inner tag leaves the chunks
+    stranded in the pool; a reopened pool counts only what the
     committed manifests name, so the next sweep reclaims them."""
     pool = _pool(tmp_path)
     job_a, job_b = pool.namespace("jobA"), pool.namespace("jobB")
@@ -349,7 +351,7 @@ def test_a_crash_pruned_checkpoints_chunks_go_at_the_next_sweep(tmp_path):
     keep = _payload(17, 2 * CHUNK)
     _save(job_b, "ck-b", {"rank0": keep})
 
-    # Crash-prune ck-a: the inner tag vanishes, the count never drops.
+    # Crash-prune ck-a: the inner tag vanishes, its chunks stay.
     [inner_tag] = [tag for tag in pool.inner.list_committed_checkpoints()
                    if tag.endswith("ck-a")]
     pool.inner.delete_checkpoint(inner_tag)
@@ -406,11 +408,11 @@ def test_reference_pins_the_whole_list_in_one_critical_section(tmp_path):
             core.lock.release()
         outcomes.append(free)
 
-    def pin_while_a_sweeper_tries(chunk_hash):
+    def pin_while_a_sweeper_tries(*args):
         thread = threading.Thread(target=sweeper)
         thread.start()
         thread.join()
-        return real_pin(chunk_hash)
+        return real_pin(*args)
 
     core.pin = pin_while_a_sweeper_tries
     try:
@@ -453,6 +455,154 @@ def test_orphan_chunks_from_an_aborted_save_are_swept(tmp_path):
     assert reopened.sweep_unreferenced() == 2
     assert len(reopened.pool_chunks()) == 1
     assert reopened.list_committed_checkpoints() == ["ck"]
+
+
+# ---------------------------------------------------------------------------
+# Several handles over one root: the sweep marks from the manifests, a
+# writer asks the pool
+# ---------------------------------------------------------------------------
+
+def _datastates_save(store, state, tag):
+    with create_real_engine("datastates", store, policy=CheckpointPolicy(
+            host_buffer_size=1 << 22)) as engine:
+        engine.save(state, tag, iteration=1)
+        engine.wait_all(timeout=30)
+
+
+def _assert_restores(store, tag, state):
+    restored = CheckpointLoader(store).restore(RestoreSpec.of_rank(0, tag=tag))
+    for group in ("model", "optimizer"):
+        for key, value in state[group].items():
+            np.testing.assert_array_equal(restored[group][key], value)
+
+
+def test_a_handle_never_sweeps_a_checkpoint_another_handle_committed(tmp_path):
+    sweeper = _pool(tmp_path, chunk_bytes=4096)
+    writer = _pool(tmp_path, chunk_bytes=4096)
+    state = _training_state(5)
+    _datastates_save(writer, state, "ck")
+
+    assert sweeper.sweep_unreferenced() == 0
+    _assert_restores(writer, "ck", state)
+    _assert_restores(sweeper, "ck", state)
+
+
+def test_a_chunk_another_handle_swept_is_uploaded_again(tmp_path):
+    """``writer`` wrote the chunks itself, then ``pruner`` deleted and swept
+    them: the same bytes saved again must go back to the pool, not be
+    deduplicated against chunks that are gone."""
+    pruner, writer = _pool(tmp_path), _pool(tmp_path)
+    payload = _payload(43, 3 * CHUNK)
+    _save(writer, "t1", {"rank0": payload})
+    pruner.delete_checkpoint("t1")
+    assert pruner.sweep_unreferenced() == 3
+
+    written = writer.dedup_metrics()["chunks_written"]
+    _save(writer, "t2", {"rank0": payload})
+    assert writer.dedup_metrics()["chunks_written"] == written + 3
+    assert writer.read_shard("t2", "rank0") == payload
+    assert _pool(tmp_path).read_shard("t2", "rank0") == payload
+
+
+@pytest.mark.parametrize("damage", ["oserror", "garbage"])
+def test_an_unreadable_listed_manifest_fails_the_sweep_and_deletes_nothing(
+        tmp_path, damage):
+    pool = _pool(tmp_path)
+    _save(pool, "keep", {"rank0": _payload(44, 2 * CHUNK)})
+    _save(pool, "other", {"rank0": _payload(45, 2 * CHUNK)})
+    [other] = [tag for tag in pool.inner.list_committed_checkpoints()
+               if tag.endswith("--other")]
+    inner = FileStore(tmp_path / "pool")
+    real_read = inner.read_manifest
+
+    def unreadable(tag):
+        if tag == other:
+            raise OSError(f"injected: manifest of {tag} unreadable")
+        return real_read(tag)
+
+    if damage == "oserror":
+        inner.read_manifest = unreadable
+    else:
+        (tmp_path / "pool" / other / "manifest.json").write_text("{not json")
+    reopened = CASStore(inner, chunk_bytes=CHUNK)
+
+    with pytest.raises((OSError, ValueError)):
+        reopened.sweep_unreferenced()
+    assert reopened.pool_chunks() == pool.pool_chunks()
+    assert len(reopened.pool_chunks()) == 4
+    assert reopened.dedup_metrics()["chunks_swept"] == 0
+
+
+def test_a_manifest_pruned_during_the_mark_is_skipped(tmp_path):
+    pool = _pool(tmp_path)
+    keep = _payload(46, 2 * CHUNK)
+    _save(pool, "keep", {"rank0": keep})
+    _save(pool, "gone", {"rank0": _payload(47, 2 * CHUNK)})
+    inner = FileStore(tmp_path / "pool")
+    real_read = inner.read_manifest
+
+    def read_after_a_prune(tag):
+        if tag.endswith("--gone"):
+            inner.delete_checkpoint(tag)   # a concurrent prune wins the race
+        return real_read(tag)
+
+    inner.read_manifest = read_after_a_prune
+    reopened = CASStore(inner, chunk_bytes=CHUNK)
+    assert reopened.sweep_unreferenced() == 2
+    assert reopened.read_shard("keep", "rank0") == keep
+
+
+def test_asking_an_object_pool_for_a_chunk_is_no_get():
+    store = CASStore(ObjectStore(), chunk_bytes=CHUNK)
+    payload = _payload(48, 3 * CHUNK)
+    _save(store, "ck-1", {"rank0": payload})
+    gets = store.inner.get_count
+    _save(store, "ck-2", {"rank0": payload})
+    assert store.dedup_metrics()["chunks_deduped"] == 3
+    assert store.inner.get_count == gets
+
+
+def test_a_probe_that_raises_gives_every_pin_back(tmp_path, monkeypatch):
+    """Only an absent chunk reads as "not in the pool"; any other error from
+    the presence probe fails the write or the reference, holding no pin."""
+    pool = _pool(tmp_path)
+    payload = _payload(49, 3 * CHUNK)
+    _save(pool, "base", {"rank0": payload})
+    real_size, probes = pool.inner.shard_size, []
+
+    def second_probe_breaks(tag, shard_name):
+        probes.append(tag)
+        if len(probes) == 2:
+            raise RuntimeError("injected: probe failed")
+        return real_size(tag, shard_name)
+
+    monkeypatch.setattr(pool.inner, "shard_size", second_probe_breaks)
+    with pytest.raises(RuntimeError, match="injected"):
+        pool.record_shard_reference("next", "rank0", "base")
+    assert pool._core.pins == {}
+    del probes[:]
+    with pytest.raises(RuntimeError, match="injected"):
+        pool.write_shard("next", "rank0", [payload])
+    assert pool._core.pins == {}
+    assert pool._core.pending == {}
+
+
+def _commit_in_another_process(root, tag, seed):
+    """Child process: open its own pool over ``root`` and commit ``tag``."""
+    _datastates_save(CASStore(FileStore(root), chunk_bytes=4096),
+                     _training_state(seed), tag)
+
+
+def test_a_checkpoint_another_process_committed_survives_the_sweep(tmp_path):
+    pool = _pool(tmp_path, chunk_bytes=4096)   # opened before the child commits
+    child = multiprocessing.get_context("spawn").Process(
+        target=_commit_in_another_process, args=(tmp_path / "pool", "ck", 6))
+    child.start()
+    child.join(120)
+    assert child.exitcode == 0
+
+    assert pool.sweep_unreferenced() == 0
+    _assert_restores(pool, "ck", _training_state(6))
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +752,7 @@ def test_incremental_save_writes_under_sixty_percent(engine_name, tmp_path):
 def test_incremental_base_prune_keeps_referencing_checkpoints_whole(
         engine_name, tmp_path):
     """Deleting the base of an incremental chain must not damage the
-    checkpoints that recorded parts of it by reference — the refcounts keep
+    checkpoints that recorded parts of it by reference — their manifests keep
     the shared chunks alive through the sweep."""
     store = create_store("cas", root=tmp_path / "pool", chunk_bytes=4096)
     policy = CheckpointPolicy(host_buffer_size=1 << 28, incremental=True)

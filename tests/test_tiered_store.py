@@ -527,6 +527,16 @@ def test_object_store_read_shard_range_counts_requests():
         store.read_shard_range("ckpt-1", "rank0", 0, 11)
 
 
+def test_object_store_shard_size_is_a_head_not_a_get():
+    store = ObjectStore()
+    store.write_shard("ckpt-1", "rank0", [b"0123456789"])
+    before = store.get_count
+    assert store.shard_size("ckpt-1", "rank0") == 10
+    with pytest.raises(CheckpointError, match="does not exist"):
+        store.shard_size("ckpt-1", "gone")
+    assert store.get_count == before
+
+
 def test_tiered_read_shard_range_falls_back_to_slow(tmp_path):
     store = _tiered(tmp_path)
     _save(store, ["ckpt-1"])
