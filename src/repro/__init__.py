@@ -57,7 +57,6 @@ from .exceptions import (
     SerializationError,
     ShardingError,
     SimulationError,
-    TransferError,
 )
 from .io import (FileStore, ObjectStore, ShardStore, available_stores,
                  create_store, register_store)
@@ -100,6 +99,5 @@ __all__ = [
     "RestartError",
     "SerializationError",
     "SimulationError",
-    "TransferError",
     "ShardingError",
 ]

@@ -15,17 +15,10 @@ from .figures import (
     headline_speedups,
     table1_model_zoo,
 )
-from .metrics import (
-    end_to_end_speedups,
-    geometric_mean,
-    iteration_time_speedups,
-    ordering_matches,
-    relative_error,
-    throughput_speedups,
-)
+from .metrics import ordering_matches
 from .real_compare import compare_real_engines, comparison_table_rows, run_real_engine
 from .replay import calibrate_engine, replay_config, replay_table_rows, replay_trace
-from .report import format_comparison, format_table, print_rows
+from .report import format_table, print_rows
 
 __all__ = [
     "paper_data",
@@ -41,14 +34,8 @@ __all__ = [
     "figure11_12_frequency_sweep",
     "frequency_sweep_rows",
     "headline_speedups",
-    "throughput_speedups",
-    "iteration_time_speedups",
-    "end_to_end_speedups",
     "ordering_matches",
-    "geometric_mean",
-    "relative_error",
     "format_table",
-    "format_comparison",
     "print_rows",
     "run_real_engine",
     "compare_real_engines",

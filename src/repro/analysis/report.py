@@ -39,21 +39,6 @@ def format_table(rows: Sequence[Mapping[str, object]], columns: Optional[Sequenc
     return "\n".join(lines)
 
 
-def format_comparison(measured: Mapping[str, float], reference: Mapping[str, float],
-                      label: str = "metric") -> str:
-    """Two-column measured-vs-paper comparison for one engine set."""
-    rows = []
-    for key in measured:
-        rows.append(
-            {
-                "engine": key,
-                f"measured_{label}": measured[key],
-                f"paper_{label}": reference.get(key),
-            }
-        )
-    return format_table(rows)
-
-
 def print_rows(rows: Sequence[Mapping[str, object]], columns: Optional[Sequence[str]] = None,
                title: Optional[str] = None) -> None:
     """Print a table (convenience for benchmarks/examples)."""

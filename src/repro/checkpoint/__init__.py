@@ -6,9 +6,7 @@ from .datastates_engine import DataStatesEngine
 from .factory import (
     ENGINE_LABELS,
     ENGINE_NAMES,
-    available_engines,
     create_engine,
-    register_engine,
     resolve_engine_class,
 )
 from .sync_engine import SynchronousEngine
@@ -23,8 +21,6 @@ __all__ = [
     "DataStatesEngine",
     "ENGINE_NAMES",
     "ENGINE_LABELS",
-    "available_engines",
     "create_engine",
-    "register_engine",
     "resolve_engine_class",
 ]

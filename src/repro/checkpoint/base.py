@@ -101,10 +101,6 @@ class SimCheckpointEngine(abc.ABC):
         )
         return state
 
-    def rank_state(self, rank: int) -> RankState:
-        """Bookkeeping of one rank."""
-        return self.ranks[rank]
-
     # -- hooks driven by the training runtime ------------------------------------
     @abc.abstractmethod
     def on_checkpoint(self, rank: int, iteration: int) -> Generator:

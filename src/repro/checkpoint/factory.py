@@ -9,11 +9,11 @@ so a name means the same engine in the simulator and over real NumPy state.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Type
+from typing import Dict, Optional, Type
 
 from ..cluster import SimCluster
 from ..config import CheckpointPolicy
-from ..core.registry import ENGINE_ALIASES, ENGINE_LABELS, ENGINE_NAMES, canonical_engine_name
+from ..core.registry import ENGINE_LABELS, ENGINE_NAMES, canonical_engine_name
 from ..exceptions import ConfigurationError
 from ..parallelism import CheckpointPlan
 from ..simulator import Environment, TraceRecorder
@@ -26,10 +26,8 @@ from .torchsnapshot_engine import TorchSnapshotEngine
 __all__ = [
     "ENGINE_NAMES",
     "ENGINE_LABELS",
-    "available_engines",
     "resolve_engine_class",
     "create_engine",
-    "register_engine",
 ]
 
 _REGISTRY: Dict[str, Type[SimCheckpointEngine]] = {
@@ -40,28 +38,9 @@ _REGISTRY: Dict[str, Type[SimCheckpointEngine]] = {
 }
 
 
-def available_engines() -> List[str]:
-    """The canonical engine names."""
-    return list(ENGINE_NAMES)
-
-
 def resolve_engine_class(name: str) -> Type[SimCheckpointEngine]:
-    """Look up a simulated engine class by (possibly aliased) name.
-
-    An exact registry entry wins over alias resolution, so custom engines
-    registered under any name — including an alias like ``"sync"`` — are
-    honoured rather than silently shadowed by the canonical mapping.
-    """
-    key = name.strip().lower()
-    if key in _REGISTRY:
-        return _REGISTRY[key]
-    try:
-        canonical = canonical_engine_name(key)
-    except ConfigurationError:
-        raise ConfigurationError(
-            f"unknown checkpoint engine {name!r}; known engines: "
-            f"{sorted(set(ENGINE_ALIASES) | set(_REGISTRY))}"
-        ) from None
+    """Look up a simulated engine class by (possibly aliased) name."""
+    canonical = canonical_engine_name(name)
     if canonical not in _REGISTRY:
         raise ConfigurationError(
             f"engine {name!r} has no simulated implementation registered"
@@ -81,13 +60,3 @@ def create_engine(
     """Instantiate a simulated engine by name."""
     engine_class = resolve_engine_class(name)
     return engine_class(env, cluster, plan, policy, trace, **engine_kwargs)
-
-
-def register_engine(name: str, engine_class: Type[SimCheckpointEngine]) -> None:
-    """Register a custom simulated engine implementation under a new name."""
-    key = name.strip().lower()
-    if not key:
-        raise ConfigurationError("engine name must be non-empty")
-    if not (isinstance(engine_class, type) and issubclass(engine_class, SimCheckpointEngine)):
-        raise ConfigurationError("engine_class must derive from SimCheckpointEngine")
-    _REGISTRY[key] = engine_class

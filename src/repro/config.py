@@ -135,29 +135,6 @@ class PlatformSpec:
             network_latency=20e-6,
         )
 
-    @staticmethod
-    def laptop() -> "PlatformSpec":
-        """A small single-node platform useful for quick experiments/tests."""
-        return PlatformSpec(
-            name="laptop",
-            gpus_per_node=1,
-            gpu_memory=8 * GB,
-            host_memory=32 * GB,
-            d2h_pinned_bandwidth=gbps(12.0),
-            d2h_pageable_bandwidth=gbps(4.0),
-            d2d_bandwidth=gbps(40.0),
-            nvlink_bandwidth=gbps(40.0),
-            host_alloc_pin_seconds_per_byte=0.5 / gbps(1.0),
-            host_alloc_latency=0.005,
-            nvme_write_bandwidth=gbps(1.5),
-            pfs_per_stream_bandwidth=gbps(0.8),
-            pfs_aggregate_bandwidth=gbps(3.0),
-            pfs_file_latency=0.002,
-            sync_serialize_bandwidth=gbps(0.5),
-            nic_bandwidth=gbps(10.0),
-            network_latency=50e-6,
-        )
-
     def with_overrides(self, **kwargs: object) -> "PlatformSpec":
         """Return a copy of this spec with selected fields replaced."""
         return replace(self, **kwargs)  # type: ignore[arg-type]

@@ -111,14 +111,6 @@ class TwoPhaseCommitCoordinator:
                         tag, len(manifest.shards), manifest.total_bytes)
 
     # -- queries -----------------------------------------------------------------------
-    def is_committed(self, tag: str) -> bool:
-        """True once the manifest of ``tag`` has been published."""
-        with self._lock:
-            pending = self._pending.get(tag)
-            if pending is None:
-                return False
-            return pending.committed.is_set() and pending.failed is None
-
     def wait_committed(self, tag: str, timeout: Optional[float] = None) -> bool:
         """Block until ``tag`` commits (or fails); returns commit success."""
         with self._lock:
@@ -131,8 +123,3 @@ class TwoPhaseCommitCoordinator:
         if pending.failed is not None:
             raise ConsistencyError(f"checkpoint {tag!r} failed to commit: {pending.failed}")
         return True
-
-    def pending_tags(self) -> List[str]:
-        """Tags with at least one vote that have not committed yet."""
-        with self._lock:
-            return [tag for tag, pending in self._pending.items() if not pending.committed.is_set()]

@@ -152,11 +152,6 @@ class SnapshotJob:
             self._captured.set()
 
     # -- consumer side (training thread / flush worker) -----------------------------
-    @property
-    def captured(self) -> bool:
-        """True once every tensor has been copied off the device."""
-        return self._captured.is_set()
-
     def wait_captured(self, timeout: Optional[float] = None) -> bool:
         """Block until the device-to-host copies finish; re-raise capture errors."""
         finished = self._captured.wait(timeout=timeout)

@@ -43,9 +43,5 @@ class SimulationError(ReproError):
     """The discrete-event simulation reached an invalid state."""
 
 
-class TransferError(ReproError):
-    """A device-to-host or host-to-storage transfer failed."""
-
-
 class ShardingError(ReproError):
     """A 3D-parallel sharding/partitioning request is invalid."""

@@ -38,16 +38,6 @@ class PCIeLink:
         cap = self.pinned_bandwidth if pinned else self.pageable_bandwidth
         return self.link.transfer(nbytes, cap=cap, tag=tag or "d2h")
 
-    def h2d(self, nbytes: float, pinned: bool = True, tag: Optional[str] = None) -> Event:
-        """Start a host-to-device copy (restore path)."""
-        cap = self.pinned_bandwidth if pinned else self.pageable_bandwidth
-        return self.link.transfer(nbytes, cap=cap, tag=tag or "h2d")
-
-    def estimate_d2h(self, nbytes: float, pinned: bool = True) -> float:
-        """Uncontended duration of a D2H copy."""
-        cap = self.pinned_bandwidth if pinned else self.pageable_bandwidth
-        return self.link.estimate_duration(nbytes, cap=cap)
-
 
 @dataclass
 class NVLinkFabric:

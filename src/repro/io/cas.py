@@ -512,12 +512,28 @@ class CASStore:
         return b"".join(pieces)
 
     def read_manifest(self, tag: str) -> Dict:
+        """The committed manifest of ``tag``, read now.
+
+        Another handle over the same pool may have deleted or re-committed
+        the tag since this pool cached its chunk lists, so the read refreshes
+        them from the manifest it returns (or drops them when there is none):
+        the shard reads that follow it — a restore, a dirty scan, a drain
+        link — see the chunks this manifest names.
+        """
+        core = self._core
+        inner_tag = self._tag(tag)
         try:
-            return self._core.inner.read_manifest(self._tag(tag))
+            data = core.inner.read_manifest(inner_tag)
         except CheckpointError:
+            with core.lock:
+                core.committed.pop(inner_tag, None)
             raise CheckpointError(
                 f"checkpoint {tag!r} has no manifest in namespace "
                 f"{self.job_id!r} (never committed?)") from None
+        shards = _parse_shards(data)
+        with core.lock:
+            core.committed[inner_tag] = shards
+        return data
 
     def shard_size(self, tag: str, shard_name: str) -> int:
         return self._core.shard_chunks(self._tag(tag), shard_name).nbytes

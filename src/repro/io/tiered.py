@@ -481,7 +481,7 @@ class TierChain:
             # watermark at the wrong checkpoint after a lost sidecar).
             try:
                 iteration = int(self.read_manifest(tag).get("iteration", -1))
-            except Exception:  # noqa: BLE001 - unreadable manifest: tag order
+            except (CheckpointError, OSError):  # unreadable manifest: tag order
                 iteration = -1
             return (iteration, tag)
 
@@ -501,12 +501,12 @@ class TierChain:
         for index, store in enumerate(self._stores):
             try:
                 tags = store.list_checkpoints()
-            except Exception:  # noqa: BLE001 - opportunistic accounting
+            except (CheckpointError, OSError):  # level unavailable: nothing to account
                 continue
             for tag in tags:
                 try:
                     self._account(tag, index, int(store.total_bytes(tag)))
-                except Exception:  # noqa: BLE001
+                except (CheckpointError, OSError):  # gone since the listing
                     continue
         for job in to_drain:
             self.drains_resumed += 1
@@ -574,7 +574,7 @@ class TierChain:
             # level sitting just under it would never free enough space.
             try:
                 self._evict_pass(level0_headroom=incoming_bytes)
-            except Exception as exc:  # noqa: BLE001 - best-effort housekeeping
+            except (CheckpointError, OSError) as exc:  # a level unavailable: wait
                 logger.warning("eviction under backpressure failed: %s", exc)
             with self._lock:
                 used = self._level_bytes[0]

@@ -1,15 +1,13 @@
 """Logging helpers.
 
-The library never configures the root logger; applications opt in via
-:func:`enable_logging`.  Modules obtain loggers through :func:`get_logger`
-so that all library loggers live under the ``repro`` namespace and can be
-silenced or redirected in one call.
+The library never configures a logger.  Modules obtain loggers through
+:func:`get_logger` so that all library loggers live under the ``repro``
+namespace and can be silenced or redirected in one call.
 """
 
 from __future__ import annotations
 
 import logging
-import sys
 from typing import Optional
 
 _ROOT_NAME = "repro"
@@ -29,22 +27,3 @@ def get_logger(name: Optional[str] = None) -> logging.Logger:
     if not name.startswith(_ROOT_NAME):
         name = f"{_ROOT_NAME}.{name}"
     return logging.getLogger(name)
-
-
-def enable_logging(level: int = logging.INFO, stream=None) -> logging.Handler:
-    """Attach a stream handler to the library logger and return it.
-
-    Calling this twice replaces the previous handler rather than stacking
-    duplicates, which keeps example scripts idempotent.
-    """
-    logger = logging.getLogger(_ROOT_NAME)
-    for handler in list(logger.handlers):
-        logger.removeHandler(handler)
-    handler = logging.StreamHandler(stream or sys.stderr)
-    handler.setFormatter(
-        logging.Formatter("%(asctime)s %(name)s %(levelname)s: %(message)s")
-    )
-    logger.addHandler(handler)
-    logger.setLevel(level)
-    logger.propagate = False
-    return handler

@@ -67,17 +67,6 @@ class CircularBufferManager:
         """Bytes available for new allocations (fragmentation ignored)."""
         return self.capacity - self._used
 
-    @property
-    def live_segments(self) -> int:
-        """Number of segments that have not been freed yet."""
-        return sum(1 for seg in self._segments if not self._retired[seg.ticket])
-
-    def would_fit(self, size: int) -> bool:
-        """Check whether :meth:`allocate` of ``size`` bytes would succeed now."""
-        if size <= 0 or size > self.capacity:
-            return False
-        return self._contiguous_allocation_offset(size) is not None
-
     # -- allocation -----------------------------------------------------------
     def allocate(self, size: int) -> Segment:
         """Reserve ``size`` contiguous bytes at the ring head.

@@ -80,12 +80,6 @@ class PinnedHostPool:
         with self._lock:
             return self._blocked_waits
 
-    @property
-    def free_bytes(self) -> int:
-        """Bytes currently available."""
-        with self._lock:
-            return self._manager.free_bytes
-
     def view(self, offset: int, size: int) -> memoryview:
         """Raw view into the backing buffer (used by flush workers)."""
         if offset < 0 or offset + size > self.capacity:

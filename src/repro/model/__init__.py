@@ -2,7 +2,7 @@
 
 from .adam import AdamConfig, AdamOptimizer
 from .iteration_model import FIGURE4_PHASES, IterationPhases, interpolate_phases, phase_breakdown_table, phases_for
-from .llm_zoo import MODEL_SIZES, ModelRuntimeConfig, model_config, runtime_config, table1, tiny_config
+from .llm_zoo import MODEL_SIZES, ModelRuntimeConfig, model_config, runtime_config, tiny_config
 from .numpy_transformer import NumpyTransformerLM, cross_entropy, gelu, layer_norm, softmax
 from .transformer import MODEL_BYTES_PER_PARAM, OPTIMIZER_BYTES_PER_PARAM, TransformerConfig
 
@@ -14,7 +14,6 @@ __all__ = [
     "MODEL_SIZES",
     "model_config",
     "runtime_config",
-    "table1",
     "tiny_config",
     "IterationPhases",
     "FIGURE4_PHASES",

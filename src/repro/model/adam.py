@@ -104,10 +104,3 @@ class AdamOptimizer:
         for name in self._params:
             self.exp_avg[name] = np.array(exp_avg[name], dtype=np.float64, copy=True)
             self.exp_avg_sq[name] = np.array(exp_avg_sq[name], dtype=np.float64, copy=True)
-
-    def state_bytes(self) -> int:
-        """Bytes occupied by the optimizer state."""
-        total = 0
-        for store in (self.exp_avg, self.exp_avg_sq):
-            total += sum(value.nbytes for value in store.values())
-        return int(total)

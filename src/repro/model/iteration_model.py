@@ -48,10 +48,6 @@ class IterationPhases:
         """
         return self.forward + self.backward
 
-    def scaled(self, factor: float) -> "IterationPhases":
-        """Uniformly scale every phase (used for what-if experiments)."""
-        return IterationPhases(self.forward * factor, self.backward * factor, self.update * factor)
-
 
 #: Figure 4 measurements: model size -> (forward, backward, update) seconds.
 FIGURE4_PHASES: Dict[str, IterationPhases] = {

@@ -10,7 +10,7 @@ stage 1, and (unless stated otherwise) data-parallel degree 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from ..exceptions import ConfigurationError
 from .transformer import TransformerConfig
@@ -34,17 +34,6 @@ class ModelRuntimeConfig:
             raise ConfigurationError("parallelism degrees must be positive")
         if self.zero_stage not in (0, 1, 2, 3):
             raise ConfigurationError("zero_stage must be 0..3")
-
-    @property
-    def gpus_per_replica(self) -> int:
-        """GPUs used by a single model replica (TP x PP)."""
-        return self.tensor_parallel * self.pipeline_parallel
-
-    def total_gpus(self, data_parallel: int = 1) -> int:
-        """GPUs used by the whole job for a given data-parallel degree."""
-        if data_parallel <= 0:
-            raise ConfigurationError("data_parallel must be positive")
-        return self.gpus_per_replica * data_parallel
 
 
 #: Table 1 architecture rows (layers, hidden dim, attention heads).  The 3B
@@ -100,11 +89,6 @@ def runtime_config(size: str, gpus_per_node: int = 4) -> ModelRuntimeConfig:
         tensor_parallel=gpus_per_node,
         pipeline_parallel=row["num_nodes"],
     )
-
-
-def table1() -> Dict[str, ModelRuntimeConfig]:
-    """All Table 1 rows keyed by model size."""
-    return {size: runtime_config(size) for size in MODEL_SIZES}
 
 
 def tiny_config(name: str = "tiny", num_layers: int = 2, hidden_size: int = 64,

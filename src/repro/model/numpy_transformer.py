@@ -160,10 +160,6 @@ class NumpyTransformerLM:
         """Total number of scalar parameters."""
         return int(sum(p.size for p in self.params.values()))
 
-    def state_bytes(self) -> int:
-        """Bytes occupied by the parameters."""
-        return int(sum(p.nbytes for p in self.params.values()))
-
     # -- forward -----------------------------------------------------------------
     def forward(self, tokens: np.ndarray, targets: Optional[np.ndarray] = None):
         """Run the model.
@@ -342,13 +338,6 @@ class NumpyTransformerLM:
         return dx_in
 
     # -- convenience ----------------------------------------------------------------------
-    def loss_and_grads(self, tokens: np.ndarray, targets: np.ndarray) -> Tuple[float, Grads]:
-        """Forward + backward in one call."""
-        _logits, loss, cache = self.forward(tokens, targets)
-        grads = self.backward(cache)
-        assert loss is not None
-        return loss, grads
-
     def state_dict(self) -> Dict[str, np.ndarray]:
         """The model part of a checkpoint (flat name -> array)."""
         return dict(self.params)

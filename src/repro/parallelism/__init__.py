@@ -1,6 +1,6 @@
 """3D parallelism: rank topology, pipeline partitioning, ZeRO-1 sharding, shard plans."""
 
-from .partition import balanced_contiguous_partition, partition_imbalance, stage_parameter_counts
+from .partition import balanced_contiguous_partition
 from .shards import (
     CheckpointPlan,
     CheckpointShard,
@@ -10,31 +10,14 @@ from .shards import (
     checkpoint_size_summary,
 )
 from .topology3d import ParallelTopology, RankCoordinate
-from .zero import (
-    FlatSlice,
-    ZeroPartition,
-    flatten_parameters,
-    gather_flat_buffer,
-    partition_bytes,
-    partition_elements,
-    shard_flat_buffer,
-    unflatten_parameters,
-)
+from .zero import ZeroPartition, partition_elements
 
 __all__ = [
     "ParallelTopology",
     "RankCoordinate",
     "balanced_contiguous_partition",
-    "stage_parameter_counts",
-    "partition_imbalance",
     "ZeroPartition",
     "partition_elements",
-    "partition_bytes",
-    "FlatSlice",
-    "flatten_parameters",
-    "unflatten_parameters",
-    "shard_flat_buffer",
-    "gather_flat_buffer",
     "CheckpointShard",
     "RankCheckpointPlan",
     "CheckpointPlan",

@@ -87,20 +87,3 @@ def balanced_contiguous_partition(weights: Sequence[int], num_stages: int) -> Li
         # bottleneck, but keeps the invariant "every index assigned" robust).
         groups[-1].extend(range(index, n))
     return groups
-
-
-def stage_parameter_counts(layer_weights: Sequence[int], num_stages: int) -> List[int]:
-    """Total parameters assigned to each pipeline stage."""
-    groups = balanced_contiguous_partition(layer_weights, num_stages)
-    weights = list(layer_weights)
-    return [sum(weights[i] for i in group) for group in groups]
-
-
-def partition_imbalance(layer_weights: Sequence[int], num_stages: int) -> float:
-    """Max/mean ratio of the stage loads (1.0 == perfectly balanced)."""
-    totals = stage_parameter_counts(layer_weights, num_stages)
-    nonzero = [t for t in totals if t > 0]
-    if not nonzero:
-        return 1.0
-    mean = sum(nonzero) / len(nonzero)
-    return max(nonzero) / mean if mean > 0 else 1.0

@@ -40,11 +40,6 @@ class ParallelTopology:
         """Total number of ranks."""
         return self.data_parallel * self.pipeline_parallel * self.tensor_parallel
 
-    @property
-    def ranks_per_replica(self) -> int:
-        """Ranks used by one model replica (PP x TP)."""
-        return self.pipeline_parallel * self.tensor_parallel
-
     # -- mapping ------------------------------------------------------------------
     def coordinate(self, global_rank: int) -> RankCoordinate:
         """Decompose a global rank into its (data, pipeline, tensor) coordinate."""
@@ -74,30 +69,6 @@ class ParallelTopology:
         return [self.coordinate(rank) for rank in range(self.world_size)]
 
     # -- groups ----------------------------------------------------------------------
-    def tensor_group(self, global_rank: int) -> List[int]:
-        """Ranks sharing this rank's tensor-parallel group (same DP and PP index)."""
-        coord = self.coordinate(global_rank)
-        return [
-            self.global_rank(RankCoordinate(coord.data, coord.pipeline, t))
-            for t in range(self.tensor_parallel)
-        ]
-
-    def pipeline_group(self, global_rank: int) -> List[int]:
-        """Ranks forming this rank's pipeline (same DP and TP index)."""
-        coord = self.coordinate(global_rank)
-        return [
-            self.global_rank(RankCoordinate(coord.data, p, coord.tensor))
-            for p in range(self.pipeline_parallel)
-        ]
-
-    def data_group(self, global_rank: int) -> List[int]:
-        """Ranks holding the same model shard across data-parallel replicas."""
-        coord = self.coordinate(global_rank)
-        return [
-            self.global_rank(RankCoordinate(d, coord.pipeline, coord.tensor))
-            for d in range(self.data_parallel)
-        ]
-
     def describe(self) -> Dict[str, int]:
         """Summary used by reports."""
         return {

@@ -8,17 +8,12 @@ layout of Figure 2(d) — also checkpoints only ``1/DP`` of the (otherwise
 replicated) model weights.  This is what makes the per-GPU checkpoint size
 shrink linearly with the DP degree (the dashed red lines in Figures 9/10)
 while the aggregate checkpoint size stays constant.
-
-This module also provides a *real* partitioner over flat parameter dicts so
-the real-mode engine can exercise the same layout on actual NumPy arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import List
 
 from ..exceptions import ShardingError
 
@@ -51,67 +46,3 @@ def partition_elements(total_elements: int, data_parallel: int) -> List[ZeroPart
         partitions.append(ZeroPartition(rank=rank, start=cursor, stop=cursor + size))
         cursor += size
     return partitions
-
-
-def partition_bytes(total_bytes: int, data_parallel: int) -> List[int]:
-    """Byte counts of each DP rank's optimizer/model checkpoint partition."""
-    return [p.numel for p in partition_elements(total_bytes, data_parallel)]
-
-
-# ---------------------------------------------------------------------------
-# Real partitioning of flat parameter dicts (used by the real-mode trainer)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FlatSlice:
-    """Where one parameter tensor lands inside the flattened buffer."""
-
-    name: str
-    start: int
-    stop: int
-    shape: Tuple[int, ...]
-    dtype: str
-
-
-def flatten_parameters(params: Dict[str, np.ndarray]) -> Tuple[np.ndarray, List[FlatSlice]]:
-    """Concatenate all parameters into one 1-D float64 buffer plus a layout map."""
-    slices: List[FlatSlice] = []
-    chunks: List[np.ndarray] = []
-    cursor = 0
-    for name in sorted(params):
-        array = params[name]
-        flat = np.asarray(array, dtype=np.float64).reshape(-1)
-        slices.append(
-            FlatSlice(name=name, start=cursor, stop=cursor + flat.size,
-                      shape=tuple(array.shape), dtype=str(array.dtype))
-        )
-        chunks.append(flat)
-        cursor += flat.size
-    if chunks:
-        buffer = np.concatenate(chunks)
-    else:
-        buffer = np.zeros(0, dtype=np.float64)
-    return buffer, slices
-
-
-def unflatten_parameters(buffer: np.ndarray, slices: Sequence[FlatSlice]) -> Dict[str, np.ndarray]:
-    """Rebuild the ``{name: array}`` dict from a flat buffer and its layout."""
-    result: Dict[str, np.ndarray] = {}
-    for entry in slices:
-        segment = buffer[entry.start : entry.stop]
-        result[entry.name] = segment.reshape(entry.shape).astype(entry.dtype)
-    return result
-
-
-def shard_flat_buffer(buffer: np.ndarray, data_parallel: int) -> List[np.ndarray]:
-    """Split a flat buffer into the DP rank-owned slices (ZeRO-1 layout)."""
-    partitions = partition_elements(buffer.size, data_parallel)
-    return [buffer[p.start : p.stop].copy() for p in partitions]
-
-
-def gather_flat_buffer(shards: Sequence[np.ndarray]) -> np.ndarray:
-    """Reassemble the full flat buffer from rank-owned slices."""
-    if not shards:
-        return np.zeros(0, dtype=np.float64)
-    return np.concatenate([np.asarray(s).reshape(-1) for s in shards])

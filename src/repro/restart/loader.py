@@ -726,19 +726,3 @@ class CheckpointLoader:
                 removed.append(tag)
                 logger.info("pruned uncommitted checkpoint %s", tag)
         return removed
-
-    def keep_latest(self, count: int) -> List[str]:
-        """Delete all but the newest ``count`` committed checkpoints.
-
-        ``keep_latest(0)`` deliberately deletes *every* committed checkpoint
-        — the "wipe the history" form callers use when retiring a run.
-        """
-        if count < 0:
-            raise RestartError("count must be >= 0")
-        infos = self.committed_checkpoints()
-        to_remove = infos[:-count] if count else infos
-        removed = []
-        for info in to_remove:
-            self.store.delete_checkpoint(info.tag)
-            removed.append(info.tag)
-        return removed

@@ -100,10 +100,6 @@ class RestoreSpec:
         """This spec, restored into a different parallel topology."""
         return dataclasses.replace(self, target_topology=target)
 
-    def with_tag(self, tag: str) -> "RestoreSpec":
-        """This spec pinned to a concrete checkpoint tag."""
-        return dataclasses.replace(self, tag=tag)
-
     @property
     def selects_everything(self) -> bool:
         """True when no rank/shard/all_ranks selector was given."""

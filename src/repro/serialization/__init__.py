@@ -8,7 +8,6 @@ from .header import (
     decode_preamble,
     encode_preamble,
     plan_extents,
-    preamble_size,
 )
 from .checksum import CRC32_KERNEL, checksum_stream, crc32, crc32_combine, fold_section_checksums
 from .manifest import (
@@ -19,7 +18,7 @@ from .manifest import (
     TensorLayout,
 )
 from .payload import MAX_EXTENT_BYTES, tensor_bytes
-from .reader import decode_rank_state, deserialize_rank_state, deserialize_state, peek_tensor_keys
+from .reader import decode_rank_state, deserialize_state
 from .shard_plan import (
     ShardPart,
     ShardPlan,
@@ -44,13 +43,10 @@ __all__ = [
     "encode_preamble",
     "plan_extents",
     "decode_preamble",
-    "preamble_size",
     "serialize_state",
     "iter_shard_chunks",
     "deserialize_state",
-    "deserialize_rank_state",
     "decode_rank_state",
-    "peek_tensor_keys",
     "CheckpointManifest",
     "CheckpointTopology",
     "TensorLayout",

@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..exceptions import SerializationError
 from ..tensor import FlattenedState
 
@@ -191,8 +189,3 @@ def decode_preamble(raw) -> Tuple[ShardHeader, bytes, int]:
     skeleton = bytes(raw[cursor : cursor + skeleton_len])
     cursor += skeleton_len
     return header, skeleton, cursor
-
-
-def preamble_size(header: ShardHeader, skeleton: bytes) -> int:
-    """Size in bytes of the preamble produced by :func:`encode_preamble`."""
-    return len(MAGIC) + 2 * _U64.size + len(header.to_bytes()) + len(skeleton)

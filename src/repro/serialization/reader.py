@@ -36,18 +36,6 @@ def deserialize_state(raw, copy: bool = True) -> Any:
     return unflatten_state_dict(*decode_rank_state([raw], copy=copy))
 
 
-def deserialize_rank_state(raws: Sequence[Any], copy: bool = True) -> Any:
-    """Rebuild one rank's state from its (possibly multi-file) shard-set.
-
-    ``raws`` holds the bytes-like buffers of every shard file of the set, in
-    any order.  Multi-shard headers carry each tensor's global index, which is
-    used to map payloads back onto the skeleton's placeholders; every part
-    carries the full skeleton, so reassembly does not depend on which buffer
-    is read first.
-    """
-    return unflatten_state_dict(*decode_rank_state(raws, copy=copy))
-
-
 def decode_rank_state(raws: Sequence[Any], copy: bool = True) -> Tuple[Any, List[np.ndarray]]:
     """Decode a shard-set (one buffer or many) to ``(skeleton, arrays)`` — the
     state tree with placeholder leaves and the payloads they index — without
@@ -98,9 +86,3 @@ def _decode_views(raws: Sequence[Any]) -> Tuple[Any, List[np.ndarray]]:
             f"shard-set is missing tensors {missing[:4]} of {total}"
         )
     return skeleton, [arrays_by_index[i] for i in range(total)]
-
-
-def peek_tensor_keys(raw) -> List[str]:
-    """List the tensor keys stored in a shard without materialising payloads."""
-    header, _skeleton, _payload_start = decode_preamble(raw)
-    return [entry.key for entry in header.entries]

@@ -83,11 +83,6 @@ class ShardPlan:
         """True for the backwards-compatible one-shard-per-rank layout."""
         return len(self.parts) == 1
 
-    def balance_spread(self) -> int:
-        """Heaviest-minus-lightest part payload (bounded by the largest tensor)."""
-        sizes = [part.payload_bytes for part in self.parts]
-        return max(sizes) - min(sizes)
-
 
 def _binned_indices(sizes: Sequence[int], bins: int) -> List[List[int]]:
     """Greedy LPT binning: global tensor indices per bin, balanced by bytes."""

@@ -12,7 +12,7 @@ import heapq
 from typing import Any, Generator, Iterable, List, Optional, Tuple
 
 from ..exceptions import SimulationError
-from .events import AllOf, AnyOf, Event, Process, Timeout, PRIORITY_NORMAL
+from .events import AllOf, Event, Process, Timeout, PRIORITY_NORMAL
 
 
 class Environment:
@@ -45,10 +45,6 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that fires when all of ``events`` have fired."""
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that fires when any of ``events`` has fired."""
-        return AnyOf(self, events)
 
     # -- scheduling --------------------------------------------------------
     def _schedule(self, event: Event, priority: int = PRIORITY_NORMAL, delay: float = 0.0) -> None:
@@ -107,21 +103,3 @@ class Environment:
         if until is not None and not self._queue and self._now < until:
             self._now = until
         return self._now
-
-    def run_until_complete(self, process: Process, max_events: int = 50_000_000) -> Any:
-        """Run until ``process`` terminates and return (or raise) its result."""
-        events_processed = 0
-        while not process.triggered:
-            if not self._queue:
-                raise SimulationError(
-                    f"process {process.name!r} cannot complete: calendar is empty"
-                )
-            self.step()
-            events_processed += 1
-            if events_processed > max_events:
-                raise SimulationError(
-                    f"simulation exceeded {max_events} events; likely a livelock"
-                )
-        if not process.ok:
-            raise process.value
-        return process.value

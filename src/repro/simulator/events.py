@@ -136,22 +136,6 @@ class Process(Event):
         start.callbacks.append(self._resume)
         env._schedule(start, priority=PRIORITY_URGENT)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not finished."""
-        return not self._triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self._triggered:
-            return
-        bridge = Event(self.env)
-        bridge._ok = False
-        bridge._value = Interrupt(cause)
-        bridge._triggered = True
-        bridge.callbacks.append(self._resume)
-        self.env._schedule(bridge, priority=PRIORITY_URGENT)
-
     # -- internal --------------------------------------------------------
     def _resume(self, event: Event) -> None:
         if self._triggered:
@@ -173,14 +157,6 @@ class Process(Event):
             )
         self._target = target
         target._add_callback(self._resume)
-
-
-class Interrupt(Exception):
-    """Raised inside a process when :meth:`Process.interrupt` is called."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
 
 
 class AllOf(Event):
@@ -207,26 +183,3 @@ class AllOf(Event):
         self._pending -= 1
         if self._pending == 0:
             self.succeed([e._value for e in self.events])
-
-
-class AnyOf(Event):
-    """Triggers as soon as any child event triggers."""
-
-    __slots__ = ("events",)
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env)
-        self.events = list(events)
-        if not self.events:
-            self.succeed(None)
-            return
-        for event in self.events:
-            event._add_callback(self._on_child)
-
-    def _on_child(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)

@@ -1,84 +1,23 @@
-"""Shared-resource models for the simulator.
+"""The simulator's shared-bandwidth model.
 
-Two resource models are provided:
-
-* :class:`Resource` — a counting semaphore with a FIFO wait queue (used for
-  flush thread pools, file handles, consensus tokens, ...).
-
-* :class:`FairShareLink` — a flow-level bandwidth model for shared
-  interconnects and storage paths.  Concurrent transfers share the link
-  capacity max-min fairly, optionally subject to a per-flow rate cap (e.g.
-  the per-stream write throughput of a Lustre OST, or a GPU's PCIe lane).
-  This is the standard fluid-flow approximation used in network and storage
-  simulators and is what lets the checkpoint engines observe realistic
-  contention between concurrent flushes.
+:class:`FairShareLink` is a flow-level bandwidth model for shared
+interconnects and storage paths.  Concurrent transfers share the link
+capacity max-min fairly, optionally subject to a per-flow rate cap (e.g. the
+per-stream write throughput of a Lustre OST, or a GPU's PCIe lane).  This is
+the standard fluid-flow approximation used in network and storage simulators
+and is what lets the checkpoint engines observe realistic contention between
+concurrent flushes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Deque, List, Optional
-from collections import deque
+from typing import List, Optional
 
 from ..exceptions import SimulationError
 from .engine import Environment
 from .events import Event
-
-
-class Request(Event):
-    """A pending claim on a :class:`Resource` slot."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, env: Environment, resource: "Resource") -> None:
-        super().__init__(env)
-        self.resource = resource
-
-
-class Resource:
-    """A counting semaphore with FIFO granting."""
-
-    def __init__(self, env: Environment, capacity: int = 1, name: str = "resource") -> None:
-        if capacity <= 0:
-            raise SimulationError("Resource capacity must be positive")
-        self.env = env
-        self.capacity = capacity
-        self.name = name
-        self._in_use = 0
-        self._waiting: Deque[Request] = deque()
-
-    @property
-    def in_use(self) -> int:
-        """Number of currently granted slots."""
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self._waiting)
-
-    def request(self) -> Request:
-        """Claim a slot; the returned event fires once the slot is granted."""
-        req = Request(self.env, self)
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            req.succeed(self)
-        else:
-            self._waiting.append(req)
-        return req
-
-    def release(self, request: Request) -> None:
-        """Release a previously granted slot."""
-        if request.resource is not self:
-            raise SimulationError("release() called with a foreign request")
-        if self._waiting:
-            nxt = self._waiting.popleft()
-            nxt.succeed(self)
-        else:
-            self._in_use -= 1
-            if self._in_use < 0:
-                raise SimulationError(f"Resource {self.name!r} released more than acquired")
 
 
 @dataclass
@@ -129,34 +68,8 @@ class FairShareLink:
         self._flows: List[Flow] = []
         self._last_update = env.now
         self._timer_token = 0
-        self._bytes_transferred = 0.0
-        self._busy_time = 0.0
 
     # -- public API --------------------------------------------------------
-    @property
-    def active_flows(self) -> int:
-        """Number of in-flight transfers."""
-        return len(self._flows)
-
-    @property
-    def bytes_transferred(self) -> float:
-        """Total bytes delivered by completed and in-flight transfers so far."""
-        self._advance(self.env.now)
-        return self._bytes_transferred
-
-    @property
-    def busy_time(self) -> float:
-        """Total simulated time during which at least one flow was active."""
-        self._advance(self.env.now)
-        return self._busy_time
-
-    def utilization(self, elapsed: Optional[float] = None) -> float:
-        """Fraction of ``elapsed`` (default: env.now) during which the link was busy."""
-        window = self.env.now if elapsed is None else elapsed
-        if window <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / window)
-
     def transfer(self, nbytes: float, cap: Optional[float] = None, tag: Optional[str] = None) -> Event:
         """Start a transfer of ``nbytes``; the returned event fires on completion.
 
@@ -187,12 +100,6 @@ class FairShareLink:
         self._reschedule()
         return done
 
-    def estimate_duration(self, nbytes: float, cap: Optional[float] = None) -> float:
-        """Lower bound on transfer time assuming no competing flows."""
-        flow_cap = cap if cap is not None else (self.default_flow_cap or math.inf)
-        rate = min(self.capacity, flow_cap)
-        return nbytes / rate if rate > 0 else math.inf
-
     # -- internal machinery --------------------------------------------------
     def _advance(self, now: float) -> None:
         """Account progress of all active flows up to ``now``."""
@@ -200,13 +107,8 @@ class FairShareLink:
         if dt <= 0:
             self._last_update = now
             return
-        if self._flows:
-            self._busy_time += dt
         for flow in self._flows:
-            progressed = flow.rate * dt
-            progressed = min(progressed, flow.remaining)
-            flow.remaining -= progressed
-            self._bytes_transferred += progressed
+            flow.remaining -= min(flow.rate * dt, flow.remaining)
         self._last_update = now
 
     def _recompute_rates(self) -> None:
@@ -249,7 +151,6 @@ class FairShareLink:
             for flow in finished:
                 self._flows.remove(flow)
                 # The float residue is delivered with the flow.
-                self._bytes_transferred += flow.remaining
                 flow.remaining = 0.0
                 flow.finished_at = self.env.now
                 flow.done.succeed(flow)

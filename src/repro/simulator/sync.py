@@ -50,11 +50,6 @@ class Barrier:
                 waiter.succeed(generation)
         return event
 
-    @property
-    def waiting(self) -> int:
-        """Number of parties currently blocked at the barrier."""
-        return len(self._waiting)
-
 
 class SimHostBuffer:
     """Byte-counted host staging buffer with blocking reservations (simulation)."""
@@ -97,16 +92,6 @@ class SimHostBuffer:
         event = self.env.event()
         self._waiters.append((nbytes, event))
         yield event
-
-    def try_reserve(self, nbytes: int) -> bool:
-        """Non-blocking reservation; True on success."""
-        nbytes = int(nbytes)
-        if nbytes < 0 or nbytes > self.capacity:
-            return False
-        if self._waiters or self._used + nbytes > self.capacity:
-            return False
-        self._grant(nbytes)
-        return True
 
     def release(self, nbytes: int) -> None:
         """Return ``nbytes`` to the pool and admit any waiters that now fit."""

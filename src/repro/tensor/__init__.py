@@ -5,22 +5,19 @@ from .state_dict import (
     FlattenedState,
     TensorRef,
     flatten_state_dict,
-    state_dict_nbytes,
     tensor_payload_array,
     unflatten_state_dict,
 )
-from .tensor import Device, DeviceArena, DeviceTensor, StridedSlice
+from .tensor import Device, DeviceTensor, StridedSlice
 
 __all__ = [
     "Device",
     "DeviceTensor",
-    "DeviceArena",
     "StridedSlice",
     "TensorRef",
     "FlattenCache",
     "FlattenedState",
     "flatten_state_dict",
     "unflatten_state_dict",
-    "state_dict_nbytes",
     "tensor_payload_array",
 ]

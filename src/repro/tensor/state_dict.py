@@ -313,11 +313,6 @@ def unflatten_state_dict(skeleton: Any, arrays: Sequence[np.ndarray]) -> Any:
     return visit(skeleton)
 
 
-def state_dict_nbytes(state: Any) -> int:
-    """Total tensor payload bytes of a nested state dict."""
-    return flatten_state_dict(state).total_tensor_bytes
-
-
 def tensor_payload_array(ref: TensorRef) -> Union[np.ndarray, StridedSlice]:
     """Return the NumPy array (or the strided slice) behind a :class:`TensorRef`;
     :func:`repro.serialization.tensor_bytes` turns either into bytes."""

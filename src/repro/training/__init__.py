@@ -1,16 +1,10 @@
 """Training runtimes: the cluster-scale simulation and the real-mode trainer."""
 
-from .collectives import Barrier, SimHostBuffer, allreduce_bytes, allreduce_time, consensus_latency
 from .data import DataConfig, SyntheticTokenStream
 from .real_trainer import RealTrainer, TrainingReport, TrainStepRecord
 from .runtime import IterationRecord, RunResult, SimTrainingRun, simulate_run
 
 __all__ = [
-    "Barrier",
-    "SimHostBuffer",
-    "consensus_latency",
-    "allreduce_bytes",
-    "allreduce_time",
     "DataConfig",
     "SyntheticTokenStream",
     "RealTrainer",

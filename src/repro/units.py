@@ -19,54 +19,14 @@ TB: int = 1 << 40
 GB_DECIMAL: int = 10**9
 
 
-def kib(x: float) -> int:
-    """Return ``x`` KiB expressed in bytes."""
-    return int(x * KB)
-
-
-def mib(x: float) -> int:
-    """Return ``x`` MiB expressed in bytes."""
-    return int(x * MB)
-
-
-def gib(x: float) -> int:
-    """Return ``x`` GiB expressed in bytes."""
-    return int(x * GB)
-
-
-def gb(x: float) -> int:
-    """Return ``x`` decimal gigabytes expressed in bytes."""
-    return int(x * GB_DECIMAL)
-
-
 def gbps(x: float) -> float:
     """Return a bandwidth of ``x`` GB/s (decimal) in bytes/second."""
     return x * GB_DECIMAL
 
 
-def to_gib(nbytes: float) -> float:
-    """Convert bytes to GiB."""
-    return nbytes / GB
-
-
-def to_gb(nbytes: float) -> float:
-    """Convert bytes to decimal GB (the unit used in the paper's figures)."""
-    return nbytes / GB_DECIMAL
-
-
-def to_gbps(bytes_per_second: float) -> float:
-    """Convert bytes/second to decimal GB/s."""
-    return bytes_per_second / GB_DECIMAL
-
-
 def ms(x: float) -> float:
     """Return ``x`` milliseconds in seconds."""
     return x * 1e-3
-
-
-def us(x: float) -> float:
-    """Return ``x`` microseconds in seconds."""
-    return x * 1e-6
 
 
 _SIZE_SUFFIXES = {
@@ -100,29 +60,3 @@ def parse_bytes(text: str) -> int:
     if value < 0:
         raise ValueError(f"byte size must be non-negative: {text!r}")
     return int(value * scale)
-
-
-def human_bytes(nbytes: float) -> str:
-    """Format a byte count for reports (e.g. ``'10.4 GiB'``)."""
-    value = float(nbytes)
-    for suffix in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if abs(value) < 1024.0 or suffix == "TiB":
-            if suffix == "B":
-                return f"{int(value)} B"
-            return f"{value:.1f} {suffix}"
-        value /= 1024.0
-    raise AssertionError("unreachable")
-
-
-def human_duration(seconds: float) -> str:
-    """Format a duration for reports (e.g. ``'1.3 s'`` or ``'250 ms'``)."""
-    if seconds < 0:
-        return "-" + human_duration(-seconds)
-    if seconds < 1e-3:
-        return f"{seconds * 1e6:.0f} us"
-    if seconds < 1.0:
-        return f"{seconds * 1e3:.0f} ms"
-    if seconds < 120.0:
-        return f"{seconds:.2f} s"
-    minutes, rem = divmod(seconds, 60.0)
-    return f"{int(minutes)}m{rem:04.1f}s"

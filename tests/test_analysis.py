@@ -1,13 +1,11 @@
 """Tests for the analysis layer: metrics, figure generators, reports, paper data."""
 
-import math
-
 import pytest
 
 from repro.analysis import (
     DEFAULT_ENGINES,
+    comparison_table_rows,
     dp_sweep_rows,
-    end_to_end_speedups,
     figure3_checkpoint_sizes,
     figure4_iteration_phases,
     figure7_8_model_size_sweep,
@@ -15,16 +13,13 @@ from repro.analysis import (
     figure8_rows,
     figure9_10_dp_sweep,
     figure11_12_frequency_sweep,
-    format_comparison,
     format_table,
     frequency_sweep_rows,
-    geometric_mean,
     headline_speedups,
-    iteration_time_speedups,
     ordering_matches,
     paper_data,
-    relative_error,
-    throughput_speedups,
+    print_rows,
+    table1_model_zoo,
 )
 
 
@@ -54,30 +49,12 @@ def test_paper_data_frequency_tables_have_six_intervals():
 # Metrics helpers
 # ---------------------------------------------------------------------------
 
-def test_speedup_helpers_use_datastates_as_reference():
-    results = figure7_8_model_size_sweep(sizes=["3B"], iterations=3)["3B"]
-    throughput = throughput_speedups(results)
-    iteration = iteration_time_speedups(results)
-    end_to_end = end_to_end_speedups(results)
-    assert set(throughput) == {"deepspeed", "async", "torchsnapshot"}
-    assert all(value > 1.0 for value in throughput.values())
-    assert all(value > 1.0 for value in iteration.values())
-    assert all(value >= 1.0 for value in end_to_end.values())
-
-
 def test_ordering_matches_detects_agreement_and_disagreement():
     reference = {"deepspeed": 4, "async": 7, "torchsnapshot": 9, "datastates": 135}
     measured_good = {"deepspeed": 5, "async": 6, "torchsnapshot": 10, "datastates": 100}
     measured_bad = {"deepspeed": 50, "async": 6, "torchsnapshot": 10, "datastates": 20}
     assert ordering_matches(measured_good, reference, higher_is_better=True)
     assert not ordering_matches(measured_bad, reference, higher_is_better=True)
-
-
-def test_geometric_mean_and_relative_error():
-    assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-    assert math.isnan(geometric_mean([]))
-    assert relative_error(110, 100) == pytest.approx(0.1)
-    assert relative_error(1, 0) == float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +133,46 @@ def test_format_table_empty():
     assert "(no rows)" in format_table([], title="empty")
 
 
-def test_format_comparison_contains_both_columns():
-    text = format_comparison({"deepspeed": 4.0}, {"deepspeed": 5.0}, label="thr")
-    assert "measured_thr" in text and "paper_thr" in text
+def test_table1_model_zoo_lists_the_five_models_in_size_order():
+    rows = table1_model_zoo()
+    assert [row["model"] for row in rows] == ["3B", "7B", "13B", "30B", "70B"]
+    billions = [row["parameters_billion"] for row in rows]
+    assert billions == sorted(billions)
+    for row in rows:
+        assert row["hidden_dim"] % row["attention_heads"] == 0
+
+
+def _engine_row(engine, **extra):
+    return {"engine": engine, "label": engine.title(), "checkpoints": 2,
+            "blocked_ms_per_iteration": 1.23456, "blocked_ms_per_iteration_mean": 2.34567,
+            "blocked_seconds": 0.123456, "compute_seconds": 1.234567,
+            "restore_seconds": 0.0123456, **extra}
+
+
+def test_comparison_table_rows_round_each_measurement():
+    (row,) = comparison_table_rows([_engine_row("datastates", restore_seconds=None)])
+    assert row == {"engine": "datastates", "label": "Datastates", "ckpts": 2,
+                   "blocked_ms_per_iter": 1.235, "blocked_ms_mean": 2.346,
+                   "blocked_total_s": 0.1235, "compute_s": 1.2346, "restore_ms": None}
+
+
+def test_comparison_table_rows_add_drain_and_dedup_columns_for_every_row():
+    rows = comparison_table_rows([
+        _engine_row("datastates", drain={"drained_checkpoints": 2, "evicted_checkpoints": 1,
+                                         "drain_wait_seconds": 0.0015, "drain_wait_ms": 4.0}),
+        _engine_row("deepspeed", dedup={"bytes_written": 10, "dedup_ratio": 0.123456}),
+    ])
+    assert rows[0]["restore_ms"] == 12.346
+    assert (rows[0]["drained"], rows[0]["evicted"]) == (2, 1)
+    assert (rows[0]["drain_wait_ms"], rows[0]["commit_stall_ms"]) == (1.5, 4.0)
+    assert (rows[0]["bytes_written"], rows[0]["dedup_ratio"]) == (None, None)
+    assert (rows[1]["drained"], rows[1]["drain_wait_ms"]) == (None, None)
+    assert (rows[1]["bytes_written"], rows[1]["dedup_ratio"]) == (10, 0.1235)
+
+
+def test_print_rows_prints_the_formatted_table(capsys):
+    rows = [{"engine": "datastates", "gbps": 4.5}, {"engine": "deepspeed", "gbps": 0.3}]
+    print_rows(rows, columns=["engine", "gbps"], title="Figure 7")
+    printed = capsys.readouterr().out
+    assert printed == format_table(rows, columns=["engine", "gbps"], title="Figure 7") + "\n"
+    assert printed.splitlines()[0] == "Figure 7"

@@ -504,6 +504,63 @@ def test_a_chunk_another_handle_swept_is_uploaded_again(tmp_path):
     assert _pool(tmp_path).read_shard("t2", "rank0") == payload
 
 
+def _named_chunks(store, tag):
+    return {chunk_hash for record in store.read_manifest(tag)["shards"]
+            for chunk_hash, _nbytes in record["chunks"]}
+
+
+def test_a_checkpoint_another_handle_recommitted_is_read_through_its_new_manifest(
+        tmp_path):
+    """``writer`` deletes and re-commits a tag ``reader`` has restored:
+    ``reader``'s next restore returns the new bytes, and once it has read the
+    new manifest its sweep no longer spares the old checkpoint's chunks."""
+    reader = _pool(tmp_path, chunk_bytes=4096)
+    writer = _pool(tmp_path, chunk_bytes=4096)
+    _datastates_save(writer, _training_state(1), "t")
+    _assert_restores(reader, "t", _training_state(1))
+    old = _named_chunks(writer, "t")
+
+    writer.delete_checkpoint("t")
+    _datastates_save(writer, _training_state(2), "t")
+    _assert_restores(reader, "t", _training_state(2))
+
+    new = _named_chunks(reader, "t")
+    assert old - new
+    assert reader.sweep_unreferenced() == len(old - new)
+    assert set(reader.pool_chunks()) == new
+
+
+def test_a_checkpoint_another_handle_deleted_is_not_served_from_the_cache(tmp_path):
+    """Once ``reader`` finds the manifest gone, it drops the chunk lists it
+    cached: a shard read fails instead of returning the deleted bytes, and
+    its sweep reclaims the chunks."""
+    reader = _pool(tmp_path, chunk_bytes=4)
+    writer = _pool(tmp_path, chunk_bytes=4)
+    _save(writer, "t", {"s": b"xxxxXXXX"})
+    assert reader.read_shard("t", "s") == b"xxxxXXXX"
+
+    writer.delete_checkpoint("t")
+    with pytest.raises(CheckpointError):
+        reader.read_manifest("t")
+    with pytest.raises(CheckpointError):
+        reader.read_shard("t", "s")
+    assert reader.sweep_unreferenced() == 2
+    assert reader.pool_chunks() == []
+
+
+def test_shard_size_and_ranged_reads_follow_a_recommitted_manifest(tmp_path):
+    reader = _pool(tmp_path, chunk_bytes=4)
+    writer = _pool(tmp_path, chunk_bytes=4)
+    _save(writer, "t", {"s": b"xxxxXXXX"})
+    assert reader.shard_size("t", "s") == 8
+
+    writer.delete_checkpoint("t")
+    _save(writer, "t", {"s": b"yyyyYYYYzzzz"})
+    reader.read_manifest("t")
+    assert reader.shard_size("t", "s") == 12
+    assert reader.read_shard_range("t", "s", 2, 8) == b"yyYYYYzz"
+
+
 @pytest.mark.parametrize("damage", ["oserror", "garbage"])
 def test_an_unreadable_listed_manifest_fails_the_sweep_and_deletes_nothing(
         tmp_path, damage):

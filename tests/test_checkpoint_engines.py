@@ -8,9 +8,7 @@ from repro.checkpoint import (
     DataStatesEngine,
     SynchronousEngine,
     TorchSnapshotEngine,
-    available_engines,
     create_engine,
-    register_engine,
     resolve_engine_class,
 )
 from repro.cluster import cluster_for_gpus
@@ -27,7 +25,7 @@ from repro.training import simulate_run
 # ---------------------------------------------------------------------------
 
 def test_factory_knows_the_four_paper_engines():
-    assert available_engines() == ["deepspeed", "async", "torchsnapshot", "datastates"]
+    assert ENGINE_NAMES == ["deepspeed", "async", "torchsnapshot", "datastates"]
     assert resolve_engine_class("deepspeed") is SynchronousEngine
     assert resolve_engine_class("async") is AsynchronousEngine
     assert resolve_engine_class("torchsnapshot") is TorchSnapshotEngine
@@ -44,16 +42,6 @@ def test_factory_rejects_unknown_engine():
         resolve_engine_class("nebula")
 
 
-def test_register_custom_engine():
-    class MyEngine(DataStatesEngine):
-        name = "custom"
-
-    register_engine("custom", MyEngine)
-    assert resolve_engine_class("custom") is MyEngine
-    with pytest.raises(ConfigurationError):
-        register_engine("bad", object)  # type: ignore[arg-type]
-
-
 def test_create_engine_builds_rank_states():
     env = Environment()
     platform = PlatformSpec.polaris()
@@ -63,7 +51,7 @@ def test_create_engine_builds_rank_states():
     engine = create_engine("datastates", env, cluster, plan, CheckpointPolicy())
     assert len(engine.ranks) == 4
     assert engine.describe()["engine"] == "datastates-llm"
-    state = engine.rank_state(0)
+    state = engine.ranks[0]
     assert state.plan.total_bytes > 0
     engine.reset()
     assert state.checkpoints_started == 0

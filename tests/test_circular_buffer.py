@@ -86,17 +86,11 @@ def test_out_of_order_free_reclaims_lazily():
     buf.free(b)
     # b is retired but a (older) still live: space is not reusable yet.
     assert buf.used_bytes == 100
-    assert not buf.would_fit(10)
+    with pytest.raises(AllocationError):
+        buf.allocate(10)
     buf.free(a)
     assert buf.used_bytes == 0
-    assert buf.would_fit(100)
-
-
-def test_would_fit_matches_allocate():
-    buf = CircularBufferManager(64)
-    buf.allocate(40)
-    assert buf.would_fit(24)
-    assert not buf.would_fit(25)
+    assert buf.allocate(100).offset == 0
 
 
 def test_reset_clears_everything():
@@ -105,17 +99,6 @@ def test_reset_clears_everything():
     buf.reset()
     assert buf.used_bytes == 0
     assert buf.allocate(100).offset == 0
-
-
-def test_live_segments_counter():
-    buf = CircularBufferManager(100)
-    a = buf.allocate(10)
-    b = buf.allocate(10)
-    assert buf.live_segments == 2
-    buf.free(a)
-    assert buf.live_segments == 1
-    buf.free(b)
-    assert buf.live_segments == 0
 
 
 def test_producer_consumer_cycle_many_rounds():
@@ -139,10 +122,13 @@ def test_property_fifo_stream_never_overlaps_and_always_completes(sizes):
     live = []
     for size in sizes:
         # Keep freeing oldest segments until the new one fits.
-        while not buf.would_fit(size):
-            assert live, "buffer reported full with nothing to free"
-            buf.free(live.pop(0))
-        seg = buf.allocate(size)
+        while True:
+            try:
+                seg = buf.allocate(size)
+                break
+            except AllocationError:
+                assert live, "buffer reported full with nothing to free"
+                buf.free(live.pop(0))
         # Invariants: inside the region, no overlap with live segments.
         assert 0 <= seg.offset and seg.end <= capacity
         for other in live:
@@ -164,8 +150,10 @@ def test_property_used_bytes_is_sum_of_unreclaimed(ops):
     buf = CircularBufferManager(200)
     live = []      # allocated and not freed
     for size, do_free in ops:
-        if buf.would_fit(size):
+        try:
             live.append(buf.allocate(size))
+        except AllocationError:
+            pass
         if do_free and live:
             seg = live.pop(0)
             buf.free(seg)
@@ -214,7 +202,6 @@ def test_property_head_tail_placement_matches_the_interval_scan(capacity, ops):
             buf.free(live.pop(pick % len(live)))
             continue
         expected = _scan_placement(buf._segments, buf._head, capacity, size)
-        assert buf.would_fit(size) == (expected is not None)
         if expected is None:
             with pytest.raises(AllocationError):
                 buf.allocate(size)

@@ -41,12 +41,6 @@ def test_platform_validation_rejects_bad_values(polaris):
         polaris.with_overrides(pfs_file_latency=-1.0)
 
 
-def test_laptop_platform_is_valid_and_smaller(polaris):
-    laptop = PlatformSpec.laptop()
-    assert laptop.gpus_per_node == 1
-    assert laptop.pfs_aggregate_bandwidth < polaris.pfs_aggregate_bandwidth
-
-
 # ---------------------------------------------------------------------------
 # Cluster topology
 # ---------------------------------------------------------------------------
@@ -122,13 +116,6 @@ def test_pinned_d2h_copy_matches_bandwidth(polaris):
     assert record["pageable"] - record["pinned"] == pytest.approx(1.0, rel=1e-6)
 
 
-def test_pcie_estimate_matches_simulated_duration(polaris):
-    env = Environment()
-    cluster = build_cluster(env, polaris, num_nodes=1)
-    gpu = cluster.gpu(0)
-    assert gpu.pcie.estimate_d2h(50e9, pinned=True) == pytest.approx(2.0, rel=1e-6)
-
-
 def test_concurrent_d2h_on_different_gpus_do_not_contend(polaris):
     """One GPU per NUMA domain: concurrent copies keep full PCIe bandwidth."""
     env = Environment()
@@ -143,6 +130,33 @@ def test_concurrent_d2h_on_different_gpus_do_not_contend(polaris):
         env.process(copy(rank))
     env.run()
     assert all(t == pytest.approx(1.0, rel=1e-6) for t in finish.values())
+
+
+def _finish_time(env, event_factory):
+    record = {}
+
+    def proc():
+        yield event_factory()
+        record["end"] = env.now
+
+    env.process(proc())
+    env.run()
+    return record["end"]
+
+
+def test_nvlink_transfer_matches_bandwidth(polaris):
+    env = Environment()
+    node = build_cluster(env, polaris, num_nodes=1).nodes[0]
+    end = _finish_time(env, lambda: node.nvlink.transfer(polaris.nvlink_bandwidth * 2))
+    assert end == pytest.approx(2.0, rel=1e-6)
+
+
+def test_nic_transfer_matches_bandwidth(polaris):
+    env = Environment()
+    node = build_cluster(env, polaris, num_nodes=2).nodes[1]
+    assert node.nic.latency == polaris.network_latency
+    end = _finish_time(env, lambda: node.nic.transfer(polaris.nic_bandwidth * 0.5))
+    assert end == pytest.approx(0.5, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -212,3 +226,12 @@ def test_nvme_write_bandwidth(polaris):
     env.run()
     assert record["end"] == pytest.approx(3.0, rel=1e-6)
     assert nvme.bytes_written == pytest.approx(polaris.nvme_write_bandwidth * 3)
+
+
+def test_nvme_bytes_written_accumulates_across_writes(polaris):
+    env = Environment()
+    nvme = make_node_local_storage(env, polaris, node_id=0)
+    for nbytes in (1e9, 2.5e9):
+        _finish_time(env, lambda: nvme.write(nbytes))
+    assert nvme.bytes_written == pytest.approx(3.5e9)
+    assert env.now == pytest.approx(3.5e9 / polaris.nvme_write_bandwidth, rel=1e-6)

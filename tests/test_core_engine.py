@@ -48,9 +48,9 @@ def test_commit_requires_every_rank_vote(store):
     store.write_shard("tag", "rank0", [b"a"])
     store.write_shard("tag", "rank1", [b"b"])
     coordinator.vote("tag", 0, [ShardRecord(rank=0, name="rank0", nbytes=1)])
-    assert not coordinator.is_committed("tag")
+    assert store.list_committed_checkpoints() == []
     coordinator.vote("tag", 1, [ShardRecord(rank=1, name="rank1", nbytes=1)])
-    assert coordinator.is_committed("tag")
+    assert store.list_committed_checkpoints() == ["tag"]
     assert coordinator.wait_committed("tag", timeout=1.0)
     manifest = store.read_manifest("tag")
     assert manifest["world_size"] == 2
@@ -76,19 +76,13 @@ def test_failed_checkpoint_reported_to_waiters(store):
     coordinator.fail("tag", 1, "disk exploded")
     with pytest.raises(ConsistencyError):
         coordinator.wait_committed("tag", timeout=1.0)
-    assert not coordinator.is_committed("tag")
+    assert store.list_committed_checkpoints() == []
 
 
 def test_wait_for_unknown_tag_rejected(store):
     coordinator = TwoPhaseCommitCoordinator(world_size=1, store=store)
     with pytest.raises(ConsistencyError):
         coordinator.wait_committed("never-voted")
-
-
-def test_pending_tags_listed(store):
-    coordinator = TwoPhaseCommitCoordinator(world_size=2, store=store)
-    coordinator.vote("tag", 0, [ShardRecord(rank=0, name="rank0", nbytes=1)])
-    assert coordinator.pending_tags() == ["tag"]
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +199,6 @@ def test_no_manifest_until_commit(store):
         engine.save(_state(), tag="partial", iteration=0)
         engine.wait_for_flushes()
         # Rank 1 never voted: the checkpoint must remain uncommitted.
-        assert not coordinator.is_committed("partial")
         assert store.list_committed_checkpoints() == []
         assert store.list_checkpoints() == ["partial"]
     finally:

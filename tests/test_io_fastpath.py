@@ -2,6 +2,7 @@
 writes (pwrite + CRC folding) and the mmap-backed restore path."""
 
 import os
+import time
 import threading
 import zlib
 
@@ -13,9 +14,9 @@ from hypothesis import strategies as st
 from repro.config import CheckpointPolicy
 from repro.core import DataStatesCheckpointEngine
 from repro.core.flush_pipeline import FlushPipeline
-from repro.core.lazy_snapshot import CopyStream, SnapshotJob
+from repro.core.lazy_snapshot import CopyStream, SnapshotJob, deadline_iter
 from repro.exceptions import CheckpointError, ConsistencyError
-from repro.io import FileStore, ShardWriter
+from repro.io import FileStore
 from repro.memory import PinnedHostPool
 from repro.restart import CheckpointLoader, RestoreSpec
 from repro.serialization import (
@@ -449,3 +450,19 @@ def test_engine_load_uses_mmap_by_default(tmp_path):
     assert store.maps == 1 and store.reads == 0
     # Engine loads are materialised: training mutates them in place.
     assert loaded["model"]["w0"].flags.writeable
+
+
+def test_deadline_iter_without_a_timeout_waits_unboundedly():
+    assert list(deadline_iter(["a", "b"], None)) == [("a", None), ("b", None)]
+
+
+def test_deadline_iter_shares_one_deadline_across_items():
+    """The caller's timeout bounds the whole wait: each item gets what is
+    left of it, and an exhausted budget still polls once."""
+    remaining = []
+    for item, left in deadline_iter(range(3), 0.05):
+        remaining.append(left)
+        if item == 1:
+            time.sleep(0.06)
+    assert 0 < remaining[1] <= remaining[0] <= 0.05
+    assert remaining[2] == 1e-6

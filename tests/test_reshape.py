@@ -260,7 +260,7 @@ def test_restore_spec_validation():
 
 
 def test_restore_spec_builders_compose():
-    spec = RestoreSpec.latest(validate=False).with_tag("t")
+    spec = RestoreSpec.full(tag="t", validate=False)
     assert spec.tag == "t" and spec.validate is False
     reshaped = RestoreSpec.of_rank(1).reshaped(CheckpointTopology(2))
     assert reshaped.rank == 1
@@ -338,3 +338,11 @@ def test_cli_reshape_rejects_out_store_without_out(tmp_path):
     with pytest.raises(SystemExit):
         main(["reshape", "--workdir", str(tmp_path), "--target-dp", "2",
               "--out-store", "object"])
+
+
+def test_restore_spec_selects_everything_only_without_a_selector():
+    assert RestoreSpec.latest().selects_everything
+    assert RestoreSpec(tag="t").reshaped(CheckpointTopology(2)).selects_everything
+    assert not RestoreSpec.of_rank(0).selects_everything
+    assert not RestoreSpec.of_shard("rank0").selects_everything
+    assert not RestoreSpec.full().selects_everything

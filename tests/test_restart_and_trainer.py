@@ -9,6 +9,7 @@ from repro.io import FileStore
 from repro.model import NumpyTransformerLM, tiny_config
 from repro.restart import CheckpointLoader, RestoreSpec
 from repro.training import DataConfig, RealTrainer, SyntheticTokenStream
+from repro.training.real_trainer import TrainingReport, TrainStepRecord
 
 
 def _tiny():
@@ -227,19 +228,50 @@ def test_loader_load_all_returns_per_rank_state(store):
     np.testing.assert_array_equal(states[0]["model"]["wte"], trainer.model.params["wte"])
 
 
-def test_loader_keep_latest_prunes_older(store):
-    for index in range(4):
-        _write_committed_checkpoint(store, f"ckpt-{index}", iteration=index)
-    loader = CheckpointLoader(store)
-    removed = loader.keep_latest(2)
-    assert removed == ["ckpt-0", "ckpt-1"]
-    assert [info.tag for info in loader.committed_checkpoints()] == ["ckpt-2", "ckpt-3"]
-    with pytest.raises(RestartError):
-        loader.keep_latest(-1)
-
-
 def test_loader_load_rank_missing_rank_raises(store):
     _write_committed_checkpoint(store, "ckpt", iteration=1)
     loader = CheckpointLoader(store)
     with pytest.raises(RestartError):
         loader.restore(RestoreSpec.of_rank(3, tag="ckpt"))
+
+
+def test_batch_at_is_the_batch_next_batch_returns_and_does_not_advance():
+    config = DataConfig(vocab_size=50, sequence_length=8, micro_batch_size=2, seed=3)
+    stream = SyntheticTokenStream(config)
+    tokens, targets = stream.batch_at(2)
+    assert stream.position == 0
+    stream.next_batch()
+    stream.next_batch()
+    next_tokens, next_targets = stream.next_batch()
+    np.testing.assert_array_equal(tokens, next_tokens)
+    np.testing.assert_array_equal(targets, next_targets)
+    np.testing.assert_array_equal(targets, np.roll(tokens, -1, axis=1))
+
+
+def test_batch_at_rejects_a_negative_index():
+    stream = SyntheticTokenStream(DataConfig(vocab_size=50, sequence_length=8,
+                                             micro_batch_size=2, seed=3))
+    with pytest.raises(ConfigurationError):
+        stream.batch_at(-1)
+
+
+def _step(iteration, blocked):
+    return TrainStepRecord(iteration=iteration, loss=1.0, compute_seconds=0.5,
+                           checkpoint_block_seconds=blocked, checkpointed=blocked > 0)
+
+
+def test_training_report_summarizes_checkpoint_stalls():
+    report = TrainingReport(steps=[_step(0, 0.0), _step(1, 0.3), _step(2, 0.0),
+                                   _step(3, 0.9)])
+    assert report.total_compute_seconds == pytest.approx(2.0)
+    assert report.total_checkpoint_block_seconds == pytest.approx(1.2)
+    assert report.blocked_seconds_per_iteration == pytest.approx(0.3)
+    # The median ignores the one long stall the mean is pulled up by.
+    assert report.median_blocked_seconds_per_iteration == pytest.approx(0.15)
+
+
+def test_an_empty_training_report_reports_no_stall():
+    report = TrainingReport()
+    assert report.total_checkpoint_block_seconds == 0.0
+    assert report.blocked_seconds_per_iteration == 0.0
+    assert report.median_blocked_seconds_per_iteration == 0.0

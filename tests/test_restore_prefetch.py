@@ -1,6 +1,6 @@
 """Restore-path tests: the prefetching load pipeline, the mmap-handle leak
-regression, ``RestoreSpec(validate=False)`` semantics, the restore API's
-surface, and retention edge cases (``keep_latest(0)``).
+regression, ``RestoreSpec(validate=False)`` semantics and the restore API's
+surface.
 
 Every restore runs at one depth, ``PREFETCH_DEPTH``.  A test parametrized by
 ``depth`` sets that constant (``None`` leaves it as shipped) to hold the
@@ -264,26 +264,6 @@ def test_load_all_validate_false_still_checks_manifest_completeness(tmp_path):
     loader = CheckpointLoader(store)
     with pytest.raises((ConsistencyError, RestartError)):
         loader.restore(RestoreSpec.full(tag="ckpt", validate=False))
-
-
-# ---------------------------------------------------------------------------
-# Retention: keep_latest(0)
-# ---------------------------------------------------------------------------
-
-def test_keep_latest_zero_deletes_every_checkpoint(tmp_path):
-    """keep_latest(0) is the 'wipe the history' form: every committed
-    checkpoint is deleted, and uncommitted (torn) directories are untouched."""
-    store = FileStore(tmp_path)
-    for index in range(3):
-        _commit(store, _state(seed=index), tag=f"ckpt-{index}", shards_per_rank=1)
-    store.write_shard("torn", "rank0", [b"half-flushed"])  # no manifest
-
-    loader = CheckpointLoader(store)
-    removed = loader.keep_latest(0)
-    assert removed == ["ckpt-0", "ckpt-1", "ckpt-2"]
-    assert loader.committed_checkpoints() == []
-    # keep_latest only governs committed history; the torn dir is prune's job.
-    assert store.list_checkpoints() == ["torn"]
 
 
 # ---------------------------------------------------------------------------

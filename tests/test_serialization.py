@@ -6,16 +6,16 @@ import pytest
 from repro.exceptions import ConsistencyError, SerializationError
 from repro.serialization import (
     CheckpointManifest,
+    CheckpointTopology,
     ShardHeader,
     ShardRecord,
     TensorEntry,
+    TensorLayout,
     build_header,
     decode_preamble,
     deserialize_state,
     encode_preamble,
     iter_shard_chunks,
-    peek_tensor_keys,
-    preamble_size,
     serialize_state,
 )
 from repro.tensor import flatten_state_dict
@@ -61,7 +61,6 @@ def test_preamble_roundtrip_and_size():
     header = build_header(flattened)
     skeleton = flattened.skeleton_bytes()
     raw = encode_preamble(header, skeleton)
-    assert len(raw) == preamble_size(header, skeleton)
     decoded_header, decoded_skeleton, payload_start = decode_preamble(raw + b"payload")
     assert decoded_header == header
     assert decoded_skeleton == skeleton
@@ -117,12 +116,6 @@ def test_deserialize_truncated_payload_rejected():
     raw = serialize_state(_state())
     with pytest.raises(SerializationError):
         deserialize_state(raw[:-10])
-
-
-def test_peek_tensor_keys():
-    raw = serialize_state(_state())
-    keys = peek_tensor_keys(raw)
-    assert "model.w" in keys and "optimizer.m" in keys
 
 
 def test_serialize_empty_state():
@@ -188,3 +181,24 @@ def test_manifest_validate_complete_passes_when_all_ranks_present():
     manifest.add_shard(ShardRecord(rank=0, name="rank0", nbytes=1))
     manifest.add_shard(ShardRecord(rank=1, name="rank1", nbytes=1))
     manifest.validate_complete()
+
+
+def test_shard_record_is_in_a_shard_set_only_with_group_and_part_index():
+    assert not ShardRecord(rank=0, name="rank0", nbytes=1).in_shard_set
+    assert not ShardRecord(rank=0, name="rank0", nbytes=1, group="rank0").in_shard_set
+    part = ShardRecord(rank=0, name="rank0-s01", nbytes=1, group="rank0",
+                       part_index=1, num_parts=2)
+    assert part.in_shard_set
+
+
+def test_topology_layout_table_keys_the_partition_table_by_tensor():
+    layouts = (TensorLayout("b", None, (4,)), TensorLayout("a", 1, (2, 6)))
+    topology = CheckpointTopology(2, tensor_parallel=2, tensors=layouts)
+    table = topology.layout_table()
+    assert list(table) == ["b", "a"]
+    assert table["a"].partition_axis == 1
+
+
+def test_topology_without_a_partition_table_cannot_be_reshaped():
+    with pytest.raises(ConsistencyError, match="only elastic checkpoints"):
+        CheckpointTopology(2).layout_table()

@@ -19,13 +19,14 @@ from repro.io import FileStore
 from repro.model import NumpyTransformerLM, tiny_config
 from repro.restart import CheckpointLoader, RestoreSpec
 from repro.serialization import (
-    deserialize_rank_state,
+    decode_rank_state,
     deserialize_state,
+    part_shard_name,
     plan_shards,
     serialize_part,
     serialize_state,
 )
-from repro.tensor import flatten_state_dict
+from repro.tensor import flatten_state_dict, unflatten_state_dict
 from repro.training import RealTrainer
 
 
@@ -75,7 +76,7 @@ def test_empty_state_still_produces_one_part():
     plan = plan_shards(flattened, "rank0", shards_per_rank=4)
     assert plan.num_parts == 1
     raw = serialize_part(plan.parts[0], plan.skeleton)
-    assert deserialize_rank_state([raw]) == {"meta": {"iteration": 3}}
+    assert deserialize_state(raw) == {"meta": {"iteration": 3}}
 
 
 def test_uneven_tensor_sizes_stay_within_balance_bound():
@@ -88,8 +89,10 @@ def test_uneven_tensor_sizes_stay_within_balance_bound():
         plan = plan_shards(flattened, "rank0", shards_per_rank=shards)
         assert plan.num_parts == shards
         largest = max(ref.nbytes for ref in flattened.tensors)
-        assert plan.balance_spread() <= largest, (
-            f"spread {plan.balance_spread()} exceeds largest tensor {largest} "
+        sizes = [part.payload_bytes for part in plan.parts]
+        spread = max(sizes) - min(sizes)
+        assert spread <= largest, (
+            f"spread {spread} exceeds largest tensor {largest} "
             f"at shards_per_rank={shards}")
         # Every tensor is assigned exactly once.
         assigned = sorted(i for part in plan.parts for i in part.global_indices)
@@ -105,7 +108,7 @@ def test_multi_shard_set_reassembles_from_any_buffer_order():
         f"rank0-s{i:02d}" for i in range(4)]
     raws = [serialize_part(part, plan.skeleton) for part in plan.parts]
     for order in (raws, raws[::-1], raws[2:] + raws[:2]):
-        loaded = deserialize_rank_state(list(order))
+        loaded = unflatten_state_dict(*decode_rank_state(list(order)))
         for key, value in state["model"].items():
             np.testing.assert_array_equal(loaded["model"][key], value)
 
@@ -191,3 +194,9 @@ def test_multi_shard_corruption_detected_per_file(tmp_path):
         loader.validate("corrupt")
     with pytest.raises(ConsistencyError):
         loader.restore(RestoreSpec.of_rank(0, tag="corrupt"))
+
+
+def test_part_shard_name_keeps_a_single_part_bare():
+    assert part_shard_name("rank3", 0, 1) == "rank3"
+    assert [part_shard_name("rank3", index, 3) for index in range(3)] == [
+        "rank3-s00", "rank3-s01", "rank3-s02"]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.simulator import Environment, Event, Interrupt
+from repro.simulator import Environment
 
 
 def test_environment_starts_at_zero():
@@ -151,6 +151,30 @@ def test_process_return_value_propagates():
     assert results == ["result"]
 
 
+def test_finished_process_holds_its_return_value():
+    env = Environment()
+
+    def proc():
+        yield env.timeout(1.0)
+        return 7
+
+    process = env.process(proc())
+    assert not process.triggered
+    env.run()
+    assert process.triggered and process.ok
+    assert process.value == 7
+
+
+def test_event_is_processed_once_its_callbacks_ran():
+    env = Environment()
+    gate = env.event()
+    gate.succeed("done")
+    assert gate.triggered and not gate.processed
+    env.run()
+    assert gate.processed
+    assert gate.value == "done"
+
+
 def test_process_exception_propagates_to_parent():
     env = Environment()
 
@@ -168,27 +192,6 @@ def test_process_exception_propagates_to_parent():
     env.process(parent(caught))
     env.run()
     assert caught == ["child failed"]
-
-
-def test_run_until_complete_returns_value():
-    env = Environment()
-
-    def proc():
-        yield env.timeout(1.0)
-        return 7
-
-    assert env.run_until_complete(env.process(proc())) == 7
-
-
-def test_run_until_complete_raises_process_error():
-    env = Environment()
-
-    def proc():
-        yield env.timeout(1.0)
-        raise KeyError("bad")
-
-    with pytest.raises(KeyError):
-        env.run_until_complete(env.process(proc()))
 
 
 def test_process_requires_generator():
@@ -246,19 +249,6 @@ def test_all_of_empty_completes_immediately():
     assert seen == [0.0]
 
 
-def test_any_of_fires_on_first():
-    env = Environment()
-    completion = []
-
-    def proc():
-        yield env.any_of([env.timeout(5.0), env.timeout(1.0)])
-        completion.append(env.now)
-
-    env.process(proc())
-    env.run()
-    assert completion == [1.0]
-
-
 def test_all_of_propagates_failure():
     env = Environment()
     gate = env.event()
@@ -278,26 +268,6 @@ def test_all_of_propagates_failure():
     env.process(trigger())
     env.run()
     assert caught == [2.0]
-
-
-def test_interrupt_raises_inside_process():
-    env = Environment()
-    caught = []
-
-    def victim():
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as interrupt:
-            caught.append((env.now, interrupt.cause))
-
-    def attacker(target):
-        yield env.timeout(2.0)
-        target.interrupt("stop now")
-
-    target = env.process(victim())
-    env.process(attacker(target))
-    env.run()
-    assert caught == [(2.0, "stop now")]
 
 
 def test_waiting_on_already_processed_event_completes():

@@ -1,83 +1,11 @@
-"""Tests for Resource (counting semaphore) and FairShareLink (bandwidth sharing)."""
+"""Tests for FairShareLink (bandwidth sharing)."""
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import SimulationError
-from repro.simulator import Environment, FairShareLink, Resource
-
-
-# ---------------------------------------------------------------------------
-# Resource
-# ---------------------------------------------------------------------------
-
-def test_resource_grants_up_to_capacity():
-    env = Environment()
-    res = Resource(env, capacity=2)
-    r1, r2, r3 = res.request(), res.request(), res.request()
-    env.run()
-    assert r1.triggered and r2.triggered
-    assert not r3.triggered
-    assert res.in_use == 2
-    assert res.queue_length == 1
-
-
-def test_resource_release_grants_waiter():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    r1 = res.request()
-    r2 = res.request()
-    env.run()
-    assert not r2.triggered
-    res.release(r1)
-    env.run()
-    assert r2.triggered
-
-
-def test_resource_fifo_ordering():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    first = res.request()
-    second = res.request()
-    third = res.request()
-    res.release(first)
-    env.run()
-    assert second.triggered and not third.triggered
-
-
-def test_resource_rejects_foreign_request():
-    env = Environment()
-    res_a = Resource(env, capacity=1)
-    res_b = Resource(env, capacity=1)
-    req = res_a.request()
-    with pytest.raises(SimulationError):
-        res_b.release(req)
-
-
-def test_resource_capacity_must_be_positive():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        Resource(env, capacity=0)
-
-
-def test_resource_serializes_processes():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    spans = []
-
-    def worker(name):
-        req = res.request()
-        yield req
-        start = env.now
-        yield env.timeout(2.0)
-        spans.append((name, start, env.now))
-        res.release(req)
-
-    env.process(worker("a"))
-    env.process(worker("b"))
-    env.run()
-    assert spans == [("a", 0.0, 2.0), ("b", 2.0, 4.0)]
+from repro.simulator import Environment, FairShareLink
 
 
 # ---------------------------------------------------------------------------
@@ -85,18 +13,23 @@ def test_resource_serializes_processes():
 # ---------------------------------------------------------------------------
 
 def _run_transfer(env, link, nbytes, cap=None, start_delay=0.0):
-    """Helper: run one transfer process and record (start, end)."""
+    """Helper: run one transfer process and record (start, end) and its flow."""
     record = {}
 
     def proc():
         if start_delay:
             yield env.timeout(start_delay)
         record["start"] = env.now
-        yield link.transfer(nbytes, cap=cap)
+        record["flow"] = yield link.transfer(nbytes, cap=cap)
         record["end"] = env.now
 
     env.process(proc())
     return record
+
+
+def _delivered(records):
+    """Bytes the finished flows of ``records`` delivered."""
+    return sum(r["flow"].nbytes - r["flow"].remaining for r in records)
 
 
 def test_single_flow_uses_full_capacity():
@@ -178,6 +111,17 @@ def test_many_capped_flows_saturate_aggregate_capacity():
         assert record["end"] == pytest.approx(20.0)
 
 
+def test_a_link_idle_between_flows_serves_the_next_at_full_rate():
+    env = Environment()
+    link = FairShareLink(env, capacity=100.0)
+    first = _run_transfer(env, link, 500.0)
+    second = _run_transfer(env, link, 500.0, start_delay=10.0)
+    env.run()
+    assert first["end"] == pytest.approx(5.0)
+    assert (second["start"], second["end"]) == pytest.approx((10.0, 15.0))
+    assert _delivered([first, second]) == pytest.approx(1000.0)
+
+
 def test_zero_byte_transfer_completes_instantly():
     env = Environment()
     link = FairShareLink(env, capacity=10.0)
@@ -198,15 +142,6 @@ def test_link_capacity_must_be_positive():
         FairShareLink(env, capacity=0.0)
 
 
-def test_bytes_transferred_accounting():
-    env = Environment()
-    link = FairShareLink(env, capacity=100.0)
-    _run_transfer(env, link, 300.0)
-    _run_transfer(env, link, 200.0)
-    env.run()
-    assert link.bytes_transferred == pytest.approx(500.0)
-
-
 def test_sub_epsilon_residual_is_counted_as_transferred():
     """A flow retired with a float residue still delivers it, and a small
     residual is still a transfer: 2.0 + 2.00001 bytes count as 4.00001 and
@@ -216,7 +151,7 @@ def test_sub_epsilon_residual_is_counted_as_transferred():
     first = _run_transfer(env, link, 2.0)
     second = _run_transfer(env, link, 2.00001)
     env.run()
-    assert link.bytes_transferred == pytest.approx(4.00001, rel=1e-9)
+    assert _delivered([first, second]) == pytest.approx(4.00001, rel=1e-9)
     assert first["end"] == pytest.approx(4.0, abs=1e-12)
     assert second["end"] == pytest.approx(4.00001, abs=1e-12)
 
@@ -232,30 +167,8 @@ def test_a_flow_terminates_where_the_clock_is_coarse():
     env.run(max_events=1000)
     assert [record["end"] - start for record in records] == pytest.approx(
         [3.0, 3.0, 5.0], abs=1e-6)
-    assert link.active_flows == 0
-    assert link.bytes_transferred == pytest.approx(5.0 + 1e-8, rel=1e-9)
-
-
-def test_busy_time_and_utilization():
-    env = Environment()
-    link = FairShareLink(env, capacity=100.0)
-    _run_transfer(env, link, 500.0)          # busy 0..5
-
-    def idle_then_more():
-        yield env.timeout(10.0)
-        yield link.transfer(500.0)            # busy 10..15
-
-    env.process(idle_then_more())
-    env.run()
-    assert link.busy_time == pytest.approx(10.0)
-    assert link.utilization() == pytest.approx(10.0 / 15.0)
-
-
-def test_estimate_duration_uncontended():
-    env = Environment()
-    link = FairShareLink(env, capacity=100.0, default_flow_cap=25.0)
-    assert link.estimate_duration(100.0) == pytest.approx(4.0)
-    assert link.estimate_duration(100.0, cap=50.0) == pytest.approx(2.0)
+    assert all("end" in record for record in records)
+    assert _delivered(records) == pytest.approx(5.0 + 1e-8, rel=1e-9)
 
 
 @settings(max_examples=30, deadline=None)
@@ -276,4 +189,4 @@ def test_property_all_bytes_delivered_and_capacity_respected(sizes, capacity):
     total = sum(sizes)
     makespan = max(record["end"] for record in records)
     assert makespan >= total / capacity - 1e-6
-    assert link.bytes_transferred == pytest.approx(total, rel=1e-6)
+    assert _delivered(records) == pytest.approx(total, rel=1e-6)

@@ -64,14 +64,6 @@ def test_barrier_requires_positive_parties():
         Barrier(env, parties=0)
 
 
-def test_barrier_waiting_count():
-    env = Environment()
-    barrier = Barrier(env, parties=3)
-    barrier.wait()
-    barrier.wait()
-    assert barrier.waiting == 2
-
-
 # ---------------------------------------------------------------------------
 # SimHostBuffer
 # ---------------------------------------------------------------------------
@@ -79,7 +71,7 @@ def test_barrier_waiting_count():
 def test_host_buffer_reserve_and_release():
     env = Environment()
     buf = SimHostBuffer(env, capacity=100)
-    assert buf.try_reserve(60)
+    assert not list(buf.reserve(60))  # granted without waiting
     assert buf.used == 60
     assert buf.free == 40
     buf.release(60)
@@ -121,7 +113,7 @@ def test_host_buffer_fifo_waiters():
         yield env.timeout(10.0)
         buf.release(100)
 
-    assert buf.try_reserve(100)
+    assert not list(buf.reserve(100))  # granted without waiting
     env.process(claim("first", 30, 1.0))
     env.process(claim("second", 30, 2.0))
     env.process(release_later())
@@ -146,25 +138,35 @@ def test_host_buffer_over_release_rejected():
 def test_host_buffer_peak_tracking():
     env = Environment()
     buf = SimHostBuffer(env, capacity=100)
-    buf.try_reserve(40)
-    buf.try_reserve(50)
+    list(buf.reserve(40))
+    list(buf.reserve(50))
     buf.release(50)
     assert buf.peak_used == 90
 
 
-def test_host_buffer_try_reserve_respects_waiters():
+def test_host_buffer_reserve_does_not_jump_queued_waiters():
+    """A small reservation that would fit queues behind an earlier waiter
+    that does not: FIFO order, no barging."""
     env = Environment()
     buf = SimHostBuffer(env, capacity=100)
-    buf.try_reserve(90)
+    assert not list(buf.reserve(90))  # granted without waiting
+    granted = []
 
-    def blocked():
-        yield from buf.reserve(50)
+    def claim(label, nbytes, delay):
+        yield env.timeout(delay)
+        yield from buf.reserve(nbytes)
+        granted.append((label, env.now))
 
-    env.process(blocked())
+    def release_later():
+        yield env.timeout(5.0)
+        buf.release(90)
+
+    env.process(claim("large", 50, 1.0))
+    env.process(claim("small", 5, 2.0))
+    env.process(release_later())
     env.run()
-    # A waiter is queued; try_reserve must not jump the queue even though 10
-    # bytes are technically free.
-    assert not buf.try_reserve(5)
+    assert granted == [("large", 5.0), ("small", 5.0)]
+    assert buf.used == 55
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +209,12 @@ def test_trace_records_spans_and_counters():
     assert set(trace.categories()) == {"d2h", "flush"}
 
 
+def test_trace_span_duration_is_its_length():
+    span = TraceRecorder().record_span("rank0", "flush", 1.25, 4.0, "layer2")
+    assert span.duration == pytest.approx(2.75)
+    assert (span.actor, span.category, span.label) == ("rank0", "flush", "layer2")
+
+
 def test_trace_span_rejects_negative_duration():
     trace = TraceRecorder()
     with pytest.raises(ValueError):
@@ -231,3 +239,14 @@ def test_trace_merge_combines_recorders():
     a.merge(b)
     assert len(a.spans) == 2
     assert a.counter("n") == 3
+
+
+def test_trace_spans_for_filters_by_actor_and_category():
+    trace = TraceRecorder()
+    first = trace.record_span("rank0", "d2h", 0.0, 1.0)
+    second = trace.record_span("rank0", "flush", 1.0, 2.0)
+    third = trace.record_span("rank1", "d2h", 0.0, 3.0)
+    assert trace.spans_for(actor="rank0") == [first, second]
+    assert trace.spans_for(category="d2h") == [first, third]
+    assert trace.spans_for(actor="rank1", category="flush") == []
+    assert trace.spans_for() == [first, second, third]

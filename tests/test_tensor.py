@@ -1,4 +1,4 @@
-"""Tests for device-tagged tensors, the device arena, and state-dict flattening."""
+"""Tests for device-tagged tensors and state-dict flattening."""
 
 import gc
 import pickle
@@ -9,15 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import CapacityError, SerializationError, TransferError
+from repro.exceptions import SerializationError
 from repro.tensor import (
     Device,
-    DeviceArena,
     DeviceTensor,
     FlattenCache,
     TensorRef,
     flatten_state_dict,
-    state_dict_nbytes,
     tensor_payload_array,
     unflatten_state_dict,
 )
@@ -30,7 +28,6 @@ from repro.tensor import (
 def test_device_string_form():
     assert str(Device.gpu(2)) == "gpu:2"
     assert str(Device.cpu()) == "cpu:0"
-    assert Device.gpu(0).is_gpu and not Device.cpu().is_gpu
 
 
 def test_device_tensor_shape_and_nbytes():
@@ -43,81 +40,6 @@ def test_device_tensor_shape_and_nbytes():
 def test_device_tensor_requires_ndarray():
     with pytest.raises(TypeError):
         DeviceTensor([1, 2, 3], Device.cpu())  # type: ignore[arg-type]
-
-
-def test_copy_into_buffer_roundtrip():
-    array = np.arange(12, dtype=np.int32).reshape(3, 4)
-    tensor = DeviceTensor(array, Device.gpu(0))
-    buffer = bytearray(tensor.nbytes)
-    written = tensor.copy_into(memoryview(buffer))
-    assert written == tensor.nbytes
-    recovered = np.frombuffer(buffer, dtype=np.int32).reshape(3, 4)
-    np.testing.assert_array_equal(recovered, array)
-
-
-def test_copy_into_too_small_buffer_rejected():
-    tensor = DeviceTensor(np.zeros(10, dtype=np.float64), Device.gpu(0))
-    with pytest.raises(TransferError):
-        tensor.copy_into(memoryview(bytearray(8)))
-
-
-def test_to_host_and_clone_are_copies():
-    array = np.ones(4)
-    tensor = DeviceTensor(array, Device.gpu(1), "x")
-    host = tensor.to_host()
-    clone = tensor.clone()
-    array[0] = 99.0
-    assert host.array[0] == 1.0
-    assert clone.array[0] == 1.0
-    assert host.device == Device.cpu()
-    assert clone.device == Device.gpu(1)
-
-
-# ---------------------------------------------------------------------------
-# DeviceArena
-# ---------------------------------------------------------------------------
-
-def test_arena_allocation_accounting():
-    arena = DeviceArena(Device.gpu(0), capacity=1024)
-    t = arena.allocate("a", (16,), np.float32)
-    assert arena.allocated == 64
-    assert arena.available == 960
-    arena.free("a")
-    assert arena.allocated == 0
-    assert t.nbytes == 64
-
-
-def test_arena_out_of_memory():
-    arena = DeviceArena(Device.gpu(0), capacity=100)
-    with pytest.raises(CapacityError):
-        arena.allocate("big", (200,), np.uint8)
-
-
-def test_arena_duplicate_name_rejected():
-    arena = DeviceArena(Device.gpu(0), capacity=1024)
-    arena.allocate("a", (4,))
-    with pytest.raises(CapacityError):
-        arena.allocate("a", (4,))
-
-
-def test_arena_free_unknown_rejected():
-    arena = DeviceArena(Device.gpu(0), capacity=1024)
-    with pytest.raises(CapacityError):
-        arena.free("missing")
-
-
-def test_arena_adopt_existing_tensor():
-    arena = DeviceArena(Device.gpu(0), capacity=1024)
-    tensor = DeviceTensor(np.zeros(8, dtype=np.float64), Device.gpu(0), "adopted")
-    arena.adopt(tensor)
-    assert arena.allocated == 64
-    assert arena.get("adopted") is tensor
-
-
-def test_arena_fill_value():
-    arena = DeviceArena(Device.gpu(0), capacity=1024)
-    tensor = arena.allocate("ones", (5,), np.float32, fill=1.5)
-    np.testing.assert_allclose(tensor.array, 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +70,7 @@ def test_flatten_finds_all_tensors():
 def test_flatten_total_bytes():
     state = _sample_state()
     expected = 6 * 4 + 3 * 8 + 4 * 4 + 4 * 4
-    assert state_dict_nbytes(state) == expected
+    assert flatten_state_dict(state).total_tensor_bytes == expected
 
 
 def test_flatten_unflatten_roundtrip_preserves_everything():

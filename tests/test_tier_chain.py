@@ -1087,6 +1087,128 @@ def test_backpressure_times_out_loudly(tmp_path, monkeypatch):
         store.close()
 
 
+class _DeleteBugStore(FileStore):
+    """A level whose ``delete_checkpoint`` has a programming error."""
+
+    def delete_checkpoint(self, tag):
+        raise TypeError("a bug in this level's delete, not an outage")
+
+
+def test_an_eviction_bug_under_backpressure_surfaces_at_once(tmp_path, monkeypatch):
+    """The gate's eviction pass tolerates what an unavailable level raises
+    (CheckpointError, OSError); a TypeError fails the commit at once instead
+    of waiting out the backpressure timeout as "drains cannot keep up"."""
+    monkeypatch.setattr(tiered, "BACKPRESSURE_TIMEOUT_S", 2.0)
+    store = TierChain([
+        TierLevel(_DeleteBugStore(tmp_path / "nvme"), name="nvme",
+                  capacity_bytes=16 * 1024, watermark=0.5),
+        TierLevel(ObjectStore(), name="object"),
+    ], keep_local_latest=None)
+    payload = b"d" * (12 * 1024)
+    try:
+        _commit_raw(store, "ckpt-1", payload)
+        store.wait_drained("ckpt-1", timeout=30.0)  # replicated: evictable
+        start = time.monotonic()
+        with pytest.raises(TypeError, match="a bug in this level's delete"):
+            store.write_shard("ckpt-2", "rank0", [payload])
+        assert time.monotonic() - start < 1.0
+    finally:
+        store.close()
+
+
+class _TotalBytesBugStore(FileStore):
+    """A level whose ``total_bytes`` has a programming error."""
+
+    def total_bytes(self, tag):
+        raise TypeError("a bug in this level's accounting, not a missing tag")
+
+
+def test_opening_a_chain_surfaces_an_accounting_bug_instead_of_undercounting(tmp_path):
+    """Opening a chain accounts every level's resident bytes, which the
+    backpressure gate counts against the watermark: a TypeError there
+    surfaces instead of opening the chain with those bytes left out."""
+    _commit_raw(FileStore(tmp_path / "nvme"), "ckpt-1", b"e" * (12 * 1024))
+    with pytest.raises(TypeError, match="a bug in this level's accounting"):
+        TierChain([
+            TierLevel(_TotalBytesBugStore(tmp_path / "nvme"), name="nvme",
+                      capacity_bytes=16 * 1024, watermark=0.5),
+            TierLevel(ObjectStore(), name="object"),
+        ], keep_local_latest=None)
+
+
+class _RaisingObjectStore(ObjectStore):
+    """An object level whose ``method`` raises ``error``; the rest works."""
+
+    def __init__(self, method, error):
+        super().__init__()
+        setattr(self, method, self._raise)
+        self._error = error
+
+    def _raise(self, *args, **kwargs):
+        raise self._error
+
+
+def _chain_over(level0):
+    return TierChain([
+        TierLevel(level0, name="nvme", capacity_bytes=16 * 1024, watermark=0.5),
+        TierLevel(ObjectStore(), name="object"),
+    ], keep_local_latest=None)
+
+
+def _committed_level(method, error):
+    level0 = _RaisingObjectStore(method, error)
+    _commit_raw(level0, "ckpt-1", b"f" * 1024, iteration=1)
+    return level0
+
+
+def test_opening_a_chain_surfaces_a_listing_bug_instead_of_skipping_the_level():
+    """A level whose listing raises a TypeError is not "unavailable": the
+    chain does not open with that level's bytes left out."""
+    level0 = _committed_level("list_checkpoints", TypeError("a listing bug"))
+    with pytest.raises(TypeError, match="a listing bug"):
+        _chain_over(level0)
+
+
+def test_opening_a_chain_surfaces_a_manifest_read_bug_instead_of_ordering_by_tag():
+    """Recovery orders tags by manifest iteration; a TypeError from the read
+    surfaces instead of quietly falling back to tag order."""
+    level0 = _committed_level("read_manifest", TypeError("a manifest bug"))
+    with pytest.raises(TypeError, match="a manifest bug"):
+        _chain_over(level0)
+
+
+def test_a_level_whose_listing_is_unavailable_opens_with_nothing_accounted():
+    level0 = _committed_level("list_checkpoints", OSError("level offline"))
+    store = _chain_over(level0)
+    try:
+        assert store.level_used_bytes(0) == 0
+        assert store.read_manifest("ckpt-1")["iteration"] == 1
+    finally:
+        store.close()
+
+
+def test_a_checkpoint_gone_since_the_listing_is_left_unaccounted():
+    level0 = _committed_level("total_bytes", CheckpointError("gone"))
+    store = _chain_over(level0)
+    try:
+        assert store.level_used_bytes(0) == 0
+        assert store.read_manifest("ckpt-1")["iteration"] == 1
+    finally:
+        store.close()
+
+
+def test_an_unreadable_manifest_at_open_falls_back_to_tag_order():
+    """A manifest that cannot be read (OSError) leaves recovery to order the
+    tag by name; the chain opens and still accounts the level's bytes."""
+    level0 = _committed_level("read_manifest", OSError("manifest unreadable"))
+    store = _chain_over(level0)
+    try:
+        assert store.level_used_bytes(0) == 1024
+        assert store.list_committed_checkpoints() == ["ckpt-1"]
+    finally:
+        store.close()
+
+
 def test_engine_stats_surface_drain_wait(tmp_path):
     store = create_store("tiered", root=tmp_path / "chain",
                          tiers="nvme:file:1GiB,object:object")

@@ -1,7 +1,5 @@
 """Tests for unit helpers, logging utilities, and the exception hierarchy."""
 
-import logging
-
 import pytest
 
 import repro
@@ -15,67 +13,28 @@ from repro.exceptions import (
     SerializationError,
     ShardingError,
     SimulationError,
-    TransferError,
 )
-from repro.logging_utils import enable_logging, get_logger
-from repro.units import (
-    GB,
-    KB,
-    MB,
-    gb,
-    gbps,
-    gib,
-    human_bytes,
-    human_duration,
-    kib,
-    mib,
-    ms,
-    to_gb,
-    to_gbps,
-    to_gib,
-    us,
-)
+from repro.logging_utils import get_logger
+from repro.units import GB, KB, MB, gbps, ms
 
 
 def test_binary_units_are_powers_of_two():
     assert KB == 1024
     assert MB == 1024**2
     assert GB == 1024**3
-    assert kib(2) == 2048
-    assert mib(1) == 1024**2
-    assert gib(3) == 3 * 1024**3
 
 
 def test_decimal_units_match_vendor_convention():
-    assert gb(2) == 2_000_000_000
     assert gbps(25.0) == 25e9
-    assert to_gb(1e9) == pytest.approx(1.0)
-    assert to_gbps(650e9) == pytest.approx(650.0)
-    assert to_gib(GB) == pytest.approx(1.0)
 
 
 def test_time_helpers():
     assert ms(5) == pytest.approx(0.005)
-    assert us(20) == pytest.approx(2e-5)
-
-
-def test_human_bytes_formatting():
-    assert human_bytes(512) == "512 B"
-    assert human_bytes(10 * 1024) == "10.0 KiB"
-    assert human_bytes(int(10.4 * GB)) == "10.4 GiB"
-
-
-def test_human_duration_formatting():
-    assert human_duration(5e-4).endswith("us")
-    assert human_duration(0.25) == "250 ms"
-    assert human_duration(12.5) == "12.50 s"
-    assert "m" in human_duration(200.0)
-    assert human_duration(-0.25) == "-250 ms"
 
 
 def test_exception_hierarchy_roots_at_repro_error():
     for exc_type in (CapacityError, AllocationError, CheckpointError, ConsistencyError,
-                     RestartError, SerializationError, SimulationError, TransferError,
+                     RestartError, SerializationError, SimulationError,
                      ShardingError):
         assert issubclass(exc_type, ReproError)
     assert issubclass(AllocationError, CapacityError)
@@ -92,13 +51,3 @@ def test_get_logger_namespacing():
     assert get_logger().name == "repro"
     assert get_logger("repro.core").name == "repro.core"
     assert get_logger("custom.module").name == "repro.custom.module"
-
-
-def test_enable_logging_is_idempotent():
-    first = enable_logging(level=logging.WARNING)
-    second = enable_logging(level=logging.INFO)
-    logger = logging.getLogger("repro")
-    assert logger.handlers == [second]
-    assert logger.level == logging.INFO
-    logger.removeHandler(second)
-    assert first is not second
