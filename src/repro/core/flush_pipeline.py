@@ -6,8 +6,8 @@ out immediately, and each staged **extent** — a run of file-adjacent tensors
 in one pinned-pool allocation — is written as soon as its device-to-host
 copy lands, so flushing overlaps both the remaining copies and the training
 computation (streamlined multi-level flushing, §5.1).  Pool space goes back
-extent by extent as it is consumed, which is what lets the circular buffer
-admit the next checkpoint.
+extent by extent as it is consumed, and the pool's first-fit placement hands
+those just-written bytes to the next extent it stages.
 
 One loop feeds one of two sinks, selected by what the store offers:
 

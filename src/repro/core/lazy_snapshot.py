@@ -166,8 +166,9 @@ class CopyStream:
     """A dedicated background thread that executes snapshot captures in order.
 
     The real engine uses a CUDA stream plus the GPU copy engine; here a
-    single worker thread plays that role.  Captures are strictly FIFO so the
-    circular-buffer reclamation order matches allocation order.
+    single worker thread plays that role.  Captures are strictly FIFO; the
+    pool places each extent in its lowest free offset, whatever the order
+    the flushes free them in.
     """
 
     def __init__(self, pool: PinnedHostPool, name: str = "d2h-copy") -> None:

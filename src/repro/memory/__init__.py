@@ -1,4 +1,4 @@
-"""The circular staging-buffer allocator and the pinned host pool."""
+"""The staging-buffer allocator (lowest-offset first fit) and the pinned host pool."""
 
 from .circular_buffer import CircularBufferManager, Segment
 from .pinned_pool import HostAllocation, PinnedHostPool

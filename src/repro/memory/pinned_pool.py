@@ -5,10 +5,10 @@ page-locked (``cudaHostRegister``) once at startup and reused for every
 checkpoint, which removes the per-checkpoint allocation/pinning cost that
 cripples the CheckFreq-style baseline.  Here the "pinned" buffer is a single
 NumPy byte array allocated up front; allocations hand out ``memoryview``
-slices of it managed by the FIFO ring allocator.
+slices of it, placed lowest-offset first fit so each reuses the warmest bytes.
 
 Threads that cannot be satisfied immediately block on a condition variable
-until flushes retire older segments — this is exactly the back-pressure
+until flushes free older segments — this is exactly the back-pressure
 behaviour described in §5.1 ("if the host memory that is reserved for
 checkpointing is full, then the next checkpoint request needs to wait for
 previous tensors to get evicted").
@@ -32,16 +32,6 @@ class HostAllocation:
 
     segment: Segment
     view: memoryview
-
-    @property
-    def size(self) -> int:
-        """Size of the allocation in bytes."""
-        return self.segment.size
-
-    @property
-    def offset(self) -> int:
-        """Offset of the allocation inside the pool."""
-        return self.segment.offset
 
 
 class PinnedHostPool:
@@ -80,12 +70,6 @@ class PinnedHostPool:
         with self._lock:
             return self._blocked_waits
 
-    def view(self, offset: int, size: int) -> memoryview:
-        """Raw view into the backing buffer (used by flush workers)."""
-        if offset < 0 or offset + size > self.capacity:
-            raise AllocationError(f"view [{offset}, {offset + size}) outside pool")
-        return memoryview(self._backing)[offset : offset + size]
-
     # -- allocation -----------------------------------------------------------
     def allocate(self, size: int, blocking: bool = True, timeout: Optional[float] = None) -> HostAllocation:
         """Reserve ``size`` bytes.
@@ -101,7 +85,7 @@ class PinnedHostPool:
         if size == 0:
             # Zero-length tensors are legal (an uneven ZeRO partition can own
             # an empty slice); hand out an empty view without touching the
-            # ring — blocking on space can never satisfy a 0-byte request.
+            # allocator — blocking on space can never satisfy a 0-byte request.
             return HostAllocation(segment=Segment(ticket=-1, offset=0, size=0),
                                   view=memoryview(self._backing)[0:0])
         with self._lock:

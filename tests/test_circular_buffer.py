@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import AllocationError
 from repro.memory import CircularBufferManager
+from repro.serialization import MAX_EXTENT_BYTES, TensorEntry, plan_extents
 
 
 def test_basic_allocate_and_free():
@@ -79,18 +80,49 @@ def test_fifo_reclamation_allows_wrap_around():
     assert buf.used_bytes == 0
 
 
-def test_out_of_order_free_reclaims_lazily():
+def test_out_of_order_free_is_reusable_at_once():
     buf = CircularBufferManager(100)
     a = buf.allocate(50)
     b = buf.allocate(50)
     buf.free(b)
-    # b is retired but a (older) still live: space is not reusable yet.
-    assert buf.used_bytes == 100
-    with pytest.raises(AllocationError):
-        buf.allocate(10)
+    # b is freed while a (older) is still live: its bytes come back at once.
+    assert buf.used_bytes == 50
+    c = buf.allocate(50)
+    assert c.offset == 50
     buf.free(a)
-    assert buf.used_bytes == 0
-    assert buf.allocate(100).offset == 0
+    assert buf.used_bytes == 50
+    assert buf.allocate(10).offset == 0
+
+
+def _gaps(live, capacity):
+    """The free runs ``(offset, size)`` between live segments."""
+    gaps, offset = [], 0
+    for segment in sorted(live, key=lambda s: s.offset):
+        if segment.offset > offset:
+            gaps.append((offset, segment.offset - offset))
+        offset = segment.end
+    if capacity > offset:
+        gaps.append((offset, capacity - offset))
+    return gaps
+
+
+def test_capacity_admission_after_freeing_the_oldest():
+    """Ten 9-byte extents fill ``[0, 90)`` of a 100-byte buffer; freeing the
+    two oldest opens ``[0, 18)`` beside the never-used ``[90, 100)``.  Every
+    request that some gap fits is admitted until the buffer is full.  A ring
+    that jumps its head back to offset 0 as soon as the front is free refuses
+    the last request: ``[90, 100)`` sits behind its head until the tail
+    passes it."""
+    buf = CircularBufferManager(100)
+    live = [buf.allocate(9) for _ in range(10)]
+    for segment in live[:2]:
+        buf.free(segment)
+    live = live[2:]
+    for size in (10, 8, 10):
+        assert any(gap >= size for _, gap in _gaps(live, 100))
+        live.append(buf.allocate(size))
+    assert buf.used_bytes == 100
+    assert _gaps(live, 100) == []
 
 
 def test_reset_clears_everything():
@@ -166,24 +198,12 @@ def test_property_used_bytes_is_sum_of_unreclaimed(ops):
     assert buf.used_bytes == 0
 
 
-def _scan_placement(segments, head, capacity, size):
-    """Reference placement: scan every reserved interval for the free run at
-    the head, else at offset zero (the allocator's original algorithm)."""
-    if not segments:
-        return 0 if size <= capacity else None
-    intervals = sorted((seg.offset, seg.end) for seg in segments)
-    next_occupied = capacity
-    for start, end in intervals:
-        if start <= head < end:
-            break
-        if start >= head:
-            next_occupied = min(next_occupied, start)
-    else:
-        if next_occupied - head >= size:
-            return head
-    if intervals[0][0] >= size and head != 0:
-        if not any(start <= 0 < end for start, end in intervals):
-            return 0
+def _first_fit(live, capacity, size):
+    """Reference placement: the lowest offset whose ``size`` bytes overlap no
+    live segment, found by trying every offset in turn; None if none fits."""
+    for offset in range(capacity - size + 1):
+        if all(offset + size <= seg.offset or seg.end <= offset for seg in live):
+            return offset
     return None
 
 
@@ -192,16 +212,17 @@ def _scan_placement(segments, head, capacity, size):
        ops=st.lists(st.tuples(st.booleans(), st.integers(min_value=1, max_value=130),
                               st.integers(min_value=0, max_value=1000)),
                     min_size=1, max_size=80))
-def test_property_head_tail_placement_matches_the_interval_scan(capacity, ops):
-    """Every placement — and every refusal — equals the full interval scan's,
-    under allocations of any size and frees in any order."""
+def test_property_placement_matches_a_first_fit_scan(capacity, ops):
+    """Every placement — and every refusal — equals a reference first-fit
+    scan over the live segments, under allocations of any size and frees in
+    any order."""
     buf = CircularBufferManager(capacity)
     live = []
     for is_free, size, pick in ops:
         if is_free and live:
             buf.free(live.pop(pick % len(live)))
             continue
-        expected = _scan_placement(buf._segments, buf._head, capacity, size)
+        expected = _first_fit(live, capacity, size)
         if expected is None:
             with pytest.raises(AllocationError):
                 buf.allocate(size)
@@ -209,3 +230,95 @@ def test_property_head_tail_placement_matches_the_interval_scan(capacity, ops):
             segment = buf.allocate(size)
             assert segment.offset == expected
             live.append(segment)
+        assert buf.used_bytes == sum(seg.size for seg in live)
+
+
+def _replay(sizes, lag, capacity):
+    """Stage ``sizes`` in order with the consumer ``lag`` extents behind (the
+    oldest is freed before the ``lag + 1``-th would be live).  Checks the
+    first-fit bound of every placement; returns (highest end, peak in-flight
+    bytes)."""
+    buf = CircularBufferManager(capacity)
+    live, top, peak = [], 0, 0
+    for size in sizes:
+        if len(live) == lag:
+            buf.free(live.pop(0))
+        segment = buf.allocate(size)
+        gaps_below = [gap for offset, gap in _gaps(live, capacity) if offset < segment.offset]
+        live.append(segment)
+        in_flight = sum(seg.size for seg in live)
+        assert all(gap < size for gap in gaps_below)
+        assert segment.end <= in_flight + sum(gaps_below)
+        top, peak = max(top, segment.end), max(peak, in_flight)
+    return top, peak
+
+
+def _hifreq_extents():
+    """The pool allocations of one checkpoint of the benchmark's
+    ``hifreq_file`` state (64 MiB in 200 tensors): an int64 counter, then
+    per layer two float32 weight matrices of 238,912 elements and four
+    biases/norms of 7,584 (66 and 133 in all), back to back as
+    ``build_header`` lays them out, cut at the 4 MiB extent bound."""
+    nbytes = [8]
+    for layer in range(34):
+        nbytes += [238_912 * 4] * (2 if layer < 33 else 0)
+        nbytes += [7_584 * 4] * min(4, 133 - 4 * layer)
+    entries, offset = [], 0
+    for index, size in enumerate(nbytes):
+        entries.append(TensorEntry(key=f"t{index}", dtype="uint8", shape=(size,),
+                                   offset=offset, nbytes=size))
+        offset += size
+    return [entries[stop - 1].offset + entries[stop - 1].nbytes - entries[start].offset
+            for start, stop in plan_extents(entries, MAX_EXTENT_BYTES)]
+
+
+def test_footprint_follows_the_bytes_in_flight():
+    """Counted, no clock: where the pool's highest byte ends up when the
+    flush lags the capture by ``k`` extents.
+
+    Derivation.  Let extent ``s`` of ``n`` bytes be placed at offset ``o``,
+    and ``I(s)`` be the live bytes just after, ``s`` included.  First fit
+    puts ``s`` in the lowest gap that fits, so every gap below ``o`` is
+    narrower than ``n``.  The bytes below ``o`` are live bytes or gap bytes,
+    hence ``o + n <= I(s) + gaps_below(s) <= I(s) + g(s) * (n - 1)``, where
+    ``g(s)`` counts the gaps below ``o``.  Each such gap ends where a live
+    segment begins, so ``g(s) <= k - 1`` and the highest byte is at most
+    ``peak + (k - 1) * (largest - 1)``.  With equal extents of ``e`` bytes,
+    every offset is a multiple of ``e`` (first fit places at 0 or at a live
+    segment's end), so a gap narrower than ``e`` is empty, ``g(s) = 0``, and
+    every allocation ends at or below ``k * e``.
+
+    The tighter ``peak + largest`` does not hold for ``hifreq_file``: its
+    first extent carries the 8-byte counter, so it fits no slot another
+    extent freed, and the 2 MiB tail extent leaves a hole narrower than any
+    extent in the slot it reuses.  Over 60 checkpoints it holds at lags 1-5,
+    8, 16 and 17; at lag 9 the highest byte sits 4 extents above the
+    in-flight peak and at lag 20 five (the bound above allows 8 and 19).
+    Still, at every lag up to 24 the highest byte stays more than one extent
+    below the capacity (0.26-0.45 of it at lags 8-13, where the benchmark's
+    pool peaks).  The FIFO ring this allocator replaced placed every extent
+    at its head and wrapped only at the end: the same replay reached byte
+    134,214,928 of the 135,263,504-byte pool (0.992) at every lag from 2 up,
+    whatever the bytes in flight.
+    """
+    extents = _hifreq_extents()
+    assert (len(extents), max(extents), sum(extents)) == (17, 4_065_288, 67_107_464)
+    largest = max(extents)
+    capacity = 2 * sum(extents) + (1 << 20)   # hifreq_file's host_buffer_size
+    for lag in range(1, 25):
+        top, peak = _replay(extents * 60, lag, capacity)
+        assert top <= peak + (lag - 1) * (largest - 1)
+        assert top < capacity - largest
+
+
+@pytest.mark.parametrize("lag", [1, 2, 3, 8, 16, 31, 32])
+def test_equal_extents_stay_within_lag_extents(lag):
+    size = MAX_EXTENT_BYTES
+    buf = CircularBufferManager(32 * size + 12345)
+    live = []
+    for _ in range(200):
+        if len(live) == lag:
+            buf.free(live.pop(0))
+        segment = buf.allocate(size)
+        assert segment.end <= lag * size
+        live.append(segment)

@@ -449,7 +449,7 @@ def test_extent_limit_is_a_quarter_of_a_small_pool():
     snapshot.capture(pool)
     sizes = []
     while (extent := snapshot.staged.get()) is not None:
-        sizes.append(extent.allocation.size)
+        sizes.append(extent.allocation.segment.size)
         assert len(extent.crcs) == len(extent.entries)
         pool.free(extent.allocation)
     assert sizes == [16 << 10, 16 << 10]

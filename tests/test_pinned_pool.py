@@ -17,7 +17,7 @@ from repro.restart import RestoreSpec
 def test_allocate_returns_view_of_requested_size():
     pool = PinnedHostPool(1024)
     alloc = pool.allocate(100)
-    assert alloc.size == 100
+    assert alloc.segment.size == 100
     assert len(alloc.view) == 100
     assert pool.used_bytes == 100
     pool.free(alloc)
@@ -28,9 +28,12 @@ def test_view_writes_land_in_backing_buffer():
     pool = PinnedHostPool(256)
     alloc = pool.allocate(16)
     np.frombuffer(alloc.view, dtype=np.uint8)[:] = 7
-    raw = pool.view(alloc.offset, alloc.size)
-    assert bytes(raw) == b"\x07" * 16
+    assert bytes(alloc.view) == b"\x07" * 16
     pool.free(alloc)
+    # The freed bytes are the next allocation's: the same backing bytes.
+    again = pool.allocate(16)
+    assert again.segment.offset == 0
+    assert bytes(again.view) == b"\x07" * 16
 
 
 def test_oversized_allocation_always_rejected():
@@ -61,7 +64,7 @@ def test_blocking_allocation_waits_for_free():
     pool.free(first)
     thread.join(timeout=5.0)
     assert not thread.is_alive()
-    assert result["alloc"].size == 60
+    assert result["alloc"].segment.size == 60
 
 
 def test_blocking_allocation_times_out():
@@ -90,17 +93,11 @@ def test_close_unblocks_waiters_with_error():
     assert errors
 
 
-def test_view_bounds_checked():
-    pool = PinnedHostPool(64)
-    with pytest.raises(AllocationError):
-        pool.view(60, 10)
-
-
 def test_reset_allows_reuse():
     pool = PinnedHostPool(100)
     pool.allocate(100)
     pool.reset()
-    assert pool.allocate(100).size == 100
+    assert pool.allocate(100).segment.size == 100
 
 
 def test_concurrent_producers_and_consumer():
@@ -155,7 +152,7 @@ def test_ring_wraparound_under_sustained_alloc_free():
         alloc = pool.allocate(300, blocking=True, timeout=5.0)
         np.frombuffer(alloc.view, dtype=np.uint8)[:] = index % 251
         live.append((index % 251, alloc))
-        offsets_seen.add(alloc.offset)
+        offsets_seen.add(alloc.segment.offset)
         if len(live) == 3:
             # Free oldest-first, like the flush pipeline retiring tensors.
             value, oldest = live.pop(0)
@@ -225,5 +222,5 @@ def test_blocked_waits_counts_the_allocations_that_had_to_wait():
     pool.free(first)
     thread.join(timeout=5.0)
     assert not thread.is_alive()
-    assert result["alloc"].size == 60
+    assert result["alloc"].segment.size == 60
     assert pool.blocked_waits == 1
