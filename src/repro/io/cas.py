@@ -20,7 +20,9 @@ content hash**, shared across every checkpoint and every tenant:
 * **Manifest schema v3** — at commit time the per-shard chunk lists are
   injected into the manifest (``chunks: [[hash, nbytes], ...]`` per record),
   making every committed checkpoint self-describing: restores, reference
-  counts and cross-job GC all read only committed manifests.
+  counts and cross-job GC all read only committed manifests, and every
+  shard read takes its chunk list from its manifest as it is now, so a
+  handle never serves a tag another handle has re-committed.
 * **Incremental checkpoints** — :meth:`record_shard_reference` lets an
   engine whose dirty scan (per-tensor CRC32s against the previous committed
   manifest, see ``CheckpointPolicy.incremental``) proves a shard part
@@ -248,12 +250,36 @@ class _CASCore:
                 f"stored payload hashes to {actual[:12]}...")
         return payload
 
+    def refresh(self, inner_tag: str) -> Tuple[Dict, Dict[str, _ShardChunks]]:
+        """``(manifest, per-shard chunk lists)`` of one committed checkpoint,
+        read now; the cached chunk lists of it are refreshed from them, or
+        dropped when it has no manifest (:class:`CheckpointError`)."""
+        try:
+            data = self.inner.read_manifest(inner_tag)
+        except CheckpointError:
+            with self.lock:
+                self.committed.pop(inner_tag, None)
+            raise
+        shards = _parse_shards(data)
+        with self.lock:
+            self.committed[inner_tag] = shards
+        return data, shards
+
     def shard_chunks(self, inner_tag: str, shard_name: str) -> _ShardChunks:
-        """Chunk list of one shard: committed manifest first, then pending."""
-        entry = self.committed_shards(inner_tag, required=False).get(shard_name)
-        if entry is None:
+        """Chunk list of one shard, from its manifest read now (another
+        handle may have re-committed the tag); the pending list only when
+        there is no manifest, and the list last read from the manifest when
+        an I/O error keeps it from being read now."""
+        try:
+            entry = self.refresh(inner_tag)[1].get(shard_name)
+        except CheckpointError:
             with self.lock:
                 entry = self.pending.get(inner_tag, {}).get(shard_name)
+        except OSError:
+            with self.lock:
+                if inner_tag not in self.committed:
+                    raise
+                entry = self.committed[inner_tag].get(shard_name)
         if entry is None:
             raise CheckpointError(
                 f"shard {shard_name!r} of checkpoint {inner_tag!r} does not exist")
@@ -516,24 +542,16 @@ class CASStore:
 
         Another handle over the same pool may have deleted or re-committed
         the tag since this pool cached its chunk lists, so the read refreshes
-        them from the manifest it returns (or drops them when there is none):
-        the shard reads that follow it — a restore, a dirty scan, a drain
-        link — see the chunks this manifest names.
+        them from the manifest it returns (or drops them when there is none),
+        as every shard read does: a read serves the chunks the manifest names
+        now, and a sweep spares no chunk only a replaced manifest named.
         """
-        core = self._core
-        inner_tag = self._tag(tag)
         try:
-            data = core.inner.read_manifest(inner_tag)
+            return self._core.refresh(self._tag(tag))[0]
         except CheckpointError:
-            with core.lock:
-                core.committed.pop(inner_tag, None)
             raise CheckpointError(
                 f"checkpoint {tag!r} has no manifest in namespace "
                 f"{self.job_id!r} (never committed?)") from None
-        shards = _parse_shards(data)
-        with core.lock:
-            core.committed[inner_tag] = shards
-        return data
 
     def shard_size(self, tag: str, shard_name: str) -> int:
         return self._core.shard_chunks(self._tag(tag), shard_name).nbytes

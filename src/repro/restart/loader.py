@@ -17,48 +17,43 @@ a store that cannot map (an object store, a CAS store) or with
 in one buffer owned by the restore, and checked in place in the prefetch
 worker.
 
-One rule decides what is copied: *copy only out of a read-only buffer*.  The
-arrays of a map are copied out, so the result is writable and the map can be
-released; the arrays of a landing buffer are returned as the writable,
-aligned views they already are (only an array whose slot is misaligned for
-its dtype is copied — mixed dtypes pack without padding).  Either way a
-restore returns writable, aligned views of memory it allocated itself — a
-landing buffer, or the one slab per rank its copies go into
-(:func:`empty_arrays`) — and never of a map; one live array keeps its buffer
-or its slab alive.
+Every restore — a single shard, one rank, every rank, or (with
+``spec.target_topology``) an elastic restore into another parallel layout —
+is one **executor** over one **plan** (:meth:`CheckpointLoader._execute`).
+Each fetched set is decoded to views of its buffers and handed to the plan;
+when the plan answers ``(states, moves)``, its ``(target, source)`` moves run
+through :func:`copy_grouped`, the checks of the buffers they read are joined
+and those buffers are released.  Two plans exist:
 
-:meth:`CheckpointLoader.restore` is one entry point covering a single shard,
-one rank, every rank, and (with ``spec.target_topology``) an elastic restore
-into a different parallel layout, which fetches only the source ranks the
-requested target slices are made of and copies each source slice, out of a
-view of its shard buffer, straight into the target arrays
-(:meth:`CheckpointLoader._restore_reshaped`, :mod:`repro.restart.reshape`).
+* the **identity plan** of a plain restore answers per set: a map's arrays
+  each get a target and one whole-tensor move, so the result is writable and
+  the map can be released; a landing buffer's arrays are returned as the
+  views they already are, save one misaligned for its dtype (mixed dtypes
+  pack without padding);
+* the **reshape plan** is :class:`~repro.restart.reshape.Remap`: it reads
+  only the source ranks the requested target slices are made of and answers
+  once the last is decoded, copying each source window straight into the
+  target arrays.
 
-Both copies — a map's copy-out and a reshape's moves — are one list of
-``(target, source)`` pairs run by one helper, :func:`copy_grouped`, into
-targets from one helper, :func:`empty_arrays`: a rank's large arrays share
-one slab, which is faulted in huge pages where per-array allocations would
-each be a fresh mapping faulted 4 KiB at a time.  The copies are bound by
-first-touch page faults on the fresh arrays, not by memcpy, so the pairs are
-split into :data:`PREFETCH_DEPTH` groups balanced by bytes: the consumer
-copies one group and the prefetch workers the others, taking their faults in
-parallel.
+Targets come from one helper, :func:`empty_arrays`: a rank's large arrays
+share one slab, faulted in huge pages where per-array allocations would each
+be a fresh mapping faulted 4 KiB at a time.  The copies are bound by those
+first-touch faults, not by memcpy, so :func:`copy_grouped` splits the moves
+into :data:`PREFETCH_DEPTH` groups balanced by bytes: the consumer copies one
+and the prefetch workers the others.  A restore returns writable, aligned
+views of memory it allocated itself, never of a map.
 
-Every fetch — a restore of any shape, :meth:`CheckpointLoader.validate` and
+Every fetch — a restore, :meth:`CheckpointLoader.validate` and
 :meth:`CheckpointLoader.verify_tensor_checksums` — runs through one
 **prefetch pipeline** (:meth:`CheckpointLoader._iter_prefetched_sets`):
 :data:`PREFETCH_DEPTH` bounded workers fetch and CRC-validate shard parts
-ahead of deserialization, so a one-rank restore overlaps I/O with reassembly
-across a multi-shard set and an all-ranks restore additionally overlaps
-across ranks.  A mapped part's CRC32 pass runs on a worker while its arrays
-are copied out on the others and the consumer, so even one part checks and
-copies at once.
-
-Validation and loading happen in one pass over each shard — a restore with
-``validate=True`` never reads a shard twice, returns nothing (and closes no
-map) before its parts' checks have passed, and reports a failed check over
-any decode error its corrupt bytes caused.  ``validate=False`` skips the
-per-shard size/CRC checks entirely (manifest completeness is still enforced).
+ahead of the decode, across the parts of a set and across ranks.  A mapped
+part's CRC32 pass runs on a worker while its arrays are copied out.  A
+restore with ``validate=True`` never reads a shard twice, returns nothing
+(and closes no map) before its parts' checks have passed, and reports a
+failed check over any decode, compare or copy error its corrupt bytes
+caused.  ``validate=False`` skips the per-shard size/CRC checks entirely
+(manifest completeness is still enforced).
 """
 
 from __future__ import annotations
@@ -70,7 +65,7 @@ import traceback
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -88,9 +83,6 @@ from ..serialization import (
 from ..serialization.shard_plan import _binned_indices
 from ..tensor import unflatten_state_dict
 from .spec import RestoreSpec
-
-if TYPE_CHECKING:
-    from .reshape import Remap
 
 logger = get_logger(__name__)
 
@@ -119,6 +111,13 @@ _SetItem = Tuple[Any, List[ShardRecord]]
 #: One copy of a restore: ``(target window, source window)``.
 CopyPair = Tuple[np.ndarray, np.ndarray]
 
+#: A restore's plan (:meth:`CheckpointLoader._execute`) is given each set
+#: decoded to ``(skeleton, views of its buffers)`` and not yet answered for,
+#: by key, and answers ``None`` (wait for more) or ``(states by key, moves)``.
+_Decoded = Tuple[Any, List[np.ndarray]]
+_Answer = Tuple[Dict[Any, Any], List[CopyPair]]
+_Plan = Callable[[Dict[Any, _Decoded]], Optional[_Answer]]
+
 
 def copy_pairs(pairs: Sequence[CopyPair], indices: Iterable[int]) -> None:
     """Copy each source window into its target window, for the ``pairs`` at
@@ -129,7 +128,7 @@ def copy_pairs(pairs: Sequence[CopyPair], indices: Iterable[int]) -> None:
 
 def copy_grouped(pairs: List[CopyPair], pool: Optional[ThreadPoolExecutor] = None) -> None:
     """Run every ``(target, source)`` copy of ``pairs``: the one copy step of
-    a mapped restore's copy-out and of a reshape.
+    every restore (:meth:`CheckpointLoader._execute`) and in-memory reshape.
 
     With a ``pool`` (a restore's prefetch workers) the pairs are split into
     :data:`PREFETCH_DEPTH` groups balanced by bytes: this thread copies the
@@ -179,6 +178,27 @@ def empty_arrays(specs: Sequence[Tuple[Tuple[int, ...], np.dtype]]) -> List[np.n
     return [np.empty(shape, dtype) if offset is None else
             slab[offset:offset + nbytes].view(dtype).reshape(shape)
             for (shape, dtype, nbytes), offset in zip(sized, offsets)]
+
+
+def _identity_plan(decoded: Dict[Any, _Decoded]) -> _Answer:
+    """The plan of a plain restore: each set answered as soon as it is
+    decoded, as its own state, so an all-ranks restore releases each rank's
+    buffers once they are copied.
+
+    One rule decides what is copied: a view that is read-only (of a map) or
+    misaligned for its dtype gets an :func:`empty_arrays` target and one
+    whole-tensor move; every other view (of a landing buffer) is returned
+    as it is.
+    """
+    ((key, (skeleton, views)),) = decoded.items()
+    copied = [index for index, view in enumerate(views)
+              if not (view.flags.writeable and view.flags.aligned)]
+    targets = list(views)
+    for index, target in zip(copied, empty_arrays([(views[index].shape, views[index].dtype)
+                                                   for index in copied])):
+        targets[index] = target
+    return ({key: unflatten_state_dict(skeleton, targets)},
+            [(targets[index], views[index]) for index in copied])
 
 
 @dataclass(frozen=True)
@@ -486,11 +506,6 @@ class CheckpointLoader:
             return {"fetch_seconds": list(self._fetch_seconds),
                     "deserialize_seconds": list(self._deserialize_seconds)}
 
-    def _record_deserialize(self, seconds: float, parts: int) -> None:
-        """A set is rebuilt as one unit: its wall time is amortised over its parts."""
-        with self._timing_lock:
-            self._deserialize_seconds.extend([seconds / max(1, parts)] * parts)
-
     # -- loading ----------------------------------------------------------------------
     def restore(self, spec: Optional[RestoreSpec] = None) -> Any:
         """Execute one restore request — the single restore entry point.
@@ -499,9 +514,8 @@ class CheckpointLoader:
         committed), the slice (``rank`` / ``shard`` / ``all_ranks``; a bare
         loader with no selector restores all ranks), an optional
         ``target_topology`` for an elastic (reshaping) restore, and the two
-        options ``validate`` and ``use_mmap``.
-        :meth:`repro.core.CheckpointEngine.load` routes through here, so
-        every engine's restores share one validation + deserialization path.
+        options ``validate`` and ``use_mmap``.  Every engine's
+        :meth:`~repro.core.CheckpointEngine.load` routes through here.
 
         A shard or a rank comes back as its state — a rank that wrote
         several *independent* logical shards (distinct custom shard names)
@@ -510,30 +524,15 @@ class CheckpointLoader:
         spec = spec if spec is not None else RestoreSpec()
         tag = spec.tag if spec.tag is not None else self._latest_tag()
         mmap = spec.use_mmap and supports_mmap(self.store)
-        if spec.target_topology is not None:
-            return self._restore_reshaped(tag, spec, mmap)
         manifest = self.manifest(tag)
-        if spec.shard is not None:
-            sets = [self._shard_set(tag, manifest, spec.shard)]
-        elif spec.rank is not None:
-            sets = [((spec.rank, name), records) for name, records
-                    in manifest.shard_sets_of_rank(spec.rank).items()]
-            if not sets:
-                raise RestartError(f"checkpoint {tag!r} holds no shards for rank {spec.rank}")
-        else:
-            # Every rank present and every shard-set whole, validated or not.
-            manifest.validate_complete()
-            sets = [((rank, name), records)
-                    for rank in sorted({record.rank for record in manifest.shards})
-                    for name, records in manifest.shard_sets_of_rank(rank).items()]
-        per_rank: Dict[int, Dict[str, Any]] = {}
-        # Not a comprehension: its frame, in a failure's traceback, pins the pipeline.
-        for (rank, name), records, buffers, checks, pool in self._iter_prefetched_sets(
-                tag, sets, spec.validate, mmap):
-            per_rank.setdefault(rank, {})[name] = \
-                self._deserialize_set(tag, records, buffers, checks, pool)
-        states = {rank: next(iter(named.values())) if len(named) == 1 else named
-                  for rank, named in per_rank.items()}
+        plan = self._plain_plan if spec.target_topology is None else self._reshape_plan
+        states = self._execute(tag, *plan(tag, manifest, spec), spec.validate, mmap)
+        if spec.target_topology is None:
+            per_rank: Dict[int, Dict[str, Any]] = {}
+            for (rank, name), state in states.items():
+                per_rank.setdefault(rank, {})[name] = state
+            states = {rank: next(iter(named.values())) if len(named) == 1 else named
+                      for rank, named in per_rank.items()}
         if spec.shard is not None or spec.rank is not None:
             return next(iter(states.values()))
         return states
@@ -544,6 +543,24 @@ class CheckpointLoader:
         if info is None:
             raise RestartError("no committed checkpoints to restore")
         return info.tag
+
+    def _plain_plan(self, tag: str, manifest: CheckpointManifest,
+                    spec: RestoreSpec) -> Tuple[List[_SetItem], _Plan]:
+        """``(sets, plan)`` of a plain restore: every logical shard of
+        ``spec``'s selection, keyed ``(rank, name)``, and the identity plan."""
+        if spec.shard is not None:
+            return [self._shard_set(tag, manifest, spec.shard)], _identity_plan
+        if spec.rank is not None:
+            sets = [((spec.rank, name), records) for name, records
+                    in manifest.shard_sets_of_rank(spec.rank).items()]
+            if not sets:
+                raise RestartError(f"checkpoint {tag!r} holds no shards for rank {spec.rank}")
+            return sets, _identity_plan
+        # Every rank present and every shard-set whole, validated or not.
+        manifest.validate_complete()
+        return [((rank, name), records)
+                for rank in sorted({record.rank for record in manifest.shards})
+                for name, records in manifest.shard_sets_of_rank(rank).items()], _identity_plan
 
     @staticmethod
     def _shard_set(tag: str, manifest: CheckpointManifest, shard_name: str) -> _SetItem:
@@ -578,136 +595,111 @@ class CheckpointLoader:
             f"checkpoint {tag!r} has no shard {shard_name!r} (has: {recorded[:4]} ...)"
         )
 
-    def _restore_reshaped(self, tag: str, spec: RestoreSpec, mmap: bool) -> Any:
-        """Elastic restore of ``spec.rank`` (default: every rank) of the target
-        grid.  :class:`~repro.restart.reshape.Remap` plans from the manifest
-        alone which source ranks the requested slices are made of; only their
-        shard-sets are fetched (like any restore: mapped or read, size/CRC
-        checked, prefetched) and decoded to views.  Once the last is decoded,
-        :meth:`~repro.restart.reshape.Remap.run` hands over its moves and they
-        are copied straight into the target arrays on this thread and the
-        prefetch workers (:func:`copy_grouped`), before the pipeline shuts
-        its workers down.  What ``spec.validate`` cross-checks is described
-        there.  The arrays returned are writable views of one slab per target
-        rank (:func:`empty_arrays`; a small one is an array of its own), each
-        target rank gets its own copy of the ``extra`` block, and every buffer
-        is released on return, not by a later GC."""
+    @staticmethod
+    def _reshape_plan(tag: str, manifest: CheckpointManifest,
+                      spec: RestoreSpec) -> Tuple[List[_SetItem], _Plan]:
+        """``(sets, plan)`` of an elastic restore of ``spec.rank`` (default:
+        every rank) of the target grid: the shard-sets of the source ranks
+        :class:`~repro.restart.reshape.Remap` finds, from the manifest alone,
+        the slices are made of, and a plan that answers with
+        :meth:`~repro.restart.reshape.Remap.run` (``{target rank: state}``,
+        where ``spec.validate``'s cross-checks are described) once the last
+        of them is decoded."""
         from .reshape import Remap
 
-        manifest = self.manifest(tag)
         if manifest.topology is None:
             raise RestartError(
                 f"checkpoint {tag!r} carries no save-time topology block "
                 "(manifest schema < 4); it can only be restored into the "
                 "layout that saved it")
-        plan = Remap(manifest.topology, spec.target_topology, spec.rank)
-        sets = [item for rank in sorted(plan.source_ranks)
-                for item in manifest.shard_sets_of_rank(rank).items()]
-        if len(sets) != len(plan.source_ranks):
+        remap = Remap(manifest.topology, spec.target_topology, spec.rank)
+        sets = [((rank, name), records) for rank in sorted(remap.source_ranks)
+                for name, records in manifest.shard_sets_of_rank(rank).items()]
+        if len(sets) != len(remap.source_ranks):
             raise RestartError(
                 f"checkpoint {tag!r} does not hold exactly one logical shard for "
-                f"each of the source ranks {sorted(plan.source_ranks)[:8]}")
-        held: List[Any] = []
+                f"each of the source ranks {sorted(remap.source_ranks)[:8]}")
+
+        def plan(decoded: Dict[Any, _Decoded]) -> Optional[_Answer]:
+            if len(decoded) < len(sets):
+                return None
+            sources = {}
+            for (rank, _name), (skeleton, views) in decoded.items():
+                try:
+                    sources[rank] = unflatten_state_dict(skeleton, views)
+                finally:
+                    # unflatten's closure cycle owns this list until the
+                    # cyclic GC runs; emptied, it pins no view of a map.
+                    del views[:]
+            return remap.run(sources, validate=spec.validate)
+
+        return sets, plan
+
+    def _execute(self, tag: str, sets: Sequence[_SetItem], plan: _Plan, validate: bool,
+                 mmap: bool) -> Dict[Any, Any]:
+        """The states of every answer of ``plan``, merged: each set of
+        ``sets`` fetched (:meth:`_iter_prefetched_sets`), decoded and handed
+        to ``plan``.  On each answer its moves run on this thread and the
+        prefetch workers (:func:`copy_grouped`), the checks of the buffers
+        they read are joined — a failed one outranks a decode, plan or copy
+        error — those buffers are released, and the timing is recorded.  No
+        buffer outlives the call: a failure clears the frames holding views.
+        """
+        out: Dict[Any, Any] = {}
+        decoded: Dict[Any, _Decoded] = {}
+        held: List[Any] = []           # the buffers of the sets not yet answered
         checks: List[Future] = []
-        sources: Dict[int, Any] = {}
-        busy = 0.0  # decode + remap wall time, fetch and check waits excluded
+        busy = 0.0  # decode + plan + copy wall time, fetch and check waits excluded
         try:
-            for name, records, buffers, set_checks, pool in self._iter_prefetched_sets(
-                    tag, sets, spec.validate, mmap):
+            for key, records, buffers, set_checks, pool in self._iter_prefetched_sets(
+                    tag, sets, validate, mmap):
                 held.extend(buffers)
                 checks.extend(set_checks)
-                started, rank = time.perf_counter(), records[0].rank
+                started = time.perf_counter()
                 try:
-                    skeleton, arrays = decode_rank_state(
-                        [self._buffer_data(buffer) for buffer in buffers], copy=False)
-                    try:
-                        # Kept in no local: this frame outlives a failed restore
-                        # in its traceback, and must not pin a view of a map.
-                        sources[rank] = unflatten_state_dict(skeleton, arrays)
-                    finally:
-                        # unflatten's closure cycle owns this list until the
-                        # cyclic GC runs; emptied, it pins no view either.
-                        del arrays[:]
+                    states = self._answer(plan, decoded, key, buffers, pool)
                 except Exception as exc:
                     traceback.clear_frames(exc.__traceback__)  # they hold views of the maps
+                    if isinstance(exc, RestartError):
+                        raise
                     raise RestartError(
-                        f"cannot deserialize shard {name!r} of {tag!r}: {exc}") from exc
-                if len(sources) == len(sets):
-                    states = self._reshaped_states(tag, plan, sources, spec.validate, pool)
+                        f"cannot deserialize shard "
+                        f"{records[0].group or records[0].name!r} of {tag!r}: {exc}"
+                    ) from exc
                 busy += time.perf_counter() - started
+                if states is not None:
+                    self._join_checks(checks)
+                    self._release(held, checks)
+                    with self._timing_lock:  # one sample per part it read
+                        self._deserialize_seconds.extend([busy / len(held)] * len(held))
+                    out.update(states)
+                    held, checks, busy = [], [], 0.0
         except BaseException as exc:
-            # The frames below this one still hold views of the buffers; a failed
-            # check outranks what its bytes broke (a decode, a coordinate, a twin,
-            # a copy).
+            # A failed check outranks what its corrupt bytes broke.
             traceback.clear_frames(exc.__traceback__)
             self._join_checks(checks)
             raise
         finally:
-            sources.clear()
+            decoded.clear()
             self._release(held, checks)
-        self._join_checks(checks)
-        self._record_deserialize(busy, len(held))
-        return states[spec.rank] if spec.rank is not None else states
+        return out
 
     @staticmethod
-    def _reshaped_states(tag: str, plan: Remap, sources: Dict[int, Any], validate: bool,
-                         pool: ThreadPoolExecutor) -> Dict[int, Dict[str, Any]]:
-        """The target states of ``plan`` from the decoded ``sources``: every
-        move copied on this thread and ``pool``, none of it a view of a source
-        buffer.  A frame of its own: until the copies, its moves hold views of
-        the buffers, and a failed restore's traceback clears this frame."""
-        states, moves = plan.run(sources, validate=validate)
-        try:
-            copy_grouped(moves, pool)
-        except Exception as exc:
-            raise RestartError(f"cannot reshape checkpoint {tag!r}: {exc}") from exc
+    def _answer(plan: _Plan, decoded: Dict[Any, _Decoded], key: Any, buffers: Sequence[Any],
+                pool: ThreadPoolExecutor) -> Optional[Dict[Any, Any]]:
+        """One set decoded to views into ``decoded``, then ``plan`` asked;
+        once it answers, its moves are run and its states returned.  A frame
+        of its own: until the copies, its locals hold views of the buffers,
+        and a failed restore's traceback clears this frame."""
+        decoded[key] = decode_rank_state(
+            [CheckpointLoader._buffer_data(buffer) for buffer in buffers], copy=False)
+        answer = plan(decoded)
+        if answer is None:
+            return None
+        decoded.clear()
+        states, moves = answer
+        copy_grouped(moves, pool)
         return states
-
-    def _deserialize_set(self, tag: str, records: Sequence[ShardRecord],
-                         buffers: List[Any], checks: Sequence[Future],
-                         pool: ThreadPoolExecutor) -> Any:
-        """Rebuild one logical shard's state; always releases the buffers.
-
-        ``checks`` (the maps' pending CRC32 passes) run beside the decode and
-        the copy-out (:meth:`_owned_arrays`) and are joined before anything
-        is returned; a failed one outranks a decode or copy error.
-        """
-        try:
-            started = time.perf_counter()
-            try:
-                state = unflatten_state_dict(*self._owned_arrays(buffers, pool))
-            except Exception as exc:
-                traceback.clear_frames(exc.__traceback__)  # they hold views of the maps
-                self._join_checks(checks)
-                raise RestartError(
-                    f"cannot deserialize shard "
-                    f"{records[0].group or records[0].name!r} of {tag!r}: {exc}"
-                ) from exc
-            seconds = time.perf_counter() - started
-            self._join_checks(checks)
-            self._record_deserialize(seconds, len(records))
-            return state
-        finally:
-            self._release(buffers, checks)
-
-    def _owned_arrays(self, buffers: Sequence[Any],
-                      pool: ThreadPoolExecutor) -> Tuple[Any, List[np.ndarray]]:
-        """``(skeleton, arrays)`` of one shard-set, no array a view of a map.
-
-        The one copy rule: copy only out of a read-only buffer (a map), on
-        the prefetch ``pool`` and this thread (:func:`copy_grouped`), into
-        one :func:`empty_arrays` call for all of the set's parts: the large
-        arrays are views of one slab.  The arrays of a landing buffer are
-        writable views of memory this restore owns; just those whose slot is
-        misaligned for their dtype are copied.
-        """
-        datas = [self._buffer_data(buffer) for buffer in buffers]
-        skeleton, arrays = decode_rank_state(datas, copy=False)
-        if memoryview(datas[0]).readonly:
-            copies = empty_arrays([(view.shape, view.dtype) for view in arrays])
-            copy_grouped([*zip(copies, arrays)], pool)
-            return skeleton, copies
-        return skeleton, [array if array.flags.aligned else array.copy() for array in arrays]
 
     # -- housekeeping --------------------------------------------------------------------
     def prune_uncommitted(self) -> List[str]:

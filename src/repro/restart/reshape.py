@@ -20,9 +20,11 @@ source slice is the pairwise block intersections, each one (strided) copy
 from a view of the source buffer into a freshly allocated target array (a
 target rank's large arrays are views of one slab it alone holds, never of a
 source) — a ``(target window, source window)`` move that :meth:`Remap.run`
-hands over and :func:`~repro.restart.loader.copy_grouped` runs (on a
-restore's prefetch workers too); pipeline stages hold contiguous key ranges
-(:func:`repro.parallelism.partition.balanced_contiguous_partition`).
+hands over and :func:`~repro.restart.loader.copy_grouped` runs.  A reshaped
+restore is the loader's one restore executor with :class:`Remap` as its
+plan: the same decode, copy, check and release as a plain restore, whose
+identity plan moves each tensor whole.  Pipeline stages hold contiguous key
+ranges (:func:`repro.parallelism.partition.balanced_contiguous_partition`).
 Splitting a full state is the remap from the 1x1x1 grid, merging the remap
 onto it, and an identity reshape reproduces every rank's arrays bit-for-bit.
 
@@ -238,9 +240,11 @@ def _slice_of(state: Mapping[str, Any], rank: int, key: str,
 
 # ---------------------------------------------------------------------- remap
 class Remap:
-    """The copy plan of one reshape: for each requested target rank and tensor of
-    its stage, which blocks of which source ranks' slices its slice is made of.
-    It takes the two topologies alone: :attr:`source_ranks` is known before a read."""
+    """The plan of one reshape — in memory, or a reshaped restore's plan
+    (:meth:`~repro.restart.loader.CheckpointLoader.restore`): for each requested
+    target rank and tensor of its stage, which blocks of which source ranks'
+    slices its slice is made of.  It takes the two topologies alone:
+    :attr:`source_ranks` is known before a read."""
 
     def __init__(self, source: CheckpointTopology, target: CheckpointTopology,
                  rank: Optional[int] = None) -> None:

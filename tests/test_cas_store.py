@@ -561,6 +561,35 @@ def test_shard_size_and_ranged_reads_follow_a_recommitted_manifest(tmp_path):
     assert reader.read_shard_range("t", "s", 2, 8) == b"yyYYYYzz"
 
 
+def test_a_bare_shard_read_follows_a_recommitted_manifest(tmp_path):
+    """No ``read_manifest`` on ``reader`` in between: each shard read takes
+    the chunk list from the manifest as it is now, so ``reader`` gets the
+    re-committed bytes and its sweep reclaims the old checkpoint's chunks."""
+    reader = _pool(tmp_path, chunk_bytes=4)
+    writer = _pool(tmp_path, chunk_bytes=4)
+    _save(writer, "t", {"s": b"xxxxXXXX"})
+    assert reader.read_shard("t", "s") == b"xxxxXXXX"
+
+    writer.delete_checkpoint("t")
+    _save(writer, "t", {"s": b"yyyyYYYY"})
+    assert reader.read_shard("t", "s") == b"yyyyYYYY"
+    assert bytes(reader.read_shard("t", "s", out=bytearray(8))) == b"yyyyYYYY"
+    assert reader.read_shard_range("t", "s", 2, 4) == b"yyYY"
+    assert reader.sweep_unreferenced() == 2
+    assert reader.read_shard("t", "s") == b"yyyyYYYY"
+
+
+def test_a_bare_shard_size_follows_a_recommitted_manifest(tmp_path):
+    reader = _pool(tmp_path, chunk_bytes=4)
+    writer = _pool(tmp_path, chunk_bytes=4)
+    _save(writer, "t", {"s": b"xxxxXXXX"})
+    assert reader.shard_size("t", "s") == 8
+
+    writer.delete_checkpoint("t")
+    _save(writer, "t", {"s": b"yyyyYYYYzzzz"})
+    assert reader.shard_size("t", "s") == 12
+
+
 @pytest.mark.parametrize("damage", ["oserror", "garbage"])
 def test_an_unreadable_listed_manifest_fails_the_sweep_and_deletes_nothing(
         tmp_path, damage):

@@ -10,8 +10,11 @@ token, somewhere in ``src/``, ``benchmarks/`` (the dsbench suite included) or
 - the ``def`` / ``class`` name itself, and a name inside the member's own body.
 
 A name is matched as a word, whatever object it is looked up on, so two
-members that share a name count as used when either is called.  Dunder
-methods are called by the language and are not scanned.
+members that share a name count as used when either is called — except
+``self.<name>`` inside the body of a ``src/repro`` class that defines a member
+of that name, which is a use of that class's own member and of its overrides
+in subclasses (bases are matched by name) alone.  Dunder methods are called
+by the language and are not scanned.
 
 A member nothing but ``tests/`` reaches is deleted, unless it is in
 ``ALLOWLIST`` below with its reason.  Only four kinds of keeper belong there:
@@ -101,7 +104,8 @@ def _import_lines(tree: ast.Module) -> set[int]:
 
 
 def _fstring_names(token: str):
-    """Names in the replacement fields of an f-string token.
+    """``(name, on self)`` of each name in the replacement fields of an
+    f-string token; ``on self`` when it is looked up as ``self.<name>``.
 
     Python 3.12 tokenizes those fields as NAME tokens; earlier versions hand
     the whole f-string over as one STRING token.
@@ -111,23 +115,64 @@ def _fstring_names(token: str):
         return
     for node in ast.walk(ast.parse(token, mode="eval")):
         if isinstance(node, ast.Name):
-            yield node.id
+            yield node.id, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            yield node.attr, isinstance(node.value, ast.Name) and node.value.id == "self"
+
+
+def _classes(tree: ast.Module, module: str):
+    """``(first line, last line, module:qualname, member names, base names)``
+    of every class in ``tree``; the qualname is ``None`` for a class inside a
+    function, which has no members the scan reports."""
+    todo = [(node, "") for node in tree.body]
+    while todo:
+        node, prefix = todo.pop()
+        if isinstance(node, ast.ClassDef):
+            names = {child.name for child in node.body if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+            qualname = None if prefix is None else f"{module}:{prefix}{node.name}"
+            bases = {base.id if isinstance(base, ast.Name) else base.attr
+                     for base in node.bases if isinstance(base, (ast.Name, ast.Attribute))}
+            yield node.lineno, node.end_lineno, qualname, names, bases
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{prefix}{node.name}." if isinstance(node, ast.ClassDef) and \
+                prefix is not None else None
+            todo.extend((child, inner) for child in node.body)
+        else:
+            todo.extend((child, prefix) for child in ast.iter_child_nodes(node)
+                        if isinstance(child, ast.stmt))
 
 
 def _uses(root: Path):
-    """``{name: [(path, line)]}`` of every counted NAME token."""
+    """``{name: [(path, line)]}`` of every counted NAME token; a
+    ``self.<name>`` resolved to its class's own member is filed under that
+    member's ``module:qualname`` instead of its bare name."""
     uses: dict[str, list[tuple[Path, int]]] = {}
     for tree_name in CALLER_TREES:
         for path in _python_files(root / tree_name):
             text = path.read_text()
-            skip = _import_lines(ast.parse(text)) if path.name == "__init__.py" else set()
+            tree = ast.parse(text)
+            skip = _import_lines(tree) if path.name == "__init__.py" else set()
+            classes = (sorted(_classes(tree, _module_name(root / "src", path)))
+                       if tree_name == "src" else [])
+
+            def use(name: str, line: int, on_self: bool) -> None:
+                # The innermost class around the line sorts last among those that hold it.
+                owner = [(qualname, names) for first, last, qualname, names, _bases
+                         in classes if first <= line <= last][-1:]
+                if on_self and owner and owner[0][0] and name in owner[0][1]:
+                    name = f"{owner[0][0]}.{name}"
+                uses.setdefault(name, []).append((path, line))
+
             after_def = False
+            last_two = ("", "")
             for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+                on_self = last_two == ("self", ".")
+                if tok.type in (tokenize.NAME, tokenize.OP):
+                    last_two = (last_two[1], tok.string)
                 if tok.type == tokenize.STRING:
-                    for name in _fstring_names(tok.string):
-                        uses.setdefault(name, []).append((path, tok.start[0]))
+                    for name, fstring_self in _fstring_names(tok.string):
+                        use(name, tok.start[0], fstring_self)
                 if tok.type != tokenize.NAME:
                     continue
                 if after_def:
@@ -138,8 +183,31 @@ def _uses(root: Path):
                     continue
                 if tok.start[0] in skip:
                     continue
-                uses.setdefault(tok.string, []).append((path, tok.start[0]))
+                use(tok.string, tok.start[0], on_self)
     return uses
+
+
+def _lineage(src: Path) -> dict[str, set[str]]:
+    """``{module:qualname: the class and its ancestors}`` of every class of
+    ``src/repro``, a base matched to every class of its name."""
+    bases, by_name = {}, {}
+    for path in _python_files(src / "repro"):
+        for *_lines, qualname, _names, base_names in _classes(
+                ast.parse(path.read_text()), _module_name(src, path)):
+            if qualname is not None:
+                bases[qualname] = base_names
+                by_name.setdefault(qualname.partition(":")[2].rpartition(".")[2],
+                                   set()).add(qualname)
+    lineage = {}
+    for qualname in bases:
+        todo, seen = [qualname], set()
+        while todo:
+            cls = todo.pop()
+            if cls not in seen:
+                seen.add(cls)
+                todo.extend(parent for base in bases[cls] for parent in by_name.get(base, ()))
+        lineage[qualname] = seen
+    return lineage
 
 
 def scan(root: Path = REPO):
@@ -149,10 +217,13 @@ def scan(root: Path = REPO):
     """
     src = root / "src"
     uses = _uses(root)
+    lineage = _lineage(src)
     found = []
     for module, qualname, name, path, first, last in _members(src):
+        owner = f"{module}:{qualname.rpartition('.')[0]}"
+        keys = [name] + [f"{cls}.{name}" for cls in lineage.get(owner, ())]
         outside = [
-            (p, line) for p, line in uses.get(name, ())
+            (p, line) for key in keys for p, line in uses.get(key, [])
             if not (p == path and first <= line <= last)
         ]
         if not outside:
@@ -263,6 +334,47 @@ def test_scan_names_nested_members_and_skips_dunders(tmp_path):
         "    def size(self):\n"
         "        return 1\n"), "src/repro/other.py": "from repro.lib import Box, helper\n"})
     assert scan(root) == [("repro.lib:Box.size", 3)]
+
+
+_TWO_POOLS = '''\
+class Pool:
+    def free_bytes(self):
+        return 0
+
+    def describe(self):
+        return f"{self.free_bytes()} free"
+
+
+class Ring:
+    def free_bytes(self):
+        return 1
+
+    def grow(self):
+        return self.free_bytes() + 1
+
+
+class WiderRing(Ring):
+    def free_bytes(self):
+        return 2
+'''
+
+
+@pytest.mark.parametrize("caller", ["self.free_bytes()", "f'{self.free_bytes()}'"])
+def test_scan_resolves_a_self_use_to_its_own_class(tmp_path, caller):
+    """``Pool.describe`` names ``self.free_bytes``: that is ``Pool``'s own
+    member, so ``Ring.free_bytes``, which only a test calls, is reported;
+    ``Ring.grow``'s ``self.free_bytes`` keeps its own and its subclass's
+    override alive."""
+    root = _repo(tmp_path, {
+        "src/repro/pools.py": _TWO_POOLS.replace("f\"{self.free_bytes()} free\"", caller)
+                                         .replace("self.free_bytes() + 1", "1"),
+        "src/repro/other.py": "from repro.pools import Pool, Ring, WiderRing\n"
+                              "Pool().describe()\nRing()\nWiderRing()\n",
+        "tests/test_pools.py": "from repro.pools import Ring\nRing().free_bytes()\n"})
+    assert _found(root) == ["repro.lib:helper", "repro.pools:Ring.free_bytes",
+                            "repro.pools:Ring.grow", "repro.pools:WiderRing.free_bytes"]
+    (root / "src/repro/pools.py").write_text(_TWO_POOLS)
+    assert _found(root) == ["repro.lib:helper", "repro.pools:Ring.grow"]
 
 
 if __name__ == "__main__":
